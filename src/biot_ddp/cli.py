@@ -22,7 +22,7 @@ from .harness import (
     write_json,
 )
 from .krylov import write_residual_history
-from .mesh_fem import ConfigurationError
+from .mesh_fem import ConfigurationError, MaterialDomainError
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -219,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:
+    except (ConfigurationError, MaterialDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

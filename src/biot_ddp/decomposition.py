@@ -42,15 +42,13 @@ class SubdomainPartition:
     base_elements: dict[int, np.ndarray]
     refined_elements: dict[int, np.ndarray]
     diameters: np.ndarray
-    base_interface_nodes: np.ndarray  # strict interface: shared nodes off the outer boundary
-    refined_interface_nodes: np.ndarray
 
     @property
     def n_subdomains(self) -> int:
         return self.grid[0] * self.grid[1]
 
 
-def _node_axis_subs(i: np.ndarray, n: int, m: int, g: int) -> np.ndarray:
+def _node_axis_subs(i: np.ndarray, m: int, g: int) -> np.ndarray:
     """Owning subdomain index along one axis for nodes not on an interior line."""
     return np.minimum(i // m, g - 1)
 
@@ -70,7 +68,7 @@ def _sharing_sets(mesh_nx: int, mesh_ny: int, grid: tuple[int, int]) -> tuple[np
     ix = ids % (mesh_nx + 1)
     iy = ids // (mesh_nx + 1)
     shared = _interface_mask(ix, iy, mesh_nx, mesh_ny, mx, my)
-    owner = (_node_axis_subs(iy, mesh_ny, my, gy) * gx + _node_axis_subs(ix, mesh_nx, mx, gx)).astype(np.int64)
+    owner = (_node_axis_subs(iy, my, gy) * gx + _node_axis_subs(ix, mx, gx)).astype(np.int64)
     sharing: dict[int, tuple[int, ...]] = {}
     for n in np.flatnonzero(shared):
         i, j = int(ix[n]), int(iy[n])
@@ -112,14 +110,6 @@ def partition(mesh: StructuredMesh, grid: tuple[int, int]) -> SubdomainPartition
         bounds = np.searchsorted(sub[order], np.arange(gx * gy + 1))
         return {s: np.sort(order[bounds[s] : bounds[s + 1]]) for s in range(gx * gy)}
 
-    def strict_interface(m: StructuredMesh, px: int, py: int) -> np.ndarray:
-        ids = np.arange(m.n_nodes)
-        ix = ids % (m.nx + 1)
-        iy = ids // (m.nx + 1)
-        shared = _interface_mask(ix, iy, m.nx, m.ny, px, py)
-        inner = (ix > 0) & (ix < m.nx) & (iy > 0) & (iy < m.ny)
-        return ids[shared & inner]
-
     diam = float(np.hypot(1.0 / gx, 1.0 / gy))
     return SubdomainPartition(
         grid=grid,
@@ -127,8 +117,6 @@ def partition(mesh: StructuredMesh, grid: tuple[int, int]) -> SubdomainPartition
         base_elements=elems(mesh, mx, my),
         refined_elements=elems(refined, 2 * mx, 2 * my),
         diameters=np.full(gx * gy, diam),
-        base_interface_nodes=strict_interface(mesh, mx, my),
-        refined_interface_nodes=strict_interface(refined, 2 * mx, 2 * my),
     )
 
 
@@ -724,18 +712,12 @@ class RestrictionSet:
     """Transfer operators between assembled, partially assembled, and broken
     interface spaces for the two pressure-like fields."""
 
-    # total pressure: local pickers from the assembled interface vector
-    xi_local: dict[int, sp.csr_matrix]
-    xi_local_scaled: dict[int, sp.csr_matrix]
+    # total pressure: broken layout (each subdomain's interface dofs in turn)
     xi_break: sp.csr_matrix
     xi_break_scaled: sp.csr_matrix
     # pressure: partially assembled layout (broken duals by subdomain | primal)
-    p_local: dict[int, sp.csr_matrix]
     p_inject: sp.csr_matrix
     p_inject_scaled: sp.csr_matrix
-    p_pick_dual: sp.csr_matrix
-    p_pick_primal: sp.csr_matrix
-    p_break: sp.csr_matrix
 
     def averaging_xi(self) -> sp.csr_matrix:
         """Projection onto continuous vectors in the broken total-pressure space."""
@@ -777,12 +759,10 @@ def build_restrictions(cls: DofClassification, scalings: ScalingWeights) -> Rest
     dual_rows = []
     dual_cols = []
     dual_w = []
-    p_dual_offset = {}
     off = 0
     for s in range(n_sub):
         ids = cls.p_sub_interface[s]
         duals = ids[np.isin(ids, cls.p_dual)]
-        p_dual_offset[s] = off
         pos = layout.p_iface_pos(duals)
         dual_rows.append(off + np.arange(duals.size))
         dual_cols.append(pos)
@@ -802,40 +782,11 @@ def build_restrictions(cls: DofClassification, scalings: ScalingWeights) -> Rest
     if p_iface.size:
         _exact_identity(p_inject.T @ p_inject_scaled, p_iface.size, "pressure")
 
-    eye = sp.identity(n_tilde, format="csr")
-    p_pick_dual = eye[:n_dual_broken]
-    p_pick_primal = eye[n_dual_broken:]
-
-    p_local = {}
-    break_rows = []
-    off = 0
-    for s in range(n_sub):
-        ids = cls.p_sub_interface[s]
-        pos = layout.p_iface_pos(ids)
-        p_local[s] = sp.csr_matrix((np.ones(ids.size), (np.arange(ids.size), pos)), shape=(ids.size, p_iface.size))
-        # tilde -> local: dual entries from this subdomain's broken block,
-        # primal entries from the shared primal block
-        is_dual = np.isin(ids, cls.p_dual)
-        tilde_cols = np.empty(ids.size, dtype=np.int64)
-        tilde_cols[is_dual] = p_dual_offset[s] + np.arange(np.count_nonzero(is_dual))
-        tilde_cols[~is_dual] = n_dual_broken + np.searchsorted(cls.p_primal, ids[~is_dual])
-        break_rows.append(
-            sp.csr_matrix((np.ones(ids.size), (np.arange(ids.size), tilde_cols)), shape=(ids.size, n_tilde))
-        )
-        off += ids.size
-    p_break = sp.vstack(break_rows, format="csr") if break_rows else sp.csr_matrix((0, n_tilde))
-
     return RestrictionSet(
-        xi_local=xi_local,
-        xi_local_scaled=xi_local_scaled,
         xi_break=xi_break,
         xi_break_scaled=xi_break_scaled,
-        p_local=p_local,
         p_inject=p_inject,
         p_inject_scaled=p_inject_scaled,
-        p_pick_dual=p_pick_dual,
-        p_pick_primal=p_pick_primal,
-        p_break=p_break,
     )
 
 
@@ -883,7 +834,6 @@ def transform_system(system: BlockSystem, cls: DofClassification) -> BlockSystem
         f=Tu.T @ system.f,
         g=Tp.T @ system.g,
         local=new_local,
-        primal_basis="edge-average",
     )
 
 

@@ -388,7 +388,6 @@ class BlockSystem:
     f: np.ndarray
     g: np.ndarray
     local: dict[int, LocalBlocks]
-    primal_basis: str = "nodal"
 
     @property
     def n_dofs(self) -> int:
@@ -763,28 +762,6 @@ def stokes_stability_witness(system: BlockSystem) -> float:
     if nonzero.size == 0:
         return 0.0
     return float(np.sqrt(nonzero[0]))
-
-
-def measure_apriori_constant(system: BlockSystem) -> float:
-    """Measured stability constant of the solved system: energy of the
-    solution over the dual norms of the loads (dense, small meshes only)."""
-    M = system.full_matrix().toarray()
-    rhs = system.full_rhs()
-    sol = np.linalg.solve(M, rhs)
-    nu_, nxi = system.spaces.n_u, system.spaces.n_xi
-    u = sol[:nu_]
-    eta = sol[nu_ : nu_ + nxi]
-    q = sol[nu_ + nxi :]
-    A, C, D, E = system.A.toarray(), system.C.toarray(), system.D.toarray(), system.E.toarray()
-    lhs = u @ (A @ u) + eta @ (C @ eta) - 2.0 * (q @ (D @ eta)) + q @ (E @ q)
-    lam = float(system.materials.lam.max())
-    f, g = system.f, system.g
-    rhs_norm = f @ np.linalg.solve(A, f)
-    if np.linalg.norm(g) > 0:
-        rhs_norm += g @ np.linalg.solve(E, g)
-    wload = np.zeros(nxi)
-    rhs_norm += wload @ np.linalg.solve(lam * C, wload)
-    return float(lhs / rhs_norm)
 
 
 def dump_blocks_coo(system: BlockSystem, path: str) -> None:

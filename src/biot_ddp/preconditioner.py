@@ -10,7 +10,10 @@ Three independent blocks, one per interface segment:
   block eliminated exactly;
 * multipliers: scaled jumps through either the local elastic Dirichlet
   Schur complement (applied matrix-free, one interior solve per
-  subdomain per application) or its lumped stiffness shortcut.
+  application) or its lumped stiffness shortcut.
+
+Every block factors one representative per congruence class of
+subdomains and solves all members of a class as one multi-column solve.
 """
 
 from __future__ import annotations
@@ -18,9 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .decomposition import (
     DofClassification,
@@ -29,32 +30,14 @@ from .decomposition import (
     RestrictionSet,
 )
 from .mesh_fem import BlockSystem, ConfigurationError
-
-_DENSE_SOLVE_CUTOFF = 400
-
-
-class _InteriorSolver:
-    """Factorized SPD-ish interior block, dense below a cutoff."""
-
-    def __init__(self, M: sp.spmatrix):
-        self.n = M.shape[0]
-        if self.n == 0:
-            self._cho = self._lu = None
-        elif self.n < _DENSE_SOLVE_CUTOFF:
-            self._cho = sla.cho_factor(M.toarray())
-            self._lu = None
-        else:
-            self._cho = None
-            self._lu = spla.splu(M.tocsc())
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        if self.n == 0:
-            return np.zeros_like(b)
-        if self._cho is not None:
-            return sla.cho_solve(self._cho, b)
-        if b.ndim == 1:
-            return self._lu.solve(b)
-        return np.column_stack([self._lu.solve(np.ascontiguousarray(b[:, j])) for j in range(b.shape[1])])
+from .reduced_system import (
+    CoarseProblem,
+    LocalClass,
+    SaddleFactor,
+    add_local_class,
+    congruence_classes,
+    solve_partially_assembled,
+)
 
 
 def _dense_schur(M: sp.spmatrix, gamma: np.ndarray, inner: np.ndarray) -> np.ndarray:
@@ -63,155 +46,113 @@ def _dense_schur(M: sp.spmatrix, gamma: np.ndarray, inner: np.ndarray) -> np.nda
     S = Mc[gamma][:, gamma].toarray()
     if inner.size and gamma.size:
         Mgi = Mc[gamma][:, inner].toarray()
-        inv = _InteriorSolver(Mc[inner][:, inner])
-        S -= Mgi @ inv.solve(Mgi.T)
+        S -= Mgi @ SaddleFactor([("interior block", Mc[inner][:, inner])]).solve(Mgi.T)
     return S
 
 
 @dataclass
-class TotalPressureSolver:
-    """Additive sum of scaled local inverse mass Schur complements."""
-
-    factors: dict[int, tuple]
-    restrict: dict[int, sp.csr_matrix]
-    n: int
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(r)
-        for s, R in sorted(self.restrict.items()):
-            if R.shape[0] == 0:
-                continue
-            out += R.T @ sla.cho_solve(self.factors[s], R @ r)
-        return out
-
-
-def build_xi_solver(system: BlockSystem, cls: DofClassification, restrictions: RestrictionSet) -> TotalPressureSolver:
-    mats = system.materials
-    factors = {}
-    for s in sorted(system.local):
-        lb = system.local[s]
-        gamma = lb.xi_pos(cls.xi_sub_interface[s])
-        if gamma.size == 0:
-            continue
-        inner = lb.xi_pos(cls.xi_interior[s])
-        S = _dense_schur(lb.C, gamma, inner)
-        ratio = float(mats.lam[s] / mats.mu[s])
-        factors[s] = sla.cho_factor(ratio * S)
-    return TotalPressureSolver(
-        factors=factors,
-        restrict={s: restrictions.xi_local_scaled[s] for s in factors},
-        n=cls.xi_interface.size,
-    )
-
-
-@dataclass
-class PressureBddc:
-    """Balancing preconditioner on the pressure trace.
+class InterfaceBddc:
+    """Balancing preconditioner on a pressure-like interface trace.
 
     The partially assembled Schur complement is never formed; its inverse
-    is applied through per-subdomain dual factorizations and one dense
-    coarse solve.
+    is applied through local dual factorizations, one per congruence
+    class, and one dense coarse solve.  With no primal unknowns it is the
+    scaled sum of inverted local Schur complements.
     """
 
     inject_scaled: sp.csr_matrix  # assembled trace -> partially assembled
-    dual_cho: dict[int, tuple]
-    Y: dict[int, np.ndarray]  # dual block inverse times primal coupling
-    primal_idx: dict[int, np.ndarray]
-    dual_slices: dict[int, slice]
-    coarse_cho: tuple | None
-    n_dual_broken: int
-    n_primal: int
+    inject_scaled_T: sp.csr_matrix
+    classes: list[LocalClass]
+    coarse: CoarseProblem
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        rt = self.inject_scaled @ r
-        r_dual = rt[: self.n_dual_broken]
-        t_P = np.array(rt[self.n_dual_broken :], copy=True)
-        v = {}
-        for s, sl in sorted(self.dual_slices.items()):
-            if sl.stop == sl.start:
-                v[s] = np.zeros(0)
-                continue
-            v[s] = sla.cho_solve(self.dual_cho[s], r_dual[sl])
-            if self.primal_idx[s].size:
-                t_P[self.primal_idx[s]] -= self.Y[s].T @ r_dual[sl]
-        x = np.empty_like(rt)
-        x_P = sla.cho_solve(self.coarse_cho, t_P) if self.n_primal else t_P
-        x[self.n_dual_broken :] = x_P
-        for s, sl in sorted(self.dual_slices.items()):
-            xs = v[s]
-            if xs.size and self.primal_idx[s].size:
-                xs = xs - self.Y[s] @ x_P[self.primal_idx[s]]
-            x[sl] = xs
-        return self.inject_scaled.T @ x
+        return self.inject_scaled_T @ solve_partially_assembled(self.classes, self.coarse, self.inject_scaled @ r)
 
 
-def build_p_bddc(system: BlockSystem, cls: DofClassification, restrictions: RestrictionSet) -> PressureBddc:
-    n_primal = cls.p_primal.size
-    primal_rank = {int(d): k for k, d in enumerate(cls.p_primal)}
-    dual_cho = {}
-    Y = {}
-    primal_idx = {}
-    dual_slices = {}
+def _bddc(inject_scaled: sp.csr_matrix, n_primal: int, local: list[tuple], label: str) -> InterfaceBddc:
+    """Factor one dual Schur block per congruence class.  ``local`` holds per
+    subdomain: its matrix, the local positions of its interface unknowns
+    (dual ones first) and of its interior ones, its dual count, and where
+    its dual and primal unknowns sit in the partially assembled vector."""
     F = np.zeros((n_primal, n_primal))
+    classes: list[LocalClass] = []
+    for members in congruence_classes([(M, gamma, inner, np.array([nd])) for M, gamma, inner, nd, _, _ in local]):
+        M, gamma, inner, nd, _, _ = local[members[0]]
+        S = _dense_schur(M, gamma, inner)
+        add_local_class(
+            classes, F, SaddleFactor([(f"{label} block of subdomain {members[0]}", S[:nd, :nd])]),
+            S[:nd, nd:], S[nd:, nd:],
+            idx=np.column_stack([local[k][4] for k in members]),
+            primal=np.column_stack([local[k][5] for k in members]),
+        )
+    return InterfaceBddc(
+        inject_scaled=inject_scaled,
+        inject_scaled_T=inject_scaled.T.tocsr(),
+        classes=classes,
+        coarse=CoarseProblem(F),
+    )
+
+
+def build_xi_solver(system: BlockSystem, cls: DofClassification, restrictions: RestrictionSet) -> InterfaceBddc:
+    """Total pressure: no primal unknowns, local mass matrices weighted by
+    the subdomain's ratio of first Lame parameter to shear modulus."""
+    mats = system.materials
+    local = []
+    off = 0
+    for s in sorted(system.local):
+        lb = system.local[s]
+        gamma = lb.xi_pos(cls.xi_sub_interface[s])
+        ratio = float(mats.lam[s] / mats.mu[s])
+        inner = lb.xi_pos(cls.xi_interior[s])
+        local.append((ratio * lb.C, gamma, inner, gamma.size, off + np.arange(gamma.size), np.zeros(0, dtype=np.int64)))
+        off += gamma.size
+    return _bddc(restrictions.xi_break_scaled, 0, local, "total pressure")
+
+
+def build_p_bddc(system: BlockSystem, cls: DofClassification, restrictions: RestrictionSet) -> InterfaceBddc:
+    local = []
     off = 0
     for s in sorted(system.local):
         lb = system.local[s]
         ids = cls.p_sub_interface[s]
-        gamma = lb.p_pos(ids)
-        inner = lb.p_pos(cls.p_interior[s])
-        S = _dense_schur(lb.E, gamma, inner)
         is_dual = np.isin(ids, cls.p_dual)
         nd = int(np.count_nonzero(is_dual))
-        d_loc = np.flatnonzero(is_dual)
-        p_loc = np.flatnonzero(~is_dual)
-        pidx = np.array([primal_rank[int(d)] for d in ids[~is_dual]], dtype=np.int64)
-        S_dd = S[np.ix_(d_loc, d_loc)]
-        S_dp = S[np.ix_(d_loc, p_loc)]
-        S_pp = S[np.ix_(p_loc, p_loc)]
-        cho = sla.cho_factor(S_dd) if nd else None
-        Ys = sla.cho_solve(cho, S_dp) if nd and pidx.size else np.zeros((nd, pidx.size))
-        dual_cho[s] = cho
-        Y[s] = Ys
-        primal_idx[s] = pidx
-        dual_slices[s] = slice(off, off + nd)
-        if pidx.size:
-            F[np.ix_(pidx, pidx)] += S_pp - S_dp.T @ Ys
+        gamma = lb.p_pos(np.concatenate([ids[is_dual], ids[~is_dual]]))
+        pidx = np.searchsorted(cls.p_primal, ids[~is_dual])
+        local.append((lb.E, gamma, lb.p_pos(cls.p_interior[s]), nd, off + np.arange(nd), pidx))
         off += nd
-    coarse = sla.cho_factor(F) if n_primal else None
-    return PressureBddc(
-        inject_scaled=restrictions.p_inject_scaled,
-        dual_cho=dual_cho,
-        Y=Y,
-        primal_idx=primal_idx,
-        dual_slices=dual_slices,
-        coarse_cho=coarse,
-        n_dual_broken=off,
-        n_primal=n_primal,
-    )
+    return _bddc(restrictions.p_inject_scaled, cls.p_primal.size, local, "pressure")
+
+
+@dataclass
+class DirichletClass:
+    """Congruent subdomains sharing one elastic Dirichlet block: column j
+    of ``idx`` gathers member j's broken dual displacements."""
+
+    idx: np.ndarray
+    A_DD: sp.csr_matrix
+    A_DI: sp.csr_matrix
+    A_ID: sp.csr_matrix
+    interior: SaddleFactor | None  # None for the lumped variant
 
 
 @dataclass
 class LagrangeSolver:
     """Scaled-jump preconditioner for the multiplier block."""
 
-    kind: str
     jump_scaled: sp.csr_matrix
-    dual_slices: dict[int, slice]
-    A_DD: dict[int, sp.csr_matrix]
-    A_DI: dict[int, sp.csr_matrix]
-    interior: dict[int, _InteriorSolver]
+    jump_scaled_T: sp.csr_matrix
+    classes: list[DirichletClass]
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        t = self.jump_scaled.T @ r
+        t = self.jump_scaled_T @ r
         out = np.zeros_like(t)
-        for s, sl in sorted(self.dual_slices.items()):
-            ts = t[sl]
-            if ts.size == 0:
-                continue
-            Ht = self.A_DD[s] @ ts
-            if self.kind == "dirichlet":
-                Ht = Ht - self.A_DI[s] @ self.interior[s].solve(self.A_DI[s].T @ ts)
-            out[sl] = Ht
+        for c in self.classes:
+            T = t[c.idx]
+            H = c.A_DD @ T
+            if c.interior is not None:
+                H -= c.A_DI @ c.interior.solve(c.A_ID @ T)
+            out[c.idx] = H
         return self.jump_scaled @ out
 
 
@@ -221,36 +162,38 @@ def build_lambda_solver(
     if kind not in ("dirichlet", "lumped"):
         raise ConfigurationError(f"unknown multiplier preconditioner {kind!r}")
     lay = cls.layout
-    A_DD = {}
-    A_DI = {}
-    interior = {}
-    dual_slices = {}
-    for s in sorted(system.local):
+    subs = sorted(system.local)
+    pos = {}
+    for s in subs:
         lb = system.local[s]
-        iD = lb.u_pos(cls.u_sub_dual[s])
-        iI = lb.u_pos(cls.u_interior[s])
-        Ac = lb.A.tocsr()
-        A_DD[s] = Ac[iD][:, iD]
-        dual_slices[s] = slice(lay.dual_offset[s], lay.dual_offset[s] + iD.size)
+        pos[s] = (lb.u_pos(cls.u_sub_dual[s]), lb.u_pos(cls.u_interior[s]))
+    classes = []
+    for members in congruence_classes([(system.local[s].A, *pos[s]) for s in subs]):
+        members = [subs[k] for k in members]
+        iD, iI = pos[members[0]]
+        Ac = system.local[members[0]].A.tocsr()
+        A_DI = Ac[iD][:, iI]
+        interior = None
         if kind == "dirichlet":
-            A_DI[s] = Ac[iD][:, iI]
-            interior[s] = _InteriorSolver(Ac[iI][:, iI])
-    return LagrangeSolver(
-        kind=kind,
-        jump_scaled=jump.jump_scaled,
-        dual_slices=dual_slices,
-        A_DD=A_DD,
-        A_DI=A_DI,
-        interior=interior,
-    )
+            interior = SaddleFactor([(f"elastic interior block of subdomain {members[0]}", Ac[iI][:, iI])])
+        classes.append(
+            DirichletClass(
+                idx=np.column_stack([lay.dual_offset[s] + np.arange(iD.size) for s in members]),
+                A_DD=Ac[iD][:, iD],
+                A_DI=A_DI,
+                A_ID=A_DI.T.tocsr(),
+                interior=interior,
+            )
+        )
+    return LagrangeSolver(jump_scaled=jump.jump_scaled, jump_scaled_T=jump.jump_scaled.T.tocsr(), classes=classes)
 
 
 @dataclass
 class BlockPreconditioner:
     """Concatenation of the three segment preconditioners."""
 
-    xi: TotalPressureSolver | None
-    pressure: PressureBddc | None
+    xi: InterfaceBddc | None
+    pressure: InterfaceBddc | None
     multiplier: LagrangeSolver
     segments: tuple[int, int, int]
 

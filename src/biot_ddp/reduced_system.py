@@ -6,13 +6,16 @@ displacement dofs stay continuous.  Eliminating all subdomain-local
 unknowns and the primal coarse solve leaves a symmetric positive definite
 operator on the continuous total pressure trace, the continuous pressure
 trace, and the multipliers.  That operator is only ever applied
-matrix-free: one factorized local saddle solve per subdomain plus one
-dense coarse solve per application.
+matrix-free: local saddle solves plus one dense coarse solve per
+application.  Subdomains whose local blocks agree to roundoff (the
+interior, edge and corner subdomains of a uniform grid) form one
+congruence class; each class is factored once and its members are solved
+together as one multi-column solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -23,63 +26,58 @@ from .decomposition import DofClassification, InternalError, JumpOperator, TornL
 from .mesh_fem import BlockSystem, ConfigurationError
 
 _DENSE_FACTOR_CUTOFF = 400
+# Subdomains whose local blocks agree to roundoff share one factorization.
+_CONGRUENCE_RTOL = 1e-13
 
 
 class SaddleFactor:
-    """LU factorization of one subdomain's local saddle block.
+    """LU factorization of one local block, solving for a whole matrix of
+    right-hand sides at once.
 
-    Uses dense LAPACK below a size cutoff and sparse LU above it.  A
-    random solve probe guards against silently singular blocks (a floating
-    subdomain without enough primal constraints, for instance).
+    ``members`` lists the (label, block) pairs of the subdomains sharing
+    the factor, one pair for a lone subdomain; the first block is factored.
+    Uses dense LAPACK below a size cutoff (or for dense input) and sparse
+    LU above it.  A random solve probe, batched over the members, checks
+    every member against its own block and guards against silently
+    singular blocks (a floating subdomain without enough primal
+    constraints, for instance).
     """
 
-    def __init__(self, K: sp.spmatrix, label: str, probe_tol: float = 1e-8):
+    def __init__(self, members: list[tuple], probe_tol: float = 1e-8):
+        K = members[0][1]
         self.n = K.shape[0]
+        self._dense = self._sparse = None
         if self.n == 0:
-            self._dense = None
-            self._sparse = None
             return
-        if self.n < _DENSE_FACTOR_CUTOFF:
-            self._dense = sla.lu_factor(K.toarray())
-            self._sparse = None
+        if self.n < _DENSE_FACTOR_CUTOFF or not sp.issparse(K):
+            self._dense = sla.lu_factor(K.toarray() if sp.issparse(K) else K)
         else:
-            self._dense = None
             self._sparse = spla.splu(K.tocsc())
         rng = np.random.default_rng(12345)
-        x = rng.standard_normal(self.n)
-        b = K @ x
-        r = K @ self.solve(b) - b
-        scale = float(np.linalg.norm(b)) or 1.0
-        rel = float(np.linalg.norm(r)) / scale
-        if not np.isfinite(rel) or rel > probe_tol:
-            raise ConfigurationError(
-                f"{label}: local saddle solve failed its residual probe ({rel:.2e}); "
-                "the block is singular or near singular, typically an unconstrained subdomain"
-            )
+        x = rng.standard_normal((self.n, len(members)))
+        b = np.column_stack([M @ x[:, j] for j, (_, M) in enumerate(members)])
+        z = self.solve(b)
+        r = np.column_stack([M @ z[:, j] for j, (_, M) in enumerate(members)]) - b
+        scale = np.linalg.norm(b, axis=0)
+        rel = np.linalg.norm(r, axis=0) / np.where(scale > 0.0, scale, 1.0)
+        for (name, _), e in zip(members, rel):
+            if not np.isfinite(e) or e > probe_tol:
+                raise ConfigurationError(
+                    f"{name}: local solve failed its residual probe ({e:.2e}); "
+                    "the block is singular or near singular, typically an unconstrained subdomain"
+                )
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        if self.n == 0:
+        """Solution for a vector or an (n, k) matrix of right-hand sides."""
+        if b.size == 0:
             return np.zeros_like(b)
         if self._dense is not None:
             return sla.lu_solve(self._dense, b)
-        if b.ndim == 1:
-            return self._sparse.solve(b)
-        return np.column_stack([self._sparse.solve(np.ascontiguousarray(b[:, j])) for j in range(b.shape[1])])
-
-
-@dataclass
-class SubdomainFactor:
-    """Factorized local saddle block with its primal coupling."""
-
-    factor: SaddleFactor
-    A_rP: sp.csr_matrix  # local (uI, xiI, pI, uD) rows x local primal cols
-    A_PP: np.ndarray
-    primal_idx: np.ndarray  # positions of the local primal dofs in the global primal set
-    X: np.ndarray  # K_rr^{-1} A_rP, retained so applications need one solve
+        return self._sparse.solve(b)
 
 
 class CoarseProblem:
-    """Dense Cholesky of the primal Schur complement."""
+    """Dense Cholesky of a primal Schur complement."""
 
     def __init__(self, S: np.ndarray):
         self.n = S.shape[0]
@@ -97,8 +95,8 @@ class CoarseProblem:
             self._cho = sla.cho_factor(S)
         except sla.LinAlgError as err:
             raise ConfigurationError(
-                "coarse displacement problem is not positive definite; "
-                "the primal constraint set does not control all subdomain rigid motions"
+                "coarse problem is not positive definite; "
+                "the primal constraint set does not control every subdomain's null space"
             ) from err
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -109,6 +107,90 @@ class CoarseProblem:
 
 def _sub(M: sp.spmatrix, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
     return M.tocsr()[rows][:, cols]
+
+
+def congruence_classes(parts: list[list]) -> list[list[int]]:
+    """Positions in ``parts`` grouped into classes that can share one factor.
+
+    Each entry holds one subdomain's local data: sparse matrices and
+    integer index arrays.  Two entries fall in one class when all shapes,
+    sparsity patterns (indptr, indices) and index arrays are equal and
+    every matrix agrees with the class's first member to within
+    _CONGRUENCE_RTOL times that matrix's own largest entry.
+    """
+    firsts: list[list[tuple[np.ndarray, float]]] = []  # values and tolerance of each first member
+    classes: list[list[int]] = []
+    by_pattern: dict[tuple, list[int]] = {}
+    for k, items in enumerate(parts):
+        pattern: list = []
+        values: list[np.ndarray] = []
+        for item in items:
+            if sp.issparse(item):
+                pattern += [item.shape, item.indptr.tobytes(), item.indices.tobytes()]
+                values.append(item.data)
+            else:
+                pattern.append(item.tobytes())
+        candidates = by_pattern.setdefault(tuple(pattern), [])
+        for c in candidates:
+            if all(v.size == 0 or np.max(np.abs(v - f)) <= tol for v, (f, tol) in zip(values, firsts[c])):
+                classes[c].append(k)
+                break
+        else:
+            candidates.append(len(classes))
+            firsts.append([(v, _CONGRUENCE_RTOL * np.max(np.abs(v), initial=0.0)) for v in values])
+            classes.append([k])
+    return classes
+
+
+@dataclass
+class LocalClass:
+    """Congruent subdomains sharing one factorized local block.
+
+    Column j of ``idx`` gathers member j's local unknowns from the vector
+    being solved for, column j of ``primal`` its primal unknowns from the
+    coarse segment at the end of that vector.
+    """
+
+    factor: SaddleFactor
+    idx: np.ndarray  # (n, members)
+    primal: np.ndarray  # (n_primal_local, members)
+    A_Pr: np.ndarray  # primal-local coupling A_rP^T, dense
+    X: np.ndarray  # factor^{-1} A_rP, retained so applications need one solve
+
+
+def add_local_class(
+    classes: list[LocalClass], S: np.ndarray, factor: SaddleFactor, A_rP: np.ndarray, A_PP: np.ndarray,
+    idx: np.ndarray, primal: np.ndarray,
+) -> None:
+    """Append a class and add its members' primal Schur contributions
+    A_PP - A_rP^T K^{-1} A_rP to the coarse matrix S."""
+    X = factor.solve(A_rP)
+    if primal.size:
+        np.add.at(S, (primal[:, None, :], primal[None, :, :]), (A_PP - A_rP.T @ X)[:, :, None])
+    classes.append(LocalClass(factor=factor, idx=idx, primal=primal, A_Pr=np.ascontiguousarray(A_rP.T), X=X))
+
+
+def solve_partially_assembled(classes, coarse: CoarseProblem, b: np.ndarray) -> np.ndarray:
+    """Solve a partially assembled system: subdomain blocks coupled only
+    through the primal unknowns stored in the last coarse.n entries.
+
+    Local solves, primal correction, dense coarse solve, back-substitution;
+    each class makes one multi-column solve per stage.
+    """
+    n_local = b.size - coarse.n
+    t_P = np.array(b[n_local:], copy=True)
+    local = []
+    for c in classes:
+        Z = c.factor.solve(b[c.idx])
+        local.append(Z)
+        if c.primal.size:
+            np.add.at(t_P, c.primal, -(c.A_Pr @ Z))
+    x_P = coarse.solve(t_P)
+    x = np.zeros_like(b)
+    x[n_local:] = x_P
+    for c, Z in zip(classes, local):
+        x[c.idx] = Z - c.X @ x_P[c.primal] if c.primal.size else Z
+    return x
 
 
 @dataclass
@@ -123,8 +205,12 @@ class ReducedSystem:
     C_hat: sp.csr_matrix  # positive semidefinite interface coupling
     f_w: np.ndarray
     h: np.ndarray
-    factors: dict[int, SubdomainFactor]
+    factors: dict[int, LocalClass]  # one per congruence class of local saddle blocks
     coarse: CoarseProblem
+    B_C_T: sp.csr_matrix = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.B_C_T = self.B_C.T.tocsr()
 
     @property
     def layout(self) -> TornLayout:
@@ -148,29 +234,11 @@ class ReducedSystem:
     def apply_torn_inverse(self, b: np.ndarray) -> np.ndarray:
         """Solve the partially assembled torn block via local factorizations
         and the coarse problem."""
-        lay = self.layout
-        x = np.zeros_like(b)
-        z = {}
-        t_P = np.array(b[lay.primal_slice], copy=True)
-        for s in range(lay.n_sub):
-            fac = self.factors[s]
-            z_s = fac.factor.solve(b[lay.r_indices[s]])
-            z[s] = z_s
-            if fac.primal_idx.size:
-                t_P[fac.primal_idx] -= fac.A_rP.T @ z_s
-        z_P = self.coarse.solve(t_P)
-        for s in range(lay.n_sub):
-            fac = self.factors[s]
-            x_s = z[s]
-            if fac.primal_idx.size:
-                x_s = x_s - fac.X @ z_P[fac.primal_idx]
-            x[lay.r_indices[s]] = x_s
-        x[lay.primal_slice] = z_P
-        return x
+        return solve_partially_assembled(self.factors.values(), self.coarse, b)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """One application of the reduced interface operator."""
-        t = self.B_C.T @ y
+        t = self.B_C_T @ y
         return self.B_C @ self.apply_torn_inverse(t) + self.C_hat @ y
 
     def rhs(self) -> np.ndarray:
@@ -190,25 +258,16 @@ class ReducedSystem:
         return G
 
     def torn_matrix(self) -> sp.csr_matrix:
-        """The full torn saddle system (diagnostic; built sparse)."""
+        """The full torn saddle system (diagnostic; built sparse, subdomain
+        by subdomain from the local blocks)."""
         lay = self.layout
         rows, cols, vals = [], [], []
-        for s in range(lay.n_sub):
-            fac = self.factors[s]
-            idx = lay.r_indices[s]
-            K = _rebuild_local_saddle(self, s).tocoo()
-            rows.append(idx[K.row])
-            cols.append(idx[K.col])
-            vals.append(K.data)
-            AP = fac.A_rP.tocoo()
-            gP = lay.primal_slice.start + fac.primal_idx
-            rows.extend([idx[AP.row], gP[AP.col]])
-            cols.extend([gP[AP.col], idx[AP.row]])
-            vals.extend([AP.data, AP.data])
-            PP = sp.coo_matrix(fac.A_PP)
-            rows.append(gP[PP.row])
-            cols.append(gP[PP.col])
-            vals.append(PP.data)
+        for s, lb in sorted(self.system.local.items()):
+            M = _local_matrix(lb, _local_index_sets(self.cls, s, lb)).tocoo()
+            g = np.concatenate([lay.r_indices[s], lay.primal_pos[self.cls.u_sub_primal[s]]])
+            rows.append(g[M.row])
+            cols.append(g[M.col])
+            vals.append(M.data)
         At = sp.csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(lay.n_w, lay.n_w),
@@ -227,7 +286,7 @@ class ReducedSystem:
         lay = self.layout
         cls = self.cls
         spaces = self.system.spaces
-        w = self.apply_torn_inverse(self.f_w - self.B_C.T @ y)
+        w = self.apply_torn_inverse(self.f_w - self.B_C_T @ y)
         y_xi, y_p, _ = self.split(y)
 
         u = np.zeros(spaces.n_u)
@@ -272,29 +331,29 @@ def _local_index_sets(cls: DofClassification, s: int, lb) -> dict[str, np.ndarra
     }
 
 
-def _local_saddle(lb, ix: dict[str, np.ndarray]) -> sp.csc_matrix:
-    A_II = _sub(lb.A, ix["uI"], ix["uI"])
-    A_ID = _sub(lb.A, ix["uI"], ix["uD"])
-    A_DD = _sub(lb.A, ix["uD"], ix["uD"])
-    B_II = _sub(lb.B, ix["xiI"], ix["uI"])
-    B_ID = _sub(lb.B, ix["xiI"], ix["uD"])
-    C_II = _sub(lb.C, ix["xiI"], ix["xiI"])
-    D_II = _sub(lb.D, ix["pI"], ix["xiI"])
-    E_II = _sub(lb.E, ix["pI"], ix["pI"])
-    return sp.bmat(
-        [
-            [A_II, B_II.T, None, A_ID],
-            [B_II, -C_II, D_II.T, B_ID],
-            [None, D_II, -E_II, None],
-            [A_ID.T, B_ID.T, None, A_DD],
-        ],
-        format="csc",
-    )
-
-
-def _rebuild_local_saddle(red: ReducedSystem, s: int) -> sp.csc_matrix:
-    lb = red.system.local[s]
-    return _local_saddle(lb, _local_index_sets(red.cls, s, lb))
+def _local_matrix(lb, ix: dict[str, np.ndarray]) -> sp.csr_matrix:
+    """One subdomain's saddle block on (uI, xiI, pI, uD, uP): the local
+    block K_rr first, its primal rows and columns last."""
+    nu, nxi = lb.udofs.size, lb.xidofs.size
+    order = np.concatenate([ix["uI"], nu + ix["xiI"], nu + nxi + ix["pI"], ix["uD"], ix["uP"]])
+    pos = np.full(nu + nxi + lb.pdofs.size, -1)
+    pos[order] = np.arange(order.size)
+    rows, cols, vals = [], [], []
+    # lower block triangle of [[A, B^T, 0], [B, -C, D^T], [0, D, -E]], mirrored
+    for M, r0, c0, sign in ((lb.A, 0, 0, 1.0), (lb.B, nu, 0, 1.0), (lb.C, nu, nu, -1.0),
+                            (lb.D, nu + nxi, nu, 1.0), (lb.E, nu + nxi, nu + nxi, -1.0)):
+        c = M.tocoo()
+        r, k = pos[r0 + c.row], pos[c0 + c.col]
+        keep = (r >= 0) & (k >= 0)
+        rows.append(r[keep])
+        cols.append(k[keep])
+        vals.append(sign * c.data[keep])
+        if r0 != c0:
+            rows.append(k[keep])
+            cols.append(r[keep])
+            vals.append(c.data[keep])
+    n = order.size
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
 
 
 def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: JumpOperator) -> ReducedSystem:
@@ -306,34 +365,21 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
     primal_of_dof = np.full(system.spaces.n_u, -1, dtype=np.int64)
     primal_of_dof[cls.u_primal] = np.arange(cls.u_primal.size)
 
-    factors: dict[int, SubdomainFactor] = {}
     n_P = cls.u_primal.size
-    S_PP = np.zeros((n_P, n_P))
     rows_bc: list[np.ndarray] = []
     cols_bc: list[np.ndarray] = []
     vals_bc: list[np.ndarray] = []
+    subs = sorted(system.local)
+    local: dict[int, sp.csr_matrix] = {}
+    keys: list[list] = []
 
-    for s in sorted(system.local):
+    for s in subs:
         lb = system.local[s]
         ix = _local_index_sets(cls, s, lb)
-        K = _local_saddle(lb, ix)
-        fac = SaddleFactor(K, label=f"subdomain {s}")
-
-        A_rP = sp.vstack(
-            [
-                _sub(lb.A, ix["uI"], ix["uP"]),
-                _sub(lb.B, ix["xiI"], ix["uP"]),
-                sp.csr_matrix((ix["pI"].size, ix["uP"].size)),
-                _sub(lb.A, ix["uD"], ix["uP"]),
-            ],
-            format="csr",
-        )
-        A_PP = _sub(lb.A, ix["uP"], ix["uP"]).toarray()
-        primal_idx = primal_of_dof[cls.u_sub_primal[s]]
-        X = fac.solve(A_rP.toarray()) if ix["uP"].size else np.zeros((K.shape[0], 0))
-        factors[s] = SubdomainFactor(factor=fac, A_rP=A_rP, A_PP=A_PP, primal_idx=primal_idx, X=X)
-        if primal_idx.size:
-            S_PP[np.ix_(primal_idx, primal_idx)] += A_PP - A_rP.T @ X
+        local[s] = _local_matrix(lb, ix)
+        # A, B, C, D and E each checked against its own scale: the elastic
+        # entries dwarf the flow ones, which still matter
+        keys.append([*ix.values(), lb.A, lb.B, lb.C, lb.D, lb.E])
 
         # interface rows of this subdomain's contribution to the coupling
         wcol_u = lay.u_int_pos[lb.udofs].copy()
@@ -384,6 +430,20 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
         cols_bc.append(wcol_p[Ec.col[m]])
         vals_bc.append(-Ec.data[m])
 
+    S_PP = np.zeros((n_P, n_P))
+    classes: list[LocalClass] = []
+    for members in congruence_classes(keys):
+        members = [subs[k] for k in members]
+        M = local[members[0]]
+        n_r = M.shape[0] - cls.u_sub_primal[members[0]].size
+        blocks = [(f"subdomain {s}", local[s][:n_r, :n_r]) for s in members]
+        add_local_class(
+            classes, S_PP, SaddleFactor(blocks),
+            M[:n_r, n_r:].toarray(), M[n_r:, n_r:].toarray(),
+            idx=np.column_stack([lay.r_indices[s] for s in members]),
+            primal=np.column_stack([primal_of_dof[cls.u_sub_primal[s]] for s in members]),
+        )
+
     # multiplier rows attach the jump operator to the broken dual segment
     Jc = jump.jump.tocoo()
     rows_bc.append(n_xi_g + n_p_g + Jc.row)
@@ -432,16 +492,6 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
         C_hat=C_hat,
         f_w=f_w,
         h=h,
-        factors=factors,
+        factors=dict(enumerate(classes)),
         coarse=CoarseProblem(S_PP),
     )
-
-
-def dump_reduced_coo(red: ReducedSystem, path: str) -> None:
-    """Write the probed reduced operator as `row col value` lines."""
-    G = red.dense_operator()
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in range(G.shape[0]):
-            for j in range(G.shape[1]):
-                if G[i, j] != 0.0:
-                    fh.write(f"{i} {j} {G[i, j]!r}\n")

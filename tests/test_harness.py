@@ -213,6 +213,17 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--nu", "0.5"], ["sweep", "--axis", "kappa=0"]],
+        ids=["run-nu", "sweep-kappa"],
+    )
+    def test_material_error_exits_2(self, argv, capsys):
+        base = ["--nx", "8", "--sub", "2x2", "--E", "1"]
+        code = main([argv[0], *base, *argv[1:]])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_sweep_json_output(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"
         code = main(

@@ -131,19 +131,97 @@ class TestLocalFactors:
         # a matrix with a nullspace fails the residual probe
         K = sp.csr_matrix(np.ones((6, 6)))
         with pytest.raises(bd.ConfigurationError):
-            SaddleFactor(K, "test block")
+            SaddleFactor([("test block", K)])
 
     def test_wellposed_block_accepted(self):
         rng = np.random.default_rng(2)
         Q = rng.standard_normal((8, 8))
         K = sp.csr_matrix(Q @ Q.T + 8 * np.eye(8))
-        fac = SaddleFactor(K, "test block")
+        fac = SaddleFactor([("test block", K)])
         b = rng.standard_normal(8)
         assert np.linalg.norm(K @ fac.solve(b) - b) < 1e-10
 
+    @pytest.mark.parametrize("n", [50, 450])  # dense and sparse paths
+    def test_multi_column_solve_matches_columns(self, n):
+        rng = np.random.default_rng(4)
+        K = sp.random(n, n, density=0.02, random_state=4) + sp.identity(n) * 4.0
+        fac = SaddleFactor([("test block", K.tocsr())])
+        B = rng.standard_normal((n, 3))
+        X = fac.solve(B)
+        for j in range(3):
+            np.testing.assert_allclose(X[:, j], fac.solve(B[:, j]), rtol=1e-12, atol=1e-14)
+        assert np.linalg.norm(K @ X - B) < 1e-10 * np.linalg.norm(B)
+
+    def test_every_member_probed_against_its_own_block(self):
+        rng = np.random.default_rng(2)
+        Q = rng.standard_normal((8, 8))
+        K = sp.csr_matrix(Q @ Q.T + 8 * np.eye(8))
+        other = K.copy()
+        other[0, 0] *= 10.0
+        SaddleFactor([("a", K), ("b", K.copy())])
+        with pytest.raises(bd.ConfigurationError, match="^b:"):
+            SaddleFactor([("a", K), ("b", other)])
+
     def test_empty_block(self):
-        fac = SaddleFactor(sp.csr_matrix((0, 0)), "empty")
+        fac = SaddleFactor([("empty", sp.csr_matrix((0, 0)))])
         assert fac.solve(np.zeros(0)).size == 0
+
+
+class TestCongruenceClasses:
+    """Subdomains whose local saddle blocks agree to roundoff share one
+    factor; everything else gets its own."""
+
+    @staticmethod
+    def reduced(nx, sub, **kw):
+        return bd.build_pipeline(
+            bd.ExperimentConfig(nx=nx, subdomains=sub, E=1.0, nu=0.3, alpha=0.9, kappa=1.0, **kw)
+        ).reduced
+
+    def test_uniform_grid_shares_nine_factors(self):
+        # interior, four edge and four corner classes
+        red = self.reduced(32, (8, 8))
+        classes = list(red.factors.values())
+        assert len(classes) == 9
+        assert len({id(c.factor) for c in classes}) == 9
+        assert sorted(c.idx.shape[1] for c in classes) == [1, 1, 1, 1, 6, 6, 6, 6, 36]
+
+    def test_checkerboard_factors_every_subdomain(self):
+        red = self.reduced(12, (3, 3), pattern="checkerboard", black={"E": 1e3})
+        assert len(red.factors) == 9
+        assert all(c.idx.shape[1] == 1 for c in red.factors.values())
+
+    @pytest.mark.parametrize("rel, n_classes", [(1e-15, 9), (1e-10, 10)])
+    def test_perturbed_block_leaves_its_class(self, rel, n_classes):
+        pipe = bd.build_pipeline(bd.ExperimentConfig(nx=16, subdomains=(4, 4), E=1.0, nu=0.3))
+        A = pipe.system.local[5].A  # an interior subdomain
+        A.data[np.argmax(np.abs(A.data))] *= 1.0 + rel
+        red = bd.build_reduced_system(pipe.system, pipe.cls, pipe.jump)
+        assert len(red.factors) == n_classes
+        alone = [c for c in red.factors.values() if c.idx.shape[1] == 1 and np.array_equal(
+            c.idx[:, 0], red.layout.r_indices[5])]
+        assert len(alone) == (n_classes - 9)
+
+    @pytest.mark.parametrize("kw", [dict(black={"alpha": 1e-2}), dict(kappa=1e-8, black={"kappa": 1e-9})])
+    def test_flow_only_contrast_splits_classes(self, kw):
+        # at the default E the elastic entries dwarf the flow ones, yet a
+        # jump in alpha or in a small kappa alone must split the classes
+        red = bd.build_pipeline(bd.ExperimentConfig(nx=16, subdomains=(4, 4), pattern="checkerboard", **kw)).reduced
+        assert len(red.factors) == 14  # 4 corner, 8 edge, 2 interior classes
+        lay = red.layout
+        A_t = red.torn_matrix().tocsr()[: lay.n_w, : lay.n_w]
+        b = np.random.default_rng(5).standard_normal(lay.n_w)
+        r = A_t @ red.apply_torn_inverse(b) - b
+        rows = lay.p_int_pos[lay.p_int_pos >= 0]  # the u rows would hide a wrong flow block
+        assert np.linalg.norm(r[rows]) < 1e-10 * np.linalg.norm(b[rows])
+
+    @pytest.mark.parametrize("variant", ["p1", "p0"])
+    @pytest.mark.parametrize("primal", ["vertex", "vertex-edge"])
+    def test_batched_torn_solve_matches_direct(self, variant, primal):
+        red = self.reduced(16, (4, 4), total_pressure=variant, primal=primal)
+        n_w = red.layout.n_w
+        A_t = red.torn_matrix().tocsc()[:n_w, :n_w]
+        b = np.random.default_rng(5).standard_normal(n_w)
+        assert rel_err(red.apply_torn_inverse(b), sp.linalg.spsolve(A_t, b)) < 1e-10
 
 
 class TestCoarseProblem:
