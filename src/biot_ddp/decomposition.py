@@ -17,16 +17,21 @@ and turns primal, the remaining edge dofs become average-free duals.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh_fem import BlockSystem, ConfigurationError, FeSpaceSet, LocalBlocks, MaterialField, StructuredMesh
+from .mesh_fem import BlockSystem, ConfigurationError, FeSpaceSet, MaterialField, StructuredMesh
 
 
 class InternalError(RuntimeError):
     """Raised when a build-time self check fails."""
+
+
+# Local blocks that agree to this fraction of their largest entry count
+# as equal: congruent subdomains share one factorization.
+_CONGRUENCE_RTOL = 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +147,6 @@ class TornLayout:
     n_primal: int
     # per-subdomain gather indices into w for (uI, xiI, pI, uD) in that order
     r_indices: dict[int, np.ndarray]
-    r_sizes: dict[int, tuple[int, int, int, int]]
     # w positions keyed by global dof id
     u_int_pos: np.ndarray
     xi_int_pos: np.ndarray
@@ -305,14 +309,12 @@ def _build_layout(cls: DofClassification) -> TornLayout:
     primal_pos[cls.u_primal] = primal_base + np.arange(n_primal)
 
     r_indices = {}
-    r_sizes = {}
     for s in range(n_sub):
         uI = u_int_pos[cls.u_interior[s]]
         xiI = xi_int_pos[cls.xi_interior[s]]
         pI = p_int_pos[cls.p_interior[s]]
         uD = dual_base + dual_offset[s] + np.arange(cls.u_sub_dual[s].size)
         r_indices[s] = np.concatenate([uI, xiI, pI, uD]).astype(np.int64)
-        r_sizes[s] = (uI.size, xiI.size, pI.size, uD.size)
 
     return TornLayout(
         n_sub=n_sub,
@@ -322,7 +324,6 @@ def _build_layout(cls: DofClassification) -> TornLayout:
         n_dual_broken=n_dual_broken,
         n_primal=n_primal,
         r_indices=r_indices,
-        r_sizes=r_sizes,
         u_int_pos=u_int_pos,
         xi_int_pos=xi_int_pos,
         p_int_pos=p_int_pos,
@@ -794,32 +795,61 @@ def build_restrictions(cls: DofClassification, scalings: ScalingWeights) -> Rest
 # change of basis
 
 
+def _blockwise(T: sp.csr_matrix, dofs: np.ndarray, off: np.ndarray) -> sp.csr_matrix:
+    """Block-diagonal matrix whose block s is T restricted to the rows and
+    columns of subdomain s's stacked dofs ``dofs[off[s]:off[s+1]]``."""
+    n = T.shape[0]
+    sub = np.repeat(np.arange(off.size - 1), np.diff(off))
+    keys = sub * n + dofs  # ascending: subdomains in turn, each with its dofs sorted
+    R = T.tocsr()[dofs]
+    rows = np.repeat(np.arange(dofs.size), np.diff(R.indptr))
+    want = sub[rows] * n + R.indices
+    pos = np.minimum(np.searchsorted(keys, want), max(keys.size - 1, 0))
+    ok = keys[pos] == want
+    return sp.csr_matrix((R.data[ok], (rows[ok], pos[ok])), shape=(dofs.size, dofs.size))
+
+
+def _drop_roundoff(M: sp.spmatrix, row_off: np.ndarray) -> sp.csr_matrix:
+    """A block-diagonal matrix without the entries at or below
+    _CONGRUENCE_RTOL times the largest entry of their diagonal block.
+
+    A change of basis leaves roundoff-level fill that cancels to an exact
+    zero in some subdomains and survives in congruent others; dropping it
+    gives congruent subdomains one sparsity pattern again.
+    """
+    M = M.tocsr()
+    row_sub = np.repeat(np.arange(row_off.size - 1), np.diff(row_off))
+    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    mag = np.abs(M.data)
+    scale = np.zeros(row_off.size - 1)
+    np.maximum.at(scale, row_sub[rows], mag)
+    keep = mag > _CONGRUENCE_RTOL * scale[row_sub[rows]]
+    return sp.coo_matrix((M.data[keep], (rows[keep], M.indices[keep])), shape=M.shape).tocsr()
+
+
 def transform_system(system: BlockSystem, cls: DofClassification) -> BlockSystem:
     """Re-express the assembled and local blocks in the edge-average basis.
 
     Returns the input unchanged for the nodal (vertex) variant.  The
     transformation touches interface dofs only, so each subdomain's local
-    blocks stay local.
+    blocks stay local: the stacked blocks are transformed by one
+    block-diagonal product each.
     """
     Tu, Tp = cls.u_transform, cls.p_transform
     if Tu is None:
         return system
-    new_local = {}
-    for s, lb in sorted(system.local.items()):
-        Tu_s = Tu[np.ix_(lb.udofs, lb.udofs)]
-        Tp_s = Tp[np.ix_(lb.pdofs, lb.pdofs)]
-        new_local[s] = LocalBlocks(
-            udofs=lb.udofs,
-            xidofs=lb.xidofs,
-            pdofs=lb.pdofs,
-            A=(Tu_s.T @ lb.A @ Tu_s).tocsr(),
-            B=(lb.B @ Tu_s).tocsr(),
-            C=lb.C,
-            D=(Tp_s.T @ lb.D).tocsr(),
-            E=(Tp_s.T @ lb.E @ Tp_s).tocsr(),
-            f=Tu_s.T @ lb.f,
-            g=Tp_s.T @ lb.g,
-        )
+    st = system.stacked
+    Tu_s = _blockwise(Tu, st.dofs["u"], st.off["u"])
+    Tp_s = _blockwise(Tp, st.dofs["p"], st.off["p"])
+    stacked = replace(
+        st,
+        A=_drop_roundoff(Tu_s.T @ st.A @ Tu_s, st.off["u"]),
+        B=_drop_roundoff(st.B @ Tu_s, st.off["xi"]),
+        D=_drop_roundoff(Tp_s.T @ st.D, st.off["p"]),
+        E=_drop_roundoff(Tp_s.T @ st.E @ Tp_s, st.off["p"]),
+        f=Tu_s.T @ st.f,
+        g=Tp_s.T @ st.g,
+    )
     return BlockSystem(
         spaces=system.spaces,
         materials=system.materials,
@@ -833,7 +863,7 @@ def transform_system(system: BlockSystem, cls: DofClassification) -> BlockSystem
         E=(Tp.T @ system.E @ Tp).tocsr(),
         f=Tu.T @ system.f,
         g=Tp.T @ system.g,
-        local=new_local,
+        stacked=stacked,
     )
 
 

@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown oracle mode {self.oracle!r}")
         if self.pattern == "uniform" and self.black:
             raise ConfigurationError("black-cell overrides require the checkerboard pattern")
+        if not 0.0 < self.tol < math.inf:
+            raise ConfigurationError(f"tolerance must be positive and finite, got {self.tol}")
 
     @property
     def H_over_h(self) -> int:

@@ -13,6 +13,7 @@ machinery needs both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -244,8 +245,8 @@ def build_spaces(mesh: StructuredMesh, total_pressure_variant: str, bc: Boundary
 
 def derive_lame(E: float, nu: float) -> tuple[float, float]:
     """Lame parameters from Young's modulus and Poisson ratio."""
-    if E <= 0.0:
-        raise MaterialDomainError(f"Young's modulus must be positive, got {E}")
+    if not 0.0 < E < np.inf:
+        raise MaterialDomainError(f"Young's modulus must be positive and finite, got {E}")
     if not 0.0 < nu < 0.5:
         raise MaterialDomainError(f"Poisson ratio must lie in (0, 0.5), got {nu}")
     lam = E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
@@ -273,10 +274,10 @@ class MaterialField:
             if arr.shape != (n,):
                 raise ConfigurationError(f"{name} must have one value per subdomain")
             setattr(self, name, arr)
-        if np.any(self.kappa <= 0.0):
-            raise MaterialDomainError("hydraulic conductivity must be positive")
-        if np.any(self.alpha <= 0.0):
-            raise MaterialDomainError("coupling coefficient must be positive")
+        if not np.all((self.kappa > 0.0) & (self.kappa < np.inf)):
+            raise MaterialDomainError("hydraulic conductivity must be positive and finite")
+        if not np.all((self.alpha > 0.0) & (self.alpha < np.inf)):
+            raise MaterialDomainError("coupling coefficient must be positive and finite")
         pairs = [derive_lame(e, v) for e, v in zip(self.E, self.nu)]
         self.lam = np.array([p[0] for p in pairs])
         self.mu = np.array([p[1] for p in pairs])
@@ -366,13 +367,82 @@ def _positions(haystack: np.ndarray, needles: np.ndarray, what: str) -> np.ndarr
     return pos
 
 
+# the five blocks with the fields of their rows and columns
+BLOCK_FIELDS = (("A", "u", "u"), ("B", "xi", "u"), ("C", "xi", "xi"), ("D", "p", "xi"), ("E", "p", "p"))
+
+
+@dataclass
+class StackedBlocks:
+    """Every subdomain's local blocks, side by side.
+
+    Subdomain s owns positions ``off["u"][s]:off["u"][s + 1]`` of the
+    stacked displacement numbering (likewise for "xi" and "p"), and
+    ``dofs["u"]`` holds each subdomain's sorted global dof ids in turn.
+    Each of A..E is one block-diagonal matrix whose diagonal block s is
+    subdomain s's local block; ``f`` and ``g`` are the stacked local loads.
+    """
+
+    dofs: dict[str, np.ndarray]
+    off: dict[str, np.ndarray]
+    A: sp.csr_matrix
+    B: sp.csr_matrix
+    C: sp.csr_matrix
+    D: sp.csr_matrix
+    E: sp.csr_matrix
+    f: np.ndarray
+    g: np.ndarray
+
+    @property
+    def n_sub(self) -> int:
+        return self.off["u"].size - 1
+
+    def subdomain_of(self, name: str) -> np.ndarray:
+        """Owning subdomain of every stacked position of one field."""
+        return np.repeat(np.arange(self.n_sub), np.diff(self.off[name]))
+
+    def local_views(self) -> dict[int, LocalBlocks]:
+        """Per-subdomain views that share data with the stacked arrays."""
+        views = {name: diagonal_blocks(getattr(self, name), self.off[r], self.off[c]) for name, r, c in BLOCK_FIELDS}
+        span = {fld: [slice(a, b) for a, b in zip(o[:-1], o[1:])] for fld, o in self.off.items()}
+        return {
+            s: LocalBlocks(
+                udofs=self.dofs["u"][span["u"][s]],
+                xidofs=self.dofs["xi"][span["xi"][s]],
+                pdofs=self.dofs["p"][span["p"][s]],
+                **{name: views[name][s] for name in "ABCDE"},
+                f=self.f[span["u"][s]],
+                g=self.g[span["p"][s]],
+            )
+            for s in range(self.n_sub)
+        }
+
+
+def diagonal_blocks(M: sp.csr_matrix, row_off: np.ndarray, col_off: np.ndarray) -> list[sp.csr_matrix]:
+    """The diagonal blocks of a block-diagonal CSR matrix, as CSR matrices
+    sharing its data and (one shifted copy of) its column indices."""
+    n_sub = row_off.size - 1
+    row_sub = np.repeat(np.arange(n_sub), np.diff(row_off))
+    indices = M.indices - col_off.astype(M.indices.dtype)[np.repeat(row_sub, np.diff(M.indptr))]
+    out = []
+    for s in range(n_sub):
+        r0, r1 = row_off[s], row_off[s + 1]
+        lo, hi = M.indptr[r0], M.indptr[r1]
+        view = sp.csr_matrix(
+            (M.data[lo:hi], indices[lo:hi], M.indptr[r0 : r1 + 1] - lo), shape=(r1 - r0, col_off[s + 1] - col_off[s])
+        )
+        # the constructor copies slices of much larger arrays; keep the views
+        view.data, view.indices = M.data[lo:hi], indices[lo:hi]
+        out.append(view)
+    return out
+
+
 @dataclass
 class BlockSystem:
     """Assembled saddle blocks plus retained per-subdomain contributions.
 
     The full operator is  [[A, B^T, 0], [B, -C, D^T], [0, D, -E]]
     acting on (displacement, total pressure, pressure), with right-hand
-    side (f, 0, g).
+    side (f, 0, g).  ``local`` views the diagonal blocks of ``stacked``.
     """
 
     spaces: FeSpaceSet
@@ -387,7 +457,11 @@ class BlockSystem:
     E: sp.csr_matrix
     f: np.ndarray
     g: np.ndarray
-    local: dict[int, LocalBlocks]
+    stacked: StackedBlocks
+
+    @cached_property
+    def local(self) -> dict[int, LocalBlocks]:
+        return self.stacked.local_views()
 
     @property
     def n_dofs(self) -> int:
@@ -419,83 +493,137 @@ def _element_subdomains(n_cells_x: int, n_cells_y: int, grid: tuple[int, int], p
     return np.repeat(sub, 2)
 
 
-def _entry_split(esub: np.ndarray, entries_per_elem: int) -> np.ndarray:
-    return np.repeat(esub, entries_per_elem)
+@dataclass
+class ElementTable:
+    """Element contributions to one block: (nt, a) row dofs, (nt, b) column
+    dofs (-1 where constrained), (nt, a, b) values and each element's
+    subdomain.  A load has no column dofs and (nt, a) values.  Elements
+    come sorted by subdomain, stably."""
+
+    rows: np.ndarray
+    cols: np.ndarray | None
+    vals: np.ndarray
+    sub: np.ndarray
 
 
-class _BlockAccumulator:
-    """Collects (row, col, value, subdomain) element entries for one block."""
+def element_tables(
+    mesh: StructuredMesh, spaces: FeSpaceSet, materials: MaterialField, load: LoadSpec
+) -> dict[str, ElementTable]:
+    """Element tables of the blocks "A".."E" and of the loads "f" and "g"."""
+    refined = mesh.refined_mesh
+    grid = materials.grid
+    per = mesh.nx // grid[0]
+    p0 = spaces.total_pressure_variant == "p0"
 
-    def __init__(self, shape: tuple[int, int]):
-        self.shape = shape
-        self.rows: list[np.ndarray] = []
-        self.cols: list[np.ndarray] = []
-        self.vals: list[np.ndarray] = []
-        self.subs: list[np.ndarray] = []
+    esub_b = _element_subdomains(mesh.nx, mesh.ny, grid, per)
+    esub_r = _element_subdomains(2 * mesh.nx, 2 * mesh.ny, grid, 2 * per)
+    order_b, order_r = np.argsort(esub_b, kind="stable"), np.argsort(esub_r, kind="stable")
+    esub_b, esub_r = esub_b[order_b], esub_r[order_r]
+    tri_b = mesh.triangles[order_b]
+    tri_r = refined.triangles[order_r]
 
-    def add(self, rows, cols, vals, subs) -> None:
-        rows = np.asarray(rows).ravel()
-        cols = np.asarray(cols).ravel()
-        vals = np.asarray(vals, dtype=float).ravel()
-        subs = np.asarray(subs).ravel()
-        keep = (rows >= 0) & (cols >= 0)
-        self.rows.append(rows[keep])
-        self.cols.append(cols[keep])
-        self.vals.append(vals[keep])
-        self.subs.append(subs[keep])
+    area_b, b_b, c_b = (a[order_b] for a in p1_geometry(mesh))
+    area_r, b_r, c_r = (a[order_r] for a in p1_geometry(refined))
+    n_b, n_r = tri_b.shape[0], tri_r.shape[0]
 
-    def collect(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        if not self.rows:
-            z = np.zeros(0, dtype=np.int64)
-            return z, z, np.zeros(0), z
-        return (
-            np.concatenate(self.rows),
-            np.concatenate(self.cols),
-            np.concatenate(self.vals),
-            np.concatenate(self.subs),
-        )
+    lam_b = materials.lam[esub_b]
+    alpha_b = materials.alpha[esub_b]
+    kappa_b = materials.kappa[esub_b]
+    mu_r = materials.mu[esub_r]
 
+    # --- dof id tables per element
+    u_base = spaces.u_dof_of_node[tri_r]  # x-component dof or -1
+    udof = np.empty((n_r, 6), dtype=np.int64)
+    udof[:, 0::2] = u_base
+    udof[:, 1::2] = np.where(u_base >= 0, u_base + 1, -1)
+    xidof = order_b[:, None] if p0 else tri_b  # the triangle id (P0) or the base node ids (P1)
+    pdof = spaces.p_dof_of_node[tri_b]
+    tables: dict[str, ElementTable] = {}
 
-def _local_matrices(
-    acc: _BlockAccumulator,
-    n_sub: int,
-    row_sets: list[np.ndarray],
-    col_sets: list[np.ndarray],
-) -> tuple[list[sp.csr_matrix], sp.csr_matrix]:
-    """Per-subdomain matrices in local indexing plus their exact global sum.
+    # --- elastic block on the refined mesh
+    Bm = np.zeros((n_r, 3, 6))
+    Bm[:, 0, 0::2] = b_r
+    Bm[:, 1, 1::2] = c_r
+    Bm[:, 2, 0::2] = c_r
+    Bm[:, 2, 1::2] = b_r
+    wgt = area_r[:, None] * np.stack([2 * mu_r, 2 * mu_r, mu_r], axis=1)
+    tables["A"] = ElementTable(udof, udof, np.einsum("tia,ti,tib->tab", Bm, wgt, Bm), esub_r)
 
-    The global matrix is built from the already-summed local entries,
-    concatenated in ascending subdomain order, so it equals the sequential
-    sum of the per-subdomain contributions entry for entry.
-    """
-    rows, cols, vals, subs = acc.collect()
-    order = np.argsort(subs, kind="stable")
-    rows, cols, vals, subs = rows[order], cols[order], vals[order], subs[order]
-    bounds = np.searchsorted(subs, np.arange(n_sub + 1))
+    # --- divergence coupling: refined displacement x base total pressure
+    div = np.empty((n_r, 6))
+    div[:, 0::2] = b_r
+    div[:, 1::2] = c_r
+    centroid = refined.vertices[tri_r].mean(axis=1)
+    cellx = np.minimum((centroid[:, 0] * mesh.nx).astype(np.int64), mesh.nx - 1)
+    celly = np.minimum((centroid[:, 1] * mesh.ny).astype(np.int64), mesh.ny - 1)
+    locx = centroid[:, 0] * mesh.nx - cellx
+    locy = centroid[:, 1] * mesh.ny - celly
+    parent = 2 * (celly * mesh.nx + cellx) + (locy > locx)
 
-    locals_: list[sp.csr_matrix] = []
-    grows, gcols, gvals = [], [], []
-    for s in range(n_sub):
-        lo, hi = bounds[s], bounds[s + 1]
-        r_set, c_set = row_sets[s], col_sets[s]
-        lr = np.searchsorted(r_set, rows[lo:hi])
-        lc = np.searchsorted(c_set, cols[lo:hi])
-        m = sp.coo_matrix((vals[lo:hi], (lr, lc)), shape=(r_set.size, c_set.size)).tocsr()
-        m.sum_duplicates()
-        locals_.append(m)
-        mc = m.tocoo()
-        grows.append(r_set[mc.row])
-        gcols.append(c_set[mc.col])
-        gvals.append(mc.data)
-    gshape = acc.shape
-    if grows:
-        g = sp.coo_matrix(
-            (np.concatenate(gvals), (np.concatenate(grows), np.concatenate(gcols))), shape=gshape
-        ).tocsr()
+    if p0:
+        tables["B"] = ElementTable(parent[:, None], udof, -(area_r[:, None] * div)[:, None, :], esub_r)
     else:
-        g = sp.csr_matrix(gshape)
-    g.sum_duplicates()
-    return locals_, g
+        pv = mesh.vertices[mesh.triangles[parent]]  # (nt, 3, 2) parent vertices
+        d1 = pv[:, 1] - pv[:, 0]
+        d2 = pv[:, 2] - pv[:, 0]
+        twoA = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        q = centroid
+        bary = np.empty((n_r, 3))
+        for k in range(3):
+            pa = pv[:, (k + 1) % 3]
+            pb = pv[:, (k + 2) % 3]
+            bary[:, k] = ((pa[:, 1] - pb[:, 1]) * (q[:, 0] - pb[:, 0]) + (pb[:, 0] - pa[:, 0]) * (q[:, 1] - pb[:, 1])) / twoA
+        vals = -(area_r[:, None, None] * bary[:, :, None] * div[:, None, :])
+        tables["B"] = ElementTable(mesh.triangles[parent], udof, vals, esub_r)
+
+    # --- total pressure mass (1/lambda) and pressure coupling (alpha/lambda)
+    if p0:
+        tables["C"] = ElementTable(xidof, xidof, (area_b / lam_b)[:, None, None], esub_b)
+        vals = (alpha_b / lam_b)[:, None] * (area_b[:, None] / 3.0) * np.ones((1, 3))
+        tables["D"] = ElementTable(pdof, xidof, vals[:, :, None], esub_b)
+    else:
+        mass = area_b[:, None, None] * _MASS_LOCAL
+        tables["C"] = ElementTable(xidof, xidof, mass / lam_b[:, None, None], esub_b)
+        tables["D"] = ElementTable(pdof, xidof, (alpha_b / lam_b)[:, None, None] * mass, esub_b)
+
+    # --- pressure block: kappa stiffness + (2 alpha^2 / lambda) mass
+    stiff = (kappa_b * area_b)[:, None, None] * (b_b[:, :, None] * b_b[:, None, :] + c_b[:, :, None] * c_b[:, None, :])
+    massE = (2.0 * alpha_b**2 / lam_b)[:, None, None] * area_b[:, None, None] * _MASS_LOCAL
+    tables["E"] = ElementTable(pdof, pdof, stiff + massE, esub_b)
+
+    # --- loads
+    fx, fy = load.body_force
+    fvals = np.empty((n_r, 6))
+    fvals[:, 0::2] = fx * area_r[:, None] / 3.0
+    fvals[:, 1::2] = fy * area_r[:, None] / 3.0
+    gvals = load.source * area_b[:, None] / 3.0 * np.ones((1, 3))
+    tables["f"] = ElementTable(udof, None, fvals, esub_r)
+    tables["g"] = ElementTable(pdof, None, gvals, esub_b)
+    return tables
+
+
+def _stacked_block(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int]) -> sp.csr_matrix:
+    """Block-diagonal CSR from element tables of stacked positions.
+
+    Each stacked row receives the same (column, value) sequence, shifted
+    by its subdomain's column offset, as a matrix built from that
+    subdomain's elements alone, so duplicates are summed in the same
+    order and every diagonal block equals its per-subdomain build bitwise.
+    """
+    nt, a = rows.shape
+    b = cols.shape[1]
+    r = np.broadcast_to(rows[:, :, None], (nt, a, b)).ravel()
+    c = np.broadcast_to(cols[:, None, :], (nt, a, b)).ravel()
+    keep = (r >= 0) & (c >= 0)
+    return sp.coo_matrix((vals.reshape(-1)[keep], (r[keep], c[keep])), shape=shape).tocsr()
+
+
+def _global_block(M: sp.csr_matrix, row_dofs: np.ndarray, col_dofs: np.ndarray, shape: tuple) -> sp.csr_matrix:
+    """Sum of the diagonal blocks of a stacked matrix in the global
+    numbering, added in ascending subdomain order: the sequential sum of
+    the local contributions entry for entry."""
+    rows = np.repeat(row_dofs, np.diff(M.indptr))
+    return sp.coo_matrix((M.data, (rows, col_dofs[M.indices])), shape=shape).tocsr()
 
 
 def assemble_blocks(
@@ -517,191 +645,49 @@ def assemble_blocks(
         bc.check_wellposed()
     if load is None:
         load = LoadSpec()
-    refined = mesh.refined_mesh
     grid = materials.grid
     gx, gy = grid
     if mesh.nx % gx or mesh.ny % gy:
         raise ConfigurationError("mesh does not align with the material subdomain grid")
-    per = mesh.nx // gx
-    if mesh.ny // gy != per:
+    if mesh.ny // gy != mesh.nx // gx:
         raise ConfigurationError("subdomains must contain square cell patches")
     n_sub = gx * gy
-    p0 = spaces.total_pressure_variant == "p0"
+    tables = element_tables(mesh, spaces, materials, load)
 
-    esub_base = _element_subdomains(mesh.nx, mesh.ny, grid, per)
-    esub_ref = _element_subdomains(2 * mesh.nx, 2 * mesh.ny, grid, 2 * per)
+    # stacked numbering: the sorted keys sub * n + dof of every (subdomain,
+    # dof) pair met by the table whose rows span the field
+    size = {"u": spaces.n_u, "xi": spaces.n_xi, "p": spaces.n_p}
+    keys = {fld: np.unique((t.sub[:, None] * size[fld] + t.rows)[t.rows >= 0])
+            for fld, t in (("u", tables["A"]), ("xi", tables["C"]), ("p", tables["E"]))}
+    off = {fld: np.searchsorted(k, np.arange(n_sub + 1) * size[fld]) for fld, k in keys.items()}
+    dofs = {fld: keys[fld] % size[fld] for fld in size}
+    found: dict[int, np.ndarray] = {}  # the tables share their dof arrays
 
-    area_b, b_b, c_b = p1_geometry(mesh)
-    area_r, b_r, c_r = p1_geometry(refined)
+    def pos(fld: str, t: ElementTable, d: np.ndarray) -> np.ndarray:
+        """Stacked position of every element dof, -1 where it is constrained."""
+        if id(d) not in found:
+            found[id(d)] = np.where(d >= 0, np.searchsorted(keys[fld], t.sub[:, None] * size[fld] + d), -1)
+        return found[id(d)]
 
-    lam_b = materials.lam[esub_base]
-    alpha_b = materials.alpha[esub_base]
-    kappa_b = materials.kappa[esub_base]
-    mu_r = materials.mu[esub_ref]
-
-    # --- dof id tables per element
-    u_nodes = refined.triangles  # (nt, 3)
-    u_base = spaces.u_dof_of_node[u_nodes]  # x-component dof or -1
-    udof = np.empty((refined.n_triangles, 6), dtype=np.int64)
-    udof[:, 0::2] = u_base
-    udof[:, 1::2] = np.where(u_base >= 0, u_base + 1, -1)
-
-    xi_rows_b = mesh.triangles if not p0 else None  # P1: xi dof == base node id
-    p_rows = spaces.p_dof_of_node[mesh.triangles]
-
-    # --- elastic block on the refined mesh
-    Bm = np.zeros((refined.n_triangles, 3, 6))
-    Bm[:, 0, 0::2] = b_r
-    Bm[:, 1, 1::2] = c_r
-    Bm[:, 2, 0::2] = c_r
-    Bm[:, 2, 1::2] = b_r
-    wgt = area_r[:, None] * np.stack([2 * mu_r, 2 * mu_r, mu_r], axis=1)
-    K = np.einsum("tia,ti,tib->tab", Bm, wgt, Bm)
-
-    accA = _BlockAccumulator((spaces.n_u, spaces.n_u))
-    r6 = np.repeat(udof, 6, axis=1)  # row index per 6x6 entry
-    c6 = np.tile(udof, (1, 6))
-    accA.add(r6, c6, K, _entry_split(esub_ref, 36))
-
-    # --- divergence coupling: refined displacement x base total pressure
-    div = np.empty((refined.n_triangles, 6))
-    div[:, 0::2] = b_r
-    div[:, 1::2] = c_r
-    centroid = refined.vertices[refined.triangles].mean(axis=1)
-    cellx = np.minimum((centroid[:, 0] * mesh.nx).astype(np.int64), mesh.nx - 1)
-    celly = np.minimum((centroid[:, 1] * mesh.ny).astype(np.int64), mesh.ny - 1)
-    locx = centroid[:, 0] * mesh.nx - cellx
-    locy = centroid[:, 1] * mesh.ny - celly
-    parent = 2 * (celly * mesh.nx + cellx) + (locy > locx)
-
-    accB = _BlockAccumulator((spaces.n_xi, spaces.n_u))
-    if p0:
-        bvals = -area_r[:, None] * div
-        accB.add(np.repeat(parent[:, None], 6, axis=1), udof, bvals, _entry_split(esub_ref, 6))
-    else:
-        pv = mesh.vertices[mesh.triangles[parent]]  # (nt, 3, 2) parent vertices
-        d1 = pv[:, 1] - pv[:, 0]
-        d2 = pv[:, 2] - pv[:, 0]
-        twoA = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        q = centroid
-        bary = np.empty((refined.n_triangles, 3))
-        for k in range(3):
-            pa = pv[:, (k + 1) % 3]
-            pb = pv[:, (k + 2) % 3]
-            bary[:, k] = ((pa[:, 1] - pb[:, 1]) * (q[:, 0] - pb[:, 0]) + (pb[:, 0] - pa[:, 0]) * (q[:, 1] - pb[:, 1])) / twoA
-        rows = np.repeat(mesh.triangles[parent], 6, axis=1)  # (nt, 18)
-        cols = np.tile(udof, (1, 3))
-        vals = -(area_r[:, None, None] * bary[:, :, None] * div[:, None, :])
-        accB.add(rows, cols, vals, _entry_split(esub_ref, 18))
-
-    # --- total pressure mass (1/lambda)
-    accC = _BlockAccumulator((spaces.n_xi, spaces.n_xi))
-    if p0:
-        tri_ids = np.arange(mesh.n_triangles)
-        accC.add(tri_ids, tri_ids, area_b / lam_b, esub_base)
-    else:
-        mass = area_b[:, None, None] * _MASS_LOCAL
-        r3 = np.repeat(xi_rows_b, 3, axis=1)
-        c3 = np.tile(xi_rows_b, (1, 3))
-        accC.add(r3, c3, mass / lam_b[:, None, None], _entry_split(esub_base, 9))
-
-    # --- pressure / total pressure coupling (alpha/lambda)
-    accD = _BlockAccumulator((spaces.n_p, spaces.n_xi))
-    coefD = (alpha_b / lam_b)[:, None, None]
-    if p0:
-        vals = (alpha_b / lam_b)[:, None] * (area_b[:, None] / 3.0) * np.ones((1, 3))
-        accD.add(p_rows, np.repeat(np.arange(mesh.n_triangles)[:, None], 3, axis=1), vals, _entry_split(esub_base, 3))
-    else:
-        mass = area_b[:, None, None] * _MASS_LOCAL
-        r3 = np.repeat(p_rows, 3, axis=1)
-        c3 = np.tile(xi_rows_b, (1, 3))
-        accD.add(r3, c3, coefD * mass, _entry_split(esub_base, 9))
-
-    # --- pressure block: kappa stiffness + (2 alpha^2 / lambda) mass
-    accE = _BlockAccumulator((spaces.n_p, spaces.n_p))
-    stiff = (kappa_b * area_b)[:, None, None] * (b_b[:, :, None] * b_b[:, None, :] + c_b[:, :, None] * c_b[:, None, :])
-    massE = (2.0 * alpha_b**2 / lam_b)[:, None, None] * area_b[:, None, None] * _MASS_LOCAL
-    r3 = np.repeat(p_rows, 3, axis=1)
-    c3 = np.tile(p_rows, (1, 3))
-    accE.add(r3, c3, stiff + massE, _entry_split(esub_base, 9))
-
-    # --- per-subdomain dof sets
-    order_r = np.argsort(esub_ref, kind="stable")
-    bounds_r = np.searchsorted(esub_ref[order_r], np.arange(n_sub + 1))
-    order_b = np.argsort(esub_base, kind="stable")
-    bounds_b = np.searchsorted(esub_base[order_b], np.arange(n_sub + 1))
-
-    usets, xisets, psets = [], [], []
-    for s in range(n_sub):
-        tri_r = order_r[bounds_r[s] : bounds_r[s + 1]]
-        tri_b = order_b[bounds_b[s] : bounds_b[s + 1]]
-        ud = udof[tri_r].ravel()
-        usets.append(np.unique(ud[ud >= 0]))
-        if p0:
-            xisets.append(np.sort(tri_b))
-        else:
-            xisets.append(np.unique(mesh.triangles[tri_b]))
-        pd = p_rows[tri_b].ravel()
-        psets.append(np.unique(pd[pd >= 0]))
-
-    locA, gA = _local_matrices(accA, n_sub, usets, usets)
-    locB, gB = _local_matrices(accB, n_sub, xisets, usets)
-    locC, gC = _local_matrices(accC, n_sub, xisets, xisets)
-    locD, gD = _local_matrices(accD, n_sub, psets, xisets)
-    locE, gE = _local_matrices(accE, n_sub, psets, psets)
-
-    # --- loads
-    fx, fy = load.body_force
-    fvals = np.empty((refined.n_triangles, 6))
-    fvals[:, 0::2] = fx * area_r[:, None] / 3.0
-    fvals[:, 1::2] = fy * area_r[:, None] / 3.0
-    gvals = load.source * area_b[:, None] / 3.0 * np.ones((1, 3))
-
-    f_global = np.zeros(spaces.n_u)
-    g_global = np.zeros(spaces.n_p)
-    local: dict[int, LocalBlocks] = {}
-    for s in range(n_sub):
-        tri_r = order_r[bounds_r[s] : bounds_r[s + 1]]
-        tri_b = order_b[bounds_b[s] : bounds_b[s + 1]]
-        f_s = np.zeros(usets[s].size)
-        ud = udof[tri_r].ravel()
-        fv = fvals[tri_r].ravel()
-        keep = ud >= 0
-        np.add.at(f_s, np.searchsorted(usets[s], ud[keep]), fv[keep])
-        g_s = np.zeros(psets[s].size)
-        pd = p_rows[tri_b].ravel()
-        gv = gvals[tri_b].ravel()
-        keep = pd >= 0
-        np.add.at(g_s, np.searchsorted(psets[s], pd[keep]), gv[keep])
-        np.add.at(f_global, usets[s], f_s)
-        np.add.at(g_global, psets[s], g_s)
-        local[s] = LocalBlocks(
-            udofs=usets[s],
-            xidofs=xisets[s],
-            pdofs=psets[s],
-            A=locA[s],
-            B=locB[s],
-            C=locC[s],
-            D=locD[s],
-            E=locE[s],
-            f=f_s,
-            g=g_s,
-        )
-
+    blocks, loads = {}, {}
+    for name, r, c in BLOCK_FIELDS:
+        t = tables[name]
+        blocks[name] = _stacked_block(pos(r, t, t.rows), pos(c, t, t.cols), t.vals, (off[r][-1], off[c][-1]))
+    for name, fld in (("f", "u"), ("g", "p")):
+        at = pos(fld, tables[name], tables[name].rows).ravel()
+        keep = at >= 0
+        loads[name] = np.bincount(at[keep], weights=tables[name].vals.reshape(-1)[keep], minlength=off[fld][-1])
+    stacked = StackedBlocks(dofs=dofs, off=off, **blocks, **loads)
     return BlockSystem(
         spaces=spaces,
         materials=materials,
         bc=bc,
         load=load,
         grid=grid,
-        A=gA,
-        B=gB,
-        C=gC,
-        D=gD,
-        E=gE,
-        f=f_global,
-        g=g_global,
-        local=local,
+        **{name: _global_block(blocks[name], dofs[r], dofs[c], (size[r], size[c])) for name, r, c in BLOCK_FIELDS},
+        f=np.bincount(dofs["u"], weights=loads["f"], minlength=spaces.n_u),
+        g=np.bincount(dofs["p"], weights=loads["g"], minlength=spaces.n_p),
+        stacked=stacked,
     )
 
 

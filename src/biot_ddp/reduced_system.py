@@ -22,12 +22,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .decomposition import DofClassification, InternalError, JumpOperator, TornLayout
-from .mesh_fem import BlockSystem, ConfigurationError
+from .decomposition import _CONGRUENCE_RTOL, DofClassification, InternalError, JumpOperator, TornLayout
+from .mesh_fem import BLOCK_FIELDS, BlockSystem, ConfigurationError, diagonal_blocks
 
 _DENSE_FACTOR_CUTOFF = 400
-# Subdomains whose local blocks agree to roundoff share one factorization.
-_CONGRUENCE_RTOL = 1e-13
 
 
 class SaddleFactor:
@@ -258,20 +256,13 @@ class ReducedSystem:
         return G
 
     def torn_matrix(self) -> sp.csr_matrix:
-        """The full torn saddle system (diagnostic; built sparse, subdomain
-        by subdomain from the local blocks)."""
+        """The full torn saddle system (diagnostic; built sparse from the
+        stacked local saddle blocks)."""
         lay = self.layout
-        rows, cols, vals = [], [], []
-        for s, lb in sorted(self.system.local.items()):
-            M = _local_matrix(lb, _local_index_sets(self.cls, s, lb)).tocoo()
-            g = np.concatenate([lay.r_indices[s], lay.primal_pos[self.cls.u_sub_primal[s]]])
-            rows.append(g[M.row])
-            cols.append(g[M.col])
-            vals.append(M.data)
-        At = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(lay.n_w, lay.n_w),
-        )
+        K = _stacked_saddle(self.system, self.cls)[0].tocoo()
+        primal = self.cls.u_sub_primal
+        g = np.concatenate([np.concatenate([lay.r_indices[s], lay.primal_pos[primal[s]]]) for s in range(lay.n_sub)])
+        At = sp.csr_matrix((K.data, (g[K.row], g[K.col])), shape=(lay.n_w, lay.n_w))
         return sp.bmat([[At, self.B_C.T], [self.B_C, -self.C_hat]], format="csr")
 
     def torn_rhs(self) -> np.ndarray:
@@ -331,33 +322,43 @@ def _local_index_sets(cls: DofClassification, s: int, lb) -> dict[str, np.ndarra
     }
 
 
-def _local_matrix(lb, ix: dict[str, np.ndarray]) -> sp.csr_matrix:
-    """One subdomain's saddle block on (uI, xiI, pI, uD, uP): the local
-    block K_rr first, its primal rows and columns last."""
-    nu, nxi = lb.udofs.size, lb.xidofs.size
-    order = np.concatenate([ix["uI"], nu + ix["xiI"], nu + nxi + ix["pI"], ix["uD"], ix["uP"]])
-    pos = np.full(nu + nxi + lb.pdofs.size, -1)
-    pos[order] = np.arange(order.size)
+def _stacked_coo(M: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr)), M.indices, M.data
+
+
+def _stacked_saddle(system: BlockSystem, cls: DofClassification):
+    """Every subdomain's saddle block on (uI, xiI, pI, uD, uP), K_rr first
+    and its primal rows and columns last, as one block-diagonal matrix
+    gathered from the stacked blocks into [[A, B^T, 0], [B, -C, D^T],
+    [0, D, -E]] in one pass.  Returns the matrix, its subdomain offsets and
+    every subdomain's local index sets."""
+    st = system.stacked
+    ix = [_local_index_sets(cls, s, lb) for s, lb in sorted(system.local.items())]
+    pos = {fld: np.full(st.off[fld][-1], -1, dtype=np.int64) for fld in st.off}
+    at, off = 0, [0]
+    for s, sets in enumerate(ix):
+        for name, fld in (("uI", "u"), ("xiI", "xi"), ("pI", "p"), ("uD", "u"), ("uP", "u")):
+            pos[fld][st.off[fld][s] + sets[name]] = at + np.arange(sets[name].size)
+            at += sets[name].size
+        off.append(at)
     rows, cols, vals = [], [], []
-    # lower block triangle of [[A, B^T, 0], [B, -C, D^T], [0, D, -E]], mirrored
-    for M, r0, c0, sign in ((lb.A, 0, 0, 1.0), (lb.B, nu, 0, 1.0), (lb.C, nu, nu, -1.0),
-                            (lb.D, nu + nxi, nu, 1.0), (lb.E, nu + nxi, nu + nxi, -1.0)):
-        c = M.tocoo()
-        r, k = pos[r0 + c.row], pos[c0 + c.col]
-        keep = (r >= 0) & (k >= 0)
-        rows.append(r[keep])
-        cols.append(k[keep])
-        vals.append(sign * c.data[keep])
-        if r0 != c0:
-            rows.append(k[keep])
-            cols.append(r[keep])
-            vals.append(c.data[keep])
-    n = order.size
-    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    for name, r, c in BLOCK_FIELDS:
+        i, j, v = _stacked_coo(getattr(st, name))
+        i, j = pos[r][i], pos[c][j]
+        keep = (i >= 0) & (j >= 0)
+        i, j, v = i[keep], j[keep], (-v if name in "CE" else v)[keep]
+        if r != c:  # mirror the coupling blocks B and D
+            i, j, v = np.concatenate([i, j]), np.concatenate([j, i]), np.concatenate([v, v])
+        rows.append(i)
+        cols.append(j)
+        vals.append(v)
+    K = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(at, at))
+    return K, np.array(off), ix
 
 
 def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: JumpOperator) -> ReducedSystem:
     lay = cls.layout
+    st = system.stacked
     n_xi_g = lay.xi_iface.size
     n_p_g = lay.p_iface.size
     n_y = n_xi_g + n_p_g + lay.n_lambda
@@ -365,94 +366,63 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
     primal_of_dof = np.full(system.spaces.n_u, -1, dtype=np.int64)
     primal_of_dof[cls.u_primal] = np.arange(cls.u_primal.size)
 
-    n_P = cls.u_primal.size
-    rows_bc: list[np.ndarray] = []
-    cols_bc: list[np.ndarray] = []
-    vals_bc: list[np.ndarray] = []
-    subs = sorted(system.local)
-    local: dict[int, sp.csr_matrix] = {}
-    keys: list[list] = []
-
-    for s in subs:
-        lb = system.local[s]
-        ix = _local_index_sets(cls, s, lb)
-        local[s] = _local_matrix(lb, ix)
-        # A, B, C, D and E each checked against its own scale: the elastic
-        # entries dwarf the flow ones, which still matter
-        keys.append([*ix.values(), lb.A, lb.B, lb.C, lb.D, lb.E])
-
-        # interface rows of this subdomain's contribution to the coupling
-        wcol_u = lay.u_int_pos[lb.udofs].copy()
-        m_primal = lay.primal_pos[lb.udofs] >= 0
-        wcol_u[m_primal] = lay.primal_pos[lb.udofs[m_primal]]
-        m_dual = wcol_u < 0
-        if np.any(m_dual):
-            dual_ids = lb.udofs[m_dual]
-            k = np.searchsorted(cls.u_sub_dual[s], dual_ids)
-            if np.any(k >= cls.u_sub_dual[s].size) or not np.array_equal(cls.u_sub_dual[s][k], dual_ids):
-                raise InternalError(f"subdomain {s}: unclassified displacement dofs in local block")
-            base = lay.dual_slice.start + lay.dual_offset[s]
-            wcol_u[m_dual] = base + k
-        wcol_xi = lay.xi_int_pos[lb.xidofs]
-        wcol_p = lay.p_int_pos[lb.pdofs]
-        yrow_xi = np.full(lb.xidofs.size, -1, dtype=np.int64)
-        if ix["xiG"].size:
-            yrow_xi[ix["xiG"]] = lay.xi_iface_pos(cls.xi_sub_interface[s])
-        yrow_p = np.full(lb.pdofs.size, -1, dtype=np.int64)
-        if ix["pG"].size:
-            yrow_p[ix["pG"]] = n_xi_g + lay.p_iface_pos(cls.p_sub_interface[s])
-
-        Bc = lb.B.tocoo()
-        m = yrow_xi[Bc.row] >= 0
-        rows_bc.append(yrow_xi[Bc.row[m]])
-        cols_bc.append(wcol_u[Bc.col[m]])
-        vals_bc.append(Bc.data[m])
-
-        Cc = lb.C.tocoo()
-        m = (yrow_xi[Cc.row] >= 0) & (wcol_xi[Cc.col] >= 0)
-        rows_bc.append(yrow_xi[Cc.row[m]])
-        cols_bc.append(wcol_xi[Cc.col[m]])
-        vals_bc.append(-Cc.data[m])
-
-        Dc = lb.D.tocoo()
-        m = (wcol_p[Dc.row] >= 0) & (yrow_xi[Dc.col] >= 0)  # transposed coupling
-        rows_bc.append(yrow_xi[Dc.col[m]])
-        cols_bc.append(wcol_p[Dc.row[m]])
-        vals_bc.append(Dc.data[m])
-        m = (yrow_p[Dc.row] >= 0) & (wcol_xi[Dc.col] >= 0)
-        rows_bc.append(yrow_p[Dc.row[m]])
-        cols_bc.append(wcol_xi[Dc.col[m]])
-        vals_bc.append(Dc.data[m])
-
-        Ec = lb.E.tocoo()
-        m = (yrow_p[Ec.row] >= 0) & (wcol_p[Ec.col] >= 0)
-        rows_bc.append(yrow_p[Ec.row[m]])
-        cols_bc.append(wcol_p[Ec.col[m]])
-        vals_bc.append(-Ec.data[m])
-
-    S_PP = np.zeros((n_P, n_P))
+    K, off, ix = _stacked_saddle(system, cls)
+    local = diagonal_blocks(K, off, off)
+    # A, B, C, D and E each checked against its own scale: the elastic
+    # entries dwarf the flow ones, which still matter
+    keys = [[*sets.values(), *(getattr(system.local[s], name) for name in "ABCDE")] for s, sets in enumerate(ix)]
+    S_PP = np.zeros((cls.u_primal.size, cls.u_primal.size))
     classes: list[LocalClass] = []
     for members in congruence_classes(keys):
-        members = [subs[k] for k in members]
         M = local[members[0]]
         n_r = M.shape[0] - cls.u_sub_primal[members[0]].size
-        blocks = [(f"subdomain {s}", local[s][:n_r, :n_r]) for s in members]
         add_local_class(
-            classes, S_PP, SaddleFactor(blocks),
+            classes, S_PP, SaddleFactor([(f"subdomain {s}", local[s][:n_r, :n_r]) for s in members]),
             M[:n_r, n_r:].toarray(), M[n_r:, n_r:].toarray(),
             idx=np.column_stack([lay.r_indices[s] for s in members]),
             primal=np.column_stack([primal_of_dof[cls.u_sub_primal[s]] for s in members]),
         )
 
+    # torn column of every stacked local unknown and interface row of every
+    # stacked trace dof, -1 where there is none
+    ud = st.dofs["u"]
+    wcol = {
+        "u": np.where(lay.primal_pos[ud] >= 0, lay.primal_pos[ud], lay.u_int_pos[ud]),
+        "xi": lay.xi_int_pos[st.dofs["xi"]],
+        "p": lay.p_int_pos[st.dofs["p"]],
+    }
+    yrow = {fld: np.full(st.off[fld][-1], -1, dtype=np.int64) for fld in ("xi", "p")}
+    for s, sets in enumerate(ix):
+        wcol["u"][st.off["u"][s] + sets["uD"]] = lay.dual_slice.start + lay.dual_offset[s] + np.arange(sets["uD"].size)
+        yrow["xi"][st.off["xi"][s] + sets["xiG"]] = lay.xi_iface_pos(cls.xi_sub_interface[s])
+        yrow["p"][st.off["p"][s] + sets["pG"]] = n_xi_g + lay.p_iface_pos(cls.p_sub_interface[s])
+    if np.any(wcol["u"] < 0):
+        s = st.subdomain_of("u")[np.argmax(wcol["u"] < 0)]
+        raise InternalError(f"subdomain {s}: unclassified displacement dofs in local block")
+
+    # interface rows of the coupling, one part per block (D twice: its
+    # transpose couples xi_G to interior p), in the order of a subdomain
+    # by subdomain build so that duplicates are summed in that order
+    rows_bc, cols_bc, vals_bc, order = [], [], [], []
+    parts = (("B", yrow["xi"], wcol["u"]), ("C", yrow["xi"], wcol["xi"]), ("D", wcol["p"], yrow["xi"]),
+             ("D", yrow["p"], wcol["xi"]), ("E", yrow["p"], wcol["p"]))
+    for kind, (name, rmap, cmap) in enumerate(parts):
+        i, j, v = _stacked_coo(getattr(st, name))
+        a, b = rmap[i], cmap[j]
+        keep = (a >= 0) & (b >= 0)
+        transposed = kind == 2
+        rows_bc.append((b if transposed else a)[keep])
+        cols_bc.append((a if transposed else b)[keep])
+        vals_bc.append(-v[keep] if name in "CE" else v[keep])
+        order.append(st.subdomain_of("xi" if name in "BC" else "p")[i[keep]] * len(parts) + kind)
+    order = np.argsort(np.concatenate(order), kind="stable")
     # multiplier rows attach the jump operator to the broken dual segment
     Jc = jump.jump.tocoo()
-    rows_bc.append(n_xi_g + n_p_g + Jc.row)
-    cols_bc.append(lay.dual_slice.start + Jc.col)
-    vals_bc.append(Jc.data)
-
+    rows_bc = [np.concatenate(rows_bc)[order], n_xi_g + n_p_g + Jc.row]
+    cols_bc = [np.concatenate(cols_bc)[order], lay.dual_slice.start + Jc.col]
+    vals_bc = [np.concatenate(vals_bc)[order], Jc.data]
     B_C = sp.csr_matrix(
-        (np.concatenate(vals_bc), (np.concatenate(rows_bc), np.concatenate(cols_bc))),
-        shape=(n_y, lay.n_w),
+        (np.concatenate(vals_bc), (np.concatenate(rows_bc), np.concatenate(cols_bc))), shape=(n_y, lay.n_w)
     )
 
     xiG = cls.xi_interface
@@ -475,11 +445,7 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
     maskp = lay.p_int_pos >= 0
     f_w[lay.p_int_pos[maskp]] = system.g[maskp]
     f_w[lay.primal_slice] = system.f[cls.u_primal]
-    for s in sorted(system.local):
-        lb = system.local[s]
-        iuD = lb.u_pos(cls.u_sub_dual[s])
-        off = lay.dual_slice.start + lay.dual_offset[s]
-        f_w[off : off + iuD.size] = lb.f[iuD]
+    f_w[lay.dual_slice] = st.f[np.concatenate([st.off["u"][s] + sets["uD"] for s, sets in enumerate(ix)])]
 
     h = np.zeros(n_y)
     h[n_xi_g : n_xi_g + n_p_g] = system.g[pG]

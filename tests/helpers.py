@@ -13,6 +13,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from biot_ddp.mesh_fem import BLOCK_FIELDS, element_tables
 from biot_ddp.preconditioner import _dense_schur
 
 
@@ -95,3 +96,72 @@ def random_spd(n: int, cond: float, rng: np.random.Generator) -> np.ndarray:
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     vals = np.geomspace(1.0, cond, n)
     return (Q * vals) @ Q.T
+
+
+def per_subdomain_assembly(mesh, spaces, materials, load) -> dict:
+    """Reference for the stacked assembly: the per-subdomain algorithm it
+    replaced, run on the same element tables.
+
+    Every subdomain's entries, in element order, go through their own
+    COO->CSR conversion; each global block re-sums the local ones in
+    ascending subdomain order; the loads are accumulated with np.add.at.
+    Returns name -> (list of local matrices or loads, global one) for
+    "A".."E", "f" and "g", and field -> list of local dof sets for "u",
+    "xi" and "p".
+    """
+    tables = element_tables(mesh, spaces, materials, load)
+    n_sub = materials.grid[0] * materials.grid[1]
+
+    def dof_sets(t):
+        sets = []
+        for s in range(n_sub):
+            d = t.rows[t.sub == s].ravel()
+            sets.append(np.unique(d[d >= 0]))
+        return sets
+
+    sets = {"u": dof_sets(tables["A"]), "xi": dof_sets(tables["C"]), "p": dof_sets(tables["E"])}
+    size = {"u": spaces.n_u, "xi": spaces.n_xi, "p": spaces.n_p}
+    out: dict = dict(sets)
+    for name, r, c in BLOCK_FIELDS:
+        t = tables[name]
+        a, b = t.rows.shape[1], t.cols.shape[1]
+        rows = np.repeat(t.rows, b, axis=1).ravel()
+        cols = np.tile(t.cols, (1, a)).ravel()
+        vals = t.vals.ravel()
+        subs = np.repeat(t.sub, a * b)
+        keep = (rows >= 0) & (cols >= 0)
+        rows, cols, vals, subs = rows[keep], cols[keep], vals[keep], subs[keep]
+        order = np.argsort(subs, kind="stable")
+        rows, cols, vals, subs = rows[order], cols[order], vals[order], subs[order]
+        bounds = np.searchsorted(subs, np.arange(n_sub + 1))
+        local, grows, gcols, gvals = [], [], [], []
+        for s in range(n_sub):
+            lo, hi = bounds[s], bounds[s + 1]
+            r_set, c_set = sets[r][s], sets[c][s]
+            lr = np.searchsorted(r_set, rows[lo:hi])
+            lc = np.searchsorted(c_set, cols[lo:hi])
+            m = sp.coo_matrix((vals[lo:hi], (lr, lc)), shape=(r_set.size, c_set.size)).tocsr()
+            m.sum_duplicates()
+            local.append(m)
+            mc = m.tocoo()
+            grows.append(r_set[mc.row])
+            gcols.append(c_set[mc.col])
+            gvals.append(mc.data)
+        g = sp.coo_matrix(
+            (np.concatenate(gvals), (np.concatenate(grows), np.concatenate(gcols))), shape=(size[r], size[c])
+        ).tocsr()
+        out[name] = (local, g)
+    for name, fld in (("f", "u"), ("g", "p")):
+        t = tables[name]
+        local = []
+        total = np.zeros(size[fld])
+        for s in range(n_sub):
+            d = t.rows[t.sub == s].ravel()
+            v = t.vals[t.sub == s].ravel()
+            keep = d >= 0
+            f_s = np.zeros(sets[fld][s].size)
+            np.add.at(f_s, np.searchsorted(sets[fld][s], d[keep]), v[keep])
+            np.add.at(total, sets[fld][s], f_s)
+            local.append(f_s)
+        out[name] = (local, total)
+    return out

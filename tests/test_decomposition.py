@@ -280,6 +280,26 @@ class TestTransformSystem:
             out.B.toarray(), system.B.toarray() @ Tu, atol=1e-12
         )
 
+    def test_local_blocks_transform_congruently(self):
+        system, cls = self.assemble("vertex-edge")
+        out = bd.transform_system(system, cls)
+        for s, lb in system.local.items():
+            Tu = cls.u_transform[np.ix_(lb.udofs, lb.udofs)].toarray()
+            Tp = cls.p_transform[np.ix_(lb.pdofs, lb.pdofs)].toarray()
+            new = out.local[s]
+            pairs = [
+                (new.A, Tu.T @ lb.A.toarray() @ Tu),
+                (new.B, lb.B.toarray() @ Tu),
+                (new.C, lb.C.toarray()),
+                (new.D, Tp.T @ lb.D.toarray()),
+                (new.E, Tp.T @ lb.E.toarray() @ Tp),
+                (new.f, Tu.T @ lb.f),
+                (new.g, Tp.T @ lb.g),
+            ]
+            for got, want in pairs:
+                got = got.toarray() if hasattr(got, "toarray") else got
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
+
     def test_recover_nodal_applies_transform(self):
         _, cls = self.assemble("vertex-edge")
         rng = np.random.default_rng(5)

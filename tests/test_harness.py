@@ -224,6 +224,15 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "arg", [["--kappa", "nan"], ["--E", "inf"], ["--alpha", "nan"], ["--tol", "-1"]],
+        ids=["kappa-nan", "E-inf", "alpha-nan", "tol-negative"],
+    )
+    def test_non_finite_or_negative_input_exits_2(self, arg, capsys):
+        code = main(["run", "--nx", "8", *arg])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_sweep_json_output(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"
         code = main(

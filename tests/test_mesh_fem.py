@@ -12,6 +12,7 @@ import pytest
 
 import biot_ddp as bd
 from biot_ddp.mesh_fem import LoadSpec, dump_blocks_coo, stokes_stability_witness
+from helpers import per_subdomain_assembly
 
 
 def small_system(variant="p1", bc=None, grid=(2, 2), nx=8, **mat):
@@ -196,6 +197,49 @@ class TestAssembly:
         _, spaces, _, system = small_system("p1")
         dof = spaces.p_dof_of_node[3 + 3 * 9]
         assert system.g[dof] == pytest.approx(1.0 / 64, rel=1e-13)
+
+
+class TestStackedAssembly:
+    """The stacked block-diagonal assembly reproduces the per-subdomain
+    assembly it replaced bit for bit: global blocks, local blocks, loads."""
+
+    @staticmethod
+    def assert_same_csr(got, want):
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+        assert got.shape == want.shape
+
+    @pytest.mark.parametrize("variant", ["p1", "p0"])
+    @pytest.mark.parametrize("bc", ["neumann-left", "dirichlet"])
+    @pytest.mark.parametrize("pattern", ["uniform", "checkerboard"])
+    def test_bitwise_equal_to_per_subdomain_assembly(self, variant, bc, pattern):
+        black = {"E": 1e3, "kappa": 1e-4} if pattern == "checkerboard" else {}
+        cfg = bd.ExperimentConfig(nx=12, subdomains=(3, 3), total_pressure=variant, bc=bc, pattern=pattern, black=black)
+        mesh = bd.build_mesh(cfg.nx, cfg.subdomains)
+        spaces = bd.build_spaces(mesh, variant, cfg.boundary())
+        mats = cfg.materials()
+        system = bd.assemble_blocks(mesh, spaces, mats, cfg.boundary(), LoadSpec())
+        ref = per_subdomain_assembly(mesh, spaces, mats, LoadSpec())
+        for name in "ABCDE":
+            local, glob = ref[name]
+            self.assert_same_csr(getattr(system, name), glob)
+            for s, lb in system.local.items():
+                self.assert_same_csr(getattr(lb, name), local[s])
+        for name in "fg":
+            local, glob = ref[name]
+            assert np.array_equal(getattr(system, name), glob)
+            for s, lb in system.local.items():
+                assert np.array_equal(getattr(lb, name), local[s])
+        for s, lb in system.local.items():
+            for fld, dofs in (("u", lb.udofs), ("xi", lb.xidofs), ("p", lb.pdofs)):
+                assert np.array_equal(dofs, ref[fld][s])
+
+    def test_local_blocks_share_the_stacked_data(self):
+        _, _, _, system = small_system("p1")
+        for name in "ABCDE":
+            stacked = getattr(system.stacked, name)
+            for lb in system.local.values():
+                assert np.shares_memory(getattr(lb, name).data, stacked.data)
 
 
 class TestStability:

@@ -224,6 +224,23 @@ class TestCongruenceClasses:
         assert rel_err(red.apply_torn_inverse(b), sp.linalg.spsolve(A_t, b)) < 1e-10
 
 
+    @pytest.mark.parametrize("variant", ["p1", "p0"])
+    @pytest.mark.parametrize("grid", [5, 6])
+    def test_vertex_edge_grid_shares_nine_classes(self, variant, grid):
+        # the change of basis leaves roundoff fill that must not split
+        # congruent subdomains, neither their saddle nor their λ blocks
+        pipe = bd.build_pipeline(bd.ExperimentConfig(
+            nx=4 * grid, subdomains=(grid, grid), total_pressure=variant, primal="vertex-edge",
+            E=1.0, nu=0.3, alpha=0.9, kappa=1.0))
+        red = pipe.reduced
+        assert len(red.factors) == 9
+        assert len(pipe.preconditioner.multiplier.classes) == 9
+        n_w = red.layout.n_w
+        A_t = red.torn_matrix().tocsc()[:n_w, :n_w]
+        b = np.random.default_rng(5).standard_normal(n_w)
+        assert rel_err(red.apply_torn_inverse(b), sp.linalg.spsolve(A_t, b)) < 1e-10
+
+
 class TestCoarseProblem:
     def test_asymmetric_input_rejected(self):
         S = np.array([[2.0, 1.0], [0.0, 2.0]])

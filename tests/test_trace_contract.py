@@ -3,11 +3,17 @@
 The benchmark times the solver from outside: bench/tracing.py wraps
 module-level names before the pipeline is built and the per-iteration
 methods of the built pipeline before the solve.  This runs that
-instrumentation, unedited, on a shrunk flagship workload and checks that
-the spans it yields add up: every span nests in its parent, the local
-solves fit inside the torn solves that make them, and each shared factor
-is built, and wrapped, once.
+instrumentation, unedited, on every workload shrunk to a 2x2 to 5x5
+subdomain grid and checks that the spans it yields add up: every span
+nests in its parent, the local solves fit inside the torn solves that make
+them, and each shared factor is built, and wrapped, once.  The shrunk
+workloads cover the sparse-LU classes (flagship), the dense-LAPACK path
+behind a change of basis (tiny-subdomains: vertex-edge on 5x5) and a grid
+where every subdomain is its own class (contrast-spectrum: a 2x2
+checkerboard).
 """
+
+import pytest
 
 import sys
 from pathlib import Path
@@ -27,14 +33,22 @@ from tracing import (  # noqa: E402
 from workloads import experiment_config  # noqa: E402
 
 
-def test_traced_flagship_spans_add_up(monkeypatch):
+@pytest.mark.parametrize(
+    "workload, n_classes",
+    [
+        ("flagship-p1-nx64", 9),  # 4x4 subdomains: interior, four edge and four corner classes
+        ("tiny-subdomains", 9),  # 5x5, the same nine once the change of basis drops its roundoff fill
+        ("contrast-spectrum", 4),  # 2x2 checkerboard corners: no two alike
+    ],
+)
+def test_traced_spans_add_up(monkeypatch, workload, n_classes):
     for module, calls in MODULE_CALLS.items():
         mod = getattr(bd, module)
         for attr in calls:  # put the originals back after the test
             monkeypatch.setattr(mod, attr, getattr(mod, attr))
     tracer = Tracer()
     instrument_modules(tracer, bd)
-    cfg = bd.ExperimentConfig(**experiment_config("flagship-p1-nx64", 1, shrink=2))
+    cfg = bd.ExperimentConfig(**experiment_config(workload, 1, shrink=2))
     pipe = bd.build_pipeline(cfg)
     instrument_pipeline(tracer, pipe)
     assert bd.run_case(cfg, pipe).converged
@@ -46,6 +60,5 @@ def test_traced_flagship_spans_add_up(monkeypatch):
         return sum(end - start for n, start, end, _ in spans if n == name)
 
     assert 0.0 < total("reduced_system.local_solve") <= total("reduced_system.torn_solve")
-    n_classes = len(pipe.reduced.factors)
-    assert n_classes == 9  # 4x4 subdomains: interior, four edge and four corner classes
+    assert len(pipe.reduced.factors) == n_classes
     assert layer_metrics(spans, pipe)["reduced_system.factor_count"] == (n_classes, "count")
