@@ -7,6 +7,13 @@ multipliers); pressure interface dofs get the same split for use inside
 the balancing preconditioner; total pressure interface dofs stay in one
 undivided continuous block.
 
+Which subdomains share each dof is read off one incidence table per field:
+the sorted (dof, subdomain) rows of every subdomain whose closure holds the
+dof's node.  A dof with one sharer is interior to it, the others form the
+interface.  The per-subdomain interface sets, the stiffness weights, the
+jump and the pressure transfers are all read off these rows; each field's
+broken layout is its table taken in (subdomain, dof) order.
+
 Primal sets always contain the interior cross points of the subdomain
 grid.  The "vertex-edge" variant additionally constrains one average per
 subdomain edge (per displacement component, and per pressure edge) via an
@@ -53,51 +60,6 @@ class SubdomainPartition:
         return self.grid[0] * self.grid[1]
 
 
-def _node_axis_subs(i: np.ndarray, m: int, g: int) -> np.ndarray:
-    """Owning subdomain index along one axis for nodes not on an interior line."""
-    return np.minimum(i // m, g - 1)
-
-
-def _interface_mask(ix: np.ndarray, iy: np.ndarray, nx: int, ny: int, mx: int, my: int) -> np.ndarray:
-    on_x = (ix % mx == 0) & (ix > 0) & (ix < nx)
-    on_y = (iy % my == 0) & (iy > 0) & (iy < ny)
-    return on_x | on_y
-
-
-def _sharing_sets(mesh_nx: int, mesh_ny: int, grid: tuple[int, int]) -> tuple[np.ndarray, dict[int, tuple[int, ...]]]:
-    """Owner per node (for nodes owned by one subdomain) and the sharing
-    tuple for nodes on subdomain boundary lines."""
-    gx, gy = grid
-    mx, my = mesh_nx // gx, mesh_ny // gy
-    ids = np.arange((mesh_nx + 1) * (mesh_ny + 1))
-    ix = ids % (mesh_nx + 1)
-    iy = ids // (mesh_nx + 1)
-    shared = _interface_mask(ix, iy, mesh_nx, mesh_ny, mx, my)
-    owner = (_node_axis_subs(iy, my, gy) * gx + _node_axis_subs(ix, mx, gx)).astype(np.int64)
-    sharing: dict[int, tuple[int, ...]] = {}
-    for n in np.flatnonzero(shared):
-        i, j = int(ix[n]), int(iy[n])
-        if i == 0:
-            xs = (0,)
-        elif i == mesh_nx:
-            xs = (gx - 1,)
-        elif i % mx == 0:
-            xs = (i // mx - 1, i // mx)
-        else:
-            xs = (i // mx,)
-        if j == 0:
-            ys = (0,)
-        elif j == mesh_ny:
-            ys = (gy - 1,)
-        elif j % my == 0:
-            ys = (j // my - 1, j // my)
-        else:
-            ys = (j // my,)
-        subs = tuple(sorted(sy * gx + sx for sy in ys for sx in xs))
-        sharing[int(n)] = subs
-    return owner, sharing
-
-
 def partition(mesh: StructuredMesh, grid: tuple[int, int]) -> SubdomainPartition:
     gx, gy = grid
     if mesh.nx % gx or mesh.ny % gy:
@@ -123,6 +85,105 @@ def partition(mesh: StructuredMesh, grid: tuple[int, int]) -> SubdomainPartition
         refined_elements=elems(refined, 2 * mx, 2 * my),
         diameters=np.full(gx * gy, diam),
     )
+
+
+# ---------------------------------------------------------------------------
+# incidence
+
+
+@dataclass(frozen=True)
+class Incidence:
+    """Which subdomains share each dof of one field.
+
+    One row (dof[k], sub[k]) per sharing subdomain, sorted by dof and then
+    by subdomain, so a dof shared by two subdomains lists the lower first.
+    """
+
+    dof: np.ndarray
+    sub: np.ndarray
+
+    def select(self, keep: np.ndarray) -> "Incidence":
+        return Incidence(self.dof[keep], self.sub[keep])
+
+    def group(self) -> np.ndarray:
+        """Index of each row's dof among the distinct dofs of the table."""
+        return np.cumsum(np.diff(self.dof, prepend=-1) != 0) - 1
+
+    def sharer_count(self) -> np.ndarray:
+        """Number of subdomains sharing each row's dof."""
+        group = self.group()
+        return np.bincount(group)[group]
+
+    def broken_pos(self) -> np.ndarray:
+        """Position of each row in the field's broken layout: subdomains in
+        turn, each with its dofs sorted."""
+        pos = np.empty(self.sub.size, dtype=np.int64)
+        pos[np.argsort(self.sub, kind="stable")] = np.arange(self.sub.size)
+        return pos
+
+    def by_subdomain(self, n_sub: int) -> dict[int, np.ndarray]:
+        """Each subdomain's sorted dofs."""
+        order = np.argsort(self.sub, kind="stable")
+        bounds = np.searchsorted(self.sub[order], np.arange(n_sub + 1))
+        dofs = self.dof[order]
+        return {s: dofs[bounds[s] : bounds[s + 1]] for s in range(n_sub)}
+
+    def sharers(self, dof: int) -> np.ndarray:
+        lo, hi = np.searchsorted(self.dof, [dof, dof + 1])
+        return self.sub[lo:hi]
+
+    def row(self, dof: int, sub: int) -> int:
+        lo = int(np.searchsorted(self.dof, dof))
+        return lo + int(np.flatnonzero(self.sharers(dof) == sub)[0])
+
+
+def _incidence(m: StructuredMesh, grid: tuple[int, int], nodes: np.ndarray, dofs: np.ndarray) -> Incidence:
+    """Incidence of the dofs ``dofs`` sitting at the nodes ``nodes`` of ``m``.
+
+    Along one axis, node line i of a g-subdomain grid m cells wide lies in
+    subdomains (i-1)//m and i//m, clipped to the grid; a node lies in the
+    cross product of its two axes' subdomains.
+    """
+    gx, gy = grid
+    n_sub = gx * gy
+    mx, my = m.nx // gx, m.ny // gy
+    ix, iy = m.node_ix(nodes), m.node_iy(nodes)
+    sx = np.clip([(ix - 1) // mx, ix // mx], 0, gx - 1)
+    sy = np.clip([(iy - 1) // my, iy // my], 0, gy - 1)
+    # sort and drop repeats by hand: np.unique hashes, several times slower here
+    keys = np.sort(dofs * n_sub + (sy[:, None] * gx + sx[None, :]).reshape(4, -1), axis=None)
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    return Incidence(keys // n_sub, keys % n_sub)
+
+
+def _split_interior(inc: Incidence, n_sub: int) -> tuple[dict[int, np.ndarray], Incidence]:
+    """Each subdomain's interior dofs (one sharer) and the interface rows."""
+    shared = inc.sharer_count() > 1
+    return inc.select(~shared).by_subdomain(n_sub), inc.select(shared)
+
+
+def _lattice_corners(
+    m: StructuredMesh, grid: tuple[int, int], nodes: np.ndarray, dofs: np.ndarray, n: int
+) -> np.ndarray:
+    """Flag over a field's n dofs: the node is a corner of the subdomain lattice.
+
+    Only free nodes are classified, so corners on the constrained boundary
+    never reach this test; corners on the traction boundary are genuine
+    coarse vertices and stay primal, which keeps the spectrum flat as
+    subdomains are added.
+    """
+    gx, gy = grid
+    flag = np.zeros(n, dtype=bool)
+    flag[dofs] = (m.node_ix(nodes) % (m.nx // gx) == 0) & (m.node_iy(nodes) % (m.ny // gy) == 0)
+    return flag
+
+
+def _check_dual_pairs(iface: Incidence, corner: np.ndarray, what: str) -> None:
+    """Every interface dof off the lattice corners is shared by exactly two subdomains."""
+    count = iface.sharer_count()
+    bad = np.flatnonzero(~corner[iface.dof] & (count != 2))
+    if bad.size:
+        raise InternalError(f"dual {what} dof {iface.dof[bad[0]]} shared by {count[bad[0]]} subdomains")
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +213,7 @@ class TornLayout:
     xi_int_pos: np.ndarray
     p_int_pos: np.ndarray
     primal_pos: np.ndarray  # over u dofs, -1 if not primal
-    dual_offset: dict[int, int]  # start of each subdomain's broken dual block
+    dual_offset: np.ndarray  # start of each subdomain's broken dual block, then the end
     # reduced side
     xi_iface: np.ndarray
     p_iface: np.ndarray
@@ -190,6 +251,10 @@ class DofClassification:
     variant: str
     grid: tuple[int, int]
     spaces: FeSpaceSet
+    # interface incidence of each field (the u table holds primal and dual dofs)
+    u_incidence: Incidence
+    xi_incidence: Incidence
+    p_incidence: Incidence
     # displacement
     u_interior: dict[int, np.ndarray]
     u_dual: np.ndarray
@@ -201,15 +266,11 @@ class DofClassification:
     xi_interior: dict[int, np.ndarray]
     xi_interface: np.ndarray
     xi_sub_interface: dict[int, np.ndarray]
-    xi_sharing: dict[int, tuple[int, ...]]
     # pressure
     p_interior: dict[int, np.ndarray]
     p_dual: np.ndarray
-    p_dual_pairs: np.ndarray
     p_primal: np.ndarray
-    p_sub_primal: dict[int, np.ndarray]
     p_sub_interface: dict[int, np.ndarray]
-    p_sharing: dict[int, tuple[int, ...]]
     # change of basis for the vertex-edge variant (None = nodal basis)
     u_transform: sp.csr_matrix | None = None
     p_transform: sp.csr_matrix | None = None
@@ -221,11 +282,12 @@ class DofClassification:
 
     @property
     def p_interface(self) -> np.ndarray:
-        return np.sort(np.concatenate([self.p_dual, self.p_primal]))
+        return np.unique(self.p_incidence.dof)
 
-    def u_dual_pair(self, dof: int) -> tuple[int, int]:
-        k = int(np.searchsorted(self.u_dual, dof))
-        return tuple(self.u_dual_pairs[k])
+    @property
+    def u_dual_incidence(self) -> Incidence:
+        """The rows of the dual displacement dofs: one per torn copy."""
+        return Incidence(np.repeat(self.u_dual, 2), self.u_dual_pairs.ravel())
 
     @property
     def layout(self) -> TornLayout:
@@ -258,69 +320,45 @@ class DofClassification:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _stack(buckets: dict[int, np.ndarray], n: int, base: int) -> tuple[np.ndarray, int]:
+    """Positions base, base + 1, ... of the per-subdomain buckets laid end to
+    end, as a map over the field's n dofs (-1 outside them), and the end."""
+    ids = np.concatenate(list(buckets.values()))
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[ids] = base + np.arange(ids.size)
+    return pos, base + ids.size
+
+
 def _build_layout(cls: DofClassification) -> TornLayout:
     n_sub = cls.n_subdomains
-    n_u = cls.spaces.n_u
-    n_xi = cls.spaces.n_xi
-    n_p = cls.spaces.n_p
-
-    u_int_pos = np.full(n_u, -1, dtype=np.int64)
-    xi_int_pos = np.full(n_xi, -1, dtype=np.int64)
-    p_int_pos = np.full(n_p, -1, dtype=np.int64)
-    primal_pos = np.full(n_u, -1, dtype=np.int64)
-
-    off = 0
-    u_off = {}
-    for s in range(n_sub):
-        ids = cls.u_interior[s]
-        u_int_pos[ids] = off + np.arange(ids.size)
-        u_off[s] = off
-        off += ids.size
-    n_u_int = off
-
-    off = 0
-    xi_off = {}
-    for s in range(n_sub):
-        ids = cls.xi_interior[s]
-        xi_int_pos[ids] = n_u_int + off + np.arange(ids.size)
-        xi_off[s] = off
-        off += ids.size
-    n_xi_int = off
-
-    off = 0
-    p_off = {}
-    for s in range(n_sub):
-        ids = cls.p_interior[s]
-        p_int_pos[ids] = n_u_int + n_xi_int + off + np.arange(ids.size)
-        p_off[s] = off
-        off += ids.size
-    n_p_int = off
-
-    dual_offset = {}
-    off = 0
-    for s in range(n_sub):
-        dual_offset[s] = off
-        off += cls.u_sub_dual[s].size
-    n_dual_broken = off
-    dual_base = n_u_int + n_xi_int + n_p_int
+    spaces = cls.spaces
+    u_int_pos, xi_base = _stack(cls.u_interior, spaces.n_u, 0)
+    xi_int_pos, p_base = _stack(cls.xi_interior, spaces.n_xi, xi_base)
+    p_int_pos, dual_base = _stack(cls.p_interior, spaces.n_p, p_base)
+    dual_offset = np.concatenate([[0], np.cumsum(np.bincount(cls.u_dual_pairs.ravel(), minlength=n_sub))])
+    n_dual_broken = int(dual_offset[-1])
 
     n_primal = cls.u_primal.size
-    primal_base = dual_base + n_dual_broken
-    primal_pos[cls.u_primal] = primal_base + np.arange(n_primal)
+    primal_pos = np.full(spaces.n_u, -1, dtype=np.int64)
+    primal_pos[cls.u_primal] = dual_base + n_dual_broken + np.arange(n_primal)
 
-    r_indices = {}
-    for s in range(n_sub):
-        uI = u_int_pos[cls.u_interior[s]]
-        xiI = xi_int_pos[cls.xi_interior[s]]
-        pI = p_int_pos[cls.p_interior[s]]
-        uD = dual_base + dual_offset[s] + np.arange(cls.u_sub_dual[s].size)
-        r_indices[s] = np.concatenate([uI, xiI, pI, uD]).astype(np.int64)
+    r_indices = {
+        s: np.concatenate(
+            [
+                u_int_pos[cls.u_interior[s]],
+                xi_int_pos[cls.xi_interior[s]],
+                p_int_pos[cls.p_interior[s]],
+                dual_base + np.arange(dual_offset[s], dual_offset[s + 1]),
+            ]
+        )
+        for s in range(n_sub)
+    }
 
     return TornLayout(
         n_sub=n_sub,
-        n_u_int=n_u_int,
-        n_xi_int=n_xi_int,
-        n_p_int=n_p_int,
+        n_u_int=xi_base,
+        n_xi_int=p_base - xi_base,
+        n_p_int=dual_base - p_base,
         n_dual_broken=n_dual_broken,
         n_primal=n_primal,
         r_indices=r_indices,
@@ -335,8 +373,8 @@ def _build_layout(cls: DofClassification) -> TornLayout:
     )
 
 
-def _edge_groups(nx: int, ny: int, grid: tuple[int, int]) -> list[tuple[tuple[int, int], np.ndarray]]:
-    """Interior node runs of every subdomain edge, with the sharing pair."""
+def _edge_groups(nx: int, ny: int, grid: tuple[int, int]) -> list[np.ndarray]:
+    """Interior node runs of every subdomain edge."""
     gx, gy = grid
     mx, my = nx // gx, ny // gy
     groups = []
@@ -344,16 +382,12 @@ def _edge_groups(nx: int, ny: int, grid: tuple[int, int]) -> list[tuple[tuple[in
         ix = vx * mx
         for sy in range(gy):
             iys = np.arange(sy * my + 1, (sy + 1) * my)
-            nodes = iys * (nx + 1) + ix
-            pair = (sy * gx + vx - 1, sy * gx + vx)
-            groups.append((pair, nodes))
+            groups.append(iys * (nx + 1) + ix)
     for hy in range(1, gy):  # horizontal edges
         iy = hy * my
         for sx in range(gx):
             ixs = np.arange(sx * mx + 1, (sx + 1) * mx)
-            nodes = iy * (nx + 1) + ixs
-            pair = ((hy - 1) * gx + sx, hy * gx + sx)
-            groups.append((pair, nodes))
+            groups.append(iy * (nx + 1) + ixs)
     return groups
 
 
@@ -390,200 +424,70 @@ def classify_dofs(part: SubdomainPartition, spaces: FeSpaceSet, primal_variant: 
         raise ConfigurationError(f"unknown primal variant {primal_variant!r}")
     mesh = part.mesh
     refined = mesh.refined_mesh
-    gx, gy = part.grid
-    n_sub = gx * gy
-    mx, my = mesh.nx // gx, mesh.ny // gy
+    grid = part.grid
+    n_sub = part.n_subdomains
 
-    owner_r, sharing_r = _sharing_sets(refined.nx, refined.ny, part.grid)
-    owner_b, sharing_b = _sharing_sets(mesh.nx, mesh.ny, part.grid)
+    # displacement dofs 2k and 2k+1 sit at the k-th free refined node
+    u_nodes = np.repeat(spaces.u_free_nodes, 2)
+    u_dofs = spaces.u_dof_of_node[u_nodes] + np.tile([0, 1], spaces.u_free_nodes.size)
+    u_interior, u_iface = _split_interior(_incidence(refined, grid, u_nodes, u_dofs), n_sub)
+    u_is_primal = _lattice_corners(refined, grid, u_nodes, u_dofs, spaces.n_u)
+    _check_dual_pairs(u_iface, u_is_primal, "displacement")
 
-    def is_cross_point(node: int, m: StructuredMesh, px: int, py: int) -> bool:
-        # Subdomain lattice corners.  Only free nodes are classified, so
-        # corners on the constrained boundary never reach this test; corners
-        # on the traction boundary are genuine coarse vertices and stay
-        # primal, which keeps the spectrum flat as subdomains are added.
-        ix = node % (m.nx + 1)
-        iy = node // (m.nx + 1)
-        return ix % px == 0 and iy % py == 0
+    p_nodes = spaces.p_free_nodes
+    p_dofs = spaces.p_dof_of_node[p_nodes]
+    p_interior, p_iface = _split_interior(_incidence(mesh, grid, p_nodes, p_dofs), n_sub)
+    p_is_primal = _lattice_corners(mesh, grid, p_nodes, p_dofs, spaces.n_p)
+    _check_dual_pairs(p_iface, p_is_primal, "pressure")
 
-    def bucket_interior(nodes: np.ndarray, owner: np.ndarray) -> dict[int, np.ndarray]:
-        order = np.argsort(owner[nodes], kind="stable")
-        bounds = np.searchsorted(owner[nodes][order], np.arange(n_sub + 1))
-        return {s: np.sort(nodes[order[bounds[s] : bounds[s + 1]]]) for s in range(n_sub)}
-
-    # --- displacement -----------------------------------------------------
-    ids_u = spaces.u_free_nodes
-    iface_u = _interface_mask(
-        ids_u % (refined.nx + 1), ids_u // (refined.nx + 1), refined.nx, refined.ny, 2 * mx, 2 * my
-    )
-    u_interior = {
-        s: np.repeat(spaces.u_dof_of_node[nodes], 2) + np.tile([0, 1], nodes.size)
-        for s, nodes in bucket_interior(ids_u[~iface_u], owner_r).items()
-    }
-    u_dual: list[int] = []
-    u_dual_pairs: list[tuple[int, int]] = []
-    u_primal: list[int] = []
-
-    for node in ids_u[iface_u]:
-        dof = int(spaces.u_dof_of_node[node])
-        subs = sharing_r[int(node)]
-        if is_cross_point(int(node), refined, 2 * mx, 2 * my):
-            u_primal.extend((dof, dof + 1))
-        else:
-            if len(subs) != 2:
-                raise InternalError(f"dual displacement node {node} shared by {len(subs)} subdomains")
-            u_dual.extend((dof, dof + 1))
-            u_dual_pairs.extend([subs, subs])
-
-    # --- total pressure ---------------------------------------------------
-    xi_interface: list[int] = []
-    xi_sharing: dict[int, tuple[int, ...]] = {}
     if spaces.total_pressure_variant == "p0":
         xi_interior = {s: np.asarray(part.base_elements[s], dtype=np.int64) for s in range(n_sub)}
+        xi_iface = Incidence(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
     else:
-        ids_xi = np.arange(mesh.n_nodes)
-        iface_xi = _interface_mask(ids_xi % (mesh.nx + 1), ids_xi // (mesh.nx + 1), mesh.nx, mesh.ny, mx, my)
-        xi_interior = bucket_interior(ids_xi[~iface_xi], owner_b)
-        for node in ids_xi[iface_xi]:
-            xi_interface.append(int(node))
-            xi_sharing[int(node)] = sharing_b[int(node)]
-
-    # --- pressure ---------------------------------------------------------
-    ids_p = spaces.p_free_nodes
-    iface_p = _interface_mask(ids_p % (mesh.nx + 1), ids_p // (mesh.nx + 1), mesh.nx, mesh.ny, mx, my)
-    p_interior = {
-        s: spaces.p_dof_of_node[nodes] for s, nodes in bucket_interior(ids_p[~iface_p], owner_b).items()
-    }
-    p_dual: list[int] = []
-    p_dual_pairs: list[tuple[int, int]] = []
-    p_primal: list[int] = []
-    p_sharing: dict[int, tuple[int, ...]] = {}
-
-    for node in ids_p[iface_p]:
-        dof = int(spaces.p_dof_of_node[node])
-        subs = sharing_b[int(node)]
-        if is_cross_point(int(node), mesh, mx, my):
-            p_primal.append(dof)
-            p_sharing[dof] = subs
-        else:
-            if len(subs) != 2:
-                raise InternalError(f"dual pressure node {node} shared by {len(subs)} subdomains")
-            p_dual.append(dof)
-            p_dual_pairs.append(subs)
-            p_sharing[dof] = subs
+        nodes = np.arange(mesh.n_nodes)
+        xi_interior, xi_iface = _split_interior(_incidence(mesh, grid, nodes, nodes), n_sub)
 
     u_transform = p_transform = None
     if primal_variant == "vertex-edge":
         # displacement: one average per subdomain edge per component, taken
-        # over the refined-level edge interior nodes
-        pair_of = {int(d): p for d, p in zip(u_dual, u_dual_pairs)}
-        promoted: set[int] = set()
-        u_groups = []
-        for pair, nodes in _edge_groups(refined.nx, refined.ny, part.grid):
-            dofs0 = spaces.u_dof_of_node[nodes]
-            if np.any(dofs0 < 0):
-                raise InternalError("edge interior node unexpectedly constrained")
-            for comp in range(2):
-                group = dofs0 + comp
-                u_groups.append(group)
-                # first dof now carries the edge average: promote to primal
-                promoted.add(int(group[0]))
-                u_primal.append(int(group[0]))
-        u_dual = [d for d in u_dual if int(d) not in promoted]
-        u_dual_pairs = [pair_of[int(d)] for d in u_dual]
+        # over the refined-level edge interior nodes; pressure: one per edge
+        # over its free base-level nodes.  The first dof of each edge then
+        # carries the average and turns primal; its sharers are the edge's
+        # pair already.
+        u_edges = [spaces.u_dof_of_node[nodes] for nodes in _edge_groups(refined.nx, refined.ny, grid)]
+        if any(np.any(dofs < 0) for dofs in u_edges):
+            raise InternalError("edge interior node unexpectedly constrained")
+        u_groups = [dofs + comp for dofs in u_edges for comp in range(2)]
+        p_edges = [spaces.p_dof_of_node[nodes] for nodes in _edge_groups(mesh.nx, mesh.ny, grid)]
+        p_groups = [dofs[dofs >= 0] for dofs in p_edges if np.any(dofs >= 0)]
+        u_is_primal[[dofs[0] for dofs in u_groups]] = True
+        p_is_primal[[dofs[0] for dofs in p_groups]] = True
         u_transform = _build_transform(spaces.n_u, u_groups)
-
-        p_promoted: set[int] = set()
-        ppair_of = {int(d): p for d, p in zip(p_dual, p_dual_pairs)}
-        p_groups = []
-        for pair, nodes in _edge_groups(mesh.nx, mesh.ny, part.grid):
-            group = spaces.p_dof_of_node[nodes]
-            group = group[group >= 0]
-            if group.size == 0:
-                continue
-            p_groups.append(group)
-            p_promoted.add(int(group[0]))
-            p_primal.append(int(group[0]))
-            p_sharing[int(group[0])] = pair
-        p_dual = [d for d in p_dual if int(d) not in p_promoted]
-        p_dual_pairs = [ppair_of[int(d)] for d in p_dual]
         p_transform = _build_transform(spaces.n_p, p_groups)
 
-    # --- sort and bucket --------------------------------------------------
-    u_pair_of = {int(d): p for d, p in zip(u_dual, u_dual_pairs)}
-    u_dual = np.array(sorted(u_dual), dtype=np.int64)
-    u_dual_pairs_arr = np.array([u_pair_of[int(d)] for d in u_dual], dtype=np.int64).reshape(-1, 2)
-
-    u_primal_arr = np.array(sorted(u_primal), dtype=np.int64)
-    p_dual_arr = np.array(sorted(p_dual), dtype=np.int64)
-    p_primal_arr = np.array(sorted(p_primal), dtype=np.int64)
-    p_dual_pairs_arr = np.array(
-        [p_sharing[int(d)] for d in p_dual_arr] if len(p_dual_arr) else [], dtype=np.int64
-    ).reshape(-1, 2)
-
-    u_sub_dual = {s: [] for s in range(n_sub)}
-    for d, pr in zip(u_dual, u_dual_pairs_arr):
-        for s in pr:
-            u_sub_dual[int(s)].append(int(d))
-    u_sub_primal = {s: [] for s in range(n_sub)}
-    # primal adjacency: vertex primal dofs touch every sharing subdomain,
-    # edge averages touch the edge's pair; invert the dof map to find nodes
-    node_of_udof = np.full(spaces.n_u, -1, dtype=np.int64)
-    node_of_udof[spaces.u_dof_of_node[spaces.u_free_nodes]] = spaces.u_free_nodes
-    node_of_udof[spaces.u_dof_of_node[spaces.u_free_nodes] + 1] = spaces.u_free_nodes
-
-    edge_pair_u: dict[int, tuple[int, ...]] = {}
-    if primal_variant == "vertex-edge":
-        for pair, nodes in _edge_groups(refined.nx, refined.ny, part.grid):
-            dofs0 = spaces.u_dof_of_node[nodes]
-            for comp in range(2):
-                edge_pair_u[int(dofs0[0] + comp)] = pair
-
-    for dof in u_primal_arr:
-        if int(dof) in edge_pair_u:
-            subs = edge_pair_u[int(dof)]
-        else:
-            subs = sharing_r[int(node_of_udof[dof])]
-        for s in subs:
-            u_sub_primal[s].append(int(dof))
-
-    p_sub_primal = {s: [] for s in range(n_sub)}
-    p_sub_iface = {s: [] for s in range(n_sub)}
-    for dof in p_primal_arr:
-        for s in p_sharing[int(dof)]:
-            p_sub_primal[s].append(int(dof))
-            p_sub_iface[s].append(int(dof))
-    for dof, pr in zip(p_dual_arr, p_dual_pairs_arr):
-        for s in pr:
-            p_sub_iface[int(s)].append(int(dof))
-
-    xi_interface_arr = np.array(sorted(xi_interface), dtype=np.int64)
-    xi_sub_iface = {s: [] for s in range(n_sub)}
-    for dof in xi_interface_arr:
-        for s in xi_sharing[int(dof)]:
-            xi_sub_iface[s].append(int(dof))
-
+    u_primal = u_iface.select(u_is_primal[u_iface.dof])
+    u_dual = u_iface.select(~u_is_primal[u_iface.dof])
+    p_on_primal = p_is_primal[p_iface.dof]
     cls = DofClassification(
         variant=primal_variant,
-        grid=part.grid,
+        grid=grid,
         spaces=spaces,
-        u_interior={s: np.sort(np.asarray(v, dtype=np.int64)) for s, v in u_interior.items()},
-        u_dual=u_dual,
-        u_dual_pairs=u_dual_pairs_arr,
-        u_sub_dual={s: np.array(sorted(v), dtype=np.int64) for s, v in u_sub_dual.items()},
-        u_primal=u_primal_arr,
-        u_sub_primal={s: np.array(sorted(set(v)), dtype=np.int64) for s, v in u_sub_primal.items()},
-        xi_interior={s: np.sort(np.asarray(v, dtype=np.int64)) for s, v in xi_interior.items()},
-        xi_interface=xi_interface_arr,
-        xi_sub_interface={s: np.array(sorted(v), dtype=np.int64) for s, v in xi_sub_iface.items()},
-        xi_sharing=xi_sharing,
-        p_interior={s: np.sort(np.asarray(v, dtype=np.int64)) for s, v in p_interior.items()},
-        p_dual=p_dual_arr,
-        p_dual_pairs=p_dual_pairs_arr,
-        p_primal=p_primal_arr,
-        p_sub_primal={s: np.array(sorted(set(v)), dtype=np.int64) for s, v in p_sub_primal.items()},
-        p_sub_interface={s: np.array(sorted(set(v)), dtype=np.int64) for s, v in p_sub_iface.items()},
-        p_sharing=p_sharing,
+        u_incidence=u_iface,
+        xi_incidence=xi_iface,
+        p_incidence=p_iface,
+        u_interior=u_interior,
+        u_dual=np.unique(u_dual.dof),
+        u_dual_pairs=u_dual.sub.reshape(-1, 2),
+        u_sub_dual=u_dual.by_subdomain(n_sub),
+        u_primal=np.unique(u_primal.dof),
+        u_sub_primal=u_primal.by_subdomain(n_sub),
+        xi_interior=xi_interior,
+        xi_interface=np.unique(xi_iface.dof),
+        xi_sub_interface=xi_iface.by_subdomain(n_sub),
+        p_interior=p_interior,
+        p_dual=np.unique(p_iface.dof[~p_on_primal]),
+        p_primal=np.unique(p_iface.dof[p_on_primal]),
+        p_sub_interface=p_iface.by_subdomain(n_sub),
         u_transform=u_transform,
         p_transform=p_transform,
     )
@@ -608,7 +512,7 @@ def _check_floating(cls: DofClassification, part: SubdomainPartition, spaces: Fe
             continue
         # every primal dof pairs with its sibling component at the same node,
         # so distinct nodes count distinct constraint locations
-        n_locations = len({int(d) // 2 for d in cls.u_sub_primal[s]})
+        n_locations = np.unique(cls.u_sub_primal[s] // 2).size
         if n_locations < 2:
             raise ConfigurationError(
                 f"subdomain {s} floats: no Dirichlet contact and only {n_locations} primal constraint location(s)"
@@ -621,44 +525,48 @@ def _check_floating(cls: DofClassification, part: SubdomainPartition, spaces: Fe
 
 @dataclass
 class ScalingWeights:
-    """Stiffness-weighted interface averages.
+    """Stiffness-weighted interface averages, one weight per row of each
+    field's incidence table (for displacements, the dual rows).
 
     Weights per interface dof sum to one exactly: the highest sharing
     subdomain's weight is computed as one minus the others.
     """
 
-    disp: dict[int, tuple[tuple[int, ...], np.ndarray]]
-    total_pressure: dict[int, tuple[tuple[int, ...], np.ndarray]]
-    pressure: dict[int, tuple[tuple[int, ...], np.ndarray]]
+    incidence: dict[str, Incidence]
+    disp: np.ndarray
+    total_pressure: np.ndarray
+    pressure: np.ndarray
 
     def weight(self, field: str, dof: int, sub: int) -> float:
-        table = getattr(self, field)
-        subs, w = table[int(dof)]
-        return float(w[subs.index(sub)])
+        return float(getattr(self, field)[self.incidence[field].row(dof, sub)])
 
 
-def _normalized(subs: tuple[int, ...], raw: np.ndarray) -> np.ndarray:
-    w = raw / raw.sum()
-    if len(subs) > 1:
-        w[-1] = 1.0 - float(np.add.reduce(w[:-1]))
-    else:
-        w[0] = 1.0
+def _weights(inc: Incidence, coeff: np.ndarray) -> np.ndarray:
+    """Each sharer's coefficient over the sum of its dof's sharers'; the
+    highest sharer (its dof's last row) takes one minus the others."""
+    group = inc.group()
+    raw = coeff[inc.sub]
+    w = raw / np.bincount(group, weights=raw)[group]
+    last = np.diff(inc.dof, append=-1) != 0
+    w[last] = 1.0 - np.bincount(group, weights=np.where(last, 0.0, w))[group[last]]
     return w
 
 
 def build_scalings(cls: DofClassification, materials: MaterialField) -> ScalingWeights:
-    disp = {}
-    for dof, pr in zip(cls.u_dual, cls.u_dual_pairs):
-        subs = tuple(int(s) for s in pr)
-        disp[int(dof)] = (subs, _normalized(subs, materials.mu[list(subs)].astype(float)))
-    total_pressure = {}
-    for dof in cls.xi_interface:
-        subs = cls.xi_sharing[int(dof)]
-        total_pressure[int(dof)] = (subs, _normalized(subs, 1.0 / materials.mu[list(subs)]))
-    pressure = {}
-    for dof, subs in sorted(cls.p_sharing.items()):
-        pressure[int(dof)] = (subs, _normalized(subs, materials.kappa[list(subs)].astype(float)))
-    return ScalingWeights(disp=disp, total_pressure=total_pressure, pressure=pressure)
+    mu = np.asarray(materials.mu, dtype=float)
+    incidence = {"disp": cls.u_dual_incidence, "total_pressure": cls.xi_incidence, "pressure": cls.p_incidence}
+    return ScalingWeights(
+        incidence=incidence,
+        disp=_weights(incidence["disp"], mu),
+        total_pressure=_weights(incidence["total_pressure"], 1.0 / mu),
+        pressure=_weights(incidence["pressure"], np.asarray(materials.kappa, dtype=float)),
+    )
+
+
+def _unit_and_scaled(
+    unit: np.ndarray, scaled: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]
+) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    return sp.csr_matrix((unit, (rows, cols)), shape=shape), sp.csr_matrix((scaled, (rows, cols)), shape=shape)
 
 
 # ---------------------------------------------------------------------------
@@ -680,24 +588,15 @@ class JumpOperator:
 
 
 def build_jump(cls: DofClassification, scalings: ScalingWeights) -> JumpOperator:
-    layout = cls.layout
     n_lam = cls.u_dual.size
-    n_broken = layout.n_dual_broken
-    rows = np.repeat(np.arange(n_lam), 2)
-    cols = np.empty(2 * n_lam, dtype=np.int64)
-    vals = np.empty(2 * n_lam)
-    svals = np.empty(2 * n_lam)
-    for k, (dof, pr) in enumerate(zip(cls.u_dual, cls.u_dual_pairs)):
-        i, j = int(pr[0]), int(pr[1])
-        ci = layout.dual_offset[i] + int(np.searchsorted(cls.u_sub_dual[i], dof))
-        cj = layout.dual_offset[j] + int(np.searchsorted(cls.u_sub_dual[j], dof))
-        cols[2 * k], cols[2 * k + 1] = ci, cj
-        vals[2 * k], vals[2 * k + 1] = 1.0, -1.0
-        subs, w = scalings.disp[int(dof)]
-        svals[2 * k] = w[subs.index(i)]
-        svals[2 * k + 1] = -w[subs.index(j)]
-    jump = sp.csr_matrix((vals, (rows, cols)), shape=(n_lam, n_broken))
-    jump_scaled = sp.csr_matrix((svals, (rows, cols)), shape=(n_lam, n_broken))
+    sign = np.tile([1.0, -1.0], n_lam)
+    jump, jump_scaled = _unit_and_scaled(
+        sign,
+        sign * scalings.disp,
+        np.repeat(np.arange(n_lam), 2),
+        scalings.incidence["disp"].broken_pos(),
+        (n_lam, cls.layout.n_dual_broken),
+    )
     ident = jump @ jump_scaled.T
     if (ident - sp.identity(n_lam)).nnz != 0:
         raise InternalError("jump partition-of-unity identity failed")
@@ -737,51 +636,30 @@ def _exact_identity(m: sp.spmatrix, n: int, what: str) -> None:
 
 def build_restrictions(cls: DofClassification, scalings: ScalingWeights) -> RestrictionSet:
     layout = cls.layout
-    n_sub = cls.n_subdomains
-    xi_iface = layout.xi_iface
-    p_iface = layout.p_iface
-
-    xi_local = {}
-    xi_local_scaled = {}
-    for s in range(n_sub):
-        ids = cls.xi_sub_interface[s]
-        pos = layout.xi_iface_pos(ids)
-        rows = np.arange(ids.size)
-        ones = np.ones(ids.size)
-        w = np.array([scalings.weight("total_pressure", d, s) for d in ids]) if ids.size else np.zeros(0)
-        xi_local[s] = sp.csr_matrix((ones, (rows, pos)), shape=(ids.size, xi_iface.size))
-        xi_local_scaled[s] = sp.csr_matrix((w, (rows, pos)), shape=(ids.size, xi_iface.size))
-    xi_break = sp.vstack([xi_local[s] for s in range(n_sub)], format="csr") if n_sub else sp.csr_matrix((0, 0))
-    xi_break_scaled = sp.vstack([xi_local_scaled[s] for s in range(n_sub)], format="csr")
-    if xi_iface.size:
-        _exact_identity(xi_break.T @ xi_break_scaled, xi_iface.size, "total pressure")
+    xi = scalings.incidence["total_pressure"]
+    n_xi = layout.xi_iface.size
+    xi_break, xi_break_scaled = _unit_and_scaled(
+        np.ones(xi.dof.size), scalings.total_pressure, xi.broken_pos(), layout.xi_iface_pos(xi.dof), (xi.dof.size, n_xi)
+    )
+    if n_xi:
+        _exact_identity(xi_break.T @ xi_break_scaled, n_xi, "total pressure")
 
     # pressure: tilde layout rows = broken duals (by subdomain) then primal
-    dual_rows = []
-    dual_cols = []
-    dual_w = []
-    off = 0
-    for s in range(n_sub):
-        ids = cls.p_sub_interface[s]
-        duals = ids[np.isin(ids, cls.p_dual)]
-        pos = layout.p_iface_pos(duals)
-        dual_rows.append(off + np.arange(duals.size))
-        dual_cols.append(pos)
-        dual_w.append(np.array([scalings.weight("pressure", d, s) for d in duals]))
-        off += duals.size
-    n_dual_broken = off
+    p = scalings.incidence["pressure"]
+    is_dual = np.isin(p.dof, cls.p_dual)
+    duals = p.select(is_dual)
     n_primal = cls.p_primal.size
-    n_tilde = n_dual_broken + n_primal
-    prim_pos = layout.p_iface_pos(cls.p_primal)
-
-    rows = np.concatenate(dual_rows + [n_dual_broken + np.arange(n_primal)]) if n_tilde else np.zeros(0, np.int64)
-    colsv = np.concatenate(dual_cols + [prim_pos]) if n_tilde else np.zeros(0, np.int64)
-    ones = np.ones(rows.size)
-    wts = np.concatenate(dual_w + [np.ones(n_primal)]) if n_tilde else np.zeros(0)
-    p_inject = sp.csr_matrix((ones, (rows, colsv)), shape=(n_tilde, p_iface.size))
-    p_inject_scaled = sp.csr_matrix((wts, (rows, colsv)), shape=(n_tilde, p_iface.size))
-    if p_iface.size:
-        _exact_identity(p_inject.T @ p_inject_scaled, p_iface.size, "pressure")
+    n_tilde = duals.dof.size + n_primal
+    n_p = layout.p_iface.size
+    p_inject, p_inject_scaled = _unit_and_scaled(
+        np.ones(n_tilde),
+        np.concatenate([scalings.pressure[is_dual], np.ones(n_primal)]),
+        np.concatenate([duals.broken_pos(), duals.dof.size + np.arange(n_primal)]),
+        layout.p_iface_pos(np.concatenate([duals.dof, cls.p_primal])),
+        (n_tilde, n_p),
+    )
+    if n_p:
+        _exact_identity(p_inject.T @ p_inject_scaled, n_p, "pressure")
 
     return RestrictionSet(
         xi_break=xi_break,

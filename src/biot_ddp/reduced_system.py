@@ -286,17 +286,9 @@ class ReducedSystem:
         u[cls.u_primal] = w[lay.primal_slice]
         dual = w[lay.dual_slice]
         jump_norm = float(np.linalg.norm(self.jump.jump @ dual)) if dual.size else 0.0
-        counts = np.zeros(cls.u_dual.size)
-        for s in range(lay.n_sub):
-            ids = cls.u_sub_dual[s]
-            if not ids.size:
-                continue
-            pos = np.searchsorted(cls.u_dual, ids)
-            off = lay.dual_offset[s]
-            u[ids] += dual[off : off + ids.size]
-            counts[pos] += 1.0
-        if cls.u_dual.size:
-            u[cls.u_dual] /= counts
+        # each jump row holds the broken positions of one dual dof's two copies
+        copies = dual[self.jump.jump.indices.reshape(-1, 2)]
+        u[cls.u_dual] = (copies[:, 0] + copies[:, 1]) / 2
 
         xi = np.zeros(spaces.n_xi)
         mask = lay.xi_int_pos >= 0

@@ -129,6 +129,41 @@ class TestClassification:
                 assert col.sum() == pytest.approx(0.0, abs=1e-14)
         assert n_avg == 4
 
+    @pytest.mark.parametrize("bc", [bd.BoundarySpec.neumann_left(), bd.BoundarySpec.all_dirichlet()])
+    def test_incidence_matches_element_partition(self, bc):
+        # a dof's sharers are the subdomains whose elements touch its node;
+        # the non-square mesh and grid put interface lines, outer boundary
+        # lines and traction corners at different positions along each axis
+        mesh = bd.build_mesh(24, (4, 2), ny=12)
+        part = bd.partition(mesh, (4, 2))
+        spaces = bd.build_spaces(mesh, "p1", bc)
+        cls = bd.classify_dofs(part, spaces, "vertex")
+        refined = mesh.refined_mesh
+
+        def expected(m, elements, dofs_of_node):
+            rows = set()
+            for s, elems in elements.items():
+                for node in np.unique(m.triangles[elems]):
+                    rows.update((int(d), s) for d in dofs_of_node(node))
+            rows = np.array(sorted(rows), dtype=np.int64)
+            dof, count = np.unique(rows[:, 0], return_counts=True)
+            return rows[np.isin(rows[:, 0], dof[count > 1])]
+
+        def u_dofs(node):
+            d = spaces.u_dof_of_node[node]
+            return [d, d + 1] if d >= 0 else []
+
+        def p_dofs(node):
+            d = spaces.p_dof_of_node[node]
+            return [d] if d >= 0 else []
+
+        for inc, want in (
+            (cls.u_incidence, expected(refined, part.refined_elements, u_dofs)),
+            (cls.xi_incidence, expected(mesh, part.base_elements, lambda node: [node])),
+            (cls.p_incidence, expected(mesh, part.base_elements, p_dofs)),
+        ):
+            np.testing.assert_array_equal(np.column_stack([inc.dof, inc.sub]), want)
+
     def test_to_json_roundtrip(self):
         _, _, cls = classify()
         data = json.loads(cls.to_json())
@@ -143,22 +178,24 @@ class TestClassification:
 
 
 class TestScalings:
-    def test_partition_of_unity_exact(self):
+    @pytest.mark.parametrize("variant", ["p1", "p0"])
+    @pytest.mark.parametrize("primal", ["vertex", "vertex-edge"])
+    def test_partition_of_unity_exact(self, variant, primal):
         mats = bd.MaterialField.checkerboard(
             (3, 3), E=1.0, nu=0.3, alpha=1.0, kappa=1.0,
             black={"E": 1e4, "kappa": 1e-3},
         )
-        _, _, cls = classify(12, (3, 3))
+        _, _, cls = classify(12, (3, 3), variant, primal)
         sc = bd.build_scalings(cls, mats)
         for dof, pair in zip(cls.u_dual, cls.u_dual_pairs):
             total = sum(sc.weight("disp", int(dof), int(s)) for s in pair)
             assert total == 1.0  # exact by construction, not approx
         for dof in cls.xi_interface:
-            subs = cls.xi_sharing[int(dof)]
-            assert sum(sc.weight("total_pressure", int(dof), s) for s in subs) == 1.0
+            subs = cls.xi_incidence.sharers(int(dof))
+            assert sum(sc.weight("total_pressure", int(dof), int(s)) for s in subs) == 1.0
         for dof in np.concatenate([cls.p_dual, cls.p_primal]):
-            subs = cls.p_sharing[int(dof)]
-            assert sum(sc.weight("pressure", int(dof), s) for s in subs) == 1.0
+            subs = cls.p_incidence.sharers(int(dof))
+            assert sum(sc.weight("pressure", int(dof), int(s)) for s in subs) == 1.0
 
     def test_weights_follow_material_contrast(self):
         # displacement weights scale with mu, total pressure with 1/mu,
@@ -170,15 +207,15 @@ class TestScalings:
         _, _, cls = classify()
         sc = bd.build_scalings(cls, mats)
         dof = int(cls.u_dual[0])
-        s0, s1 = cls.u_dual_pair(dof)
+        s0, s1 = cls.u_dual_pairs[0]
         ratio = sc.weight("disp", dof, s0) / sc.weight("disp", dof, s1)
         assert ratio == pytest.approx(mats.mu[s0] / mats.mu[s1])
         xd = int(cls.xi_interface[0])
-        t0, t1 = cls.xi_sharing[xd][:2]
+        t0, t1 = cls.xi_incidence.sharers(xd)[:2]
         ratio = sc.weight("total_pressure", xd, t0) / sc.weight("total_pressure", xd, t1)
         assert ratio == pytest.approx(mats.mu[t1] / mats.mu[t0])
         pd = int(cls.p_dual[0])
-        q0, q1 = cls.p_sharing[pd][:2]
+        q0, q1 = cls.p_incidence.sharers(pd)[:2]
         ratio = sc.weight("pressure", pd, q0) / sc.weight("pressure", pd, q1)
         assert ratio == pytest.approx(mats.kappa[q0] / mats.kappa[q1])
 
