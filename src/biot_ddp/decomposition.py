@@ -400,16 +400,21 @@ def _average_basis_block(m: int) -> np.ndarray:
 
 
 def _build_transform(n: int, groups: list[np.ndarray]) -> sp.csr_matrix:
-    """Identity outside the groups, the average/deviation block inside each."""
+    """Identity outside the groups, the average/deviation block inside each.
+
+    The groups of one size (at most one per edge direction) are
+    stacked into a (groups, m) array and their blocks written in one pass:
+    entry (i, j) of a group's block sits at row g[i], column g[j].
+    """
     in_group = np.zeros(n, dtype=bool)
     rows, cols, vals = [], [], []
-    for g in groups:
-        in_group[g] = True
-        block = _average_basis_block(g.size)
-        rr, cc = np.meshgrid(g, g, indexing="ij")
-        rows.append(rr.ravel())
-        cols.append(cc.ravel())
-        vals.append(block.ravel())
+    sizes = np.array([g.size for g in groups], dtype=np.int64)
+    for m in np.unique(sizes):
+        G = np.stack([g for g, size in zip(groups, sizes) if size == m])
+        in_group[G] = True
+        rows.append(np.repeat(G, m, axis=1).ravel())
+        cols.append(np.tile(G, (1, m)).ravel())
+        vals.append(np.tile(_average_basis_block(m).ravel(), len(G)))
     rest = np.flatnonzero(~in_group)
     rows.append(rest)
     cols.append(rest)

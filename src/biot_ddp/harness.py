@@ -44,7 +44,7 @@ from .mesh_fem import (
     build_spaces,
 )
 from .preconditioner import BlockPreconditioner, build_preconditioner
-from .reduced_system import ReducedSystem, build_reduced_system
+from .reduced_system import ReducedSystem, SaddleFactor, build_reduced_system
 
 ORACLE_AUTO_LIMIT = 5000
 
@@ -155,6 +155,17 @@ class Pipeline:
     def n_dofs(self) -> int:
         return self.spaces.n_total
 
+    def local_factors(self) -> list[SaddleFactor]:
+        """Every factor kept for the solve: one per torn congruence class,
+        per λ Dirichlet interior class and per xi/p BDDC class."""
+        pc = self.preconditioner
+        out = [c.factor for c in self.reduced.factors.values()]
+        out += [c.interior for c in pc.multiplier.classes if c.interior is not None]
+        for bddc in (pc.xi, pc.pressure):
+            if bddc is not None:
+                out += [c.factor for c in bddc.classes]
+        return out
+
 
 @dataclass
 class RunResult:
@@ -171,6 +182,7 @@ class RunResult:
     n_interface: int
     oracle_err: tuple[float, float, float] | None
     wall_s: float
+    factor_nnz: int  # stored entries of every local factor (SaddleFactor.nnz summed)
     notes: list[str]
     u: np.ndarray
     xi: np.ndarray
@@ -293,6 +305,7 @@ def run_case(cfg: ExperimentConfig, pipe: Pipeline | None = None) -> RunResult:
         n_interface=red.n,
         oracle_err=oracle_err,
         wall_s=wall,
+        factor_nnz=sum(f.nnz for f in pipe.local_factors()),
         notes=list(result.notes),
         u=u,
         xi=xi,
@@ -384,6 +397,7 @@ def write_json(results: list[RunResult], path: str) -> None:
         entry["jump_norm"] = res.jump_norm
         entry["n_dofs"] = res.n_dofs
         entry["n_interface"] = res.n_interface
+        entry["factor_nnz"] = res.factor_nnz
         entry["notes"] = res.notes
         payload.append(entry)
     with open(path, "w", encoding="utf-8") as fh:

@@ -10,8 +10,10 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import biot_ddp as bd
+from biot_ddp.decomposition import _average_basis_block, _build_transform, _edge_groups
 
 
 def classify(nx=8, grid=(2, 2), variant="p1", primal="vertex", bc=None):
@@ -128,6 +130,46 @@ class TestClassification:
             else:
                 assert col.sum() == pytest.approx(0.0, abs=1e-14)
         assert n_avg == 4
+
+    @staticmethod
+    def per_group_transform(n, groups):
+        """Reference: the transform written one edge group at a time."""
+        in_group = np.zeros(n, dtype=bool)
+        rows, cols, vals = [], [], []
+        for g in groups:
+            in_group[g] = True
+            rr, cc = np.meshgrid(g, g, indexing="ij")
+            rows.append(rr.ravel())
+            cols.append(cc.ravel())
+            vals.append(_average_basis_block(g.size).ravel())
+        rest = np.flatnonzero(~in_group)
+        rows.append(rest)
+        cols.append(rest)
+        vals.append(np.ones(rest.size))
+        return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+
+    @staticmethod
+    def assert_bitwise_equal(T, ref):
+        for a, b in ((T.indptr, ref.indptr), (T.indices, ref.indices), (T.data, ref.data)):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("variant", ["p1", "p0"])
+    @pytest.mark.parametrize("bc", [bd.BoundarySpec.neumann_left(), bd.BoundarySpec.all_dirichlet()])
+    def test_transform_matches_per_group_build(self, variant, bc):
+        part, spaces, cls = classify(nx=12, grid=(3, 3), variant=variant, primal="vertex-edge", bc=bc)
+        mesh, refined = part.mesh, part.mesh.refined_mesh
+        u_edges = [spaces.u_dof_of_node[nodes] for nodes in _edge_groups(refined.nx, refined.ny, part.grid)]
+        u_groups = [dofs + comp for dofs in u_edges for comp in range(2)]
+        p_edges = [spaces.p_dof_of_node[nodes] for nodes in _edge_groups(mesh.nx, mesh.ny, part.grid)]
+        p_groups = [dofs[dofs >= 0] for dofs in p_edges if np.any(dofs >= 0)]
+        self.assert_bitwise_equal(cls.u_transform, self.per_group_transform(spaces.n_u, u_groups))
+        self.assert_bitwise_equal(cls.p_transform, self.per_group_transform(spaces.n_p, p_groups))
+
+    def test_transform_of_mixed_group_sizes_matches_per_group_build(self):
+        # groups of two sizes, interleaved as in a field with two edge lengths
+        groups = [np.array([3, 4, 5]), np.array([10, 11]), np.array([0, 1, 2]), np.array([20, 21])]
+        self.assert_bitwise_equal(_build_transform(25, groups), self.per_group_transform(25, groups))
 
     @pytest.mark.parametrize("bc", [bd.BoundarySpec.neumann_left(), bd.BoundarySpec.all_dirichlet()])
     def test_incidence_matches_element_partition(self, bc):

@@ -184,6 +184,25 @@ class TestReports:
         assert entry["n_interface"] == res.n_interface
 
 
+class TestFactorSize:
+    def test_factor_nnz_sums_every_kept_factor(self, tmp_path):
+        # 16x16 on 2x2: sparse saddle and elastic interior factors, dense
+        # BDDC ones
+        cfg = small_cfg(nx=16, oracle="off")
+        pipe = bd.build_pipeline(cfg)
+        res = bd.run_case(cfg, pipe)
+        pc = pipe.preconditioner
+        factors = [c.factor for c in pipe.reduced.factors.values()]
+        factors += [c.interior for c in pc.multiplier.classes]
+        factors += [c.factor for c in pc.xi.classes + pc.pressure.classes]
+        assert res.factor_nnz == sum(f.nnz for f in factors)
+        assert all(f.nnz < f.n**2 for f in factors[: len(pipe.reduced.factors)])  # sparse
+        assert all(f.nnz == f.n**2 for f in factors[-len(pc.pressure.classes) :])  # dense Schur
+        path = tmp_path / "out.json"
+        write_json([res], str(path))
+        assert json.loads(path.read_text())[0]["factor_nnz"] == res.factor_nnz
+
+
 class TestCli:
     BASE = ["--nx", "8", "--sub", "2x2", "--E", "1", "--nu", "0.3"]
 
