@@ -21,7 +21,8 @@ from .harness import (
     write_csv,
     write_json,
 )
-from .krylov import write_residual_history
+from .decomposition import InternalError
+from .krylov import SpdViolationError, write_residual_history
 from .mesh_fem import ConfigurationError, MaterialDomainError
 
 
@@ -222,6 +223,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigurationError, MaterialDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SpdViolationError as exc:
+        print(f"error: no converged solution: {exc}", file=sys.stderr)
+        return 1
+    except InternalError as exc:
+        print(f"error: internal inconsistency, please report: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh_fem import BlockSystem, ConfigurationError, FeSpaceSet, MaterialField, StructuredMesh
+from .mesh_fem import BlockSystem, ConfigurationError, FeSpaceSet, MaterialField, StructuredMesh, sorted_unique
 
 
 class InternalError(RuntimeError):
@@ -150,9 +150,7 @@ def _incidence(m: StructuredMesh, grid: tuple[int, int], nodes: np.ndarray, dofs
     ix, iy = m.node_ix(nodes), m.node_iy(nodes)
     sx = np.clip([(ix - 1) // mx, ix // mx], 0, gx - 1)
     sy = np.clip([(iy - 1) // my, iy // my], 0, gy - 1)
-    # sort and drop repeats by hand: np.unique hashes, several times slower here
-    keys = np.sort(dofs * n_sub + (sy[:, None] * gx + sx[None, :]).reshape(4, -1), axis=None)
-    keys = keys[np.diff(keys, prepend=-1) != 0]
+    keys = sorted_unique(dofs * n_sub + (sy[:, None] * gx + sx[None, :]).reshape(4, -1))
     return Incidence(keys // n_sub, keys % n_sub)
 
 
@@ -583,8 +581,9 @@ class JumpOperator:
     """Signed jumps across the torn dual displacement copies.
 
     One row per dual dof; the copy owned by the lower subdomain index gets
-    +1, the other -1.  The scaled variant carries each subdomain's own
-    stiffness weight in place of the unit entries.
+    +1, the other -1.  The scaled variant gives each copy its neighbour's
+    stiffness weight, delta_j = rho_j / (rho_i + rho_j) on the copy in
+    subdomain i (Klawonn and Widlund 2001), in place of the unit entries.
     """
 
     jump: sp.csr_matrix
@@ -595,9 +594,11 @@ class JumpOperator:
 def build_jump(cls: DofClassification, scalings: ScalingWeights) -> JumpOperator:
     n_lam = cls.u_dual.size
     sign = np.tile([1.0, -1.0], n_lam)
+    # the rows of a dual dof's two copies are adjacent: swap their weights
+    neighbour = scalings.disp.reshape(-1, 2)[:, ::-1].ravel()
     jump, jump_scaled = _unit_and_scaled(
         sign,
-        sign * scalings.disp,
+        sign * neighbour,
         np.repeat(np.arange(n_lam), 2),
         scalings.incidence["disp"].broken_pos(),
         (n_lam, cls.layout.n_dual_broken),
@@ -739,11 +740,13 @@ def transform_system(system: BlockSystem, cls: DofClassification) -> BlockSystem
         bc=system.bc,
         load=system.load,
         grid=system.grid,
-        A=(Tu.T @ system.A @ Tu).tocsr(),
-        B=(system.B @ Tu).tocsr(),
-        C=system.C,
-        D=(Tp.T @ system.D).tocsr(),
-        E=(Tp.T @ system.E @ Tp).tocsr(),
+        blocks=dict(
+            A=(Tu.T @ system.A @ Tu).tocsr(),
+            B=(system.B @ Tu).tocsr(),
+            C=system.C,
+            D=(Tp.T @ system.D).tocsr(),
+            E=(Tp.T @ system.E @ Tp).tocsr(),
+        ),
         f=Tu.T @ system.f,
         g=Tp.T @ system.g,
         stacked=stacked,

@@ -157,13 +157,25 @@ class Pipeline:
 
     def local_factors(self) -> list[SaddleFactor]:
         """Every factor kept for the solve: one per torn congruence class,
-        per λ Dirichlet interior class and per xi/p BDDC class."""
+        per λ Dirichlet interior class not condensed and per xi/p BDDC
+        class."""
         pc = self.preconditioner
         out = [c.factor for c in self.reduced.factors.values()]
         out += [c.interior for c in pc.multiplier.classes if c.interior is not None]
         for bddc in (pc.xi, pc.pressure):
             if bddc is not None:
                 out += [c.factor for c in bddc.classes]
+        return out
+
+    def condensed_blocks(self) -> dict[str, int]:
+        """Bytes of the dense interface matrices of each condensed block:
+        F and Psi of the torn classes, S of the λ Dirichlet classes."""
+        out = {}
+        if self.reduced.condensed:
+            out["torn"] = sum(c.F.nbytes + c.Psi.nbytes for c in self.reduced.condensed)
+        lam = [c.S.nbytes for c in self.preconditioner.multiplier.classes if c.S is not None]
+        if lam:
+            out["lambda"] = sum(lam)
         return out
 
 
@@ -182,7 +194,9 @@ class RunResult:
     n_interface: int
     oracle_err: tuple[float, float, float] | None
     wall_s: float
-    factor_nnz: int  # stored entries of every local factor (SaddleFactor.nnz summed)
+    factor_nnz: int  # stored entries of every kept local factor (SaddleFactor.nnz summed)
+    condensed: list[str]  # blocks applied through dense interface matrices: "torn", "lambda"
+    condensed_bytes: int  # their F, Psi and S together
     notes: list[str]
     u: np.ndarray
     xi: np.ndarray
@@ -291,6 +305,7 @@ def run_case(cfg: ExperimentConfig, pipe: Pipeline | None = None) -> RunResult:
         uo, xio, po = oracle_solution(pipe)
         oracle_err = (_field_error(u, uo), _field_error(xi, xio), _field_error(p, po))
     wall = time.perf_counter() - t0
+    condensed = pipe.condensed_blocks()
     return RunResult(
         config=cfg,
         iterations=result.iterations,
@@ -306,6 +321,8 @@ def run_case(cfg: ExperimentConfig, pipe: Pipeline | None = None) -> RunResult:
         oracle_err=oracle_err,
         wall_s=wall,
         factor_nnz=sum(f.nnz for f in pipe.local_factors()),
+        condensed=list(condensed),
+        condensed_bytes=sum(condensed.values()),
         notes=list(result.notes),
         u=u,
         xi=xi,
@@ -398,6 +415,8 @@ def write_json(results: list[RunResult], path: str) -> None:
         entry["n_dofs"] = res.n_dofs
         entry["n_interface"] = res.n_interface
         entry["factor_nnz"] = res.factor_nnz
+        entry["condensed"] = res.condensed
+        entry["condensed_bytes"] = res.condensed_bytes
         entry["notes"] = res.notes
         payload.append(entry)
     with open(path, "w", encoding="utf-8") as fh:

@@ -251,6 +251,11 @@ def derive_lame(E: float, nu: float) -> tuple[float, float]:
         raise MaterialDomainError(f"Poisson ratio must lie in (0, 0.5), got {nu}")
     lam = E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
     mu = E / (2.0 * (1.0 + nu))
+    # a subnormal or overflowed parameter would make the mass block 1/lambda
+    # blow up in assembly
+    for name, v in (("first Lame parameter", lam), ("shear modulus", mu)):
+        if not np.finfo(float).tiny <= v < np.inf:
+            raise MaterialDomainError(f"{name} {v} from E={E}, nu={nu} is not a normal positive float")
     return lam, mu
 
 
@@ -369,6 +374,7 @@ def _positions(haystack: np.ndarray, needles: np.ndarray, what: str) -> np.ndarr
 
 # the five blocks with the fields of their rows and columns
 BLOCK_FIELDS = (("A", "u", "u"), ("B", "xi", "u"), ("C", "xi", "xi"), ("D", "p", "xi"), ("E", "p", "p"))
+_BLOCK_SPACES = {name: (r, c) for name, r, c in BLOCK_FIELDS}
 
 
 @dataclass
@@ -443,6 +449,8 @@ class BlockSystem:
     The full operator is  [[A, B^T, 0], [B, -C, D^T], [0, D, -E]]
     acting on (displacement, total pressure, pressure), with right-hand
     side (f, 0, g).  ``local`` views the diagonal blocks of ``stacked``.
+    The global blocks A..E not given in ``blocks`` are summed from the
+    stacked ones on first use: the decomposed solve needs only C, D and E.
     """
 
     spaces: FeSpaceSet
@@ -450,14 +458,24 @@ class BlockSystem:
     bc: BoundarySpec
     load: LoadSpec
     grid: tuple[int, int]
-    A: sp.csr_matrix
-    B: sp.csr_matrix
-    C: sp.csr_matrix
-    D: sp.csr_matrix
-    E: sp.csr_matrix
     f: np.ndarray
     g: np.ndarray
     stacked: StackedBlocks
+    blocks: dict[str, sp.csr_matrix] = field(default_factory=dict, repr=False)
+
+    def _global(self, name: str) -> sp.csr_matrix:
+        if name not in self.blocks:
+            r, c = _BLOCK_SPACES[name]
+            size = {"u": self.spaces.n_u, "xi": self.spaces.n_xi, "p": self.spaces.n_p}
+            st = self.stacked
+            self.blocks[name] = _global_block(getattr(st, name), st.dofs[r], st.dofs[c], (size[r], size[c]))
+        return self.blocks[name]
+
+    A = property(lambda self: self._global("A"))
+    B = property(lambda self: self._global("B"))
+    C = property(lambda self: self._global("C"))
+    D = property(lambda self: self._global("D"))
+    E = property(lambda self: self._global("E"))
 
     @cached_property
     def local(self) -> dict[int, LocalBlocks]:
@@ -602,6 +620,13 @@ def element_tables(
     return tables
 
 
+def sorted_unique(x: np.ndarray) -> np.ndarray:
+    """np.unique of an integer array by sorting and dropping repeats:
+    np.unique hashes, several times slower at these sizes."""
+    x = np.sort(x, axis=None)
+    return x[np.diff(x, prepend=x[:1] - 1) != 0]
+
+
 def _stacked_block(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int]) -> sp.csr_matrix:
     """Block-diagonal CSR from element tables of stacked positions.
 
@@ -657,7 +682,7 @@ def assemble_blocks(
     # stacked numbering: the sorted keys sub * n + dof of every (subdomain,
     # dof) pair met by the table whose rows span the field
     size = {"u": spaces.n_u, "xi": spaces.n_xi, "p": spaces.n_p}
-    keys = {fld: np.unique((t.sub[:, None] * size[fld] + t.rows)[t.rows >= 0])
+    keys = {fld: sorted_unique((t.sub[:, None] * size[fld] + t.rows)[t.rows >= 0])
             for fld, t in (("u", tables["A"]), ("xi", tables["C"]), ("p", tables["E"]))}
     off = {fld: np.searchsorted(k, np.arange(n_sub + 1) * size[fld]) for fld, k in keys.items()}
     dofs = {fld: keys[fld] % size[fld] for fld in size}
@@ -684,7 +709,6 @@ def assemble_blocks(
         bc=bc,
         load=load,
         grid=grid,
-        **{name: _global_block(blocks[name], dofs[r], dofs[c], (size[r], size[c])) for name, r, c in BLOCK_FIELDS},
         f=np.bincount(dofs["u"], weights=loads["f"], minlength=spaces.n_u),
         g=np.bincount(dofs["p"], weights=loads["g"], minlength=spaces.n_p),
         stacked=stacked,

@@ -9,11 +9,13 @@ Three independent blocks, one per interface segment:
   Schur complements, with broken dual values and a shared coarse primal
   block eliminated exactly;
 * multipliers: scaled jumps through either the local elastic Dirichlet
-  Schur complement (applied matrix-free, one interior solve per
-  application) or its lumped stiffness shortcut.
+  Schur complement or its lumped stiffness shortcut.
 
 Every block factors one representative per congruence class of
 subdomains and solves all members of a class as one multi-column solve.
+The Dirichlet Schur complement is applied matrix-free (one interior solve
+per application) or, when few classes serve many subdomains, formed once
+per class as a dense matrix and applied as one product.
 """
 
 from __future__ import annotations
@@ -35,18 +37,20 @@ from .reduced_system import (
     LocalClass,
     SaddleFactor,
     add_local_class,
+    condensing_pays_back,
     congruence_classes,
     solve_partially_assembled,
 )
 
 
-def _dense_schur(M: sp.spmatrix, gamma: np.ndarray, inner: np.ndarray) -> np.ndarray:
+def _dense_schur(M: sp.spmatrix, gamma: np.ndarray, inner: np.ndarray, label: str = "interior block") -> np.ndarray:
     """Boundary block minus the interior-eliminated coupling, densely."""
     Mc = M.tocsr()
-    S = Mc[gamma][:, gamma].toarray()
+    Mg = Mc[gamma]
+    S = Mg[:, gamma].toarray()
     if inner.size and gamma.size:
-        Mgi = Mc[gamma][:, inner].toarray()
-        S -= Mgi @ SaddleFactor([("interior block", Mc[inner][:, inner])]).solve(Mgi.T)
+        Mgi = Mg[:, inner].toarray()
+        S -= Mgi @ SaddleFactor([(label, Mc[inner][:, inner])]).solve(Mgi.T)
     return S
 
 
@@ -127,13 +131,15 @@ def build_p_bddc(system: BlockSystem, cls: DofClassification, restrictions: Rest
 @dataclass
 class DirichletClass:
     """Congruent subdomains sharing one elastic Dirichlet block: column j
-    of ``idx`` gathers member j's broken dual displacements."""
+    of ``idx`` gathers member j's broken dual displacements.  A condensed
+    class holds only the dense Schur complement ``S``."""
 
     idx: np.ndarray
-    A_DD: sp.csr_matrix
-    A_DI: sp.csr_matrix
-    A_ID: sp.csr_matrix
-    interior: SaddleFactor | None  # None for the lumped variant
+    S: np.ndarray | None = None
+    A_DD: sp.csr_matrix | None = None
+    A_DI: sp.csr_matrix | None = None
+    A_ID: sp.csr_matrix | None = None
+    interior: SaddleFactor | None = None  # None for the lumped variant and a condensed class
 
 
 @dataclass
@@ -149,9 +155,12 @@ class LagrangeSolver:
         out = np.zeros_like(t)
         for c in self.classes:
             T = t[c.idx]
-            H = c.A_DD @ T
-            if c.interior is not None:
-                H -= c.A_DI @ c.interior.solve(c.A_ID @ T)
+            if c.S is not None:
+                H = c.S @ T
+            else:
+                H = c.A_DD @ T
+                if c.interior is not None:
+                    H -= c.A_DI @ c.interior.solve(c.A_ID @ T)
             out[c.idx] = H
         return self.jump_scaled @ out
 
@@ -167,24 +176,21 @@ def build_lambda_solver(
     for s in subs:
         lb = system.local[s]
         pos[s] = (lb.u_pos(cls.u_sub_dual[s]), lb.u_pos(cls.u_interior[s]))
+    groups = [[subs[k] for k in m] for m in congruence_classes([(system.local[s].A, *pos[s]) for s in subs])]
+    # condensing solves each class's dual columns once
+    condense = kind == "dirichlet" and condensing_pays_back(sum(pos[m[0]][0].size for m in groups), len(subs))
     classes = []
-    for members in congruence_classes([(system.local[s].A, *pos[s]) for s in subs]):
-        members = [subs[k] for k in members]
+    for members in groups:
         iD, iI = pos[members[0]]
+        idx = np.column_stack([lay.dual_offset[s] + np.arange(iD.size) for s in members])
+        label = f"elastic interior block of subdomain {members[0]}"
         Ac = system.local[members[0]].A.tocsr()
+        if condense:
+            classes.append(DirichletClass(idx=idx, S=_dense_schur(Ac, iD, iI, label)))
+            continue
         A_DI = Ac[iD][:, iI]
-        interior = None
-        if kind == "dirichlet":
-            interior = SaddleFactor([(f"elastic interior block of subdomain {members[0]}", Ac[iI][:, iI])])
-        classes.append(
-            DirichletClass(
-                idx=np.column_stack([lay.dual_offset[s] + np.arange(iD.size) for s in members]),
-                A_DD=Ac[iD][:, iD],
-                A_DI=A_DI,
-                A_ID=A_DI.T.tocsr(),
-                interior=interior,
-            )
-        )
+        interior = SaddleFactor([(label, Ac[iI][:, iI])]) if kind == "dirichlet" else None
+        classes.append(DirichletClass(idx=idx, A_DD=Ac[iD][:, iD], A_DI=A_DI, A_ID=A_DI.T.tocsr(), interior=interior))
     return LagrangeSolver(jump_scaled=jump.jump_scaled, jump_scaled_T=jump.jump_scaled.T.tocsr(), classes=classes)
 
 

@@ -10,7 +10,10 @@ matrix-free: local saddle solves plus one dense coarse solve per
 application.  Subdomains whose local blocks agree to roundoff (the
 interior, edge and corner subdomains of a uniform grid) form one
 congruence class; each class is factored once and its members are solved
-together as one multi-column solve.
+together as one multi-column solve.  When few classes serve many
+subdomains, each class is also condensed once onto its members' interface
+rows, and the operator is applied with one dense product per class and no
+local solve.
 """
 
 from __future__ import annotations
@@ -26,6 +29,14 @@ from .decomposition import _CONGRUENCE_RTOL, DofClassification, InternalError, J
 from .mesh_fem import BLOCK_FIELDS, BlockSystem, ConfigurationError, diagonal_blocks
 
 _DENSE_FACTOR_CUTOFF = 400
+_PAYBACK_APPLIES = 32
+
+
+def condensing_pays_back(columns: int, n_sub: int) -> bool:
+    """Whether condensing a block pays for itself within a run: the columns
+    solved once to condense all its classes are at most _PAYBACK_APPLIES
+    times the columns one application solves without it, one per subdomain."""
+    return columns <= _PAYBACK_APPLIES * n_sub
 
 
 def _rejected(name: str, why: str) -> ConfigurationError:
@@ -227,6 +238,36 @@ def solve_partially_assembled(classes, coarse: CoarseProblem, b: np.ndarray) -> 
 
 
 @dataclass
+class CondensedClass:
+    """A torn class condensed onto its members' interface rows.
+
+    Column j of ``ymap`` lists the rows of the interface vector that member
+    j's local unknowns couple to (its xi and p traces, then the multiplier
+    of each of its dual copies).  With B_0 the representative's coupling on
+    those rows, ``F`` is B_0 K_rr^{-1} B_0^T and ``Psi`` is B_0 X.
+    """
+
+    ymap: np.ndarray  # (n_ys, members)
+    primal: np.ndarray  # (n_primal_local, members), as in the class's LocalClass
+    F: np.ndarray
+    Psi: np.ndarray
+
+
+def _condense(
+    classes: list[LocalClass], members: list[list[int]], ymap: list[np.ndarray], B_C_T: sp.csr_matrix, n_sub: int
+) -> list[CondensedClass]:
+    """Condensed classes, or none when condensing would not pay back."""
+    if not condensing_pays_back(sum(ymap[m[0]].size for m in members), n_sub):
+        return []
+    out = []
+    for c, m in zip(classes, members):
+        B0 = B_C_T[c.idx[:, 0]][:, ymap[m[0]]].T.tocsr()
+        F = B0 @ c.factor.solve(B0.T.toarray())
+        out.append(CondensedClass(ymap=np.column_stack([ymap[s] for s in m]), primal=c.primal, F=F, Psi=B0 @ c.X))
+    return out
+
+
+@dataclass
 class ReducedSystem:
     """Matrix-free interface operator with everything needed to apply it,
     build its right-hand side, and recover the three fields."""
@@ -240,10 +281,15 @@ class ReducedSystem:
     h: np.ndarray
     factors: dict[int, LocalClass]  # one per congruence class of local saddle blocks
     coarse: CoarseProblem
+    condensed: list[CondensedClass] = field(default_factory=list)  # empty: apply by local solves
     B_C_T: sp.csr_matrix = field(init=False, repr=False)
+    B_P: sp.csr_matrix = field(init=False, repr=False)  # primal columns of B_C
+    B_P_T: sp.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
         self.B_C_T = self.B_C.T.tocsr()
+        self.B_P_T = self.B_C_T[self.layout.primal_slice]
+        self.B_P = self.B_P_T.T.tocsr()
 
     @property
     def layout(self) -> TornLayout:
@@ -270,9 +316,28 @@ class ReducedSystem:
         return solve_partially_assembled(self.factors.values(), self.coarse, b)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        """One application of the reduced interface operator."""
-        t = self.B_C_T @ y
-        return self.B_C @ self.apply_torn_inverse(t) + self.C_hat @ y
+        """One application of the reduced interface operator.
+
+        Condensed: G y = C_hat y + B_P x_P + sum_c scatter(F_c Y_c - Psi_c
+        x_P[primal_c]) with Y_c = y[ymap_c] and x_P = S_PP^{-1} (B_P^T y -
+        sum_c gather(Psi_c^T Y_c)); otherwise B_C K^{-1} B_C^T y + C_hat y
+        through the local factors.
+        """
+        if not self.condensed:
+            return self.B_C @ self.apply_torn_inverse(self.B_C_T @ y) + self.C_hat @ y
+        Ys = [y[c.ymap] for c in self.condensed]
+        t_P = self.B_P_T @ y
+        for c, Y in zip(self.condensed, Ys):
+            if c.primal.size:
+                t_P -= np.bincount(c.primal.ravel(), (c.Psi.T @ Y).ravel(), minlength=t_P.size)
+        x_P = self.coarse.solve(t_P)
+        out = self.C_hat @ y + self.B_P @ x_P
+        for c, Y in zip(self.condensed, Ys):
+            Z = c.F @ Y
+            if c.primal.size:
+                Z -= c.Psi @ x_P[c.primal]
+            out += np.bincount(c.ymap.ravel(), Z.ravel(), minlength=out.size)
+        return out
 
     def rhs(self) -> np.ndarray:
         return self.B_C @ self.apply_torn_inverse(self.f_w) - self.h
@@ -400,7 +465,8 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
     keys = [[*sets.values(), *(getattr(system.local[s], name) for name in "ABCDE")] for s, sets in enumerate(ix)]
     S_PP = np.zeros((cls.u_primal.size, cls.u_primal.size))
     classes: list[LocalClass] = []
-    for members in congruence_classes(keys):
+    class_members = congruence_classes(keys)
+    for members in class_members:
         M = local[members[0]]
         n_r = M.shape[0] - cls.u_sub_primal[members[0]].size
         add_local_class(
@@ -419,10 +485,18 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
         "p": lay.p_int_pos[st.dofs["p"]],
     }
     yrow = {fld: np.full(st.off[fld][-1], -1, dtype=np.int64) for fld in ("xi", "p")}
+    # multiplier row of every broken dual copy: each lies in one jump row
+    Jc = jump.jump.tocoo()
+    lam_row = np.empty(lay.n_dual_broken, dtype=np.int64)
+    lam_row[Jc.col] = n_xi_g + n_p_g + Jc.row
+    ymap = []  # interface rows each subdomain's local unknowns couple to
     for s, sets in enumerate(ix):
         wcol["u"][st.off["u"][s] + sets["uD"]] = lay.dual_slice.start + lay.dual_offset[s] + np.arange(sets["uD"].size)
-        yrow["xi"][st.off["xi"][s] + sets["xiG"]] = lay.xi_iface_pos(cls.xi_sub_interface[s])
-        yrow["p"][st.off["p"][s] + sets["pG"]] = n_xi_g + lay.p_iface_pos(cls.p_sub_interface[s])
+        xi_rows = lay.xi_iface_pos(cls.xi_sub_interface[s])
+        p_rows = n_xi_g + lay.p_iface_pos(cls.p_sub_interface[s])
+        yrow["xi"][st.off["xi"][s] + sets["xiG"]] = xi_rows
+        yrow["p"][st.off["p"][s] + sets["pG"]] = p_rows
+        ymap.append(np.concatenate([xi_rows, p_rows, lam_row[lay.dual_offset[s] : lay.dual_offset[s + 1]]]))
     if np.any(wcol["u"] < 0):
         s = st.subdomain_of("u")[np.argmax(wcol["u"] < 0)]
         raise InternalError(f"subdomain {s}: unclassified displacement dofs in local block")
@@ -444,7 +518,6 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
         order.append(st.subdomain_of("xi" if name in "BC" else "p")[i[keep]] * len(parts) + kind)
     order = np.argsort(np.concatenate(order), kind="stable")
     # multiplier rows attach the jump operator to the broken dual segment
-    Jc = jump.jump.tocoo()
     rows_bc = [np.concatenate(rows_bc)[order], n_xi_g + n_p_g + Jc.row]
     cols_bc = [np.concatenate(cols_bc)[order], lay.dual_slice.start + Jc.col]
     vals_bc = [np.concatenate(vals_bc)[order], Jc.data]
@@ -477,7 +550,7 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
     h = np.zeros(n_y)
     h[n_xi_g : n_xi_g + n_p_g] = system.g[pG]
 
-    return ReducedSystem(
+    red = ReducedSystem(
         system=system,
         cls=cls,
         jump=jump,
@@ -488,3 +561,5 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
         factors=dict(enumerate(classes)),
         coarse=CoarseProblem(S_PP),
     )
+    red.condensed = _condense(classes, class_members, ymap, red.B_C_T, lay.n_sub)
+    return red

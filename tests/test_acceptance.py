@@ -231,6 +231,29 @@ def test_insensitive_to_coupling_and_permeability_jumps(report):
     )
 
 
+def test_bounded_under_stiffness_jumps(report):
+    # a checkerboard of softer black cells, E contrast 1e1..1e4; the jump
+    # scaling gives each broken copy its neighbour's weight, without which
+    # the 1e3 contrast took 422 iterations at nu=0.499
+    factor = {0.3: 1.5, 0.499: 4.0}
+    lines, ok = [], True
+    for nu, limit in factor.items():
+        base = dict(nx=12, subdomains=(3, 3), E=1e6, nu=nu, oracle="off")
+        uniform = bd.run_case(bd.ExperimentConfig(**base))
+        runs = [
+            bd.run_case(bd.ExperimentConfig(**base, pattern="checkerboard", black={"E": 1e6 / c}))
+            for c in (1e1, 1e2, 1e3, 1e4)
+        ]
+        iters = [r.iterations for r in runs]
+        ok = ok and uniform.converged and all(r.converged for r in runs)
+        ok = ok and max(iters) <= limit * uniform.iterations
+        lines.append(
+            f"nu={nu}: iterations {iters} vs uniform {uniform.iterations} (<= {limit}x), "
+            f"eig_max {max(r.eig_max for r in runs):.3f}"
+        )
+    report(ok, "stiffness jump robustness", "E contrast 1e1..1e4 on 3x3 at H/h=4; " + "; ".join(lines))
+
+
 def test_incompressible_limit_detected_and_filtered(report):
     raws, valids, iters, dropped = [], [], [], []
     for nu in (0.49, 0.4999, 0.49999):

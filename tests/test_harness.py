@@ -252,6 +252,26 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_subnormal_poisson_ratio_exits_2(self, capsys):
+        # lambda would underflow to a subnormal and the mass block 1/lambda overflow
+        code = main(["run", "--nx", "8", "--nu", "5e-324"])
+        assert code == 2
+        assert "not a normal positive float" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [(bd.SpdViolationError("preconditioned residual norm is negative"), 1), (bd.InternalError("bad index"), 3)],
+        ids=["spd-violation", "internal"],
+    )
+    def test_solver_failure_exit_codes(self, monkeypatch, capsys, error, code):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(bd.cli, "run_case", fail)
+        assert main(["run", *self.BASE]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(error) in err[0]
+
     def test_sweep_json_output(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"
         code = main(
