@@ -29,7 +29,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh_fem import BlockSystem, ConfigurationError, FeSpaceSet, MaterialField, StructuredMesh, sorted_unique
+from .mesh_fem import (
+    _BLOCK_SPACES,
+    BlockSystem,
+    ConfigurationError,
+    FeSpaceSet,
+    MaterialField,
+    StructuredMesh,
+    block_positions,
+    sorted_unique,
+    take_blocks,
+)
 
 
 class InternalError(RuntimeError):
@@ -699,7 +709,8 @@ def _drop_roundoff(M: sp.spmatrix, row_off: np.ndarray) -> sp.csr_matrix:
 
     A change of basis leaves roundoff-level fill that cancels to an exact
     zero in some subdomains and survives in congruent others; dropping it
-    gives congruent subdomains one sparsity pattern again.
+    makes the pattern the same whichever member of a class is transformed,
+    so the representative's is every member's.
     """
     M = M.tocsr()
     row_sub = np.repeat(np.arange(row_off.size - 1), np.diff(row_off))
@@ -716,23 +727,41 @@ def transform_system(system: BlockSystem, cls: DofClassification) -> BlockSystem
 
     Returns the input unchanged for the nodal (vertex) variant.  The
     transformation touches interface dofs only, so each subdomain's local
-    blocks stay local: the stacked blocks are transformed by one
-    block-diagonal product each.
+    blocks stay local, and a class member's edges are its representative's
+    moved across the grid: the representatives' stacked blocks are
+    transformed by one block-diagonal product each and tiled onto the
+    members.  The global blocks are summed from the transformed stacked
+    blocks on first use.
     """
     Tu, Tp = cls.u_transform, cls.p_transform
     if Tu is None:
         return system
     st = system.stacked
-    Tu_s = _blockwise(Tu, st.dofs["u"], st.off["u"])
-    Tp_s = _blockwise(Tp, st.dofs["p"], st.off["p"])
+    reps = np.unique(st.rep)
+    which = np.searchsorted(reps, st.rep)
+    off = {fld: np.concatenate([[0], np.cumsum(np.diff(o)[reps])]) for fld, o in st.off.items()}
+    Tu_s = _blockwise(Tu, st.dofs["u"][block_positions(st.off["u"], reps)], off["u"])
+    Tp_s = _blockwise(Tp, st.dofs["p"][block_positions(st.off["p"], reps)], off["p"])
+
+    def rep_block(name: str) -> sp.csr_matrix:
+        r, c = _BLOCK_SPACES[name]
+        return take_blocks(getattr(st, name), st.off[r], st.off[c], reps)
+
+    def tiled(M: sp.csr_matrix, name: str) -> sp.csr_matrix:
+        r, c = _BLOCK_SPACES[name]
+        return take_blocks(_drop_roundoff(M, off[r]), off[r], off[c], which)
+
+    def tiled_load(name: str, fld: str, T_s: sp.csr_matrix) -> np.ndarray:
+        return (T_s.T @ getattr(st, name)[block_positions(st.off[fld], reps)])[block_positions(off[fld], which)]
+
     stacked = replace(
         st,
-        A=_drop_roundoff(Tu_s.T @ st.A @ Tu_s, st.off["u"]),
-        B=_drop_roundoff(st.B @ Tu_s, st.off["xi"]),
-        D=_drop_roundoff(Tp_s.T @ st.D, st.off["p"]),
-        E=_drop_roundoff(Tp_s.T @ st.E @ Tp_s, st.off["p"]),
-        f=Tu_s.T @ st.f,
-        g=Tp_s.T @ st.g,
+        A=tiled(Tu_s.T @ rep_block("A") @ Tu_s, "A"),
+        B=tiled(rep_block("B") @ Tu_s, "B"),
+        D=tiled(Tp_s.T @ rep_block("D"), "D"),
+        E=tiled(Tp_s.T @ rep_block("E") @ Tp_s, "E"),
+        f=tiled_load("f", "u", Tu_s),
+        g=tiled_load("g", "p", Tp_s),
     )
     return BlockSystem(
         spaces=system.spaces,
@@ -740,13 +769,6 @@ def transform_system(system: BlockSystem, cls: DofClassification) -> BlockSystem
         bc=system.bc,
         load=system.load,
         grid=system.grid,
-        blocks=dict(
-            A=(Tu.T @ system.A @ Tu).tocsr(),
-            B=(system.B @ Tu).tocsr(),
-            C=system.C,
-            D=(Tp.T @ system.D).tocsr(),
-            E=(Tp.T @ system.E @ Tp).tocsr(),
-        ),
         f=Tu.T @ system.f,
         g=Tp.T @ system.g,
         stacked=stacked,

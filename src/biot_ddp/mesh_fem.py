@@ -5,13 +5,22 @@ The unit square is meshed with a fixed bottom-left to top-right cell
 diagonal so repeated runs produce identical matrices.  Displacements live
 on a once-refined copy of the base grid (the P1-iso-P2 pairing), total
 pressure is either nodal P1 on the base grid or elementwise constant, and
-pressure is nodal P1 on the base grid.  Assembly keeps the per-subdomain
-element contributions alongside the assembled blocks; the substructuring
-machinery needs both.
+pressure is nodal P1 on the base grid.  Assembly keeps every subdomain's
+local blocks alongside the assembled ones; the substructuring machinery
+needs both.
+
+Subdomains that touch the same sides of the square and carry the same
+material are translates of one another, so assembly computes element values
+only for one representative per such congruence class and tiles its local
+blocks onto the members.  A representative's blocks are bitwise equal to
+its own build; a member's have its own build's sparsity pattern and agree
+with it to within _CONGRUENCE_RTOL (of ``decomposition``), the tolerance at
+which congruent subdomains share a factorization.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -134,9 +143,10 @@ def _check_orientation(mesh: StructuredMesh) -> None:
         raise AssertionError("triangulation produced non-positive element areas")
 
 
-def p1_geometry(mesh: StructuredMesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Areas and P1 shape-function gradients (b = d/dx, c = d/dy) per triangle."""
-    v = mesh.vertices[mesh.triangles]
+def p1_geometry(mesh: StructuredMesh, triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Areas and P1 shape-function gradients (b = d/dx, c = d/dy) of the
+    given triangles (rows of vertex ids) of the mesh."""
+    v = mesh.vertices[triangles]
     x, y = v[..., 0], v[..., 1]
     d1 = v[:, 1] - v[:, 0]
     d2 = v[:, 2] - v[:, 0]
@@ -386,6 +396,8 @@ class StackedBlocks:
     ``dofs["u"]`` holds each subdomain's sorted global dof ids in turn.
     Each of A..E is one block-diagonal matrix whose diagonal block s is
     subdomain s's local block; ``f`` and ``g`` are the stacked local loads.
+    ``rep[s]`` is the representative of subdomain s's congruence class,
+    whose diagonal blocks and loads subdomain s carries.
     """
 
     dofs: dict[str, np.ndarray]
@@ -397,6 +409,7 @@ class StackedBlocks:
     E: sp.csr_matrix
     f: np.ndarray
     g: np.ndarray
+    rep: np.ndarray
 
     @property
     def n_sub(self) -> int:
@@ -425,7 +438,13 @@ class StackedBlocks:
 
 def diagonal_blocks(M: sp.csr_matrix, row_off: np.ndarray, col_off: np.ndarray) -> list[sp.csr_matrix]:
     """The diagonal blocks of a block-diagonal CSR matrix, as CSR matrices
-    sharing its data and (one shifted copy of) its column indices."""
+    sharing its data and (one shifted copy of) its column indices.
+
+    Each view is a shallow copy of M with its arrays and shape swapped for
+    the block's: SciPy's constructor would copy slices of arrays this much
+    larger than them, and check them besides.  M's cached format flags hold
+    for every block.
+    """
     n_sub = row_off.size - 1
     row_sub = np.repeat(np.arange(n_sub), np.diff(row_off))
     indices = M.indices - col_off.astype(M.indices.dtype)[np.repeat(row_sub, np.diff(M.indptr))]
@@ -433,13 +452,34 @@ def diagonal_blocks(M: sp.csr_matrix, row_off: np.ndarray, col_off: np.ndarray) 
     for s in range(n_sub):
         r0, r1 = row_off[s], row_off[s + 1]
         lo, hi = M.indptr[r0], M.indptr[r1]
-        view = sp.csr_matrix(
-            (M.data[lo:hi], indices[lo:hi], M.indptr[r0 : r1 + 1] - lo), shape=(r1 - r0, col_off[s + 1] - col_off[s])
-        )
-        # the constructor copies slices of much larger arrays; keep the views
-        view.data, view.indices = M.data[lo:hi], indices[lo:hi]
+        view = copy.copy(M)
+        view.data, view.indices, view.indptr = M.data[lo:hi], indices[lo:hi], M.indptr[r0 : r1 + 1] - lo
+        view._shape = (int(r1 - r0), int(col_off[s + 1] - col_off[s]))
         out.append(view)
     return out
+
+
+def block_positions(off: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """Positions off[w] .. off[w + 1] - 1 of each block w in ``which``, in turn."""
+    sizes = np.diff(off)[which]
+    return np.repeat(off[:-1][which] - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+
+
+def take_blocks(M: sp.csr_matrix, row_off: np.ndarray, col_off: np.ndarray, which: np.ndarray) -> sp.csr_matrix:
+    """Block-diagonal CSR whose diagonal block k is diagonal block which[k]
+    of the block-diagonal M (blocks may repeat): one gather of M's entries,
+    their column indices moved to the new block's column offset."""
+    if np.array_equal(which, np.arange(row_off.size - 1)):
+        return M
+    rows = block_positions(row_off, which)
+    counts = np.diff(M.indptr)[rows]
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    entries = np.repeat(M.indptr[rows] - indptr[:-1], counts) + np.arange(indptr[-1])
+    n_cols = np.diff(col_off)[which]
+    move = np.repeat(np.cumsum(n_cols) - n_cols - col_off[:-1][which], np.diff(row_off)[which])
+    return sp.csr_matrix(
+        (M.data[entries], M.indices[entries] + np.repeat(move, counts), indptr), shape=(rows.size, n_cols.sum())
+    )
 
 
 @dataclass
@@ -449,8 +489,8 @@ class BlockSystem:
     The full operator is  [[A, B^T, 0], [B, -C, D^T], [0, D, -E]]
     acting on (displacement, total pressure, pressure), with right-hand
     side (f, 0, g).  ``local`` views the diagonal blocks of ``stacked``.
-    The global blocks A..E not given in ``blocks`` are summed from the
-    stacked ones on first use: the decomposed solve needs only C, D and E.
+    The global blocks A..E are summed from the stacked ones on first use
+    and kept in ``blocks``: the decomposed solve needs only C, D and E.
     """
 
     spaces: FeSpaceSet
@@ -461,7 +501,7 @@ class BlockSystem:
     f: np.ndarray
     g: np.ndarray
     stacked: StackedBlocks
-    blocks: dict[str, sp.csr_matrix] = field(default_factory=dict, repr=False)
+    blocks: dict[str, sp.csr_matrix] = field(default_factory=dict, init=False, repr=False)
 
     def _global(self, name: str) -> sp.csr_matrix:
         if name not in self.blocks:
@@ -525,9 +565,14 @@ class ElementTable:
 
 
 def element_tables(
-    mesh: StructuredMesh, spaces: FeSpaceSet, materials: MaterialField, load: LoadSpec
+    mesh: StructuredMesh,
+    spaces: FeSpaceSet,
+    materials: MaterialField,
+    load: LoadSpec,
+    subdomains: np.ndarray | None = None,
 ) -> dict[str, ElementTable]:
-    """Element tables of the blocks "A".."E" and of the loads "f" and "g"."""
+    """Element tables of the blocks "A".."E" and of the loads "f" and "g",
+    over the elements of the given subdomains (all by default)."""
     refined = mesh.refined_mesh
     grid = materials.grid
     per = mesh.nx // grid[0]
@@ -536,12 +581,15 @@ def element_tables(
     esub_b = _element_subdomains(mesh.nx, mesh.ny, grid, per)
     esub_r = _element_subdomains(2 * mesh.nx, 2 * mesh.ny, grid, 2 * per)
     order_b, order_r = np.argsort(esub_b, kind="stable"), np.argsort(esub_r, kind="stable")
+    if subdomains is not None:
+        order_b = order_b[np.isin(esub_b[order_b], subdomains)]
+        order_r = order_r[np.isin(esub_r[order_r], subdomains)]
     esub_b, esub_r = esub_b[order_b], esub_r[order_r]
     tri_b = mesh.triangles[order_b]
     tri_r = refined.triangles[order_r]
 
-    area_b, b_b, c_b = (a[order_b] for a in p1_geometry(mesh))
-    area_r, b_r, c_r = (a[order_r] for a in p1_geometry(refined))
+    area_b, b_b, c_b = p1_geometry(mesh, tri_b)
+    area_r, b_r, c_r = p1_geometry(refined, tri_r)
     n_b, n_r = tri_b.shape[0], tri_r.shape[0]
 
     lam_b = materials.lam[esub_b]
@@ -634,6 +682,11 @@ def _stacked_block(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: 
     by its subdomain's column offset, as a matrix built from that
     subdomain's elements alone, so duplicates are summed in the same
     order and every diagonal block equals its per-subdomain build bitwise.
+    ``assemble_blocks`` builds the class representatives' blocks this way
+    and tiles them onto the members: a representative's block is bitwise
+    its own build, a member's has its own build's pattern and agrees with
+    it to roundoff (the element geometry of a translate), well within
+    _CONGRUENCE_RTOL of ``decomposition``.
     """
     nt, a = rows.shape
     b = cols.shape[1]
@@ -651,6 +704,64 @@ def _global_block(M: sp.csr_matrix, row_dofs: np.ndarray, col_dofs: np.ndarray, 
     return sp.coo_matrix((M.data, (rows, col_dofs[M.indices])), shape=shape).tocsr()
 
 
+def class_representatives(materials: MaterialField) -> np.ndarray:
+    """The representative of each subdomain's congruence class: the lowest
+    numbered subdomain with the same key.
+
+    The key holds input properties only: which sides of the unit square
+    the subdomain touches (the boundary conditions are given per side) and
+    its material tuple (E, nu, alpha, kappa).  The mesh is uniform, H/h is
+    one for all subdomains and the load is constant, so subdomains with one
+    key are translates of one another: their local blocks and loads agree
+    up to the roundoff of their element geometry.
+    """
+    gx, gy = materials.grid
+    s = np.arange(gx * gy)
+    sx, sy = s % gx, s // gx
+    key = np.column_stack(
+        [sx == 0, sx == gx - 1, sy == 0, sy == gy - 1, materials.E, materials.nu, materials.alpha, materials.kappa]
+    )
+    _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    return first[inverse.ravel()]
+
+
+def _member_dofs(
+    spaces: FeSpaceSet, grid: tuple[int, int], fld: str, dofs: np.ndarray, off: np.ndarray, rep: np.ndarray
+) -> np.ndarray:
+    """Global dof ids of one field's stacked positions (subdomain offsets
+    ``off``), from ``dofs``, the dof at the same local position of the
+    owning subdomain's representative.
+
+    A member's closure is its representative's moved across the subdomain
+    grid, which moves node and triangle ids by a constant; touching the
+    same sides, the member has the same free dofs in the same order.
+    """
+    mesh = spaces.mesh
+    gx = grid[0]
+    per = mesh.nx // gx
+    s = np.arange(rep.size)
+    owner = np.repeat(s, np.diff(off))
+
+    def move(width: int, refine: int) -> np.ndarray:
+        """Id offset from the representative's origin node (or cell) on a
+        grid ``width`` ids wide, per stacked position."""
+        origin = ((s // gx) * width + s % gx) * refine * per
+        return (origin - origin[rep])[owner]
+
+    if fld == "u":
+        dof = spaces.u_dof_of_node[spaces.u_free_nodes[dofs // 2] + move(2 * mesh.nx + 1, 2)]
+        out = np.where(dof >= 0, dof + dofs % 2, -1)
+    elif fld == "p":
+        out = spaces.p_dof_of_node[spaces.p_free_nodes[dofs] + move(mesh.nx + 1, 1)]
+    elif spaces.total_pressure_variant == "p1":
+        out = dofs + move(mesh.nx + 1, 1)
+    else:  # triangle ids, two per cell
+        out = dofs + 2 * move(mesh.nx, 1)
+    if np.any(out < 0):
+        raise AssertionError(f"a class member lacks a free {fld} dof of its representative")
+    return out
+
+
 def assemble_blocks(
     mesh: StructuredMesh,
     spaces: FeSpaceSet,
@@ -661,6 +772,10 @@ def assemble_blocks(
     allow_pure_neumann: bool = False,
 ) -> BlockSystem:
     """Assemble the five blocks and loads, retaining subdomain contributions.
+
+    Only each congruence class's representative is assembled (see
+    ``class_representatives``); every member carries its representative's
+    local blocks and loads on its own dofs.
 
     ``allow_pure_neumann`` admits empty Dirichlet side lists for diagnostic
     assemblies (mass/stiffness identities); production configurations must
@@ -677,15 +792,17 @@ def assemble_blocks(
     if mesh.ny // gy != mesh.nx // gx:
         raise ConfigurationError("subdomains must contain square cell patches")
     n_sub = gx * gy
-    tables = element_tables(mesh, spaces, materials, load)
+    rep = class_representatives(materials)
+    reps = np.flatnonzero(rep == np.arange(n_sub))
+    tables = element_tables(mesh, spaces, materials, load, reps)
 
-    # stacked numbering: the sorted keys sub * n + dof of every (subdomain,
-    # dof) pair met by the table whose rows span the field
+    # stacked numbering of the representatives: the sorted keys sub * n + dof
+    # of every (subdomain, dof) pair met by the table whose rows span the
+    # field; the members own empty ranges
     size = {"u": spaces.n_u, "xi": spaces.n_xi, "p": spaces.n_p}
     keys = {fld: sorted_unique((t.sub[:, None] * size[fld] + t.rows)[t.rows >= 0])
             for fld, t in (("u", tables["A"]), ("xi", tables["C"]), ("p", tables["E"]))}
-    off = {fld: np.searchsorted(k, np.arange(n_sub + 1) * size[fld]) for fld, k in keys.items()}
-    dofs = {fld: keys[fld] % size[fld] for fld in size}
+    off_rep = {fld: np.searchsorted(k, np.arange(n_sub + 1) * size[fld]) for fld, k in keys.items()}
     found: dict[int, np.ndarray] = {}  # the tables share their dof arrays
 
     def pos(fld: str, t: ElementTable, d: np.ndarray) -> np.ndarray:
@@ -694,15 +811,21 @@ def assemble_blocks(
             found[id(d)] = np.where(d >= 0, np.searchsorted(keys[fld], t.sub[:, None] * size[fld] + d), -1)
         return found[id(d)]
 
+    # every subdomain takes its representative's positions
+    src = {fld: block_positions(o, rep) for fld, o in off_rep.items()}
+    off = {fld: np.concatenate([[0], np.cumsum(np.diff(o)[rep])]) for fld, o in off_rep.items()}
+    dofs = {fld: _member_dofs(spaces, grid, fld, keys[fld][src[fld]] % size[fld], off[fld], rep) for fld in off}
     blocks, loads = {}, {}
     for name, r, c in BLOCK_FIELDS:
         t = tables[name]
-        blocks[name] = _stacked_block(pos(r, t, t.rows), pos(c, t, t.cols), t.vals, (off[r][-1], off[c][-1]))
+        M = _stacked_block(pos(r, t, t.rows), pos(c, t, t.cols), t.vals, (off_rep[r][-1], off_rep[c][-1]))
+        blocks[name] = take_blocks(M, off_rep[r], off_rep[c], rep)
     for name, fld in (("f", "u"), ("g", "p")):
         at = pos(fld, tables[name], tables[name].rows).ravel()
         keep = at >= 0
-        loads[name] = np.bincount(at[keep], weights=tables[name].vals.reshape(-1)[keep], minlength=off[fld][-1])
-    stacked = StackedBlocks(dofs=dofs, off=off, **blocks, **loads)
+        load_rep = np.bincount(at[keep], weights=tables[name].vals.reshape(-1)[keep], minlength=off_rep[fld][-1])
+        loads[name] = load_rep[src[fld]]
+    stacked = StackedBlocks(dofs=dofs, off=off, **blocks, **loads, rep=rep)
     return BlockSystem(
         spaces=spaces,
         materials=materials,

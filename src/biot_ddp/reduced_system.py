@@ -77,6 +77,10 @@ class SaddleFactor:
     singular blocks (a floating subdomain without enough primal
     constraints, for instance); an exactly singular block is rejected the
     same way.  Either raises ``ConfigurationError`` naming the member.
+    When a sparse factor fails the probe, which the lost digits do near
+    the incompressible limit, it keeps the factored block and solves with
+    one step of iterative refinement against it from then on; the members
+    are probed again and rejected only if they still fail.
 
     ``nnz`` is the factor's size: n^2 for a dense factor, the entries
     SuperLU stores for L and U (supernodes included) for a sparse one.
@@ -86,7 +90,7 @@ class SaddleFactor:
         K = members[0][1]
         self.n = K.shape[0]
         self.nnz = 0
-        self._dense = self._sparse = None
+        self._dense = self._sparse = self._refine = None
         if self.n == 0:
             return
         if self.n < _DENSE_FACTOR_CUTOFF or not sp.issparse(K):
@@ -103,12 +107,21 @@ class SaddleFactor:
         rng = np.random.default_rng(12345)
         x = rng.standard_normal((self.n, len(members)))
         b = np.column_stack([M @ x[:, j] for j, (_, M) in enumerate(members)])
-        z = self.solve(b)
-        r = np.column_stack([M @ z[:, j] for j, (_, M) in enumerate(members)]) - b
         scale = np.linalg.norm(b, axis=0)
-        rel = np.linalg.norm(r, axis=0) / np.where(scale > 0.0, scale, 1.0)
+        scale[scale == 0.0] = 1.0
+
+        def probe() -> np.ndarray:
+            z = self.solve(b)
+            r = np.column_stack([M @ z[:, j] for j, (_, M) in enumerate(members)]) - b
+            e = np.linalg.norm(r, axis=0) / scale
+            return np.where(np.isfinite(e), e, np.inf)
+
+        rel = probe()
+        if self._sparse is not None and np.any(rel > probe_tol):
+            self._refine = K
+            rel = probe()
         for (name, _), e in zip(members, rel):
-            if not np.isfinite(e) or e > probe_tol:
+            if e > probe_tol:
                 raise _rejected(name, f"local solve failed its residual probe ({e:.2e})")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -117,7 +130,10 @@ class SaddleFactor:
             return np.zeros_like(b)
         if self._dense is not None:
             return sla.lu_solve(self._dense, b)
-        return self._sparse.solve(b)
+        z = self._sparse.solve(b)
+        if self._refine is not None:
+            z += self._sparse.solve(b - self._refine @ z)
+        return z
 
 
 class CoarseProblem:
@@ -461,7 +477,8 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
     K, off, ix = _stacked_saddle(system, cls)
     local = diagonal_blocks(K, off, off)
     # A, B, C, D and E each checked against its own scale: the elastic
-    # entries dwarf the flow ones, which still matter
+    # entries dwarf the flow ones, which still matter; the members of an
+    # assembly class carry their representative's blocks and compare equal
     keys = [[*sets.values(), *(getattr(system.local[s], name) for name in "ABCDE")] for s, sets in enumerate(ix)]
     S_PP = np.zeros((cls.u_primal.size, cls.u_primal.size))
     classes: list[LocalClass] = []

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from biot_ddp.mesh_fem import BLOCK_FIELDS, element_tables
+from biot_ddp.mesh_fem import BLOCK_FIELDS, LoadSpec, assemble_blocks, build_mesh, build_spaces, element_tables
 from biot_ddp.preconditioner import _dense_schur
 
 
@@ -165,3 +165,31 @@ def per_subdomain_assembly(mesh, spaces, materials, load) -> dict:
             local.append(f_s)
         out[name] = (local, total)
     return out
+
+
+# grids whose congruence classes have several members, with their class count
+MULTI_MEMBER_GRIDS = {
+    "5x5 p1 neumann-left": (dict(nx=20, subdomains=(5, 5), total_pressure="p1", bc="neumann-left"), 9),
+    "5x5 p1 dirichlet": (dict(nx=20, subdomains=(5, 5), total_pressure="p1", bc="dirichlet"), 9),
+    "5x5 p0 neumann-left": (dict(nx=20, subdomains=(5, 5), total_pressure="p0", bc="neumann-left"), 9),
+    "5x5 p0 dirichlet": (dict(nx=20, subdomains=(5, 5), total_pressure="p0", bc="dirichlet"), 9),
+    "24x12 on 4x2": (dict(nx=24, ny=12, subdomains=(4, 2)), 6),
+    "E checkerboard": (dict(nx=20, subdomains=(5, 5), pattern="checkerboard", black={"E": 1e3}), 14),
+    # at the default E the elastic entries dwarf the flow ones: the key
+    # must still tell these apart
+    "alpha checkerboard": (dict(nx=16, subdomains=(4, 4), pattern="checkerboard", black={"alpha": 1e-2}), 14),
+    "small kappa checkerboard": (
+        dict(nx=16, subdomains=(4, 4), pattern="checkerboard", kappa=1e-8, black={"kappa": 1e-9}),
+        14,
+    ),
+}
+
+
+def assemble_with_reference(cfg):
+    """The stacked assembly of a configuration and its per-subdomain
+    reference: (mesh, spaces, system, reference)."""
+    mesh = build_mesh(cfg.nx, cfg.subdomains, ny=cfg.ny)
+    spaces = build_spaces(mesh, cfg.total_pressure, cfg.boundary())
+    mats = cfg.materials()
+    system = assemble_blocks(mesh, spaces, mats, cfg.boundary(), LoadSpec())
+    return mesh, spaces, system, per_subdomain_assembly(mesh, spaces, mats, LoadSpec())

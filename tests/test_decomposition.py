@@ -13,7 +13,8 @@ import pytest
 import scipy.sparse as sp
 
 import biot_ddp as bd
-from biot_ddp.decomposition import _average_basis_block, _build_transform, _edge_groups
+from biot_ddp.decomposition import _CONGRUENCE_RTOL, _average_basis_block, _build_transform, _drop_roundoff, _edge_groups
+from helpers import MULTI_MEMBER_GRIDS, assemble_with_reference
 
 
 def classify(nx=8, grid=(2, 2), variant="p1", primal="vertex", bc=None):
@@ -378,6 +379,32 @@ class TestTransformSystem:
             for got, want in pairs:
                 got = got.toarray() if hasattr(got, "toarray") else got
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("case", list(MULTI_MEMBER_GRIDS))
+    def test_tiles_match_each_members_own_transform(self, case):
+        # only the representatives are transformed; every member must carry
+        # what its own T_s^T M_s T_s (roundoff fill dropped) would give
+        kw, _ = MULTI_MEMBER_GRIDS[case]
+        cfg = bd.ExperimentConfig(primal="vertex-edge", **kw)
+        mesh, spaces, system, ref = assemble_with_reference(cfg)
+        cls = bd.classify_dofs(bd.partition(mesh, cfg.subdomains), spaces, "vertex-edge")
+        out = bd.transform_system(system, cls)
+        rep = out.stacked.rep
+        for s, lb in out.local.items():
+            Tu = cls.u_transform[lb.udofs][:, lb.udofs]
+            Tp = cls.p_transform[lb.pdofs][:, lb.pdofs]
+            A, B, C, D, E = (ref[name][0][s] for name in "ABCDE")
+            own = dict(A=Tu.T @ A @ Tu, B=B @ Tu, C=C, D=Tp.T @ D, E=Tp.T @ E @ Tp)
+            for name, want in own.items():
+                want = _drop_roundoff(want, np.array([0, want.shape[0]]))
+                got = getattr(lb, name)
+                assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+                if rep[s] == s:
+                    assert np.array_equal(got.data, want.data), (s, name)
+                else:
+                    assert np.max(np.abs(got.data - want.data)) <= _CONGRUENCE_RTOL * np.max(np.abs(want.data))
+            for got, want in ((lb.f, Tu.T @ ref["f"][0][s]), (lb.g, Tp.T @ ref["g"][0][s])):
+                assert np.max(np.abs(got - want)) <= _CONGRUENCE_RTOL * np.max(np.abs(want))
 
     def test_recover_nodal_applies_transform(self):
         _, cls = self.assemble("vertex-edge")

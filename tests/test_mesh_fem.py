@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import biot_ddp as bd
-from biot_ddp.mesh_fem import LoadSpec, dump_blocks_coo, stokes_stability_witness
-from helpers import per_subdomain_assembly
+from biot_ddp.mesh_fem import LoadSpec, class_representatives, dump_blocks_coo, stokes_stability_witness
+from biot_ddp.decomposition import _CONGRUENCE_RTOL
+from helpers import MULTI_MEMBER_GRIDS, assemble_with_reference, per_subdomain_assembly
 
 
 def small_system(variant="p1", bc=None, grid=(2, 2), nx=8, **mat):
@@ -240,6 +241,44 @@ class TestStackedAssembly:
             stacked = getattr(system.stacked, name)
             for lb in system.local.values():
                 assert np.shares_memory(getattr(lb, name).data, stacked.data)
+
+
+class TestPerClassAssembly:
+    """Assembly builds each congruence class's representative and tiles it
+    onto the members.  Checked against every subdomain's own build: the
+    direct-solve oracle solves the same tiled system, so only this comparison
+    catches a class key that joins subdomains which differ."""
+
+    @pytest.mark.parametrize("case", list(MULTI_MEMBER_GRIDS))
+    def test_tiles_match_each_subdomains_own_build(self, case):
+        kw, n_classes = MULTI_MEMBER_GRIDS[case]
+        _, _, system, ref = assemble_with_reference(bd.ExperimentConfig(**kw))
+        rep = system.stacked.rep
+        assert np.unique(rep).size == n_classes
+        assert np.unique(rep).size < rep.size
+        for s, lb in system.local.items():
+            for fld, dofs in (("u", lb.udofs), ("xi", lb.xidofs), ("p", lb.pdofs)):
+                assert np.array_equal(dofs, ref[fld][s])
+            for name in "ABCDEfg":
+                got, want, tiled = getattr(lb, name), ref[name][0][s], getattr(system.local[rep[s]], name)
+                if name in "ABCDE":
+                    assert got.shape == want.shape
+                    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+                    got, want, tiled = got.data, want.data, tiled.data
+                assert np.array_equal(got, tiled)
+                if rep[s] == s:
+                    assert np.array_equal(got, want), (s, name)
+                else:
+                    assert np.max(np.abs(got - want)) <= _CONGRUENCE_RTOL * np.max(np.abs(want)), (s, name)
+
+    def test_class_key(self):
+        # interior, edge and corner subdomains on a 4x4 grid; a material
+        # change on one subdomain gives it a class of its own
+        mats = bd.MaterialField.uniform((4, 4), E=1.0, nu=0.3, alpha=1.0, kappa=1.0)
+        rep = class_representatives(mats)
+        assert rep.tolist() == [0, 1, 1, 3, 4, 5, 5, 7, 4, 5, 5, 7, 12, 13, 13, 15]
+        mats.kappa[10] = 2.0
+        assert class_representatives(mats)[10] == 10
 
 
 class TestStability:

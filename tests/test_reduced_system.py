@@ -229,6 +229,40 @@ class TestLocalFactors:
         assert fac.nnz == 0
 
 
+class TestRefinementNearIncompressibleLimit:
+    """Diagonal pivots lose about log10(lambda/mu) digits of a local solve.
+    A sparse factor that fails its probe takes one step of iterative
+    refinement with the same factor, so the fill stays as it is."""
+
+    @staticmethod
+    def run(nu, E):
+        cfg = bd.ExperimentConfig(nx=16, subdomains=(2, 2), total_pressure="p0", nu=nu, E=E)
+        pipe = bd.build_pipeline(cfg)
+        return pipe, bd.run_case(cfg, pipe)
+
+    @pytest.mark.parametrize("E, iterations", [(1.0, 14), (1e6, 9)])
+    @pytest.mark.parametrize("nu", [0.499999999, 0.4999999999])
+    def test_refined_factor_passes_the_probe(self, nu, E, iterations):
+        pipe, res = self.run(nu, E)
+        assert res.converged and res.iterations == iterations
+        assert res.factor_nnz == 233_060  # as at nu = 0.49999999, unrefined
+        refined = [f for f in pipe.local_factors() if f._refine is not None]
+        assert refined and all(f._sparse is not None for f in refined)
+        rng = np.random.default_rng(3)
+        for f in refined:  # the probe's measure, on a right-hand side of its own
+            K = f._refine
+            b = K @ rng.standard_normal(f.n)
+            raw = np.linalg.norm(K @ f._sparse.solve(b) - b)
+            once = np.linalg.norm(K @ f.solve(b) - b)
+            assert once < 1e-10 * np.linalg.norm(b) and once < 1e-3 * raw
+
+    def test_no_refinement_where_the_factor_passes(self):
+        pipe, res = self.run(0.49999999, 1.0)
+        assert res.converged and res.iterations == 14
+        assert res.factor_nnz == 233_060
+        assert all(f._refine is None for f in pipe.local_factors())
+
+
 class TestCongruenceClasses:
     """Subdomains whose local saddle blocks agree to roundoff share one
     factor; everything else gets its own."""

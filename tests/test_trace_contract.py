@@ -10,7 +10,9 @@ them, and each shared factor is built, and wrapped, once.  The shrunk
 workloads cover the sparse-LU classes (flagship), the dense-LAPACK path
 behind a change of basis (tiny-subdomains: vertex-edge on 5x5) and a grid
 where every subdomain is its own class (contrast-spectrum: a 2x2
-checkerboard).
+checkerboard).  The shrunk flagship is not condensed; the flagship itself,
+where the operator and the multiplier block are, runs under the same
+contract.
 """
 
 import pytest
@@ -33,6 +35,32 @@ from tracing import (  # noqa: E402
 from workloads import experiment_config  # noqa: E402
 
 
+def traced_run(monkeypatch, workload, shrink):
+    """Spans and pipeline of one instrumented run of a workload."""
+    for module, calls in MODULE_CALLS.items():
+        mod = getattr(bd, module)
+        for attr in calls:  # put the originals back after the test
+            monkeypatch.setattr(mod, attr, getattr(mod, attr))
+    tracer = Tracer()
+    instrument_modules(tracer, bd)
+    cfg = bd.ExperimentConfig(**experiment_config(workload, 1, shrink=shrink))
+    pipe = bd.build_pipeline(cfg)
+    instrument_pipeline(tracer, pipe)
+    assert bd.run_case(cfg, pipe).converged
+    return tracer.spans, pipe
+
+
+def check_span_contract(spans, pipe, n_classes):
+    assert check_nesting(spans) == []
+
+    def total(name):
+        return sum(end - start for n, start, end, _ in spans if n == name)
+
+    assert 0.0 < total("reduced_system.local_solve") <= total("reduced_system.torn_solve")
+    assert len(pipe.reduced.factors) == n_classes
+    assert layer_metrics(spans, pipe)["reduced_system.factor_count"] == (n_classes, "count")
+
+
 @pytest.mark.parametrize(
     "workload, n_classes",
     [
@@ -42,23 +70,13 @@ from workloads import experiment_config  # noqa: E402
     ],
 )
 def test_traced_spans_add_up(monkeypatch, workload, n_classes):
-    for module, calls in MODULE_CALLS.items():
-        mod = getattr(bd, module)
-        for attr in calls:  # put the originals back after the test
-            monkeypatch.setattr(mod, attr, getattr(mod, attr))
-    tracer = Tracer()
-    instrument_modules(tracer, bd)
-    cfg = bd.ExperimentConfig(**experiment_config(workload, 1, shrink=2))
-    pipe = bd.build_pipeline(cfg)
-    instrument_pipeline(tracer, pipe)
-    assert bd.run_case(cfg, pipe).converged
+    check_span_contract(*traced_run(monkeypatch, workload, shrink=2), n_classes)
 
-    spans = tracer.spans
-    assert check_nesting(spans) == []
 
-    def total(name):
-        return sum(end - start for n, start, end, _ in spans if n == name)
-
-    assert 0.0 < total("reduced_system.local_solve") <= total("reduced_system.torn_solve")
-    assert len(pipe.reduced.factors) == n_classes
-    assert layer_metrics(spans, pipe)["reduced_system.factor_count"] == (n_classes, "count")
+def test_traced_spans_add_up_when_condensed(monkeypatch):
+    # the flagship itself (8x8): both the operator and the multiplier block
+    # are condensed, so the local solves run only for the right-hand side
+    # and the recovery
+    spans, pipe = traced_run(monkeypatch, "flagship-p1-nx64", shrink=1)
+    assert sorted(pipe.condensed_blocks()) == ["lambda", "torn"]
+    check_span_contract(spans, pipe, 9)
