@@ -46,8 +46,8 @@ class InternalError(RuntimeError):
     """Raised when a build-time self check fails."""
 
 
-# Local blocks that agree to this fraction of their largest entry count
-# as equal: congruent subdomains share one factorization.
+# Entries of a local block at or below this fraction of its largest entry
+# are roundoff: the change of basis drops them.
 _CONGRUENCE_RTOL = 1e-13
 
 
@@ -279,6 +279,8 @@ class DofClassification:
     p_dual: np.ndarray
     p_primal: np.ndarray
     p_sub_interface: dict[int, np.ndarray]
+    p_sub_dual: dict[int, np.ndarray]
+    p_sub_primal: dict[int, np.ndarray]
     # change of basis for the vertex-edge variant (None = nodal basis)
     u_transform: sp.csr_matrix | None = None
     p_transform: sp.csr_matrix | None = None
@@ -480,7 +482,8 @@ def classify_dofs(part: SubdomainPartition, spaces: FeSpaceSet, primal_variant: 
 
     u_primal = u_iface.select(u_is_primal[u_iface.dof])
     u_dual = u_iface.select(~u_is_primal[u_iface.dof])
-    p_on_primal = p_is_primal[p_iface.dof]
+    p_primal = p_iface.select(p_is_primal[p_iface.dof])
+    p_dual = p_iface.select(~p_is_primal[p_iface.dof])
     cls = DofClassification(
         variant=primal_variant,
         grid=grid,
@@ -498,9 +501,11 @@ def classify_dofs(part: SubdomainPartition, spaces: FeSpaceSet, primal_variant: 
         xi_interface=np.unique(xi_iface.dof),
         xi_sub_interface=xi_iface.by_subdomain(n_sub),
         p_interior=p_interior,
-        p_dual=np.unique(p_iface.dof[~p_on_primal]),
-        p_primal=np.unique(p_iface.dof[p_on_primal]),
+        p_dual=np.unique(p_dual.dof),
+        p_primal=np.unique(p_primal.dof),
         p_sub_interface=p_iface.by_subdomain(n_sub),
+        p_sub_dual=p_dual.by_subdomain(n_sub),
+        p_sub_primal=p_primal.by_subdomain(n_sub),
         u_transform=u_transform,
         p_transform=p_transform,
     )

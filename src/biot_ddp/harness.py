@@ -155,17 +155,21 @@ class Pipeline:
     def n_dofs(self) -> int:
         return self.spaces.n_total
 
+    def class_factors(self) -> dict[str, list[tuple[int, SaddleFactor | None]]]:
+        """Per block with unknowns ("torn", "lambda", "xi", "p"), each class's
+        member count and kept factor (None for a condensed or lumped λ class)."""
+        pc = self.preconditioner
+        out = {"torn": [(c.idx.shape[1], c.factor) for c in self.reduced.factors.values()],
+               "lambda": [(c.idx.shape[1], c.interior) for c in pc.multiplier.classes]}
+        bddc = {"xi": pc.xi, "p": pc.pressure}
+        out.update({k: [(c.idx.shape[1], c.factor) for c in b.classes] for k, b in bddc.items() if b})
+        return out
+
     def local_factors(self) -> list[SaddleFactor]:
         """Every factor kept for the solve: one per torn congruence class,
         per λ Dirichlet interior class not condensed and per xi/p BDDC
         class."""
-        pc = self.preconditioner
-        out = [c.factor for c in self.reduced.factors.values()]
-        out += [c.interior for c in pc.multiplier.classes if c.interior is not None]
-        for bddc in (pc.xi, pc.pressure):
-            if bddc is not None:
-                out += [c.factor for c in bddc.classes]
-        return out
+        return [f for classes in self.class_factors().values() for _, f in classes if f is not None]
 
     def condensed_blocks(self) -> dict[str, int]:
         """Bytes of the dense interface matrices of each condensed block:
@@ -195,6 +199,7 @@ class RunResult:
     oracle_err: tuple[float, float, float] | None
     wall_s: float
     factor_nnz: int  # stored entries of every kept local factor (SaddleFactor.nnz summed)
+    factor_classes: dict[str, list[list[int]]]  # per block, [members, n, nnz] of each class's factor (0, 0: none)
     condensed: list[str]  # blocks applied through dense interface matrices: "torn", "lambda"
     condensed_bytes: int  # their F, Psi and S together
     notes: list[str]
@@ -321,6 +326,8 @@ def run_case(cfg: ExperimentConfig, pipe: Pipeline | None = None) -> RunResult:
         oracle_err=oracle_err,
         wall_s=wall,
         factor_nnz=sum(f.nnz for f in pipe.local_factors()),
+        factor_classes={k: [[m, f.n, f.nnz] if f else [m, 0, 0] for m, f in v]
+                        for k, v in pipe.class_factors().items()},
         condensed=list(condensed),
         condensed_bytes=sum(condensed.values()),
         notes=list(result.notes),
@@ -415,6 +422,7 @@ def write_json(results: list[RunResult], path: str) -> None:
         entry["n_dofs"] = res.n_dofs
         entry["n_interface"] = res.n_interface
         entry["factor_nnz"] = res.factor_nnz
+        entry["factor_classes"] = res.factor_classes
         entry["condensed"] = res.condensed
         entry["condensed_bytes"] = res.condensed_bytes
         entry["notes"] = res.notes

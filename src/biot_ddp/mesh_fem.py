@@ -14,8 +14,9 @@ material are translates of one another, so assembly computes element values
 only for one representative per such congruence class and tiles its local
 blocks onto the members.  A representative's blocks are bitwise equal to
 its own build; a member's have its own build's sparsity pattern and agree
-with it to within _CONGRUENCE_RTOL (of ``decomposition``), the tolerance at
-which congruent subdomains share a factorization.
+with it to roundoff.  The key, restricted to the material parameters a
+block depends on (``BLOCK_PARAMS``), also decides which subdomains share a
+factorization of that block (``BlockSystem.classes``).
 """
 
 from __future__ import annotations
@@ -419,44 +420,31 @@ class StackedBlocks:
         """Owning subdomain of every stacked position of one field."""
         return np.repeat(np.arange(self.n_sub), np.diff(self.off[name]))
 
-    def local_views(self) -> dict[int, LocalBlocks]:
-        """Per-subdomain views that share data with the stacked arrays."""
-        views = {name: diagonal_blocks(getattr(self, name), self.off[r], self.off[c]) for name, r, c in BLOCK_FIELDS}
-        span = {fld: [slice(a, b) for a, b in zip(o[:-1], o[1:])] for fld, o in self.off.items()}
-        return {
-            s: LocalBlocks(
-                udofs=self.dofs["u"][span["u"][s]],
-                xidofs=self.dofs["xi"][span["xi"][s]],
-                pdofs=self.dofs["p"][span["p"][s]],
-                **{name: views[name][s] for name in "ABCDE"},
-                f=self.f[span["u"][s]],
-                g=self.g[span["p"][s]],
-            )
-            for s in range(self.n_sub)
-        }
+    def local_view(self, s: int) -> LocalBlocks:
+        """Subdomain s's dofs, blocks and loads, sharing data with the
+        stacked arrays."""
+        span = {fld: slice(o[s], o[s + 1]) for fld, o in self.off.items()}
+        return LocalBlocks(
+            udofs=self.dofs["u"][span["u"]],
+            xidofs=self.dofs["xi"][span["xi"]],
+            pdofs=self.dofs["p"][span["p"]],
+            **{name: diagonal_block(getattr(self, name), self.off[r], self.off[c], s) for name, r, c in BLOCK_FIELDS},
+            f=self.f[span["u"]],
+            g=self.g[span["p"]],
+        )
 
 
-def diagonal_blocks(M: sp.csr_matrix, row_off: np.ndarray, col_off: np.ndarray) -> list[sp.csr_matrix]:
-    """The diagonal blocks of a block-diagonal CSR matrix, as CSR matrices
-    sharing its data and (one shifted copy of) its column indices.
-
-    Each view is a shallow copy of M with its arrays and shape swapped for
-    the block's: SciPy's constructor would copy slices of arrays this much
-    larger than them, and check them besides.  M's cached format flags hold
-    for every block.
-    """
-    n_sub = row_off.size - 1
-    row_sub = np.repeat(np.arange(n_sub), np.diff(row_off))
-    indices = M.indices - col_off.astype(M.indices.dtype)[np.repeat(row_sub, np.diff(M.indptr))]
-    out = []
-    for s in range(n_sub):
-        r0, r1 = row_off[s], row_off[s + 1]
-        lo, hi = M.indptr[r0], M.indptr[r1]
-        view = copy.copy(M)
-        view.data, view.indices, view.indptr = M.data[lo:hi], indices[lo:hi], M.indptr[r0 : r1 + 1] - lo
-        view._shape = (int(r1 - r0), int(col_off[s + 1] - col_off[s]))
-        out.append(view)
-    return out
+def diagonal_block(M: sp.csr_matrix, row_off: np.ndarray, col_off: np.ndarray, s: int) -> sp.csr_matrix:
+    """Diagonal block s of a block-diagonal CSR matrix, sharing its data: a
+    shallow copy of M with its arrays and shape swapped for the block's
+    (SciPy's constructor would copy slices of M's arrays, and check them).
+    M's cached format flags hold for every block."""
+    r0, r1 = row_off[s], row_off[s + 1]
+    lo, hi = M.indptr[r0], M.indptr[r1]
+    view = copy.copy(M)
+    view.data, view.indices, view.indptr = M.data[lo:hi], M.indices[lo:hi] - int(col_off[s]), M.indptr[r0 : r1 + 1] - lo
+    view._shape = (int(r1 - r0), int(col_off[s + 1] - col_off[s]))
+    return view
 
 
 def block_positions(off: np.ndarray, which: np.ndarray) -> np.ndarray:
@@ -519,7 +507,15 @@ class BlockSystem:
 
     @cached_property
     def local(self) -> dict[int, LocalBlocks]:
-        return self.stacked.local_views()
+        return {s: self.stacked.local_view(s) for s in range(self.stacked.n_sub)}
+
+    def classes(self, names: str) -> list[np.ndarray]:
+        """Congruence classes of the local blocks ``names`` (of "ABCDE"; none
+        keys on the sides touched alone): members in ascending order, so the
+        representative first, classes in ascending order of representatives."""
+        rep = class_representatives(self.materials, sorted({p for n in names for p in BLOCK_PARAMS[n]}))
+        order = np.argsort(rep, kind="stable")
+        return np.split(order, np.flatnonzero(np.diff(rep[order])) + 1)
 
     @property
     def n_dofs(self) -> int:
@@ -562,6 +558,11 @@ class ElementTable:
     cols: np.ndarray | None
     vals: np.ndarray
     sub: np.ndarray
+
+
+# the material parameters each block depends on: A on mu, C on 1/lambda, D on
+# alpha/lambda, E on kappa and alpha^2/lambda (lambda, mu from E, nu), B on none
+BLOCK_PARAMS = {"A": ("E", "nu"), "B": (), "C": ("E", "nu"), "D": ("E", "nu", "alpha"), "E": ("E", "nu", "alpha", "kappa")}
 
 
 def element_tables(
@@ -685,8 +686,7 @@ def _stacked_block(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: 
     ``assemble_blocks`` builds the class representatives' blocks this way
     and tiles them onto the members: a representative's block is bitwise
     its own build, a member's has its own build's pattern and agrees with
-    it to roundoff (the element geometry of a translate), well within
-    _CONGRUENCE_RTOL of ``decomposition``.
+    it to roundoff (the element geometry of a translate).
     """
     nt, a = rows.shape
     b = cols.shape[1]
@@ -704,23 +704,22 @@ def _global_block(M: sp.csr_matrix, row_dofs: np.ndarray, col_dofs: np.ndarray, 
     return sp.coo_matrix((M.data, (rows, col_dofs[M.indices])), shape=shape).tocsr()
 
 
-def class_representatives(materials: MaterialField) -> np.ndarray:
+def class_representatives(materials: MaterialField, params: Iterable[str] = BLOCK_PARAMS["E"]) -> np.ndarray:
     """The representative of each subdomain's congruence class: the lowest
     numbered subdomain with the same key.
 
     The key holds input properties only: which sides of the unit square
     the subdomain touches (the boundary conditions are given per side) and
-    its material tuple (E, nu, alpha, kappa).  The mesh is uniform, H/h is
-    one for all subdomains and the load is constant, so subdomains with one
-    key are translates of one another: their local blocks and loads agree
-    up to the roundoff of their element geometry.
+    its material parameters ``params`` (by default all four, assembly's).
+    The mesh is uniform, H/h is one for all subdomains and the load is
+    constant, so subdomains with one key are translates of one another: the
+    blocks that depend on no other parameter, and the loads, agree up to the
+    roundoff of their element geometry.
     """
     gx, gy = materials.grid
     s = np.arange(gx * gy)
     sx, sy = s % gx, s // gx
-    key = np.column_stack(
-        [sx == 0, sx == gx - 1, sy == 0, sy == gy - 1, materials.E, materials.nu, materials.alpha, materials.kappa]
-    )
+    key = np.column_stack([sx == 0, sx == gx - 1, sy == 0, sy == gy - 1, *(getattr(materials, p) for p in params)])
     _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
     return first[inverse.ravel()]
 

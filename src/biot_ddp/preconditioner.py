@@ -11,11 +11,13 @@ Three independent blocks, one per interface segment:
 * multipliers: scaled jumps through either the local elastic Dirichlet
   Schur complement or its lumped stiffness shortcut.
 
-Every block factors one representative per congruence class of
-subdomains and solves all members of a class as one multi-column solve.
-The Dirichlet Schur complement is applied matrix-free (one interior solve
-per application) or, when few classes serve many subdomains, formed once
-per class as a dense matrix and applied as one product.
+Every block takes its congruence classes from the input key of
+``mesh_fem`` (``BlockSystem.classes``), forms and factors one
+representative's local block per class and solves all members of a class
+as one multi-column solve.  The Dirichlet Schur complement is applied
+matrix-free (one interior solve per application) or, when few classes
+serve many subdomains, formed once per class as a dense matrix and
+applied as one product.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .reduced_system import (
     SaddleFactor,
     add_local_class,
     condensing_pays_back,
-    congruence_classes,
     solve_partially_assembled,
 )
 
@@ -73,21 +74,26 @@ class InterfaceBddc:
         return self.inject_scaled_T @ solve_partially_assembled(self.classes, self.coarse, self.inject_scaled @ r)
 
 
-def _bddc(inject_scaled: sp.csr_matrix, n_primal: int, local: list[tuple], label: str) -> InterfaceBddc:
-    """Factor one dual Schur block per congruence class.  ``local`` holds per
-    subdomain: its matrix, the local positions of its interface unknowns
-    (dual ones first) and of its interior ones, its dual count, and where
-    its dual and primal unknowns sit in the partially assembled vector."""
-    F = np.zeros((n_primal, n_primal))
+def _bddc(
+    inject_scaled: sp.csr_matrix, groups: list[np.ndarray], block, dual: dict, primal: dict, primal_dofs: np.ndarray,
+    label: str,
+) -> InterfaceBddc:
+    """Factor one dual Schur block per class of ``groups``.  ``block(r)``
+    gives representative r's matrix and the local positions of its dual,
+    then primal interface unknowns and of its interior ones.  Subdomain s's
+    dual dofs ``dual[s]`` take the next positions of the partially assembled
+    vector, its primal dofs ``primal[s]`` their places in ``primal_dofs``."""
+    off = np.cumsum([0, *(dual[s].size for s in range(len(dual)))])
+    F = np.zeros((primal_dofs.size, primal_dofs.size))
     classes: list[LocalClass] = []
-    for members in congruence_classes([(M, gamma, inner, np.array([nd])) for M, gamma, inner, nd, _, _ in local]):
-        M, gamma, inner, nd, _, _ = local[members[0]]
-        S = _dense_schur(M, gamma, inner)
+    for members in groups:
+        r, nd = members[0], dual[members[0]].size
+        S = _dense_schur(*block(r))
         add_local_class(
-            classes, F, SaddleFactor([(f"{label} block of subdomain {members[0]}", S[:nd, :nd])]),
+            classes, F, SaddleFactor([(f"{label} block of subdomain {r}", S[:nd, :nd])]),
             S[:nd, nd:], S[nd:, nd:],
-            idx=np.column_stack([local[k][4] for k in members]),
-            primal=np.column_stack([local[k][5] for k in members]),
+            idx=np.column_stack([np.arange(off[s], off[s + 1]) for s in members]),
+            primal=np.column_stack([np.searchsorted(primal_dofs, primal[s]) for s in members]),
         )
     return InterfaceBddc(
         inject_scaled=inject_scaled,
@@ -101,31 +107,23 @@ def build_xi_solver(system: BlockSystem, cls: DofClassification, restrictions: R
     """Total pressure: no primal unknowns, local mass matrices weighted by
     the subdomain's ratio of first Lame parameter to shear modulus."""
     mats = system.materials
-    local = []
-    off = 0
-    for s in sorted(system.local):
-        lb = system.local[s]
-        gamma = lb.xi_pos(cls.xi_sub_interface[s])
-        ratio = float(mats.lam[s] / mats.mu[s])
-        inner = lb.xi_pos(cls.xi_interior[s])
-        local.append((ratio * lb.C, gamma, inner, gamma.size, off + np.arange(gamma.size), np.zeros(0, dtype=np.int64)))
-        off += gamma.size
-    return _bddc(restrictions.xi_break_scaled, 0, local, "total pressure")
+
+    def block(r):
+        lb = system.stacked.local_view(r)
+        return float(mats.lam[r] / mats.mu[r]) * lb.C, lb.xi_pos(cls.xi_sub_interface[r]), lb.xi_pos(cls.xi_interior[r])
+
+    no_primal = np.zeros(0, dtype=np.int64)
+    return _bddc(restrictions.xi_break_scaled, system.classes("C"), block, cls.xi_sub_interface,
+                 dict.fromkeys(cls.xi_sub_interface, no_primal), no_primal, "total pressure")
 
 
 def build_p_bddc(system: BlockSystem, cls: DofClassification, restrictions: RestrictionSet) -> InterfaceBddc:
-    local = []
-    off = 0
-    for s in sorted(system.local):
-        lb = system.local[s]
-        ids = cls.p_sub_interface[s]
-        is_dual = np.isin(ids, cls.p_dual)
-        nd = int(np.count_nonzero(is_dual))
-        gamma = lb.p_pos(np.concatenate([ids[is_dual], ids[~is_dual]]))
-        pidx = np.searchsorted(cls.p_primal, ids[~is_dual])
-        local.append((lb.E, gamma, lb.p_pos(cls.p_interior[s]), nd, off + np.arange(nd), pidx))
-        off += nd
-    return _bddc(restrictions.p_inject_scaled, cls.p_primal.size, local, "pressure")
+    def block(r):
+        lb = system.stacked.local_view(r)
+        return lb.E, lb.p_pos(np.concatenate([cls.p_sub_dual[r], cls.p_sub_primal[r]])), lb.p_pos(cls.p_interior[r])
+
+    return _bddc(restrictions.p_inject_scaled, system.classes("E"), block, cls.p_sub_dual, cls.p_sub_primal,
+                 cls.p_primal, "pressure")
 
 
 @dataclass
@@ -171,20 +169,18 @@ def build_lambda_solver(
     if kind not in ("dirichlet", "lumped"):
         raise ConfigurationError(f"unknown multiplier preconditioner {kind!r}")
     lay = cls.layout
-    subs = sorted(system.local)
-    pos = {}
-    for s in subs:
-        lb = system.local[s]
-        pos[s] = (lb.u_pos(cls.u_sub_dual[s]), lb.u_pos(cls.u_interior[s]))
-    groups = [[subs[k] for k in m] for m in congruence_classes([(system.local[s].A, *pos[s]) for s in subs])]
+    groups = system.classes("A")
+    n_dual = np.diff(lay.dual_offset)
     # condensing solves each class's dual columns once
-    condense = kind == "dirichlet" and condensing_pays_back(sum(pos[m[0]][0].size for m in groups), len(subs))
+    condense = kind == "dirichlet" and condensing_pays_back(sum(n_dual[m[0]] for m in groups), n_dual.size)
     classes = []
     for members in groups:
-        iD, iI = pos[members[0]]
-        idx = np.column_stack([lay.dual_offset[s] + np.arange(iD.size) for s in members])
-        label = f"elastic interior block of subdomain {members[0]}"
-        Ac = system.local[members[0]].A.tocsr()
+        r = members[0]
+        lb = system.stacked.local_view(r)
+        iD, iI = lb.u_pos(cls.u_sub_dual[r]), lb.u_pos(cls.u_interior[r])
+        idx = np.column_stack([np.arange(lay.dual_offset[s], lay.dual_offset[s + 1]) for s in members])
+        label = f"elastic interior block of subdomain {r}"
+        Ac = lb.A.tocsr()
         if condense:
             classes.append(DirichletClass(idx=idx, S=_dense_schur(Ac, iD, iI, label)))
             continue

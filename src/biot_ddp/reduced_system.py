@@ -7,13 +7,15 @@ unknowns and the primal coarse solve leaves a symmetric positive definite
 operator on the continuous total pressure trace, the continuous pressure
 trace, and the multipliers.  That operator is only ever applied
 matrix-free: local saddle solves plus one dense coarse solve per
-application.  Subdomains whose local blocks agree to roundoff (the
-interior, edge and corner subdomains of a uniform grid) form one
-congruence class; each class is factored once and its members are solved
-together as one multi-column solve.  When few classes serve many
-subdomains, each class is also condensed once onto its members' interface
-rows, and the operator is applied with one dense product per class and no
-local solve.
+application.  Subdomains with one assembly key (the sides of the square
+touched and the material; the interior, edge and corner subdomains of a
+uniform grid) form one congruence class, whose members carry their
+representative's local blocks: only the representative's saddle block is
+built and factored, and the members are reached through their index maps
+and solved together as one multi-column solve.  When few classes serve
+many subdomains, each class is also condensed once onto its members'
+interface rows, and the operator is applied with one dense product per
+class and no local solve.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .decomposition import _CONGRUENCE_RTOL, DofClassification, InternalError, JumpOperator, TornLayout
-from .mesh_fem import BLOCK_FIELDS, BlockSystem, ConfigurationError, diagonal_blocks
+from .decomposition import DofClassification, InternalError, JumpOperator, TornLayout
+from .mesh_fem import BLOCK_FIELDS, BlockSystem, ConfigurationError, diagonal_block
 
 _DENSE_FACTOR_CUTOFF = 400
 _PAYBACK_APPLIES = 32
@@ -167,39 +169,6 @@ class CoarseProblem:
 
 def _sub(M: sp.spmatrix, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
     return M.tocsr()[rows][:, cols]
-
-
-def congruence_classes(parts: list[list]) -> list[list[int]]:
-    """Positions in ``parts`` grouped into classes that can share one factor.
-
-    Each entry holds one subdomain's local data: sparse matrices and
-    integer index arrays.  Two entries fall in one class when all shapes,
-    sparsity patterns (indptr, indices) and index arrays are equal and
-    every matrix agrees with the class's first member to within
-    _CONGRUENCE_RTOL times that matrix's own largest entry.
-    """
-    firsts: list[list[tuple[np.ndarray, float]]] = []  # values and tolerance of each first member
-    classes: list[list[int]] = []
-    by_pattern: dict[tuple, list[int]] = {}
-    for k, items in enumerate(parts):
-        pattern: list = []
-        values: list[np.ndarray] = []
-        for item in items:
-            if sp.issparse(item):
-                pattern += [item.shape, item.indptr.tobytes(), item.indices.tobytes()]
-                values.append(item.data)
-            else:
-                pattern.append(item.tobytes())
-        candidates = by_pattern.setdefault(tuple(pattern), [])
-        for c in candidates:
-            if all(v.size == 0 or np.max(np.abs(v - f)) <= tol for v, (f, tol) in zip(values, firsts[c])):
-                classes[c].append(k)
-                break
-        else:
-            candidates.append(len(classes))
-            firsts.append([(v, _CONGRUENCE_RTOL * np.max(np.abs(v), initial=0.0)) for v in values])
-            classes.append([k])
-    return classes
 
 
 @dataclass
@@ -375,7 +344,7 @@ class ReducedSystem:
         """The full torn saddle system (diagnostic; built sparse from the
         stacked local saddle blocks)."""
         lay = self.layout
-        K = _stacked_saddle(self.system, self.cls)[0].tocoo()
+        K = _stacked_saddle(self.system, self.cls, range(lay.n_sub))[0].tocoo()
         primal = self.cls.u_sub_primal
         g = np.concatenate([np.concatenate([lay.r_indices[s], lay.primal_pos[primal[s]]]) for s in range(lay.n_sub)])
         At = sp.csr_matrix((K.data, (g[K.row], g[K.col])), shape=(lay.n_w, lay.n_w))
@@ -418,33 +387,55 @@ class ReducedSystem:
         return u, xi, p, jump_norm
 
 
+# the local index sets of a subdomain: field and classification attribute
+_INDEX_SETS = {
+    "uI": ("u", "u_interior"), "uD": ("u", "u_sub_dual"), "uP": ("u", "u_sub_primal"),
+    "xiI": ("xi", "xi_interior"), "xiG": ("xi", "xi_sub_interface"),
+    "pI": ("p", "p_interior"), "pG": ("p", "p_sub_interface"), "pD": ("p", "p_sub_dual"), "pP": ("p", "p_sub_primal"),
+}
+
+
 def _local_index_sets(cls: DofClassification, s: int, lb) -> dict[str, np.ndarray]:
-    return {
-        "uI": lb.u_pos(cls.u_interior[s]),
-        "uD": lb.u_pos(cls.u_sub_dual[s]),
-        "uP": lb.u_pos(cls.u_sub_primal[s]),
-        "xiI": lb.xi_pos(cls.xi_interior[s]),
-        "xiG": lb.xi_pos(cls.xi_sub_interface[s]),
-        "pI": lb.p_pos(cls.p_interior[s]),
-        "pG": lb.p_pos(cls.p_sub_interface[s]),
-    }
+    return {name: getattr(lb, f"{fld}_pos")(getattr(cls, attr)[s]) for name, (fld, attr) in _INDEX_SETS.items()}
+
+
+def _shared_index_sets(system: BlockSystem, cls: DofClassification, sets: dict[int, dict]) -> list[dict]:
+    """Every subdomain's local index sets: those in ``sets`` of its
+    representative on the sides touched alone, a key every class refines.
+    A member's stacked dofs at those positions must be its own classified
+    dofs (one gather per set), or ``InternalError`` names it."""
+    st = system.stacked
+    rep = np.empty(st.n_sub, dtype=np.int64)
+    for members in system.classes(""):
+        rep[members] = members[0]
+    for name, (fld, attr) in _INDEX_SETS.items():
+        want = [getattr(cls, attr)[s] for s in range(st.n_sub)]
+        size = np.array([w.size for w in want])
+        wrong = np.flatnonzero(size != size[rep])
+        if not wrong.size:
+            at = np.concatenate([st.off[fld][s] + sets[r][name] for s, r in enumerate(rep)])
+            wrong = np.repeat(np.arange(st.n_sub), size)[st.dofs[fld][at] != np.concatenate(want)]
+        if wrong.size:
+            s = wrong[0]
+            raise InternalError(f"subdomain {s}: {name} dofs not at the local positions of its representative {rep[s]}")
+    return [sets[r] for r in rep]
 
 
 def _stacked_coo(M: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr)), M.indices, M.data
 
 
-def _stacked_saddle(system: BlockSystem, cls: DofClassification):
-    """Every subdomain's saddle block on (uI, xiI, pI, uD, uP), K_rr first
-    and its primal rows and columns last, as one block-diagonal matrix
-    gathered from the stacked blocks into [[A, B^T, 0], [B, -C, D^T],
-    [0, D, -E]] in one pass.  Returns the matrix, its subdomain offsets and
-    every subdomain's local index sets."""
+def _stacked_saddle(system: BlockSystem, cls: DofClassification, subs):
+    """The saddle blocks of the subdomains ``subs`` on (uI, xiI, pI, uD,
+    uP), K_rr first and the primal rows and columns last, as one
+    block-diagonal matrix gathered from the stacked blocks into [[A, B^T,
+    0], [B, -C, D^T], [0, D, -E]] in one pass.  Returns the matrix, its
+    offsets per listed subdomain and their local index sets."""
     st = system.stacked
-    ix = [_local_index_sets(cls, s, lb) for s, lb in sorted(system.local.items())]
+    ix = [_local_index_sets(cls, s, st.local_view(s)) for s in subs]
     pos = {fld: np.full(st.off[fld][-1], -1, dtype=np.int64) for fld in st.off}
     at, off = 0, [0]
-    for s, sets in enumerate(ix):
+    for s, sets in zip(subs, ix):
         for name, fld in (("uI", "u"), ("xiI", "xi"), ("pI", "p"), ("uD", "u"), ("uP", "u")):
             pos[fld][st.off[fld][s] + sets[name]] = at + np.arange(sets[name].size)
             at += sets[name].size
@@ -471,26 +462,22 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
     n_p_g = lay.p_iface.size
     n_y = n_xi_g + n_p_g + lay.n_lambda
 
-    primal_of_dof = np.full(system.spaces.n_u, -1, dtype=np.int64)
-    primal_of_dof[cls.u_primal] = np.arange(cls.u_primal.size)
-
-    K, off, ix = _stacked_saddle(system, cls)
-    local = diagonal_blocks(K, off, off)
-    # A, B, C, D and E each checked against its own scale: the elastic
-    # entries dwarf the flow ones, which still matter; the members of an
-    # assembly class carry their representative's blocks and compare equal
-    keys = [[*sets.values(), *(getattr(system.local[s], name) for name in "ABCDE")] for s, sets in enumerate(ix)]
+    # the members of an assembly class carry their representative's blocks
+    class_members = system.classes("ABCDE")
+    reps = [m[0] for m in class_members]
+    K, off, rep_sets = _stacked_saddle(system, cls, reps)
+    ix = _shared_index_sets(system, cls, dict(zip(reps, rep_sets)))
     S_PP = np.zeros((cls.u_primal.size, cls.u_primal.size))
     classes: list[LocalClass] = []
-    class_members = congruence_classes(keys)
-    for members in class_members:
-        M = local[members[0]]
-        n_r = M.shape[0] - cls.u_sub_primal[members[0]].size
+    for k, members in enumerate(class_members):
+        M = diagonal_block(K, off, off, k)
+        n_r = M.shape[0] - ix[members[0]]["uP"].size
+        K_rr = M[:n_r, :n_r]
         add_local_class(
-            classes, S_PP, SaddleFactor([(f"subdomain {s}", local[s][:n_r, :n_r]) for s in members]),
+            classes, S_PP, SaddleFactor([(f"subdomain {s}", K_rr) for s in members]),
             M[:n_r, n_r:].toarray(), M[n_r:, n_r:].toarray(),
             idx=np.column_stack([lay.r_indices[s] for s in members]),
-            primal=np.column_stack([primal_of_dof[cls.u_sub_primal[s]] for s in members]),
+            primal=np.column_stack([np.searchsorted(cls.u_primal, cls.u_sub_primal[s]) for s in members]),
         )
 
     # torn column of every stacked local unknown and interface row of every

@@ -13,6 +13,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from biot_ddp.decomposition import _CONGRUENCE_RTOL
 from biot_ddp.mesh_fem import BLOCK_FIELDS, LoadSpec, assemble_blocks, build_mesh, build_spaces, element_tables
 from biot_ddp.preconditioner import _dense_schur
 
@@ -167,6 +168,40 @@ def per_subdomain_assembly(mesh, spaces, materials, load) -> dict:
     return out
 
 
+def numeric_classes(parts: list[list]) -> list[list[int]]:
+    """Positions in ``parts`` grouped by comparing the stored local data: the
+    oracle for the input key that decides the classes (BlockSystem.classes).
+
+    Each entry holds one subdomain's local data: sparse matrices and
+    integer index arrays.  Two entries fall in one class when all shapes,
+    sparsity patterns (indptr, indices) and index arrays are equal and
+    every matrix agrees with the class's first member to within
+    _CONGRUENCE_RTOL times that matrix's own largest entry.
+    """
+    firsts: list[list[tuple[np.ndarray, float]]] = []  # values and tolerance of each first member
+    classes: list[list[int]] = []
+    by_pattern: dict[tuple, list[int]] = {}
+    for k, items in enumerate(parts):
+        pattern: list = []
+        values: list[np.ndarray] = []
+        for item in items:
+            if sp.issparse(item):
+                pattern += [item.shape, item.indptr.tobytes(), item.indices.tobytes()]
+                values.append(item.data)
+            else:
+                pattern.append(item.tobytes())
+        candidates = by_pattern.setdefault(tuple(pattern), [])
+        for c in candidates:
+            if all(v.size == 0 or np.max(np.abs(v - f)) <= tol for v, (f, tol) in zip(values, firsts[c])):
+                classes[c].append(k)
+                break
+        else:
+            candidates.append(len(classes))
+            firsts.append([(v, _CONGRUENCE_RTOL * np.max(np.abs(v), initial=0.0)) for v in values])
+            classes.append([k])
+    return classes
+
+
 # grids whose congruence classes have several members, with their class count
 MULTI_MEMBER_GRIDS = {
     "5x5 p1 neumann-left": (dict(nx=20, subdomains=(5, 5), total_pressure="p1", bc="neumann-left"), 9),
@@ -182,6 +217,7 @@ MULTI_MEMBER_GRIDS = {
         dict(nx=16, subdomains=(4, 4), pattern="checkerboard", kappa=1e-8, black={"kappa": 1e-9}),
         14,
     ),
+    "nu checkerboard": (dict(nx=16, subdomains=(4, 4), pattern="checkerboard", black={"nu": 0.45}), 14),
 }
 
 

@@ -202,6 +202,22 @@ class TestFactorSize:
         write_json([res], str(path))
         assert json.loads(path.read_text())[0]["factor_nnz"] == res.factor_nnz
 
+    @pytest.mark.parametrize("kw", [dict(nx=16, subdomains=(4, 4)), dict(nx=32, subdomains=(8, 8))])
+    def test_factor_classes_add_up(self, tmp_path, kw):
+        # 4x4: every λ class keeps its interior factor; 8x8: the λ block is
+        # condensed, its classes keep none
+        cfg = small_cfg(oracle="off", **kw)
+        res = bd.run_case(cfg)
+        assert sorted(res.factor_classes) == ["lambda", "p", "torn", "xi"]
+        n_sub = kw["subdomains"][0] * kw["subdomains"][1]
+        for classes in res.factor_classes.values():
+            assert sum(m for m, _, _ in classes) == n_sub
+        assert sum(nnz for classes in res.factor_classes.values() for _, _, nnz in classes) == res.factor_nnz
+        assert ("lambda" in res.condensed) == all(n == 0 for _, n, _ in res.factor_classes["lambda"])
+        path = tmp_path / "out.json"
+        write_json([res], str(path))
+        assert json.loads(path.read_text())[0]["factor_classes"] == res.factor_classes
+
 
 class TestCli:
     BASE = ["--nx", "8", "--sub", "2x2", "--E", "1", "--nu", "0.3"]

@@ -11,8 +11,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import biot_ddp as bd
-from biot_ddp.reduced_system import CoarseProblem, SaddleFactor
-from helpers import dense_from_apply, dense_torn_solution, rel_err
+from biot_ddp.mesh_fem import diagonal_block
+from biot_ddp.reduced_system import CoarseProblem, SaddleFactor, _stacked_saddle
+from helpers import MULTI_MEMBER_GRIDS, dense_from_apply, dense_torn_solution, numeric_classes, rel_err
 
 
 def build(variant="p1", primal="vertex", pattern="uniform", **kw):
@@ -264,7 +265,7 @@ class TestRefinementNearIncompressibleLimit:
 
 
 class TestCongruenceClasses:
-    """Subdomains whose local saddle blocks agree to roundoff share one
+    """Subdomains with one input key (sides touched, material) share one
     factor; everything else gets its own."""
 
     @staticmethod
@@ -286,16 +287,36 @@ class TestCongruenceClasses:
         assert len(red.factors) == 9
         assert all(c.idx.shape[1] == 1 for c in red.factors.values())
 
-    @pytest.mark.parametrize("rel, n_classes", [(1e-15, 9), (1e-10, 10)])
-    def test_perturbed_block_leaves_its_class(self, rel, n_classes):
-        pipe = bd.build_pipeline(bd.ExperimentConfig(nx=16, subdomains=(4, 4), E=1.0, nu=0.3))
-        A = pipe.system.local[5].A  # an interior subdomain
-        A.data[np.argmax(np.abs(A.data))] *= 1.0 + rel
-        red = bd.build_reduced_system(pipe.system, pipe.cls, pipe.jump)
-        assert len(red.factors) == n_classes
+    def test_perturbed_material_leaves_its_class(self, monkeypatch):
+        # the key is taken from the inputs: a relative change of 1e-10 in one
+        # interior subdomain's E gives it a class of its own
+        E = np.ones(16)
+        E[5] *= 1.0 + 1e-10
+        mats = bd.MaterialField((4, 4), E, np.full(16, 0.3), np.ones(16), np.ones(16))
+        monkeypatch.setattr(bd.ExperimentConfig, "materials", lambda self: mats)
+        red = self.reduced(16, (4, 4))
+        assert len(red.factors) == 10
         alone = [c for c in red.factors.values() if c.idx.shape[1] == 1 and np.array_equal(
             c.idx[:, 0], red.layout.r_indices[5])]
-        assert len(alone) == (n_classes - 9)
+        assert len(alone) == 1
+        n_w = red.layout.n_w
+        A_t = red.torn_matrix().tocsc()[:n_w, :n_w]
+        b = np.random.default_rng(5).standard_normal(n_w)
+        assert rel_err(red.apply_torn_inverse(b), sp.linalg.spsolve(A_t, b)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "attr, name, change",
+        [("u_sub_dual", "uD", "dropped"), ("u_sub_dual", "uD", "foreign"), ("p_sub_dual", "pD", "foreign")],
+    )
+    def test_member_with_other_dual_set_is_rejected(self, monkeypatch, attr, name, change):
+        # subdomains 5 and 6 are interior, 6 a member of 5's class: a member
+        # is solved on its representative's local positions, which must hold
+        # its own classified dofs
+        pipe = bd.build_pipeline(bd.ExperimentConfig(nx=16, subdomains=(4, 4), E=1.0, nu=0.3))
+        sets = getattr(pipe.cls, attr)
+        monkeypatch.setitem(sets, 6, sets[6][:-1] if change == "dropped" else sets[5])
+        with pytest.raises(bd.InternalError, match=f"subdomain 6: {name} dofs"):
+            bd.build_reduced_system(pipe.system, pipe.cls, pipe.jump)
 
     @pytest.mark.parametrize("kw", [dict(black={"alpha": 1e-2}), dict(kappa=1e-8, black={"kappa": 1e-9})])
     def test_flow_only_contrast_splits_classes(self, kw):
@@ -335,6 +356,55 @@ class TestCongruenceClasses:
         A_t = red.torn_matrix().tocsc()[:n_w, :n_w]
         b = np.random.default_rng(5).standard_normal(n_w)
         assert rel_err(red.apply_torn_inverse(b), sp.linalg.spsolve(A_t, b)) < 1e-10
+
+
+def _saddle_blocks(M: sp.csr_matrix, sets: dict) -> list[sp.csr_matrix]:
+    """A, B, C, D and E of a local saddle block on (uI, xiI, pI, uD, uP)."""
+    a, b, c = sets["uI"].size, sets["xiI"].size, sets["pI"].size
+    u = np.r_[0:a, a + b + c : M.shape[0]]
+    xi, p = np.arange(a, a + b), np.arange(a + b, a + b + c)
+    return [M[r][:, k] for r, k in ((u, u), (xi, u), (xi, xi), (p, xi), (p, p))]
+
+
+class TestClassKey:
+    """One input key decides the classes of every block; comparing the
+    stored local blocks, each at its own scale, must find the same ones."""
+
+    # the λ and xi blocks depend on E and nu alone
+    ELASTIC_CLASSES = {"alpha checkerboard": 9, "small kappa checkerboard": 9}
+
+    @pytest.mark.parametrize("primal", ["vertex", "vertex-edge"])
+    @pytest.mark.parametrize("case", list(MULTI_MEMBER_GRIDS))
+    def test_key_matches_the_stored_blocks(self, case, primal):
+        kw, n_classes = MULTI_MEMBER_GRIDS[case]
+        pipe = bd.build_pipeline(bd.ExperimentConfig(primal=primal, oracle="off", **kw))
+        system, cls, mats = pipe.system, pipe.cls, pipe.system.materials
+        K, off, ix = _stacked_saddle(system, cls, range(system.stacked.n_sub))
+        lbs = [system.local[s] for s in range(len(ix))]
+        saddles = [diagonal_block(K, off, off, s) for s in range(len(ix))]
+        p_gamma = []
+        for s, lb in enumerate(lbs):
+            ids = cls.p_sub_interface[s]
+            dual = np.isin(ids, cls.p_dual)
+            p_gamma.append((lb.p_pos(np.concatenate([ids[dual], ids[~dual]])), np.array([dual.sum()])))
+        numeric = {
+            "ABCDE": [[*sets.values(), *_saddle_blocks(M, sets)] for sets, M in zip(ix, saddles)],
+            "A": [[lb.A, sets["uD"], sets["uI"]] for lb, sets in zip(lbs, ix)],
+            "C": [[mats.lam[s] / mats.mu[s] * lbs[s].C, sets["xiG"], sets["xiI"]] for s, sets in enumerate(ix)],
+            "E": [[lbs[s].E, *p_gamma[s], sets["pI"]] for s, sets in enumerate(ix)],
+        }
+        n_elastic = self.ELASTIC_CLASSES.get(case, n_classes)
+        counts = {"ABCDE": n_classes, "A": n_elastic, "C": n_elastic, "E": n_classes}
+        pc = pipe.preconditioner
+        built = {"ABCDE": list(pipe.reduced.factors.values()), "A": pc.multiplier.classes,
+                 "C": pc.xi.classes if pc.xi else None, "E": pc.pressure.classes}
+        for names, parts in numeric.items():
+            if built[names] is None:  # p0: no total pressure trace, so no xi block
+                continue
+            key = [m.tolist() for m in system.classes(names)]
+            assert numeric_classes(parts) == key, names
+            assert len(key) == counts[names], names
+            assert [c.idx.shape[1] for c in built[names]] == [len(m) for m in key], names
 
 
 class TestCoarseProblem:
