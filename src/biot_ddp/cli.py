@@ -33,6 +33,14 @@ def _parse_pair(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
+def _parse_value(name: str, text: str, kind):
+    """``kind(text)``; text that does not parse is a ConfigurationError."""
+    try:
+        return kind(text.strip())
+    except (ValueError, argparse.ArgumentTypeError) as err:
+        raise ConfigurationError(f"{name}: cannot read {text!r}: {err}") from err
+
+
 def _parse_black(items: list[str]) -> dict[str, float]:
     out = {}
     for item in items:
@@ -41,26 +49,19 @@ def _parse_black(items: list[str]) -> dict[str, float]:
         key, value = item.split("=", 1)
         if key not in ("E", "nu", "alpha", "kappa"):
             raise ConfigurationError(f"unknown material key {key!r}")
-        out[key] = float(value)
+        out[key] = _parse_value(key, value, float)
     return out
+
+
+_AXIS_KINDS = {"nx": int, "ny": int, "max_iter": int, "subdomains": _parse_pair,
+               **dict.fromkeys(("total_pressure", "primal", "multiplier_pc", "pattern", "bc"), str)}
 
 
 def _parse_axis(text: str) -> tuple[str, list]:
     if "=" not in text:
         raise ConfigurationError("expected axis=v1,v2,...")
     name, values = text.split("=", 1)
-    parsed = []
-    for tok in values.split(","):
-        tok = tok.strip()
-        if name in ("nx", "ny", "max_iter"):
-            parsed.append(int(tok))
-        elif name == "subdomains":
-            parsed.append(_parse_pair(tok))
-        elif name in ("total_pressure", "primal", "multiplier_pc", "pattern", "bc"):
-            parsed.append(tok)
-        else:
-            parsed.append(float(tok))
-    return name, parsed
+    return name, [_parse_value(name, tok, _AXIS_KINDS.get(name, float)) for tok in values.split(",")]
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -164,7 +165,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_fit(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     gx, gy = cfg.subdomains
-    ratios = [int(tok) for tok in args.ratios.split(",")]
+    ratios = [_parse_value("ratios", tok, int) for tok in args.ratios.split(",")]
     results = []
     for ratio in ratios:
         results.append(run_case(replace(cfg, nx=ratio * gx, ny=ratio * gy)))

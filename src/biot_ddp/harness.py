@@ -73,6 +73,8 @@ class ExperimentConfig:
     oracle: str = "auto"
 
     def validate(self) -> None:
+        if len(self.subdomains) != 2 or not all(isinstance(k, (int, np.integer)) and k > 0 for k in self.subdomains):
+            raise ConfigurationError(f"subdomains must be two positive integers, got {self.subdomains!r}")
         if self.total_pressure not in ("p1", "p0"):
             raise ConfigurationError(f"unknown total pressure space {self.total_pressure!r}")
         if self.primal not in ("vertex", "vertex-edge"):
@@ -129,8 +131,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as err:  # JSONDecodeError is a ValueError
+            raise ConfigurationError(f"cannot read configuration file {path}: {err}") from err
+        return cls.from_dict(data)
 
 
 @dataclass
@@ -159,11 +165,9 @@ class Pipeline:
         """Per block with unknowns ("torn", "lambda", "xi", "p"), each class's
         member count and kept factor (None for a condensed or lumped λ class)."""
         pc = self.preconditioner
-        out = {"torn": [(c.idx.shape[1], c.factor) for c in self.reduced.factors.values()],
-               "lambda": [(c.idx.shape[1], c.interior) for c in pc.multiplier.classes]}
-        bddc = {"xi": pc.xi, "p": pc.pressure}
-        out.update({k: [(c.idx.shape[1], c.factor) for c in b.classes] for k, b in bddc.items() if b})
-        return out
+        blocks = {"torn": self.reduced.factors.values(), "lambda": pc.multiplier.classes,
+                  **{k: b.classes for k, b in (("xi", pc.xi), ("p", pc.pressure)) if b}}
+        return {k: [(c.idx.shape[1], c.factor) for c in classes] for k, classes in blocks.items()}
 
     def local_factors(self) -> list[SaddleFactor]:
         """Every factor kept for the solve: one per torn congruence class,
@@ -173,14 +177,10 @@ class Pipeline:
 
     def condensed_blocks(self) -> dict[str, int]:
         """Bytes of the dense interface matrices of each condensed block:
-        F and Psi of the torn classes, S of the λ Dirichlet classes."""
-        out = {}
-        if self.reduced.condensed:
-            out["torn"] = sum(c.F.nbytes + c.Psi.nbytes for c in self.reduced.condensed)
-        lam = [c.S.nbytes for c in self.preconditioner.multiplier.classes if c.S is not None]
-        if lam:
-            out["lambda"] = sum(lam)
-        return out
+        [F; Psi^T] of the torn classes, S of the λ Dirichlet classes."""
+        blocks = {"torn": self.reduced.condensed, "lambda": self.preconditioner.multiplier.classes}
+        out = {k: sum(c.S.nbytes for c in classes if isinstance(c.S, np.ndarray)) for k, classes in blocks.items()}
+        return {k: v for k, v in out.items() if v}
 
 
 @dataclass

@@ -12,12 +12,13 @@ Three independent blocks, one per interface segment:
   Schur complement or its lumped stiffness shortcut.
 
 Every block takes its congruence classes from the input key of
-``mesh_fem`` (``BlockSystem.classes``), forms and factors one
-representative's local block per class and solves all members of a class
-as one multi-column solve.  The Dirichlet Schur complement is applied
-matrix-free (one interior solve per application) or, when few classes
-serve many subdomains, formed once per class as a dense matrix and
-applied as one product.
+``mesh_fem`` (``BlockSystem.classes``) and is one ``InterfaceBddc``: a
+scaled restriction, one local map per class applied to all members at
+once by the kernel of ``reduced_system``, and the transposed restriction.
+The maps: the inverse of a factored dual Schur block for xi and p; for λ
+(no coarse problem) the dense Dirichlet Schur complement when few classes
+serve many subdomains, else the same applied matrix-free (one interior
+solve per application), or the lumped A_DD.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .decomposition import (
     DofClassification,
@@ -62,7 +64,8 @@ class InterfaceBddc:
     The partially assembled Schur complement is never formed; its inverse
     is applied through local dual factorizations, one per congruence
     class, and one dense coarse solve.  With no primal unknowns it is the
-    scaled sum of inverted local Schur complements.
+    scaled sum of the local maps: inverted Schur complements for xi, the
+    elastic Dirichlet maps for λ.
     """
 
     inject_scaled: sp.csr_matrix  # assembled trace -> partially assembled
@@ -126,46 +129,20 @@ def build_p_bddc(system: BlockSystem, cls: DofClassification, restrictions: Rest
                  cls.p_primal, "pressure")
 
 
-@dataclass
-class DirichletClass:
-    """Congruent subdomains sharing one elastic Dirichlet block: column j
-    of ``idx`` gathers member j's broken dual displacements.  A condensed
-    class holds only the dense Schur complement ``S``."""
+def _matrix_free_schur(A_DD, A_DI, A_ID, interior: SaddleFactor) -> spla.LinearOperator:
+    """A_DD - A_DI A_II^{-1} A_ID, one interior solve per application."""
+    def schur(T):
+        return A_DD @ T - A_DI @ interior.solve(A_ID @ T)
 
-    idx: np.ndarray
-    S: np.ndarray | None = None
-    A_DD: sp.csr_matrix | None = None
-    A_DI: sp.csr_matrix | None = None
-    A_ID: sp.csr_matrix | None = None
-    interior: SaddleFactor | None = None  # None for the lumped variant and a condensed class
-
-
-@dataclass
-class LagrangeSolver:
-    """Scaled-jump preconditioner for the multiplier block."""
-
-    jump_scaled: sp.csr_matrix
-    jump_scaled_T: sp.csr_matrix
-    classes: list[DirichletClass]
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        t = self.jump_scaled_T @ r
-        out = np.zeros_like(t)
-        for c in self.classes:
-            T = t[c.idx]
-            if c.S is not None:
-                H = c.S @ T
-            else:
-                H = c.A_DD @ T
-                if c.interior is not None:
-                    H -= c.A_DI @ c.interior.solve(c.A_ID @ T)
-            out[c.idx] = H
-        return self.jump_scaled @ out
+    return spla.LinearOperator(A_DD.shape, matvec=schur, matmat=schur, dtype=float)
 
 
 def build_lambda_solver(
     system: BlockSystem, cls: DofClassification, jump: JumpOperator, kind: str
-) -> LagrangeSolver:
+) -> InterfaceBddc:
+    """Scaled jumps through each class's local elastic map on its broken
+    dual displacements, with no coarse problem: the dense Dirichlet Schur
+    complement, the same applied matrix-free, or the lumped A_DD."""
     if kind not in ("dirichlet", "lumped"):
         raise ConfigurationError(f"unknown multiplier preconditioner {kind!r}")
     lay = cls.layout
@@ -179,15 +156,19 @@ def build_lambda_solver(
         lb = system.stacked.local_view(r)
         iD, iI = lb.u_pos(cls.u_sub_dual[r]), lb.u_pos(cls.u_interior[r])
         idx = np.column_stack([np.arange(lay.dual_offset[s], lay.dual_offset[s + 1]) for s in members])
+        c = LocalClass(idx=idx, primal=np.zeros((0, len(members)), dtype=np.int64))
         label = f"elastic interior block of subdomain {r}"
         Ac = lb.A.tocsr()
         if condense:
-            classes.append(DirichletClass(idx=idx, S=_dense_schur(Ac, iD, iI, label)))
-            continue
-        A_DI = Ac[iD][:, iI]
-        interior = SaddleFactor([(label, Ac[iI][:, iI])]) if kind == "dirichlet" else None
-        classes.append(DirichletClass(idx=idx, A_DD=Ac[iD][:, iD], A_DI=A_DI, A_ID=A_DI.T.tocsr(), interior=interior))
-    return LagrangeSolver(jump_scaled=jump.jump_scaled, jump_scaled_T=jump.jump_scaled.T.tocsr(), classes=classes)
+            c.S = _dense_schur(Ac, iD, iI, label)
+        elif kind == "lumped":
+            c.S = Ac[iD][:, iD]
+        else:
+            A_DI = Ac[iD][:, iI]
+            c.factor = SaddleFactor([(label, Ac[iI][:, iI])])
+            c.S = _matrix_free_schur(Ac[iD][:, iD], A_DI, A_DI.T.tocsr(), c.factor)
+        classes.append(c)
+    return InterfaceBddc(jump.jump_scaled.T.tocsr(), jump.jump_scaled, classes, CoarseProblem(np.zeros((0, 0))))
 
 
 @dataclass
@@ -196,20 +177,16 @@ class BlockPreconditioner:
 
     xi: InterfaceBddc | None
     pressure: InterfaceBddc | None
-    multiplier: LagrangeSolver
+    multiplier: InterfaceBddc
     segments: tuple[int, int, int]
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         n_xi, n_p, n_lam = self.segments
         if r.size != n_xi + n_p + n_lam:
             raise InternalError("preconditioner applied to a vector of the wrong size")
-        parts = []
-        if n_xi:
-            parts.append(self.xi.apply(r[:n_xi]))
-        if n_p:
-            parts.append(self.pressure.apply(r[n_xi : n_xi + n_p]))
-        parts.append(self.multiplier.apply(r[n_xi + n_p :]))
-        return np.concatenate(parts) if parts else np.zeros(0)
+        parts = r[:n_xi], r[n_xi : n_xi + n_p], r[n_xi + n_p :]
+        blocks = (self.xi, self.pressure, self.multiplier)
+        return np.concatenate([b.apply(x) for b, x in zip(blocks, parts) if b is not None])
 
 
 def build_preconditioner(

@@ -11,11 +11,13 @@ application.  Subdomains with one assembly key (the sides of the square
 touched and the material; the interior, edge and corner subdomains of a
 uniform grid) form one congruence class, whose members carry their
 representative's local blocks: only the representative's saddle block is
-built and factored, and the members are reached through their index maps
-and solved together as one multi-column solve.  When few classes serve
-many subdomains, each class is also condensed once onto its members'
-interface rows, and the operator is applied with one dense product per
-class and no local solve.
+built and factored, and the members are reached through their index maps.
+When few classes serve many subdomains, each class is also condensed once
+onto its members' interface rows into one dense map, and no local solve
+runs per application.  Every class-wise apply, here and in the
+preconditioner, is one kernel over one class type, which treats all
+members of a class at once: ``solve_partially_assembled`` over
+``LocalClass``.
 """
 
 from __future__ import annotations
@@ -173,18 +175,31 @@ def _sub(M: sp.spmatrix, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
 
 @dataclass
 class LocalClass:
-    """Congruent subdomains sharing one factorized local block.
+    """Congruent subdomains sharing one local map, applied to all members at
+    once.
 
     Column j of ``idx`` gathers member j's local unknowns from the vector
-    being solved for, column j of ``primal`` its primal unknowns from the
-    coarse segment at the end of that vector.
+    being solved for (members may share rows; their results add up), column
+    j of ``primal`` its primal unknowns from the coarse segment at the end
+    of that vector.  The map is the matrix ``S``, whose rows past ``idx``'s
+    give the primal right-hand side, or else the inverse of the kept
+    ``factor``, with the primal right-hand side ``A_Pr`` times its solution.
     """
 
-    factor: SaddleFactor
     idx: np.ndarray  # (n, members)
     primal: np.ndarray  # (n_primal_local, members)
-    A_Pr: np.ndarray  # primal-local coupling A_rP^T, dense
-    X: np.ndarray  # factor^{-1} A_rP, retained so applications need one solve
+    X: np.ndarray | None = None  # primal coupling factor^{-1} A_rP (or Psi), kept so applications need one solve
+    factor: SaddleFactor | None = None
+    A_Pr: np.ndarray | None = None  # primal-local coupling A_rP^T, dense
+    S: np.ndarray | sp.spmatrix | spla.LinearOperator | None = None
+
+    def apply(self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Local solution and primal right-hand side of gathered ``Y``."""
+        if self.S is None:
+            Z = self.factor.solve(Y)  # looked up per call: tracing patches it
+            return Z, self.A_Pr @ Z
+        Z = self.S @ Y
+        return Z[: self.idx.shape[0]], Z[self.idx.shape[0] :]
 
 
 def add_local_class(
@@ -194,61 +209,48 @@ def add_local_class(
     """Append a class and add its members' primal Schur contributions
     A_PP - A_rP^T K^{-1} A_rP to the coarse matrix S."""
     X = factor.solve(A_rP)
-    if primal.size:
-        np.add.at(S, (primal[:, None, :], primal[None, :, :]), (A_PP - A_rP.T @ X)[:, :, None])
-    classes.append(LocalClass(factor=factor, idx=idx, primal=primal, A_Pr=np.ascontiguousarray(A_rP.T), X=X))
+    np.add.at(S, (primal[:, None, :], primal[None, :, :]), (A_PP - A_rP.T @ X)[:, :, None])
+    classes.append(LocalClass(idx=idx, primal=primal, X=X, factor=factor, A_Pr=np.ascontiguousarray(A_rP.T)))
 
 
 def solve_partially_assembled(classes, coarse: CoarseProblem, b: np.ndarray) -> np.ndarray:
     """Solve a partially assembled system: subdomain blocks coupled only
     through the primal unknowns stored in the last coarse.n entries.
 
-    Local solves, primal correction, dense coarse solve, back-substitution;
-    each class makes one multi-column solve per stage.
+    Each class gathers its members' unknowns, applies its local map and
+    takes its primal right-hand side; one dense coarse solve (none without
+    primal unknowns); each class back-substitutes and all results are
+    scattered back by accumulation.
     """
     n_local = b.size - coarse.n
     t_P = np.array(b[n_local:], copy=True)
     local = []
     for c in classes:
-        Z = c.factor.solve(b[c.idx])
+        Z, R = c.apply(b[c.idx])
         local.append(Z)
         if c.primal.size:
-            np.add.at(t_P, c.primal, -(c.A_Pr @ Z))
+            t_P -= np.bincount(c.primal.ravel(), R.ravel(), minlength=t_P.size)
     x_P = coarse.solve(t_P)
-    x = np.zeros_like(b)
+    z = np.concatenate([(Z - c.X @ x_P[c.primal] if c.primal.size else Z).ravel() for c, Z in zip(classes, local)])
+    x = np.bincount(np.concatenate([c.idx.ravel() for c in classes]), z, minlength=b.size)
     x[n_local:] = x_P
-    for c, Z in zip(classes, local):
-        x[c.idx] = Z - c.X @ x_P[c.primal] if c.primal.size else Z
     return x
-
-
-@dataclass
-class CondensedClass:
-    """A torn class condensed onto its members' interface rows.
-
-    Column j of ``ymap`` lists the rows of the interface vector that member
-    j's local unknowns couple to (its xi and p traces, then the multiplier
-    of each of its dual copies).  With B_0 the representative's coupling on
-    those rows, ``F`` is B_0 K_rr^{-1} B_0^T and ``Psi`` is B_0 X.
-    """
-
-    ymap: np.ndarray  # (n_ys, members)
-    primal: np.ndarray  # (n_primal_local, members), as in the class's LocalClass
-    F: np.ndarray
-    Psi: np.ndarray
 
 
 def _condense(
     classes: list[LocalClass], members: list[list[int]], ymap: list[np.ndarray], B_C_T: sp.csr_matrix, n_sub: int
-) -> list[CondensedClass]:
-    """Condensed classes, or none when condensing would not pay back."""
+) -> list[LocalClass]:
+    """Each torn class condensed onto its members' interface rows ``ymap``,
+    or none when condensing would not pay back.  With B_0 the
+    representative's coupling on those rows, the map is [F; Psi^T] with F =
+    B_0 K_rr^{-1} B_0^T and the primal coupling Psi = B_0 X."""
     if not condensing_pays_back(sum(ymap[m[0]].size for m in members), n_sub):
         return []
     out = []
     for c, m in zip(classes, members):
         B0 = B_C_T[c.idx[:, 0]][:, ymap[m[0]]].T.tocsr()
-        F = B0 @ c.factor.solve(B0.T.toarray())
-        out.append(CondensedClass(ymap=np.column_stack([ymap[s] for s in m]), primal=c.primal, F=F, Psi=B0 @ c.X))
+        S = np.vstack([B0 @ c.factor.solve(B0.T.toarray()), (B0 @ c.X).T])
+        out.append(LocalClass(idx=np.column_stack([ymap[s] for s in m]), primal=c.primal, X=S[B0.shape[0] :].T, S=S))
     return out
 
 
@@ -266,7 +268,7 @@ class ReducedSystem:
     h: np.ndarray
     factors: dict[int, LocalClass]  # one per congruence class of local saddle blocks
     coarse: CoarseProblem
-    condensed: list[CondensedClass] = field(default_factory=list)  # empty: apply by local solves
+    condensed: list[LocalClass] = field(default_factory=list)  # empty: apply by local solves
     B_C_T: sp.csr_matrix = field(init=False, repr=False)
     B_P: sp.csr_matrix = field(init=False, repr=False)  # primal columns of B_C
     B_P_T: sp.csr_matrix = field(init=False, repr=False)
@@ -304,25 +306,14 @@ class ReducedSystem:
         """One application of the reduced interface operator.
 
         Condensed: G y = C_hat y + B_P x_P + sum_c scatter(F_c Y_c - Psi_c
-        x_P[primal_c]) with Y_c = y[ymap_c] and x_P = S_PP^{-1} (B_P^T y -
-        sum_c gather(Psi_c^T Y_c)); otherwise B_C K^{-1} B_C^T y + C_hat y
-        through the local factors.
+        x_P[primal_c]), with Y_c = y[idx_c] and x_P = S_PP^{-1} (B_P^T y -
+        sum_c gather(Psi_c^T Y_c)), solving [y; B_P^T y] through the classes;
+        otherwise B_C K^{-1} B_C^T y + C_hat y through the local factors.
         """
         if not self.condensed:
             return self.B_C @ self.apply_torn_inverse(self.B_C_T @ y) + self.C_hat @ y
-        Ys = [y[c.ymap] for c in self.condensed]
-        t_P = self.B_P_T @ y
-        for c, Y in zip(self.condensed, Ys):
-            if c.primal.size:
-                t_P -= np.bincount(c.primal.ravel(), (c.Psi.T @ Y).ravel(), minlength=t_P.size)
-        x_P = self.coarse.solve(t_P)
-        out = self.C_hat @ y + self.B_P @ x_P
-        for c, Y in zip(self.condensed, Ys):
-            Z = c.F @ Y
-            if c.primal.size:
-                Z -= c.Psi @ x_P[c.primal]
-            out += np.bincount(c.ymap.ravel(), Z.ravel(), minlength=out.size)
-        return out
+        x = solve_partially_assembled(self.condensed, self.coarse, np.concatenate([y, self.B_P_T @ y]))
+        return self.C_hat @ y + self.B_P @ x[self.n :] + x[: self.n]
 
     def rhs(self) -> np.ndarray:
         return self.B_C @ self.apply_torn_inverse(self.f_w) - self.h

@@ -42,7 +42,7 @@ def condensed_pipeline(elem, primal, bc, checkerboard):
         bd.ExperimentConfig(nx=24, subdomains=(6, 6), total_pressure=elem, primal=primal, bc=bc, **extra)
     )
     assert pipe.reduced.condensed, "the pay-back rule should condense the torn block here"
-    assert all(c.S is not None for c in pipe.preconditioner.multiplier.classes)
+    assert all(isinstance(c.S, np.ndarray) for c in pipe.preconditioner.multiplier.classes)
     return pipe
 
 
@@ -66,12 +66,12 @@ def test_every_member_couples_like_its_representative(elem, primal, bc, checkerb
     red = condensed_pipeline(elem, primal, bc, checkerboard).reduced
     B_C = red.B_C.tocsc()
     for c, cc in zip(red.factors.values(), red.condensed):
-        assert cc.ymap.shape[1] == c.idx.shape[1]
+        assert cc.idx.shape[1] == c.idx.shape[1]
         cols = [B_C[:, c.idx[:, j]].tocsr() for j in range(c.idx.shape[1])]
-        B0 = cols[0][cc.ymap[:, 0]].toarray()
-        np.testing.assert_allclose(cc.Psi, B0 @ c.X, rtol=0, atol=1e-12 * np.abs(cc.Psi).max(initial=1.0))
+        B0 = cols[0][cc.idx[:, 0]].toarray()
+        np.testing.assert_allclose(cc.X, B0 @ c.X, rtol=0, atol=1e-12 * np.abs(cc.X).max(initial=1.0))
         for j, Bj in enumerate(cols):
-            on_rows = Bj[cc.ymap[:, j]]
+            on_rows = Bj[cc.idx[:, j]]
             assert on_rows.nnz == Bj.nnz  # no coupling outside the member's rows
             assert np.abs(on_rows.toarray() - B0).max() <= _CONGRUENCE_RTOL * np.abs(B0).max()
 
@@ -93,7 +93,7 @@ def test_dense_dirichlet_blocks_match_matrix_free_apply(monkeypatch, elem, prima
     # and the whole block against the one the local-solve path builds
     monkeypatch.setattr(reduced_system, "_PAYBACK_APPLIES", 0)
     sparse = preconditioner.build_lambda_solver(pipe.system, cls, pipe.jump, "dirichlet")
-    assert all(c.S is None and c.interior is not None for c in sparse.classes)
+    assert all(not isinstance(c.S, np.ndarray) and c.factor is not None for c in sparse.classes)
     r = rng.standard_normal(lay.n_lambda)
     ref = sparse.apply(r)
     assert np.linalg.norm(pipe.preconditioner.multiplier.apply(r) - ref) <= 1e-13 * np.linalg.norm(ref)
@@ -105,13 +105,13 @@ def test_payback_rule_keeps_large_classes_sparse():
     pipe = bd.build_pipeline(bd.ExperimentConfig(nx=48, subdomains=(3, 3), E=1.0, nu=0.3))
     red = pipe.reduced
     assert red.condensed == []
-    assert all(c.S is None and c.interior is not None for c in pipe.preconditioner.multiplier.classes)
+    assert all(not isinstance(c.S, np.ndarray) and c.factor is not None for c in pipe.preconditioner.multiplier.classes)
     v = np.random.default_rng(1).standard_normal(red.n)
     assert np.array_equal(red.apply(v), local_solve_apply(red, v))
     # 8x8 at H/h=8: nine classes serve 64 subdomains
     pipe = bd.build_pipeline(bd.ExperimentConfig(nx=64, subdomains=(8, 8)))
     assert len(pipe.reduced.condensed) == 9
-    assert all(c.S is not None and c.interior is None for c in pipe.preconditioner.multiplier.classes)
+    assert all(isinstance(c.S, np.ndarray) and c.factor is None for c in pipe.preconditioner.multiplier.classes)
 
 
 def test_traced_condensed_run_solves_locally_only_in_rhs_and_recover(monkeypatch):
@@ -150,7 +150,7 @@ def test_run_record_lists_condensed_blocks(tmp_path):
     res = bd.run_case(cfg, pipe)
     assert res.condensed == ["torn", "lambda"]
     red, lam = pipe.reduced, pipe.preconditioner.multiplier
-    want = sum(c.F.nbytes + c.Psi.nbytes for c in red.condensed) + sum(c.S.nbytes for c in lam.classes)
+    want = sum(c.S.nbytes for c in red.condensed) + sum(c.S.nbytes for c in lam.classes)
     assert res.condensed_bytes == want > 0
     # the λ interior factors are dropped once condensed, the torn ones kept
     assert res.factor_nnz == sum(c.factor.nnz for c in red.factors.values()) + sum(

@@ -193,7 +193,7 @@ class TestFactorSize:
         res = bd.run_case(cfg, pipe)
         pc = pipe.preconditioner
         factors = [c.factor for c in pipe.reduced.factors.values()]
-        factors += [c.interior for c in pc.multiplier.classes]
+        factors += [c.factor for c in pc.multiplier.classes]
         factors += [c.factor for c in pc.xi.classes + pc.pressure.classes]
         assert res.factor_nnz == sum(f.nnz for f in factors)
         assert all(f.nnz < f.n**2 for f in factors[: len(pipe.reduced.factors)])  # sparse
@@ -202,10 +202,12 @@ class TestFactorSize:
         write_json([res], str(path))
         assert json.loads(path.read_text())[0]["factor_nnz"] == res.factor_nnz
 
-    @pytest.mark.parametrize("kw", [dict(nx=16, subdomains=(4, 4)), dict(nx=32, subdomains=(8, 8))])
+    @pytest.mark.parametrize("kw", [dict(nx=16, subdomains=(4, 4)), dict(nx=32, subdomains=(8, 8)),
+                                    dict(nx=32, subdomains=(8, 8), multiplier_pc="lumped")])
     def test_factor_classes_add_up(self, tmp_path, kw):
         # 4x4: every λ class keeps its interior factor; 8x8: the λ block is
-        # condensed, its classes keep none
+        # condensed, its classes keep none; lumped: the λ classes keep no
+        # factor and their sparse A_DD is no condensed matrix
         cfg = small_cfg(oracle="off", **kw)
         res = bd.run_case(cfg)
         assert sorted(res.factor_classes) == ["lambda", "p", "torn", "xi"]
@@ -213,7 +215,11 @@ class TestFactorSize:
         for classes in res.factor_classes.values():
             assert sum(m for m, _, _ in classes) == n_sub
         assert sum(nnz for classes in res.factor_classes.values() for _, _, nnz in classes) == res.factor_nnz
-        assert ("lambda" in res.condensed) == all(n == 0 for _, n, _ in res.factor_classes["lambda"])
+        lumped = kw.get("multiplier_pc") == "lumped"
+        assert ("lambda" in res.condensed) == (not lumped and all(n == 0 for _, n, _ in res.factor_classes["lambda"]))
+        if lumped:
+            assert res.iterations == 41 and res.condensed == ["torn"] and res.condensed_bytes == 287_472
+            assert all(entry[1:] == [0, 0] for entry in res.factor_classes["lambda"])
         path = tmp_path / "out.json"
         write_json([res], str(path))
         assert json.loads(path.read_text())[0]["factor_classes"] == res.factor_classes
@@ -267,6 +273,21 @@ class TestCli:
         code = main(["run", "--nx", "8", *arg])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--axis", "nx=abc"], ["sweep", "--axis", "nu=x"], ["sweep", "--axis", "subdomains=4"],
+         ["fit", "--ratios", "a,b"], ["run", "--config", "missing.json"], ["run", "--config", "malformed.json"],
+         ["run", "--config", "pair.json"]],
+        ids=["axis-int", "axis-float", "axis-pair", "fit-ratios", "config-missing", "config-malformed", "config-pair"],
+    )
+    def test_unparsable_input_exits_2(self, argv, tmp_path, capsys):
+        (tmp_path / "malformed.json").write_text('{"nx": 8,')
+        (tmp_path / "pair.json").write_text('{"subdomains": "2x2"}')
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        assert main([*argv, "--nx", "8", "--E", "1", "--nu", "0.3"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_subnormal_poisson_ratio_exits_2(self, capsys):
         # lambda would underflow to a subnormal and the mass block 1/lambda overflow
