@@ -30,7 +30,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh_fem import (
-    _BLOCK_SPACES,
     BlockSystem,
     ConfigurationError,
     FeSpaceSet,
@@ -38,7 +37,6 @@ from .mesh_fem import (
     StructuredMesh,
     block_positions,
     sorted_unique,
-    take_blocks,
 )
 
 
@@ -733,9 +731,9 @@ def transform_system(system: BlockSystem, cls: DofClassification) -> BlockSystem
     Returns the input unchanged for the nodal (vertex) variant.  The
     transformation touches interface dofs only, so each subdomain's local
     blocks stay local, and a class member's edges are its representative's
-    moved across the grid: the representatives' stacked blocks are
-    transformed by one block-diagonal product each and tiled onto the
-    members.  The global blocks are summed from the transformed stacked
+    moved across the grid: the stored representatives' blocks and loads are
+    transformed by one block-diagonal product each, which every member
+    shares.  The global blocks are summed from the transformed stacked
     blocks on first use.
     """
     Tu, Tp = cls.u_transform, cls.p_transform
@@ -743,30 +741,16 @@ def transform_system(system: BlockSystem, cls: DofClassification) -> BlockSystem
         return system
     st = system.stacked
     reps = np.unique(st.rep)
-    which = np.searchsorted(reps, st.rep)
-    off = {fld: np.concatenate([[0], np.cumsum(np.diff(o)[reps])]) for fld, o in st.off.items()}
-    Tu_s = _blockwise(Tu, st.dofs["u"][block_positions(st.off["u"], reps)], off["u"])
-    Tp_s = _blockwise(Tp, st.dofs["p"][block_positions(st.off["p"], reps)], off["p"])
-
-    def rep_block(name: str) -> sp.csr_matrix:
-        r, c = _BLOCK_SPACES[name]
-        return take_blocks(getattr(st, name), st.off[r], st.off[c], reps)
-
-    def tiled(M: sp.csr_matrix, name: str) -> sp.csr_matrix:
-        r, c = _BLOCK_SPACES[name]
-        return take_blocks(_drop_roundoff(M, off[r]), off[r], off[c], which)
-
-    def tiled_load(name: str, fld: str, T_s: sp.csr_matrix) -> np.ndarray:
-        return (T_s.T @ getattr(st, name)[block_positions(st.off[fld], reps)])[block_positions(off[fld], which)]
-
+    Tu_s = _blockwise(Tu, st.dofs["u"][block_positions(st.off["u"], reps)], st.rep_off["u"])
+    Tp_s = _blockwise(Tp, st.dofs["p"][block_positions(st.off["p"], reps)], st.rep_off["p"])
     stacked = replace(
         st,
-        A=tiled(Tu_s.T @ rep_block("A") @ Tu_s, "A"),
-        B=tiled(rep_block("B") @ Tu_s, "B"),
-        D=tiled(Tp_s.T @ rep_block("D"), "D"),
-        E=tiled(Tp_s.T @ rep_block("E") @ Tp_s, "E"),
-        f=tiled_load("f", "u", Tu_s),
-        g=tiled_load("g", "p", Tp_s),
+        A=_drop_roundoff(Tu_s.T @ st.A @ Tu_s, st.rep_off["u"]),
+        B=_drop_roundoff(st.B @ Tu_s, st.rep_off["xi"]),
+        D=_drop_roundoff(Tp_s.T @ st.D, st.rep_off["p"]),
+        E=_drop_roundoff(Tp_s.T @ st.E @ Tp_s, st.rep_off["p"]),
+        f=Tu_s.T @ st.f,
+        g=Tp_s.T @ st.g,
     )
     return BlockSystem(
         spaces=system.spaces,

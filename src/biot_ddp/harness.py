@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 from itertools import product
@@ -49,6 +50,14 @@ from .reduced_system import ReducedSystem, SaddleFactor, build_reduced_system
 ORACLE_AUTO_LIMIT = 5000
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     nx: int = 8
@@ -73,7 +82,22 @@ class ExperimentConfig:
     oracle: str = "auto"
 
     def validate(self) -> None:
-        if len(self.subdomains) != 2 or not all(isinstance(k, (int, np.integer)) and k > 0 for k in self.subdomains):
+        for name in ("nx", "ny", "max_iter"):
+            value = getattr(self, name)
+            if not (_is_int(value) or (name == "ny" and value is None)):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        for name in ("E", "nu", "alpha", "kappa", "source", "tol", "ritz_drop_threshold"):
+            if not _is_real(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be a real number, got {getattr(self, name)!r}")
+        force = self.body_force
+        if not (isinstance(force, (tuple, list)) and len(force) == 2 and all(map(_is_real, force))):
+            raise ConfigurationError(f"body_force must be two real numbers, got {force!r}")
+        if not (isinstance(self.black, dict) and all(map(_is_real, self.black.values()))):
+            raise ConfigurationError(f"black must map material keys to real numbers, got {self.black!r}")
+        if not isinstance(self.reorthogonalize, bool):
+            raise ConfigurationError(f"reorthogonalize must be true or false, got {self.reorthogonalize!r}")
+        if not (isinstance(self.subdomains, (tuple, list)) and len(self.subdomains) == 2
+                and all(_is_int(k) and k > 0 for k in self.subdomains)):
             raise ConfigurationError(f"subdomains must be two positive integers, got {self.subdomains!r}")
         if self.total_pressure not in ("p1", "p0"):
             raise ConfigurationError(f"unknown total pressure space {self.total_pressure!r}")
@@ -123,7 +147,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown configuration keys: {sorted(unknown)}")
         kwargs = dict(data)
         for key in ("subdomains", "body_force"):
-            if key in kwargs and kwargs[key] is not None:
+            if isinstance(kwargs.get(key), list):
                 kwargs[key] = tuple(kwargs[key])
         cfg = cls(**kwargs)
         cfg.validate()

@@ -10,13 +10,14 @@ local blocks alongside the assembled ones; the substructuring machinery
 needs both.
 
 Subdomains that touch the same sides of the square and carry the same
-material are translates of one another, so assembly computes element values
-only for one representative per such congruence class and tiles its local
-blocks onto the members.  A representative's blocks are bitwise equal to
-its own build; a member's have its own build's sparsity pattern and agree
-with it to roundoff.  The key, restricted to the material parameters a
-block depends on (``BLOCK_PARAMS``), also decides which subdomains share a
-factorization of that block (``BlockSystem.classes``).
+material are translates of one another, so assembly computes and stores
+local blocks and loads only for one representative per such congruence
+class; a member reaches them through its own dofs.  A representative's
+blocks are bitwise equal to its own build; a member's own build has the
+same sparsity pattern and agrees with them to roundoff.  The key,
+restricted to the material parameters a block depends on
+(``BLOCK_PARAMS``), also decides which subdomains share a factorization of
+that block (``BlockSystem.classes``).
 """
 
 from __future__ import annotations
@@ -390,19 +391,22 @@ _BLOCK_SPACES = {name: (r, c) for name, r, c in BLOCK_FIELDS}
 
 @dataclass
 class StackedBlocks:
-    """Every subdomain's local blocks, side by side.
+    """Every subdomain's local blocks, stored once per congruence class.
 
     Subdomain s owns positions ``off["u"][s]:off["u"][s + 1]`` of the
     stacked displacement numbering (likewise for "xi" and "p"), and
     ``dofs["u"]`` holds each subdomain's sorted global dof ids in turn.
-    Each of A..E is one block-diagonal matrix whose diagonal block s is
-    subdomain s's local block; ``f`` and ``g`` are the stacked local loads.
     ``rep[s]`` is the representative of subdomain s's congruence class,
-    whose diagonal blocks and loads subdomain s carries.
+    whose local blocks and loads subdomain s shares.  Only the
+    representatives' are stored: each of A..E is one block-diagonal matrix
+    whose diagonal block r is representative r's local block, and ``f`` and
+    ``g`` are their stacked local loads, all over the offsets ``rep_off``, in
+    which the members own empty ranges.
     """
 
     dofs: dict[str, np.ndarray]
     off: dict[str, np.ndarray]
+    rep_off: dict[str, np.ndarray]
     A: sp.csr_matrix
     B: sp.csr_matrix
     C: sp.csr_matrix
@@ -421,17 +425,25 @@ class StackedBlocks:
         return np.repeat(np.arange(self.n_sub), np.diff(self.off[name]))
 
     def local_view(self, s: int) -> LocalBlocks:
-        """Subdomain s's dofs, blocks and loads, sharing data with the
-        stacked arrays."""
+        """Subdomain s's dofs with its representative's blocks and loads,
+        sharing data with the stored arrays."""
+        r = self.rep[s]
         span = {fld: slice(o[s], o[s + 1]) for fld, o in self.off.items()}
+        at = {fld: slice(o[r], o[r + 1]) for fld, o in self.rep_off.items()}
         return LocalBlocks(
             udofs=self.dofs["u"][span["u"]],
             xidofs=self.dofs["xi"][span["xi"]],
             pdofs=self.dofs["p"][span["p"]],
-            **{name: diagonal_block(getattr(self, name), self.off[r], self.off[c], s) for name, r, c in BLOCK_FIELDS},
-            f=self.f[span["u"]],
-            g=self.g[span["p"]],
+            **{name: diagonal_block(getattr(self, name), self.rep_off[i], self.rep_off[j], r) for name, i, j in BLOCK_FIELDS},
+            f=self.f[at["u"]],
+            g=self.g[at["p"]],
         )
+
+    def tiled(self, name: str) -> sp.csr_matrix:
+        """Block ``name`` with every subdomain's diagonal block in place, over
+        the offsets ``off``: the representatives' copied onto their members."""
+        r, c = _BLOCK_SPACES[name]
+        return take_blocks(getattr(self, name), self.rep_off[r], self.rep_off[c], self.rep)
 
 
 def diagonal_block(M: sp.csr_matrix, row_off: np.ndarray, col_off: np.ndarray, s: int) -> sp.csr_matrix:
@@ -476,9 +488,10 @@ class BlockSystem:
 
     The full operator is  [[A, B^T, 0], [B, -C, D^T], [0, D, -E]]
     acting on (displacement, total pressure, pressure), with right-hand
-    side (f, 0, g).  ``local`` views the diagonal blocks of ``stacked``.
-    The global blocks A..E are summed from the stacked ones on first use
-    and kept in ``blocks``: the decomposed solve needs only C, D and E.
+    side (f, 0, g).  ``local`` views every subdomain's blocks in
+    ``stacked``.  The global blocks A..E are summed from the stacked ones,
+    tiled onto every subdomain, on first use and kept in ``blocks``: the
+    decomposed solve needs only C, D and E.
     """
 
     spaces: FeSpaceSet
@@ -496,7 +509,7 @@ class BlockSystem:
             r, c = _BLOCK_SPACES[name]
             size = {"u": self.spaces.n_u, "xi": self.spaces.n_xi, "p": self.spaces.n_p}
             st = self.stacked
-            self.blocks[name] = _global_block(getattr(st, name), st.dofs[r], st.dofs[c], (size[r], size[c]))
+            self.blocks[name] = _global_block(st.tiled(name), st.dofs[r], st.dofs[c], (size[r], size[c]))
         return self.blocks[name]
 
     A = property(lambda self: self._global("A"))
@@ -683,10 +696,9 @@ def _stacked_block(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: 
     by its subdomain's column offset, as a matrix built from that
     subdomain's elements alone, so duplicates are summed in the same
     order and every diagonal block equals its per-subdomain build bitwise.
-    ``assemble_blocks`` builds the class representatives' blocks this way
-    and tiles them onto the members: a representative's block is bitwise
-    its own build, a member's has its own build's pattern and agrees with
-    it to roundoff (the element geometry of a translate).
+    ``assemble_blocks`` builds the class representatives' blocks this way,
+    and the members share them: a member's own build has the same pattern
+    and agrees with them to roundoff (the element geometry of a translate).
     """
     nt, a = rows.shape
     b = cols.shape[1]
@@ -767,21 +779,14 @@ def assemble_blocks(
     materials: MaterialField,
     bc: BoundarySpec,
     load: LoadSpec | None = None,
-    *,
-    allow_pure_neumann: bool = False,
 ) -> BlockSystem:
     """Assemble the five blocks and loads, retaining subdomain contributions.
 
-    Only each congruence class's representative is assembled (see
-    ``class_representatives``); every member carries its representative's
-    local blocks and loads on its own dofs.
-
-    ``allow_pure_neumann`` admits empty Dirichlet side lists for diagnostic
-    assemblies (mass/stiffness identities); production configurations must
-    constrain displacement and pressure somewhere.
+    Only each congruence class's representative is assembled and stored
+    (see ``class_representatives``); every member reaches its
+    representative's local blocks and loads on its own dofs.
     """
-    if not allow_pure_neumann:
-        bc.check_wellposed()
+    bc.check_wellposed()
     if load is None:
         load = LoadSpec()
     grid = materials.grid
@@ -801,7 +806,7 @@ def assemble_blocks(
     size = {"u": spaces.n_u, "xi": spaces.n_xi, "p": spaces.n_p}
     keys = {fld: sorted_unique((t.sub[:, None] * size[fld] + t.rows)[t.rows >= 0])
             for fld, t in (("u", tables["A"]), ("xi", tables["C"]), ("p", tables["E"]))}
-    off_rep = {fld: np.searchsorted(k, np.arange(n_sub + 1) * size[fld]) for fld, k in keys.items()}
+    rep_off = {fld: np.searchsorted(k, np.arange(n_sub + 1) * size[fld]) for fld, k in keys.items()}
     found: dict[int, np.ndarray] = {}  # the tables share their dof arrays
 
     def pos(fld: str, t: ElementTable, d: np.ndarray) -> np.ndarray:
@@ -811,29 +816,26 @@ def assemble_blocks(
         return found[id(d)]
 
     # every subdomain takes its representative's positions
-    src = {fld: block_positions(o, rep) for fld, o in off_rep.items()}
-    off = {fld: np.concatenate([[0], np.cumsum(np.diff(o)[rep])]) for fld, o in off_rep.items()}
+    src = {fld: block_positions(o, rep) for fld, o in rep_off.items()}
+    off = {fld: np.concatenate([[0], np.cumsum(np.diff(o)[rep])]) for fld, o in rep_off.items()}
     dofs = {fld: _member_dofs(spaces, grid, fld, keys[fld][src[fld]] % size[fld], off[fld], rep) for fld in off}
-    blocks, loads = {}, {}
+    blocks, loads, total = {}, {}, {}
     for name, r, c in BLOCK_FIELDS:
         t = tables[name]
-        M = _stacked_block(pos(r, t, t.rows), pos(c, t, t.cols), t.vals, (off_rep[r][-1], off_rep[c][-1]))
-        blocks[name] = take_blocks(M, off_rep[r], off_rep[c], rep)
+        blocks[name] = _stacked_block(pos(r, t, t.rows), pos(c, t, t.cols), t.vals, (rep_off[r][-1], rep_off[c][-1]))
     for name, fld in (("f", "u"), ("g", "p")):
         at = pos(fld, tables[name], tables[name].rows).ravel()
         keep = at >= 0
-        load_rep = np.bincount(at[keep], weights=tables[name].vals.reshape(-1)[keep], minlength=off_rep[fld][-1])
-        loads[name] = load_rep[src[fld]]
-    stacked = StackedBlocks(dofs=dofs, off=off, **blocks, **loads, rep=rep)
+        loads[name] = np.bincount(at[keep], weights=tables[name].vals.reshape(-1)[keep], minlength=rep_off[fld][-1])
+        total[name] = np.bincount(dofs[fld], weights=loads[name][src[fld]], minlength=size[fld])
     return BlockSystem(
         spaces=spaces,
         materials=materials,
         bc=bc,
         load=load,
         grid=grid,
-        f=np.bincount(dofs["u"], weights=loads["f"], minlength=spaces.n_u),
-        g=np.bincount(dofs["p"], weights=loads["g"], minlength=spaces.n_p),
-        stacked=stacked,
+        **total,
+        stacked=StackedBlocks(dofs=dofs, off=off, rep_off=rep_off, **blocks, **loads, rep=rep),
     )
 
 

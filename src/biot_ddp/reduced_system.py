@@ -9,9 +9,9 @@ trace, and the multipliers.  That operator is only ever applied
 matrix-free: local saddle solves plus one dense coarse solve per
 application.  Subdomains with one assembly key (the sides of the square
 touched and the material; the interior, edge and corner subdomains of a
-uniform grid) form one congruence class, whose members carry their
-representative's local blocks: only the representative's saddle block is
-built and factored, and the members are reached through their index maps.
+uniform grid) form one congruence class, whose local blocks are stored
+once, as the representative's: only its saddle block is built and
+factored, and the members are reached through their index maps.
 When few classes serve many subdomains, each class is also condensed once
 onto its members' interface rows into one dense map, and no local solve
 runs per application.  Every class-wise apply, here and in the
@@ -30,10 +30,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .decomposition import DofClassification, InternalError, JumpOperator, TornLayout
-from .mesh_fem import BLOCK_FIELDS, BlockSystem, ConfigurationError, diagonal_block
+from .mesh_fem import BlockSystem, ConfigurationError
 
 _DENSE_FACTOR_CUTOFF = 400
 _PAYBACK_APPLIES = 32
+_PROBE_TOL = 1e-8  # largest relative residual of a local solve's probe
 
 
 def condensing_pays_back(columns: int, n_sub: int) -> bool:
@@ -90,7 +91,7 @@ class SaddleFactor:
     SuperLU stores for L and U (supernodes included) for a sparse one.
     """
 
-    def __init__(self, members: list[tuple], probe_tol: float = 1e-8):
+    def __init__(self, members: list[tuple]):
         K = members[0][1]
         self.n = K.shape[0]
         self.nnz = 0
@@ -121,11 +122,11 @@ class SaddleFactor:
             return np.where(np.isfinite(e), e, np.inf)
 
         rel = probe()
-        if self._sparse is not None and np.any(rel > probe_tol):
+        if self._sparse is not None and np.any(rel > _PROBE_TOL):
             self._refine = K
             rel = probe()
         for (name, _), e in zip(members, rel):
-            if e > probe_tol:
+            if e > _PROBE_TOL:
                 raise _rejected(name, f"local solve failed its residual probe ({e:.2e})")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -332,10 +333,11 @@ class ReducedSystem:
         return G
 
     def torn_matrix(self) -> sp.csr_matrix:
-        """The full torn saddle system (diagnostic; built sparse from the
-        stacked local saddle blocks)."""
+        """The full torn saddle system (diagnostic; built sparse from every
+        subdomain's local saddle block)."""
         lay = self.layout
-        K = _stacked_saddle(self.system, self.cls, range(lay.n_sub))[0].tocoo()
+        local = self.system.local.items()
+        K = sp.block_diag([_local_saddle(lb, _local_index_sets(self.cls, s, lb)) for s, lb in local], format="coo")
         primal = self.cls.u_sub_primal
         g = np.concatenate([np.concatenate([lay.r_indices[s], lay.primal_pos[primal[s]]]) for s in range(lay.n_sub)])
         At = sp.csr_matrix((K.data, (g[K.row], g[K.col])), shape=(lay.n_w, lay.n_w))
@@ -412,38 +414,15 @@ def _shared_index_sets(system: BlockSystem, cls: DofClassification, sets: dict[i
     return [sets[r] for r in rep]
 
 
-def _stacked_coo(M: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr)), M.indices, M.data
-
-
-def _stacked_saddle(system: BlockSystem, cls: DofClassification, subs):
-    """The saddle blocks of the subdomains ``subs`` on (uI, xiI, pI, uD,
-    uP), K_rr first and the primal rows and columns last, as one
-    block-diagonal matrix gathered from the stacked blocks into [[A, B^T,
-    0], [B, -C, D^T], [0, D, -E]] in one pass.  Returns the matrix, its
-    offsets per listed subdomain and their local index sets."""
-    st = system.stacked
-    ix = [_local_index_sets(cls, s, st.local_view(s)) for s in subs]
-    pos = {fld: np.full(st.off[fld][-1], -1, dtype=np.int64) for fld in st.off}
-    at, off = 0, [0]
-    for s, sets in zip(subs, ix):
-        for name, fld in (("uI", "u"), ("xiI", "xi"), ("pI", "p"), ("uD", "u"), ("uP", "u")):
-            pos[fld][st.off[fld][s] + sets[name]] = at + np.arange(sets[name].size)
-            at += sets[name].size
-        off.append(at)
-    rows, cols, vals = [], [], []
-    for name, r, c in BLOCK_FIELDS:
-        i, j, v = _stacked_coo(getattr(st, name))
-        i, j = pos[r][i], pos[c][j]
-        keep = (i >= 0) & (j >= 0)
-        i, j, v = i[keep], j[keep], (-v if name in "CE" else v)[keep]
-        if r != c:  # mirror the coupling blocks B and D
-            i, j, v = np.concatenate([i, j]), np.concatenate([j, i]), np.concatenate([v, v])
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-    K = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(at, at))
-    return K, np.array(off), ix
+def _local_saddle(lb, sets: dict[str, np.ndarray]) -> sp.csr_matrix:
+    """A subdomain's saddle block [[A, B^T, 0], [B, -C, D^T], [0, D, -E]]
+    on (uI, xiI, pI, uD, uP): K_rr first, the primal rows and columns last.
+    Its column indices are sorted, so a product sums each row in column
+    order whatever the local numbering."""
+    K = sp.bmat([[lb.A, lb.B.T, None], [lb.B, -lb.C, lb.D.T], [None, lb.D, -lb.E]], format="csr")
+    n_u, n_xi = lb.A.shape[0], lb.C.shape[0]
+    at = np.concatenate([sets["uI"], n_u + sets["xiI"], n_u + n_xi + sets["pI"], sets["uD"], sets["uP"]])
+    return K[at][:, at].sorted_indices()
 
 
 def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: JumpOperator) -> ReducedSystem:
@@ -453,15 +432,14 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
     n_p_g = lay.p_iface.size
     n_y = n_xi_g + n_p_g + lay.n_lambda
 
-    # the members of an assembly class carry their representative's blocks
+    # the members of an assembly class share their representative's blocks
     class_members = system.classes("ABCDE")
-    reps = [m[0] for m in class_members]
-    K, off, rep_sets = _stacked_saddle(system, cls, reps)
-    ix = _shared_index_sets(system, cls, dict(zip(reps, rep_sets)))
+    views = {m[0]: st.local_view(m[0]) for m in class_members}
+    ix = _shared_index_sets(system, cls, {r: _local_index_sets(cls, r, lb) for r, lb in views.items()})
     S_PP = np.zeros((cls.u_primal.size, cls.u_primal.size))
     classes: list[LocalClass] = []
-    for k, members in enumerate(class_members):
-        M = diagonal_block(K, off, off, k)
+    for members in class_members:
+        M = _local_saddle(views[members[0]], ix[members[0]])
         n_r = M.shape[0] - ix[members[0]]["uP"].size
         K_rr = M[:n_r, :n_r]
         add_local_class(
@@ -471,8 +449,9 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
             primal=np.column_stack([np.searchsorted(cls.u_primal, cls.u_sub_primal[s]) for s in members]),
         )
 
-    # torn column of every stacked local unknown and interface row of every
-    # stacked trace dof, -1 where there is none
+    # torn column of every subdomain's stacked local unknown and interface
+    # row of every stacked trace dof (the positions of the tiled blocks), -1
+    # where there is none
     ud = st.dofs["u"]
     wcol = {
         "u": np.where(lay.primal_pos[ud] >= 0, lay.primal_pos[ud], lay.u_int_pos[ud]),
@@ -503,7 +482,8 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
     parts = (("B", yrow["xi"], wcol["u"]), ("C", yrow["xi"], wcol["xi"]), ("D", wcol["p"], yrow["xi"]),
              ("D", yrow["p"], wcol["xi"]), ("E", yrow["p"], wcol["p"]))
     for kind, (name, rmap, cmap) in enumerate(parts):
-        i, j, v = _stacked_coo(getattr(st, name))
+        M = st.tiled(name).tocoo()
+        i, j, v = M.row, M.col, M.data
         a, b = rmap[i], cmap[j]
         keep = (a >= 0) & (b >= 0)
         transposed = kind == 2
@@ -540,7 +520,7 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
     maskp = lay.p_int_pos >= 0
     f_w[lay.p_int_pos[maskp]] = system.g[maskp]
     f_w[lay.primal_slice] = system.f[cls.u_primal]
-    f_w[lay.dual_slice] = st.f[np.concatenate([st.off["u"][s] + sets["uD"] for s, sets in enumerate(ix)])]
+    f_w[lay.dual_slice] = st.f[np.concatenate([st.rep_off["u"][r] + sets["uD"] for r, sets in zip(st.rep, ix)])]
 
     h = np.zeros(n_y)
     h[n_xi_g : n_xi_g + n_p_g] = system.g[pG]

@@ -221,6 +221,24 @@ MULTI_MEMBER_GRIDS = {
 }
 
 
+def assert_stored_once(system) -> None:
+    """Each congruence class's local blocks and loads are stored once: the
+    stored arrays hold the representatives' entries alone, and every
+    member's view shares its representative's data."""
+    st = system.stacked
+    reps = np.unique(st.rep)
+    for name in "ABCDE":
+        assert getattr(st, name).nnz == sum(getattr(system.local[r], name).nnz for r in reps), name
+    for name in "fg":
+        assert getattr(st, name).size == sum(getattr(system.local[r], name).size for r in reps), name
+    for s, lb in system.local.items():
+        for name in "ABCDEfg":
+            got, want = getattr(lb, name), getattr(system.local[st.rep[s]], name)
+            if sp.issparse(got):
+                got, want = got.data, want.data
+            assert np.shares_memory(got, want), (s, name)
+
+
 def assemble_with_reference(cfg):
     """The stacked assembly of a configuration and its per-subdomain
     reference: (mesh, spaces, system, reference)."""

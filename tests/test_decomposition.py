@@ -14,7 +14,7 @@ import scipy.sparse as sp
 
 import biot_ddp as bd
 from biot_ddp.decomposition import _CONGRUENCE_RTOL, _average_basis_block, _build_transform, _drop_roundoff, _edge_groups
-from helpers import MULTI_MEMBER_GRIDS, assemble_with_reference
+from helpers import MULTI_MEMBER_GRIDS, assemble_with_reference, assert_stored_once
 
 
 def classify(nx=8, grid=(2, 2), variant="p1", primal="vertex", bc=None):
@@ -382,7 +382,7 @@ class TestTransformSystem:
 
     @pytest.mark.parametrize("case", list(MULTI_MEMBER_GRIDS))
     def test_tiles_match_each_members_own_transform(self, case):
-        # only the representatives are transformed; every member must carry
+        # only the representatives are transformed; every member must read
         # what its own T_s^T M_s T_s (roundoff fill dropped) would give
         kw, _ = MULTI_MEMBER_GRIDS[case]
         cfg = bd.ExperimentConfig(primal="vertex-edge", **kw)
@@ -390,6 +390,7 @@ class TestTransformSystem:
         cls = bd.classify_dofs(bd.partition(mesh, cfg.subdomains), spaces, "vertex-edge")
         out = bd.transform_system(system, cls)
         rep = out.stacked.rep
+        assert_stored_once(out)
         for s, lb in out.local.items():
             Tu = cls.u_transform[lb.udofs][:, lb.udofs]
             Tp = cls.p_transform[lb.pdofs][:, lb.pdofs]

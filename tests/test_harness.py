@@ -274,16 +274,27 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    # configuration files whose values have the wrong type
+    TYPED_CONFIGS = {
+        "config-nx": {"nx": "abc"}, "config-E": {"E": "x"}, "config-tol": {"tol": "1e-8"},
+        "config-max-iter": {"max_iter": "5"}, "config-black": {"pattern": "checkerboard", "black": {"E": "x"}},
+        "config-nx-bool": {"nx": True}, "config-body-force": {"body_force": 1},
+        "config-reorthogonalize": {"reorthogonalize": "yes"}, "config-subdomains-int": {"subdomains": 4},
+    }
+
     @pytest.mark.parametrize(
         "argv",
         [["sweep", "--axis", "nx=abc"], ["sweep", "--axis", "nu=x"], ["sweep", "--axis", "subdomains=4"],
          ["fit", "--ratios", "a,b"], ["run", "--config", "missing.json"], ["run", "--config", "malformed.json"],
-         ["run", "--config", "pair.json"]],
-        ids=["axis-int", "axis-float", "axis-pair", "fit-ratios", "config-missing", "config-malformed", "config-pair"],
+         ["run", "--config", "pair.json"], *(["run", "--config", f"{name}.json"] for name in TYPED_CONFIGS)],
+        ids=["axis-int", "axis-float", "axis-pair", "fit-ratios", "config-missing", "config-malformed", "config-pair",
+             *TYPED_CONFIGS],
     )
     def test_unparsable_input_exits_2(self, argv, tmp_path, capsys):
         (tmp_path / "malformed.json").write_text('{"nx": 8,')
         (tmp_path / "pair.json").write_text('{"subdomains": "2x2"}')
+        for name, data in self.TYPED_CONFIGS.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(data))
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
         assert main([*argv, "--nx", "8", "--E", "1", "--nu", "0.3"]) == 2
         err = capsys.readouterr().err.splitlines()

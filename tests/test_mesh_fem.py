@@ -13,7 +13,7 @@ import pytest
 import biot_ddp as bd
 from biot_ddp.mesh_fem import LoadSpec, class_representatives, dump_blocks_coo, stokes_stability_witness
 from biot_ddp.decomposition import _CONGRUENCE_RTOL
-from helpers import MULTI_MEMBER_GRIDS, assemble_with_reference, per_subdomain_assembly
+from helpers import MULTI_MEMBER_GRIDS, assemble_with_reference, assert_stored_once, per_subdomain_assembly
 
 
 def small_system(variant="p1", bc=None, grid=(2, 2), nx=8, **mat):
@@ -244,10 +244,10 @@ class TestStackedAssembly:
 
 
 class TestPerClassAssembly:
-    """Assembly builds each congruence class's representative and tiles it
-    onto the members.  Checked against every subdomain's own build: the
-    direct-solve oracle solves the same tiled system, so only this comparison
-    catches a class key that joins subdomains which differ."""
+    """Assembly builds and stores each congruence class's representative
+    once, and the members share it.  Checked against every subdomain's own
+    build: the direct-solve oracle solves the same shared blocks, so only
+    this comparison catches a class key that joins subdomains which differ."""
 
     @pytest.mark.parametrize("case", list(MULTI_MEMBER_GRIDS))
     def test_tiles_match_each_subdomains_own_build(self, case):
@@ -256,6 +256,7 @@ class TestPerClassAssembly:
         rep = system.stacked.rep
         assert np.unique(rep).size == n_classes
         assert np.unique(rep).size < rep.size
+        assert_stored_once(system)
         for s, lb in system.local.items():
             for fld, dofs in (("u", lb.udofs), ("xi", lb.xidofs), ("p", lb.pdofs)):
                 assert np.array_equal(dofs, ref[fld][s])

@@ -11,8 +11,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import biot_ddp as bd
-from biot_ddp.mesh_fem import diagonal_block
-from biot_ddp.reduced_system import CoarseProblem, SaddleFactor, _stacked_saddle
+from biot_ddp.reduced_system import CoarseProblem, SaddleFactor, _local_index_sets, _local_saddle
 from helpers import MULTI_MEMBER_GRIDS, dense_from_apply, dense_torn_solution, numeric_classes, rel_err
 
 
@@ -379,9 +378,9 @@ class TestClassKey:
         kw, n_classes = MULTI_MEMBER_GRIDS[case]
         pipe = bd.build_pipeline(bd.ExperimentConfig(primal=primal, oracle="off", **kw))
         system, cls, mats = pipe.system, pipe.cls, pipe.system.materials
-        K, off, ix = _stacked_saddle(system, cls, range(system.stacked.n_sub))
-        lbs = [system.local[s] for s in range(len(ix))]
-        saddles = [diagonal_block(K, off, off, s) for s in range(len(ix))]
+        lbs = [system.local[s] for s in range(system.stacked.n_sub)]
+        ix = [_local_index_sets(cls, s, lb) for s, lb in enumerate(lbs)]
+        saddles = [_local_saddle(lb, sets) for lb, sets in zip(lbs, ix)]
         p_gamma = []
         for s, lb in enumerate(lbs):
             ids = cls.p_sub_interface[s]
