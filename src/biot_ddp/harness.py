@@ -54,8 +54,8 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _is_finite(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass
@@ -86,14 +86,16 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (_is_int(value) or (name == "ny" and value is None)):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        if self.max_iter <= 0:
+            raise ConfigurationError(f"max_iter must be positive, got {self.max_iter}")
         for name in ("E", "nu", "alpha", "kappa", "source", "tol", "ritz_drop_threshold"):
-            if not _is_real(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be a real number, got {getattr(self, name)!r}")
+            if not _is_finite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be a finite real number, got {getattr(self, name)!r}")
         force = self.body_force
-        if not (isinstance(force, (tuple, list)) and len(force) == 2 and all(map(_is_real, force))):
-            raise ConfigurationError(f"body_force must be two real numbers, got {force!r}")
-        if not (isinstance(self.black, dict) and all(map(_is_real, self.black.values()))):
-            raise ConfigurationError(f"black must map material keys to real numbers, got {self.black!r}")
+        if not (isinstance(force, (tuple, list)) and len(force) == 2 and all(map(_is_finite, force))):
+            raise ConfigurationError(f"body_force must be two finite real numbers, got {force!r}")
+        if not (isinstance(self.black, dict) and all(map(_is_finite, self.black.values()))):
+            raise ConfigurationError(f"black must map material keys to finite real numbers, got {self.black!r}")
         if not isinstance(self.reorthogonalize, bool):
             raise ConfigurationError(f"reorthogonalize must be true or false, got {self.reorthogonalize!r}")
         if not (isinstance(self.subdomains, (tuple, list)) and len(self.subdomains) == 2
@@ -113,8 +115,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown oracle mode {self.oracle!r}")
         if self.pattern == "uniform" and self.black:
             raise ConfigurationError("black-cell overrides require the checkerboard pattern")
-        if not 0.0 < self.tol < math.inf:
-            raise ConfigurationError(f"tolerance must be positive and finite, got {self.tol}")
+        if self.tol <= 0.0:
+            raise ConfigurationError(f"tolerance must be positive, got {self.tol}")
 
     @property
     def H_over_h(self) -> int:

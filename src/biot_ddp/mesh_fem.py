@@ -420,10 +420,6 @@ class StackedBlocks:
     def n_sub(self) -> int:
         return self.off["u"].size - 1
 
-    def subdomain_of(self, name: str) -> np.ndarray:
-        """Owning subdomain of every stacked position of one field."""
-        return np.repeat(np.arange(self.n_sub), np.diff(self.off[name]))
-
     def local_view(self, s: int) -> LocalBlocks:
         """Subdomain s's dofs with its representative's blocks and loads,
         sharing data with the stored arrays."""
@@ -439,11 +435,26 @@ class StackedBlocks:
             g=self.g[at["p"]],
         )
 
-    def tiled(self, name: str) -> sp.csr_matrix:
-        """Block ``name`` with every subdomain's diagonal block in place, over
-        the offsets ``off``: the representatives' copied onto their members."""
+    def entries(self, name: str, rmap: np.ndarray, cmap: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Every subdomain's entries of block ``name`` as (sub, rmap[row],
+        cmap[col], value), in subdomain and then stored order, where the row
+        and the column both map (>= 0); the maps are over the stacked
+        positions (offsets ``off``).  What to keep is decided on each
+        representative's positions and moved onto its members by one gather,
+        so a member's maps must be negative where its representative's are:
+        true of maps that keep every entry, and of maps on the local index
+        sets that ``_shared_index_sets`` has checked to be the members' own.
+        """
         r, c = _BLOCK_SPACES[name]
-        return take_blocks(getattr(self, name), self.rep_off[r], self.rep_off[c], self.rep)
+        M = getattr(self, name)
+        owner = np.repeat(np.arange(self.n_sub), np.diff(M.indptr[self.rep_off[r]]))
+        row = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr)) - self.rep_off[r][owner]
+        col = M.indices - self.rep_off[c][owner]
+        kept = np.flatnonzero((rmap[self.off[r][owner] + row] >= 0) & (cmap[self.off[c][owner] + col] >= 0))
+        kept_off = np.searchsorted(owner[kept], np.arange(self.n_sub + 1))
+        at = kept[block_positions(kept_off, self.rep)]
+        sub = np.repeat(np.arange(self.n_sub), np.diff(kept_off)[self.rep])
+        return sub, rmap[self.off[r][sub] + row[at]], cmap[self.off[c][sub] + col[at]], M.data[at]
 
 
 def diagonal_block(M: sp.csr_matrix, row_off: np.ndarray, col_off: np.ndarray, s: int) -> sp.csr_matrix:
@@ -465,23 +476,6 @@ def block_positions(off: np.ndarray, which: np.ndarray) -> np.ndarray:
     return np.repeat(off[:-1][which] - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
 
 
-def take_blocks(M: sp.csr_matrix, row_off: np.ndarray, col_off: np.ndarray, which: np.ndarray) -> sp.csr_matrix:
-    """Block-diagonal CSR whose diagonal block k is diagonal block which[k]
-    of the block-diagonal M (blocks may repeat): one gather of M's entries,
-    their column indices moved to the new block's column offset."""
-    if np.array_equal(which, np.arange(row_off.size - 1)):
-        return M
-    rows = block_positions(row_off, which)
-    counts = np.diff(M.indptr)[rows]
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    entries = np.repeat(M.indptr[rows] - indptr[:-1], counts) + np.arange(indptr[-1])
-    n_cols = np.diff(col_off)[which]
-    move = np.repeat(np.cumsum(n_cols) - n_cols - col_off[:-1][which], np.diff(row_off)[which])
-    return sp.csr_matrix(
-        (M.data[entries], M.indices[entries] + np.repeat(move, counts), indptr), shape=(rows.size, n_cols.sum())
-    )
-
-
 @dataclass
 class BlockSystem:
     """Assembled saddle blocks plus retained per-subdomain contributions.
@@ -489,9 +483,12 @@ class BlockSystem:
     The full operator is  [[A, B^T, 0], [B, -C, D^T], [0, D, -E]]
     acting on (displacement, total pressure, pressure), with right-hand
     side (f, 0, g).  ``local`` views every subdomain's blocks in
-    ``stacked``.  The global blocks A..E are summed from the stacked ones,
-    tiled onto every subdomain, on first use and kept in ``blocks``: the
-    decomposed solve needs only C, D and E.
+    ``stacked``.  A global block is summed from every subdomain's entries
+    (``StackedBlocks.entries``) on first use and kept in ``blocks``: the
+    direct-solve check and the diagnostics read them, set-up does not.
+    SciPy sums them: a row's entries arrive in subdomain order, but an
+    unstable sort by column precedes the sum, so a few on long rows are
+    added in another order.
     """
 
     spaces: FeSpaceSet
@@ -508,8 +505,8 @@ class BlockSystem:
         if name not in self.blocks:
             r, c = _BLOCK_SPACES[name]
             size = {"u": self.spaces.n_u, "xi": self.spaces.n_xi, "p": self.spaces.n_p}
-            st = self.stacked
-            self.blocks[name] = _global_block(st.tiled(name), st.dofs[r], st.dofs[c], (size[r], size[c]))
+            _, rows, cols, vals = self.stacked.entries(name, self.stacked.dofs[r], self.stacked.dofs[c])
+            self.blocks[name] = sp.coo_matrix((vals, (rows, cols)), shape=(size[r], size[c])).tocsr()
         return self.blocks[name]
 
     A = property(lambda self: self._global("A"))
@@ -706,14 +703,6 @@ def _stacked_block(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: 
     c = np.broadcast_to(cols[:, None, :], (nt, a, b)).ravel()
     keep = (r >= 0) & (c >= 0)
     return sp.coo_matrix((vals.reshape(-1)[keep], (r[keep], c[keep])), shape=shape).tocsr()
-
-
-def _global_block(M: sp.csr_matrix, row_dofs: np.ndarray, col_dofs: np.ndarray, shape: tuple) -> sp.csr_matrix:
-    """Sum of the diagonal blocks of a stacked matrix in the global
-    numbering, added in ascending subdomain order: the sequential sum of
-    the local contributions entry for entry."""
-    rows = np.repeat(row_dofs, np.diff(M.indptr))
-    return sp.coo_matrix((M.data, (rows, col_dofs[M.indices])), shape=shape).tocsr()
 
 
 def class_representatives(materials: MaterialField, params: Iterable[str] = BLOCK_PARAMS["E"]) -> np.ndarray:

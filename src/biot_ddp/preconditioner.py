@@ -42,6 +42,7 @@ from .reduced_system import (
     SaddleFactor,
     add_local_class,
     condensing_pays_back,
+    scatter_index,
     solve_partially_assembled,
 )
 
@@ -53,7 +54,7 @@ def _dense_schur(M: sp.spmatrix, gamma: np.ndarray, inner: np.ndarray, label: st
     S = Mg[:, gamma].toarray()
     if inner.size and gamma.size:
         Mgi = Mg[:, inner].toarray()
-        S -= Mgi @ SaddleFactor([(label, Mc[inner][:, inner])]).solve(Mgi.T)
+        S -= Mgi @ SaddleFactor(label, Mc[inner][:, inner]).solve(Mgi.T)
     return S
 
 
@@ -72,9 +73,10 @@ class InterfaceBddc:
     inject_scaled_T: sp.csr_matrix
     classes: list[LocalClass]
     coarse: CoarseProblem
+    at: np.ndarray  # scatter_index of the classes
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        return self.inject_scaled_T @ solve_partially_assembled(self.classes, self.coarse, self.inject_scaled @ r)
+        return self.inject_scaled_T @ solve_partially_assembled(self.classes, self.coarse, self.inject_scaled @ r, self.at)
 
 
 def _bddc(
@@ -93,7 +95,7 @@ def _bddc(
         r, nd = members[0], dual[members[0]].size
         S = _dense_schur(*block(r))
         add_local_class(
-            classes, F, SaddleFactor([(f"{label} block of subdomain {r}", S[:nd, :nd])]),
+            classes, F, SaddleFactor(f"{label} block of subdomain {r}", S[:nd, :nd]),
             S[:nd, nd:], S[nd:, nd:],
             idx=np.column_stack([np.arange(off[s], off[s + 1]) for s in members]),
             primal=np.column_stack([np.searchsorted(primal_dofs, primal[s]) for s in members]),
@@ -103,6 +105,7 @@ def _bddc(
         inject_scaled_T=inject_scaled.T.tocsr(),
         classes=classes,
         coarse=CoarseProblem(F),
+        at=scatter_index(classes),
     )
 
 
@@ -165,10 +168,12 @@ def build_lambda_solver(
             c.S = Ac[iD][:, iD]
         else:
             A_DI = Ac[iD][:, iI]
-            c.factor = SaddleFactor([(label, Ac[iI][:, iI])])
+            c.factor = SaddleFactor(label, Ac[iI][:, iI])
             c.S = _matrix_free_schur(Ac[iD][:, iD], A_DI, A_DI.T.tocsr(), c.factor)
         classes.append(c)
-    return InterfaceBddc(jump.jump_scaled.T.tocsr(), jump.jump_scaled, classes, CoarseProblem(np.zeros((0, 0))))
+    return InterfaceBddc(
+        jump.jump_scaled.T.tocsr(), jump.jump_scaled, classes, CoarseProblem(np.zeros((0, 0))), scatter_index(classes)
+    )
 
 
 @dataclass

@@ -54,10 +54,10 @@ class SaddleFactor:
     """LU factorization of one symmetric local block, solving for a whole
     matrix of right-hand sides at once.
 
-    ``members`` lists the (label, block) pairs of the subdomains sharing
-    the factor, one pair for a lone subdomain; the first block is factored.
-    Uses dense LAPACK below a size cutoff (or for dense input) and sparse
-    LU above it.
+    ``label`` names the block in a rejection; ``probes`` is the number of
+    random columns of its probe, one per member of the class that shares
+    the block.  Uses dense LAPACK below a size cutoff (or for dense input)
+    and sparse LU above it.
 
     Every block factored here is symmetric: the torn saddle blocks
     [[A, B^T, 0], [B, -C, D^T], [0, D, -E]] are quasi-definite (A positive
@@ -77,22 +77,21 @@ class SaddleFactor:
     cuts the fill by about a third and leaves the factor, and so the
     interface operator, symmetric to roundoff.
 
-    The guard is a random solve probe, batched over the members, which
-    checks every member against its own block and rejects silently
-    singular blocks (a floating subdomain without enough primal
-    constraints, for instance); an exactly singular block is rejected the
-    same way.  Either raises ``ConfigurationError`` naming the member.
-    When a sparse factor fails the probe, which the lost digits do near
-    the incompressible limit, it keeps the factored block and solves with
-    one step of iterative refinement against it from then on; the members
-    are probed again and rejected only if they still fail.
+    The guard is a random solve probe, one sparse (or dense) product for
+    all its columns, which rejects silently singular blocks (a floating
+    subdomain without enough primal constraints, for instance); an exactly
+    singular block is rejected the same way.  Either raises
+    ``ConfigurationError`` naming the block.  When a sparse factor fails
+    the probe, which the lost digits do near the incompressible limit, it
+    keeps the factored block and solves with one step of iterative
+    refinement against it from then on; the block is probed again and
+    rejected only if it still fails.
 
     ``nnz`` is the factor's size: n^2 for a dense factor, the entries
     SuperLU stores for L and U (supernodes included) for a sparse one.
     """
 
-    def __init__(self, members: list[tuple]):
-        K = members[0][1]
+    def __init__(self, label: str, K, probes: int = 1):
         self.n = K.shape[0]
         self.nnz = 0
         self._dense = self._sparse = self._refine = None
@@ -107,27 +106,24 @@ class SaddleFactor:
                     K.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
                 )
             except RuntimeError as err:  # SuperLU met a zero pivot column
-                raise _rejected(members[0][0], "sparse LU met an exactly zero pivot") from err
+                raise _rejected(label, "sparse LU met an exactly zero pivot") from err
             self.nnz = self._sparse.nnz
         rng = np.random.default_rng(12345)
-        x = rng.standard_normal((self.n, len(members)))
-        b = np.column_stack([M @ x[:, j] for j, (_, M) in enumerate(members)])
+        x = rng.standard_normal((self.n, probes))
+        b = K @ x
         scale = np.linalg.norm(b, axis=0)
         scale[scale == 0.0] = 1.0
 
-        def probe() -> np.ndarray:
-            z = self.solve(b)
-            r = np.column_stack([M @ z[:, j] for j, (_, M) in enumerate(members)]) - b
-            e = np.linalg.norm(r, axis=0) / scale
-            return np.where(np.isfinite(e), e, np.inf)
+        def probe() -> float:
+            e = np.linalg.norm(K @ self.solve(b) - b, axis=0) / scale
+            return float(np.max(np.where(np.isfinite(e), e, np.inf)))
 
         rel = probe()
-        if self._sparse is not None and np.any(rel > _PROBE_TOL):
+        if self._sparse is not None and rel > _PROBE_TOL:
             self._refine = K
             rel = probe()
-        for (name, _), e in zip(members, rel):
-            if e > _PROBE_TOL:
-                raise _rejected(name, f"local solve failed its residual probe ({e:.2e})")
+        if rel > _PROBE_TOL:
+            raise _rejected(label, f"local solve failed its residual probe ({rel:.2e})")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solution for a vector or an (n, k) matrix of right-hand sides."""
@@ -170,10 +166,6 @@ class CoarseProblem:
         return sla.cho_solve(self._cho, b)
 
 
-def _sub(M: sp.spmatrix, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
-    return M.tocsr()[rows][:, cols]
-
-
 @dataclass
 class LocalClass:
     """Congruent subdomains sharing one local map, applied to all members at
@@ -214,14 +206,20 @@ def add_local_class(
     classes.append(LocalClass(idx=idx, primal=primal, X=X, factor=factor, A_Pr=np.ascontiguousarray(A_rP.T)))
 
 
-def solve_partially_assembled(classes, coarse: CoarseProblem, b: np.ndarray) -> np.ndarray:
+def scatter_index(classes) -> np.ndarray:
+    """Every class's member unknowns in turn, where ``solve_partially_assembled``
+    adds up the local results: built once per class list."""
+    return np.concatenate([np.zeros(0, dtype=np.int64), *(c.idx.ravel() for c in classes)])
+
+
+def solve_partially_assembled(classes, coarse: CoarseProblem, b: np.ndarray, at: np.ndarray) -> np.ndarray:
     """Solve a partially assembled system: subdomain blocks coupled only
     through the primal unknowns stored in the last coarse.n entries.
 
     Each class gathers its members' unknowns, applies its local map and
     takes its primal right-hand side; one dense coarse solve (none without
     primal unknowns); each class back-substitutes and all results are
-    scattered back by accumulation.
+    scattered back by accumulation onto ``at``, the classes' scatter_index.
     """
     n_local = b.size - coarse.n
     t_P = np.array(b[n_local:], copy=True)
@@ -233,7 +231,7 @@ def solve_partially_assembled(classes, coarse: CoarseProblem, b: np.ndarray) -> 
             t_P -= np.bincount(c.primal.ravel(), R.ravel(), minlength=t_P.size)
     x_P = coarse.solve(t_P)
     z = np.concatenate([(Z - c.X @ x_P[c.primal] if c.primal.size else Z).ravel() for c, Z in zip(classes, local)])
-    x = np.bincount(np.concatenate([c.idx.ravel() for c in classes]), z, minlength=b.size)
+    x = np.bincount(at, z, minlength=b.size)
     x[n_local:] = x_P
     return x
 
@@ -264,20 +262,23 @@ class ReducedSystem:
     cls: DofClassification
     jump: JumpOperator
     B_C: sp.csr_matrix  # interface rows x torn columns
+    B_C_T: sp.csr_matrix
     C_hat: sp.csr_matrix  # positive semidefinite interface coupling
     f_w: np.ndarray
     h: np.ndarray
     factors: dict[int, LocalClass]  # one per congruence class of local saddle blocks
     coarse: CoarseProblem
     condensed: list[LocalClass] = field(default_factory=list)  # empty: apply by local solves
-    B_C_T: sp.csr_matrix = field(init=False, repr=False)
     B_P: sp.csr_matrix = field(init=False, repr=False)  # primal columns of B_C
     B_P_T: sp.csr_matrix = field(init=False, repr=False)
+    torn_at: np.ndarray = field(init=False, repr=False)  # scatter_index of the factors
+    condensed_at: np.ndarray = field(init=False, repr=False)  # and of the condensed classes
 
     def __post_init__(self):
-        self.B_C_T = self.B_C.T.tocsr()
         self.B_P_T = self.B_C_T[self.layout.primal_slice]
         self.B_P = self.B_P_T.T.tocsr()
+        self.torn_at = scatter_index(self.factors.values())
+        self.condensed_at = scatter_index(self.condensed)
 
     @property
     def layout(self) -> TornLayout:
@@ -301,7 +302,7 @@ class ReducedSystem:
     def apply_torn_inverse(self, b: np.ndarray) -> np.ndarray:
         """Solve the partially assembled torn block via local factorizations
         and the coarse problem."""
-        return solve_partially_assembled(self.factors.values(), self.coarse, b)
+        return solve_partially_assembled(self.factors.values(), self.coarse, b, self.torn_at)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """One application of the reduced interface operator.
@@ -313,7 +314,7 @@ class ReducedSystem:
         """
         if not self.condensed:
             return self.B_C @ self.apply_torn_inverse(self.B_C_T @ y) + self.C_hat @ y
-        x = solve_partially_assembled(self.condensed, self.coarse, np.concatenate([y, self.B_P_T @ y]))
+        x = solve_partially_assembled(self.condensed, self.coarse, np.concatenate([y, self.B_P_T @ y]), self.condensed_at)
         return self.C_hat @ y + self.B_P @ x[self.n :] + x[: self.n]
 
     def rhs(self) -> np.ndarray:
@@ -443,15 +444,14 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
         n_r = M.shape[0] - ix[members[0]]["uP"].size
         K_rr = M[:n_r, :n_r]
         add_local_class(
-            classes, S_PP, SaddleFactor([(f"subdomain {s}", K_rr) for s in members]),
+            classes, S_PP, SaddleFactor(f"subdomain {members[0]} (class of {len(members)})", K_rr, len(members)),
             M[:n_r, n_r:].toarray(), M[n_r:, n_r:].toarray(),
             idx=np.column_stack([lay.r_indices[s] for s in members]),
             primal=np.column_stack([np.searchsorted(cls.u_primal, cls.u_sub_primal[s]) for s in members]),
         )
 
     # torn column of every subdomain's stacked local unknown and interface
-    # row of every stacked trace dof (the positions of the tiled blocks), -1
-    # where there is none
+    # row of every stacked trace dof, -1 where there is none
     ud = st.dofs["u"]
     wcol = {
         "u": np.where(lay.primal_pos[ud] >= 0, lay.primal_pos[ud], lay.u_int_pos[ud]),
@@ -472,7 +472,7 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
         yrow["p"][st.off["p"][s] + sets["pG"]] = p_rows
         ymap.append(np.concatenate([xi_rows, p_rows, lam_row[lay.dual_offset[s] : lay.dual_offset[s + 1]]]))
     if np.any(wcol["u"] < 0):
-        s = st.subdomain_of("u")[np.argmax(wcol["u"] < 0)]
+        s = np.searchsorted(st.off["u"], np.argmax(wcol["u"] < 0), side="right") - 1
         raise InternalError(f"subdomain {s}: unclassified displacement dofs in local block")
 
     # interface rows of the coupling, one part per block (D twice: its
@@ -482,15 +482,12 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
     parts = (("B", yrow["xi"], wcol["u"]), ("C", yrow["xi"], wcol["xi"]), ("D", wcol["p"], yrow["xi"]),
              ("D", yrow["p"], wcol["xi"]), ("E", yrow["p"], wcol["p"]))
     for kind, (name, rmap, cmap) in enumerate(parts):
-        M = st.tiled(name).tocoo()
-        i, j, v = M.row, M.col, M.data
-        a, b = rmap[i], cmap[j]
-        keep = (a >= 0) & (b >= 0)
+        sub, a, b, v = st.entries(name, rmap, cmap)
         transposed = kind == 2
-        rows_bc.append((b if transposed else a)[keep])
-        cols_bc.append((a if transposed else b)[keep])
-        vals_bc.append(-v[keep] if name in "CE" else v[keep])
-        order.append(st.subdomain_of("xi" if name in "BC" else "p")[i[keep]] * len(parts) + kind)
+        rows_bc.append(b if transposed else a)
+        cols_bc.append(a if transposed else b)
+        vals_bc.append(-v if name in "CE" else v)
+        order.append(sub * len(parts) + kind)
     order = np.argsort(np.concatenate(order), kind="stable")
     # multiplier rows attach the jump operator to the broken dual segment
     rows_bc = [np.concatenate(rows_bc)[order], n_xi_g + n_p_g + Jc.row]
@@ -500,19 +497,21 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
         (np.concatenate(vals_bc), (np.concatenate(rows_bc), np.concatenate(cols_bc))), shape=(n_y, lay.n_w)
     )
 
-    xiG = cls.xi_interface
-    pG = lay.p_iface
-    C_GG = _sub(system.C, xiG, xiG)
-    D_GG = _sub(system.D, pG, xiG)
-    E_GG = _sub(system.E, pG, pG)
-    C_hat = sp.bmat(
-        [
-            [C_GG, -D_GG.T, None],
-            [-D_GG, E_GG, None],
-            [None, None, sp.csr_matrix((lay.n_lambda, lay.n_lambda))],
-        ],
-        format="csr",
-    )
+    # C_hat: the interface rows of C, D and E whole, then their interface
+    # columns; SciPy's unstable sort by column sees the rows of the global
+    # blocks, so C_hat is bitwise their interface slice
+    n_cols = {"xi": system.spaces.n_xi, "p": system.spaces.n_p}
+
+    def iface_rows(name: str, r: str, c: str, cols: np.ndarray) -> sp.csr_matrix:
+        _, i, j, v = st.entries(name, yrow[r], st.dofs[c])
+        return sp.csr_matrix((v, (i, j)), shape=(n_y, n_cols[c]))[:, cols]
+
+    xiG, pG = cls.xi_interface, lay.p_iface
+    C_GG = iface_rows("C", "xi", "xi", xiG)[:n_xi_g]
+    D_GG = iface_rows("D", "p", "xi", xiG)[n_xi_g : n_xi_g + n_p_g]
+    E_GG = iface_rows("E", "p", "p", pG)[n_xi_g : n_xi_g + n_p_g]
+    zero = sp.csr_matrix((lay.n_lambda, lay.n_lambda))
+    C_hat = sp.bmat([[C_GG, -D_GG.T, None], [-D_GG, E_GG, None], [None, None, zero]], format="csr")
 
     f_w = np.zeros(lay.n_w)
     mask = lay.u_int_pos >= 0
@@ -525,16 +524,17 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
     h = np.zeros(n_y)
     h[n_xi_g : n_xi_g + n_p_g] = system.g[pG]
 
-    red = ReducedSystem(
+    B_C_T = B_C.T.tocsr()
+    return ReducedSystem(
         system=system,
         cls=cls,
         jump=jump,
         B_C=B_C,
+        B_C_T=B_C_T,
         C_hat=C_hat,
         f_w=f_w,
         h=h,
         factors=dict(enumerate(classes)),
         coarse=CoarseProblem(S_PP),
+        condensed=_condense(classes, class_members, ymap, B_C_T, lay.n_sub),
     )
-    red.condensed = _condense(classes, class_members, ymap, red.B_C_T, lay.n_sub)
-    return red

@@ -280,6 +280,13 @@ class TestCli:
         "config-max-iter": {"max_iter": "5"}, "config-black": {"pattern": "checkerboard", "black": {"E": "x"}},
         "config-nx-bool": {"nx": True}, "config-body-force": {"body_force": 1},
         "config-reorthogonalize": {"reorthogonalize": "yes"}, "config-subdomains-int": {"subdomains": 4},
+        # out of range or not finite (Python's JSON reader takes NaN and Infinity)
+        "config-max-iter-negative": {"max_iter": -3}, "config-max-iter-zero": {"max_iter": 0},
+        "config-source-nan": {"source": math.nan}, "config-source-inf": {"source": math.inf},
+        "config-body-force-nan": {"body_force": [math.nan, 0.0]},
+        "config-body-force-inf": {"body_force": [0.0, -math.inf]},
+        "config-ritz-drop-nan": {"ritz_drop_threshold": math.nan},
+        "config-ritz-drop-inf": {"ritz_drop_threshold": math.inf},
     }
 
     @pytest.mark.parametrize(

@@ -53,17 +53,53 @@ class TestOperator:
         G = dense_from_apply(red.apply, red.n)
         assert rel_err(G, G_ref) < 1e-9
 
-    def test_torn_blocks_match_fields(self):
-        red = build().reduced
-        K = red.torn_matrix()
-        n_w = red.layout.n_w
-        np.testing.assert_allclose(
-            K[n_w:, :n_w].toarray(), red.B_C.toarray(), atol=1e-14
-        )
-        np.testing.assert_allclose(
-            K[n_w:, n_w:].toarray(), -red.C_hat.toarray(), atol=1e-14
-        )
-        # the torn saddle matrix is symmetric as assembled
+    @pytest.mark.parametrize("primal", ["vertex", "vertex-edge"])
+    @pytest.mark.parametrize("case", list(MULTI_MEMBER_GRIDS))
+    def test_torn_blocks_match_fields(self, case, primal):
+        pipe = bd.build_pipeline(bd.ExperimentConfig(primal=primal, oracle="off", **MULTI_MEMBER_GRIDS[case][0]))
+        red, system, cls = pipe.reduced, pipe.system, pipe.cls
+        lay = red.layout
+        n_xi, n_p, n_lam = red.segments
+        # B_C rebuilt subdomain by subdomain from each one's own local blocks
+        # and index sets, in the order that sums duplicates as B_C does
+        rows, cols, vals = [], [], []
+        for s, lb in system.local.items():
+            sets = _local_index_sets(cls, s, lb)
+            y = {"xi": np.full(lb.xidofs.size, -1), "p": np.full(lb.pdofs.size, -1)}
+            y["xi"][sets["xiG"]] = lay.xi_iface_pos(cls.xi_sub_interface[s])
+            y["p"][sets["pG"]] = n_xi + lay.p_iface_pos(cls.p_sub_interface[s])
+            w = {"u": np.full(lb.udofs.size, -1), "xi": np.full(lb.xidofs.size, -1), "p": np.full(lb.pdofs.size, -1)}
+            w["u"][sets["uI"]] = lay.u_int_pos[cls.u_interior[s]]
+            w["u"][sets["uD"]] = lay.dual_slice.start + np.arange(lay.dual_offset[s], lay.dual_offset[s + 1])
+            w["u"][sets["uP"]] = lay.primal_pos[cls.u_sub_primal[s]]
+            w["xi"][sets["xiI"]] = lay.xi_int_pos[cls.xi_interior[s]]
+            w["p"][sets["pI"]] = lay.p_int_pos[cls.p_interior[s]]
+            for name, r, c, sign, transposed in (("B", y["xi"], w["u"], 1, False), ("C", y["xi"], w["xi"], -1, False),
+                                                 ("D", w["p"], y["xi"], 1, True), ("D", y["p"], w["xi"], 1, False),
+                                                 ("E", y["p"], w["p"], -1, False)):
+                M = getattr(lb, name).tocoo()
+                keep = (r[M.row] >= 0) & (c[M.col] >= 0)
+                a, b = r[M.row[keep]], c[M.col[keep]]
+                rows.append(b if transposed else a)
+                cols.append(a if transposed else b)
+                vals.append(sign * M.data[keep])
+        J = red.jump.jump.tocoo()
+        rows.append(n_xi + n_p + J.row)
+        cols.append(lay.dual_slice.start + J.col)
+        vals.append(J.data)
+        B_C = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=red.B_C.shape)
+        # C_hat: the interface slices of the global C, D and E
+        xiG, pG = cls.xi_interface, lay.p_iface
+        C, D, E = (M.tocsr() for M in (system.C, system.D, system.E))
+        C_hat = sp.bmat([[C[xiG][:, xiG], -D[pG][:, xiG].T, None], [-D[pG][:, xiG], E[pG][:, pG], None],
+                         [None, None, sp.csr_matrix((n_lam, n_lam))]], format="csr")
+        for got, want in ((red.B_C, B_C), (red.C_hat, C_hat)):
+            assert got.has_canonical_format and want.has_canonical_format
+            for attr in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
+
+    def test_torn_matrix_symmetric_as_assembled(self):
+        K = build().reduced.torn_matrix()
         assert (K - K.T).count_nonzero() == 0
 
     @pytest.mark.parametrize(
@@ -152,13 +188,13 @@ class TestLocalFactors:
         # a matrix with a nullspace fails the residual probe
         K = sp.csr_matrix(np.ones((6, 6)))
         with pytest.raises(bd.ConfigurationError):
-            SaddleFactor([("test block", K)])
+            SaddleFactor("test block", K)
 
     def test_wellposed_block_accepted(self):
         rng = np.random.default_rng(2)
         Q = rng.standard_normal((8, 8))
         K = sp.csr_matrix(Q @ Q.T + 8 * np.eye(8))
-        fac = SaddleFactor([("test block", K)])
+        fac = SaddleFactor("test block", K)
         b = rng.standard_normal(8)
         assert np.linalg.norm(K @ fac.solve(b) - b) < 1e-10
 
@@ -166,22 +202,24 @@ class TestLocalFactors:
     def test_multi_column_solve_matches_columns(self, n):
         rng = np.random.default_rng(4)
         K = sp.random(n, n, density=0.02, random_state=4) + sp.identity(n) * 4.0
-        fac = SaddleFactor([("test block", K.tocsr())])
+        fac = SaddleFactor("test block", K.tocsr())
         B = rng.standard_normal((n, 3))
         X = fac.solve(B)
         for j in range(3):
             np.testing.assert_allclose(X[:, j], fac.solve(B[:, j]), rtol=1e-12, atol=1e-14)
         assert np.linalg.norm(K @ X - B) < 1e-10 * np.linalg.norm(B)
 
-    def test_every_member_probed_against_its_own_block(self):
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_class_probe_names_the_class(self):
+        # one block probed with one random column per class member
         rng = np.random.default_rng(2)
         Q = rng.standard_normal((8, 8))
         K = sp.csr_matrix(Q @ Q.T + 8 * np.eye(8))
-        other = K.copy()
-        other[0, 0] *= 10.0
-        SaddleFactor([("a", K), ("b", K.copy())])
-        with pytest.raises(bd.ConfigurationError, match="^b:"):
-            SaddleFactor([("a", K), ("b", other)])
+        fac = SaddleFactor("subdomain 9 (class of 36)", K, probes=36)
+        b = rng.standard_normal((8, 36))
+        assert np.linalg.norm(K @ fac.solve(b) - b) < 1e-10 * np.linalg.norm(b)
+        with pytest.raises(bd.ConfigurationError, match=r"^subdomain 9 \(class of 36\): local solve failed"):
+            SaddleFactor("subdomain 9 (class of 36)", sp.csr_matrix(np.ones((8, 8))), probes=36)
 
     @staticmethod
     def tridiagonal(n, diag):
@@ -200,7 +238,7 @@ class TestLocalFactors:
         K = K.tocsr()
         K.eliminate_zeros()
         with pytest.raises(bd.ConfigurationError, match="^test block: sparse LU met an exactly zero pivot"):
-            SaddleFactor([("test block", K)])
+            SaddleFactor("test block", K)
 
     def test_zero_diagonal_entry_of_a_regular_sparse_block_accepted(self):
         n = 500
@@ -208,7 +246,7 @@ class TestLocalFactors:
         K[7, 7] = 0.0
         K = K.tocsr()
         K.eliminate_zeros()
-        fac = SaddleFactor([("test block", K)])
+        fac = SaddleFactor("test block", K)
         b = np.random.default_rng(6).standard_normal(n)
         assert np.linalg.norm(K @ fac.solve(b) - b) < 1e-12 * np.linalg.norm(b)
 
@@ -216,7 +254,7 @@ class TestLocalFactors:
     def test_nnz_counts_stored_factor_entries(self, m):
         T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
         K = (sp.kron(T, sp.identity(m)) + sp.kron(sp.identity(m), T)).tocsr()
-        fac = SaddleFactor([("test block", K)])
+        fac = SaddleFactor("test block", K)
         n = m * m
         if n < 400:
             assert fac.nnz == n * n
@@ -224,7 +262,7 @@ class TestLocalFactors:
             assert K.nnz <= fac.nnz < n * n // 4
 
     def test_empty_block(self):
-        fac = SaddleFactor([("empty", sp.csr_matrix((0, 0)))])
+        fac = SaddleFactor("empty", sp.csr_matrix((0, 0)))
         assert fac.solve(np.zeros(0)).size == 0
         assert fac.nnz == 0
 
