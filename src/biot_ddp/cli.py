@@ -14,6 +14,7 @@ import sys
 from dataclasses import replace
 
 from .harness import (
+    RUN_ERRORS,
     ExperimentConfig,
     fit_polylog,
     run_case,
@@ -23,7 +24,7 @@ from .harness import (
 )
 from .decomposition import InternalError
 from .krylov import SpdViolationError, write_residual_history
-from .mesh_fem import ConfigurationError, MaterialDomainError
+from .mesh_fem import ConfigurationError
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -148,18 +149,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    """Every point's row, failed ones included; the exit code is that of
+    the first failed or unconverged point."""
     cfg = _config_from_args(args)
     axes = dict(_parse_axis(a) for a in args.axis)
     results = run_sweep(cfg, axes, mode="zip" if args.zip else "product")
+    codes = []
     for res in results:
         row = res.row()
-        print(
-            f"nx={row['nx']} sub={row['sub_x']}x{row['sub_y']} "
-            f"E={row['E']} nu={row['nu']} alpha={row['alpha']} kappa={row['kappa']} "
-            f"iter={row['iter']} eig_min={row['eig_min']} eig_max={row['eig_max']}"
-        )
+        point = (f"nx={row['nx']} sub={row['sub_x']}x{row['sub_y']} "
+                 f"E={row['E']} nu={row['nu']} alpha={row['alpha']} kappa={row['kappa']}")
+        if res.error is not None:
+            print(f"{point} failed")
+            codes.append(_report(res.error))
+        else:
+            print(f"{point} iter={row['iter']} eig_min={row['eig_min']} eig_max={row['eig_max']}")
+            codes.append(0 if res.converged else 1)
     _write_results(results, args)
-    return 0 if all(r.converged for r in results) else 1
+    return next((c for c in codes if c), 0)
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
@@ -216,20 +223,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(exc: Exception) -> int:
+    """Print one of ``RUN_ERRORS`` as one line on stderr; its exit code."""
+    if isinstance(exc, SpdViolationError):
+        print(f"error: no converged solution: {exc}", file=sys.stderr)
+        return 1
+    if isinstance(exc, InternalError):
+        print(f"error: internal inconsistency, please report: {exc}", file=sys.stderr)
+        return 3
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, MaterialDomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SpdViolationError as exc:
-        print(f"error: no converged solution: {exc}", file=sys.stderr)
-        return 1
-    except InternalError as exc:
-        print(f"error: internal inconsistency, please report: {exc}", file=sys.stderr)
-        return 3
+    except RUN_ERRORS as exc:
+        return _report(exc)
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ solution against a direct sparse solve of the full block system.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import numbers
@@ -19,6 +20,7 @@ import scipy.sparse.linalg as spla
 
 from .decomposition import (
     DofClassification,
+    InternalError,
     JumpOperator,
     RestrictionSet,
     ScalingWeights,
@@ -31,13 +33,14 @@ from .decomposition import (
     recover_nodal,
     transform_system,
 )
-from .krylov import PcgConfig, PcgResult, pcg
+from .krylov import PcgConfig, PcgResult, SpdViolationError, pcg
 from .mesh_fem import (
     BlockSystem,
     BoundarySpec,
     ConfigurationError,
     FeSpaceSet,
     LoadSpec,
+    MaterialDomainError,
     MaterialField,
     StructuredMesh,
     assemble_blocks,
@@ -48,6 +51,8 @@ from .preconditioner import BlockPreconditioner, build_preconditioner
 from .reduced_system import ReducedSystem, SaddleFactor, build_reduced_system
 
 ORACLE_AUTO_LIMIT = 5000
+# the documented failures of a run: bad input, no converged solution, a bug
+RUN_ERRORS = (ConfigurationError, MaterialDomainError, SpdViolationError, InternalError)
 
 
 def _is_int(value) -> bool:
@@ -189,16 +194,16 @@ class Pipeline:
 
     def class_factors(self) -> dict[str, list[tuple[int, SaddleFactor | None]]]:
         """Per block with unknowns ("torn", "lambda", "xi", "p"), each class's
-        member count and kept factor (None for a condensed or lumped λ class)."""
+        member count and kept factor (None for every λ class: its Dirichlet
+        Schur complement or lumped A_DD is a matrix)."""
         pc = self.preconditioner
         blocks = {"torn": self.reduced.factors.values(), "lambda": pc.multiplier.classes,
                   **{k: b.classes for k, b in (("xi", pc.xi), ("p", pc.pressure)) if b}}
         return {k: [(c.idx.shape[1], c.factor) for c in classes] for k, classes in blocks.items()}
 
     def local_factors(self) -> list[SaddleFactor]:
-        """Every factor kept for the solve: one per torn congruence class,
-        per λ Dirichlet interior class not condensed and per xi/p BDDC
-        class."""
+        """Every factor kept for the solve: one per torn congruence class
+        and per xi/p BDDC class."""
         return [f for classes in self.class_factors().values() for _, f in classes if f is not None]
 
     def condensed_blocks(self) -> dict[str, int]:
@@ -219,7 +224,7 @@ class RunResult:
     valid_eig_min: float | None
     dropped_modes: int
     residuals: list[float]
-    jump_norm: float
+    jump_norm: float | None  # None: the run failed
     n_dofs: int
     n_interface: int
     oracle_err: tuple[float, float, float] | None
@@ -232,6 +237,18 @@ class RunResult:
     u: np.ndarray
     xi: np.ndarray
     p: np.ndarray
+    error: Exception | None = None  # what a failed sweep point raised
+
+    @classmethod
+    def failed(cls, config: ExperimentConfig, error: Exception, wall_s: float) -> RunResult:
+        """The row of a run that raised ``error`` and solved nothing."""
+        empty = np.zeros(0)
+        return cls(
+            config=config, iterations=0, converged=False, eig_min=None, eig_max=None, valid_eig_min=None,
+            dropped_modes=0, residuals=[], jump_norm=None, n_dofs=0, n_interface=0, oracle_err=None,
+            wall_s=wall_s, factor_nnz=0, factor_classes={}, condensed=[], condensed_bytes=0, notes=[],
+            u=empty, xi=empty, p=empty, error=error,
+        )
 
     def row(self) -> dict:
         cfg = self.config
@@ -259,13 +276,14 @@ class RunResult:
             "oracle_err_xi": err[1],
             "oracle_err_p": err[2],
             "wall_s": self.wall_s,
+            "error": None if self.error is None else f"{type(self.error).__name__}: {self.error}",
         }
 
 
 CSV_COLUMNS = [
     "nx", "sub_x", "sub_y", "H_over_h", "elem", "primal", "lambda_pc", "pattern",
     "E", "nu", "alpha", "kappa", "bc", "iter", "eig_min", "valid_eig_min", "eig_max",
-    "oracle_err_u", "oracle_err_xi", "oracle_err_p", "wall_s",
+    "oracle_err_u", "oracle_err_xi", "oracle_err_p", "wall_s", "error",
 ]
 
 
@@ -378,6 +396,9 @@ def _set_axis(cfg: ExperimentConfig, name: str, value) -> ExperimentConfig:
 def run_sweep(
     base: ExperimentConfig, axes: dict[str, list], mode: str = "product"
 ) -> list[RunResult]:
+    """One result per point of the sweep, in order.  A point whose run
+    raises one of ``RUN_ERRORS`` gives a failed row holding the error, and
+    the sweep goes on."""
     if not axes:
         raise ConfigurationError("a sweep needs at least one axis")
     if len(axes) > 2:
@@ -397,7 +418,11 @@ def run_sweep(
         cfg = base
         for name, value in zip(names, combo):
             cfg = _set_axis(cfg, name, value)
-        results.append(run_case(cfg))
+        t0 = time.perf_counter()
+        try:
+            results.append(run_case(cfg))
+        except RUN_ERRORS as err:
+            results.append(RunResult.failed(cfg, err, time.perf_counter() - t0))
     return results
 
 
@@ -430,11 +455,12 @@ def _format_cell(value) -> str:
 
 
 def write_csv(results: list[RunResult], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(CSV_COLUMNS)
         for res in results:
             row = res.row()
-            fh.write(",".join(_format_cell(row[c]) for c in CSV_COLUMNS) + "\n")
+            out.writerow([_format_cell(row[c]) for c in CSV_COLUMNS])
 
 
 def write_json(results: list[RunResult], path: str) -> None:

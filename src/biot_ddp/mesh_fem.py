@@ -218,6 +218,23 @@ class FeSpaceSet:
     def n_total(self) -> int:
         return self.n_u + self.n_xi + self.n_p
 
+    def lattice(self, fld: str, dofs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Grid coordinates (ix, iy) of the node of each of ``dofs`` of field
+        ``fld`` ("u", "xi" or "p"): displacement nodes on the refined grid,
+        the others on the base grid, a p0 total pressure at its cell's
+        corner."""
+        mesh = self.mesh
+        if fld == "u":
+            mesh, nodes = mesh.refined_mesh, self.u_free_nodes[dofs // 2]
+        elif fld == "p":
+            nodes = self.p_free_nodes[dofs]
+        elif self.total_pressure_variant == "p1":
+            nodes = dofs
+        else:
+            cell = dofs // 2
+            nodes = cell // mesh.nx * (mesh.nx + 1) + cell % mesh.nx
+        return mesh.node_ix(nodes), mesh.node_iy(nodes)
+
 
 def build_spaces(mesh: StructuredMesh, total_pressure_variant: str, bc: BoundarySpec) -> FeSpaceSet:
     if total_pressure_variant not in ("p1", "p0"):

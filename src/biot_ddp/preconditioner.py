@@ -16,9 +16,11 @@ Every block takes its congruence classes from the input key of
 scaled restriction, one local map per class applied to all members at
 once by the kernel of ``reduced_system``, and the transposed restriction.
 The maps: the inverse of a factored dual Schur block for xi and p; for λ
-(no coarse problem) the dense Dirichlet Schur complement when few classes
-serve many subdomains, else the same applied matrix-free (one interior
-solve per application), or the lumped A_DD.
+(no coarse problem) the dense Dirichlet Schur complement, or the lumped
+A_DD.  One kernel, ``_dense_schur``, forms every Schur complement of the
+three blocks: through a dense factor of the eliminated block when it is
+small, else through one sparse LU of the whole block with the kept
+unknowns ordered last and the eliminated ones in nested-dissection order.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .decomposition import (
     DofClassification,
@@ -37,19 +38,68 @@ from .decomposition import (
 )
 from .mesh_fem import BlockSystem, ConfigurationError
 from .reduced_system import (
+    _DENSE_FACTOR_CUTOFF,
     CoarseProblem,
     LocalClass,
     SaddleFactor,
     add_local_class,
-    condensing_pays_back,
     scatter_index,
     solve_partially_assembled,
+    trailing_schur,
 )
 
+_ND_LEAF = 4  # lattice boxes of at most this many points are not cut further
 
-def _dense_schur(M: sp.spmatrix, gamma: np.ndarray, inner: np.ndarray, label: str = "interior block") -> np.ndarray:
-    """Boundary block minus the interior-eliminated coupling, densely."""
+
+def nested_dissection(ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+    """Nested-dissection order of points on a grid (George 1973): each box
+    of points is cut by the grid line across the middle of its longer
+    side, and the points on that line come after both halves.
+
+    All boxes of one level are cut at once.  Each level appends one base-3
+    digit to every point's key: 0 or 1 for the half it falls in, 2 for a
+    point on the cut or in a box no longer cut.  A stable sort of the keys
+    then lists each box's halves before its cut.  Grid neighbours differ by
+    at most one in each coordinate, so a cut separates its halves.
+    """
+    pos = np.stack([ix, iy])
+    n = pos.shape[1]
+    at = np.arange(n)
+    lo = np.repeat(pos.min(axis=1, keepdims=True), n, axis=1)
+    hi = np.repeat(pos.max(axis=1, keepdims=True), n, axis=1)
+    key = np.zeros(n, dtype=np.int64)
+    cut = np.ones(n, dtype=bool)
+    while True:
+        cut &= np.prod(hi - lo + 1, axis=0) > _ND_LEAF
+        if not cut.any():
+            return np.argsort(key, kind="stable")
+        axis = (hi[1] - lo[1] > hi[0] - lo[0]).astype(np.intp)
+        mid = (lo[axis, at] + hi[axis, at]) // 2
+        c = pos[axis, at]
+        digit = np.where(cut & (c != mid), (c > mid).astype(np.int64), 2)
+        key = 3 * key + digit
+        cut &= digit != 2
+        left, right = cut & (digit == 0), cut & (digit == 1)
+        hi[axis[left], at[left]] = mid[left] - 1
+        lo[axis[right], at[right]] = mid[right] + 1
+
+
+def _dense_schur(
+    M: sp.spmatrix, gamma: np.ndarray, inner: np.ndarray, lattice: tuple[np.ndarray, np.ndarray], label: str
+) -> np.ndarray:
+    """Boundary block minus the interior-eliminated coupling, densely:
+    M_gg - M_gi M_ii^{-1} M_ig for the kept positions ``gamma`` and the
+    eliminated ``inner``, whose grid coordinates are ``lattice``.
+
+    Below the dense factor cutoff M_ii is factored densely and solved for
+    the coupling columns.  At or above it, M is ordered as inner in
+    nested-dissection order, then gamma, and factored once with the kept
+    unknowns last (``trailing_schur``).
+    """
     Mc = M.tocsr()
+    if inner.size >= _DENSE_FACTOR_CUTOFF and gamma.size:
+        order = np.concatenate([inner[nested_dissection(*lattice)], gamma])
+        return trailing_schur(label, Mc[order][:, order], gamma.size)
     Mg = Mc[gamma]
     S = Mg[:, gamma].toarray()
     if inner.size and gamma.size:
@@ -84,16 +134,17 @@ def _bddc(
     label: str,
 ) -> InterfaceBddc:
     """Factor one dual Schur block per class of ``groups``.  ``block(r)``
-    gives representative r's matrix and the local positions of its dual,
-    then primal interface unknowns and of its interior ones.  Subdomain s's
-    dual dofs ``dual[s]`` take the next positions of the partially assembled
-    vector, its primal dofs ``primal[s]`` their places in ``primal_dofs``."""
+    gives representative r's matrix, the local positions of its dual, then
+    primal interface unknowns and of its interior ones, and the grid
+    coordinates of the interior ones.  Subdomain s's dual dofs ``dual[s]``
+    take the next positions of the partially assembled vector, its primal
+    dofs ``primal[s]`` their places in ``primal_dofs``."""
     off = np.cumsum([0, *(dual[s].size for s in range(len(dual)))])
     F = np.zeros((primal_dofs.size, primal_dofs.size))
     classes: list[LocalClass] = []
     for members in groups:
         r, nd = members[0], dual[members[0]].size
-        S = _dense_schur(*block(r))
+        S = _dense_schur(*block(r), f"{label} interior block of subdomain {r}")
         add_local_class(
             classes, F, SaddleFactor(f"{label} block of subdomain {r}", S[:nd, :nd]),
             S[:nd, nd:], S[nd:, nd:],
@@ -116,7 +167,9 @@ def build_xi_solver(system: BlockSystem, cls: DofClassification, restrictions: R
 
     def block(r):
         lb = system.stacked.local_view(r)
-        return float(mats.lam[r] / mats.mu[r]) * lb.C, lb.xi_pos(cls.xi_sub_interface[r]), lb.xi_pos(cls.xi_interior[r])
+        inner = lb.xi_pos(cls.xi_interior[r])
+        return (float(mats.lam[r] / mats.mu[r]) * lb.C, lb.xi_pos(cls.xi_sub_interface[r]), inner,
+                system.spaces.lattice("xi", lb.xidofs[inner]))
 
     no_primal = np.zeros(0, dtype=np.int64)
     return _bddc(restrictions.xi_break_scaled, system.classes("C"), block, cls.xi_sub_interface,
@@ -126,18 +179,12 @@ def build_xi_solver(system: BlockSystem, cls: DofClassification, restrictions: R
 def build_p_bddc(system: BlockSystem, cls: DofClassification, restrictions: RestrictionSet) -> InterfaceBddc:
     def block(r):
         lb = system.stacked.local_view(r)
-        return lb.E, lb.p_pos(np.concatenate([cls.p_sub_dual[r], cls.p_sub_primal[r]])), lb.p_pos(cls.p_interior[r])
+        inner = lb.p_pos(cls.p_interior[r])
+        return (lb.E, lb.p_pos(np.concatenate([cls.p_sub_dual[r], cls.p_sub_primal[r]])), inner,
+                system.spaces.lattice("p", lb.pdofs[inner]))
 
     return _bddc(restrictions.p_inject_scaled, system.classes("E"), block, cls.p_sub_dual, cls.p_sub_primal,
                  cls.p_primal, "pressure")
-
-
-def _matrix_free_schur(A_DD, A_DI, A_ID, interior: SaddleFactor) -> spla.LinearOperator:
-    """A_DD - A_DI A_II^{-1} A_ID, one interior solve per application."""
-    def schur(T):
-        return A_DD @ T - A_DI @ interior.solve(A_ID @ T)
-
-    return spla.LinearOperator(A_DD.shape, matvec=schur, matmat=schur, dtype=float)
 
 
 def build_lambda_solver(
@@ -145,32 +192,23 @@ def build_lambda_solver(
 ) -> InterfaceBddc:
     """Scaled jumps through each class's local elastic map on its broken
     dual displacements, with no coarse problem: the dense Dirichlet Schur
-    complement, the same applied matrix-free, or the lumped A_DD."""
+    complement or the lumped A_DD."""
     if kind not in ("dirichlet", "lumped"):
         raise ConfigurationError(f"unknown multiplier preconditioner {kind!r}")
     lay = cls.layout
-    groups = system.classes("A")
-    n_dual = np.diff(lay.dual_offset)
-    # condensing solves each class's dual columns once
-    condense = kind == "dirichlet" and condensing_pays_back(sum(n_dual[m[0]] for m in groups), n_dual.size)
     classes = []
-    for members in groups:
+    for members in system.classes("A"):
         r = members[0]
         lb = system.stacked.local_view(r)
         iD, iI = lb.u_pos(cls.u_sub_dual[r]), lb.u_pos(cls.u_interior[r])
-        idx = np.column_stack([np.arange(lay.dual_offset[s], lay.dual_offset[s + 1]) for s in members])
-        c = LocalClass(idx=idx, primal=np.zeros((0, len(members)), dtype=np.int64))
-        label = f"elastic interior block of subdomain {r}"
         Ac = lb.A.tocsr()
-        if condense:
-            c.S = _dense_schur(Ac, iD, iI, label)
-        elif kind == "lumped":
-            c.S = Ac[iD][:, iD]
+        if kind == "lumped":
+            S = Ac[iD][:, iD]
         else:
-            A_DI = Ac[iD][:, iI]
-            c.factor = SaddleFactor(label, Ac[iI][:, iI])
-            c.S = _matrix_free_schur(Ac[iD][:, iD], A_DI, A_DI.T.tocsr(), c.factor)
-        classes.append(c)
+            S = _dense_schur(Ac, iD, iI, system.spaces.lattice("u", lb.udofs[iI]),
+                             f"elastic interior block of subdomain {r}")
+        idx = np.column_stack([np.arange(lay.dual_offset[s], lay.dual_offset[s + 1]) for s in members])
+        classes.append(LocalClass(idx=idx, primal=np.zeros((0, len(members)), dtype=np.int64), S=S))
     return InterfaceBddc(
         jump.jump_scaled.T.tocsr(), jump.jump_scaled, classes, CoarseProblem(np.zeros((0, 0))), scatter_index(classes)
     )

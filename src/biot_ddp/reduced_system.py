@@ -37,13 +37,6 @@ _PAYBACK_APPLIES = 32
 _PROBE_TOL = 1e-8  # largest relative residual of a local solve's probe
 
 
-def condensing_pays_back(columns: int, n_sub: int) -> bool:
-    """Whether condensing a block pays for itself within a run: the columns
-    solved once to condense all its classes are at most _PAYBACK_APPLIES
-    times the columns one application solves without it, one per subdomain."""
-    return columns <= _PAYBACK_APPLIES * n_sub
-
-
 def _rejected(name: str, why: str) -> ConfigurationError:
     return ConfigurationError(
         f"{name}: {why}; the block is singular or near singular, typically an unconstrained subdomain"
@@ -108,20 +101,10 @@ class SaddleFactor:
             except RuntimeError as err:  # SuperLU met a zero pivot column
                 raise _rejected(label, "sparse LU met an exactly zero pivot") from err
             self.nnz = self._sparse.nnz
-        rng = np.random.default_rng(12345)
-        x = rng.standard_normal((self.n, probes))
-        b = K @ x
-        scale = np.linalg.norm(b, axis=0)
-        scale[scale == 0.0] = 1.0
-
-        def probe() -> float:
-            e = np.linalg.norm(K @ self.solve(b) - b, axis=0) / scale
-            return float(np.max(np.where(np.isfinite(e), e, np.inf)))
-
-        rel = probe()
+        rel = _probe(K, self.solve, probes)
         if self._sparse is not None and rel > _PROBE_TOL:
             self._refine = K
-            rel = probe()
+            rel = _probe(K, self.solve, probes)
         if rel > _PROBE_TOL:
             raise _rejected(label, f"local solve failed its residual probe ({rel:.2e})")
 
@@ -135,6 +118,51 @@ class SaddleFactor:
         if self._refine is not None:
             z += self._sparse.solve(b - self._refine @ z)
         return z
+
+
+def _probe(K, solve, probes: int) -> float:
+    """Largest relative residual of ``solve`` on the seeded random right-hand
+    sides K x, x with ``probes`` columns; inf where it is not finite."""
+    b = K @ np.random.default_rng(12345).standard_normal((K.shape[0], probes))
+    scale = np.linalg.norm(b, axis=0)
+    scale[scale == 0.0] = 1.0
+    e = np.linalg.norm(K @ solve(b) - b, axis=0) / scale
+    return float(np.max(np.where(np.isfinite(e), e, np.inf)))
+
+
+def trailing_schur(label: str, K: sp.spmatrix, k: int) -> np.ndarray:
+    """The dense Schur complement K_kk - K_ke K_ee^{-1} K_ek of the last k
+    unknowns of the symmetric sparse K, from one LU of K in the given order.
+
+    SuperLU factors K as ``SaddleFactor`` does, with diagonal pivots and
+    symmetric mode, but keeps the order (any fill-reducing order of the
+    eliminated unknowns is the caller's).  As long as its elimination-tree
+    postorder and its pivots leave the last k unknowns in place, the
+    trailing blocks of the factors satisfy L_kk U_kk = S: SuperLU forms S
+    while it factors, in dense supernodes, and only the trailing k columns
+    of L and U are multiplied.  A postorder that moves them is a fault of
+    the order (``InternalError``).  A pivot row that moves them was taken
+    because a column had nothing left on and below the diagonal but in
+    kept rows: the eliminated block is exactly singular.  That, an exactly
+    zero pivot, and a factor that fails the probe of ``SaddleFactor`` are
+    rejected with ``ConfigurationError`` naming ``label``.  The factor is
+    not kept.
+    """
+    n = K.shape[0]
+    try:
+        lu = spla.splu(K.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    except RuntimeError as err:  # SuperLU met a zero pivot column
+        raise _rejected(label, "sparse LU met an exactly zero pivot") from err
+    tail = np.arange(n - k, n)
+    if not np.array_equal(lu.perm_c[tail], tail):
+        raise InternalError(f"{label}: the sparse LU moved the kept unknowns from the end of its order")
+    if not np.array_equal(lu.perm_r[tail], tail):
+        raise _rejected(label, "sparse LU met an exactly zero pivot in the eliminated block")
+    rel = _probe(K, lu.solve, 1)
+    if rel > _PROBE_TOL:
+        raise _rejected(label, f"local solve failed its residual probe ({rel:.2e})")
+    L, U = lu.L, lu.U
+    return L[n - k :, n - k :].toarray() @ U[n - k :, n - k :].toarray()
 
 
 class CoarseProblem:
@@ -184,7 +212,7 @@ class LocalClass:
     X: np.ndarray | None = None  # primal coupling factor^{-1} A_rP (or Psi), kept so applications need one solve
     factor: SaddleFactor | None = None
     A_Pr: np.ndarray | None = None  # primal-local coupling A_rP^T, dense
-    S: np.ndarray | sp.spmatrix | spla.LinearOperator | None = None
+    S: np.ndarray | sp.spmatrix | None = None
 
     def apply(self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Local solution and primal right-hand side of gathered ``Y``."""
@@ -240,10 +268,13 @@ def _condense(
     classes: list[LocalClass], members: list[list[int]], ymap: list[np.ndarray], B_C_T: sp.csr_matrix, n_sub: int
 ) -> list[LocalClass]:
     """Each torn class condensed onto its members' interface rows ``ymap``,
-    or none when condensing would not pay back.  With B_0 the
-    representative's coupling on those rows, the map is [F; Psi^T] with F =
-    B_0 K_rr^{-1} B_0^T and the primal coupling Psi = B_0 X."""
-    if not condensing_pays_back(sum(ymap[m[0]].size for m in members), n_sub):
+    or none when condensing would not pay back within a run: when the
+    columns solved once to condense all classes are more than
+    _PAYBACK_APPLIES times the columns one application solves without it,
+    one per subdomain.  With B_0 the representative's coupling on those
+    rows, the map is [F; Psi^T] with F = B_0 K_rr^{-1} B_0^T and the primal
+    coupling Psi = B_0 X."""
+    if sum(ymap[m[0]].size for m in members) > _PAYBACK_APPLIES * n_sub:
         return []
     out = []
     for c, m in zip(classes, members):

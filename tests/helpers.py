@@ -12,10 +12,19 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from biot_ddp.decomposition import _CONGRUENCE_RTOL
 from biot_ddp.mesh_fem import BLOCK_FIELDS, LoadSpec, assemble_blocks, build_mesh, build_spaces, element_tables
-from biot_ddp.preconditioner import _dense_schur
+
+
+def splu_schur(M, gamma: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """M_gg - M_gi M_ii^-1 M_ig through SciPy's default sparse LU of M_ii."""
+    M = sp.csr_matrix(M)
+    S = M[gamma][:, gamma].toarray()
+    if inner.size and gamma.size:
+        S -= M[gamma][:, inner] @ spla.splu(M[inner][:, inner].tocsc()).solve(M[inner][:, gamma].toarray())
+    return S
 
 
 def dense_from_apply(apply, n: int) -> np.ndarray:
@@ -49,7 +58,7 @@ def assembled_pressure_schur(pipe) -> np.ndarray:
     cls = pipe.cls
     gamma = cls.p_interface
     inner = np.concatenate([cls.p_interior[s] for s in range(cls.n_subdomains)])
-    return _dense_schur(pipe.system.E, gamma, np.sort(inner))
+    return splu_schur(pipe.system.E, gamma, np.sort(inner))
 
 
 def assembled_total_pressure_schur(pipe) -> np.ndarray:
@@ -63,7 +72,7 @@ def assembled_total_pressure_schur(pipe) -> np.ndarray:
         lb = pipe.system.local[s]
         gamma = lb.xi_pos(np.asarray(cls.xi_sub_interface[s], dtype=np.int64))
         inner = lb.xi_pos(np.asarray(cls.xi_interior[s], dtype=np.int64))
-        S_loc = _dense_schur(lb.C, gamma, inner)
+        S_loc = splu_schur(lb.C, gamma, inner)
         rows = pipe.cls.layout.xi_iface_pos(np.asarray(cls.xi_sub_interface[s], dtype=np.int64))
         weight = mats.lam[s] / mats.mu[s]
         S[np.ix_(rows, rows)] += weight * S_loc

@@ -2,12 +2,13 @@
 
 When few congruence classes serve many subdomains, each torn class is
 condensed once onto its members' interface rows (F = B_0 K_rr^-1 B_0^T,
-Psi = B_0 X) and each λ Dirichlet class into its dense Schur complement,
-and every application is a few dense products.  These tests check the
-condensed applications against the local-solve path they replace, the
-assumption that lets one representative stand for its class (every
-member's coupling equals its representative's), the pay-back rule that
-decides when to condense, and that a traced condensed run makes its local
+Psi = B_0 X), and every application is a few dense products.  Each λ
+Dirichlet class is always condensed into its dense Schur complement.
+These tests check the condensed applications against the local-solve
+path they replace and against references built here, the assumption that
+lets one representative stand for its class (every member's coupling
+equals its representative's), the pay-back rule that decides when to
+condense the torn block, and that a traced condensed run makes its local
 solves only in the right-hand side and the recovery.
 """
 
@@ -21,7 +22,6 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import biot_ddp as bd
-from biot_ddp import preconditioner, reduced_system
 from biot_ddp.decomposition import _CONGRUENCE_RTOL
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -76,36 +76,44 @@ def test_every_member_couples_like_its_representative(elem, primal, bc, checkerb
             assert np.abs(on_rows.toarray() - B0).max() <= _CONGRUENCE_RTOL * np.abs(B0).max()
 
 
+def dirichlet_apply(pipe, s, T):
+    """Subdomain s's elastic Dirichlet Schur complement applied matrix-free,
+    A_DD T - A_DI A_II^-1 A_ID T, with SciPy's default sparse LU."""
+    lb, cls = pipe.system.local[s], pipe.cls
+    iD, iI = lb.u_pos(cls.u_sub_dual[s]), lb.u_pos(cls.u_interior[s])
+    A = lb.A.tocsr()
+    return A[iD][:, iD] @ T - A[iD][:, iI] @ spla.splu(A[iI][:, iI].tocsc()).solve(A[iI][:, iD] @ T)
+
+
 @pytest.mark.parametrize("elem, primal", [("p1", "vertex"), ("p0", "vertex-edge")])
-def test_dense_dirichlet_blocks_match_matrix_free_apply(monkeypatch, elem, primal):
+def test_dense_dirichlet_blocks_match_matrix_free_apply(elem, primal):
     pipe = condensed_pipeline(elem, primal, "neumann-left", True)
-    lay, cls = pipe.cls.layout, pipe.cls
+    lay = pipe.cls.layout
     rng = np.random.default_rng(3)
     for c in pipe.preconditioner.multiplier.classes:
         for j in range(c.idx.shape[1]):
             s = int(np.searchsorted(lay.dual_offset, c.idx[0, j], side="right") - 1)
-            lb = pipe.system.local[s]
-            iD, iI = lb.u_pos(cls.u_sub_dual[s]), lb.u_pos(cls.u_interior[s])
-            A = lb.A.tocsr()
-            T = rng.standard_normal((iD.size, 2))
-            ref = A[iD][:, iD] @ T - A[iD][:, iI] @ spla.splu(A[iI][:, iI].tocsc()).solve(A[iI][:, iD] @ T)
+            T = rng.standard_normal((c.idx.shape[0], 2))
+            ref = dirichlet_apply(pipe, s, T)
             assert np.linalg.norm(c.S @ T - ref) <= 1e-12 * np.linalg.norm(ref)
-    # and the whole block against the one the local-solve path builds
-    monkeypatch.setattr(reduced_system, "_PAYBACK_APPLIES", 0)
-    sparse = preconditioner.build_lambda_solver(pipe.system, cls, pipe.jump, "dirichlet")
-    assert all(not isinstance(c.S, np.ndarray) and c.factor is not None for c in sparse.classes)
+    # and the whole block: scaled jumps through every subdomain's map
+    J = pipe.jump.jump_scaled
     r = rng.standard_normal(lay.n_lambda)
-    ref = sparse.apply(r)
+    x = J.T @ r
+    y = np.concatenate([dirichlet_apply(pipe, s, x[lay.dual_offset[s] : lay.dual_offset[s + 1]])
+                        for s in range(lay.n_sub)])
+    ref = J @ y
     assert np.linalg.norm(pipe.preconditioner.multiplier.apply(r) - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_payback_rule_keeps_large_classes_sparse():
-    # 3x3 at H/h=16: nine classes of one member each, whose condensation
-    # would solve far more columns than the iterations save
+    # 3x3 at H/h=16: nine torn classes of one member each, whose
+    # condensation would solve far more columns than the iterations save;
+    # the λ Dirichlet block is condensed all the same
     pipe = bd.build_pipeline(bd.ExperimentConfig(nx=48, subdomains=(3, 3), E=1.0, nu=0.3))
     red = pipe.reduced
     assert red.condensed == []
-    assert all(not isinstance(c.S, np.ndarray) and c.factor is not None for c in pipe.preconditioner.multiplier.classes)
+    assert all(isinstance(c.S, np.ndarray) and c.factor is None for c in pipe.preconditioner.multiplier.classes)
     v = np.random.default_rng(1).standard_normal(red.n)
     assert np.array_equal(red.apply(v), local_solve_apply(red, v))
     # 8x8 at H/h=8: nine classes serve 64 subdomains

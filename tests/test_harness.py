@@ -1,5 +1,6 @@
 """Experiment configuration, runs, sweeps, fits, reports, and the CLI."""
 
+import csv
 import json
 import math
 
@@ -123,6 +124,14 @@ class TestSweep:
         results = bd.run_sweep(base, {"black.kappa": [1e-1, 1e-3]})
         assert [r.config.black["kappa"] for r in results] == [1e-1, 1e-3]
 
+    def test_failed_point_keeps_its_neighbours(self):
+        results = bd.run_sweep(small_cfg(), {"kappa": [1.0, 0.0, 2.0]})
+        assert [r.config.kappa for r in results] == [1.0, 0.0, 2.0]
+        first, failed, last = results
+        assert first.converged and last.converged and first.error is None and last.error is None
+        assert isinstance(failed.error, bd.MaterialDomainError) and not failed.converged
+        assert failed.row()["error"].startswith("MaterialDomainError: ")
+
     def test_axis_limits(self):
         with pytest.raises(bd.ConfigurationError):
             bd.run_sweep(small_cfg(), {})
@@ -186,14 +195,14 @@ class TestReports:
 
 class TestFactorSize:
     def test_factor_nnz_sums_every_kept_factor(self, tmp_path):
-        # 16x16 on 2x2: sparse saddle and elastic interior factors, dense
-        # BDDC ones
+        # 16x16 on 2x2: sparse saddle factors, dense BDDC ones; the λ
+        # classes keep no factor
         cfg = small_cfg(nx=16, oracle="off")
         pipe = bd.build_pipeline(cfg)
         res = bd.run_case(cfg, pipe)
         pc = pipe.preconditioner
+        assert all(c.factor is None for c in pc.multiplier.classes)
         factors = [c.factor for c in pipe.reduced.factors.values()]
-        factors += [c.factor for c in pc.multiplier.classes]
         factors += [c.factor for c in pc.xi.classes + pc.pressure.classes]
         assert res.factor_nnz == sum(f.nnz for f in factors)
         assert all(f.nnz < f.n**2 for f in factors[: len(pipe.reduced.factors)])  # sparse
@@ -205,9 +214,8 @@ class TestFactorSize:
     @pytest.mark.parametrize("kw", [dict(nx=16, subdomains=(4, 4)), dict(nx=32, subdomains=(8, 8)),
                                     dict(nx=32, subdomains=(8, 8), multiplier_pc="lumped")])
     def test_factor_classes_add_up(self, tmp_path, kw):
-        # 4x4: every λ class keeps its interior factor; 8x8: the λ block is
-        # condensed, its classes keep none; lumped: the λ classes keep no
-        # factor and their sparse A_DD is no condensed matrix
+        # the λ classes keep no factor: a Dirichlet block is condensed, and
+        # a lumped one's sparse A_DD is no condensed matrix
         cfg = small_cfg(oracle="off", **kw)
         res = bd.run_case(cfg)
         assert sorted(res.factor_classes) == ["lambda", "p", "torn", "xi"]
@@ -216,10 +224,10 @@ class TestFactorSize:
             assert sum(m for m, _, _ in classes) == n_sub
         assert sum(nnz for classes in res.factor_classes.values() for _, _, nnz in classes) == res.factor_nnz
         lumped = kw.get("multiplier_pc") == "lumped"
-        assert ("lambda" in res.condensed) == (not lumped and all(n == 0 for _, n, _ in res.factor_classes["lambda"]))
+        assert ("lambda" in res.condensed) == (not lumped)
+        assert all(entry[1:] == [0, 0] for entry in res.factor_classes["lambda"])
         if lumped:
             assert res.iterations == 41 and res.condensed == ["torn"] and res.condensed_bytes == 287_472
-            assert all(entry[1:] == [0, 0] for entry in res.factor_classes["lambda"])
         path = tmp_path / "out.json"
         write_json([res], str(path))
         assert json.loads(path.read_text())[0]["factor_classes"] == res.factor_classes
@@ -339,6 +347,22 @@ class TestCli:
         assert code == 0
         payload = json.loads(out.read_text())
         assert [e["alpha"] for e in payload] == [0.5, 1.0]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_writes_every_row_and_exits_with_the_first_failure(self, tmp_path, capsys, fmt):
+        out = tmp_path / f"sweep.{fmt}"
+        code = main(["sweep", *self.BASE, "--axis", "kappa=1,0,2", "--out", str(out), "--format", fmt])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        if fmt == "json":
+            rows = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(f"{c} is not JSON"))
+        else:
+            with open(out, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+        assert [float(r["kappa"]) for r in rows] == [1.0, 0.0, 2.0]
+        assert [bool(r["error"]) for r in rows] == [False, True, False]
+        assert rows[1]["error"].startswith("MaterialDomainError: ")
 
     def test_sweep_zip_black_axis(self, capsys):
         code = main(

@@ -9,15 +9,18 @@ entry by entry with an explicitly assembled broken Schur complement.
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 import biot_ddp as bd
-from biot_ddp.preconditioner import _dense_schur, build_lambda_solver
+from biot_ddp.preconditioner import _dense_schur, build_lambda_solver, nested_dissection
+from biot_ddp.reduced_system import _DENSE_FACTOR_CUTOFF
 from helpers import (
     assembled_pressure_schur,
     assembled_total_pressure_schur,
     dense_from_apply,
     preconditioned_spectrum,
     rel_err,
+    splu_schur,
 )
 
 
@@ -49,7 +52,7 @@ def broken_elastic_schur(pipe, lumped=False):
             H[sl, sl] = lb.A.toarray()[np.ix_(dual, dual)]
         else:
             inner = lb.u_pos(np.asarray(cls.u_interior[s], dtype=np.int64))
-            H[sl, sl] = _dense_schur(lb.A, dual, inner)
+            H[sl, sl] = splu_schur(lb.A, dual, inner)
     return H
 
 
@@ -213,3 +216,83 @@ class TestBlockApply:
         pipe = build()
         with pytest.raises(bd.InternalError):
             pipe.preconditioner.apply(np.zeros(3))
+
+
+class TestSchurKernel:
+    """The sparse branch of ``_dense_schur``: one LU of the whole block with
+    the eliminated unknowns first, in nested-dissection order, and the kept
+    ones last."""
+
+    @staticmethod
+    def blocks(case):
+        """(M, gamma, inner, lattice) of one representative."""
+        if case.startswith("lambda"):
+            # 3x3 at H/h=16: corner, edge and centre classes
+            pipe = build(nx=48, subdomains=(3, 3))
+            r = {"lambda corner": 0, "lambda edge": 1, "lambda centre": 4}[case]
+            lb, cls = pipe.system.local[r], pipe.cls
+            inner = lb.u_pos(cls.u_interior[r])
+            return lb.A, lb.u_pos(cls.u_sub_dual[r]), inner, pipe.system.spaces.lattice("u", lb.udofs[inner])
+        # 2x2 at H/h=22: the xi and p interiors cross the cutoff
+        pipe = build(nx=44, subdomains=(2, 2))
+        lb, cls, r = pipe.system.local[0], pipe.cls, 0
+        if case == "xi":
+            inner = lb.xi_pos(cls.xi_interior[r])
+            return lb.C, lb.xi_pos(cls.xi_sub_interface[r]), inner, pipe.system.spaces.lattice("xi", lb.xidofs[inner])
+        inner = lb.p_pos(cls.p_interior[r])
+        gamma = lb.p_pos(np.concatenate([cls.p_sub_dual[r], cls.p_sub_primal[r]]))
+        return lb.E, gamma, inner, pipe.system.spaces.lattice("p", lb.pdofs[inner])
+
+    @pytest.mark.parametrize("case", ["lambda corner", "lambda edge", "lambda centre", "xi", "p"])
+    def test_matches_the_splu_schur_complement(self, case):
+        M, gamma, inner, lattice = self.blocks(case)
+        assert inner.size >= _DENSE_FACTOR_CUTOFF
+        # the order is a permutation of the eliminated positions
+        assert np.array_equal(np.sort(nested_dissection(*lattice)), np.arange(inner.size))
+        ref = splu_schur(M, gamma, inner)
+        S = _dense_schur(M, gamma, inner, lattice, "test block")
+        assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_order_cuts_boxes_after_their_halves(self):
+        # 5x3 points: the middle column is cut last, then each half's
+        # middle row; the rest (boxes of at most 4 points) in input order
+        ix, iy = np.meshgrid(np.arange(5), np.arange(3))
+        order = nested_dissection(ix.ravel(), iy.ravel())
+        pts = [(int(ix.ravel()[k]), int(iy.ravel()[k])) for k in order]
+        assert pts[-3:] == [(2, 0), (2, 1), (2, 2)]
+        left = pts[:6]
+        assert sorted(left) == sorted((x, y) for x in (0, 1) for y in range(3))
+        assert left[-2:] == [(0, 1), (1, 1)]
+
+    @staticmethod
+    def neumann_laplacian(m):
+        T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m)).tolil()
+        T[0, 0] = T[m - 1, m - 1] = 1.0
+        return (sp.kron(T, sp.identity(m)) + sp.kron(sp.identity(m), T)).tocsr()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind, why", [
+        ("neumann island", r"local solve failed its residual probe \(.*\)"),
+        ("zero row and column", "sparse LU met an exactly zero pivot"),
+        ("column coupled only to kept rows", "sparse LU met an exactly zero pivot in the eliminated block"),
+    ])
+    def test_singular_eliminated_block_rejected(self, kind, why):
+        # 441 eliminated grid points above the cutoff, 21 kept unknowns
+        # coupled to the top row of the grid
+        m, k = 21, 21
+        n = m * m
+        C = sp.csr_matrix((np.full(k, -0.5), (np.arange(n - m, n), np.arange(k))), shape=(n, k))
+        L = self.neumann_laplacian(m)  # constants in the null space
+        if kind != "neumann island":
+            L = (L + 0.1 * sp.identity(n)).tolil()
+            L[7, :] = 0.0
+            L[:, 7] = 0.0
+            if kind == "column coupled only to kept rows":
+                C = C.tolil()
+                C[7, 0] = -0.5
+        M = sp.bmat([[L, C], [C.T, 4.0 * sp.identity(k)]], format="csr")
+        M.eliminate_zeros()
+        ix, iy = np.arange(n) % m, np.arange(n) // m
+        label = "elastic interior block of subdomain 4"
+        with pytest.raises(bd.ConfigurationError, match=f"^{label}: {why};"):
+            _dense_schur(M, np.arange(n, n + k), np.arange(n), (ix, iy), label)

@@ -283,7 +283,7 @@ class TestRefinementNearIncompressibleLimit:
     def test_refined_factor_passes_the_probe(self, nu, E, iterations):
         pipe, res = self.run(nu, E)
         assert res.converged and res.iterations == iterations
-        assert res.factor_nnz == 233_060  # as at nu = 0.49999999, unrefined
+        assert res.factor_nnz == 157_976  # as at nu = 0.49999999, unrefined
         refined = [f for f in pipe.local_factors() if f._refine is not None]
         assert refined and all(f._sparse is not None for f in refined)
         rng = np.random.default_rng(3)
@@ -297,7 +297,7 @@ class TestRefinementNearIncompressibleLimit:
     def test_no_refinement_where_the_factor_passes(self):
         pipe, res = self.run(0.49999999, 1.0)
         assert res.converged and res.iterations == 14
-        assert res.factor_nnz == 233_060
+        assert res.factor_nnz == 157_976
         assert all(f._refine is None for f in pipe.local_factors())
 
 
