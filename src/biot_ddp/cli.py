@@ -148,12 +148,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if result.converged else 1
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    """Every point's row, failed ones included; the exit code is that of
-    the first failed or unconverged point."""
-    cfg = _config_from_args(args)
-    axes = dict(_parse_axis(a) for a in args.axis)
-    results = run_sweep(cfg, axes, mode="zip" if args.zip else "product")
+def _print_points(results) -> int:
+    """One line per point, failed ones included; the exit code of the first
+    failed or unconverged point."""
     codes = []
     for res in results:
         row = res.row()
@@ -165,18 +162,34 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         else:
             print(f"{point} iter={row['iter']} eig_min={row['eig_min']} eig_max={row['eig_max']}")
             codes.append(0 if res.converged else 1)
-    _write_results(results, args)
     return next((c for c in codes if c), 0)
 
 
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    """Every point's row, failed ones included; the exit code is that of
+    the first failed or unconverged point."""
+    cfg = _config_from_args(args)
+    axes = dict(_parse_axis(a) for a in args.axis)
+    results = run_sweep(cfg, axes, mode="zip" if args.zip else "product")
+    code = _print_points(results)
+    _write_results(results, args)
+    return code
+
+
 def _cmd_fit(args: argparse.Namespace) -> int:
+    """Each ratio run as a sweep point, and the fit over the converged ones;
+    the exit code is that of the first failed or unconverged ratio."""
     cfg = _config_from_args(args)
     gx, gy = cfg.subdomains
     ratios = [_parse_value("ratios", tok, int) for tok in args.ratios.split(",")]
-    results = []
-    for ratio in ratios:
-        results.append(run_case(replace(cfg, nx=ratio * gx, ny=ratio * gy)))
-    fit = fit_polylog([float(r) for r in ratios], [res.eig_max for res in results])
+    results = run_sweep(cfg, {"nx": [r * gx for r in ratios], "ny": [r * gy for r in ratios]}, mode="zip")
+    code = _print_points(results)
+    x = [float(r) for r, res in zip(ratios, results) if res.converged]
+    y = [res.eig_max for res in results if res.converged]
+    if code and len(x) < 2:
+        print(f"no fit: {len(x)} of {len(ratios)} ratios converged")
+        return code
+    fit = fit_polylog(x, y)
     print(
         f"eig_max ~ {fit['C1']:.4f} + {fit['C2']:.4f} (1 + log(H/h))^2   R2={fit['R2']:.4f}"
     )
@@ -184,7 +197,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(fit, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    return 0
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -192,24 +192,28 @@ class Pipeline:
     def n_dofs(self) -> int:
         return self.spaces.n_total
 
-    def class_factors(self) -> dict[str, list[tuple[int, SaddleFactor | None]]]:
-        """Per block with unknowns ("torn", "lambda", "xi", "p"), each class's
-        member count and kept factor (None for every λ class: its Dirichlet
-        Schur complement or lumped A_DD is a matrix)."""
+    def _preconditioner_classes(self) -> dict[str, list]:
         pc = self.preconditioner
-        blocks = {"torn": self.reduced.factors.values(), "lambda": pc.multiplier.classes,
-                  **{k: b.classes for k, b in (("xi", pc.xi), ("p", pc.pressure)) if b}}
+        return {**{k: b.classes for k, b in (("xi", pc.xi), ("p", pc.pressure)) if b}, "lambda": pc.multiplier.classes}
+
+    def class_factors(self) -> dict[str, list[tuple[int, SaddleFactor | None]]]:
+        """Per block with unknowns ("torn", "xi", "p", "lambda"), each class's
+        member count and kept factor: None for every preconditioner class,
+        whose map is a matrix (the inverse dual Schur block with its primal
+        coupling for xi and p, the Dirichlet Schur complement or lumped A_DD
+        for λ)."""
+        blocks = {"torn": self.reduced.factors.values(), **self._preconditioner_classes()}
         return {k: [(c.idx.shape[1], c.factor) for c in classes] for k, classes in blocks.items()}
 
     def local_factors(self) -> list[SaddleFactor]:
-        """Every factor kept for the solve: one per torn congruence class
-        and per xi/p BDDC class."""
+        """Every factor kept for the solve: one per torn congruence class."""
         return [f for classes in self.class_factors().values() for _, f in classes if f is not None]
 
     def condensed_blocks(self) -> dict[str, int]:
         """Bytes of the dense interface matrices of each condensed block:
-        [F; Psi^T] of the torn classes, S of the λ Dirichlet classes."""
-        blocks = {"torn": self.reduced.condensed, "lambda": self.preconditioner.multiplier.classes}
+        [F; Psi^T] of the torn classes, [S_dd^-1; X^T] of the xi and p BDDC
+        classes, S of the λ Dirichlet classes."""
+        blocks = {"torn": self.reduced.condensed, **self._preconditioner_classes()}
         out = {k: sum(c.S.nbytes for c in classes if isinstance(c.S, np.ndarray)) for k, classes in blocks.items()}
         return {k: v for k, v in out.items() if v}
 
@@ -231,8 +235,8 @@ class RunResult:
     wall_s: float
     factor_nnz: int  # stored entries of every kept local factor (SaddleFactor.nnz summed)
     factor_classes: dict[str, list[list[int]]]  # per block, [members, n, nnz] of each class's factor (0, 0: none)
-    condensed: list[str]  # blocks applied through dense interface matrices: "torn", "lambda"
-    condensed_bytes: int  # their F, Psi and S together
+    condensed: list[str]  # blocks applied through dense interface matrices: "torn", "xi", "p", "lambda"
+    condensed_bytes: int  # their dense maps together
     notes: list[str]
     u: np.ndarray
     xi: np.ndarray

@@ -15,12 +15,15 @@ Every block takes its congruence classes from the input key of
 ``mesh_fem`` (``BlockSystem.classes``) and is one ``InterfaceBddc``: a
 scaled restriction, one local map per class applied to all members at
 once by the kernel of ``reduced_system``, and the transposed restriction.
-The maps: the inverse of a factored dual Schur block for xi and p; for λ
-(no coarse problem) the dense Dirichlet Schur complement, or the lumped
-A_DD.  One kernel, ``_dense_schur``, forms every Schur complement of the
-three blocks: through a dense factor of the eliminated block when it is
-small, else through one sparse LU of the whole block with the kept
-unknowns ordered last and the eliminated ones in nested-dissection order.
+Every map is one dense matrix, so each application is one product per
+class and no triangular solve: for xi and p, [S_dd^-1; X^T], the inverse
+of the dual Schur block over the primal coupling X = S_dd^-1 S_dP that
+also gives the coarse matrix; for λ (no coarse problem) the dense
+Dirichlet Schur complement, or the lumped A_DD.  One kernel,
+``_dense_schur``, forms every Schur complement of the three blocks:
+through a dense factor of the eliminated block when it is small, else
+through one sparse LU of the whole block with the kept unknowns ordered
+last and the eliminated ones in nested-dissection order.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .reduced_system import (
     CoarseProblem,
     LocalClass,
     SaddleFactor,
-    add_local_class,
+    primal_coupling,
     scatter_index,
     solve_partially_assembled,
     trailing_schur,
@@ -96,15 +99,16 @@ def _dense_schur(
     nested-dissection order, then gamma, and factored once with the kept
     unknowns last (``trailing_schur``).
     """
-    Mc = M.tocsr()
-    if inner.size >= _DENSE_FACTOR_CUTOFF and gamma.size:
+    if not gamma.size:
+        return np.zeros((0, 0))
+    if inner.size >= _DENSE_FACTOR_CUTOFF:
         order = np.concatenate([inner[nested_dissection(*lattice)], gamma])
-        return trailing_schur(label, Mc[order][:, order], gamma.size)
-    Mg = Mc[gamma]
-    S = Mg[:, gamma].toarray()
-    if inner.size and gamma.size:
-        Mgi = Mg[:, inner].toarray()
-        S -= Mgi @ SaddleFactor(label, Mc[inner][:, inner]).solve(Mgi.T)
+        return trailing_schur(label, M.tocsr()[order][:, order], gamma.size)
+    D = M.toarray()
+    S = D[np.ix_(gamma, gamma)]
+    if inner.size:
+        Mgi = D[np.ix_(gamma, inner)]
+        S -= Mgi @ SaddleFactor(label, D[np.ix_(inner, inner)]).solve(Mgi.T)
     return S
 
 
@@ -113,10 +117,11 @@ class InterfaceBddc:
     """Balancing preconditioner on a pressure-like interface trace.
 
     The partially assembled Schur complement is never formed; its inverse
-    is applied through local dual factorizations, one per congruence
-    class, and one dense coarse solve.  With no primal unknowns it is the
-    scaled sum of the local maps: inverted Schur complements for xi, the
-    elastic Dirichlet maps for λ.
+    is applied through one dense local map per congruence class, the
+    inverted dual Schur block with its primal coupling, and one dense
+    coarse solve.  With no primal unknowns it is the scaled sum of the
+    local maps: inverted Schur complements for xi, the elastic Dirichlet
+    maps for λ.
     """
 
     inject_scaled: sp.csr_matrix  # assembled trace -> partially assembled
@@ -133,24 +138,28 @@ def _bddc(
     inject_scaled: sp.csr_matrix, groups: list[np.ndarray], block, dual: dict, primal: dict, primal_dofs: np.ndarray,
     label: str,
 ) -> InterfaceBddc:
-    """Factor one dual Schur block per class of ``groups``.  ``block(r)``
-    gives representative r's matrix, the local positions of its dual, then
-    primal interface unknowns and of its interior ones, and the grid
-    coordinates of the interior ones.  Subdomain s's dual dofs ``dual[s]``
-    take the next positions of the partially assembled vector, its primal
-    dofs ``primal[s]`` their places in ``primal_dofs``."""
+    """One dense map per class of ``groups``: its dual Schur block is
+    factored and probed, solved for the identity and for the primal
+    coupling X, and dropped; X also adds the class's part of the coarse
+    matrix.  ``block(r)`` gives representative r's matrix, the local
+    positions of its dual, then primal interface unknowns and of its
+    interior ones, and the grid coordinates of the interior ones.
+    Subdomain s's dual dofs ``dual[s]`` take the next positions of the
+    partially assembled vector, its primal dofs ``primal[s]`` their places
+    in ``primal_dofs``."""
     off = np.cumsum([0, *(dual[s].size for s in range(len(dual)))])
     F = np.zeros((primal_dofs.size, primal_dofs.size))
     classes: list[LocalClass] = []
     for members in groups:
         r, nd = members[0], dual[members[0]].size
         S = _dense_schur(*block(r), f"{label} interior block of subdomain {r}")
-        add_local_class(
-            classes, F, SaddleFactor(f"{label} block of subdomain {r}", S[:nd, :nd]),
-            S[:nd, nd:], S[nd:, nd:],
-            idx=np.column_stack([np.arange(off[s], off[s + 1]) for s in members]),
-            primal=np.column_stack([np.searchsorted(primal_dofs, primal[s]) for s in members]),
-        )
+        factor = SaddleFactor(f"{label} block of subdomain {r}", S[:nd, :nd])
+        cols = np.column_stack([np.searchsorted(primal_dofs, primal[s]) for s in members])
+        X = primal_coupling(F, factor, S[:nd, nd:], S[nd:, nd:], cols)
+        classes.append(LocalClass(
+            idx=np.column_stack([np.arange(off[s], off[s + 1]) for s in members]), primal=cols, X=X,
+            S=np.vstack([factor.solve(np.eye(nd)), X.T]),
+        ))
     return InterfaceBddc(
         inject_scaled=inject_scaled,
         inject_scaled_T=inject_scaled.T.tocsr(),

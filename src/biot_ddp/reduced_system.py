@@ -203,13 +203,15 @@ class LocalClass:
     being solved for (members may share rows; their results add up), column
     j of ``primal`` its primal unknowns from the coarse segment at the end
     of that vector.  The map is the matrix ``S``, whose rows past ``idx``'s
-    give the primal right-hand side, or else the inverse of the kept
-    ``factor``, with the primal right-hand side ``A_Pr`` times its solution.
+    give the primal right-hand side: [F; Psi^T] of a condensed torn class,
+    [S_dd^{-1}; X^T] of a BDDC class, the Dirichlet map of a λ class.  Only
+    the torn classes keep a ``factor`` instead, with the primal right-hand
+    side ``A_Pr`` times its solution.
     """
 
     idx: np.ndarray  # (n, members)
     primal: np.ndarray  # (n_primal_local, members)
-    X: np.ndarray | None = None  # primal coupling factor^{-1} A_rP (or Psi), kept so applications need one solve
+    X: np.ndarray | None = None  # primal coupling factor^{-1} A_rP (or Psi), for the back-substitution
     factor: SaddleFactor | None = None
     A_Pr: np.ndarray | None = None  # primal-local coupling A_rP^T, dense
     S: np.ndarray | sp.spmatrix | None = None
@@ -223,15 +225,15 @@ class LocalClass:
         return Z[: self.idx.shape[0]], Z[self.idx.shape[0] :]
 
 
-def add_local_class(
-    classes: list[LocalClass], S: np.ndarray, factor: SaddleFactor, A_rP: np.ndarray, A_PP: np.ndarray,
-    idx: np.ndarray, primal: np.ndarray,
-) -> None:
-    """Append a class and add its members' primal Schur contributions
-    A_PP - A_rP^T K^{-1} A_rP to the coarse matrix S."""
+def primal_coupling(
+    S: np.ndarray, factor: SaddleFactor, A_rP: np.ndarray, A_PP: np.ndarray, primal: np.ndarray
+) -> np.ndarray:
+    """X = factor^{-1} A_rP, after adding the members' primal Schur
+    contributions A_PP - A_rP^T X to the coarse matrix S at their primal
+    unknowns (the columns of ``primal``)."""
     X = factor.solve(A_rP)
     np.add.at(S, (primal[:, None, :], primal[None, :, :]), (A_PP - A_rP.T @ X)[:, :, None])
-    classes.append(LocalClass(idx=idx, primal=primal, X=X, factor=factor, A_Pr=np.ascontiguousarray(A_rP.T)))
+    return X
 
 
 def scatter_index(classes) -> np.ndarray:
@@ -449,12 +451,27 @@ def _shared_index_sets(system: BlockSystem, cls: DofClassification, sets: dict[i
 def _local_saddle(lb, sets: dict[str, np.ndarray]) -> sp.csr_matrix:
     """A subdomain's saddle block [[A, B^T, 0], [B, -C, D^T], [0, D, -E]]
     on (uI, xiI, pI, uD, uP): K_rr first, the primal rows and columns last.
-    Its column indices are sorted, so a product sums each row in column
-    order whatever the local numbering."""
-    K = sp.bmat([[lb.A, lb.B.T, None], [lb.B, -lb.C, lb.D.T], [None, lb.D, -lb.E]], format="csr")
+    Each block's entries are moved to their rows and columns there, or
+    dropped, by one lookup in the inverse of that order.  Its column
+    indices are sorted, so a product sums each row in column order whatever
+    the local numbering."""
     n_u, n_xi = lb.A.shape[0], lb.C.shape[0]
     at = np.concatenate([sets["uI"], n_u + sets["xiI"], n_u + n_xi + sets["pI"], sets["uD"], sets["uP"]])
-    return K[at][:, at].sorted_indices()
+    pos = np.full(n_u + n_xi + lb.E.shape[0], -1, dtype=np.int64)
+    pos[at] = np.arange(at.size)
+    parts = []
+    # each block at its row and column offsets, with its sign; an
+    # off-diagonal block also stands transposed above the diagonal
+    for M, r0, c0, sign in ((lb.A, 0, 0, 1.0), (lb.B, n_u, 0, 1.0), (lb.C, n_u, n_u, -1.0),
+                            (lb.D, n_u + n_xi, n_u, 1.0), (lb.E, n_u + n_xi, n_u + n_xi, -1.0)):
+        c = M.tocoo()
+        i, j = pos[r0 + c.row], pos[c0 + c.col]
+        keep = (i >= 0) & (j >= 0)
+        i, j, v = i[keep], j[keep], sign * c.data[keep]
+        parts += [(i, j, v), (j, i, v)] if r0 != c0 else [(i, j, v)]
+    i, j, v = (np.concatenate(p) for p in zip(*parts))
+    # COO to CSR sums duplicates, which sorts the column indices
+    return sp.csr_matrix((v, (i, j)), shape=(at.size, at.size))
 
 
 def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: JumpOperator) -> ReducedSystem:
@@ -473,13 +490,14 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
     for members in class_members:
         M = _local_saddle(views[members[0]], ix[members[0]])
         n_r = M.shape[0] - ix[members[0]]["uP"].size
-        K_rr = M[:n_r, :n_r]
-        add_local_class(
-            classes, S_PP, SaddleFactor(f"subdomain {members[0]} (class of {len(members)})", K_rr, len(members)),
-            M[:n_r, n_r:].toarray(), M[n_r:, n_r:].toarray(),
-            idx=np.column_stack([lay.r_indices[s] for s in members]),
-            primal=np.column_stack([np.searchsorted(cls.u_primal, cls.u_sub_primal[s]) for s in members]),
-        )
+        factor = SaddleFactor(f"subdomain {members[0]} (class of {len(members)})", M[:n_r, :n_r], len(members))
+        A_rP = M[:n_r, n_r:].toarray()
+        primal = np.column_stack([np.searchsorted(cls.u_primal, cls.u_sub_primal[s]) for s in members])
+        classes.append(LocalClass(
+            idx=np.column_stack([lay.r_indices[s] for s in members]), primal=primal,
+            X=primal_coupling(S_PP, factor, A_rP, M[n_r:, n_r:].toarray(), primal),
+            factor=factor, A_Pr=np.ascontiguousarray(A_rP.T),
+        ))
 
     # torn column of every subdomain's stacked local unknown and interface
     # row of every stacked trace dof, -1 where there is none

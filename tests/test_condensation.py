@@ -156,16 +156,16 @@ def test_run_record_lists_condensed_blocks(tmp_path):
     cfg = bd.ExperimentConfig(nx=24, subdomains=(6, 6), oracle="off")
     pipe = bd.build_pipeline(cfg)
     res = bd.run_case(cfg, pipe)
-    assert res.condensed == ["torn", "lambda"]
-    red, lam = pipe.reduced, pipe.preconditioner.multiplier
-    want = sum(c.S.nbytes for c in red.condensed) + sum(c.S.nbytes for c in lam.classes)
+    assert res.condensed == ["torn", "xi", "p", "lambda"]
+    red, pc = pipe.reduced, pipe.preconditioner
+    blocks = (red.condensed, pc.xi.classes, pc.pressure.classes, pc.multiplier.classes)
+    want = sum(c.S.nbytes for classes in blocks for c in classes)
     assert res.condensed_bytes == want > 0
-    # the λ interior factors are dropped once condensed, the torn ones kept
-    assert res.factor_nnz == sum(c.factor.nnz for c in red.factors.values()) + sum(
-        c.factor.nnz for bddc in (pipe.preconditioner.xi, pipe.preconditioner.pressure) for c in bddc.classes
-    )
+    # the preconditioner factors are dropped once condensed, the torn ones kept
+    assert all(c.factor is None for classes in blocks[1:] for c in classes)
+    assert res.factor_nnz == sum(c.factor.nnz for c in red.factors.values())
     path = tmp_path / "out.json"
     bd.write_json([res], str(path))
     entry = json.loads(path.read_text())[0]
-    assert entry["condensed"] == ["torn", "lambda"] and entry["condensed_bytes"] == want
+    assert entry["condensed"] == ["torn", "xi", "p", "lambda"] and entry["condensed_bytes"] == want
     assert "condensed" not in res.row()

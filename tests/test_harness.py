@@ -195,18 +195,17 @@ class TestReports:
 
 class TestFactorSize:
     def test_factor_nnz_sums_every_kept_factor(self, tmp_path):
-        # 16x16 on 2x2: sparse saddle factors, dense BDDC ones; the λ
-        # classes keep no factor
+        # 16x16 on 2x2: sparse saddle factors; the xi, p and λ classes keep
+        # no factor, only their dense maps
         cfg = small_cfg(nx=16, oracle="off")
         pipe = bd.build_pipeline(cfg)
         res = bd.run_case(cfg, pipe)
         pc = pipe.preconditioner
-        assert all(c.factor is None for c in pc.multiplier.classes)
+        assert all(c.factor is None for c in pc.xi.classes + pc.pressure.classes + pc.multiplier.classes)
         factors = [c.factor for c in pipe.reduced.factors.values()]
-        factors += [c.factor for c in pc.xi.classes + pc.pressure.classes]
+        assert pipe.local_factors() == factors
         assert res.factor_nnz == sum(f.nnz for f in factors)
-        assert all(f.nnz < f.n**2 for f in factors[: len(pipe.reduced.factors)])  # sparse
-        assert all(f.nnz == f.n**2 for f in factors[-len(pc.pressure.classes) :])  # dense Schur
+        assert all(f.nnz < f.n**2 for f in factors)  # sparse
         path = tmp_path / "out.json"
         write_json([res], str(path))
         assert json.loads(path.read_text())[0]["factor_nnz"] == res.factor_nnz
@@ -214,8 +213,9 @@ class TestFactorSize:
     @pytest.mark.parametrize("kw", [dict(nx=16, subdomains=(4, 4)), dict(nx=32, subdomains=(8, 8)),
                                     dict(nx=32, subdomains=(8, 8), multiplier_pc="lumped")])
     def test_factor_classes_add_up(self, tmp_path, kw):
-        # the λ classes keep no factor: a Dirichlet block is condensed, and
-        # a lumped one's sparse A_DD is no condensed matrix
+        # the preconditioner classes keep no factor: the xi, p and λ
+        # Dirichlet blocks are condensed, and a lumped λ block's sparse
+        # A_DD is no condensed matrix
         cfg = small_cfg(oracle="off", **kw)
         res = bd.run_case(cfg)
         assert sorted(res.factor_classes) == ["lambda", "p", "torn", "xi"]
@@ -225,9 +225,11 @@ class TestFactorSize:
         assert sum(nnz for classes in res.factor_classes.values() for _, _, nnz in classes) == res.factor_nnz
         lumped = kw.get("multiplier_pc") == "lumped"
         assert ("lambda" in res.condensed) == (not lumped)
-        assert all(entry[1:] == [0, 0] for entry in res.factor_classes["lambda"])
+        for block in ("xi", "p", "lambda"):
+            assert all(entry[1:] == [0, 0] for entry in res.factor_classes[block])
         if lumped:
-            assert res.iterations == 41 and res.condensed == ["torn"] and res.condensed_bytes == 287_472
+            # the torn maps take 287,472 bytes, the xi and p maps 16,336
+            assert res.iterations == 41 and res.condensed == ["torn", "xi", "p"] and res.condensed_bytes == 303_808
         path = tmp_path / "out.json"
         write_json([res], str(path))
         assert json.loads(path.read_text())[0]["factor_classes"] == res.factor_classes
@@ -377,6 +379,23 @@ class TestCli:
         assert code == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("nx=")]
         assert len(lines) == 2
+
+    def test_fit_without_converged_ratios_prints_no_fit(self, capsys):
+        code = main(["fit", *self.BASE, "--max-iter", "2", "--ratios", "2,4"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "eig_max ~" not in out and "no fit" in out
+        assert len([line for line in out.splitlines() if line.startswith("nx=")]) == 2
+
+    def test_fit_goes_on_past_a_failed_ratio(self, tmp_path, capsys):
+        # ratio 0 gives an empty mesh: its row fails, the other two are fitted
+        out = tmp_path / "fit.json"
+        code = main(["fit", *self.BASE, "--ratios", "2,0,4", "--out", str(out)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert [line.endswith("failed") for line in lines if line.startswith("nx=")] == [False, True, False]
+        assert any(line.startswith("eig_max ~") for line in lines)
+        assert [p["H_over_h"] for p in json.loads(out.read_text())["points"]] == [2.0, 4.0]
 
     def test_fit_subcommand(self, tmp_path, capsys):
         out = tmp_path / "fit.json"

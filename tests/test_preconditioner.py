@@ -12,8 +12,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 import biot_ddp as bd
-from biot_ddp.preconditioner import _dense_schur, build_lambda_solver, nested_dissection
-from biot_ddp.reduced_system import _DENSE_FACTOR_CUTOFF
+from biot_ddp import preconditioner
+from biot_ddp.preconditioner import _dense_schur, build_lambda_solver, build_p_bddc, nested_dissection
+from biot_ddp.reduced_system import _DENSE_FACTOR_CUTOFF, CoarseProblem
 from helpers import (
     assembled_pressure_schur,
     assembled_total_pressure_schur,
@@ -187,6 +188,113 @@ class TestClassBatchedBlocks:
         Bd = pipe.jump.jump_scaled.toarray()
         ref = Bd @ H @ Bd.T
         assert rel_err(dense_from_apply(pre.multiplier.apply, ref.shape[0]), ref) < 1e-12
+
+
+def lu_solve_bddc(pipe, kind):
+    """The BDDC apply through one LU solve per subdomain and application:
+    each dual Schur block factored by LAPACK from SciPy's default sparse LU
+    Schur complement (splu_schur), the coarse matrix summed from the same."""
+    cls = pipe.cls
+    bddc = pipe.preconditioner.xi if kind == "xi" else pipe.preconditioner.pressure
+    n_primal = cls.p_primal.size if kind == "p" else 0
+    F = np.zeros((n_primal, n_primal))
+    subs = []
+    for s in range(cls.n_subdomains):
+        lb = pipe.system.local[s]
+        if kind == "xi":
+            M = pipe.materials.lam[s] / pipe.materials.mu[s] * lb.C
+            gamma, inner = lb.xi_pos(cls.xi_sub_interface[s]), lb.xi_pos(cls.xi_interior[s])
+            nd, cols = gamma.size, np.zeros(0, dtype=np.int64)
+        else:
+            dual, primal = cls.p_sub_dual[s], cls.p_sub_primal[s]
+            M, gamma, inner = lb.E, lb.p_pos(np.concatenate([dual, primal])), lb.p_pos(cls.p_interior[s])
+            nd, cols = dual.size, np.searchsorted(cls.p_primal, primal)
+        S = splu_schur(M, gamma, inner)
+        lu = sla.lu_factor(S[:nd, :nd])
+        A_rP = S[:nd, nd:]
+        X = sla.lu_solve(lu, A_rP)
+        F[np.ix_(cols, cols)] += S[nd:, nd:] - A_rP.T @ X
+        subs.append((nd, lu, A_rP, X, cols))
+
+    def apply(r):
+        b = bddc.inject_scaled @ r
+        t_P, local, off = b[b.size - n_primal :].copy(), [], 0
+        for nd, lu, A_rP, X, cols in subs:
+            z = sla.lu_solve(lu, b[off : off + nd])
+            t_P[cols] -= A_rP.T @ z
+            local.append(z)
+            off += nd
+        x_P = np.linalg.solve(F, t_P) if n_primal else t_P
+        x = [z - X @ x_P[cols] for z, (_, _, _, X, cols) in zip(local, subs)]
+        return bddc.inject_scaled_T @ np.concatenate([*x, x_P])
+
+    return apply
+
+
+class TestDenseBddcMaps:
+    """The xi and p BDDC classes keep [S_dd^-1; X^T] as their map and no
+    factor, so each application is one product per class."""
+
+    @pytest.mark.parametrize("kw", [
+        dict(nx=16, subdomains=(4, 4)),
+        dict(nx=16, subdomains=(4, 4), primal="vertex-edge"),
+        dict(nx=16, subdomains=(4, 4), pattern="checkerboard", black={"kappa": 1e-5}),
+        dict(nx=44, subdomains=(2, 2)),  # the interiors take the sparse Schur kernel
+    ])
+    @pytest.mark.parametrize("kind", ["xi", "p"])
+    def test_apply_matches_lu_solves(self, kw, kind):
+        pipe = build(**kw)
+        bddc = pipe.preconditioner.xi if kind == "xi" else pipe.preconditioner.pressure
+        assert all(c.factor is None and isinstance(c.S, np.ndarray) for c in bddc.classes)
+        assert (bddc.coarse.n > 0) == (kind == "p")
+        ref = lu_solve_bddc(pipe, kind)
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            r = rng.standard_normal(bddc.inject_scaled.shape[1])
+            want = ref(r)
+            assert np.linalg.norm(bddc.apply(r) - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("primal", ["vertex", "vertex-edge"])
+    def test_coarse_matrix_is_that_of_the_factored_dual_blocks(self, monkeypatch, primal):
+        # bitwise: A_PP - A_rP^T X, X from a LAPACK LU solve of the dual
+        # block, summed class by class into the coarse matrix
+        schur, coarse = [], []
+
+        def kept_schur(*args):
+            schur.append(_dense_schur(*args))
+            return schur[-1]
+
+        def kept_coarse(F):
+            coarse.append(F.copy())
+            return CoarseProblem(F)
+
+        monkeypatch.setattr(preconditioner, "_dense_schur", kept_schur)
+        monkeypatch.setattr(preconditioner, "CoarseProblem", kept_coarse)
+        pipe = build(nx=20, subdomains=(5, 5), primal=primal, pattern="checkerboard", black={"E": 1e3})
+        pc = pipe.preconditioner
+        classes = pc.xi.classes + pc.pressure.classes
+        assert len(schur) == len(classes) + len(pc.multiplier.classes)
+        F = np.zeros_like(coarse[1])
+        for S, c in zip(schur[len(pc.xi.classes) :], pc.pressure.classes):
+            nd = c.idx.shape[0]
+            A_rP = S[:nd, nd:]
+            X = sla.lu_solve(sla.lu_factor(S[:nd, :nd]), A_rP)
+            assert np.array_equal(c.X, X)
+            np.add.at(F, (c.primal[:, None, :], c.primal[None, :, :]), (S[nd:, nd:] - A_rP.T @ X)[:, :, None])
+        assert coarse[0].shape == (0, 0) and F.size and np.array_equal(coarse[1], F)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::scipy.linalg.LinAlgWarning")
+    def test_singular_dual_block_rejected(self, monkeypatch):
+        def singular(M, gamma, inner, lattice, label):
+            S = _dense_schur(M, gamma, inner, lattice, label)
+            if label == "pressure interior block of subdomain 3":
+                S[0, :] = S[:, 0] = 0.0  # a dual row and column
+            return S
+
+        pipe = build()
+        monkeypatch.setattr(preconditioner, "_dense_schur", singular)
+        with pytest.raises(bd.ConfigurationError, match="^pressure block of subdomain 3: local solve failed"):
+            build_p_bddc(pipe.system, pipe.cls, pipe.restrictions)
 
 
 class TestBlockApply:

@@ -283,7 +283,7 @@ class TestRefinementNearIncompressibleLimit:
     def test_refined_factor_passes_the_probe(self, nu, E, iterations):
         pipe, res = self.run(nu, E)
         assert res.converged and res.iterations == iterations
-        assert res.factor_nnz == 157_976  # as at nu = 0.49999999, unrefined
+        assert res.factor_nnz == 157_192  # as at nu = 0.49999999, unrefined
         refined = [f for f in pipe.local_factors() if f._refine is not None]
         assert refined and all(f._sparse is not None for f in refined)
         rng = np.random.default_rng(3)
@@ -297,7 +297,7 @@ class TestRefinementNearIncompressibleLimit:
     def test_no_refinement_where_the_factor_passes(self):
         pipe, res = self.run(0.49999999, 1.0)
         assert res.converged and res.iterations == 14
-        assert res.factor_nnz == 157_976
+        assert res.factor_nnz == 157_192
         assert all(f._refine is None for f in pipe.local_factors())
 
 
@@ -401,6 +401,29 @@ def _saddle_blocks(M: sp.csr_matrix, sets: dict) -> list[sp.csr_matrix]:
     u = np.r_[0:a, a + b + c : M.shape[0]]
     xi, p = np.arange(a, a + b), np.arange(a + b, a + b + c)
     return [M[r][:, k] for r, k in ((u, u), (xi, u), (xi, xi), (p, xi), (p, p))]
+
+
+def _sliced_bmat_saddle(lb, sets: dict) -> sp.csr_matrix:
+    """The local saddle block as once built: the five blocks put together by
+    bmat, then sliced to (uI, xiI, pI, uD, uP) by fancy indexing."""
+    K = sp.bmat([[lb.A, lb.B.T, None], [lb.B, -lb.C, lb.D.T], [None, lb.D, -lb.E]], format="csr")
+    n_u, n_xi = lb.A.shape[0], lb.C.shape[0]
+    at = np.concatenate([sets["uI"], n_u + sets["xiI"], n_u + n_xi + sets["pI"], sets["uD"], sets["uP"]])
+    return K[at][:, at].sorted_indices()
+
+
+@pytest.mark.parametrize("primal", ["vertex", "vertex-edge"])
+@pytest.mark.parametrize("case", list(MULTI_MEMBER_GRIDS))
+def test_local_saddle_is_bitwise_the_sliced_bmat(case, primal):
+    kw, _ = MULTI_MEMBER_GRIDS[case]
+    pipe = bd.build_pipeline(bd.ExperimentConfig(primal=primal, oracle="off", **kw))
+    for s, lb in pipe.system.local.items():
+        sets = _local_index_sets(pipe.cls, s, lb)
+        K, ref = _local_saddle(lb, sets), _sliced_bmat_saddle(lb, sets)
+        assert K.shape == ref.shape and K.has_sorted_indices
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(K, part), getattr(ref, part)), (s, part)
+        assert np.array_equal(np.signbit(K.data), np.signbit(ref.data)), s
 
 
 class TestClassKey:

@@ -74,9 +74,9 @@ def test_traced_spans_add_up(monkeypatch, workload, n_classes):
 
 
 def test_traced_spans_add_up_when_condensed(monkeypatch):
-    # the flagship itself (8x8): both the operator and the multiplier block
-    # are condensed, so the local solves run only for the right-hand side
-    # and the recovery
+    # the flagship itself (8x8): the operator and every preconditioner
+    # block are condensed, so the local solves run only for the right-hand
+    # side and the recovery
     spans, pipe = traced_run(monkeypatch, "flagship-p1-nx64", shrink=1)
-    assert sorted(pipe.condensed_blocks()) == ["lambda", "torn"]
+    assert list(pipe.condensed_blocks()) == ["torn", "xi", "p", "lambda"]
     check_span_contract(spans, pipe, 9)
