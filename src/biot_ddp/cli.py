@@ -160,7 +160,8 @@ def _print_points(results) -> int:
             print(f"{point} failed")
             codes.append(_report(res.error))
         else:
-            print(f"{point} iter={row['iter']} eig_min={row['eig_min']} eig_max={row['eig_max']}")
+            line = f"{point} iter={row['iter']} eig_min={row['eig_min']} eig_max={row['eig_max']}"
+            print(line if res.converged else f"{line} (NOT CONVERGED)")
             codes.append(0 if res.converged else 1)
     return next((c for c in codes if c), 0)
 

@@ -17,7 +17,13 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 
 class SpdViolationError(RuntimeError):
-    """The operator or preconditioner produced a nonpositive inner product."""
+    """The operator or preconditioner produced a nonpositive or non-finite
+    inner product, or the residual became non-finite."""
+
+
+def _kind(value: float) -> str:
+    """What is wrong with an inner product that is not positive and finite."""
+    return "nonpositive" if value <= 0.0 else "non-finite"
 
 
 @dataclass
@@ -115,8 +121,9 @@ def pcg(
     r = b.copy()
     z = precond(r)
     rz = float(r @ z)
-    if rz <= 0.0:
-        raise SpdViolationError(f"preconditioner produced nonpositive product {rz:.3e} on the initial residual")
+    # every guard is written so that NaN fails it
+    if not 0.0 < rz < np.inf:
+        raise SpdViolationError(f"preconditioner produced {_kind(rz)} product {rz:.3e} on the initial residual")
     p = z.copy()
     residuals = [norm0]
     alphas: list[float] = []
@@ -129,13 +136,15 @@ def pcg(
     for it in range(1, cfg.max_iter + 1):
         q = apply_A(p)
         pq = float(p @ q)
-        if pq <= 0.0:
-            raise SpdViolationError(f"operator produced nonpositive curvature {pq:.3e} at iteration {it}")
+        if not 0.0 < pq < np.inf:
+            raise SpdViolationError(f"operator produced {_kind(pq)} curvature {pq:.3e} at iteration {it}")
         alpha = rz / pq
         alphas.append(alpha)
         x += alpha * p
         r -= alpha * q
         res = float(np.linalg.norm(r))
+        if not np.isfinite(res):
+            raise SpdViolationError(f"residual became non-finite ({res:.3e}) at iteration {it}")
         residuals.append(res)
         if res <= cfg.tol * norm0:
             converged = True
@@ -147,8 +156,8 @@ def pcg(
                 r -= c * rj
                 z -= c * zj
         rz_new = float(r @ z)
-        if rz_new <= 0.0:
-            raise SpdViolationError(f"preconditioned product became nonpositive ({rz_new:.3e}) at iteration {it}")
+        if not 0.0 < rz_new < np.inf:
+            raise SpdViolationError(f"preconditioned product became {_kind(rz_new)} ({rz_new:.3e}) at iteration {it}")
         beta = rz_new / rz
         betas.append(beta)
         p = z + beta * p

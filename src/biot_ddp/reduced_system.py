@@ -36,6 +36,10 @@ _DENSE_FACTOR_CUTOFF = 400
 _PAYBACK_APPLIES = 32
 _PROBE_TOL = 1e-8  # largest relative residual of a local solve's probe
 
+# LAPACK's dense LU and Cholesky kernels, called directly: each matrix is
+# checked once, where it is factored, and no solve scans the factor again
+_getrf, _getrs, _potrf, _potrs = sla.get_lapack_funcs(("getrf", "getrs", "potrf", "potrs"), dtype=np.float64)
+
 
 def _rejected(name: str, why: str) -> ConfigurationError:
     return ConfigurationError(
@@ -73,12 +77,15 @@ class SaddleFactor:
     The guard is a random solve probe, one sparse (or dense) product for
     all its columns, which rejects silently singular blocks (a floating
     subdomain without enough primal constraints, for instance); an exactly
-    singular block is rejected the same way.  Either raises
-    ``ConfigurationError`` naming the block.  When a sparse factor fails
-    the probe, which the lost digits do near the incompressible limit, it
-    keeps the factored block and solves with one step of iterative
-    refinement against it from then on; the block is probed again and
-    rejected only if it still fails.
+    singular dense block (a zero pivot of ``getrf``) and a block with a
+    non-finite entry are rejected the same way, since their solves are not
+    finite.  Either raises ``ConfigurationError`` naming the block.  The
+    probe is the one check: a dense solve is one ``getrs`` call on the
+    factor that passed it, with no scan of the factor or of the right-hand
+    side.  When a sparse factor fails the probe, which the lost digits do
+    near the incompressible limit, it keeps the factored block and solves
+    with one step of iterative refinement against it from then on; the
+    block is probed again and rejected only if it still fails.
 
     ``nnz`` is the factor's size: n^2 for a dense factor, the entries
     SuperLU stores for L and U (supernodes included) for a sparse one.
@@ -91,7 +98,9 @@ class SaddleFactor:
         if self.n == 0:
             return
         if self.n < _DENSE_FACTOR_CUTOFF or not sp.issparse(K):
-            self._dense = sla.lu_factor(K.toarray() if sp.issparse(K) else K)
+            # a fresh Fortran-ordered copy, factored in place
+            A = K.toarray(order="F") if sp.issparse(K) else np.array(K, dtype=np.float64, order="F")
+            self._dense = _getrf(A, overwrite_a=True)[:2]
             self.nnz = self.n * self.n
         else:
             try:
@@ -113,7 +122,7 @@ class SaddleFactor:
         if b.size == 0:
             return np.zeros_like(b)
         if self._dense is not None:
-            return sla.lu_solve(self._dense, b)
+            return _getrs(*self._dense, b)[0]
         z = self._sparse.solve(b)
         if self._refine is not None:
             z += self._sparse.solve(b - self._refine @ z)
@@ -166,32 +175,50 @@ def trailing_schur(label: str, K: sp.spmatrix, k: int) -> np.ndarray:
 
 
 class CoarseProblem:
-    """Dense Cholesky of a primal Schur complement."""
+    """Dense Cholesky of a primal Schur complement.
+
+    The matrix is checked once, here: a non-finite entry or an asymmetry
+    beyond roundoff is a fault of the build (``InternalError``), a matrix
+    that is not positive definite a primal constraint set that does not
+    control every subdomain (``ConfigurationError``).  Every solve is then
+    one ``potrs`` call on the factor, which runs once or more per operator
+    and preconditioner application.
+    """
 
     def __init__(self, S: np.ndarray):
         self.n = S.shape[0]
         if self.n == 0:
             self._cho = None
             return
-        asym = float(np.max(np.abs(S - S.T)))
-        scale = float(np.max(np.abs(S))) or 1.0
+        # one transpose copy and one scratch array, no other temporaries:
+        # each fresh n x n array costs about as much as a pass over it
+        T = S.T.copy()
+        D = S - T
+        asym = float(np.abs(D, out=D).max())
+        # a non-finite entry leaves S - S^T non-finite at its position
+        if not np.isfinite(asym):
+            raise InternalError("coarse matrix has non-finite entries")
+        del D  # not held through the factorization
+        scale = max(float(S.max()), -float(S.min())) or 1.0
         # Roundoff from hundreds of accumulated subdomain solves; anything
         # beyond this hints at an indexing bug rather than floating point.
         if asym > 1e-6 * scale:
             raise InternalError(f"coarse matrix asymmetry {asym:.2e} exceeds tolerance")
-        S = 0.5 * (S + S.T)
-        try:
-            self._cho = sla.cho_factor(S)
-        except sla.LinAlgError as err:
+        T += S
+        T *= 0.5
+        # T is now exactly symmetric, so its transpose is the same matrix in
+        # Fortran order and is factored in place
+        self._cho, info = _potrf(T.T, overwrite_a=True, clean=False)
+        if info > 0:
             raise ConfigurationError(
                 "coarse problem is not positive definite; "
                 "the primal constraint set does not control every subdomain's null space"
-            ) from err
+            )
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         if self.n == 0:
             return np.zeros_like(b)
-        return sla.cho_solve(self._cho, b)
+        return _potrs(self._cho, b)[0]
 
 
 @dataclass

@@ -385,7 +385,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 1
         assert "eig_max ~" not in out and "no fit" in out
-        assert len([line for line in out.splitlines() if line.startswith("nx=")]) == 2
+        points = [line for line in out.splitlines() if line.startswith("nx=")]
+        assert len(points) == 2 and all(line.endswith(" (NOT CONVERGED)") for line in points)
+
+    def test_sweep_marks_only_unconverged_points(self, capsys):
+        code = main(["sweep", *self.BASE, "--axis", "max_iter=2,50"])
+        points = [line for line in capsys.readouterr().out.splitlines() if line.startswith("nx=")]
+        assert code == 1
+        assert [line.endswith(" (NOT CONVERGED)") for line in points] == [True, False]
 
     def test_fit_goes_on_past_a_failed_ratio(self, tmp_path, capsys):
         # ratio 0 gives an empty mesh: its row fails, the other two are fitted

@@ -67,6 +67,36 @@ class TestPcg:
         with pytest.raises(bd.SpdViolationError):
             pcg(lambda v: v, b, apply_M=lambda v: -v)
 
+    @staticmethod
+    def turns_bad(apply, value, from_call):
+        """``apply`` until call ``from_call``, then vectors of ``value``."""
+        calls = []
+
+        def f(v):
+            calls.append(1)
+            return np.full_like(v, value) if len(calls) >= from_call else apply(v)
+
+        return f
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_operator_rejected_at_once(self, value):
+        # NaN fails no `<= 0` test: without a finite check the run goes on to
+        # max_iter and ends in the Ritz eigensolver
+        rng = np.random.default_rng(9)
+        A = random_spd(40, 1e6, rng)
+        op = self.turns_bad(lambda v: A @ v, value, 3)
+        with pytest.raises(bd.SpdViolationError, match=r"^operator produced non-finite curvature .* at iteration 3$"):
+            pcg(op, rng.standard_normal(40), config=PcgConfig(tol=1e-14, max_iter=500))
+
+    @pytest.mark.parametrize("from_call, where", [(1, "on the initial residual"), (3, "at iteration 2")])
+    def test_non_finite_preconditioner_rejected_at_once(self, from_call, where):
+        rng = np.random.default_rng(10)
+        A = random_spd(40, 1e6, rng)
+        pc = self.turns_bad(lambda v: v.copy(), np.nan, from_call)
+        with pytest.raises(bd.SpdViolationError, match=f"non-finite.* {where}$"):
+            pcg(lambda v: A @ v, rng.standard_normal(40), apply_M=pc, config=PcgConfig(tol=1e-14))
+
     def test_iteration_cap_reported(self):
         rng = np.random.default_rng(5)
         A = random_spd(50, 1e8, rng)

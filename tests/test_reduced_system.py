@@ -7,6 +7,7 @@ dense elimination of the torn unknowns, or explicit column probing.
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
@@ -261,6 +262,26 @@ class TestLocalFactors:
         else:
             assert K.nnz <= fac.nnz < n * n // 4
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_dense_block_rejected_by_the_probe(self, value):
+        K = 4.0 * np.eye(8)
+        K[2, 5] = value
+        with pytest.raises(bd.ConfigurationError, match=r"^pressure block of subdomain 4: local solve failed its residual probe"):
+            SaddleFactor("pressure block of subdomain 4", K)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_dense_solve_is_bitwise_lu_solve(self, sparse):
+        # the LAPACK LU that scipy.linalg wraps, with the checks left out
+        rng = np.random.default_rng(11)
+        K = rng.standard_normal((60, 60)) + 8.0 * np.eye(60)
+        fac = SaddleFactor("test block", sp.csr_matrix(K) if sparse else K)
+        lu = sla.lu_factor(K)
+        for b in (rng.standard_normal(60), rng.standard_normal((60, 5))):
+            x = fac.solve(b)
+            assert x.shape == b.shape
+            assert x.tobytes() == sla.lu_solve(lu, b).tobytes()
+
     def test_empty_block(self):
         fac = SaddleFactor("empty", sp.csr_matrix((0, 0)))
         assert fac.solve(np.zeros(0)).size == 0
@@ -480,6 +501,33 @@ class TestCoarseProblem:
         coarse = CoarseProblem(S)
         b = rng.standard_normal(5)
         np.testing.assert_allclose(S @ coarse.solve(b), b, atol=1e-10)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, value):
+        # NaN passes the asymmetry test (NaN > tol is False)
+        S = 4.0 * np.eye(6)
+        S[1, 3] = S[3, 1] = value
+        with pytest.raises(bd.InternalError, match="non-finite"):
+            CoarseProblem(S)
+
+    def test_indefinite_input_rejected(self):
+        with pytest.raises(bd.ConfigurationError, match="not positive definite"):
+            CoarseProblem(np.diag([2.0, 1.0, -1.0]))
+
+    def test_solve_is_bitwise_cho_solve(self):
+        # the LAPACK Cholesky that scipy.linalg wraps, of the symmetrized
+        # matrix, with the checks left out
+        rng = np.random.default_rng(12)
+        Q = rng.standard_normal((40, 40))
+        S = Q @ Q.T + 40 * np.eye(40)
+        S += 1e-12 * rng.standard_normal(S.shape)  # roundoff asymmetry
+        coarse = CoarseProblem(S)
+        cho = sla.cho_factor(0.5 * (S + S.T))
+        for b in (rng.standard_normal(40), rng.standard_normal((40, 3))):
+            x = coarse.solve(b)
+            assert x.shape == b.shape
+            assert x.tobytes() == sla.cho_solve(cho, b).tobytes()
 
 
 def _log_uniform(lo, hi):

@@ -7,7 +7,9 @@ and the assembled blocks must be bitwise the same under every setting.
 The solve is reproducible to a tolerance only: the reductions in PCG and
 the dense products (the condensed maps, and the GEMM L_kk U_kk that forms
 a Schur complement from a partial LU) round differently under other
-kernels and thread counts.
+kernels and thread counts.  The tolerance bounds the interface residual,
+not each field: a field that the stopping rule leaves less accurate than
+``tol`` against the direct solve agrees across settings to that accuracy.
 """
 
 import json
@@ -41,7 +43,7 @@ for kw in json.loads(sys.argv[1]):
     cls = pipe.cls
     interior = max(cls.u_interior[s].size for s in range(cls.n_subdomains))
     out.append(dict(sha=h.hexdigest(), iterations=res.iterations, converged=res.converged,
-                    residual=res.residuals[-1], lambda_interior=interior,
+                    residual=res.residuals[-1], lambda_interior=interior, oracle_err=res.oracle_err,
                     fields=[res.u.tolist(), res.xi.tolist(), res.p.tolist()]))
 print(json.dumps(out))
 """
@@ -52,6 +54,9 @@ CONFIGS = [
     dict(nx=16, subdomains=(2, 2), nu=0.499, tol=TOL, oracle="off"),
     # dense local factors, a checkerboard in E
     dict(nx=12, subdomains=(3, 3), pattern="checkerboard", black={"E": 1e3}, nu=0.3, tol=TOL, oracle="off"),
+    # LAPACK Cholesky coarse problems of 336 (torn) and 168 (pressure)
+    # unknowns; u and xi are 1e-6 to 1e-5 off the direct solve at this tol
+    dict(nx=32, subdomains=(8, 8), total_pressure="p0", primal="vertex-edge", tol=TOL, oracle="on"),
 ]
 SETTINGS = {
     "1 thread": {},
@@ -88,7 +93,9 @@ def test_recovered_fields_agree_to_the_tolerance(runs):
             # a count may move only where the stopping residual sits near tol
             if got["iterations"] != want["iterations"]:
                 assert max(got["residual"], want["residual"]) > 0.1 * TOL, (name, k)
-            for x, y in zip(got["fields"], want["fields"]):
+            for x, y, err in zip(got["fields"], want["fields"], want["oracle_err"] or [0.0] * 3):
                 x, y = np.asarray(x), np.asarray(y)
-                # measured: at most 2e-10 relative, on the checkerboard's xi
-                assert np.abs(x - y).max() <= TOL * np.abs(y).max(), (name, k)
+                # measured: at most 2e-10 relative, on the checkerboard's xi,
+                # where the solve reaches tol; 6.4e-7 on the p0 run's xi,
+                # whose error against the direct solve is 2.1e-5
+                assert np.abs(x - y).max() <= max(TOL, err) * np.abs(y).max(), (name, k)
