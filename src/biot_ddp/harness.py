@@ -11,11 +11,16 @@ import csv
 import json
 import math
 import numbers
+import os
+import platform
+import resource
+import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 from itertools import product
 
 import numpy as np
+import scipy
 import scipy.sparse.linalg as spla
 
 from .decomposition import (
@@ -47,7 +52,7 @@ from .mesh_fem import (
     build_mesh,
     build_spaces,
 )
-from .preconditioner import BlockPreconditioner, build_preconditioner
+from .preconditioner import BlockPreconditioner, InterfaceBddc, build_preconditioner
 from .reduced_system import ReducedSystem, SaddleFactor, build_reduced_system
 
 ORACLE_AUTO_LIMIT = 5000
@@ -192,9 +197,17 @@ class Pipeline:
     def n_dofs(self) -> int:
         return self.spaces.n_total
 
-    def _preconditioner_classes(self) -> dict[str, list]:
+    def _preconditioner_blocks(self) -> dict[str, InterfaceBddc]:
         pc = self.preconditioner
-        return {**{k: b.classes for k, b in (("xi", pc.xi), ("p", pc.pressure)) if b}, "lambda": pc.multiplier.classes}
+        return {k: b for k, b in (("xi", pc.xi), ("p", pc.pressure), ("lambda", pc.multiplier)) if b}
+
+    def _preconditioner_classes(self) -> dict[str, list]:
+        return {k: b.classes for k, b in self._preconditioner_blocks().items()}
+
+    def schur_sources(self) -> dict[str, int]:
+        """Per preconditioner block ("xi", "p", "lambda"), how many Schur
+        complements its build formed (``preconditioner.class_schurs``)."""
+        return {k: b.sources for k, b in self._preconditioner_blocks().items()}
 
     def class_factors(self) -> dict[str, list[tuple[int, SaddleFactor | None]]]:
         """Per block with unknowns ("torn", "xi", "p", "lambda"), each class's
@@ -237,6 +250,8 @@ class RunResult:
     factor_classes: dict[str, list[list[int]]]  # per block, [members, n, nnz] of each class's factor (0, 0: none)
     condensed: list[str]  # blocks applied through dense interface matrices: "torn", "xi", "p", "lambda"
     condensed_bytes: int  # their dense maps together
+    schur_sources: dict[str, int]  # per preconditioner block, the Schur complements formed
+    peak_rss_mb: float  # peak resident set size of the process so far
     notes: list[str]
     u: np.ndarray
     xi: np.ndarray
@@ -250,8 +265,8 @@ class RunResult:
         return cls(
             config=config, iterations=0, converged=False, eig_min=None, eig_max=None, valid_eig_min=None,
             dropped_modes=0, residuals=[], jump_norm=None, n_dofs=0, n_interface=0, oracle_err=None,
-            wall_s=wall_s, factor_nnz=0, factor_classes={}, condensed=[], condensed_bytes=0, notes=[],
-            u=empty, xi=empty, p=empty, error=error,
+            wall_s=wall_s, factor_nnz=0, factor_classes={}, condensed=[], condensed_bytes=0, schur_sources={},
+            peak_rss_mb=peak_rss_mb(), notes=[], u=empty, xi=empty, p=empty, error=error,
         )
 
     def row(self) -> dict:
@@ -338,6 +353,25 @@ def _field_error(got: np.ndarray, want: np.ndarray) -> float:
     return diff / scale if scale > 0.0 else diff
 
 
+def peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MB (2^20 bytes)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10  # bytes on macOS, KiB elsewhere
+
+
+def environment() -> dict:
+    """What produced a run: the Python, NumPy and SciPy versions, NumPy's
+    BLAS, and the thread and core settings OpenBLAS reads (None if unset)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas["name"], "version": blas["version"]},
+        **{v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_CORETYPE")},
+    }
+
+
 def run_case(cfg: ExperimentConfig, pipe: Pipeline | None = None) -> RunResult:
     t0 = time.perf_counter()
     pipe = pipe or build_pipeline(cfg)
@@ -378,6 +412,8 @@ def run_case(cfg: ExperimentConfig, pipe: Pipeline | None = None) -> RunResult:
                         for k, v in pipe.class_factors().items()},
         condensed=list(condensed),
         condensed_bytes=sum(condensed.values()),
+        schur_sources=pipe.schur_sources(),
+        peak_rss_mb=peak_rss_mb(),
         notes=list(result.notes),
         u=u,
         xi=xi,
@@ -469,6 +505,7 @@ def write_csv(results: list[RunResult], path: str) -> None:
 
 def write_json(results: list[RunResult], path: str) -> None:
     payload = []
+    env = environment()
     for res in results:
         entry = res.row()
         entry["config"] = res.config.to_dict()
@@ -481,6 +518,9 @@ def write_json(results: list[RunResult], path: str) -> None:
         entry["factor_classes"] = res.factor_classes
         entry["condensed"] = res.condensed
         entry["condensed_bytes"] = res.condensed_bytes
+        entry["schur_sources"] = res.schur_sources
+        entry["peak_rss_mb"] = res.peak_rss_mb
+        entry["environment"] = env
         entry["notes"] = res.notes
         payload.append(entry)
     with open(path, "w", encoding="utf-8") as fh:

@@ -19,11 +19,14 @@ Every map is one dense matrix, so each application is one product per
 class and no triangular solve: for xi and p, [S_dd^-1; X^T], the inverse
 of the dual Schur block over the primal coupling X = S_dd^-1 S_dP that
 also gives the coarse matrix; for λ (no coarse problem) the dense
-Dirichlet Schur complement, or the lumped A_DD.  One kernel,
-``_dense_schur``, forms every Schur complement of the three blocks:
-through a dense factor of the eliminated block when it is small, else
-through one sparse LU of the whole block with the kept unknowns ordered
-last and the eliminated ones in nested-dissection order.
+Dirichlet Schur complement, or the lumped A_DD.  One helper,
+``class_schurs``, gives every class of the three blocks its Schur
+complement.  A class whose sides differ from an earlier one's only where
+it has Dirichlet sides takes a principal submatrix of that one's; any
+other is formed by ``_dense_schur``: through a dense factor of the
+eliminated block when it is small, else through one sparse LU of the
+whole block with the kept unknowns ordered last and the eliminated ones
+in nested-dissection order.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .decomposition import (
     JumpOperator,
     RestrictionSet,
 )
-from .mesh_fem import BlockSystem, ConfigurationError
+from .mesh_fem import BLOCK_PARAMS, SIDES, BlockSystem, ConfigurationError
 from .reduced_system import (
     _DENSE_FACTOR_CUTOFF,
     CoarseProblem,
@@ -112,6 +115,88 @@ def _dense_schur(
     return S
 
 
+# the field of each preconditioner block and the local block it condenses
+_FIELD_BLOCK = {"u": "A", "xi": "C", "p": "E"}
+
+
+def _side_kinds(system: BlockSystem, fld: str, s: int) -> tuple[str, ...]:
+    """Kind of each side of subdomain s (in ``SIDES`` order) for field
+    ``fld``: "interface" inside the square, else "dirichlet" or "free" by
+    the field's boundary conditions (total pressure has none)."""
+    gx, gy = system.grid
+    sx, sy = s % gx, s // gx
+    dirichlet = {"u": system.bc.displacement_dirichlet, "p": system.bc.pressure_dirichlet}.get(fld, ())
+    outer = (sx == 0, sx == gx - 1, sy == 0, sy == gy - 1)
+    return tuple("interface" if not out else "dirichlet" if side in dirichlet else "free"
+                  for side, out in zip(SIDES, outer))
+
+
+def _patch_keys(system: BlockSystem, fld: str, s: int, dofs: np.ndarray) -> np.ndarray:
+    """One integer per dof of subdomain s: its node's grid position relative
+    to the subdomain's lower-left node, and its component (x or y of a
+    displacement, the lower or upper triangle of a p0 cell)."""
+    ix, iy = system.spaces.lattice(fld, dofs)
+    mesh = system.spaces.mesh.refined_mesh if fld == "u" else system.spaces.mesh
+    gx, gy = system.grid
+    ix, iy = ix - s % gx * (mesh.nx // gx), iy - s // gx * (mesh.ny // gy)
+    two = fld == "u" or (fld == "xi" and system.spaces.total_pressure_variant == "p0")
+    return 2 * (ix * (mesh.ny + 1) + iy) + (dofs % 2 if two else 0)
+
+
+def _match(kept: np.ndarray, want: np.ndarray) -> np.ndarray | None:
+    """The index in ``kept`` of each of ``want``, or None if one is missing."""
+    order = np.argsort(kept)
+    at = np.searchsorted(kept, want, sorter=order)
+    if np.any(at >= kept.size):
+        return None
+    m = order[at]
+    return m if np.array_equal(kept[m], want) else None
+
+
+def class_schurs(system: BlockSystem, fld: str, block, label: str) -> tuple[list[np.ndarray], int]:
+    """The dense Schur complement of every congruence class of field
+    ``fld``'s local block (``_FIELD_BLOCK``), in ``BlockSystem.classes``
+    order, and how many of them were formed.
+
+    ``block(r)`` gives representative r's matrix, its local dofs and the
+    positions of the kept and of the eliminated ones.  Classes are visited
+    with the fewest Dirichlet sides first.  Class r takes its S as a
+    principal submatrix of the S of the first earlier formed one, c, with
+    its material key (``BLOCK_PARAMS``) and, on each side, r's kind or a
+    Dirichlet side of r: r then eliminates the same positions with the same
+    material, keeps a subset of c's, and sees the same change of basis on
+    them, so its S is c's restricted to its kept dofs.  Any other class is
+    formed by ``_dense_schur``.  Dofs are matched by their position in the
+    patch (``_patch_keys``); a kept dof of r that c does not keep, or an
+    eliminated set that differs, is an ``InternalError`` naming r.
+    """
+    groups = system.classes(_FIELD_BLOCK[fld])
+    kinds = [_side_kinds(system, fld, g[0]) for g in groups]
+    material = [tuple(getattr(system.materials, p)[g[0]] for p in BLOCK_PARAMS[_FIELD_BLOCK[fld]]) for g in groups]
+    out: list[np.ndarray] = [np.zeros((0, 0))] * len(groups)
+    sources: list[tuple[int, np.ndarray, np.ndarray]] = []  # (class, patch keys of kept and of eliminated dofs)
+    for i in sorted(range(len(groups)), key=lambda i: kinds[i].count("dirichlet")):
+        r = groups[i][0]
+        M, dofs, gamma, inner = block(r)
+        name = f"{label} interior block of subdomain {r}"
+        keys = _patch_keys(system, fld, r, dofs)
+        kept, eliminated = keys[gamma], np.sort(keys[inner])
+        src = next((s for s in sources if material[s[0]] == material[i] and all(
+            a == b or a == "dirichlet" for a, b in zip(kinds[i], kinds[s[0]]))), None)
+        if src is None:
+            out[i] = _dense_schur(M, gamma, inner, system.spaces.lattice(fld, dofs[inner]), name)
+            sources.append((i, kept, eliminated))
+            continue
+        c = groups[src[0]][0]
+        m = _match(src[1], kept)
+        if m is None:
+            raise InternalError(f"{name}: a kept dof is not kept by the class of subdomain {c}")
+        if not np.array_equal(eliminated, src[2]):
+            raise InternalError(f"{name}: its eliminated dofs are not those of the class of subdomain {c}")
+        out[i] = out[src[0]][np.ix_(m, m)]
+    return out, len(sources)
+
+
 @dataclass
 class InterfaceBddc:
     """Balancing preconditioner on a pressure-like interface trace.
@@ -129,30 +214,31 @@ class InterfaceBddc:
     classes: list[LocalClass]
     coarse: CoarseProblem
     at: np.ndarray  # scatter_index of the classes
+    sources: int  # Schur complements formed (``class_schurs``); the other classes' are submatrices of them
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         return self.inject_scaled_T @ solve_partially_assembled(self.classes, self.coarse, self.inject_scaled @ r, self.at)
 
 
 def _bddc(
-    inject_scaled: sp.csr_matrix, groups: list[np.ndarray], block, dual: dict, primal: dict, primal_dofs: np.ndarray,
-    label: str,
+    inject_scaled: sp.csr_matrix, system: BlockSystem, fld: str, block, dual: dict, primal: dict,
+    primal_dofs: np.ndarray, label: str,
 ) -> InterfaceBddc:
-    """One dense map per class of ``groups``: its dual Schur block is
-    factored and probed, solved for the identity and for the primal
-    coupling X, and dropped; X also adds the class's part of the coarse
-    matrix.  ``block(r)`` gives representative r's matrix, the local
-    positions of its dual, then primal interface unknowns and of its
-    interior ones, and the grid coordinates of the interior ones.
-    Subdomain s's dual dofs ``dual[s]`` take the next positions of the
-    partially assembled vector, its primal dofs ``primal[s]`` their places
-    in ``primal_dofs``."""
+    """One dense map per class of field ``fld``'s block: its dual Schur
+    block is factored and probed, solved for the identity and for the
+    primal coupling X, and dropped; X also adds the class's part of the
+    coarse matrix.  ``block`` is that of ``class_schurs``, its kept dofs
+    representative r's dual, then primal interface unknowns.  Subdomain
+    s's dual dofs ``dual[s]`` take the next positions of the partially
+    assembled vector, its primal dofs ``primal[s]`` their places in
+    ``primal_dofs``."""
     off = np.cumsum([0, *(dual[s].size for s in range(len(dual)))])
     F = np.zeros((primal_dofs.size, primal_dofs.size))
+    groups = system.classes(_FIELD_BLOCK[fld])
+    schurs, sources = class_schurs(system, fld, block, label)
     classes: list[LocalClass] = []
-    for members in groups:
+    for members, S in zip(groups, schurs):
         r, nd = members[0], dual[members[0]].size
-        S = _dense_schur(*block(r), f"{label} interior block of subdomain {r}")
         factor = SaddleFactor(f"{label} block of subdomain {r}", S[:nd, :nd])
         cols = np.column_stack([np.searchsorted(primal_dofs, primal[s]) for s in members])
         X = primal_coupling(F, factor, S[:nd, nd:], S[nd:, nd:], cols)
@@ -166,6 +252,7 @@ def _bddc(
         classes=classes,
         coarse=CoarseProblem(F),
         at=scatter_index(classes),
+        sources=sources,
     )
 
 
@@ -176,23 +263,21 @@ def build_xi_solver(system: BlockSystem, cls: DofClassification, restrictions: R
 
     def block(r):
         lb = system.stacked.local_view(r)
-        inner = lb.xi_pos(cls.xi_interior[r])
-        return (float(mats.lam[r] / mats.mu[r]) * lb.C, lb.xi_pos(cls.xi_sub_interface[r]), inner,
-                system.spaces.lattice("xi", lb.xidofs[inner]))
+        return (float(mats.lam[r] / mats.mu[r]) * lb.C, lb.xidofs, lb.xi_pos(cls.xi_sub_interface[r]),
+                lb.xi_pos(cls.xi_interior[r]))
 
     no_primal = np.zeros(0, dtype=np.int64)
-    return _bddc(restrictions.xi_break_scaled, system.classes("C"), block, cls.xi_sub_interface,
+    return _bddc(restrictions.xi_break_scaled, system, "xi", block, cls.xi_sub_interface,
                  dict.fromkeys(cls.xi_sub_interface, no_primal), no_primal, "total pressure")
 
 
 def build_p_bddc(system: BlockSystem, cls: DofClassification, restrictions: RestrictionSet) -> InterfaceBddc:
     def block(r):
         lb = system.stacked.local_view(r)
-        inner = lb.p_pos(cls.p_interior[r])
-        return (lb.E, lb.p_pos(np.concatenate([cls.p_sub_dual[r], cls.p_sub_primal[r]])), inner,
-                system.spaces.lattice("p", lb.pdofs[inner]))
+        return (lb.E, lb.pdofs, lb.p_pos(np.concatenate([cls.p_sub_dual[r], cls.p_sub_primal[r]])),
+                lb.p_pos(cls.p_interior[r]))
 
-    return _bddc(restrictions.p_inject_scaled, system.classes("E"), block, cls.p_sub_dual, cls.p_sub_primal,
+    return _bddc(restrictions.p_inject_scaled, system, "p", block, cls.p_sub_dual, cls.p_sub_primal,
                  cls.p_primal, "pressure")
 
 
@@ -201,25 +286,27 @@ def build_lambda_solver(
 ) -> InterfaceBddc:
     """Scaled jumps through each class's local elastic map on its broken
     dual displacements, with no coarse problem: the dense Dirichlet Schur
-    complement or the lumped A_DD."""
+    complement (``class_schurs``) or the lumped A_DD."""
     if kind not in ("dirichlet", "lumped"):
         raise ConfigurationError(f"unknown multiplier preconditioner {kind!r}")
     lay = cls.layout
-    classes = []
-    for members in system.classes("A"):
-        r = members[0]
+
+    def block(r):
         lb = system.stacked.local_view(r)
-        iD, iI = lb.u_pos(cls.u_sub_dual[r]), lb.u_pos(cls.u_interior[r])
-        Ac = lb.A.tocsr()
-        if kind == "lumped":
-            S = Ac[iD][:, iD]
-        else:
-            S = _dense_schur(Ac, iD, iI, system.spaces.lattice("u", lb.udofs[iI]),
-                             f"elastic interior block of subdomain {r}")
+        return lb.A.tocsr(), lb.udofs, lb.u_pos(cls.u_sub_dual[r]), lb.u_pos(cls.u_interior[r])
+
+    groups = system.classes("A")
+    if kind == "dirichlet":
+        schurs, sources = class_schurs(system, "u", block, "elastic")
+    else:
+        schurs, sources = [A[iD][:, iD] for A, _, iD, _ in (block(m[0]) for m in groups)], 0
+    classes = []
+    for members, S in zip(groups, schurs):
         idx = np.column_stack([np.arange(lay.dual_offset[s], lay.dual_offset[s + 1]) for s in members])
         classes.append(LocalClass(idx=idx, primal=np.zeros((0, len(members)), dtype=np.int64), S=S))
     return InterfaceBddc(
-        jump.jump_scaled.T.tocsr(), jump.jump_scaled, classes, CoarseProblem(np.zeros((0, 0))), scatter_index(classes)
+        jump.jump_scaled.T.tocsr(), jump.jump_scaled, classes, CoarseProblem(np.zeros((0, 0))), scatter_index(classes),
+        sources,
     )
 
 

@@ -235,6 +235,25 @@ class TestFactorSize:
         assert json.loads(path.read_text())[0]["factor_classes"] == res.factor_classes
 
 
+    def test_record_has_sources_peak_rss_and_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")  # read, not applied: OpenBLAS is loaded
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        cfg = small_cfg(nx=16, subdomains=(4, 4), oracle="off")
+        res = bd.run_case(cfg)
+        assert res.schur_sources == {"xi": 9, "p": 2, "lambda": 2}
+        assert 0.0 < res.peak_rss_mb < 1e5
+        path = tmp_path / "out.json"
+        write_json([res], str(path))
+        entry = json.loads(path.read_text())[0]
+        assert entry["schur_sources"] == res.schur_sources and entry["peak_rss_mb"] == res.peak_rss_mb
+        env = entry["environment"]
+        assert env["numpy"] == np.__version__ and env["python"].count(".") == 2
+        assert env["blas"]["name"] and env["blas"]["version"]
+        assert env["OPENBLAS_CORETYPE"] == "Haswell" and env["OMP_NUM_THREADS"] is None
+        assert set(env) == {"python", "numpy", "scipy", "blas", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                            "OPENBLAS_CORETYPE"}
+
+
 class TestCli:
     BASE = ["--nx", "8", "--sub", "2x2", "--E", "1", "--nu", "0.3"]
 

@@ -13,9 +13,10 @@ import scipy.sparse as sp
 
 import biot_ddp as bd
 from biot_ddp import preconditioner
-from biot_ddp.preconditioner import _dense_schur, build_lambda_solver, build_p_bddc, nested_dissection
+from biot_ddp.preconditioner import _dense_schur, build_lambda_solver, build_p_bddc, class_schurs, nested_dissection
 from biot_ddp.reduced_system import _DENSE_FACTOR_CUTOFF, CoarseProblem
 from helpers import (
+    MULTI_MEMBER_GRIDS,
     assembled_pressure_schur,
     assembled_total_pressure_schur,
     dense_from_apply,
@@ -260,22 +261,21 @@ class TestDenseBddcMaps:
         # block, summed class by class into the coarse matrix
         schur, coarse = [], []
 
-        def kept_schur(*args):
-            schur.append(_dense_schur(*args))
-            return schur[-1]
+        def kept_schurs(*args):
+            schur.append(class_schurs(*args)[0])
+            return schur[-1], len(schur[-1])
 
         def kept_coarse(F):
             coarse.append(F.copy())
             return CoarseProblem(F)
 
-        monkeypatch.setattr(preconditioner, "_dense_schur", kept_schur)
+        monkeypatch.setattr(preconditioner, "class_schurs", kept_schurs)
         monkeypatch.setattr(preconditioner, "CoarseProblem", kept_coarse)
         pipe = build(nx=20, subdomains=(5, 5), primal=primal, pattern="checkerboard", black={"E": 1e3})
         pc = pipe.preconditioner
-        classes = pc.xi.classes + pc.pressure.classes
-        assert len(schur) == len(classes) + len(pc.multiplier.classes)
+        assert [len(S) for S in schur] == [len(b.classes) for b in (pc.xi, pc.pressure, pc.multiplier)]
         F = np.zeros_like(coarse[1])
-        for S, c in zip(schur[len(pc.xi.classes) :], pc.pressure.classes):
+        for S, c in zip(schur[1], pc.pressure.classes):
             nd = c.idx.shape[0]
             A_rP = S[:nd, nd:]
             X = sla.lu_solve(sla.lu_factor(S[:nd, :nd]), A_rP)
@@ -295,6 +295,76 @@ class TestDenseBddcMaps:
         monkeypatch.setattr(preconditioner, "_dense_schur", singular)
         with pytest.raises(bd.ConfigurationError, match="^pressure block of subdomain 3: local solve failed"):
             build_p_bddc(pipe.system, pipe.cls, pipe.restrictions)
+
+
+class TestSharedSchur:
+    """A class whose sides differ from an earlier one's only by Dirichlet
+    sides takes its Schur complement as a principal submatrix of that
+    one's (``class_schurs``)."""
+
+    @staticmethod
+    def schurs(monkeypatch, **kw):
+        """The pipeline, and per block ("xi", "p", "lambda") the field, the
+        ``block`` function and the Schur complements of its classes."""
+        seen = []
+
+        def kept(system, fld, block, label):
+            out = class_schurs(system, fld, block, label)
+            seen.append((fld, block, out[0]))
+            return out
+
+        monkeypatch.setattr(preconditioner, "class_schurs", kept)
+        pipe = bd.build_pipeline(bd.ExperimentConfig(oracle="off", **kw))
+        return pipe, dict(zip(["xi", "p", "lambda"][3 - len(seen):], seen))
+
+    @pytest.mark.parametrize("primal", ["vertex", "vertex-edge"])
+    @pytest.mark.parametrize("case", list(MULTI_MEMBER_GRIDS))
+    def test_derived_match_their_own_schur(self, monkeypatch, case, primal):
+        pipe, seen = self.schurs(monkeypatch, primal=primal, **MULTI_MEMBER_GRIDS[case][0])
+        pc = pipe.preconditioner
+        assert pc.multiplier.sources < len(pc.multiplier.classes)  # something is shared
+        for key, (fld, block, schurs) in seen.items():
+            groups = pipe.system.classes({"u": "A", "xi": "C", "p": "E"}[fld])
+            assert len(schurs) == len(groups)
+            for members, S in zip(groups, schurs):
+                M, dofs, gamma, inner = block(members[0])
+                own = _dense_schur(M, gamma, inner, pipe.system.spaces.lattice(fld, dofs[inner]), "own")
+                assert S.shape == own.shape
+                assert np.abs(S - own).max() <= 1e-13 * np.abs(own).max(), (key, members[0])
+
+    @pytest.mark.parametrize("kw, want", [
+        (dict(nx=16, subdomains=(4, 4)), 2),  # the interior and the free left edge
+        (dict(nx=16, subdomains=(4, 4), bc="dirichlet"), 1),
+        (dict(nx=8, subdomains=(2, 2)), 4),  # no class has a side of another's kind
+    ])
+    def test_lambda_source_counts(self, kw, want):
+        pipe = build(**kw)
+        pc = pipe.preconditioner
+        assert pc.multiplier.sources == want
+        assert pc.xi.sources == len(pc.xi.classes)  # total pressure has no Dirichlet side
+        assert bd.run_case(pipe.config, pipe).schur_sources == {
+            "xi": len(pc.xi.classes), "p": pc.pressure.sources, "lambda": want}
+
+    @pytest.mark.parametrize("change, why", [
+        ("kept", "a kept dof is not kept by the class of subdomain 5"),
+        ("eliminated", "its eliminated dofs are not those of the class of subdomain 5"),
+    ])
+    def test_mismatched_dofs_rejected(self, change, why):
+        # subdomain 1 (bottom edge) shares the interior class's S (subdomain 5)
+        pipe = build(nx=16, subdomains=(4, 4))
+        system, cls = pipe.system, pipe.cls
+
+        def block(r):
+            lb = system.stacked.local_view(r)
+            iD, iI, iP = (lb.u_pos(d[r]) for d in (cls.u_sub_dual, cls.u_interior, cls.u_sub_primal))
+            if r == 1 and change == "kept":
+                iD = np.concatenate([iD, iP])  # its primal corners are not kept at the interior class
+            if r == 1 and change == "eliminated":
+                iI = iI[1:]
+            return lb.A.tocsr(), lb.udofs, iD, iI
+
+        with pytest.raises(bd.InternalError, match=f"^elastic interior block of subdomain 1: {why}$"):
+            class_schurs(system, "u", block, "elastic")
 
 
 class TestBlockApply:

@@ -103,6 +103,18 @@ class TestOperator:
         K = build().reduced.torn_matrix()
         assert (K - K.T).count_nonzero() == 0
 
+    @pytest.mark.parametrize("case", list(MULTI_MEMBER_GRIDS))
+    def test_factored_blocks_symmetric_to_roundoff(self, case):
+        # SaddleFactor factors these in symmetric mode; on the larger grids
+        # a few entries are summed in another order on either side of the
+        # diagonal, so symmetry holds to roundoff, not bitwise
+        pipe = bd.build_pipeline(bd.ExperimentConfig(oracle="off", **MULTI_MEMBER_GRIDS[case][0]))
+        st = pipe.system.stacked
+        blocks = [getattr(pipe.system.local[r], name) for r in np.unique(st.rep) for name in "ACE"]
+        for M in [*blocks, pipe.reduced.torn_matrix()]:
+            M = M.tocsr()
+            assert abs(M - M.T).max() <= 1e-15 * abs(M).max()
+
     @pytest.mark.parametrize(
         "nx, grid, variant, primal, bc",
         [
