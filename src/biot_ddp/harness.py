@@ -8,6 +8,7 @@ solution against a direct sparse solve of the full block system.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import math
 import numbers
@@ -205,9 +206,12 @@ class Pipeline:
         return {k: b.classes for k, b in self._preconditioner_blocks().items()}
 
     def schur_sources(self) -> dict[str, int]:
-        """Per preconditioner block ("xi", "p", "lambda"), how many Schur
-        complements its build formed (``preconditioner.class_schurs``)."""
-        return {k: b.sources for k, b in self._preconditioner_blocks().items()}
+        """How many classes formed their own map: of the torn block ("torn"),
+        the classes condensed by their own solve (0 when it is not
+        condensed, ``reduced_system._condense``); of each preconditioner
+        block ("xi", "p", "lambda"), the Schur complements its build formed
+        (``preconditioner.class_schurs``)."""
+        return {"torn": self.reduced.sources, **{k: b.sources for k, b in self._preconditioner_blocks().items()}}
 
     def class_factors(self) -> dict[str, list[tuple[int, SaddleFactor | None]]]:
         """Per block with unknowns ("torn", "xi", "p", "lambda"), each class's
@@ -250,7 +254,7 @@ class RunResult:
     factor_classes: dict[str, list[list[int]]]  # per block, [members, n, nnz] of each class's factor (0, 0: none)
     condensed: list[str]  # blocks applied through dense interface matrices: "torn", "xi", "p", "lambda"
     condensed_bytes: int  # their dense maps together
-    schur_sources: dict[str, int]  # per preconditioner block, the Schur complements formed
+    schur_sources: dict[str, int]  # per block, the classes that formed their own map (``Pipeline.schur_sources``)
     peak_rss_mb: float  # peak resident set size of the process so far
     notes: list[str]
     u: np.ndarray
@@ -359,15 +363,28 @@ def peak_rss_mb() -> float:
     return peak / 2**20 if sys.platform == "darwin" else peak / 2**10  # bytes on macOS, KiB elsewhere
 
 
+def blas_corename() -> str | None:
+    """The CPU kernels OpenBLAS picked at load time, as NumPy's bundled
+    library names them (``scipy_openblas_get_corename64_``, found through
+    NumPy's own extension module); None where that symbol is not found."""
+    try:
+        get = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_char_p
+    return get().decode()
+
+
 def environment() -> dict:
     """What produced a run: the Python, NumPy and SciPy versions, NumPy's
-    BLAS, and the thread and core settings OpenBLAS reads (None if unset)."""
+    BLAS with the core it runs on, and the thread and core settings
+    OpenBLAS reads (None if unset)."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "blas": {"name": blas["name"], "version": blas["version"]},
+        "blas": {"name": blas["name"], "version": blas["version"], "corename": blas_corename()},
         **{v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_CORETYPE")},
     }
 

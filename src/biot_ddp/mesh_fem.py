@@ -131,18 +131,7 @@ def build_mesh(nx: int, subdomain_grid: tuple[int, int], ny: int | None = None) 
         raise ConfigurationError("subdomains must contain square cell patches")
     mesh = _grid_mesh(nx, ny)
     mesh.refined_mesh = _grid_mesh(2 * nx, 2 * ny)
-    _check_orientation(mesh)
-    _check_orientation(mesh.refined_mesh)
     return mesh
-
-
-def _check_orientation(mesh: StructuredMesh) -> None:
-    v = mesh.vertices[mesh.triangles]
-    d1 = v[:, 1] - v[:, 0]
-    d2 = v[:, 2] - v[:, 0]
-    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    if not np.all(areas > 0):
-        raise AssertionError("triangulation produced non-positive element areas")
 
 
 def p1_geometry(mesh: StructuredMesh, triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -880,34 +869,3 @@ def check_saddle_inequalities(system: BlockSystem, trials: int = 1000, seed: int
         if ratio < 1.0 - 1e-12:
             violations += 1
     return SaddleReport(trials=trials, min_ratio=float(min_ratio), violations=violations)
-
-
-def stokes_stability_witness(system: BlockSystem) -> float:
-    """Smallest nonzero generalized singular value of the divergence coupling.
-
-    Dense diagnostic for small meshes: eigenvalues of B A^{-1} B^T against
-    the total-pressure Gram block; returns the square root of the smallest
-    nonzero one.  Strictly positive for a stable pairing.
-    """
-    A = system.A.toarray()
-    B = system.B.toarray()
-    C = system.C.toarray()
-    S = B @ np.linalg.solve(A, B.T)
-    import scipy.linalg as sla
-
-    w = sla.eigh(S, C, eigvals_only=True)
-    w = np.sort(w)
-    cutoff = 1e-10 * max(w[-1], 1.0)
-    nonzero = w[w > cutoff]
-    if nonzero.size == 0:
-        return 0.0
-    return float(np.sqrt(nonzero[0]))
-
-
-def dump_blocks_coo(system: BlockSystem, path: str) -> None:
-    """Write all five blocks in `block row col value` text form."""
-    with open(path, "w") as fh:
-        for name in "ABCDE":
-            m = getattr(system, name).tocoo()
-            for r, c, v in zip(m.row, m.col, m.data):
-                fh.write(f"{name} {r} {c} {float(v)!r}\n")

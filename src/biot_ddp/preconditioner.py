@@ -22,11 +22,12 @@ also gives the coarse matrix; for λ (no coarse problem) the dense
 Dirichlet Schur complement, or the lumped A_DD.  One helper,
 ``class_schurs``, gives every class of the three blocks its Schur
 complement.  A class whose sides differ from an earlier one's only where
-it has Dirichlet sides takes a principal submatrix of that one's; any
-other is formed by ``_dense_schur``: through a dense factor of the
-eliminated block when it is small, else through one sparse LU of the
-whole block with the kept unknowns ordered last and the eliminated ones
-in nested-dissection order.
+it has Dirichlet sides takes a principal submatrix of that one's (the
+rule of ``reduced_system.class_sources``, which the torn condensation
+shares); any other is formed by ``_dense_schur``: through a dense factor
+of the eliminated block when it is small, else through one sparse LU of
+the whole block with the kept unknowns ordered last and the eliminated
+ones in nested-dissection order.
 """
 
 from __future__ import annotations
@@ -42,12 +43,15 @@ from .decomposition import (
     JumpOperator,
     RestrictionSet,
 )
-from .mesh_fem import BLOCK_PARAMS, SIDES, BlockSystem, ConfigurationError
+from .mesh_fem import BlockSystem, ConfigurationError
 from .reduced_system import (
     _DENSE_FACTOR_CUTOFF,
     CoarseProblem,
     LocalClass,
     SaddleFactor,
+    _match,
+    _patch_keys,
+    class_sources,
     primal_coupling,
     scatter_index,
     solve_partially_assembled,
@@ -119,82 +123,43 @@ def _dense_schur(
 _FIELD_BLOCK = {"u": "A", "xi": "C", "p": "E"}
 
 
-def _side_kinds(system: BlockSystem, fld: str, s: int) -> tuple[str, ...]:
-    """Kind of each side of subdomain s (in ``SIDES`` order) for field
-    ``fld``: "interface" inside the square, else "dirichlet" or "free" by
-    the field's boundary conditions (total pressure has none)."""
-    gx, gy = system.grid
-    sx, sy = s % gx, s // gx
-    dirichlet = {"u": system.bc.displacement_dirichlet, "p": system.bc.pressure_dirichlet}.get(fld, ())
-    outer = (sx == 0, sx == gx - 1, sy == 0, sy == gy - 1)
-    return tuple("interface" if not out else "dirichlet" if side in dirichlet else "free"
-                  for side, out in zip(SIDES, outer))
-
-
-def _patch_keys(system: BlockSystem, fld: str, s: int, dofs: np.ndarray) -> np.ndarray:
-    """One integer per dof of subdomain s: its node's grid position relative
-    to the subdomain's lower-left node, and its component (x or y of a
-    displacement, the lower or upper triangle of a p0 cell)."""
-    ix, iy = system.spaces.lattice(fld, dofs)
-    mesh = system.spaces.mesh.refined_mesh if fld == "u" else system.spaces.mesh
-    gx, gy = system.grid
-    ix, iy = ix - s % gx * (mesh.nx // gx), iy - s // gx * (mesh.ny // gy)
-    two = fld == "u" or (fld == "xi" and system.spaces.total_pressure_variant == "p0")
-    return 2 * (ix * (mesh.ny + 1) + iy) + (dofs % 2 if two else 0)
-
-
-def _match(kept: np.ndarray, want: np.ndarray) -> np.ndarray | None:
-    """The index in ``kept`` of each of ``want``, or None if one is missing."""
-    order = np.argsort(kept)
-    at = np.searchsorted(kept, want, sorter=order)
-    if np.any(at >= kept.size):
-        return None
-    m = order[at]
-    return m if np.array_equal(kept[m], want) else None
-
-
 def class_schurs(system: BlockSystem, fld: str, block, label: str) -> tuple[list[np.ndarray], int]:
     """The dense Schur complement of every congruence class of field
     ``fld``'s local block (``_FIELD_BLOCK``), in ``BlockSystem.classes``
     order, and how many of them were formed.
 
     ``block(r)`` gives representative r's matrix, its local dofs and the
-    positions of the kept and of the eliminated ones.  Classes are visited
-    with the fewest Dirichlet sides first.  Class r takes its S as a
-    principal submatrix of the S of the first earlier formed one, c, with
-    its material key (``BLOCK_PARAMS``) and, on each side, r's kind or a
-    Dirichlet side of r: r then eliminates the same positions with the same
-    material, keeps a subset of c's, and sees the same change of basis on
-    them, so its S is c's restricted to its kept dofs.  Any other class is
-    formed by ``_dense_schur``.  Dofs are matched by their position in the
-    patch (``_patch_keys``); a kept dof of r that c does not keep, or an
-    eliminated set that differs, is an ``InternalError`` naming r.
+    positions of the kept and of the eliminated ones.  A class takes its S
+    as a principal submatrix of the S of its source (``class_sources`` over
+    ``fld``): it eliminates the same positions with the same material,
+    keeps a subset of the source's, and sees the same change of basis on
+    them, so its S is the source's restricted to its kept dofs.  A class
+    with no source is formed by ``_dense_schur``.  Dofs are matched by
+    their position in the patch (``_patch_keys``); a kept dof of r that
+    its source c does not keep, or an eliminated set that differs, is an
+    ``InternalError`` naming r.
     """
     groups = system.classes(_FIELD_BLOCK[fld])
-    kinds = [_side_kinds(system, fld, g[0]) for g in groups]
-    material = [tuple(getattr(system.materials, p)[g[0]] for p in BLOCK_PARAMS[_FIELD_BLOCK[fld]]) for g in groups]
     out: list[np.ndarray] = [np.zeros((0, 0))] * len(groups)
-    sources: list[tuple[int, np.ndarray, np.ndarray]] = []  # (class, patch keys of kept and of eliminated dofs)
-    for i in sorted(range(len(groups)), key=lambda i: kinds[i].count("dirichlet")):
+    seen: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # source class: patch keys of its kept and eliminated dofs
+    for i, src in class_sources(system, groups, _FIELD_BLOCK[fld], (fld,)):
         r = groups[i][0]
         M, dofs, gamma, inner = block(r)
         name = f"{label} interior block of subdomain {r}"
         keys = _patch_keys(system, fld, r, dofs)
         kept, eliminated = keys[gamma], np.sort(keys[inner])
-        src = next((s for s in sources if material[s[0]] == material[i] and all(
-            a == b or a == "dirichlet" for a, b in zip(kinds[i], kinds[s[0]]))), None)
         if src is None:
             out[i] = _dense_schur(M, gamma, inner, system.spaces.lattice(fld, dofs[inner]), name)
-            sources.append((i, kept, eliminated))
+            seen[i] = kept, eliminated
             continue
-        c = groups[src[0]][0]
-        m = _match(src[1], kept)
+        c = groups[src][0]
+        m = _match(seen[src][0], kept)
         if m is None:
             raise InternalError(f"{name}: a kept dof is not kept by the class of subdomain {c}")
-        if not np.array_equal(eliminated, src[2]):
+        if not np.array_equal(eliminated, seen[src][1]):
             raise InternalError(f"{name}: its eliminated dofs are not those of the class of subdomain {c}")
-        out[i] = out[src[0]][np.ix_(m, m)]
-    return out, len(sources)
+        out[i] = out[src][np.ix_(m, m)]
+    return out, len(seen)
 
 
 @dataclass

@@ -14,7 +14,12 @@ once, as the representative's: only its saddle block is built and
 factored, and the members are reached through their index maps.
 When few classes serve many subdomains, each class is also condensed once
 onto its members' interface rows into one dense map, and no local solve
-runs per application.  Every class-wise apply, here and in the
+runs per application.  Only a source class solves for its map; a class
+whose sides differ from a source's only where it has Dirichlet sides
+(``class_sources``, the rule the preconditioner's Schur complements
+share) derives its map from the source's by one small dense Schur step,
+since a Schur complement of a Schur complement is a Schur complement
+(``_condense``).  Every class-wise apply, here and in the
 preconditioner, is one kernel over one class type, which treats all
 members of a class at once: ``solve_partially_assembled`` over
 ``LocalClass``.
@@ -30,7 +35,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .decomposition import DofClassification, InternalError, JumpOperator, TornLayout
-from .mesh_fem import BlockSystem, ConfigurationError
+from .mesh_fem import BLOCK_PARAMS, SIDES, BlockSystem, ConfigurationError
 
 _DENSE_FACTOR_CUTOFF = 400
 _PAYBACK_APPLIES = 32
@@ -293,24 +298,143 @@ def solve_partially_assembled(classes, coarse: CoarseProblem, b: np.ndarray, at:
     return x
 
 
+def _side_kinds(system: BlockSystem, fld: str, s: int) -> tuple[str, ...]:
+    """Kind of each side of subdomain s (in ``SIDES`` order) for field
+    ``fld``: "interface" inside the square, else "dirichlet" or "free" by
+    the field's boundary conditions (total pressure has none)."""
+    gx, gy = system.grid
+    sx, sy = s % gx, s // gx
+    dirichlet = {"u": system.bc.displacement_dirichlet, "p": system.bc.pressure_dirichlet}.get(fld, ())
+    outer = (sx == 0, sx == gx - 1, sy == 0, sy == gy - 1)
+    return tuple("interface" if not out else "dirichlet" if side in dirichlet else "free"
+                  for side, out in zip(SIDES, outer))
+
+
+def _patch_keys(system: BlockSystem, fld: str, s, dofs: np.ndarray) -> np.ndarray:
+    """One integer per dof of subdomain s (one, or one per dof): its node's
+    grid position relative to the subdomain's lower-left node, and its
+    component (x or y of a displacement, the lower or upper triangle of a
+    p0 cell)."""
+    ix, iy = system.spaces.lattice(fld, dofs)
+    mesh = system.spaces.mesh.refined_mesh if fld == "u" else system.spaces.mesh
+    gx, gy = system.grid
+    ix, iy = ix - s % gx * (mesh.nx // gx), iy - s // gx * (mesh.ny // gy)
+    two = fld == "u" or (fld == "xi" and system.spaces.total_pressure_variant == "p0")
+    return 2 * (ix * (mesh.ny + 1) + iy) + (dofs % 2 if two else 0)
+
+
+def _match(kept: np.ndarray, want: np.ndarray) -> np.ndarray | None:
+    """The index in ``kept`` of each of ``want``, or None if one is missing."""
+    order = np.argsort(kept)
+    at = np.searchsorted(kept, want, sorter=order)
+    if np.any(at >= kept.size):
+        return None
+    m = order[at]
+    return m if np.array_equal(kept[m], want) else None
+
+
+def class_sources(
+    system: BlockSystem, groups: list[np.ndarray], names: str, fields: tuple[str, ...]
+) -> list[tuple[int, int | None]]:
+    """The order in which to form the maps of the congruence classes
+    ``groups`` of the local blocks ``names``, each with its source: the
+    class whose map it derives from, or None where it forms its own.
+
+    Classes are visited with the fewest Dirichlet sides first (stable).
+    Class r derives from the first earlier class c that forms its own,
+    has r's material key (the ``BLOCK_PARAMS`` of ``names``) and, on each
+    side and for each of ``fields``, r's kind or a Dirichlet side of r.
+    Then r's unknowns are c's with those on its Dirichlet sides fixed or
+    dropped, with the same material and the same change of basis.
+    """
+    params = sorted({p for n in names for p in BLOCK_PARAMS[n]})
+    kinds = [[k for f in fields for k in _side_kinds(system, f, g[0])] for g in groups]
+    material = [tuple(getattr(system.materials, p)[g[0]] for p in params) for g in groups]
+    visits: list[tuple[int, int | None]] = []
+    for i in sorted(range(len(groups)), key=lambda i: kinds[i].count("dirichlet")):
+        src = next((c for c, own in visits if own is None and material[c] == material[i] and all(
+            a == b or a == "dirichlet" for a, b in zip(kinds[i], kinds[c]))), None)
+        visits.append((i, src))
+    return visits
+
+
+def _row_keys(system: BlockSystem, cls: DofClassification, reps: list[int]) -> list[np.ndarray]:
+    """Patch key (``_patch_keys``) of each interface row of each subdomain
+    in ``reps``: its xi_G and p_G dofs, then the λ row of each dual copy,
+    keyed by that copy, with the field (0, 1, 2) as the lowest digit."""
+    parts = []
+    for code, (fld, dofs) in enumerate((("xi", cls.xi_sub_interface), ("p", cls.p_sub_interface),
+                                         ("u", cls.u_sub_dual))):
+        sizes = [dofs[s].size for s in reps]
+        keys = _patch_keys(system, fld, np.repeat(reps, sizes), np.concatenate([dofs[s] for s in reps]))
+        parts.append(np.split(3 * keys + code, np.cumsum(sizes)[:-1]))
+    return [np.concatenate(p) for p in zip(*parts)]
+
+
 def _condense(
-    classes: list[LocalClass], members: list[list[int]], ymap: list[np.ndarray], B_C_T: sp.csr_matrix, n_sub: int
-) -> list[LocalClass]:
+    system: BlockSystem, cls: DofClassification, classes: list[LocalClass], members: list[np.ndarray],
+    ymap: list[np.ndarray], D: list[np.ndarray], B_C_T: sp.csr_matrix,
+) -> tuple[list[LocalClass], int]:
     """Each torn class condensed onto its members' interface rows ``ymap``,
-    or none when condensing would not pay back within a run: when the
-    columns solved once to condense all classes are more than
-    _PAYBACK_APPLIES times the columns one application solves without it,
-    one per subdomain.  With B_0 the representative's coupling on those
-    rows, the map is [F; Psi^T] with F = B_0 K_rr^{-1} B_0^T and the primal
-    coupling Psi = B_0 X."""
-    if sum(ymap[m[0]].size for m in members) > _PAYBACK_APPLIES * n_sub:
-        return []
-    out = []
-    for c, m in zip(classes, members):
-        B0 = B_C_T[c.idx[:, 0]][:, ymap[m[0]]].T.tocsr()
-        S = np.vstack([B0 @ c.factor.solve(B0.T.toarray()), (B0 @ c.X).T])
-        out.append(LocalClass(idx=np.column_stack([ymap[s] for s in m]), primal=c.primal, X=S[B0.shape[0] :].T, S=S))
-    return out
+    and how many classes did so by their own solve.  With B_0 the
+    representative's coupling on those rows, the map is [F; Psi^T] with
+    F = B_0 K_rr^{-1} B_0^T and the primal coupling Psi = B_0 X.
+
+    Only a source class (``class_sources`` over u and p) solves for F.  On
+    its rows Y_c, S_c = D_c - F_c is the Schur complement of its local
+    saddle block [[K_rr, B_0^T], [B_0, D_c]], where ``D`` is the class's
+    own saddle-signed C, D and E among its xi_G and p_G rows (zero on the
+    λ rows).  A class r that derives from c keeps the rows k of c that
+    match its own by patch key; it drops c's other p rows (p is Dirichlet
+    there, by the side rule) and eliminates the rest, E: the xi rows on
+    its Dirichlet sides, interior in r, and the λ row of each dual copy it
+    fixes, which fixes that copy.  By the quotient property of Schur
+    complements (Crabtree-Haynsworth), D_r - F_r = S_c[k, k] - S_c[k, E]
+    S_c[E, E]^{-1} S_c[E, k]: one small dense LU and no sparse solve.  A
+    row of r that c lacks, or an eliminated set that does not account for
+    r's local unknowns, is an ``InternalError`` naming r's class.
+    """
+    reps = [m[0] for m in members]
+    keys = _row_keys(system, cls, reps)
+    out: list[LocalClass] = [None] * len(classes)
+    schur: dict[int, np.ndarray] = {}  # S_c of each source class
+    at = np.full(B_C_T.shape[1], -1, dtype=np.int64)  # interface row -> position among a class's rows
+    for i, src in class_sources(system, members, "ABCDE", ("u", "p")):
+        c, r, n_G = classes[i], reps[i], D[i].shape[0]
+        # the representative's columns of B_C couple to its rows alone
+        Bt = B_C_T[c.idx[:, 0]]
+        at[ymap[r]] = np.arange(ymap[r].size)
+        rows = at[Bt.indices]
+        at[ymap[r]] = -1
+        if np.any(rows < 0):
+            raise InternalError(f"subdomain {r}: its local unknowns couple to another subdomain's interface rows")
+        B0 = sp.csr_matrix((Bt.data, rows, Bt.indptr), shape=(Bt.shape[0], ymap[r].size)).T
+        if src is None:
+            F = B0 @ c.factor.solve(B0.T.toarray())
+            schur[i] = S = -F
+            S[:n_G, :n_G] += D[i]
+        else:
+            name = f"subdomain {r} (class of {len(members[i])})"
+            k = _match(keys[src], keys[i])
+            if k is None:
+                raise InternalError(f"{name}: an interface row is not a row of the class of subdomain {reps[src]}")
+            rest = np.ones(keys[src].size, dtype=bool)
+            rest[k] = False
+            E = np.flatnonzero(rest & (keys[src] % 3 != 1))
+            grown = c.idx.shape[0] - classes[src].idx.shape[0]  # r's eliminated xi rows less its fixed copies
+            if not E.size or grown != E.size - 2 * np.count_nonzero(keys[src][E] % 3 == 2):
+                raise InternalError(f"{name}: its eliminated rows do not match the class of subdomain {reps[src]}")
+            order = np.concatenate([k, E])
+            S = schur[src][np.ix_(order, order)]
+            lu, piv, info = _getrf(S[k.size :, k.size :])
+            if info > 0:
+                raise InternalError(f"{name}: the rows it eliminates are singular in the class of subdomain {reps[src]}")
+            F = S[: k.size, k.size :] @ _getrs(lu, piv, S[k.size :, : k.size])[0]
+            F -= S[: k.size, : k.size]
+            F[:n_G, :n_G] += D[i]
+        M = np.vstack([F, (B0 @ c.X).T])
+        out[i] = LocalClass(idx=np.column_stack([ymap[s] for s in members[i]]), primal=c.primal, X=M[F.shape[0] :].T, S=M)
+    return out, len(schur)
 
 
 @dataclass
@@ -329,6 +453,7 @@ class ReducedSystem:
     factors: dict[int, LocalClass]  # one per congruence class of local saddle blocks
     coarse: CoarseProblem
     condensed: list[LocalClass] = field(default_factory=list)  # empty: apply by local solves
+    sources: int = 0  # condensed classes that formed F by their own solve; the others derive it (``_condense``)
     B_P: sp.csr_matrix = field(init=False, repr=False)  # primal columns of B_C
     B_P_T: sp.csr_matrix = field(init=False, repr=False)
     torn_at: np.ndarray = field(init=False, repr=False)  # scatter_index of the factors
@@ -475,15 +600,20 @@ def _shared_index_sets(system: BlockSystem, cls: DofClassification, sets: dict[i
     return [sets[r] for r in rep]
 
 
-def _local_saddle(lb, sets: dict[str, np.ndarray]) -> sp.csr_matrix:
+def _local_saddle(lb, sets: dict[str, np.ndarray], trace: bool = False) -> sp.csr_matrix:
     """A subdomain's saddle block [[A, B^T, 0], [B, -C, D^T], [0, D, -E]]
-    on (uI, xiI, pI, uD, uP): K_rr first, the primal rows and columns last.
+    on (uI, xiI, pI, uD, uP): K_rr first, the primal rows and columns last,
+    and with ``trace`` its interface rows and columns (xiG, pG) after them.
     Each block's entries are moved to their rows and columns there, or
-    dropped, by one lookup in the inverse of that order.  Its column
-    indices are sorted, so a product sums each row in column order whatever
-    the local numbering."""
+    dropped, by one lookup in the inverse of that order.  No two blocks
+    share an entry, so every value is the block's own.  Its column indices
+    are sorted, so a product sums each row in column order whatever the
+    local numbering."""
     n_u, n_xi = lb.A.shape[0], lb.C.shape[0]
-    at = np.concatenate([sets["uI"], n_u + sets["xiI"], n_u + n_xi + sets["pI"], sets["uD"], sets["uP"]])
+    parts = [sets["uI"], n_u + sets["xiI"], n_u + n_xi + sets["pI"], sets["uD"], sets["uP"]]
+    if trace:
+        parts += [n_u + sets["xiG"], n_u + n_xi + sets["pG"]]
+    at = np.concatenate(parts)
     pos = np.full(n_u + n_xi + lb.E.shape[0], -1, dtype=np.int64)
     pos[at] = np.arange(at.size)
     parts = []
@@ -512,19 +642,27 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
     class_members = system.classes("ABCDE")
     views = {m[0]: st.local_view(m[0]) for m in class_members}
     ix = _shared_index_sets(system, cls, {r: _local_index_sets(cls, r, lb) for r, lb in views.items()})
+    # condensing pays back within a run unless the columns solved once to
+    # condense every class are more than _PAYBACK_APPLIES times the columns
+    # one application solves without it, one per subdomain
+    condense = sum(ix[m[0]][k].size for m in class_members for k in ("xiG", "pG", "uD")) <= _PAYBACK_APPLIES * lay.n_sub
     S_PP = np.zeros((cls.u_primal.size, cls.u_primal.size))
     classes: list[LocalClass] = []
+    D = []  # each condensed class's saddle block on its interface trace
     for members in class_members:
-        M = _local_saddle(views[members[0]], ix[members[0]])
-        n_r = M.shape[0] - ix[members[0]]["uP"].size
+        sets = ix[members[0]]
+        M = _local_saddle(views[members[0]], sets, trace=condense)
+        n_k = M.shape[0] - (sets["xiG"].size + sets["pG"].size if condense else 0)
+        n_r = n_k - sets["uP"].size
         factor = SaddleFactor(f"subdomain {members[0]} (class of {len(members)})", M[:n_r, :n_r], len(members))
-        A_rP = M[:n_r, n_r:].toarray()
+        A_rP = M[:n_r, n_r:n_k].toarray()
         primal = np.column_stack([np.searchsorted(cls.u_primal, cls.u_sub_primal[s]) for s in members])
         classes.append(LocalClass(
             idx=np.column_stack([lay.r_indices[s] for s in members]), primal=primal,
-            X=primal_coupling(S_PP, factor, A_rP, M[n_r:, n_r:].toarray(), primal),
+            X=primal_coupling(S_PP, factor, A_rP, M[n_r:n_k, n_r:n_k].toarray(), primal),
             factor=factor, A_Pr=np.ascontiguousarray(A_rP.T),
         ))
+        D.append(M[n_k:, n_k:].toarray())
 
     # torn column of every subdomain's stacked local unknown and interface
     # row of every stacked trace dof, -1 where there is none
@@ -601,6 +739,7 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
     h[n_xi_g : n_xi_g + n_p_g] = system.g[pG]
 
     B_C_T = B_C.T.tocsr()
+    condensed, sources = _condense(system, cls, classes, class_members, ymap, D, B_C_T) if condense else ([], 0)
     return ReducedSystem(
         system=system,
         cls=cls,
@@ -612,5 +751,6 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
         h=h,
         factors=dict(enumerate(classes)),
         coarse=CoarseProblem(S_PP),
-        condensed=_condense(classes, class_members, ymap, B_C_T, lay.n_sub),
+        condensed=condensed,
+        sources=sources,
     )

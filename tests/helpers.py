@@ -256,3 +256,28 @@ def assemble_with_reference(cfg):
     mats = cfg.materials()
     system = assemble_blocks(mesh, spaces, mats, cfg.boundary(), LoadSpec())
     return mesh, spaces, system, per_subdomain_assembly(mesh, spaces, mats, LoadSpec())
+
+
+def stokes_stability_witness(system) -> float:
+    """Smallest nonzero generalized singular value of the divergence coupling.
+
+    Dense diagnostic for small meshes: eigenvalues of B A^{-1} B^T against
+    the total-pressure Gram block; returns the square root of the smallest
+    nonzero one.  Strictly positive for a stable pairing.
+    """
+    A = system.A.toarray()
+    B = system.B.toarray()
+    C = system.C.toarray()
+    S = B @ np.linalg.solve(A, B.T)
+    w = np.sort(sla.eigh(S, C, eigvals_only=True))
+    nonzero = w[w > 1e-10 * max(w[-1], 1.0)]
+    return float(np.sqrt(nonzero[0])) if nonzero.size else 0.0
+
+
+def dump_blocks_coo(system, path: str) -> None:
+    """Write all five blocks in `block row col value` text form."""
+    with open(path, "w") as fh:
+        for name in "ABCDE":
+            m = getattr(system, name).tocoo()
+            for r, c, v in zip(m.row, m.col, m.data):
+                fh.write(f"{name} {r} {c} {float(v)!r}\n")

@@ -22,6 +22,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import biot_ddp as bd
+from biot_ddp import reduced_system
 from biot_ddp.decomposition import _CONGRUENCE_RTOL
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -74,6 +75,57 @@ def test_every_member_couples_like_its_representative(elem, primal, bc, checkerb
             on_rows = Bj[cc.idx[:, j]]
             assert on_rows.nnz == Bj.nnz  # no coupling outside the member's rows
             assert np.abs(on_rows.toarray() - B0).max() <= _CONGRUENCE_RTOL * np.abs(B0).max()
+
+
+@pytest.mark.parametrize("elem, primal, bc, checkerboard", VARIANTS)
+def test_derived_torn_maps_match_their_own(elem, primal, bc, checkerboard):
+    # only the source classes solve for F; each other class derives it from
+    # its source's by a dense Schur step, and must find its own
+    red = condensed_pipeline(elem, primal, bc, checkerboard).reduced
+    assert 0 < red.sources < len(red.condensed)
+    B_C = red.B_C.tocsc()
+    for c, cc in zip(red.factors.values(), red.condensed):
+        B0 = B_C[:, c.idx[:, 0]][cc.idx[:, 0]]
+        own = B0 @ c.factor.solve(B0.T.toarray())
+        F = cc.S[: cc.idx.shape[0]]
+        assert F.shape == own.shape
+        assert np.abs(F - own).max() <= 1e-13 * np.abs(own).max()
+
+
+def flagship_like():
+    return bd.ExperimentConfig(nx=24, subdomains=(6, 6), E=1e6, nu=0.499, oracle="off")
+
+
+def test_flagship_like_grid_derives_seven_of_nine_torn_maps():
+    pipe = bd.build_pipeline(flagship_like())
+    groups = pipe.system.classes("ABCDE")
+    visits = reduced_system.class_sources(pipe.system, groups, "ABCDE", ("u", "p"))
+    # the interior class and the free left edge solve; every other class
+    # differs from one of them only by Dirichlet sides
+    assert sorted(groups[i][0] for i, src in visits if src is None) == [6, 7]
+    assert sorted(groups[src][0] for _, src in visits if src is not None) == [6, 6, 7, 7, 7, 7, 7]
+    assert pipe.reduced.sources == 2 and len(pipe.reduced.condensed) == 9
+    assert pipe.schur_sources()["torn"] == 2
+
+
+@pytest.mark.parametrize("change, why", [
+    ("kept", "an interface row is not a row of the class of subdomain 7"),
+    ("eliminated", "its eliminated rows do not match the class of subdomain 7"),
+])
+def test_unmatched_torn_rows_rejected(monkeypatch, change, why):
+    # subdomain 1 (the bottom edge, a class of 4) derives from the interior
+    # class of subdomain 7
+    row_keys = reduced_system._row_keys
+
+    def changed(system, cls, reps):
+        keys = row_keys(system, cls, reps)
+        i = list(reps).index(1)
+        keys[i] = np.concatenate([[-3], keys[i][1:]]) if change == "kept" else keys[i][1:]
+        return keys
+
+    monkeypatch.setattr(reduced_system, "_row_keys", changed)
+    with pytest.raises(bd.InternalError, match=rf"^subdomain 1 \(class of 4\): {why}$"):
+        bd.build_pipeline(flagship_like())
 
 
 def dirichlet_apply(pipe, s, T):

@@ -240,7 +240,7 @@ class TestFactorSize:
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         cfg = small_cfg(nx=16, subdomains=(4, 4), oracle="off")
         res = bd.run_case(cfg)
-        assert res.schur_sources == {"xi": 9, "p": 2, "lambda": 2}
+        assert res.schur_sources == {"torn": 0, "xi": 9, "p": 2, "lambda": 2}  # the torn block is not condensed
         assert 0.0 < res.peak_rss_mb < 1e5
         path = tmp_path / "out.json"
         write_json([res], str(path))
@@ -249,9 +249,21 @@ class TestFactorSize:
         env = entry["environment"]
         assert env["numpy"] == np.__version__ and env["python"].count(".") == 2
         assert env["blas"]["name"] and env["blas"]["version"]
+        assert env["blas"]["corename"] == bd.harness.blas_corename()
+        if env["blas"]["name"] == "scipy-openblas":  # NumPy's bundled OpenBLAS names its core
+            assert env["blas"]["corename"]
         assert env["OPENBLAS_CORETYPE"] == "Haswell" and env["OMP_NUM_THREADS"] is None
         assert set(env) == {"python", "numpy", "scipy", "blas", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                             "OPENBLAS_CORETYPE"}
+
+
+    def test_corename_none_without_the_symbol(self, monkeypatch):
+        def no_library(path):
+            raise OSError(f"{path}: cannot open shared object file")
+
+        monkeypatch.setattr(bd.harness.ctypes, "CDLL", no_library)
+        assert bd.harness.blas_corename() is None
+        assert bd.harness.environment()["blas"]["corename"] is None
 
 
 class TestCli:

@@ -11,9 +11,16 @@ import numpy as np
 import pytest
 
 import biot_ddp as bd
-from biot_ddp.mesh_fem import LoadSpec, class_representatives, dump_blocks_coo, stokes_stability_witness
+from biot_ddp.mesh_fem import LoadSpec, _grid_mesh, class_representatives, p1_geometry
 from biot_ddp.decomposition import _CONGRUENCE_RTOL
-from helpers import MULTI_MEMBER_GRIDS, assemble_with_reference, assert_stored_once, per_subdomain_assembly
+from helpers import (
+    MULTI_MEMBER_GRIDS,
+    assemble_with_reference,
+    assert_stored_once,
+    dump_blocks_coo,
+    per_subdomain_assembly,
+    stokes_stability_witness,
+)
 
 
 def small_system(variant="p1", bc=None, grid=(2, 2), nx=8, **mat):
@@ -51,6 +58,23 @@ class TestMesh:
     def test_rectangular_cells_allowed_with_square_patches(self):
         mesh = bd.build_mesh(6, (3, 2), ny=4)
         assert mesh.nx == 6 and mesh.ny == 4
+
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (4, 4), (1, 3), (6, 4), (5, 2)])
+    def test_grid_mesh_triangles_positively_oriented(self, nx, ny):
+        # the orientation holds by construction, so it is checked here
+        # rather than on every mesh built
+        mesh = _grid_mesh(nx, ny)
+        area, _, _ = p1_geometry(mesh, mesh.triangles)
+        assert mesh.n_triangles == 2 * nx * ny
+        np.testing.assert_allclose(area, 0.5 / (nx * ny), rtol=1e-12)
+
+    @pytest.mark.parametrize("nx, grid, ny", [(1, (1, 1), None), (8, (2, 2), None), (6, (3, 2), 4)])
+    def test_refined_mesh_positively_oriented(self, nx, grid, ny):
+        mesh = bd.build_mesh(nx, grid, ny)
+        for m in (mesh, mesh.refined_mesh):
+            area, _, _ = p1_geometry(m, m.triangles)
+            assert np.all(area > 0) and np.isclose(area.sum(), 1.0, rtol=1e-12)
+        assert mesh.refined_mesh.nx == 2 * mesh.nx and mesh.refined_mesh.ny == 2 * mesh.ny
 
     def test_boundary_mask(self):
         mesh = bd.build_mesh(4, (2, 2))

@@ -436,23 +436,26 @@ def _saddle_blocks(M: sp.csr_matrix, sets: dict) -> list[sp.csr_matrix]:
     return [M[r][:, k] for r, k in ((u, u), (xi, u), (xi, xi), (p, xi), (p, p))]
 
 
-def _sliced_bmat_saddle(lb, sets: dict) -> sp.csr_matrix:
+def _sliced_bmat_saddle(lb, sets: dict, trace: bool) -> sp.csr_matrix:
     """The local saddle block as once built: the five blocks put together by
-    bmat, then sliced to (uI, xiI, pI, uD, uP) by fancy indexing."""
+    bmat, then sliced to (uI, xiI, pI, uD, uP), and with ``trace`` (xiG,
+    pG) after them, by fancy indexing."""
     K = sp.bmat([[lb.A, lb.B.T, None], [lb.B, -lb.C, lb.D.T], [None, lb.D, -lb.E]], format="csr")
     n_u, n_xi = lb.A.shape[0], lb.C.shape[0]
-    at = np.concatenate([sets["uI"], n_u + sets["xiI"], n_u + n_xi + sets["pI"], sets["uD"], sets["uP"]])
+    at = [sets["uI"], n_u + sets["xiI"], n_u + n_xi + sets["pI"], sets["uD"], sets["uP"]]
+    at = np.concatenate(at + ([n_u + sets["xiG"], n_u + n_xi + sets["pG"]] if trace else []))
     return K[at][:, at].sorted_indices()
 
 
+@pytest.mark.parametrize("trace", [False, True])
 @pytest.mark.parametrize("primal", ["vertex", "vertex-edge"])
 @pytest.mark.parametrize("case", list(MULTI_MEMBER_GRIDS))
-def test_local_saddle_is_bitwise_the_sliced_bmat(case, primal):
+def test_local_saddle_is_bitwise_the_sliced_bmat(case, primal, trace):
     kw, _ = MULTI_MEMBER_GRIDS[case]
     pipe = bd.build_pipeline(bd.ExperimentConfig(primal=primal, oracle="off", **kw))
     for s, lb in pipe.system.local.items():
         sets = _local_index_sets(pipe.cls, s, lb)
-        K, ref = _local_saddle(lb, sets), _sliced_bmat_saddle(lb, sets)
+        K, ref = _local_saddle(lb, sets, trace), _sliced_bmat_saddle(lb, sets, trace)
         assert K.shape == ref.shape and K.has_sorted_indices
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(K, part), getattr(ref, part)), (s, part)
