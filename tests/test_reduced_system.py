@@ -5,6 +5,8 @@ independent route: the sparse torn matrix (reassembled from local blocks),
 dense elimination of the torn unknowns, or explicit column probing.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -447,13 +449,12 @@ def _sliced_bmat_saddle(lb, sets: dict, trace: bool) -> sp.csr_matrix:
     return K[at][:, at].sorted_indices()
 
 
-@pytest.mark.parametrize("trace", [False, True])
 @pytest.mark.parametrize("primal", ["vertex", "vertex-edge"])
 @pytest.mark.parametrize("case", list(MULTI_MEMBER_GRIDS))
-def test_local_saddle_is_bitwise_the_sliced_bmat(case, primal, trace):
+def test_local_saddle_is_bitwise_the_sliced_bmat(case, primal):
     kw, _ = MULTI_MEMBER_GRIDS[case]
     pipe = bd.build_pipeline(bd.ExperimentConfig(primal=primal, oracle="off", **kw))
-    for s, lb in pipe.system.local.items():
+    for (s, lb), trace in itertools.product(pipe.system.local.items(), (False, True)):
         sets = _local_index_sets(pipe.cls, s, lb)
         K, ref = _local_saddle(lb, sets, trace), _sliced_bmat_saddle(lb, sets, trace)
         assert K.shape == ref.shape and K.has_sorted_indices
