@@ -213,6 +213,13 @@ class Pipeline:
         (``preconditioner.class_schurs``)."""
         return {"torn": self.reduced.sources, **{k: b.sources for k, b in self._preconditioner_blocks().items()}}
 
+    def coarse_sizes(self) -> dict[str, list[int]]:
+        """Unknowns and half-bandwidth [n, kd] of each coarse problem: the
+        torn block's ("torn") and the pressure BDDC block's ("p")."""
+        pc = self.preconditioner
+        coarse = {"torn": self.reduced.coarse, "p": pc.pressure.coarse if pc.pressure else None}
+        return {k: [c.n, c.kd] for k, c in coarse.items() if c}
+
     def class_factors(self) -> dict[str, list[tuple[int, SaddleFactor | None]]]:
         """Per block with unknowns ("torn", "xi", "p", "lambda"), each class's
         member count and kept factor: None for every preconditioner class,
@@ -255,6 +262,7 @@ class RunResult:
     condensed: list[str]  # blocks applied through dense interface matrices: "torn", "xi", "p", "lambda"
     condensed_bytes: int  # their dense maps together
     schur_sources: dict[str, int]  # per block, the classes that formed their own map (``Pipeline.schur_sources``)
+    coarse: dict[str, list[int]]  # per coarse problem, its unknowns and half-bandwidth (``Pipeline.coarse_sizes``)
     peak_rss_mb: float  # peak resident set size of the process so far
     notes: list[str]
     u: np.ndarray
@@ -270,7 +278,7 @@ class RunResult:
             config=config, iterations=0, converged=False, eig_min=None, eig_max=None, valid_eig_min=None,
             dropped_modes=0, residuals=[], jump_norm=None, n_dofs=0, n_interface=0, oracle_err=None,
             wall_s=wall_s, factor_nnz=0, factor_classes={}, condensed=[], condensed_bytes=0, schur_sources={},
-            peak_rss_mb=peak_rss_mb(), notes=[], u=empty, xi=empty, p=empty, error=error,
+            coarse={}, peak_rss_mb=peak_rss_mb(), notes=[], u=empty, xi=empty, p=empty, error=error,
         )
 
     def row(self) -> dict:
@@ -430,6 +438,7 @@ def run_case(cfg: ExperimentConfig, pipe: Pipeline | None = None) -> RunResult:
         condensed=list(condensed),
         condensed_bytes=sum(condensed.values()),
         schur_sources=pipe.schur_sources(),
+        coarse=pipe.coarse_sizes(),
         peak_rss_mb=peak_rss_mb(),
         notes=list(result.notes),
         u=u,
@@ -536,6 +545,7 @@ def write_json(results: list[RunResult], path: str) -> None:
         entry["condensed"] = res.condensed
         entry["condensed_bytes"] = res.condensed_bytes
         entry["schur_sources"] = res.schur_sources
+        entry["coarse"] = res.coarse
         entry["peak_rss_mb"] = res.peak_rss_mb
         entry["environment"] = env
         entry["notes"] = res.notes

@@ -168,7 +168,7 @@ class InterfaceBddc:
 
     The partially assembled Schur complement is never formed; its inverse
     is applied through one dense local map per congruence class, the
-    inverted dual Schur block with its primal coupling, and one dense
+    inverted dual Schur block with its primal coupling, and one banded
     coarse solve.  With no primal unknowns it is the scaled sum of the
     local maps: inverted Schur complements for xi, the elastic Dirichlet
     maps for λ.
@@ -198,7 +198,7 @@ def _bddc(
     assembled vector, its primal dofs ``primal[s]`` their places in
     ``primal_dofs``."""
     off = np.cumsum([0, *(dual[s].size for s in range(len(dual)))])
-    F = np.zeros((primal_dofs.size, primal_dofs.size))
+    coarse = []  # each class's primal columns and coarse contribution
     groups = system.classes(_FIELD_BLOCK[fld])
     schurs, sources = class_schurs(system, fld, block, label)
     classes: list[LocalClass] = []
@@ -206,7 +206,8 @@ def _bddc(
         r, nd = members[0], dual[members[0]].size
         factor = SaddleFactor(f"{label} block of subdomain {r}", S[:nd, :nd])
         cols = np.column_stack([np.searchsorted(primal_dofs, primal[s]) for s in members])
-        X = primal_coupling(F, factor, S[:nd, nd:], S[nd:, nd:], cols)
+        X, F = primal_coupling(factor, S[:nd, nd:], S[nd:, nd:])
+        coarse.append((cols, F))
         classes.append(LocalClass(
             idx=np.column_stack([np.arange(off[s], off[s + 1]) for s in members]), primal=cols, X=X,
             S=np.vstack([factor.solve(np.eye(nd)), X.T]),
@@ -215,7 +216,7 @@ def _bddc(
         inject_scaled=inject_scaled,
         inject_scaled_T=inject_scaled.T.tocsr(),
         classes=classes,
-        coarse=CoarseProblem(F),
+        coarse=CoarseProblem(primal_dofs.size, coarse),
         at=scatter_index(classes),
         sources=sources,
     )
@@ -270,7 +271,7 @@ def build_lambda_solver(
         idx = np.column_stack([np.arange(lay.dual_offset[s], lay.dual_offset[s + 1]) for s in members])
         classes.append(LocalClass(idx=idx, primal=np.zeros((0, len(members)), dtype=np.int64), S=S))
     return InterfaceBddc(
-        jump.jump_scaled.T.tocsr(), jump.jump_scaled, classes, CoarseProblem(np.zeros((0, 0))), scatter_index(classes),
+        jump.jump_scaled.T.tocsr(), jump.jump_scaled, classes, CoarseProblem(0, []), scatter_index(classes),
         sources,
     )
 

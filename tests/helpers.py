@@ -94,6 +94,27 @@ def rel_err(got: np.ndarray, want: np.ndarray) -> float:
     return diff / scale if scale > 0.0 else diff
 
 
+def dense_coarse(n: int, parts) -> np.ndarray:
+    """The dense coarse matrix of ``parts`` (each class's primal columns and
+    its contribution), summed class by class with np.add.at."""
+    S = np.zeros((n, n))
+    for primal, S_c in parts:
+        np.add.at(S, (primal[:, None, :], primal[None, :, :]), S_c[:, :, None])
+    return S
+
+
+def band_to_dense(band: np.ndarray) -> np.ndarray:
+    """The dense matrix whose lower bands, of it and of its transpose, are
+    the pair ``band`` (``reduced_system.coarse_band``)."""
+    _, w, n = band.shape
+    S = np.zeros((n, n))
+    for d in range(w):
+        j = np.arange(n - d)
+        S[j + d, j] = band[0, d, : n - d]
+        S[j, j + d] = band[1, d, : n - d]
+    return S
+
+
 def dense_generalized_eigs(G: np.ndarray, Minv: np.ndarray) -> np.ndarray:
     """Spectrum of M^-1 G from dense symmetric pencils."""
     Minv = 0.5 * (Minv + Minv.T)

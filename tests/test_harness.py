@@ -257,6 +257,19 @@ class TestFactorSize:
                             "OPENBLAS_CORETYPE"}
 
 
+    def test_record_has_coarse_sizes(self, tmp_path):
+        # 4x4 subdomains with edge averages, left side free: 12 vertices
+        # (9 inside, 3 on the left side) and 24 edges, each one pressure
+        # and two displacement unknowns.  Pressure numbers them row by row:
+        # a line of vertices holds 4 vertices and 4 edge starts, the line
+        # above it 3 vertical edge starts, so a subdomain spans 13 of them
+        # and its displacement unknowns, two per node, 27.
+        res = bd.run_case(small_cfg(nx=16, subdomains=(4, 4), primal="vertex-edge", oracle="off"))
+        assert res.coarse == {"torn": [72, 27], "p": [36, 13]}
+        path = tmp_path / "out.json"
+        write_json([res], str(path))
+        assert json.loads(path.read_text())[0]["coarse"] == res.coarse
+
     def test_corename_none_without_the_symbol(self, monkeypatch):
         def no_library(path):
             raise OSError(f"{path}: cannot open shared object file")

@@ -14,11 +14,13 @@ import scipy.sparse as sp
 import biot_ddp as bd
 from biot_ddp import preconditioner
 from biot_ddp.preconditioner import _dense_schur, build_lambda_solver, build_p_bddc, class_schurs, nested_dissection
-from biot_ddp.reduced_system import _DENSE_FACTOR_CUTOFF, CoarseProblem
+from biot_ddp.reduced_system import _DENSE_FACTOR_CUTOFF, CoarseProblem, coarse_band
 from helpers import (
     MULTI_MEMBER_GRIDS,
     assembled_pressure_schur,
     assembled_total_pressure_schur,
+    band_to_dense,
+    dense_coarse,
     dense_from_apply,
     preconditioned_spectrum,
     rel_err,
@@ -265,23 +267,25 @@ class TestDenseBddcMaps:
             schur.append(class_schurs(*args)[0])
             return schur[-1], len(schur[-1])
 
-        def kept_coarse(F):
-            coarse.append(F.copy())
-            return CoarseProblem(F)
+        def kept_coarse(n, parts):
+            coarse.append(coarse_band(n, parts))
+            return CoarseProblem(n, parts)
 
         monkeypatch.setattr(preconditioner, "class_schurs", kept_schurs)
         monkeypatch.setattr(preconditioner, "CoarseProblem", kept_coarse)
         pipe = build(nx=20, subdomains=(5, 5), primal=primal, pattern="checkerboard", black={"E": 1e3})
         pc = pipe.preconditioner
         assert [len(S) for S in schur] == [len(b.classes) for b in (pc.xi, pc.pressure, pc.multiplier)]
-        F = np.zeros_like(coarse[1])
+        parts = []
         for S, c in zip(schur[1], pc.pressure.classes):
             nd = c.idx.shape[0]
             A_rP = S[:nd, nd:]
             X = sla.lu_solve(sla.lu_factor(S[:nd, :nd]), A_rP)
             assert np.array_equal(c.X, X)
-            np.add.at(F, (c.primal[:, None, :], c.primal[None, :, :]), (S[nd:, nd:] - A_rP.T @ X)[:, :, None])
-        assert coarse[0].shape == (0, 0) and F.size and np.array_equal(coarse[1], F)
+            parts.append((c.primal, S[nd:, nd:] - A_rP.T @ X))
+        F = dense_coarse(pc.pressure.coarse.n, parts)
+        assert coarse[0].shape == (2, 1, 0) and F.size and np.array_equal(band_to_dense(coarse[1]), F)
+        assert pc.pressure.coarse.kd == coarse[1].shape[1] - 1 < F.shape[0] - 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::scipy.linalg.LinAlgWarning")
     def test_singular_dual_block_rejected(self, monkeypatch):

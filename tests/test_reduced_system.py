@@ -14,8 +14,24 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import biot_ddp as bd
-from biot_ddp.reduced_system import CoarseProblem, SaddleFactor, _local_index_sets, _local_saddle
-from helpers import MULTI_MEMBER_GRIDS, dense_from_apply, dense_torn_solution, numeric_classes, rel_err
+from biot_ddp import reduced_system
+from biot_ddp.reduced_system import (
+    CoarseProblem,
+    SaddleFactor,
+    _local_index_sets,
+    _local_saddle,
+    coarse_band,
+    primal_coupling,
+)
+from helpers import (
+    MULTI_MEMBER_GRIDS,
+    band_to_dense,
+    dense_coarse,
+    dense_from_apply,
+    dense_torn_solution,
+    numeric_classes,
+    rel_err,
+)
 
 
 def build(variant="p1", primal="vertex", pattern="uniform", **kw):
@@ -504,17 +520,45 @@ class TestClassKey:
             assert [c.idx.shape[1] for c in built[names]] == [len(m) for m in key], names
 
 
+def whole(S: np.ndarray) -> tuple[int, list]:
+    """The coarse problem arguments of the dense S as one class of one
+    member holding every unknown: its band is the whole matrix."""
+    return S.shape[0], [(np.arange(S.shape[0])[:, None], S)]
+
+
+def chain(n: int, width: int, rng) -> list:
+    """Classes of overlapping SPD blocks along the diagonal: class k's one
+    member holds unknowns k .. k + width - 1."""
+    parts = []
+    for k in range(n - width + 1):
+        Q = rng.standard_normal((width, width))
+        parts.append((np.arange(k, k + width)[:, None], Q @ Q.T + width * np.eye(width)))
+    return parts
+
+
 class TestCoarseProblem:
     def test_asymmetric_input_rejected(self):
         S = np.array([[2.0, 1.0], [0.0, 2.0]])
         with pytest.raises(bd.InternalError):
-            CoarseProblem(S)
+            CoarseProblem(*whole(S))
+
+    def test_asymmetric_band_entry_rejected(self):
+        # one more member adds to entry (7, 5) alone, on the second
+        # subdiagonal of a chain of 4 x 4 blocks (kd = 3), more than the
+        # tolerance
+        parts = chain(12, 4, np.random.default_rng(5))
+        assert CoarseProblem(12, parts).kd == 3
+        tol = 1e-6 * np.abs(dense_coarse(12, parts)).max()
+        parts.append((np.array([[5], [7]]), np.array([[0.0, 0.0], [2 * tol, 0.0]])))
+        with pytest.raises(bd.InternalError, match="^coarse matrix asymmetry"):
+            CoarseProblem(12, parts)
 
     def test_solves_spd_system(self):
         rng = np.random.default_rng(3)
         Q = rng.standard_normal((5, 5))
         S = Q @ Q.T + 5 * np.eye(5)
-        coarse = CoarseProblem(S)
+        coarse = CoarseProblem(*whole(S))
+        assert (coarse.n, coarse.kd) == (5, 4)
         b = rng.standard_normal(5)
         np.testing.assert_allclose(S @ coarse.solve(b), b, atol=1e-10)
 
@@ -525,25 +569,98 @@ class TestCoarseProblem:
         S = 4.0 * np.eye(6)
         S[1, 3] = S[3, 1] = value
         with pytest.raises(bd.InternalError, match="non-finite"):
-            CoarseProblem(S)
+            CoarseProblem(*whole(S))
 
     def test_indefinite_input_rejected(self):
         with pytest.raises(bd.ConfigurationError, match="not positive definite"):
-            CoarseProblem(np.diag([2.0, 1.0, -1.0]))
+            CoarseProblem(*whole(np.diag([2.0, 1.0, -1.0])))
+
+    def test_empty(self):
+        coarse = CoarseProblem(0, [])
+        assert (coarse.n, coarse.kd) == (0, 0)
+        assert coarse.solve(np.zeros(0)).shape == (0,)
 
     def test_solve_is_bitwise_cho_solve(self):
-        # the LAPACK Cholesky that scipy.linalg wraps, of the symmetrized
-        # matrix, with the checks left out
+        # the LAPACK banded Cholesky that scipy.linalg wraps, of the
+        # symmetrized band, with the checks left out
         rng = np.random.default_rng(12)
-        Q = rng.standard_normal((40, 40))
-        S = Q @ Q.T + 40 * np.eye(40)
-        S += 1e-12 * rng.standard_normal(S.shape)  # roundoff asymmetry
-        coarse = CoarseProblem(S)
-        cho = sla.cho_factor(0.5 * (S + S.T))
+        parts = chain(40, 6, rng)
+        parts = [(p, S + 1e-12 * rng.standard_normal(S.shape)) for p, S in parts]  # roundoff asymmetry
+        coarse = CoarseProblem(40, parts)
+        band = coarse_band(40, parts)
+        assert coarse.kd == 5 and band.shape == (2, 6, 40)
+        cho = sla.cholesky_banded(0.5 * (band[1] + band[0]), lower=True)
         for b in (rng.standard_normal(40), rng.standard_normal((40, 3))):
             x = coarse.solve(b)
             assert x.shape == b.shape
-            assert x.tobytes() == sla.cho_solve(cho, b).tobytes()
+            assert x.tobytes() == sla.cho_solve_banded((cho, True), b).tobytes()
+
+    def test_widest_coupling_sets_kd(self):
+        # neighbour pairs along the diagonal and one member that couples
+        # unknowns 3 and 14 alone: kd = 11, and the band solve agrees with
+        # a dense Cholesky solve
+        rng = np.random.default_rng(8)
+        parts = chain(20, 2, rng) + [(np.array([[3], [14]]), np.array([[1.0, 0.5], [0.5, 1.0]]))]
+        coarse = CoarseProblem(20, parts)
+        assert (coarse.n, coarse.kd) == (20, 11)
+        S = dense_coarse(20, parts)
+        assert np.array_equal(band_to_dense(coarse_band(20, parts)), S)
+        b = rng.standard_normal((20, 2))
+        want = sla.cho_solve(sla.cho_factor(S), b)
+        assert rel_err(coarse.solve(b), want) <= 1e-12
+
+    def test_class_without_primal_dofs(self):
+        # the pressure coarse problem of a grid, with a class of three
+        # members and no primal unknowns added among its classes: its band
+        # and kd are the grid's own
+        parts = []
+
+        def kept(n, p):
+            parts.append((n, p))
+            return CoarseProblem(n, p)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bd.preconditioner, "CoarseProblem", kept)
+            bd.build_pipeline(bd.ExperimentConfig(nx=8, subdomains=(4, 4), primal="vertex-edge", oracle="off"))
+        n, grid = parts[1]
+        assert n > 0 and all(p.size for p, _ in grid)
+        with_empty = grid[:1] + [(np.zeros((0, 3), dtype=np.int64), np.zeros((0, 0)))] + grid[1:]
+        band = coarse_band(n, with_empty)
+        assert band.tobytes() == coarse_band(n, grid).tobytes()
+        assert np.array_equal(band_to_dense(band), dense_coarse(n, grid))
+        assert CoarseProblem(n, with_empty).kd == CoarseProblem(n, grid).kd > 0
+
+    @pytest.mark.parametrize("primal", ["vertex", "vertex-edge"])
+    def test_torn_coarse_matrix_is_the_dense_assembly(self, monkeypatch, primal):
+        # bitwise: every class's A_PP - A_rP^T X, X from its factor's solve
+        # of A_rP, summed with np.add.at, against the band
+        calls, bands = [], []
+
+        def kept_coupling(factor, A_rP, A_PP):
+            calls.append((factor, A_rP, A_PP))
+            return primal_coupling(factor, A_rP, A_PP)
+
+        def kept_band(n, parts):
+            bands.append(coarse_band(n, parts))
+            return bands[-1]
+
+        monkeypatch.setattr(reduced_system, "primal_coupling", kept_coupling)
+        monkeypatch.setattr(reduced_system, "coarse_band", kept_band)
+        pipe = bd.build_pipeline(bd.ExperimentConfig(
+            nx=20, subdomains=(5, 5), primal=primal, pattern="checkerboard", black={"E": 1e3}, oracle="off"))
+        red = pipe.reduced
+        classes = list(red.factors.values())
+        assert len(calls) == len(classes) and len(bands) == 4  # torn, xi, p, λ: the torn one first
+        parts = []
+        for (factor, A_rP, A_PP), c in zip(calls, classes):
+            X = factor.solve(A_rP)
+            assert np.array_equal(c.X, X)
+            parts.append((c.primal, A_PP - A_rP.T @ X))
+        S = dense_coarse(red.coarse.n, parts)
+        assert np.array_equal(band_to_dense(bands[0]), S)
+        kd = bands[0].shape[1] - 1
+        assert red.coarse.kd == kd < red.coarse.n - 1
+        assert not np.any(np.tril(S, -kd - 1)) and not np.any(np.triu(S, kd + 1))
 
 
 def _log_uniform(lo, hi):
