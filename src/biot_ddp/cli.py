@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .harness import (
+    CHOICES,
     RUN_ERRORS,
     ExperimentConfig,
     fit_polylog,
@@ -54,8 +55,7 @@ def _parse_black(items: list[str]) -> dict[str, float]:
     return out
 
 
-_AXIS_KINDS = {"nx": int, "ny": int, "max_iter": int, "subdomains": _parse_pair,
-               **dict.fromkeys(("total_pressure", "primal", "multiplier_pc", "pattern", "bc"), str)}
+_AXIS_KINDS = {"nx": int, "max_iter": int, "subdomains": _parse_pair, **dict.fromkeys(CHOICES, str)}
 
 
 def _parse_axis(text: str) -> tuple[str, list]:
@@ -66,55 +66,38 @@ def _parse_axis(text: str) -> tuple[str, list]:
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
+    """The configuration flags; each stores into the ExperimentConfig field
+    it names in ``dest`` and is None when not given."""
     parser.add_argument("--config", help="JSON file with configuration defaults")
-    parser.add_argument("--nx", type=int, help="cells per side of the unit square")
-    parser.add_argument("--ny", type=int, help="cells in y if different from --nx")
-    parser.add_argument("--sub", type=_parse_pair, metavar="NXxNY", help="subdomain grid, e.g. 4x4")
-    parser.add_argument("--elem", choices=["p1", "p0"], help="total pressure space")
-    parser.add_argument("--primal", choices=["vertex", "vertex-edge"], help="coarse constraint set")
-    parser.add_argument("--lambda-pc", choices=["dirichlet", "lumped"], help="multiplier preconditioner")
-    parser.add_argument("--pattern", choices=["uniform", "checkerboard"], help="material layout")
+    parser.add_argument("--nx", type=int, help="cells in x; y has as many per subdomain")
+    parser.add_argument("--sub", dest="subdomains", type=_parse_pair, metavar="NXxNY", help="subdomain grid, e.g. 4x4")
+    parser.add_argument("--elem", dest="total_pressure", choices=CHOICES["total_pressure"], help="total pressure space")
+    parser.add_argument("--primal", choices=CHOICES["primal"], help="coarse constraint set")
+    parser.add_argument("--lambda-pc", dest="multiplier_pc", choices=CHOICES["multiplier_pc"],
+                        help="multiplier preconditioner")
+    parser.add_argument("--pattern", choices=CHOICES["pattern"], help="material layout")
     parser.add_argument("--E", type=float, help="Young modulus")
     parser.add_argument("--nu", type=float, help="Poisson ratio")
     parser.add_argument("--alpha", type=float, help="pressure coupling coefficient")
     parser.add_argument("--kappa", type=float, help="permeability")
     parser.add_argument(
-        "--black", action="append", default=[], metavar="KEY=VALUE",
+        "--black", action="append", metavar="KEY=VALUE",
         help="checkerboard override for black cells, repeatable",
     )
-    parser.add_argument("--bc", choices=["neumann-left", "dirichlet"], help="boundary preset")
+    parser.add_argument("--bc", choices=CHOICES["bc"], help="boundary preset")
     parser.add_argument("--tol", type=float, help="relative residual tolerance")
     parser.add_argument("--max-iter", type=int, help="iteration cap")
-    parser.add_argument("--reorthogonalize", action="store_true", help="full reorthogonalization")
-    parser.add_argument("--ritz-threshold", type=float, help="spurious mode drop ratio")
-    parser.add_argument("--oracle", choices=["auto", "on", "off"], help="direct solve comparison")
+    parser.add_argument("--reorthogonalize", action="store_true", default=None, help="full reorthogonalization")
+    parser.add_argument("--ritz-threshold", dest="ritz_drop_threshold", type=float, help="spurious mode drop ratio")
+    parser.add_argument("--oracle", choices=CHOICES["oracle"], help="direct solve comparison")
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
-    overrides = {
-        "nx": args.nx,
-        "ny": args.ny,
-        "subdomains": args.sub,
-        "total_pressure": args.elem,
-        "primal": args.primal,
-        "multiplier_pc": args.lambda_pc,
-        "pattern": args.pattern,
-        "E": args.E,
-        "nu": args.nu,
-        "alpha": args.alpha,
-        "kappa": args.kappa,
-        "bc": args.bc,
-        "tol": args.tol,
-        "max_iter": args.max_iter,
-        "ritz_drop_threshold": args.ritz_threshold,
-        "oracle": args.oracle,
-    }
-    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-    if args.reorthogonalize:
-        cfg = replace(cfg, reorthogonalize=True)
-    if args.black:
-        cfg = replace(cfg, black={**cfg.black, **_parse_black(args.black)})
+    given = {f.name: getattr(args, f.name) for f in fields(cfg) if getattr(args, f.name, None) is not None}
+    if "black" in given:  # added to the black-cell values of the file
+        given["black"] = {**cfg.black, **_parse_black(given["black"])}
+    cfg = replace(cfg, **given)
     cfg.validate()
     return cfg
 
@@ -181,9 +164,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     """Each ratio run as a sweep point, and the fit over the converged ones;
     the exit code is that of the first failed or unconverged ratio."""
     cfg = _config_from_args(args)
-    gx, gy = cfg.subdomains
+    gx = cfg.subdomains[0]
     ratios = [_parse_value("ratios", tok, int) for tok in args.ratios.split(",")]
-    results = run_sweep(cfg, {"nx": [r * gx for r in ratios], "ny": [r * gy for r in ratios]}, mode="zip")
+    results = run_sweep(cfg, {"nx": [r * gx for r in ratios]})
     code = _print_points(results)
     x = [float(r) for r, res in zip(ratios, results) if res.converged]
     y = [res.eig_max for res in results if res.converged]

@@ -23,7 +23,6 @@ and turns primal, the remaining edge dofs become average-free duals.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -61,7 +60,6 @@ class SubdomainPartition:
     mesh: StructuredMesh
     base_elements: dict[int, np.ndarray]
     refined_elements: dict[int, np.ndarray]
-    diameters: np.ndarray
 
     @property
     def n_subdomains(self) -> int:
@@ -85,13 +83,11 @@ def partition(mesh: StructuredMesh, grid: tuple[int, int]) -> SubdomainPartition
         bounds = np.searchsorted(sub[order], np.arange(gx * gy + 1))
         return {s: np.sort(order[bounds[s] : bounds[s + 1]]) for s in range(gx * gy)}
 
-    diam = float(np.hypot(1.0 / gx, 1.0 / gy))
     return SubdomainPartition(
         grid=grid,
         mesh=mesh,
         base_elements=elems(mesh, mx, my),
         refined_elements=elems(refined, 2 * mx, 2 * my),
-        diameters=np.full(gx * gy, diam),
     )
 
 
@@ -230,10 +226,6 @@ class TornLayout:
         return self.n_u_int + self.n_xi_int + self.n_p_int + self.n_dual_broken + self.n_primal
 
     @property
-    def n_y(self) -> int:
-        return self.xi_iface.size + self.p_iface.size + self.n_lambda
-
-    @property
     def primal_slice(self) -> slice:
         start = self.n_u_int + self.n_xi_int + self.n_p_int + self.n_dual_broken
         return slice(start, start + self.n_primal)
@@ -254,7 +246,6 @@ class TornLayout:
 class DofClassification:
     """Per-field interior / dual / primal / interface index sets."""
 
-    variant: str
     grid: tuple[int, int]
     spaces: FeSpaceSet
     # interface incidence of each field (the u table holds primal and dual dofs)
@@ -302,30 +293,6 @@ class DofClassification:
         if self._layout is None:
             self._layout = _build_layout(self)
         return self._layout
-
-    def to_json(self) -> str:
-        def d(m: dict[int, np.ndarray]) -> dict[str, list[int]]:
-            return {str(s): np.asarray(v).tolist() for s, v in sorted(m.items())}
-
-        payload = {
-            "variant": self.variant,
-            "grid": list(self.grid),
-            "displacement": {
-                "interior": d(self.u_interior),
-                "dual": self.u_dual.tolist(),
-                "primal": self.u_primal.tolist(),
-            },
-            "total_pressure": {
-                "interior": d(self.xi_interior),
-                "interface": self.xi_interface.tolist(),
-            },
-            "pressure": {
-                "interior": d(self.p_interior),
-                "dual": self.p_dual.tolist(),
-                "primal": self.p_primal.tolist(),
-            },
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _stack(buckets: dict[int, np.ndarray], n: int, base: int) -> tuple[np.ndarray, int]:
@@ -483,7 +450,6 @@ def classify_dofs(part: SubdomainPartition, spaces: FeSpaceSet, primal_variant: 
     p_primal = p_iface.select(p_is_primal[p_iface.dof])
     p_dual = p_iface.select(~p_is_primal[p_iface.dof])
     cls = DofClassification(
-        variant=primal_variant,
         grid=grid,
         spaces=spaces,
         u_incidence=u_iface,

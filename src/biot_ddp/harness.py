@@ -69,10 +69,23 @@ def _is_finite(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
+# the values allowed for each enumerated configuration field
+CHOICES = {
+    "total_pressure": ("p1", "p0"),
+    "primal": ("vertex", "vertex-edge"),
+    "multiplier_pc": ("dirichlet", "lumped"),
+    "pattern": ("uniform", "checkerboard"),
+    "bc": ("neumann-left", "dirichlet"),
+    "oracle": ("auto", "on", "off"),
+}
+
+
 @dataclass
 class ExperimentConfig:
+    """One solver run.  The mesh has ``nx`` cells in x and as many cells per
+    subdomain in y as in x, so ``nx // subdomains[0] * subdomains[1]`` in y."""
+
     nx: int = 8
-    ny: int | None = None
     subdomains: tuple[int, int] = (2, 2)
     total_pressure: str = "p1"
     primal: str = "vertex"
@@ -93,10 +106,9 @@ class ExperimentConfig:
     oracle: str = "auto"
 
     def validate(self) -> None:
-        for name in ("nx", "ny", "max_iter"):
-            value = getattr(self, name)
-            if not (_is_int(value) or (name == "ny" and value is None)):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        for name in ("nx", "max_iter"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.max_iter <= 0:
             raise ConfigurationError(f"max_iter must be positive, got {self.max_iter}")
         for name in ("E", "nu", "alpha", "kappa", "source", "tol", "ritz_drop_threshold"):
@@ -112,18 +124,9 @@ class ExperimentConfig:
         if not (isinstance(self.subdomains, (tuple, list)) and len(self.subdomains) == 2
                 and all(_is_int(k) and k > 0 for k in self.subdomains)):
             raise ConfigurationError(f"subdomains must be two positive integers, got {self.subdomains!r}")
-        if self.total_pressure not in ("p1", "p0"):
-            raise ConfigurationError(f"unknown total pressure space {self.total_pressure!r}")
-        if self.primal not in ("vertex", "vertex-edge"):
-            raise ConfigurationError(f"unknown primal variant {self.primal!r}")
-        if self.multiplier_pc not in ("dirichlet", "lumped"):
-            raise ConfigurationError(f"unknown multiplier preconditioner {self.multiplier_pc!r}")
-        if self.pattern not in ("uniform", "checkerboard"):
-            raise ConfigurationError(f"unknown material pattern {self.pattern!r}")
-        if self.bc not in ("neumann-left", "dirichlet"):
-            raise ConfigurationError(f"unknown boundary condition preset {self.bc!r}")
-        if self.oracle not in ("auto", "on", "off"):
-            raise ConfigurationError(f"unknown oracle mode {self.oracle!r}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigurationError(f"unknown {name} {getattr(self, name)!r}, expected one of {allowed}")
         if self.pattern == "uniform" and self.black:
             raise ConfigurationError("black-cell overrides require the checkerboard pattern")
         if self.tol <= 0.0:
@@ -242,44 +245,55 @@ class Pipeline:
         return {k: v for k, v in out.items() if v}
 
 
+def peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MB (2^20 bytes)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10  # bytes on macOS, KiB elsewhere
+
+
+# RunResult fields the JSON record leaves out: the arrays, and those that
+# ``row()`` or the record's "config" writes in its own form
+JSON_OMITS = ("residuals", "u", "xi", "p", "iterations", "oracle_err", "error", "config")
+
+
+def _empty() -> np.ndarray:
+    return np.zeros(0)
+
+
 @dataclass
 class RunResult:
-    config: ExperimentConfig
-    iterations: int
-    converged: bool
-    eig_min: float | None
-    eig_max: float | None
-    valid_eig_min: float | None
-    dropped_modes: int
-    residuals: list[float]
-    jump_norm: float | None  # None: the run failed
-    n_dofs: int
-    n_interface: int
-    oracle_err: tuple[float, float, float] | None
-    wall_s: float
-    factor_nnz: int  # stored entries of every kept local factor (SaddleFactor.nnz summed)
-    factor_classes: dict[str, list[list[int]]]  # per block, [members, n, nnz] of each class's factor (0, 0: none)
-    condensed: list[str]  # blocks applied through dense interface matrices: "torn", "xi", "p", "lambda"
-    condensed_bytes: int  # their dense maps together
-    schur_sources: dict[str, int]  # per block, the classes that formed their own map (``Pipeline.schur_sources``)
-    coarse: dict[str, list[int]]  # per coarse problem, its unknowns and half-bandwidth (``Pipeline.coarse_sizes``)
-    peak_rss_mb: float  # peak resident set size of the process so far
-    notes: list[str]
-    u: np.ndarray
-    xi: np.ndarray
-    p: np.ndarray
-    error: Exception | None = None  # what a failed sweep point raised
+    """What one run reports; the defaults are those of a run that raised
+    ``error`` and solved nothing."""
 
-    @classmethod
-    def failed(cls, config: ExperimentConfig, error: Exception, wall_s: float) -> RunResult:
-        """The row of a run that raised ``error`` and solved nothing."""
-        empty = np.zeros(0)
-        return cls(
-            config=config, iterations=0, converged=False, eig_min=None, eig_max=None, valid_eig_min=None,
-            dropped_modes=0, residuals=[], jump_norm=None, n_dofs=0, n_interface=0, oracle_err=None,
-            wall_s=wall_s, factor_nnz=0, factor_classes={}, condensed=[], condensed_bytes=0, schur_sources={},
-            coarse={}, peak_rss_mb=peak_rss_mb(), notes=[], u=empty, xi=empty, p=empty, error=error,
-        )
+    config: ExperimentConfig
+    iterations: int = 0
+    converged: bool = False
+    eig_min: float | None = None
+    eig_max: float | None = None
+    valid_eig_min: float | None = None
+    dropped_modes: int = 0
+    residuals: list[float] = field(default_factory=list)
+    jump_norm: float | None = None
+    n_dofs: int = 0
+    n_interface: int = 0
+    oracle_err: tuple[float, float, float] | None = None
+    wall_s: float = 0.0
+    factor_nnz: int = 0  # stored entries of every kept local factor (SaddleFactor.nnz summed)
+    # per block, [members, n, nnz] of each class's factor (0, 0: none)
+    factor_classes: dict[str, list[list[int]]] = field(default_factory=dict)
+    # blocks applied through dense interface matrices: "torn", "xi", "p", "lambda"
+    condensed: list[str] = field(default_factory=list)
+    condensed_bytes: int = 0  # their dense maps together
+    # per block, the classes that formed their own map (``Pipeline.schur_sources``)
+    schur_sources: dict[str, int] = field(default_factory=dict)
+    # per coarse problem, its unknowns and half-bandwidth (``Pipeline.coarse_sizes``)
+    coarse: dict[str, list[int]] = field(default_factory=dict)
+    peak_rss_mb: float = field(default_factory=peak_rss_mb)  # of the process when the result is made
+    notes: list[str] = field(default_factory=list)
+    u: np.ndarray = field(default_factory=_empty)
+    xi: np.ndarray = field(default_factory=_empty)
+    p: np.ndarray = field(default_factory=_empty)
+    error: Exception | None = None  # what a failed sweep point raised
 
     def row(self) -> dict:
         cfg = self.config
@@ -320,7 +334,7 @@ CSV_COLUMNS = [
 
 def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
     cfg.validate()
-    mesh = build_mesh(cfg.nx, cfg.subdomains, ny=cfg.ny)
+    mesh = build_mesh(cfg.nx, cfg.subdomains)
     part = partition(mesh, cfg.subdomains)
     bc = cfg.boundary()
     spaces = build_spaces(mesh, cfg.total_pressure, bc)
@@ -363,12 +377,6 @@ def _field_error(got: np.ndarray, want: np.ndarray) -> float:
     scale = float(np.max(np.abs(want))) if want.size else 0.0
     diff = float(np.max(np.abs(got - want))) if want.size else 0.0
     return diff / scale if scale > 0.0 else diff
-
-
-def peak_rss_mb() -> float:
-    """Peak resident set size of this process so far, in MB (2^20 bytes)."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10  # bytes on macOS, KiB elsewhere
 
 
 def blas_corename() -> str | None:
@@ -439,7 +447,6 @@ def run_case(cfg: ExperimentConfig, pipe: Pipeline | None = None) -> RunResult:
         condensed_bytes=sum(condensed.values()),
         schur_sources=pipe.schur_sources(),
         coarse=pipe.coarse_sizes(),
-        peak_rss_mb=peak_rss_mb(),
         notes=list(result.notes),
         u=u,
         xi=xi,
@@ -488,7 +495,7 @@ def run_sweep(
         try:
             results.append(run_case(cfg))
         except RUN_ERRORS as err:
-            results.append(RunResult.failed(cfg, err, time.perf_counter() - t0))
+            results.append(RunResult(cfg, wall_s=time.perf_counter() - t0, error=err))
     return results
 
 
@@ -530,26 +537,14 @@ def write_csv(results: list[RunResult], path: str) -> None:
 
 
 def write_json(results: list[RunResult], path: str) -> None:
-    payload = []
+    """One record per result: its ``row()``, its config, the environment
+    and every other field but ``JSON_OMITS``."""
     env = environment()
-    for res in results:
-        entry = res.row()
-        entry["config"] = res.config.to_dict()
-        entry["converged"] = res.converged
-        entry["dropped_modes"] = res.dropped_modes
-        entry["jump_norm"] = res.jump_norm
-        entry["n_dofs"] = res.n_dofs
-        entry["n_interface"] = res.n_interface
-        entry["factor_nnz"] = res.factor_nnz
-        entry["factor_classes"] = res.factor_classes
-        entry["condensed"] = res.condensed
-        entry["condensed_bytes"] = res.condensed_bytes
-        entry["schur_sources"] = res.schur_sources
-        entry["coarse"] = res.coarse
-        entry["peak_rss_mb"] = res.peak_rss_mb
-        entry["environment"] = env
-        entry["notes"] = res.notes
-        payload.append(entry)
+    payload = [
+        {**{f.name: getattr(res, f.name) for f in fields(res) if f.name not in JSON_OMITS},
+         **res.row(), "config": res.config.to_dict(), "environment": env}
+        for res in results
+    ]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -49,12 +49,6 @@ class PcgResult:
     dropped_modes: int
     notes: list[str] = field(default_factory=list)
 
-    @property
-    def condition_estimate(self) -> float | None:
-        if self.eig_max is None or self.valid_eig_min in (None, 0.0):
-            return None
-        return self.eig_max / self.valid_eig_min
-
 
 def ritz_values(alphas: list[float], betas: list[float]) -> np.ndarray:
     """Eigenvalues of the tridiagonal matrix built from the solver

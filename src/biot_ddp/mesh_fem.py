@@ -114,21 +114,17 @@ def _grid_mesh(nx: int, ny: int) -> StructuredMesh:
     return StructuredMesh(nx=nx, ny=ny, vertices=vertices, triangles=tri)
 
 
-def build_mesh(nx: int, subdomain_grid: tuple[int, int], ny: int | None = None) -> StructuredMesh:
-    """Base triangulation plus its uniform refinement for the displacement grid."""
-    if ny is None:
-        ny = nx
+def build_mesh(nx: int, subdomain_grid: tuple[int, int]) -> StructuredMesh:
+    """Base triangulation plus its uniform refinement for the displacement
+    grid: ``nx`` cells in x, and in y as many cells per subdomain as in x."""
     gx, gy = subdomain_grid
-    if nx < 1 or ny < 1:
-        raise ConfigurationError(f"mesh size must be positive, got nx={nx}, ny={ny}")
+    if nx < 1:
+        raise ConfigurationError(f"mesh size must be positive, got nx={nx}")
     if gx < 1 or gy < 1:
         raise ConfigurationError(f"subdomain grid must be positive, got {subdomain_grid}")
     if nx % gx != 0:
         raise ConfigurationError(f"nx={nx} is not divisible by subdomain count Nx={gx}")
-    if ny % gy != 0:
-        raise ConfigurationError(f"ny={ny} is not divisible by subdomain count Ny={gy}")
-    if nx // gx != ny // gy:
-        raise ConfigurationError("subdomains must contain square cell patches")
+    ny = nx // gx * gy
     mesh = _grid_mesh(nx, ny)
     mesh.refined_mesh = _grid_mesh(2 * nx, 2 * ny)
     return mesh
@@ -532,10 +528,6 @@ class BlockSystem:
         rep = class_representatives(self.materials, sorted({p for n in names for p in BLOCK_PARAMS[n]}))
         order = np.argsort(rep, kind="stable")
         return np.split(order, np.flatnonzero(np.diff(rep[order])) + 1)
-
-    @property
-    def n_dofs(self) -> int:
-        return self.spaces.n_total
 
     def full_matrix(self) -> sp.csr_matrix:
         """The complete indefinite block matrix (used by direct-solve checks)."""

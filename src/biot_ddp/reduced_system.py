@@ -328,7 +328,8 @@ def solve_partially_assembled(classes, coarse: CoarseProblem, b: np.ndarray, at:
             t_P -= np.bincount(c.primal.ravel(), R.ravel(), minlength=t_P.size)
     x_P = coarse.solve(t_P)
     z = np.concatenate([(Z - c.X @ x_P[c.primal] if c.primal.size else Z).ravel() for c, Z in zip(classes, local)])
-    x = np.bincount(at, z, minlength=b.size)
+    # without local unknowns bincount gets nothing to add and gives integers
+    x = np.bincount(at, z, minlength=b.size).astype(np.float64, copy=False)
     x[n_local:] = x_P
     return x
 

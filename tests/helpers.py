@@ -238,7 +238,7 @@ MULTI_MEMBER_GRIDS = {
     "5x5 p1 dirichlet": (dict(nx=20, subdomains=(5, 5), total_pressure="p1", bc="dirichlet"), 9),
     "5x5 p0 neumann-left": (dict(nx=20, subdomains=(5, 5), total_pressure="p0", bc="neumann-left"), 9),
     "5x5 p0 dirichlet": (dict(nx=20, subdomains=(5, 5), total_pressure="p0", bc="dirichlet"), 9),
-    "24x12 on 4x2": (dict(nx=24, ny=12, subdomains=(4, 2)), 6),
+    "24x12 on 4x2": (dict(nx=24, subdomains=(4, 2)), 6),
     "E checkerboard": (dict(nx=20, subdomains=(5, 5), pattern="checkerboard", black={"E": 1e3}), 14),
     # at the default E the elastic entries dwarf the flow ones: the key
     # must still tell these apart
@@ -272,7 +272,7 @@ def assert_stored_once(system) -> None:
 def assemble_with_reference(cfg):
     """The stacked assembly of a configuration and its per-subdomain
     reference: (mesh, spaces, system, reference)."""
-    mesh = build_mesh(cfg.nx, cfg.subdomains, ny=cfg.ny)
+    mesh = build_mesh(cfg.nx, cfg.subdomains)
     spaces = build_spaces(mesh, cfg.total_pressure, cfg.boundary())
     mats = cfg.materials()
     system = assemble_blocks(mesh, spaces, mats, cfg.boundary(), LoadSpec())

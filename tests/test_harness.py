@@ -1,6 +1,7 @@
 """Experiment configuration, runs, sweeps, fits, reports, and the CLI."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 import biot_ddp as bd
-from biot_ddp.cli import main
-from biot_ddp.harness import CSV_COLUMNS, write_csv, write_json
+from biot_ddp.cli import _config_from_args, _parse_axis, build_parser, main
+from biot_ddp.harness import CHOICES, CSV_COLUMNS, write_csv, write_json
 
 
 def small_cfg(**kw):
@@ -33,6 +34,27 @@ class TestConfig:
     def test_enum_fields_validated(self, field, value):
         with pytest.raises(bd.ConfigurationError):
             small_cfg(**{field: value}).validate()
+
+    FLAGS = {"total_pressure": "--elem", "primal": "--primal", "multiplier_pc": "--lambda-pc",
+             "pattern": "--pattern", "bc": "--bc", "oracle": "--oracle"}
+
+    @pytest.mark.parametrize("field,value", [(f, v) for f, values in CHOICES.items() for v in values])
+    def test_every_choice_passes_validate_and_the_cli(self, field, value):
+        small_cfg(**{field: value}).validate()
+        args = build_parser().parse_args(["run", self.FLAGS[field], value])
+        assert getattr(_config_from_args(args), field) == value
+        assert _parse_axis(f"{field}={value}") == (field, [value])
+
+    def test_cli_offers_no_other_choice(self):
+        assert set(self.FLAGS) == set(CHOICES)
+        for flag in self.FLAGS.values():
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["run", flag, "none-of-these"])
+
+    def test_ny_follows_the_subdomain_grid(self):
+        pipe = bd.build_pipeline(small_cfg(nx=24, subdomains=(4, 2)))
+        assert (pipe.mesh.nx, pipe.mesh.ny) == (24, 12)
+        assert "ny" not in small_cfg().to_dict()
 
     def test_black_requires_checkerboard(self):
         with pytest.raises(bd.ConfigurationError):
@@ -191,6 +213,30 @@ class TestReports:
         assert entry["converged"] is True
         assert entry["config"]["nx"] == 8
         assert entry["n_interface"] == res.n_interface
+
+    # the record's keys: CSV_COLUMNS and these
+    RECORD_KEYS = {"coarse", "condensed", "condensed_bytes", "config", "converged", "dropped_modes", "environment",
+                   "factor_classes", "factor_nnz", "jump_norm", "n_dofs", "n_interface", "notes", "peak_rss_mb",
+                   "schur_sources"}
+
+    def test_json_keys_of_a_run_and_of_a_failed_point(self, tmp_path):
+        results = bd.run_sweep(small_cfg(), {"kappa": [1.0, 0.0]})
+        path = tmp_path / "out.json"
+        write_json(results, str(path))
+        run, failed = json.loads(path.read_text())
+        for entry in (run, failed):
+            assert set(entry) == set(CSV_COLUMNS) | self.RECORD_KEYS
+            assert set(entry["config"]) == {f.name for f in dataclasses.fields(bd.ExperimentConfig)}
+        assert "ny" not in run["config"]
+        assert failed["error"].startswith("MaterialDomainError: ") and failed["iter"] == 0
+        assert failed["jump_norm"] is None and failed["factor_classes"] == {} and failed["peak_rss_mb"] > 0.0
+
+    def test_new_result_field_reaches_the_record(self, tmp_path):
+        # write_json follows RunResult's fields: a new one needs no edit there
+        extended = dataclasses.make_dataclass("Extended", [("stage_s", float, 0.0)], bases=(bd.RunResult,))
+        path = tmp_path / "out.json"
+        write_json([extended(small_cfg(), stage_s=1.5)], str(path))
+        assert json.loads(path.read_text())[0]["stage_s"] == 1.5
 
 
 class TestFactorSize:
@@ -360,6 +406,17 @@ class TestCli:
         assert main([*argv, "--nx", "8", "--E", "1", "--nu", "0.3"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_ny_is_no_input(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"nx": 8, "ny": 8}))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "unknown configuration keys: ['ny']" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", *self.BASE, "--ny", "8"])
+        assert exit_.value.code == 2
+        assert main(["sweep", *self.BASE, "--axis", "ny=4,8"]) == 2
+        assert "unknown sweep axis 'ny'" in capsys.readouterr().err
 
     def test_subnormal_poisson_ratio_exits_2(self, capsys):
         # lambda would underflow to a subnormal and the mass block 1/lambda overflow

@@ -51,12 +51,8 @@ class TestMesh:
         with pytest.raises(bd.ConfigurationError):
             bd.build_mesh(8, (3, 2))
 
-    def test_non_square_patches_rejected(self):
-        with pytest.raises(bd.ConfigurationError):
-            bd.build_mesh(6, (3, 2), ny=6)
-
     def test_rectangular_cells_allowed_with_square_patches(self):
-        mesh = bd.build_mesh(6, (3, 2), ny=4)
+        mesh = bd.build_mesh(6, (3, 2))  # 2 cells per subdomain in x, so in y too
         assert mesh.nx == 6 and mesh.ny == 4
 
     @pytest.mark.parametrize("nx, ny", [(1, 1), (4, 4), (1, 3), (6, 4), (5, 2)])
@@ -68,9 +64,11 @@ class TestMesh:
         assert mesh.n_triangles == 2 * nx * ny
         np.testing.assert_allclose(area, 0.5 / (nx * ny), rtol=1e-12)
 
+    # ny: the cells in y that build_mesh derives, None for as many as in x
     @pytest.mark.parametrize("nx, grid, ny", [(1, (1, 1), None), (8, (2, 2), None), (6, (3, 2), 4)])
     def test_refined_mesh_positively_oriented(self, nx, grid, ny):
-        mesh = bd.build_mesh(nx, grid, ny)
+        mesh = bd.build_mesh(nx, grid)
+        assert mesh.ny == (ny or nx)
         for m in (mesh, mesh.refined_mesh):
             area, _, _ = p1_geometry(m, m.triangles)
             assert np.all(area > 0) and np.isclose(area.sum(), 1.0, rtol=1e-12)

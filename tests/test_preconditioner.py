@@ -103,6 +103,25 @@ class TestPressureBddc:
         assert np.abs(M - M.T).max() < 1e-12 * np.abs(M).max()
         assert np.linalg.eigvalsh(0.5 * (M + M.T)).min() > 0.0
 
+    @pytest.mark.parametrize(
+        "total_pressure, nx, grid, iterations",
+        [("p1", 8, 4, 12), ("p1", 4, 2, 10), ("p0", 8, 4, 7), ("p0", 4, 2, 6)],
+    )
+    def test_all_primal_interface(self, total_pressure, nx, grid, iterations):
+        # at H/h = 2 with edge averages every pressure interface dof is
+        # primal: the block has no local unknowns, and its coarse solution
+        # must not be truncated to integers on the way out
+        cfg = bd.ExperimentConfig(nx=nx, subdomains=(grid, grid), total_pressure=total_pressure,
+                                  primal="vertex-edge", E=1.0, nu=0.3, alpha=0.9, kappa=1.0)
+        pipe = bd.build_pipeline(cfg)
+        block = pipe.preconditioner.pressure
+        assert all(c.idx.size == 0 for c in block.classes)
+        M = dense_from_apply(block.apply, block.coarse.n)
+        assert np.linalg.eigvalsh(0.5 * (M + M.T)).min() > 0.0
+        res = bd.run_case(cfg, pipe)
+        assert res.converged and res.iterations == iterations
+        assert max(res.oracle_err) < 2e-8
+
 
 class TestLagrangeSolver:
     def test_dirichlet_matches_dense_schur(self):
