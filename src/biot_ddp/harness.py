@@ -53,8 +53,8 @@ from .mesh_fem import (
     build_mesh,
     build_spaces,
 )
-from .preconditioner import BlockPreconditioner, InterfaceBddc, build_preconditioner
-from .reduced_system import ReducedSystem, SaddleFactor, build_reduced_system
+from .preconditioner import BlockPreconditioner, build_preconditioner
+from .reduced_system import PartiallyAssembled, ReducedSystem, build_reduced_system
 
 ORACLE_AUTO_LIMIT = 5000
 # the documented failures of a run: bad input, no converged solution, a bug
@@ -201,48 +201,15 @@ class Pipeline:
     def n_dofs(self) -> int:
         return self.spaces.n_total
 
-    def _preconditioner_blocks(self) -> dict[str, InterfaceBddc]:
-        pc = self.preconditioner
-        return {k: b for k, b in (("xi", pc.xi), ("p", pc.pressure), ("lambda", pc.multiplier)) if b}
-
-    def _preconditioner_classes(self) -> dict[str, list]:
-        return {k: b.classes for k, b in self._preconditioner_blocks().items()}
-
-    def schur_sources(self) -> dict[str, int]:
-        """How many classes formed their own map: of the torn block ("torn"),
-        the classes condensed by their own solve (0 when it is not
-        condensed, ``reduced_system._condense``); of each preconditioner
-        block ("xi", "p", "lambda"), the Schur complements its build formed
-        (``preconditioner.class_schurs``)."""
-        return {"torn": self.reduced.sources, **{k: b.sources for k, b in self._preconditioner_blocks().items()}}
-
-    def coarse_sizes(self) -> dict[str, list[int]]:
-        """Unknowns and half-bandwidth [n, kd] of each coarse problem: the
-        torn block's ("torn") and the pressure BDDC block's ("p")."""
-        pc = self.preconditioner
-        coarse = {"torn": self.reduced.coarse, "p": pc.pressure.coarse if pc.pressure else None}
-        return {k: [c.n, c.kd] for k, c in coarse.items() if c}
-
-    def class_factors(self) -> dict[str, list[tuple[int, SaddleFactor | None]]]:
-        """Per block with unknowns ("torn", "xi", "p", "lambda"), each class's
-        member count and kept factor: None for every preconditioner class,
-        whose map is a matrix (the inverse dual Schur block with its primal
-        coupling for xi and p, the Dirichlet Schur complement or lumped A_DD
-        for λ)."""
-        blocks = {"torn": self.reduced.factors.values(), **self._preconditioner_classes()}
-        return {k: [(c.idx.shape[1], c.factor) for c in classes] for k, classes in blocks.items()}
-
-    def local_factors(self) -> list[SaddleFactor]:
-        """Every factor kept for the solve: one per torn congruence class."""
-        return [f for classes in self.class_factors().values() for _, f in classes if f is not None]
-
-    def condensed_blocks(self) -> dict[str, int]:
-        """Bytes of the dense interface matrices of each condensed block:
-        [F; Psi^T] of the torn classes, [S_dd^-1; X^T] of the xi and p BDDC
-        classes, S of the λ Dirichlet classes."""
-        blocks = {"torn": self.reduced.condensed, **self._preconditioner_classes()}
-        out = {k: sum(c.S.nbytes for c in classes if isinstance(c.S, np.ndarray)) for k, classes in blocks.items()}
-        return {k: v for k, v in out.items() if v}
+    @property
+    def blocks(self) -> dict[str, PartiallyAssembled]:
+        """Every partially assembled block as the solve applies it, by its name
+        in the run record: "torn" (condensed if it is; its classes keep the
+        torn factors) and each preconditioner block with unknowns."""
+        red, pc = self.reduced, self.preconditioner
+        torn = red.torn if red.condensed is None else red.condensed
+        named = (("torn", torn), ("xi", pc.xi), ("p", pc.pressure), ("lambda", pc.multiplier))
+        return {k: b for k, b in named if b is not None}
 
 
 def peak_rss_mb() -> float:
@@ -284,9 +251,9 @@ class RunResult:
     # blocks applied through dense interface matrices: "torn", "xi", "p", "lambda"
     condensed: list[str] = field(default_factory=list)
     condensed_bytes: int = 0  # their dense maps together
-    # per block, the classes that formed their own map (``Pipeline.schur_sources``)
+    # per block, the classes that formed their own map (``PartiallyAssembled.sources``)
     schur_sources: dict[str, int] = field(default_factory=dict)
-    # per coarse problem, its unknowns and half-bandwidth (``Pipeline.coarse_sizes``)
+    # per coarse problem ("torn", "p"), its unknowns and half-bandwidth
     coarse: dict[str, list[int]] = field(default_factory=dict)
     peak_rss_mb: float = field(default_factory=peak_rss_mb)  # of the process when the result is made
     notes: list[str] = field(default_factory=list)
@@ -325,11 +292,7 @@ class RunResult:
         }
 
 
-CSV_COLUMNS = [
-    "nx", "sub_x", "sub_y", "H_over_h", "elem", "primal", "lambda_pc", "pattern",
-    "E", "nu", "alpha", "kappa", "bc", "iter", "eig_min", "valid_eig_min", "eig_max",
-    "oracle_err_u", "oracle_err_xi", "oracle_err_p", "wall_s", "error",
-]
+CSV_COLUMNS = list(RunResult(ExperimentConfig()).row())
 
 
 def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
@@ -425,7 +388,10 @@ def run_case(cfg: ExperimentConfig, pipe: Pipeline | None = None) -> RunResult:
         uo, xio, po = oracle_solution(pipe)
         oracle_err = (_field_error(u, uo), _field_error(xi, xio), _field_error(p, po))
     wall = time.perf_counter() - t0
-    condensed = pipe.condensed_blocks()
+    blocks = pipe.blocks
+    factors = {k: [[c.idx.shape[1], c.factor.n, c.factor.nnz] if c.factor else [c.idx.shape[1], 0, 0]
+                   for c in b.classes] for k, b in blocks.items()}
+    dense = {k: sum(c.S.nbytes for c in b.classes if isinstance(c.S, np.ndarray)) for k, b in blocks.items()}
     return RunResult(
         config=cfg,
         iterations=result.iterations,
@@ -440,13 +406,13 @@ def run_case(cfg: ExperimentConfig, pipe: Pipeline | None = None) -> RunResult:
         n_interface=red.n,
         oracle_err=oracle_err,
         wall_s=wall,
-        factor_nnz=sum(f.nnz for f in pipe.local_factors()),
-        factor_classes={k: [[m, f.n, f.nnz] if f else [m, 0, 0] for m, f in v]
-                        for k, v in pipe.class_factors().items()},
-        condensed=list(condensed),
-        condensed_bytes=sum(condensed.values()),
-        schur_sources=pipe.schur_sources(),
-        coarse=pipe.coarse_sizes(),
+        factor_nnz=sum(nnz for v in factors.values() for _, _, nnz in v),
+        factor_classes=factors,
+        condensed=[k for k, n in dense.items() if n],
+        condensed_bytes=sum(dense.values()),
+        schur_sources={k: b.sources for k, b in blocks.items()},
+        # xi and λ have no primal unknowns, and their coarse problems none
+        coarse={k: [blocks[k].coarse.n, blocks[k].coarse.kd] for k in ("torn", "p") if k in blocks},
         notes=list(result.notes),
         u=u,
         xi=xi,

@@ -812,9 +812,10 @@ def assemble_blocks(
         blocks[name] = _stacked_block(pos(r, t, t.rows), pos(c, t, t.cols), t.vals, (rep_off[r][-1], rep_off[c][-1]))
     for name, fld in (("f", "u"), ("g", "p")):
         at = pos(fld, tables[name], tables[name].rows).ravel()
-        keep = at >= 0
-        loads[name] = np.bincount(at[keep], weights=tables[name].vals.reshape(-1)[keep], minlength=rep_off[fld][-1])
-        total[name] = np.bincount(dofs[fld], weights=loads[name][src[fld]], minlength=size[fld])
+        keep, w = at >= 0, tables[name].vals.reshape(-1)
+        # bincount gives integers when it has nothing to add (a field with no dofs)
+        loads[name] = np.bincount(at[keep], w[keep], rep_off[fld][-1]).astype(np.float64, copy=False)
+        total[name] = np.bincount(dofs[fld], loads[name][src[fld]], size[fld]).astype(np.float64, copy=False)
     return BlockSystem(
         spaces=spaces,
         materials=materials,

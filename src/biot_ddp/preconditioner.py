@@ -13,8 +13,9 @@ Three independent blocks, one per interface segment:
 
 Every block takes its congruence classes from the input key of
 ``mesh_fem`` (``BlockSystem.classes``) and is one ``InterfaceBddc``: a
-scaled restriction, one local map per class applied to all members at
-once by the kernel of ``reduced_system``, and the transposed restriction.
+scaled restriction, one ``reduced_system.PartiallyAssembled`` (one local
+map per class, applied to all members at once, and the coarse problem it
+builds), and the transposed restriction.
 Every map is one dense matrix, so each application is one product per
 class and no triangular solve: for xi and p, [S_dd^-1; X^T], the inverse
 of the dual Schur block over the primal coupling X = S_dd^-1 S_dP that
@@ -46,15 +47,13 @@ from .decomposition import (
 from .mesh_fem import BlockSystem, ConfigurationError
 from .reduced_system import (
     _DENSE_FACTOR_CUTOFF,
-    CoarseProblem,
     LocalClass,
+    PartiallyAssembled,
     SaddleFactor,
     _match,
     _patch_keys,
     class_sources,
     primal_coupling,
-    scatter_index,
-    solve_partially_assembled,
     trailing_schur,
 )
 
@@ -162,8 +161,8 @@ def class_schurs(system: BlockSystem, fld: str, block, label: str) -> tuple[list
     return out, len(seen)
 
 
-@dataclass
-class InterfaceBddc:
+@dataclass(kw_only=True)
+class InterfaceBddc(PartiallyAssembled):
     """Balancing preconditioner on a pressure-like interface trace.
 
     The partially assembled Schur complement is never formed; its inverse
@@ -171,18 +170,15 @@ class InterfaceBddc:
     inverted dual Schur block with its primal coupling, and one banded
     coarse solve.  With no primal unknowns it is the scaled sum of the
     local maps: inverted Schur complements for xi, the elastic Dirichlet
-    maps for λ.
+    maps for λ.  Its ``sources`` are the Schur complements ``class_schurs``
+    formed; the other classes' are submatrices of them.
     """
 
     inject_scaled: sp.csr_matrix  # assembled trace -> partially assembled
     inject_scaled_T: sp.csr_matrix
-    classes: list[LocalClass]
-    coarse: CoarseProblem
-    at: np.ndarray  # scatter_index of the classes
-    sources: int  # Schur complements formed (``class_schurs``); the other classes' are submatrices of them
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        return self.inject_scaled_T @ solve_partially_assembled(self.classes, self.coarse, self.inject_scaled @ r, self.at)
+        return self.inject_scaled_T @ self.solve(self.inject_scaled @ r)
 
 
 def _bddc(
@@ -212,14 +208,8 @@ def _bddc(
             idx=np.column_stack([np.arange(off[s], off[s + 1]) for s in members]), primal=cols, X=X,
             S=np.vstack([factor.solve(np.eye(nd)), X.T]),
         ))
-    return InterfaceBddc(
-        inject_scaled=inject_scaled,
-        inject_scaled_T=inject_scaled.T.tocsr(),
-        classes=classes,
-        coarse=CoarseProblem(primal_dofs.size, coarse),
-        at=scatter_index(classes),
-        sources=sources,
-    )
+    return InterfaceBddc.assemble(classes, primal_dofs.size, coarse, sources,
+                                  inject_scaled=inject_scaled, inject_scaled_T=inject_scaled.T.tocsr())
 
 
 def build_xi_solver(system: BlockSystem, cls: DofClassification, restrictions: RestrictionSet) -> InterfaceBddc:
@@ -270,10 +260,8 @@ def build_lambda_solver(
     for members, S in zip(groups, schurs):
         idx = np.column_stack([np.arange(lay.dual_offset[s], lay.dual_offset[s + 1]) for s in members])
         classes.append(LocalClass(idx=idx, primal=np.zeros((0, len(members)), dtype=np.int64), S=S))
-    return InterfaceBddc(
-        jump.jump_scaled.T.tocsr(), jump.jump_scaled, classes, CoarseProblem(0, []), scatter_index(classes),
-        sources,
-    )
+    return InterfaceBddc.assemble(classes, 0, [], sources,
+                                  inject_scaled=jump.jump_scaled.T.tocsr(), inject_scaled_T=jump.jump_scaled)
 
 
 @dataclass

@@ -19,10 +19,10 @@ whose sides differ from a source's only where it has Dirichlet sides
 (``class_sources``, the rule the preconditioner's Schur complements
 share) derives its map from the source's by one small dense Schur step,
 since a Schur complement of a Schur complement is a Schur complement
-(``_condense``).  Every class-wise apply, here and in the
-preconditioner, is one kernel over one class type, which treats all
-members of a class at once: ``solve_partially_assembled`` over
-``LocalClass``.
+(``_condense``).  The torn inverse, the condensed operator and each
+preconditioner block are one ``PartiallyAssembled``: classes of one type,
+``LocalClass``, each applied to all its members at once, and the one
+``CoarseProblem`` that couples them, which it builds.
 """
 
 from __future__ import annotations
@@ -277,7 +277,7 @@ class LocalClass:
     give the primal right-hand side: [F; Psi^T] of a condensed torn class,
     [S_dd^{-1}; X^T] of a BDDC class, the Dirichlet map of a λ class.  Only
     the torn classes keep a ``factor`` instead, with the primal right-hand
-    side ``A_Pr`` times its solution.
+    side ``A_Pr`` times its solution (a condensed torn class keeps it too).
     """
 
     idx: np.ndarray  # (n, members)
@@ -303,35 +303,48 @@ def primal_coupling(factor: SaddleFactor, A_rP: np.ndarray, A_PP: np.ndarray) ->
     return X, A_PP - A_rP.T @ X
 
 
-def scatter_index(classes) -> np.ndarray:
-    """Every class's member unknowns in turn, where ``solve_partially_assembled``
-    adds up the local results: built once per class list."""
-    return np.concatenate([np.zeros(0, dtype=np.int64), *(c.idx.ravel() for c in classes)])
-
-
-def solve_partially_assembled(classes, coarse: CoarseProblem, b: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Solve a partially assembled system: subdomain blocks coupled only
-    through the primal unknowns stored in the last coarse.n entries.
-
-    Each class gathers its members' unknowns, applies its local map and
-    takes its primal right-hand side; one coarse solve (none without
-    primal unknowns); each class back-substitutes and all results are
-    scattered back by accumulation onto ``at``, the classes' scatter_index.
+@dataclass
+class PartiallyAssembled:
+    """A partially assembled system (Li and Widlund 2006): subdomain blocks,
+    one class per congruence class, coupled only through the primal
+    unknowns stored in the last ``coarse.n`` entries.  ``at`` is where the
+    members' unknowns lie, ``sources`` how many classes formed their own map
+    (the others derive it: ``_condense``, ``preconditioner.class_schurs``).
     """
-    n_local = b.size - coarse.n
-    t_P = np.array(b[n_local:], copy=True)
-    local = []
-    for c in classes:
-        Z, R = c.apply(b[c.idx])
-        local.append(Z)
-        if c.primal.size:
-            t_P -= np.bincount(c.primal.ravel(), R.ravel(), minlength=t_P.size)
-    x_P = coarse.solve(t_P)
-    z = np.concatenate([(Z - c.X @ x_P[c.primal] if c.primal.size else Z).ravel() for c, Z in zip(classes, local)])
-    # without local unknowns bincount gets nothing to add and gives integers
-    x = np.bincount(at, z, minlength=b.size).astype(np.float64, copy=False)
-    x[n_local:] = x_P
-    return x
+
+    classes: list[LocalClass]
+    coarse: CoarseProblem
+    sources: int = 0
+    at: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.at = np.concatenate([np.zeros(0, dtype=np.int64), *(c.idx.ravel() for c in self.classes)])
+
+    @classmethod
+    def assemble(cls, classes: list[LocalClass], n_primal: int, parts: list, sources: int = 0, **more):
+        """The block of ``classes`` with the coarse problem on ``n_primal``
+        unknowns assembled from ``parts`` (``CoarseProblem``)."""
+        return cls(classes, CoarseProblem(n_primal, parts), sources, **more)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Each class gathers its members' unknowns, applies its local map and
+        takes its primal right-hand side; one coarse solve; each class
+        back-substitutes, and the results are added up onto ``at``."""
+        n_local = b.size - self.coarse.n
+        t_P = np.array(b[n_local:], copy=True)
+        local = []
+        for c in self.classes:
+            Z, R = c.apply(b[c.idx])
+            local.append(Z)
+            if c.primal.size:
+                t_P -= np.bincount(c.primal.ravel(), R.ravel(), minlength=t_P.size)
+        x_P = self.coarse.solve(t_P)  # looked up per call: tracing patches it
+        z = np.concatenate([(Z - c.X @ x_P[c.primal] if c.primal.size else Z).ravel()
+                            for c, Z in zip(self.classes, local)])
+        # without local unknowns bincount gets nothing to add and gives integers
+        x = np.bincount(self.at, z, minlength=b.size).astype(np.float64, copy=False)
+        x[n_local:] = x_P
+        return x
 
 
 def _side_kinds(system: BlockSystem, fld: str, s: int) -> tuple[str, ...]:
@@ -408,13 +421,14 @@ def _row_keys(system: BlockSystem, cls: DofClassification, reps: list[int]) -> l
 
 
 def _condense(
-    system: BlockSystem, cls: DofClassification, classes: list[LocalClass], members: list[np.ndarray],
+    system: BlockSystem, cls: DofClassification, torn: PartiallyAssembled, members: list[np.ndarray],
     ymap: list[np.ndarray], D: list[np.ndarray], B_C_T: sp.csr_matrix,
-) -> tuple[list[LocalClass], int]:
-    """Each torn class condensed onto its members' interface rows ``ymap``,
-    and how many classes did so by their own solve.  With B_0 the
-    representative's coupling on those rows, the map is [F; Psi^T] with
-    F = B_0 K_rr^{-1} B_0^T and the primal coupling Psi = B_0 X.
+) -> PartiallyAssembled:
+    """The torn block with each class condensed onto its members' interface
+    rows ``ymap``, on the torn coarse problem; its ``sources`` are the
+    classes that did so by their own solve.  With B_0 the representative's
+    coupling on those rows, the map is [F; Psi^T] with F = B_0 K_rr^{-1}
+    B_0^T and the primal coupling Psi = B_0 X.
 
     Only a source class (``class_sources`` over u and p) solves for F.  On
     its rows Y_c, S_c = D_c - F_c is the Schur complement of its local
@@ -430,7 +444,7 @@ def _condense(
     row of r that c lacks, or an eliminated set that does not account for
     r's local unknowns, is an ``InternalError`` naming r's class.
     """
-    reps = [m[0] for m in members]
+    classes, reps = torn.classes, [m[0] for m in members]
     keys = _row_keys(system, cls, reps)
     out: list[LocalClass] = [None] * len(classes)
     schur: dict[int, np.ndarray] = {}  # S_c of each source class
@@ -469,8 +483,9 @@ def _condense(
             F -= S[: k.size, : k.size]
             F[:n_G, :n_G] += D[i]
         M = np.vstack([F, (B0 @ c.X).T])
-        out[i] = LocalClass(idx=np.column_stack([ymap[s] for s in members[i]]), primal=c.primal, X=M[F.shape[0] :].T, S=M)
-    return out, len(schur)
+        out[i] = LocalClass(idx=np.column_stack([ymap[s] for s in members[i]]), primal=c.primal,
+                            X=M[F.shape[0] :].T, factor=c.factor, S=M)
+    return PartiallyAssembled(out, torn.coarse, len(schur))
 
 
 @dataclass
@@ -486,20 +501,22 @@ class ReducedSystem:
     C_hat: sp.csr_matrix  # positive semidefinite interface coupling
     f_w: np.ndarray
     h: np.ndarray
-    factors: dict[int, LocalClass]  # one per congruence class of local saddle blocks
-    coarse: CoarseProblem
-    condensed: list[LocalClass] = field(default_factory=list)  # empty: apply by local solves
-    sources: int = 0  # condensed classes that formed F by their own solve; the others derive it (``_condense``)
+    torn: PartiallyAssembled  # one class per congruence class of local saddle blocks
+    condensed: PartiallyAssembled | None = None  # the torn block on the interface rows; None: apply by local solves
     B_P: sp.csr_matrix = field(init=False, repr=False)  # primal columns of B_C
     B_P_T: sp.csr_matrix = field(init=False, repr=False)
-    torn_at: np.ndarray = field(init=False, repr=False)  # scatter_index of the factors
-    condensed_at: np.ndarray = field(init=False, repr=False)  # and of the condensed classes
 
     def __post_init__(self):
         self.B_P_T = self.B_C_T[self.layout.primal_slice]
         self.B_P = self.B_P_T.T.tocsr()
-        self.torn_at = scatter_index(self.factors.values())
-        self.condensed_at = scatter_index(self.condensed)
+
+    @property
+    def factors(self) -> dict[int, LocalClass]:  # the torn classes, each keeping its factor
+        return dict(enumerate(self.torn.classes))
+
+    @property
+    def coarse(self) -> CoarseProblem:  # shared by the condensed operator
+        return self.torn.coarse
 
     @property
     def layout(self) -> TornLayout:
@@ -523,7 +540,7 @@ class ReducedSystem:
     def apply_torn_inverse(self, b: np.ndarray) -> np.ndarray:
         """Solve the partially assembled torn block via local factorizations
         and the coarse problem."""
-        return solve_partially_assembled(self.factors.values(), self.coarse, b, self.torn_at)
+        return self.torn.solve(b)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """One application of the reduced interface operator.
@@ -533,9 +550,9 @@ class ReducedSystem:
         sum_c gather(Psi_c^T Y_c)), solving [y; B_P^T y] through the classes;
         otherwise B_C K^{-1} B_C^T y + C_hat y through the local factors.
         """
-        if not self.condensed:
+        if self.condensed is None:
             return self.B_C @ self.apply_torn_inverse(self.B_C_T @ y) + self.C_hat @ y
-        x = solve_partially_assembled(self.condensed, self.coarse, np.concatenate([y, self.B_P_T @ y]), self.condensed_at)
+        x = self.condensed.solve(np.concatenate([y, self.B_P_T @ y]))
         return self.C_hat @ y + self.B_P @ x[self.n :] + x[: self.n]
 
     def rhs(self) -> np.ndarray:
@@ -776,7 +793,7 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
     h[n_xi_g : n_xi_g + n_p_g] = system.g[pG]
 
     B_C_T = B_C.T.tocsr()
-    condensed, sources = _condense(system, cls, classes, class_members, ymap, D, B_C_T) if condense else ([], 0)
+    torn = PartiallyAssembled.assemble(classes, cls.u_primal.size, coarse)
     return ReducedSystem(
         system=system,
         cls=cls,
@@ -786,8 +803,6 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
         C_hat=C_hat,
         f_w=f_w,
         h=h,
-        factors=dict(enumerate(classes)),
-        coarse=CoarseProblem(cls.u_primal.size, coarse),
-        condensed=condensed,
-        sources=sources,
+        torn=torn,
+        condensed=_condense(system, cls, torn, class_members, ymap, D, B_C_T) if condense else None,
     )

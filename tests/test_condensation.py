@@ -42,7 +42,7 @@ def condensed_pipeline(elem, primal, bc, checkerboard):
     pipe = bd.build_pipeline(
         bd.ExperimentConfig(nx=24, subdomains=(6, 6), total_pressure=elem, primal=primal, bc=bc, **extra)
     )
-    assert pipe.reduced.condensed, "the pay-back rule should condense the torn block here"
+    assert pipe.reduced.condensed is not None, "the pay-back rule should condense the torn block here"
     assert all(isinstance(c.S, np.ndarray) for c in pipe.preconditioner.multiplier.classes)
     return pipe
 
@@ -55,7 +55,7 @@ def local_solve_apply(red, v):
 @pytest.mark.parametrize("elem, primal, bc, checkerboard", VARIANTS)
 def test_condensed_apply_matches_local_solves(elem, primal, bc, checkerboard):
     red = condensed_pipeline(elem, primal, bc, checkerboard).reduced
-    assert len(red.condensed) == len(red.factors) == (14 if checkerboard else 9)
+    assert len(red.condensed.classes) == len(red.factors) == (14 if checkerboard else 9)
     V = np.random.default_rng(7).standard_normal((red.n, 3))
     for v in V.T:
         ref = local_solve_apply(red, v)
@@ -66,7 +66,7 @@ def test_condensed_apply_matches_local_solves(elem, primal, bc, checkerboard):
 def test_every_member_couples_like_its_representative(elem, primal, bc, checkerboard):
     red = condensed_pipeline(elem, primal, bc, checkerboard).reduced
     B_C = red.B_C.tocsc()
-    for c, cc in zip(red.factors.values(), red.condensed):
+    for c, cc in zip(red.factors.values(), red.condensed.classes):
         assert cc.idx.shape[1] == c.idx.shape[1]
         cols = [B_C[:, c.idx[:, j]].tocsr() for j in range(c.idx.shape[1])]
         B0 = cols[0][cc.idx[:, 0]].toarray()
@@ -82,9 +82,9 @@ def test_derived_torn_maps_match_their_own(elem, primal, bc, checkerboard):
     # only the source classes solve for F; each other class derives it from
     # its source's by a dense Schur step, and must find its own
     red = condensed_pipeline(elem, primal, bc, checkerboard).reduced
-    assert 0 < red.sources < len(red.condensed)
+    assert 0 < red.condensed.sources < len(red.condensed.classes)
     B_C = red.B_C.tocsc()
-    for c, cc in zip(red.factors.values(), red.condensed):
+    for c, cc in zip(red.factors.values(), red.condensed.classes):
         B0 = B_C[:, c.idx[:, 0]][cc.idx[:, 0]]
         own = B0 @ c.factor.solve(B0.T.toarray())
         F = cc.S[: cc.idx.shape[0]]
@@ -104,8 +104,8 @@ def test_flagship_like_grid_derives_seven_of_nine_torn_maps():
     # differs from one of them only by Dirichlet sides
     assert sorted(groups[i][0] for i, src in visits if src is None) == [6, 7]
     assert sorted(groups[src][0] for _, src in visits if src is not None) == [6, 6, 7, 7, 7, 7, 7]
-    assert pipe.reduced.sources == 2 and len(pipe.reduced.condensed) == 9
-    assert pipe.schur_sources()["torn"] == 2
+    assert pipe.reduced.condensed.sources == 2 and len(pipe.reduced.condensed.classes) == 9
+    assert pipe.blocks["torn"].sources == 2
 
 
 @pytest.mark.parametrize("change, why", [
@@ -164,13 +164,13 @@ def test_payback_rule_keeps_large_classes_sparse():
     # the λ Dirichlet block is condensed all the same
     pipe = bd.build_pipeline(bd.ExperimentConfig(nx=48, subdomains=(3, 3), E=1.0, nu=0.3))
     red = pipe.reduced
-    assert red.condensed == []
+    assert red.condensed is None
     assert all(isinstance(c.S, np.ndarray) and c.factor is None for c in pipe.preconditioner.multiplier.classes)
     v = np.random.default_rng(1).standard_normal(red.n)
     assert np.array_equal(red.apply(v), local_solve_apply(red, v))
     # 8x8 at H/h=8: nine classes serve 64 subdomains
     pipe = bd.build_pipeline(bd.ExperimentConfig(nx=64, subdomains=(8, 8)))
-    assert len(pipe.reduced.condensed) == 9
+    assert len(pipe.reduced.condensed.classes) == 9
     assert all(isinstance(c.S, np.ndarray) and c.factor is None for c in pipe.preconditioner.multiplier.classes)
 
 
@@ -183,7 +183,7 @@ def test_traced_condensed_run_solves_locally_only_in_rhs_and_recover(monkeypatch
     instrument_modules(tracer, bd)
     cfg = bd.ExperimentConfig(**experiment_config("flagship-p1-nx64", 1))
     pipe = bd.build_pipeline(cfg)
-    assert pipe.reduced.condensed
+    assert pipe.reduced.condensed is not None
     instrument_pipeline(tracer, pipe)
     assert bd.run_case(cfg, pipe).converged
 
@@ -210,7 +210,7 @@ def test_run_record_lists_condensed_blocks(tmp_path):
     res = bd.run_case(cfg, pipe)
     assert res.condensed == ["torn", "xi", "p", "lambda"]
     red, pc = pipe.reduced, pipe.preconditioner
-    blocks = (red.condensed, pc.xi.classes, pc.pressure.classes, pc.multiplier.classes)
+    blocks = (red.condensed.classes, pc.xi.classes, pc.pressure.classes, pc.multiplier.classes)
     want = sum(c.S.nbytes for classes in blocks for c in classes)
     assert res.condensed_bytes == want > 0
     # the preconditioner factors are dropped once condensed, the torn ones kept

@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,10 @@ import pytest
 import biot_ddp as bd
 from biot_ddp.cli import _config_from_args, _parse_axis, build_parser, main
 from biot_ddp.harness import CHOICES, CSV_COLUMNS, write_csv, write_json
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from workloads import experiment_config  # noqa: E402
 
 
 def small_cfg(**kw):
@@ -190,7 +196,11 @@ class TestReports:
         path = tmp_path / "out.csv"
         write_csv([res], str(path))
         lines = path.read_text().strip().splitlines()
-        assert lines[0].split(",") == CSV_COLUMNS
+        assert lines[0].split(",") == CSV_COLUMNS == [
+            "nx", "sub_x", "sub_y", "H_over_h", "elem", "primal", "lambda_pc", "pattern",
+            "E", "nu", "alpha", "kappa", "bc", "iter", "eig_min", "valid_eig_min", "eig_max",
+            "oracle_err_u", "oracle_err_xi", "oracle_err_p", "wall_s", "error",
+        ]
         cells = dict(zip(CSV_COLUMNS, lines[1].split(",")))
         assert float(cells["eig_min"]) == res.eig_min
         assert int(cells["iter"]) == res.iterations
@@ -249,7 +259,7 @@ class TestFactorSize:
         pc = pipe.preconditioner
         assert all(c.factor is None for c in pc.xi.classes + pc.pressure.classes + pc.multiplier.classes)
         factors = [c.factor for c in pipe.reduced.factors.values()]
-        assert pipe.local_factors() == factors
+        assert [c.factor for b in pipe.blocks.values() for c in b.classes if c.factor is not None] == factors
         assert res.factor_nnz == sum(f.nnz for f in factors)
         assert all(f.nnz < f.n**2 for f in factors)  # sparse
         path = tmp_path / "out.json"
@@ -315,6 +325,34 @@ class TestFactorSize:
         path = tmp_path / "out.json"
         write_json([res], str(path))
         assert json.loads(path.read_text())[0]["coarse"] == res.coarse
+
+    # per run: condensed, schur_sources, coarse, factor_nnz, condensed_bytes
+    RECORD_PINS = {
+        "flagship-p1-nx64": (["torn", "xi", "p", "lambda"], {"torn": 2, "xi": 9, "p": 2, "lambda": 2},
+                             {"torn": [112, 19], "p": [56, 9]}, 381_384, 1_758_336),
+        "tiny-subdomains": (["torn", "p", "lambda"], {"torn": 2, "p": 2, "lambda": 2},
+                            {"torn": [660, 69], "p": [330, 34]}, 281_646, 251_312),
+        "contrast-spectrum": (["xi", "p", "lambda"], {"torn": 0, "xi": 9, "p": 7, "lambda": 2},
+                              {"torn": [12, 9], "p": [6, 4]}, 2_710_052, 2_364_944),
+        # one subdomain: no interface, so a condensed torn block of no bytes
+        # and no xi or p block
+        "nx4-1x1": ([], {"torn": 1, "lambda": 1}, {"torn": [0, 0]}, 22_201, 0),
+    }
+
+    @pytest.mark.parametrize("case", list(RECORD_PINS))
+    def test_record_of_the_partially_assembled_blocks(self, case):
+        # the condensed and the uncondensed torn block, a run without xi
+        # (p0) and one without interface, each read off Pipeline.blocks
+        condensed, sources, coarse, factor_nnz, condensed_bytes = self.RECORD_PINS[case]
+        kw = dict(nx=4, subdomains=(1, 1), oracle="off") if case == "nx4-1x1" else experiment_config(case, 7)
+        res = bd.run_case(bd.ExperimentConfig(**kw))
+        assert res.converged
+        assert res.condensed == condensed and res.schur_sources == sources and res.coarse == coarse
+        assert res.factor_nnz == factor_nnz and res.condensed_bytes == condensed_bytes
+        assert list(res.factor_classes) == list(sources)
+        n_sub = res.config.subdomains[0] * res.config.subdomains[1]
+        assert all(sum(m for m, _, _ in classes) == n_sub for classes in res.factor_classes.values())
+        assert sum(nnz for _, _, nnz in res.factor_classes["torn"]) == factor_nnz
 
     def test_corename_none_without_the_symbol(self, monkeypatch):
         def no_library(path):

@@ -221,6 +221,14 @@ class TestAssembly:
         dof = spaces.p_dof_of_node[3 + 3 * 9]
         assert system.g[dof] == pytest.approx(1.0 / 64, rel=1e-13)
 
+    @pytest.mark.parametrize("nx", [1, 2])
+    def test_loads_are_float_without_free_dofs(self, nx):
+        # one cell under Dirichlet conditions leaves no free pressure dof
+        _, spaces, _, system = small_system("p1", bc=bd.BoundarySpec.all_dirichlet(), grid=(1, 1), nx=nx)
+        assert (spaces.n_p == 0) == (nx == 1)
+        for load in (system.f, system.g, system.stacked.f, system.stacked.g):
+            assert load.dtype == np.float64
+
 
 class TestStackedAssembly:
     """The stacked block-diagonal assembly reproduces the per-subdomain

@@ -12,7 +12,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 import biot_ddp as bd
-from biot_ddp import preconditioner
+from biot_ddp import preconditioner, reduced_system
 from biot_ddp.preconditioner import _dense_schur, build_lambda_solver, build_p_bddc, class_schurs, nested_dissection
 from biot_ddp.reduced_system import _DENSE_FACTOR_CUTOFF, CoarseProblem, coarse_band
 from helpers import (
@@ -279,7 +279,8 @@ class TestDenseBddcMaps:
     @pytest.mark.parametrize("primal", ["vertex", "vertex-edge"])
     def test_coarse_matrix_is_that_of_the_factored_dual_blocks(self, monkeypatch, primal):
         # bitwise: A_PP - A_rP^T X, X from a LAPACK LU solve of the dual
-        # block, summed class by class into the coarse matrix
+        # block, summed class by class into the coarse matrix; the coarse
+        # problems are built torn, xi, p, λ
         schur, coarse = [], []
 
         def kept_schurs(*args):
@@ -291,7 +292,7 @@ class TestDenseBddcMaps:
             return CoarseProblem(n, parts)
 
         monkeypatch.setattr(preconditioner, "class_schurs", kept_schurs)
-        monkeypatch.setattr(preconditioner, "CoarseProblem", kept_coarse)
+        monkeypatch.setattr(reduced_system, "CoarseProblem", kept_coarse)
         pipe = build(nx=20, subdomains=(5, 5), primal=primal, pattern="checkerboard", black={"E": 1e3})
         pc = pipe.preconditioner
         assert [len(S) for S in schur] == [len(b.classes) for b in (pc.xi, pc.pressure, pc.multiplier)]
@@ -303,8 +304,8 @@ class TestDenseBddcMaps:
             assert np.array_equal(c.X, X)
             parts.append((c.primal, S[nd:, nd:] - A_rP.T @ X))
         F = dense_coarse(pc.pressure.coarse.n, parts)
-        assert coarse[0].shape == (2, 1, 0) and F.size and np.array_equal(band_to_dense(coarse[1]), F)
-        assert pc.pressure.coarse.kd == coarse[1].shape[1] - 1 < F.shape[0] - 1
+        assert coarse[1].shape == (2, 1, 0) and F.size and np.array_equal(band_to_dense(coarse[2]), F)
+        assert pc.pressure.coarse.kd == coarse[2].shape[1] - 1 < F.shape[0] - 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::scipy.linalg.LinAlgWarning")
     def test_singular_dual_block_rejected(self, monkeypatch):

@@ -335,7 +335,7 @@ class TestRefinementNearIncompressibleLimit:
         pipe, res = self.run(nu, E)
         assert res.converged and res.iterations == iterations
         assert res.factor_nnz == 157_192  # as at nu = 0.49999999, unrefined
-        refined = [f for f in pipe.local_factors() if f._refine is not None]
+        refined = [c.factor for c in pipe.reduced.torn.classes if c.factor._refine is not None]
         assert refined and all(f._sparse is not None for f in refined)
         rng = np.random.default_rng(3)
         for f in refined:  # the probe's measure, on a right-hand side of its own
@@ -349,7 +349,7 @@ class TestRefinementNearIncompressibleLimit:
         pipe, res = self.run(0.49999999, 1.0)
         assert res.converged and res.iterations == 14
         assert res.factor_nnz == 157_192
-        assert all(f._refine is None for f in pipe.local_factors())
+        assert all(c.factor._refine is None for c in pipe.reduced.torn.classes)
 
 
 class TestCongruenceClasses:
@@ -610,9 +610,9 @@ class TestCoarseProblem:
         assert rel_err(coarse.solve(b), want) <= 1e-12
 
     def test_class_without_primal_dofs(self):
-        # the pressure coarse problem of a grid, with a class of three
-        # members and no primal unknowns added among its classes: its band
-        # and kd are the grid's own
+        # the pressure coarse problem of a grid (built after the torn and
+        # the xi one), with a class of three members and no primal unknowns
+        # added among its classes: its band and kd are the grid's own
         parts = []
 
         def kept(n, p):
@@ -620,9 +620,9 @@ class TestCoarseProblem:
             return CoarseProblem(n, p)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bd.preconditioner, "CoarseProblem", kept)
+            mp.setattr(reduced_system, "CoarseProblem", kept)
             bd.build_pipeline(bd.ExperimentConfig(nx=8, subdomains=(4, 4), primal="vertex-edge", oracle="off"))
-        n, grid = parts[1]
+        n, grid = parts[2]
         assert n > 0 and all(p.size for p, _ in grid)
         with_empty = grid[:1] + [(np.zeros((0, 3), dtype=np.int64), np.zeros((0, 0)))] + grid[1:]
         band = coarse_band(n, with_empty)

@@ -15,6 +15,7 @@ where the operator and the multiplier block are, runs under the same
 contract.
 """
 
+import numpy as np
 import pytest
 
 import sys
@@ -57,6 +58,10 @@ def check_span_contract(spans, pipe, n_classes):
         return sum(end - start for n, start, end, _ in spans if n == name)
 
     assert 0.0 < total("reduced_system.local_solve") <= total("reduced_system.torn_solve")
+    # every coarse problem is built, and timed, once: the condensed
+    # operator shares the torn one
+    coarse = {id(b.coarse) for b in (pipe.reduced.torn, *pipe.blocks.values())}
+    assert sum(name == "reduced_system.coarse_build" for name, *_ in spans) == len(coarse)
     assert len(pipe.reduced.factors) == n_classes
     assert layer_metrics(spans, pipe)["reduced_system.factor_count"] == (n_classes, "count")
 
@@ -78,5 +83,6 @@ def test_traced_spans_add_up_when_condensed(monkeypatch):
     # block are condensed, so the local solves run only for the right-hand
     # side and the recovery
     spans, pipe = traced_run(monkeypatch, "flagship-p1-nx64", shrink=1)
-    assert list(pipe.condensed_blocks()) == ["torn", "xi", "p", "lambda"]
+    dense = {k: sum(c.S.nbytes for c in b.classes if isinstance(c.S, np.ndarray)) for k, b in pipe.blocks.items()}
+    assert [k for k, n in dense.items() if n] == ["torn", "xi", "p", "lambda"]
     check_span_contract(spans, pipe, 9)
