@@ -29,13 +29,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh_fem import (
+    SIDES,
     BlockSystem,
     ConfigurationError,
     FeSpaceSet,
     MaterialField,
     StructuredMesh,
     block_positions,
+    element_subdomains,
     sorted_unique,
+    subdomain_sides,
 )
 
 
@@ -58,8 +61,7 @@ class SubdomainPartition:
 
     grid: tuple[int, int]
     mesh: StructuredMesh
-    base_elements: dict[int, np.ndarray]
-    refined_elements: dict[int, np.ndarray]
+    base_elements: dict[int, np.ndarray]  # each subdomain's base triangles, ascending
 
     @property
     def n_subdomains(self) -> int:
@@ -70,25 +72,9 @@ def partition(mesh: StructuredMesh, grid: tuple[int, int]) -> SubdomainPartition
     gx, gy = grid
     if mesh.nx % gx or mesh.ny % gy:
         raise ConfigurationError(f"mesh {mesh.nx}x{mesh.ny} does not divide into a {gx}x{gy} subdomain grid")
-    refined = mesh.refined_mesh
-    mx, my = mesh.nx // gx, mesh.ny // gy
-
-    def elems(m: StructuredMesh, per_x: int, per_y: int) -> dict[int, np.ndarray]:
-        tri = np.arange(m.n_triangles)
-        cells = tri // 2
-        cx = cells % m.nx
-        cy = cells // m.nx
-        sub = (cy // per_y) * gx + (cx // per_x)
-        order = np.argsort(sub, kind="stable")
-        bounds = np.searchsorted(sub[order], np.arange(gx * gy + 1))
-        return {s: np.sort(order[bounds[s] : bounds[s + 1]]) for s in range(gx * gy)}
-
-    return SubdomainPartition(
-        grid=grid,
-        mesh=mesh,
-        base_elements=elems(mesh, mx, my),
-        refined_elements=elems(refined, 2 * mx, 2 * my),
-    )
+    sub = element_subdomains(mesh, grid)
+    elems = np.split(np.argsort(sub, kind="stable"), np.cumsum(np.bincount(sub, minlength=gx * gy))[:-1])
+    return SubdomainPartition(grid=grid, mesh=mesh, base_elements=dict(enumerate(elems)))
 
 
 # ---------------------------------------------------------------------------
@@ -473,25 +459,15 @@ def classify_dofs(part: SubdomainPartition, spaces: FeSpaceSet, primal_variant: 
         u_transform=u_transform,
         p_transform=p_transform,
     )
-    _check_floating(cls, part, spaces)
+    _check_floating(cls)
     return cls
 
 
-def _check_floating(cls: DofClassification, part: SubdomainPartition, spaces: FeSpaceSet) -> None:
+def _check_floating(cls: DofClassification) -> None:
     """A subdomain with no Dirichlet contact needs at least two primal
     constraint locations to pin its rigid motions."""
-    gx, gy = part.grid
-    dsides = spaces.bc.displacement_dirichlet
-    for s in range(part.n_subdomains):
-        sx, sy = s % gx, s // gx
-        touches = (
-            (sx == 0 and "left" in dsides)
-            or (sx == gx - 1 and "right" in dsides)
-            or (sy == 0 and "bottom" in dsides)
-            or (sy == gy - 1 and "top" in dsides)
-        )
-        if touches:
-            continue
+    dirichlet = [side in cls.spaces.bc.displacement_dirichlet for side in SIDES]
+    for s in np.flatnonzero(~subdomain_sides(cls.grid)[:, dirichlet].any(axis=1)):
         # every primal dof pairs with its sibling component at the same node,
         # so distinct nodes count distinct constraint locations
         n_locations = np.unique(cls.u_sub_primal[s] // 2).size
@@ -694,14 +670,17 @@ def _drop_roundoff(M: sp.spmatrix, row_off: np.ndarray) -> sp.csr_matrix:
 def transform_system(system: BlockSystem, cls: DofClassification) -> BlockSystem:
     """Re-express the assembled and local blocks in the edge-average basis.
 
-    Returns the input unchanged for the nodal (vertex) variant.  The
-    transformation touches interface dofs only, so each subdomain's local
-    blocks stay local, and a class member's edges are its representative's
-    moved across the grid: the stored representatives' blocks and loads are
-    transformed by one block-diagonal product each, which every member
-    shares.  The global blocks are summed from the transformed stacked
-    blocks on first use.
+    The partition's subdomain grid must be the materials' (else
+    ``ConfigurationError``); for the nodal (vertex) variant the input is
+    returned unchanged.  The transformation touches interface dofs only, so
+    each subdomain's local blocks stay local, and a class member's edges
+    are its representative's moved across the grid: the stored
+    representatives' blocks and loads are transformed by one block-diagonal
+    product each, which every member shares.  The global blocks are summed
+    from the transformed stacked blocks on first use.
     """
+    if tuple(cls.grid) != tuple(system.materials.grid):
+        raise ConfigurationError(f"partition grid {cls.grid} differs from the materials' grid {system.materials.grid}")
     Tu, Tp = cls.u_transform, cls.p_transform
     if Tu is None:
         return system
@@ -718,16 +697,7 @@ def transform_system(system: BlockSystem, cls: DofClassification) -> BlockSystem
         f=Tu_s.T @ st.f,
         g=Tp_s.T @ st.g,
     )
-    return BlockSystem(
-        spaces=system.spaces,
-        materials=system.materials,
-        bc=system.bc,
-        load=system.load,
-        grid=system.grid,
-        f=Tu.T @ system.f,
-        g=Tp.T @ system.g,
-        stacked=stacked,
-    )
+    return replace(system, f=Tu.T @ system.f, g=Tp.T @ system.g, stacked=stacked)
 
 
 def recover_nodal(cls: DofClassification, u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -99,10 +99,10 @@ class ExperimentConfig:
     bc: str = "neumann-left"
     body_force: tuple[float, float] = (0.0, -1.0)
     source: float = 1.0
-    tol: float = 1e-8
-    max_iter: int = 500
-    reorthogonalize: bool = False
-    ritz_drop_threshold: float = 0.05
+    tol: float = PcgConfig.tol
+    max_iter: int = PcgConfig.max_iter
+    reorthogonalize: bool = PcgConfig.reorthogonalize
+    ritz_drop_threshold: float = PcgConfig.ritz_drop_threshold
     oracle: str = "auto"
 
     def validate(self) -> None:
@@ -299,11 +299,9 @@ def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
     cfg.validate()
     mesh = build_mesh(cfg.nx, cfg.subdomains)
     part = partition(mesh, cfg.subdomains)
-    bc = cfg.boundary()
-    spaces = build_spaces(mesh, cfg.total_pressure, bc)
+    spaces = build_spaces(mesh, cfg.total_pressure, cfg.boundary())
     materials = cfg.materials()
-    load = LoadSpec(body_force=cfg.body_force, source=cfg.source)
-    nodal = assemble_blocks(mesh, spaces, materials, bc, load)
+    nodal = assemble_blocks(spaces, materials, LoadSpec(body_force=cfg.body_force, source=cfg.source))
     cls = classify_dofs(part, spaces, cfg.primal)
     system = transform_system(nodal, cls)
     scalings = build_scalings(cls, materials)
@@ -372,12 +370,7 @@ def run_case(cfg: ExperimentConfig, pipe: Pipeline | None = None) -> RunResult:
     t0 = time.perf_counter()
     pipe = pipe or build_pipeline(cfg)
     red = pipe.reduced
-    pcg_cfg = PcgConfig(
-        tol=cfg.tol,
-        max_iter=cfg.max_iter,
-        reorthogonalize=cfg.reorthogonalize,
-        ritz_drop_threshold=cfg.ritz_drop_threshold,
-    )
+    pcg_cfg = PcgConfig(**{f.name: getattr(cfg, f.name) for f in fields(PcgConfig)})
     result: PcgResult = pcg(red.apply, red.rhs(), pipe.preconditioner.apply, pcg_cfg)
     u, xi, p, jump_norm = red.recover(result.x)
     u, p = recover_nodal(pipe.cls, u, p)

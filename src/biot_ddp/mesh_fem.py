@@ -96,6 +96,23 @@ class StructuredMesh:
         return mask
 
 
+def subdomain_sides(grid: tuple[int, int]) -> np.ndarray:
+    """Which sides of the unit square each subdomain of the grid touches:
+    an (n_sub, 4) boolean table, its columns in ``SIDES`` order."""
+    gx, gy = grid
+    s = np.arange(gx * gy)
+    sx, sy = s % gx, s // gx
+    return np.column_stack([sx == 0, sx == gx - 1, sy == 0, sy == gy - 1])
+
+
+def element_subdomains(mesh: StructuredMesh, grid: tuple[int, int]) -> np.ndarray:
+    """The subdomain of each triangle of ``mesh`` (base or refined) on the
+    subdomain grid ``grid``."""
+    cell = np.arange(mesh.n_triangles) // 2
+    cx, cy = cell % mesh.nx, cell // mesh.nx
+    return cy // (mesh.ny // grid[1]) * grid[0] + cx // (mesh.nx // grid[0])
+
+
 def _grid_mesh(nx: int, ny: int) -> StructuredMesh:
     xs = np.linspace(0.0, 1.0, nx + 1)
     ys = np.linspace(0.0, 1.0, ny + 1)
@@ -168,15 +185,6 @@ class BoundarySpec:
     def all_dirichlet() -> "BoundarySpec":
         return BoundarySpec(SIDES, SIDES)
 
-    def check_wellposed(self) -> None:
-        if not self.displacement_dirichlet:
-            raise ConfigurationError("displacement needs a nonempty Dirichlet part")
-        if not self.pressure_dirichlet:
-            raise ConfigurationError("pressure needs a nonempty Dirichlet part")
-        for side in self.displacement_dirichlet + self.pressure_dirichlet:
-            if side not in SIDES:
-                raise ConfigurationError(f"unknown side {side!r}")
-
 
 @dataclass
 class FeSpaceSet:
@@ -222,19 +230,23 @@ class FeSpaceSet:
 
 
 def build_spaces(mesh: StructuredMesh, total_pressure_variant: str, bc: BoundarySpec) -> FeSpaceSet:
+    """Free-dof numbering of the three fields under the boundary conditions
+    ``bc``, which need a Dirichlet side for displacement and for pressure
+    (an unknown side is rejected by ``boundary_node_mask``)."""
+    for what, sides in (("displacement", bc.displacement_dirichlet), ("pressure", bc.pressure_dirichlet)):
+        if not sides:
+            raise ConfigurationError(f"{what} needs a nonempty Dirichlet part")
     if total_pressure_variant not in ("p1", "p0"):
         raise ConfigurationError(f"unknown total pressure variant {total_pressure_variant!r}")
     refined = mesh.refined_mesh
     if refined is None:
         raise ConfigurationError("mesh is missing its refinement; use build_mesh")
 
-    u_fixed = refined.boundary_node_mask(bc.displacement_dirichlet) if bc.displacement_dirichlet else np.zeros(refined.n_nodes, bool)
-    u_free = np.flatnonzero(~u_fixed)
+    u_free = np.flatnonzero(~refined.boundary_node_mask(bc.displacement_dirichlet))
     u_dof_of_node = np.full(refined.n_nodes, -1, dtype=np.int64)
     u_dof_of_node[u_free] = 2 * np.arange(u_free.size)
 
-    p_fixed = mesh.boundary_node_mask(bc.pressure_dirichlet) if bc.pressure_dirichlet else np.zeros(mesh.n_nodes, bool)
-    p_free = np.flatnonzero(~p_fixed)
+    p_free = np.flatnonzero(~mesh.boundary_node_mask(bc.pressure_dirichlet))
     p_dof_of_node = np.full(mesh.n_nodes, -1, dtype=np.int64)
     p_dof_of_node[p_free] = np.arange(p_free.size)
 
@@ -495,9 +507,6 @@ class BlockSystem:
 
     spaces: FeSpaceSet
     materials: MaterialField
-    bc: BoundarySpec
-    load: LoadSpec
-    grid: tuple[int, int]
     f: np.ndarray
     g: np.ndarray
     stacked: StackedBlocks
@@ -544,17 +553,6 @@ class BlockSystem:
         return np.concatenate([self.f, np.zeros(self.spaces.n_xi), self.g])
 
 
-def _element_subdomains(n_cells_x: int, n_cells_y: int, grid: tuple[int, int], per: int) -> np.ndarray:
-    """Subdomain id per triangle for a structured mesh with `per` cells per
-    subdomain along each axis."""
-    gx, _ = grid
-    cells = np.arange(n_cells_x * n_cells_y)
-    cx = cells % n_cells_x
-    cy = cells // n_cells_x
-    sub = (cy // per) * gx + (cx // per)
-    return np.repeat(sub, 2)
-
-
 @dataclass
 class ElementTable:
     """Element contributions to one block: (nt, a) row dofs, (nt, b) column
@@ -574,21 +572,16 @@ BLOCK_PARAMS = {"A": ("E", "nu"), "B": (), "C": ("E", "nu"), "D": ("E", "nu", "a
 
 
 def element_tables(
-    mesh: StructuredMesh,
-    spaces: FeSpaceSet,
-    materials: MaterialField,
-    load: LoadSpec,
-    subdomains: np.ndarray | None = None,
+    spaces: FeSpaceSet, materials: MaterialField, load: LoadSpec, subdomains: np.ndarray | None = None
 ) -> dict[str, ElementTable]:
     """Element tables of the blocks "A".."E" and of the loads "f" and "g",
     over the elements of the given subdomains (all by default)."""
+    mesh = spaces.mesh
     refined = mesh.refined_mesh
-    grid = materials.grid
-    per = mesh.nx // grid[0]
     p0 = spaces.total_pressure_variant == "p0"
 
-    esub_b = _element_subdomains(mesh.nx, mesh.ny, grid, per)
-    esub_r = _element_subdomains(2 * mesh.nx, 2 * mesh.ny, grid, 2 * per)
+    esub_b = element_subdomains(mesh, materials.grid)
+    esub_r = element_subdomains(refined, materials.grid)
     order_b, order_r = np.argsort(esub_b, kind="stable"), np.argsort(esub_r, kind="stable")
     if subdomains is not None:
         order_b = order_b[np.isin(esub_b[order_b], subdomains)]
@@ -715,10 +708,7 @@ def class_representatives(materials: MaterialField, params: Iterable[str] = BLOC
     blocks that depend on no other parameter, and the loads, agree up to the
     roundoff of their element geometry.
     """
-    gx, gy = materials.grid
-    s = np.arange(gx * gy)
-    sx, sy = s % gx, s // gx
-    key = np.column_stack([sx == 0, sx == gx - 1, sy == 0, sy == gy - 1, *(getattr(materials, p) for p in params)])
+    key = np.column_stack([subdomain_sides(materials.grid), *(getattr(materials, p) for p in params)])
     _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
     return first[inverse.ravel()]
 
@@ -760,22 +750,17 @@ def _member_dofs(
     return out
 
 
-def assemble_blocks(
-    mesh: StructuredMesh,
-    spaces: FeSpaceSet,
-    materials: MaterialField,
-    bc: BoundarySpec,
-    load: LoadSpec | None = None,
-) -> BlockSystem:
-    """Assemble the five blocks and loads, retaining subdomain contributions.
+def assemble_blocks(spaces: FeSpaceSet, materials: MaterialField, load: LoadSpec | None = None) -> BlockSystem:
+    """Assemble the five blocks and loads on the mesh and under the boundary
+    conditions of ``spaces``, retaining subdomain contributions.
 
     Only each congruence class's representative is assembled and stored
     (see ``class_representatives``); every member reaches its
     representative's local blocks and loads on its own dofs.
     """
-    bc.check_wellposed()
     if load is None:
         load = LoadSpec()
+    mesh = spaces.mesh
     grid = materials.grid
     gx, gy = grid
     if mesh.nx % gx or mesh.ny % gy:
@@ -785,7 +770,7 @@ def assemble_blocks(
     n_sub = gx * gy
     rep = class_representatives(materials)
     reps = np.flatnonzero(rep == np.arange(n_sub))
-    tables = element_tables(mesh, spaces, materials, load, reps)
+    tables = element_tables(spaces, materials, load, reps)
 
     # stacked numbering of the representatives: the sorted keys sub * n + dof
     # of every (subdomain, dof) pair met by the table whose rows span the
@@ -819,9 +804,6 @@ def assemble_blocks(
     return BlockSystem(
         spaces=spaces,
         materials=materials,
-        bc=bc,
-        load=load,
-        grid=grid,
         **total,
         stacked=StackedBlocks(dofs=dofs, off=off, rep_off=rep_off, **blocks, **loads, rep=rep),
     )

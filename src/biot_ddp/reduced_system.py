@@ -35,7 +35,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .decomposition import DofClassification, InternalError, JumpOperator, TornLayout
-from .mesh_fem import BLOCK_PARAMS, SIDES, BlockSystem, ConfigurationError
+from .mesh_fem import BLOCK_PARAMS, SIDES, BlockSystem, ConfigurationError, subdomain_sides
 
 _DENSE_FACTOR_CUTOFF = 400
 _PAYBACK_APPLIES = 32
@@ -347,16 +347,14 @@ class PartiallyAssembled:
         return x
 
 
-def _side_kinds(system: BlockSystem, fld: str, s: int) -> tuple[str, ...]:
-    """Kind of each side of subdomain s (in ``SIDES`` order) for field
-    ``fld``: "interface" inside the square, else "dirichlet" or "free" by
-    the field's boundary conditions (total pressure has none)."""
-    gx, gy = system.grid
-    sx, sy = s % gx, s // gx
-    dirichlet = {"u": system.bc.displacement_dirichlet, "p": system.bc.pressure_dirichlet}.get(fld, ())
-    outer = (sx == 0, sx == gx - 1, sy == 0, sy == gy - 1)
-    return tuple("interface" if not out else "dirichlet" if side in dirichlet else "free"
-                  for side, out in zip(SIDES, outer))
+def _side_kinds(system: BlockSystem, fields: tuple[str, ...]) -> np.ndarray:
+    """Kind of each side of every subdomain (in ``SIDES`` order) for each
+    of ``fields`` in turn: "interface" inside the square, else "dirichlet"
+    or "free" by the field's boundary conditions (total pressure has none)."""
+    bc = system.spaces.bc
+    dirichlet = {"u": bc.displacement_dirichlet, "p": bc.pressure_dirichlet}
+    outer = [np.where([side in dirichlet.get(f, ()) for side in SIDES], "dirichlet", "free") for f in fields]
+    return np.where(np.tile(subdomain_sides(system.materials.grid), len(fields)), np.hstack(outer), "interface")
 
 
 def _patch_keys(system: BlockSystem, fld: str, s, dofs: np.ndarray) -> np.ndarray:
@@ -366,7 +364,7 @@ def _patch_keys(system: BlockSystem, fld: str, s, dofs: np.ndarray) -> np.ndarra
     p0 cell)."""
     ix, iy = system.spaces.lattice(fld, dofs)
     mesh = system.spaces.mesh.refined_mesh if fld == "u" else system.spaces.mesh
-    gx, gy = system.grid
+    gx, gy = system.materials.grid
     ix, iy = ix - s % gx * (mesh.nx // gx), iy - s // gx * (mesh.ny // gy)
     two = fld == "u" or (fld == "xi" and system.spaces.total_pressure_variant == "p0")
     return 2 * (ix * (mesh.ny + 1) + iy) + (dofs % 2 if two else 0)
@@ -397,12 +395,12 @@ def class_sources(
     dropped, with the same material and the same change of basis.
     """
     params = sorted({p for n in names for p in BLOCK_PARAMS[n]})
-    kinds = [[k for f in fields for k in _side_kinds(system, f, g[0])] for g in groups]
+    kinds = _side_kinds(system, fields)[[g[0] for g in groups]]
     material = [tuple(getattr(system.materials, p)[g[0]] for p in params) for g in groups]
     visits: list[tuple[int, int | None]] = []
-    for i in sorted(range(len(groups)), key=lambda i: kinds[i].count("dirichlet")):
-        src = next((c for c, own in visits if own is None and material[c] == material[i] and all(
-            a == b or a == "dirichlet" for a, b in zip(kinds[i], kinds[c]))), None)
+    for i in sorted(range(len(groups)), key=lambda i: np.count_nonzero(kinds[i] == "dirichlet")):
+        src = next((c for c, own in visits if own is None and material[c] == material[i] and np.all(
+            (kinds[i] == kinds[c]) | (kinds[i] == "dirichlet"))), None)
         visits.append((i, src))
     return visits
 
@@ -440,7 +438,11 @@ def _condense(
     its Dirichlet sides, interior in r, and the λ row of each dual copy it
     fixes, which fixes that copy.  By the quotient property of Schur
     complements (Crabtree-Haynsworth), D_r - F_r = S_c[k, k] - S_c[k, E]
-    S_c[E, E]^{-1} S_c[E, k]: one small dense LU and no sparse solve.  A
+    S_c[E, E]^{-1} S_c[E, k]: one small dense LU and no sparse solve.  E
+    may be empty: at H/h = 1 with edge averages an edge's one interior
+    displacement node carries the average and is primal, so a side that is
+    Dirichlet in r holds no dual copy and no interior xi row, and r only
+    drops rows of c.  A
     row of r that c lacks, or an eliminated set that does not account for
     r's local unknowns, is an ``InternalError`` naming r's class.
     """
@@ -472,15 +474,16 @@ def _condense(
             rest[k] = False
             E = np.flatnonzero(rest & (keys[src] % 3 != 1))
             grown = c.idx.shape[0] - classes[src].idx.shape[0]  # r's eliminated xi rows less its fixed copies
-            if not E.size or grown != E.size - 2 * np.count_nonzero(keys[src][E] % 3 == 2):
+            if grown != E.size - 2 * np.count_nonzero(keys[src][E] % 3 == 2):
                 raise InternalError(f"{name}: its eliminated rows do not match the class of subdomain {reps[src]}")
             order = np.concatenate([k, E])
             S = schur[src][np.ix_(order, order)]
-            lu, piv, info = _getrf(S[k.size :, k.size :])
-            if info > 0:
-                raise InternalError(f"{name}: the rows it eliminates are singular in the class of subdomain {reps[src]}")
-            F = S[: k.size, k.size :] @ _getrs(lu, piv, S[k.size :, : k.size])[0]
-            F -= S[: k.size, : k.size]
+            F = -S[: k.size, : k.size]
+            if E.size:
+                lu, piv, info = _getrf(S[k.size :, k.size :])
+                if info > 0:
+                    raise InternalError(f"{name}: the rows it eliminates are singular in the class of subdomain {reps[src]}")
+                F += S[: k.size, k.size :] @ _getrs(lu, piv, S[k.size :, : k.size])[0]
             F[:n_G, :n_G] += D[i]
         M = np.vstack([F, (B0 @ c.X).T])
         out[i] = LocalClass(idx=np.column_stack([ymap[s] for s in members[i]]), primal=c.primal,

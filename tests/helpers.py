@@ -140,7 +140,7 @@ def per_subdomain_assembly(mesh, spaces, materials, load) -> dict:
     "A".."E", "f" and "g", and field -> list of local dof sets for "u",
     "xi" and "p".
     """
-    tables = element_tables(mesh, spaces, materials, load)
+    tables = element_tables(spaces, materials, load)
     n_sub = materials.grid[0] * materials.grid[1]
 
     def dof_sets(t):
@@ -275,7 +275,7 @@ def assemble_with_reference(cfg):
     mesh = build_mesh(cfg.nx, cfg.subdomains)
     spaces = build_spaces(mesh, cfg.total_pressure, cfg.boundary())
     mats = cfg.materials()
-    system = assemble_blocks(mesh, spaces, mats, cfg.boundary(), LoadSpec())
+    system = assemble_blocks(spaces, mats, LoadSpec())
     return mesh, spaces, system, per_subdomain_assembly(mesh, spaces, mats, LoadSpec())
 
 

@@ -292,7 +292,7 @@ def test_operator_identities_and_subsystem_bounds(report):
     violations = 0
     for variant in ("p1", "p0"):
         spaces = bd.build_spaces(mesh, variant, bc)
-        system = bd.assemble_blocks(mesh, spaces, mats, bc, bd.LoadSpec())
+        system = bd.assemble_blocks(spaces, mats, bd.LoadSpec())
         rep = bd.check_saddle_inequalities(system, trials=1000, seed=11)
         violations += rep.violations
         min_ratio = rep.min_ratio if min_ratio is None else min(min_ratio, rep.min_ratio)

@@ -108,6 +108,23 @@ def test_flagship_like_grid_derives_seven_of_nine_torn_maps():
     assert pipe.blocks["torn"].sources == 2
 
 
+@pytest.mark.parametrize("nx, elem, bc", [(3, "p1", "neumann-left"), (4, "p0", "dirichlet"), (6, "p1", "neumann-left")])
+def test_edge_averages_at_one_cell_per_subdomain(monkeypatch, nx, elem, bc):
+    # at H/h = 1 the edge average is an edge's only interior displacement
+    # node, so a derived class that is Dirichlet where its source is not
+    # eliminates no row; condensed and local-solve runs must agree
+    cfg = bd.ExperimentConfig(nx=nx, subdomains=(nx, nx), total_pressure=elem, primal="vertex-edge", bc=bc,
+                              E=1.0, nu=0.3)
+    condensed = bd.run_case(cfg)
+    monkeypatch.setattr(reduced_system, "_PAYBACK_APPLIES", -1)
+    pipe = bd.build_pipeline(cfg)
+    assert pipe.reduced.condensed is None
+    local = bd.run_case(cfg, pipe)
+    assert condensed.converged and local.converged
+    assert condensed.iterations == local.iterations
+    assert max(condensed.oracle_err) < 1e-7 and max(local.oracle_err) < 1e-7
+
+
 @pytest.mark.parametrize("change, why", [
     ("kept", "an interface row is not a row of the class of subdomain 7"),
     ("eliminated", "its eliminated rows do not match the class of subdomain 7"),

@@ -12,6 +12,7 @@ import scipy.sparse as sp
 
 import biot_ddp as bd
 from biot_ddp.decomposition import _CONGRUENCE_RTOL, _average_basis_block, _build_transform, _drop_roundoff, _edge_groups
+from biot_ddp.mesh_fem import element_subdomains
 from helpers import MULTI_MEMBER_GRIDS, assemble_with_reference, assert_stored_once
 
 
@@ -29,7 +30,7 @@ class TestPartition:
         part = bd.partition(mesh, (2, 2))
         assert part.n_subdomains == 4
         assert sorted(len(v) for v in part.base_elements.values()) == [32] * 4
-        assert sorted(len(v) for v in part.refined_elements.values()) == [128] * 4
+        assert sorted(np.bincount(element_subdomains(mesh.refined_mesh, part.grid))) == [128] * 4
 
     def test_elements_partition_the_mesh(self):
         mesh = bd.build_mesh(12, (3, 3))
@@ -194,7 +195,7 @@ class TestClassification:
             return [d] if d >= 0 else []
 
         for inc, want in (
-            (cls.u_incidence, expected(refined, part.refined_elements, u_dofs)),
+            (cls.u_incidence, expected(refined, {s: np.flatnonzero(element_subdomains(refined, part.grid) == s) for s in range(8)}, u_dofs)),
             (cls.xi_incidence, expected(mesh, part.base_elements, lambda node: [node])),
             (cls.p_incidence, expected(mesh, part.base_elements, p_dofs)),
         ):
@@ -322,7 +323,7 @@ class TestTransformSystem:
         bc = bd.BoundarySpec.neumann_left()
         mats = bd.MaterialField.uniform((2, 2), E=1.0, nu=0.3, alpha=1.0, kappa=1.0)
         spaces = bd.build_spaces(mesh, "p1", bc)
-        system = bd.assemble_blocks(mesh, spaces, mats, bc, bd.LoadSpec())
+        system = bd.assemble_blocks(spaces, mats, bd.LoadSpec())
         part = bd.partition(mesh, (2, 2))
         cls = bd.classify_dofs(part, spaces, primal)
         return system, cls
@@ -330,6 +331,17 @@ class TestTransformSystem:
     def test_vertex_variant_untouched(self):
         system, cls = self.assemble("vertex")
         assert bd.transform_system(system, cls) is system
+
+    @pytest.mark.parametrize("primal", ["vertex", "vertex-edge"])
+    @pytest.mark.parametrize("part_grid, mat_grid", [((2, 2), (4, 4)), ((4, 4), (2, 2))])
+    def test_partition_grid_must_be_the_materials(self, primal, part_grid, mat_grid):
+        mesh = bd.build_mesh(32, (4, 4))
+        spaces = bd.build_spaces(mesh, "p1", bd.BoundarySpec.neumann_left())
+        mats = bd.MaterialField.uniform(mat_grid, E=1.0, nu=0.3, alpha=1.0, kappa=1.0)
+        system = bd.assemble_blocks(spaces, mats)
+        cls = bd.classify_dofs(bd.partition(mesh, part_grid), spaces, primal)
+        with pytest.raises(bd.ConfigurationError, match="differs from"):
+            bd.transform_system(system, cls)
 
     def test_edge_average_congruence(self):
         system, cls = self.assemble("vertex-edge")

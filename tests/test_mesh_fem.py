@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import biot_ddp as bd
-from biot_ddp.mesh_fem import LoadSpec, _grid_mesh, class_representatives, p1_geometry
+from biot_ddp.mesh_fem import SIDES, LoadSpec, _grid_mesh, class_representatives, p1_geometry, subdomain_sides
 from biot_ddp.decomposition import _CONGRUENCE_RTOL
 from helpers import (
     MULTI_MEMBER_GRIDS,
@@ -30,7 +30,7 @@ def small_system(variant="p1", bc=None, grid=(2, 2), nx=8, **mat):
     params.update(mat)
     mats = bd.MaterialField.uniform(grid, **params)
     spaces = bd.build_spaces(mesh, variant, bc)
-    system = bd.assemble_blocks(mesh, spaces, mats, bc, LoadSpec())
+    system = bd.assemble_blocks(spaces, mats, LoadSpec())
     return mesh, spaces, mats, system
 
 
@@ -103,6 +103,16 @@ class TestSpaces:
         mesh = bd.build_mesh(4, (2, 2))
         with pytest.raises(bd.ConfigurationError):
             bd.build_spaces(mesh, "p2", bd.BoundarySpec.neumann_left())
+
+    @pytest.mark.parametrize("bc, why", [
+        (bd.BoundarySpec((), SIDES), "displacement needs a nonempty Dirichlet part"),
+        (bd.BoundarySpec(SIDES, ()), "pressure needs a nonempty Dirichlet part"),
+        (bd.BoundarySpec(("left", "front"), SIDES), "unknown side 'front'"),
+    ])
+    def test_ill_posed_boundary_conditions_rejected(self, bc, why):
+        mesh = bd.build_mesh(4, (2, 2))
+        with pytest.raises(bd.ConfigurationError, match=f"^{why}$"):
+            bd.build_spaces(mesh, "p1", bc)
 
 
 class TestMaterials:
@@ -249,7 +259,7 @@ class TestStackedAssembly:
         mesh = bd.build_mesh(cfg.nx, cfg.subdomains)
         spaces = bd.build_spaces(mesh, variant, cfg.boundary())
         mats = cfg.materials()
-        system = bd.assemble_blocks(mesh, spaces, mats, cfg.boundary(), LoadSpec())
+        system = bd.assemble_blocks(spaces, mats, LoadSpec())
         ref = per_subdomain_assembly(mesh, spaces, mats, LoadSpec())
         for name in "ABCDE":
             local, glob = ref[name]
@@ -301,6 +311,12 @@ class TestPerClassAssembly:
                     assert np.array_equal(got, want), (s, name)
                 else:
                     assert np.max(np.abs(got - want)) <= _CONGRUENCE_RTOL * np.max(np.abs(want)), (s, name)
+
+    def test_subdomain_sides(self):
+        # left, right, bottom, top of each subdomain of a 3x2 grid, x fastest
+        got = subdomain_sides((3, 2)).astype(int).tolist()
+        assert got == [[1, 0, 1, 0], [0, 0, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1], [0, 0, 0, 1], [0, 1, 0, 1]]
+        assert subdomain_sides((1, 1)).all()
 
     def test_class_key(self):
         # interior, edge and corner subdomains on a 4x4 grid; a material
