@@ -55,7 +55,15 @@ def _parse_black(items: list[str]) -> dict[str, float]:
     return out
 
 
-_AXIS_KINDS = {"nx": int, "max_iter": int, "subdomains": _parse_pair, **dict.fromkeys(CHOICES, str)}
+def _parse_bool(text: str) -> bool:
+    flag = {"true": True, "false": False}.get(text.lower())
+    if flag is None:
+        raise ValueError("expected true or false")
+    return flag
+
+
+_AXIS_KINDS = {"nx": int, "max_iter": int, "subdomains": _parse_pair, "reorthogonalize": _parse_bool,
+               **dict.fromkeys(CHOICES, str)}
 
 
 def _parse_axis(text: str) -> tuple[str, list]:
@@ -102,13 +110,23 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
+def _write(write, data, path: str) -> None:
+    """``write(data, path)``; a path that cannot be written is bad input."""
+    try:
+        write(data, path)
+    except OSError as err:
+        raise ConfigurationError(f"cannot write {path}: {err.strerror or err}") from err
+
+
 def _write_results(results, args: argparse.Namespace) -> None:
-    if not args.out:
-        return
-    if args.format == "json":
-        write_json(results, args.out)
-    else:
-        write_csv(results, args.out)
+    if args.out:
+        _write(write_json if args.format == "json" else write_csv, results, args.out)
+
+
+def _write_fit(fit: dict, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(fit, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -127,7 +145,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(summary)
     _write_results([result], args)
     if args.residuals:
-        write_residual_history(result, args.residuals)
+        _write(write_residual_history, result, args.residuals)
     return 0 if result.converged else 1
 
 
@@ -178,9 +196,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         f"eig_max ~ {fit['C1']:.4f} + {fit['C2']:.4f} (1 + log(H/h))^2   R2={fit['R2']:.4f}"
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(fit, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write(_write_fit, fit, args.out)
     return code
 
 

@@ -10,8 +10,10 @@ undivided continuous block.
 Which subdomains share each dof is read off one incidence table per field:
 the sorted (dof, subdomain) rows of every subdomain whose closure holds the
 dof's node.  A dof with one sharer is interior to it, the others form the
-interface.  The per-subdomain interface sets, the stiffness weights, the
-jump and the pressure transfers are all read off these rows; each field's
+interface.  Each field's split is one ``FieldSplit``, which reads its
+interface, primal and dual sets, globally and per subdomain, off these
+rows; the torn layout, the stiffness weights, the jump and the pressure
+transfers look them up by field name ("u", "xi" or "p").  Each field's
 broken layout is its table taken in (subdomain, dof) order.
 
 Primal sets always contain the interior cross points of the subdomain
@@ -24,6 +26,7 @@ and turns primal, the remaining edge dofs become average-free duals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -179,106 +182,84 @@ def _check_dual_pairs(iface: Incidence, corner: np.ndarray, what: str) -> None:
 
 
 @dataclass
+class FieldSplit:
+    """One field's dofs split into each subdomain's interior and the
+    interface, and the interface into primal and dual dofs.
+
+    ``rows`` is the interface incidence, ``is_primal`` a flag over the
+    field's dofs and ``transform`` its change of basis for the vertex-edge
+    variant (None: the nodal basis).  Every other set is read off them,
+    once: the sorted dofs of the interface and of its primal and dual
+    parts, each subdomain's, and the rows of the primal and dual dofs.
+    """
+
+    n_sub: int
+    interior: dict[int, np.ndarray]  # each subdomain's interior dofs
+    rows: Incidence
+    is_primal: np.ndarray
+    transform: sp.csr_matrix | None = None
+    primal_rows: Incidence = field(init=False)
+    dual_rows: Incidence = field(init=False)  # of the displacement: one per torn copy, lower subdomain first
+    interface: np.ndarray = field(init=False)
+    primal: np.ndarray = field(init=False)
+    dual: np.ndarray = field(init=False)
+    sub_interface: dict[int, np.ndarray] = field(init=False)
+    sub_primal: dict[int, np.ndarray] = field(init=False)
+    sub_dual: dict[int, np.ndarray] = field(init=False)
+
+    def __post_init__(self):
+        primal = self.is_primal[self.rows.dof]
+        self.primal_rows, self.dual_rows = self.rows.select(primal), self.rows.select(~primal)
+        rows = (self.rows, self.primal_rows, self.dual_rows)
+        self.interface, self.primal, self.dual = (sorted_unique(r.dof) for r in rows)
+        self.sub_interface, self.sub_primal, self.sub_dual = (r.by_subdomain(self.n_sub) for r in rows)
+
+    def interface_pos(self, dofs: np.ndarray) -> np.ndarray:
+        return np.searchsorted(self.interface, dofs)
+
+
+@dataclass
 class TornLayout:
     """Positions of every unknown in the torn vector
 
         w = (interior u | interior xi | interior p | broken dual u | primal u)
-
-    and in the reduced interface vector  y = (xi_G | p_G | multipliers).
     """
 
     n_sub: int
-    # w segment sizes
-    n_u_int: int
-    n_xi_int: int
-    n_p_int: int
-    n_dual_broken: int
-    n_primal: int
     # per-subdomain gather indices into w for (uI, xiI, pI, uD) in that order
     r_indices: dict[int, np.ndarray]
-    # w positions keyed by global dof id
-    u_int_pos: np.ndarray
-    xi_int_pos: np.ndarray
-    p_int_pos: np.ndarray
+    int_pos: dict[str, np.ndarray]  # w position of each field's interior dofs, -1 elsewhere
     primal_pos: np.ndarray  # over u dofs, -1 if not primal
     dual_offset: np.ndarray  # start of each subdomain's broken dual block, then the end
-    # reduced side
-    xi_iface: np.ndarray
-    p_iface: np.ndarray
-    n_lambda: int
+    dual_slice: slice
+    primal_slice: slice
 
     @property
     def n_w(self) -> int:
-        return self.n_u_int + self.n_xi_int + self.n_p_int + self.n_dual_broken + self.n_primal
-
-    @property
-    def primal_slice(self) -> slice:
-        start = self.n_u_int + self.n_xi_int + self.n_p_int + self.n_dual_broken
-        return slice(start, start + self.n_primal)
-
-    @property
-    def dual_slice(self) -> slice:
-        start = self.n_u_int + self.n_xi_int + self.n_p_int
-        return slice(start, start + self.n_dual_broken)
-
-    def xi_iface_pos(self, dofs: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self.xi_iface, dofs)
-
-    def p_iface_pos(self, dofs: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self.p_iface, dofs)
+        return self.primal_slice.stop
 
 
 @dataclass
 class DofClassification:
-    """Per-field interior / dual / primal / interface index sets."""
+    """The interior / interface / primal / dual split of each field."""
 
     grid: tuple[int, int]
     spaces: FeSpaceSet
-    # interface incidence of each field (the u table holds primal and dual dofs)
-    u_incidence: Incidence
-    xi_incidence: Incidence
-    p_incidence: Incidence
-    # displacement
-    u_interior: dict[int, np.ndarray]
-    u_dual: np.ndarray
-    u_dual_pairs: np.ndarray  # (n_dual, 2), lower subdomain first
-    u_sub_dual: dict[int, np.ndarray]
-    u_primal: np.ndarray
-    u_sub_primal: dict[int, np.ndarray]
-    # total pressure
-    xi_interior: dict[int, np.ndarray]
-    xi_interface: np.ndarray
-    xi_sub_interface: dict[int, np.ndarray]
-    # pressure
-    p_interior: dict[int, np.ndarray]
-    p_dual: np.ndarray
-    p_primal: np.ndarray
-    p_sub_interface: dict[int, np.ndarray]
-    p_sub_dual: dict[int, np.ndarray]
-    p_sub_primal: dict[int, np.ndarray]
-    # change of basis for the vertex-edge variant (None = nodal basis)
-    u_transform: sp.csr_matrix | None = None
-    p_transform: sp.csr_matrix | None = None
-    _layout: TornLayout | None = field(default=None, repr=False)
+    u: FieldSplit
+    xi: FieldSplit  # every interface dof dual: total pressure has no primal dofs
+    p: FieldSplit
 
     @property
     def n_subdomains(self) -> int:
         return self.grid[0] * self.grid[1]
 
     @property
-    def p_interface(self) -> np.ndarray:
-        return np.unique(self.p_incidence.dof)
+    def splits(self) -> dict[str, FieldSplit]:
+        return {"u": self.u, "xi": self.xi, "p": self.p}
 
-    @property
-    def u_dual_incidence(self) -> Incidence:
-        """The rows of the dual displacement dofs: one per torn copy."""
-        return Incidence(np.repeat(self.u_dual, 2), self.u_dual_pairs.ravel())
-
-    @property
+    @cached_property
     def layout(self) -> TornLayout:
-        if self._layout is None:
-            self._layout = _build_layout(self)
-        return self._layout
+        return _build_layout(self)
 
 
 def _stack(buckets: dict[int, np.ndarray], n: int, base: int) -> tuple[np.ndarray, int]:
@@ -292,46 +273,23 @@ def _stack(buckets: dict[int, np.ndarray], n: int, base: int) -> tuple[np.ndarra
 
 def _build_layout(cls: DofClassification) -> TornLayout:
     n_sub = cls.n_subdomains
-    spaces = cls.spaces
-    u_int_pos, xi_base = _stack(cls.u_interior, spaces.n_u, 0)
-    xi_int_pos, p_base = _stack(cls.xi_interior, spaces.n_xi, xi_base)
-    p_int_pos, dual_base = _stack(cls.p_interior, spaces.n_p, p_base)
-    dual_offset = np.concatenate([[0], np.cumsum(np.bincount(cls.u_dual_pairs.ravel(), minlength=n_sub))])
-    n_dual_broken = int(dual_offset[-1])
-
-    n_primal = cls.u_primal.size
-    primal_pos = np.full(spaces.n_u, -1, dtype=np.int64)
-    primal_pos[cls.u_primal] = dual_base + n_dual_broken + np.arange(n_primal)
-
+    int_pos, base = {}, 0
+    for fld, split in cls.splits.items():
+        int_pos[fld], base = _stack(split.interior, cls.spaces.n_dofs[fld], base)
+    dual_offset = np.concatenate([[0], np.cumsum(np.bincount(cls.u.dual_rows.sub, minlength=n_sub))])
+    dual_slice = slice(base, base + int(dual_offset[-1]))
+    primal_slice = slice(dual_slice.stop, dual_slice.stop + cls.u.primal.size)
+    primal_pos = np.full(cls.spaces.n_dofs["u"], -1, dtype=np.int64)
+    primal_pos[cls.u.primal] = np.arange(primal_slice.start, primal_slice.stop)
     r_indices = {
-        s: np.concatenate(
-            [
-                u_int_pos[cls.u_interior[s]],
-                xi_int_pos[cls.xi_interior[s]],
-                p_int_pos[cls.p_interior[s]],
-                dual_base + np.arange(dual_offset[s], dual_offset[s + 1]),
-            ]
-        )
+        s: np.concatenate([
+            *(int_pos[fld][split.interior[s]] for fld, split in cls.splits.items()),
+            np.arange(dual_slice.start + dual_offset[s], dual_slice.start + dual_offset[s + 1]),
+        ])
         for s in range(n_sub)
     }
-
-    return TornLayout(
-        n_sub=n_sub,
-        n_u_int=xi_base,
-        n_xi_int=p_base - xi_base,
-        n_p_int=dual_base - p_base,
-        n_dual_broken=n_dual_broken,
-        n_primal=n_primal,
-        r_indices=r_indices,
-        u_int_pos=u_int_pos,
-        xi_int_pos=xi_int_pos,
-        p_int_pos=p_int_pos,
-        primal_pos=primal_pos,
-        dual_offset=dual_offset,
-        xi_iface=cls.xi_interface,
-        p_iface=cls.p_interface,
-        n_lambda=cls.u_dual.size,
-    )
+    return TornLayout(n_sub=n_sub, r_indices=r_indices, int_pos=int_pos, primal_pos=primal_pos,
+                      dual_offset=dual_offset, dual_slice=dual_slice, primal_slice=primal_slice)
 
 
 def _edge_groups(nx: int, ny: int, grid: tuple[int, int]) -> list[np.ndarray]:
@@ -389,76 +347,43 @@ def classify_dofs(part: SubdomainPartition, spaces: FeSpaceSet, primal_variant: 
     if primal_variant not in ("vertex", "vertex-edge"):
         raise ConfigurationError(f"unknown primal variant {primal_variant!r}")
     mesh = part.mesh
-    refined = mesh.refined_mesh
     grid = part.grid
     n_sub = part.n_subdomains
-
-    # displacement dofs 2k and 2k+1 sit at the k-th free refined node
-    u_nodes = np.repeat(spaces.u_free_nodes, 2)
-    u_dofs = spaces.u_dof_of_node[u_nodes] + np.tile([0, 1], spaces.u_free_nodes.size)
-    u_interior, u_iface = _split_interior(_incidence(refined, grid, u_nodes, u_dofs), n_sub)
-    u_is_primal = _lattice_corners(refined, grid, u_nodes, u_dofs, spaces.n_u)
-    _check_dual_pairs(u_iface, u_is_primal, "displacement")
-
-    p_nodes = spaces.p_free_nodes
-    p_dofs = spaces.p_dof_of_node[p_nodes]
-    p_interior, p_iface = _split_interior(_incidence(mesh, grid, p_nodes, p_dofs), n_sub)
-    p_is_primal = _lattice_corners(mesh, grid, p_nodes, p_dofs, spaces.n_p)
-    _check_dual_pairs(p_iface, p_is_primal, "pressure")
+    splits = {}
+    # the mesh, free nodes, node -> first dof map and components of the two
+    # fields with primal dofs: displacement dofs 2k and 2k+1 sit at the k-th
+    # free refined node
+    nodal = {"u": (mesh.refined_mesh, spaces.u_free_nodes, spaces.u_dof_of_node, 2),
+             "p": (mesh, spaces.p_free_nodes, spaces.p_dof_of_node, 1)}
+    for fld, (m, free, dof_of_node, k) in nodal.items():
+        n = spaces.n_dofs[fld]
+        nodes = np.repeat(free, k)
+        dofs = dof_of_node[nodes] + np.tile(np.arange(k), free.size)
+        interior, rows = _split_interior(_incidence(m, grid, nodes, dofs), n_sub)
+        is_primal = _lattice_corners(m, grid, nodes, dofs, n)
+        _check_dual_pairs(rows, is_primal, fld)
+        transform = None
+        if primal_variant == "vertex-edge":
+            # one average per subdomain edge and component, over the edge's
+            # interior nodes (refined-level ones for the displacement): the
+            # first dof of each edge then carries the average and turns
+            # primal; its sharers are the edge's pair already
+            edges = [dof_of_node[e] for e in _edge_groups(m.nx, m.ny, grid) if e.size]
+            if any(np.any(e < 0) for e in edges):
+                raise InternalError(f"{fld} edge interior node unexpectedly constrained")
+            groups = [e + c for e in edges for c in range(k)]
+            is_primal[[g[0] for g in groups]] = True
+            transform = _build_transform(n, groups)
+        splits[fld] = FieldSplit(n_sub, interior, rows, is_primal, transform)
 
     if spaces.total_pressure_variant == "p0":
-        xi_interior = {s: np.asarray(part.base_elements[s], dtype=np.int64) for s in range(n_sub)}
-        xi_iface = Incidence(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        interior = {s: np.asarray(part.base_elements[s], dtype=np.int64) for s in range(n_sub)}
+        rows = Incidence(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
     else:
         nodes = np.arange(mesh.n_nodes)
-        xi_interior, xi_iface = _split_interior(_incidence(mesh, grid, nodes, nodes), n_sub)
-
-    u_transform = p_transform = None
-    if primal_variant == "vertex-edge":
-        # displacement: one average per subdomain edge per component, taken
-        # over the refined-level edge interior nodes; pressure: one per edge
-        # over its free base-level nodes.  The first dof of each edge then
-        # carries the average and turns primal; its sharers are the edge's
-        # pair already.
-        u_edges = [spaces.u_dof_of_node[nodes] for nodes in _edge_groups(refined.nx, refined.ny, grid)]
-        if any(np.any(dofs < 0) for dofs in u_edges):
-            raise InternalError("edge interior node unexpectedly constrained")
-        u_groups = [dofs + comp for dofs in u_edges for comp in range(2)]
-        p_edges = [spaces.p_dof_of_node[nodes] for nodes in _edge_groups(mesh.nx, mesh.ny, grid)]
-        p_groups = [dofs[dofs >= 0] for dofs in p_edges if np.any(dofs >= 0)]
-        u_is_primal[[dofs[0] for dofs in u_groups]] = True
-        p_is_primal[[dofs[0] for dofs in p_groups]] = True
-        u_transform = _build_transform(spaces.n_u, u_groups)
-        p_transform = _build_transform(spaces.n_p, p_groups)
-
-    u_primal = u_iface.select(u_is_primal[u_iface.dof])
-    u_dual = u_iface.select(~u_is_primal[u_iface.dof])
-    p_primal = p_iface.select(p_is_primal[p_iface.dof])
-    p_dual = p_iface.select(~p_is_primal[p_iface.dof])
-    cls = DofClassification(
-        grid=grid,
-        spaces=spaces,
-        u_incidence=u_iface,
-        xi_incidence=xi_iface,
-        p_incidence=p_iface,
-        u_interior=u_interior,
-        u_dual=np.unique(u_dual.dof),
-        u_dual_pairs=u_dual.sub.reshape(-1, 2),
-        u_sub_dual=u_dual.by_subdomain(n_sub),
-        u_primal=np.unique(u_primal.dof),
-        u_sub_primal=u_primal.by_subdomain(n_sub),
-        xi_interior=xi_interior,
-        xi_interface=np.unique(xi_iface.dof),
-        xi_sub_interface=xi_iface.by_subdomain(n_sub),
-        p_interior=p_interior,
-        p_dual=np.unique(p_dual.dof),
-        p_primal=np.unique(p_primal.dof),
-        p_sub_interface=p_iface.by_subdomain(n_sub),
-        p_sub_dual=p_dual.by_subdomain(n_sub),
-        p_sub_primal=p_primal.by_subdomain(n_sub),
-        u_transform=u_transform,
-        p_transform=p_transform,
-    )
+        interior, rows = _split_interior(_incidence(mesh, grid, nodes, nodes), n_sub)
+    splits["xi"] = FieldSplit(n_sub, interior, rows, np.zeros(spaces.n_dofs["xi"], dtype=bool))
+    cls = DofClassification(grid=grid, spaces=spaces, **splits)
     _check_floating(cls)
     return cls
 
@@ -470,7 +395,7 @@ def _check_floating(cls: DofClassification) -> None:
     for s in np.flatnonzero(~subdomain_sides(cls.grid)[:, dirichlet].any(axis=1)):
         # every primal dof pairs with its sibling component at the same node,
         # so distinct nodes count distinct constraint locations
-        n_locations = np.unique(cls.u_sub_primal[s] // 2).size
+        n_locations = np.unique(cls.u.sub_primal[s] // 2).size
         if n_locations < 2:
             raise ConfigurationError(
                 f"subdomain {s} floats: no Dirichlet contact and only {n_locations} primal constraint location(s)"
@@ -484,19 +409,18 @@ def _check_floating(cls: DofClassification) -> None:
 @dataclass
 class ScalingWeights:
     """Stiffness-weighted interface averages, one weight per row of each
-    field's incidence table (for displacements, the dual rows).
+    field's incidence table (for displacements, the dual rows), both keyed
+    by the field ("u", "xi" or "p").
 
     Weights per interface dof sum to one exactly: the highest sharing
     subdomain's weight is computed as one minus the others.
     """
 
     incidence: dict[str, Incidence]
-    disp: np.ndarray
-    total_pressure: np.ndarray
-    pressure: np.ndarray
+    weights: dict[str, np.ndarray]
 
-    def weight(self, field: str, dof: int, sub: int) -> float:
-        return float(getattr(self, field)[self.incidence[field].row(dof, sub)])
+    def weight(self, fld: str, dof: int, sub: int) -> float:
+        return float(self.weights[fld][self.incidence[fld].row(dof, sub)])
 
 
 def _weights(inc: Incidence, coeff: np.ndarray) -> np.ndarray:
@@ -512,13 +436,9 @@ def _weights(inc: Incidence, coeff: np.ndarray) -> np.ndarray:
 
 def build_scalings(cls: DofClassification, materials: MaterialField) -> ScalingWeights:
     mu = np.asarray(materials.mu, dtype=float)
-    incidence = {"disp": cls.u_dual_incidence, "total_pressure": cls.xi_incidence, "pressure": cls.p_incidence}
-    return ScalingWeights(
-        incidence=incidence,
-        disp=_weights(incidence["disp"], mu),
-        total_pressure=_weights(incidence["total_pressure"], 1.0 / mu),
-        pressure=_weights(incidence["pressure"], np.asarray(materials.kappa, dtype=float)),
-    )
+    coeff = {"u": mu, "xi": 1.0 / mu, "p": np.asarray(materials.kappa, dtype=float)}
+    incidence = {"u": cls.u.dual_rows, "xi": cls.xi.rows, "p": cls.p.rows}
+    return ScalingWeights(incidence, {fld: _weights(inc, coeff[fld]) for fld, inc in incidence.items()})
 
 
 def _unit_and_scaled(
@@ -543,25 +463,24 @@ class JumpOperator:
 
     jump: sp.csr_matrix
     jump_scaled: sp.csr_matrix
-    n_multipliers: int
 
 
 def build_jump(cls: DofClassification, scalings: ScalingWeights) -> JumpOperator:
-    n_lam = cls.u_dual.size
+    n_lam = cls.u.dual.size
     sign = np.tile([1.0, -1.0], n_lam)
     # the rows of a dual dof's two copies are adjacent: swap their weights
-    neighbour = scalings.disp.reshape(-1, 2)[:, ::-1].ravel()
+    neighbour = scalings.weights["u"].reshape(-1, 2)[:, ::-1].ravel()
     jump, jump_scaled = _unit_and_scaled(
         sign,
         sign * neighbour,
         np.repeat(np.arange(n_lam), 2),
-        scalings.incidence["disp"].broken_pos(),
-        (n_lam, cls.layout.n_dual_broken),
+        scalings.incidence["u"].broken_pos(),
+        (n_lam, int(cls.layout.dual_offset[-1])),
     )
     ident = jump @ jump_scaled.T
     if (ident - sp.identity(n_lam)).nnz != 0:
         raise InternalError("jump partition-of-unity identity failed")
-    return JumpOperator(jump=jump, jump_scaled=jump_scaled, n_multipliers=n_lam)
+    return JumpOperator(jump=jump, jump_scaled=jump_scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -596,27 +515,23 @@ def _exact_identity(m: sp.spmatrix, n: int, what: str) -> None:
 
 
 def build_restrictions(cls: DofClassification, scalings: ScalingWeights) -> RestrictionSet:
-    layout = cls.layout
-    xi = scalings.incidence["total_pressure"]
-    n_xi = layout.xi_iface.size
+    xi = scalings.incidence["xi"]
+    n_xi = cls.xi.interface.size
     xi_break, xi_break_scaled = _unit_and_scaled(
-        np.ones(xi.dof.size), scalings.total_pressure, xi.broken_pos(), layout.xi_iface_pos(xi.dof), (xi.dof.size, n_xi)
+        np.ones(xi.dof.size), scalings.weights["xi"], xi.broken_pos(), cls.xi.interface_pos(xi.dof), (xi.dof.size, n_xi)
     )
     if n_xi:
         _exact_identity(xi_break.T @ xi_break_scaled, n_xi, "total pressure")
 
     # pressure: tilde layout rows = broken duals (by subdomain) then primal
-    p = scalings.incidence["pressure"]
-    is_dual = np.isin(p.dof, cls.p_dual)
-    duals = p.select(is_dual)
-    n_primal = cls.p_primal.size
-    n_tilde = duals.dof.size + n_primal
-    n_p = layout.p_iface.size
+    duals, primal = cls.p.dual_rows, cls.p.primal
+    n_tilde = duals.dof.size + primal.size
+    n_p = cls.p.interface.size
     p_inject, p_inject_scaled = _unit_and_scaled(
         np.ones(n_tilde),
-        np.concatenate([scalings.pressure[is_dual], np.ones(n_primal)]),
-        np.concatenate([duals.broken_pos(), duals.dof.size + np.arange(n_primal)]),
-        layout.p_iface_pos(np.concatenate([duals.dof, cls.p_primal])),
+        np.concatenate([scalings.weights["p"][~cls.p.is_primal[cls.p.rows.dof]], np.ones(primal.size)]),
+        np.concatenate([duals.broken_pos(), duals.dof.size + np.arange(primal.size)]),
+        cls.p.interface_pos(np.concatenate([duals.dof, primal])),
         (n_tilde, n_p),
     )
     if n_p:
@@ -681,7 +596,7 @@ def transform_system(system: BlockSystem, cls: DofClassification) -> BlockSystem
     """
     if tuple(cls.grid) != tuple(system.materials.grid):
         raise ConfigurationError(f"partition grid {cls.grid} differs from the materials' grid {system.materials.grid}")
-    Tu, Tp = cls.u_transform, cls.p_transform
+    Tu, Tp = cls.u.transform, cls.p.transform
     if Tu is None:
         return system
     st = system.stacked
@@ -702,6 +617,6 @@ def transform_system(system: BlockSystem, cls: DofClassification) -> BlockSystem
 
 def recover_nodal(cls: DofClassification, u: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map edge-average-basis coefficient vectors back to nodal values."""
-    if cls.u_transform is None:
+    if cls.u.transform is None:
         return u, p
-    return cls.u_transform @ u, cls.p_transform @ p
+    return cls.u.transform @ u, cls.p.transform @ p

@@ -131,6 +131,8 @@ class ExperimentConfig:
             raise ConfigurationError("black-cell overrides require the checkerboard pattern")
         if self.tol <= 0.0:
             raise ConfigurationError(f"tolerance must be positive, got {self.tol}")
+        if not 0.0 <= self.ritz_drop_threshold < 1.0:
+            raise ConfigurationError(f"ritz_drop_threshold must lie in [0, 1), got {self.ritz_drop_threshold}")
 
     @property
     def H_over_h(self) -> int:
@@ -330,8 +332,7 @@ def oracle_solution(pipe: Pipeline) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """Direct sparse solve of the assembled block system in the nodal basis."""
     sys0 = pipe.nodal_system
     x = spla.spsolve(sys0.full_matrix().tocsc(), sys0.full_rhs())
-    n_u, n_xi = pipe.spaces.n_u, pipe.spaces.n_xi
-    return x[:n_u], x[n_u : n_u + n_xi], x[n_u + n_xi :]
+    return tuple(np.split(x, np.cumsum(list(pipe.spaces.n_dofs.values()))[:2]))
 
 
 def _field_error(got: np.ndarray, want: np.ndarray) -> float:

@@ -203,13 +203,11 @@ class FeSpaceSet:
     u_dof_of_node: np.ndarray  # refined node -> x-component dof, or -1
     p_free_nodes: np.ndarray
     p_dof_of_node: np.ndarray  # base node -> dof, or -1
-    n_u: int
-    n_xi: int
-    n_p: int
+    n_dofs: dict[str, int]  # of each field: "u", "xi" and "p"
 
     @property
     def n_total(self) -> int:
-        return self.n_u + self.n_xi + self.n_p
+        return sum(self.n_dofs.values())
 
     def lattice(self, fld: str, dofs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Grid coordinates (ix, iy) of the node of each of ``dofs`` of field
@@ -250,7 +248,6 @@ def build_spaces(mesh: StructuredMesh, total_pressure_variant: str, bc: Boundary
     p_dof_of_node = np.full(mesh.n_nodes, -1, dtype=np.int64)
     p_dof_of_node[p_free] = np.arange(p_free.size)
 
-    n_xi = mesh.n_nodes if total_pressure_variant == "p1" else mesh.n_triangles
     return FeSpaceSet(
         mesh=mesh,
         total_pressure_variant=total_pressure_variant,
@@ -259,9 +256,8 @@ def build_spaces(mesh: StructuredMesh, total_pressure_variant: str, bc: Boundary
         u_dof_of_node=u_dof_of_node,
         p_free_nodes=p_free,
         p_dof_of_node=p_dof_of_node,
-        n_u=2 * u_free.size,
-        n_xi=n_xi,
-        n_p=p_free.size,
+        n_dofs={"u": 2 * u_free.size, "xi": mesh.n_nodes if total_pressure_variant == "p1" else mesh.n_triangles,
+                "p": p_free.size},
     )
 
 
@@ -363,14 +359,12 @@ class LoadSpec:
 class LocalBlocks:
     """One subdomain's element contributions in a compressed local numbering.
 
-    ``udofs``/``xidofs``/``pdofs`` are the sorted global free-dof ids with
+    ``dofs[fld]`` are field ``fld``'s sorted global free-dof ids with
     support on the subdomain closure; the matrices are indexed by position
     in those arrays.
     """
 
-    udofs: np.ndarray
-    xidofs: np.ndarray
-    pdofs: np.ndarray
+    dofs: dict[str, np.ndarray]
     A: sp.csr_matrix
     B: sp.csr_matrix
     C: sp.csr_matrix
@@ -379,23 +373,14 @@ class LocalBlocks:
     f: np.ndarray
     g: np.ndarray
 
-    def u_pos(self, dofs: np.ndarray) -> np.ndarray:
-        return _positions(self.udofs, dofs, "displacement")
-
-    def xi_pos(self, dofs: np.ndarray) -> np.ndarray:
-        return _positions(self.xidofs, dofs, "total pressure")
-
-    def p_pos(self, dofs: np.ndarray) -> np.ndarray:
-        return _positions(self.pdofs, dofs, "pressure")
-
-
-def _positions(haystack: np.ndarray, needles: np.ndarray, what: str) -> np.ndarray:
-    needles = np.asarray(needles, dtype=np.int64)
-    pos = np.searchsorted(haystack, needles)
-    ok = (pos < haystack.size) & (haystack[np.minimum(pos, haystack.size - 1)] == needles)
-    if needles.size and not np.all(ok):
-        raise KeyError(f"{what} dofs {needles[~ok][:5]} not present in this subdomain")
-    return pos
+    def pos(self, fld: str, dofs: np.ndarray) -> np.ndarray:
+        """Local positions of field ``fld``'s global ``dofs``."""
+        have, dofs = self.dofs[fld], np.asarray(dofs, dtype=np.int64)
+        pos = np.searchsorted(have, dofs)
+        ok = (pos < have.size) & (have[np.minimum(pos, have.size - 1)] == dofs)
+        if dofs.size and not np.all(ok):
+            raise KeyError(f"{fld} dofs {dofs[~ok][:5]} not present in this subdomain")
+        return pos
 
 
 # the five blocks with the fields of their rows and columns
@@ -438,12 +423,9 @@ class StackedBlocks:
         """Subdomain s's dofs with its representative's blocks and loads,
         sharing data with the stored arrays."""
         r = self.rep[s]
-        span = {fld: slice(o[s], o[s + 1]) for fld, o in self.off.items()}
         at = {fld: slice(o[r], o[r + 1]) for fld, o in self.rep_off.items()}
         return LocalBlocks(
-            udofs=self.dofs["u"][span["u"]],
-            xidofs=self.dofs["xi"][span["xi"]],
-            pdofs=self.dofs["p"][span["p"]],
+            dofs={fld: self.dofs[fld][o[s] : o[s + 1]] for fld, o in self.off.items()},
             **{name: diagonal_block(getattr(self, name), self.rep_off[i], self.rep_off[j], r) for name, i, j in BLOCK_FIELDS},
             f=self.f[at["u"]],
             g=self.g[at["p"]],
@@ -515,7 +497,7 @@ class BlockSystem:
     def _global(self, name: str) -> sp.csr_matrix:
         if name not in self.blocks:
             r, c = _BLOCK_SPACES[name]
-            size = {"u": self.spaces.n_u, "xi": self.spaces.n_xi, "p": self.spaces.n_p}
+            size = self.spaces.n_dofs
             _, rows, cols, vals = self.stacked.entries(name, self.stacked.dofs[r], self.stacked.dofs[c])
             self.blocks[name] = sp.coo_matrix((vals, (rows, cols)), shape=(size[r], size[c])).tocsr()
         return self.blocks[name]
@@ -550,7 +532,7 @@ class BlockSystem:
         )
 
     def full_rhs(self) -> np.ndarray:
-        return np.concatenate([self.f, np.zeros(self.spaces.n_xi), self.g])
+        return np.concatenate([self.f, np.zeros(self.spaces.n_dofs["xi"]), self.g])
 
 
 @dataclass
@@ -775,7 +757,7 @@ def assemble_blocks(spaces: FeSpaceSet, materials: MaterialField, load: LoadSpec
     # stacked numbering of the representatives: the sorted keys sub * n + dof
     # of every (subdomain, dof) pair met by the table whose rows span the
     # field; the members own empty ranges
-    size = {"u": spaces.n_u, "xi": spaces.n_xi, "p": spaces.n_p}
+    size = spaces.n_dofs
     keys = {fld: sorted_unique((t.sub[:, None] * size[fld] + t.rows)[t.rows >= 0])
             for fld, t in (("u", tables["A"]), ("xi", tables["C"]), ("p", tables["E"]))}
     rep_off = {fld: np.searchsorted(k, np.arange(n_sub + 1) * size[fld]) for fld, k in keys.items()}

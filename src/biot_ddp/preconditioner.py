@@ -219,22 +219,21 @@ def build_xi_solver(system: BlockSystem, cls: DofClassification, restrictions: R
 
     def block(r):
         lb = system.stacked.local_view(r)
-        return (float(mats.lam[r] / mats.mu[r]) * lb.C, lb.xidofs, lb.xi_pos(cls.xi_sub_interface[r]),
-                lb.xi_pos(cls.xi_interior[r]))
+        return (float(mats.lam[r] / mats.mu[r]) * lb.C, lb.dofs["xi"], lb.pos("xi", cls.xi.sub_interface[r]),
+                lb.pos("xi", cls.xi.interior[r]))
 
-    no_primal = np.zeros(0, dtype=np.int64)
-    return _bddc(restrictions.xi_break_scaled, system, "xi", block, cls.xi_sub_interface,
-                 dict.fromkeys(cls.xi_sub_interface, no_primal), no_primal, "total pressure")
+    return _bddc(restrictions.xi_break_scaled, system, "xi", block, cls.xi.sub_interface, cls.xi.sub_primal,
+                 cls.xi.primal, "total pressure")
 
 
 def build_p_bddc(system: BlockSystem, cls: DofClassification, restrictions: RestrictionSet) -> InterfaceBddc:
     def block(r):
         lb = system.stacked.local_view(r)
-        return (lb.E, lb.pdofs, lb.p_pos(np.concatenate([cls.p_sub_dual[r], cls.p_sub_primal[r]])),
-                lb.p_pos(cls.p_interior[r]))
+        return (lb.E, lb.dofs["p"], lb.pos("p", np.concatenate([cls.p.sub_dual[r], cls.p.sub_primal[r]])),
+                lb.pos("p", cls.p.interior[r]))
 
-    return _bddc(restrictions.p_inject_scaled, system, "p", block, cls.p_sub_dual, cls.p_sub_primal,
-                 cls.p_primal, "pressure")
+    return _bddc(restrictions.p_inject_scaled, system, "p", block, cls.p.sub_dual, cls.p.sub_primal,
+                 cls.p.primal, "pressure")
 
 
 def build_lambda_solver(
@@ -249,7 +248,7 @@ def build_lambda_solver(
 
     def block(r):
         lb = system.stacked.local_view(r)
-        return lb.A.tocsr(), lb.udofs, lb.u_pos(cls.u_sub_dual[r]), lb.u_pos(cls.u_interior[r])
+        return lb.A.tocsr(), lb.dofs["u"], lb.pos("u", cls.u.sub_dual[r]), lb.pos("u", cls.u.interior[r])
 
     groups = system.classes("A")
     if kind == "dirichlet":
@@ -289,10 +288,8 @@ def build_preconditioner(
     restrictions: RestrictionSet,
     multiplier_kind: str = "dirichlet",
 ) -> BlockPreconditioner:
-    lay = cls.layout
-    n_xi = lay.xi_iface.size
-    n_p = lay.p_iface.size
+    n_xi, n_p = cls.xi.interface.size, cls.p.interface.size
     xi = build_xi_solver(system, cls, restrictions) if n_xi else None
     bddc = build_p_bddc(system, cls, restrictions) if n_p else None
     lam = build_lambda_solver(system, cls, jump, multiplier_kind)
-    return BlockPreconditioner(xi=xi, pressure=bddc, multiplier=lam, segments=(n_xi, n_p, lay.n_lambda))
+    return BlockPreconditioner(xi=xi, pressure=bddc, multiplier=lam, segments=(n_xi, n_p, cls.u.dual.size))

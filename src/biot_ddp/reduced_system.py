@@ -410,8 +410,8 @@ def _row_keys(system: BlockSystem, cls: DofClassification, reps: list[int]) -> l
     in ``reps``: its xi_G and p_G dofs, then the λ row of each dual copy,
     keyed by that copy, with the field (0, 1, 2) as the lowest digit."""
     parts = []
-    for code, (fld, dofs) in enumerate((("xi", cls.xi_sub_interface), ("p", cls.p_sub_interface),
-                                         ("u", cls.u_sub_dual))):
+    for code, (fld, dofs) in enumerate((("xi", cls.xi.sub_interface), ("p", cls.p.sub_interface),
+                                         ("u", cls.u.sub_dual))):
         sizes = [dofs[s].size for s in reps]
         keys = _patch_keys(system, fld, np.repeat(reps, sizes), np.concatenate([dofs[s] for s in reps]))
         parts.append(np.split(3 * keys + code, np.cumsum(sizes)[:-1]))
@@ -531,8 +531,7 @@ class ReducedSystem:
 
     @property
     def segments(self) -> tuple[int, int, int]:
-        lay = self.layout
-        return lay.xi_iface.size, lay.p_iface.size, lay.n_lambda
+        return self.cls.xi.interface.size, self.cls.p.interface.size, self.cls.u.dual.size
 
     def split(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         n_xi, n_p, _ = self.segments
@@ -580,7 +579,7 @@ class ReducedSystem:
         lay = self.layout
         local = self.system.local.items()
         K = sp.block_diag([_local_saddle(lb, _local_index_sets(self.cls, s, lb)) for s, lb in local], format="coo")
-        primal = self.cls.u_sub_primal
+        primal = self.cls.u.sub_primal
         g = np.concatenate([np.concatenate([lay.r_indices[s], lay.primal_pos[primal[s]]]) for s in range(lay.n_sub)])
         At = sp.csr_matrix((K.data, (g[K.row], g[K.col])), shape=(lay.n_w, lay.n_w))
         return sp.bmat([[At, self.B_C.T], [self.B_C, -self.C_hat]], format="csr")
@@ -596,42 +595,31 @@ class ReducedSystem:
         the system was assembled in; callers undo any change of basis."""
         lay = self.layout
         cls = self.cls
-        spaces = self.system.spaces
         w = self.apply_torn_inverse(self.f_w - self.B_C_T @ y)
-        y_xi, y_p, _ = self.split(y)
-
-        u = np.zeros(spaces.n_u)
-        mask = lay.u_int_pos >= 0
-        u[mask] = w[lay.u_int_pos[mask]]
-        u[cls.u_primal] = w[lay.primal_slice]
+        x = {fld: np.zeros(n) for fld, n in self.system.spaces.n_dofs.items()}
+        for fld, pos in lay.int_pos.items():
+            x[fld][pos >= 0] = w[pos[pos >= 0]]
+        u, xi, p = x["u"], x["xi"], x["p"]
+        u[cls.u.primal] = w[lay.primal_slice]
         dual = w[lay.dual_slice]
         jump_norm = float(np.linalg.norm(self.jump.jump @ dual)) if dual.size else 0.0
         # each jump row holds the broken positions of one dual dof's two copies
         copies = dual[self.jump.jump.indices.reshape(-1, 2)]
-        u[cls.u_dual] = (copies[:, 0] + copies[:, 1]) / 2
-
-        xi = np.zeros(spaces.n_xi)
-        mask = lay.xi_int_pos >= 0
-        xi[mask] = w[lay.xi_int_pos[mask]]
-        xi[lay.xi_iface] = y_xi
-
-        p = np.zeros(spaces.n_p)
-        mask = lay.p_int_pos >= 0
-        p[mask] = w[lay.p_int_pos[mask]]
-        p[lay.p_iface] = y_p
+        u[cls.u.dual] = (copies[:, 0] + copies[:, 1]) / 2
+        xi[cls.xi.interface], p[cls.p.interface], _ = self.split(y)
         return u, xi, p, jump_norm
 
 
-# the local index sets of a subdomain: field and classification attribute
+# the local index sets of a subdomain: field and ``FieldSplit`` attribute
 _INDEX_SETS = {
-    "uI": ("u", "u_interior"), "uD": ("u", "u_sub_dual"), "uP": ("u", "u_sub_primal"),
-    "xiI": ("xi", "xi_interior"), "xiG": ("xi", "xi_sub_interface"),
-    "pI": ("p", "p_interior"), "pG": ("p", "p_sub_interface"), "pD": ("p", "p_sub_dual"), "pP": ("p", "p_sub_primal"),
+    "uI": ("u", "interior"), "uD": ("u", "sub_dual"), "uP": ("u", "sub_primal"),
+    "xiI": ("xi", "interior"), "xiG": ("xi", "sub_interface"),
+    "pI": ("p", "interior"), "pG": ("p", "sub_interface"), "pD": ("p", "sub_dual"), "pP": ("p", "sub_primal"),
 }
 
 
 def _local_index_sets(cls: DofClassification, s: int, lb) -> dict[str, np.ndarray]:
-    return {name: getattr(lb, f"{fld}_pos")(getattr(cls, attr)[s]) for name, (fld, attr) in _INDEX_SETS.items()}
+    return {name: lb.pos(fld, getattr(cls.splits[fld], attr)[s]) for name, (fld, attr) in _INDEX_SETS.items()}
 
 
 def _shared_index_sets(system: BlockSystem, cls: DofClassification, sets: dict[int, dict]) -> list[dict]:
@@ -644,7 +632,7 @@ def _shared_index_sets(system: BlockSystem, cls: DofClassification, sets: dict[i
     for members in system.classes(""):
         rep[members] = members[0]
     for name, (fld, attr) in _INDEX_SETS.items():
-        want = [getattr(cls, attr)[s] for s in range(st.n_sub)]
+        want = [getattr(cls.splits[fld], attr)[s] for s in range(st.n_sub)]
         size = np.array([w.size for w in want])
         wrong = np.flatnonzero(size != size[rep])
         if not wrong.size:
@@ -690,9 +678,8 @@ def _local_saddle(lb, sets: dict[str, np.ndarray], trace: bool = False) -> sp.cs
 def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: JumpOperator) -> ReducedSystem:
     lay = cls.layout
     st = system.stacked
-    n_xi_g = lay.xi_iface.size
-    n_p_g = lay.p_iface.size
-    n_y = n_xi_g + n_p_g + lay.n_lambda
+    n_xi_g, n_p_g, n_lam = cls.xi.interface.size, cls.p.interface.size, cls.u.dual.size
+    n_y = n_xi_g + n_p_g + n_lam
 
     # the members of an assembly class share their representative's blocks
     class_members = system.classes("ABCDE")
@@ -712,7 +699,7 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
         n_r = n_k - sets["uP"].size
         factor = SaddleFactor(f"subdomain {members[0]} (class of {len(members)})", M[:n_r, :n_r], len(members))
         A_rP = M[:n_r, n_r:n_k].toarray()
-        primal = np.column_stack([np.searchsorted(cls.u_primal, cls.u_sub_primal[s]) for s in members])
+        primal = np.column_stack([np.searchsorted(cls.u.primal, cls.u.sub_primal[s]) for s in members])
         X, S_PP = primal_coupling(factor, A_rP, M[n_r:n_k, n_r:n_k].toarray())
         coarse.append((primal, S_PP))
         classes.append(LocalClass(
@@ -723,22 +710,19 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
 
     # torn column of every subdomain's stacked local unknown and interface
     # row of every stacked trace dof, -1 where there is none
-    ud = st.dofs["u"]
-    wcol = {
-        "u": np.where(lay.primal_pos[ud] >= 0, lay.primal_pos[ud], lay.u_int_pos[ud]),
-        "xi": lay.xi_int_pos[st.dofs["xi"]],
-        "p": lay.p_int_pos[st.dofs["p"]],
-    }
+    wcol = {fld: pos[st.dofs[fld]] for fld, pos in lay.int_pos.items()}
+    primal = lay.primal_pos[st.dofs["u"]]
+    wcol["u"] = np.where(primal >= 0, primal, wcol["u"])
     yrow = {fld: np.full(st.off[fld][-1], -1, dtype=np.int64) for fld in ("xi", "p")}
     # multiplier row of every broken dual copy: each lies in one jump row
     Jc = jump.jump.tocoo()
-    lam_row = np.empty(lay.n_dual_broken, dtype=np.int64)
+    lam_row = np.empty(lay.dual_offset[-1], dtype=np.int64)
     lam_row[Jc.col] = n_xi_g + n_p_g + Jc.row
     ymap = []  # interface rows each subdomain's local unknowns couple to
     for s, sets in enumerate(ix):
         wcol["u"][st.off["u"][s] + sets["uD"]] = lay.dual_slice.start + lay.dual_offset[s] + np.arange(sets["uD"].size)
-        xi_rows = lay.xi_iface_pos(cls.xi_sub_interface[s])
-        p_rows = n_xi_g + lay.p_iface_pos(cls.p_sub_interface[s])
+        xi_rows = cls.xi.interface_pos(cls.xi.sub_interface[s])
+        p_rows = n_xi_g + cls.p.interface_pos(cls.p.sub_interface[s])
         yrow["xi"][st.off["xi"][s] + sets["xiG"]] = xi_rows
         yrow["p"][st.off["p"][s] + sets["pG"]] = p_rows
         ymap.append(np.concatenate([xi_rows, p_rows, lam_row[lay.dual_offset[s] : lay.dual_offset[s + 1]]]))
@@ -771,32 +755,28 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
     # C_hat: the interface rows of C, D and E whole, then their interface
     # columns; SciPy's unstable sort by column sees the rows of the global
     # blocks, so C_hat is bitwise their interface slice
-    n_cols = {"xi": system.spaces.n_xi, "p": system.spaces.n_p}
-
-    def iface_rows(name: str, r: str, c: str, cols: np.ndarray) -> sp.csr_matrix:
+    def iface_rows(name: str, r: str, c: str) -> sp.csr_matrix:
         _, i, j, v = st.entries(name, yrow[r], st.dofs[c])
-        return sp.csr_matrix((v, (i, j)), shape=(n_y, n_cols[c]))[:, cols]
+        return sp.csr_matrix((v, (i, j)), shape=(n_y, system.spaces.n_dofs[c]))[:, cls.splits[c].interface]
 
-    xiG, pG = cls.xi_interface, lay.p_iface
-    C_GG = iface_rows("C", "xi", "xi", xiG)[:n_xi_g]
-    D_GG = iface_rows("D", "p", "xi", xiG)[n_xi_g : n_xi_g + n_p_g]
-    E_GG = iface_rows("E", "p", "p", pG)[n_xi_g : n_xi_g + n_p_g]
-    zero = sp.csr_matrix((lay.n_lambda, lay.n_lambda))
+    C_GG = iface_rows("C", "xi", "xi")[:n_xi_g]
+    D_GG = iface_rows("D", "p", "xi")[n_xi_g : n_xi_g + n_p_g]
+    E_GG = iface_rows("E", "p", "p")[n_xi_g : n_xi_g + n_p_g]
+    zero = sp.csr_matrix((n_lam, n_lam))
     C_hat = sp.bmat([[C_GG, -D_GG.T, None], [-D_GG, E_GG, None], [None, None, zero]], format="csr")
 
     f_w = np.zeros(lay.n_w)
-    mask = lay.u_int_pos >= 0
-    f_w[lay.u_int_pos[mask]] = system.f[mask]
-    maskp = lay.p_int_pos >= 0
-    f_w[lay.p_int_pos[maskp]] = system.g[maskp]
-    f_w[lay.primal_slice] = system.f[cls.u_primal]
+    for fld, load in (("u", system.f), ("p", system.g)):
+        mask = lay.int_pos[fld] >= 0
+        f_w[lay.int_pos[fld][mask]] = load[mask]
+    f_w[lay.primal_slice] = system.f[cls.u.primal]
     f_w[lay.dual_slice] = st.f[np.concatenate([st.rep_off["u"][r] + sets["uD"] for r, sets in zip(st.rep, ix)])]
 
     h = np.zeros(n_y)
-    h[n_xi_g : n_xi_g + n_p_g] = system.g[pG]
+    h[n_xi_g : n_xi_g + n_p_g] = system.g[cls.p.interface]
 
     B_C_T = B_C.T.tocsr()
-    torn = PartiallyAssembled.assemble(classes, cls.u_primal.size, coarse)
+    torn = PartiallyAssembled.assemble(classes, cls.u.primal.size, coarse)
     return ReducedSystem(
         system=system,
         cls=cls,

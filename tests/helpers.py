@@ -56,8 +56,8 @@ def assembled_pressure_schur(pipe) -> np.ndarray:
     Schur complements.
     """
     cls = pipe.cls
-    gamma = cls.p_interface
-    inner = np.concatenate([cls.p_interior[s] for s in range(cls.n_subdomains)])
+    gamma = cls.p.interface
+    inner = np.concatenate([cls.p.interior[s] for s in range(cls.n_subdomains)])
     return splu_schur(pipe.system.E, gamma, np.sort(inner))
 
 
@@ -66,14 +66,14 @@ def assembled_total_pressure_schur(pipe) -> np.ndarray:
     shared total pressure dofs."""
     cls = pipe.cls
     mats = pipe.materials
-    n_gamma = len(cls.xi_interface)
+    n_gamma = len(cls.xi.interface)
     S = np.zeros((n_gamma, n_gamma))
     for s in range(cls.n_subdomains):
         lb = pipe.system.local[s]
-        gamma = lb.xi_pos(np.asarray(cls.xi_sub_interface[s], dtype=np.int64))
-        inner = lb.xi_pos(np.asarray(cls.xi_interior[s], dtype=np.int64))
+        gamma = lb.pos("xi", np.asarray(cls.xi.sub_interface[s], dtype=np.int64))
+        inner = lb.pos("xi", np.asarray(cls.xi.interior[s], dtype=np.int64))
         S_loc = splu_schur(lb.C, gamma, inner)
-        rows = pipe.cls.layout.xi_iface_pos(np.asarray(cls.xi_sub_interface[s], dtype=np.int64))
+        rows = cls.xi.interface_pos(np.asarray(cls.xi.sub_interface[s], dtype=np.int64))
         weight = mats.lam[s] / mats.mu[s]
         S[np.ix_(rows, rows)] += weight * S_loc
     return S
@@ -151,7 +151,7 @@ def per_subdomain_assembly(mesh, spaces, materials, load) -> dict:
         return sets
 
     sets = {"u": dof_sets(tables["A"]), "xi": dof_sets(tables["C"]), "p": dof_sets(tables["E"])}
-    size = {"u": spaces.n_u, "xi": spaces.n_xi, "p": spaces.n_p}
+    size = spaces.n_dofs
     out: dict = dict(sets)
     for name, r, c in BLOCK_FIELDS:
         t = tables[name]

@@ -306,15 +306,15 @@ def test_operator_identities_and_subsystem_bounds(report):
     )
     cls, sc, jump, rs = pipe.cls, pipe.scalings, pipe.jump, pipe.restrictions
     pou_exact = all(
-        sum(sc.weight("disp", int(d), int(s)) for s in pr) == 1.0
-        for d, pr in zip(cls.u_dual, cls.u_dual_pairs)
+        sum(sc.weight("u", int(d), int(s)) for s in pr) == 1.0
+        for d, pr in zip(cls.u.dual, cls.u.dual_rows.sub.reshape(-1, 2))
     )
     bbd = float(
-        np.abs((jump.jump @ jump.jump_scaled.T).toarray() - np.eye(jump.n_multipliers)).max()
+        np.abs((jump.jump @ jump.jump_scaled.T).toarray() - np.eye(jump.jump.shape[0])).max()
     )
     rng = np.random.default_rng(0)
-    xg = rng.standard_normal(cls.xi_interface.size)
-    pg = rng.standard_normal(cls.p_interface.size)
+    xg = rng.standard_normal(cls.xi.interface.size)
+    pg = rng.standard_normal(cls.p.interface.size)
     transfer = max(
         float(np.abs(rs.xi_break_scaled.T @ (rs.xi_break @ xg) - xg).max()),
         float(np.abs(rs.p_inject_scaled.T @ (rs.p_inject @ pg) - pg).max()),

@@ -149,7 +149,7 @@ def dirichlet_apply(pipe, s, T):
     """Subdomain s's elastic Dirichlet Schur complement applied matrix-free,
     A_DD T - A_DI A_II^-1 A_ID T, with SciPy's default sparse LU."""
     lb, cls = pipe.system.local[s], pipe.cls
-    iD, iI = lb.u_pos(cls.u_sub_dual[s]), lb.u_pos(cls.u_interior[s])
+    iD, iI = lb.pos("u", cls.u.sub_dual[s]), lb.pos("u", cls.u.interior[s])
     A = lb.A.tocsr()
     return A[iD][:, iD] @ T - A[iD][:, iI] @ spla.splu(A[iI][:, iI].tocsc()).solve(A[iI][:, iD] @ T)
 
@@ -167,7 +167,7 @@ def test_dense_dirichlet_blocks_match_matrix_free_apply(elem, primal):
             assert np.linalg.norm(c.S @ T - ref) <= 1e-12 * np.linalg.norm(ref)
     # and the whole block: scaled jumps through every subdomain's map
     J = pipe.jump.jump_scaled
-    r = rng.standard_normal(lay.n_lambda)
+    r = rng.standard_normal(pipe.cls.u.dual.size)
     x = J.T @ r
     y = np.concatenate([dirichlet_apply(pipe, s, x[lay.dual_offset[s] : lay.dual_offset[s + 1]])
                         for s in range(lay.n_sub)])

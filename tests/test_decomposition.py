@@ -42,14 +42,14 @@ class TestPartition:
 class TestClassification:
     def test_reference_counts(self):
         _, _, cls = classify()
-        assert sorted(len(cls.u_interior[s]) for s in range(4)) == [98, 98, 112, 112]
-        assert cls.u_dual.size == 56
-        assert cls.u_primal.size == 4
-        assert cls.xi_interface.size == 17
-        assert cls.p_dual.size == 12
-        assert cls.p_primal.size == 2
+        assert sorted(len(cls.u.interior[s]) for s in range(4)) == [98, 98, 112, 112]
+        assert cls.u.dual.size == 56
+        assert cls.u.primal.size == 4
+        assert cls.xi.interface.size == 17
+        assert cls.p.dual.size == 12
+        assert cls.p.primal.size == 2
         lay = cls.layout
-        assert (lay.n_w, lay.n_lambda) == (642, 56)
+        assert (lay.n_w, cls.u.dual.size) == (642, 56)
 
     def test_classification_partitions_dofs(self):
         for variant in ("p1", "p0"):
@@ -57,29 +57,47 @@ class TestClassification:
                 _, spaces, cls = classify(12, (3, 3), variant, primal)
                 n_sub = cls.n_subdomains
                 u_all = np.concatenate(
-                    [cls.u_interior[s] for s in range(n_sub)]
-                    + [cls.u_dual, cls.u_primal]
+                    [cls.u.interior[s] for s in range(n_sub)]
+                    + [cls.u.dual, cls.u.primal]
                 )
-                assert np.unique(u_all).size == u_all.size == spaces.n_u
+                assert np.unique(u_all).size == u_all.size == spaces.n_dofs["u"]
                 xi_all = np.concatenate(
-                    [cls.xi_interior[s] for s in range(n_sub)] + [cls.xi_interface]
+                    [cls.xi.interior[s] for s in range(n_sub)] + [cls.xi.interface]
                 )
-                assert np.unique(xi_all).size == xi_all.size == spaces.n_xi
+                assert np.unique(xi_all).size == xi_all.size == spaces.n_dofs["xi"]
                 p_all = np.concatenate(
-                    [cls.p_interior[s] for s in range(n_sub)]
-                    + [cls.p_dual, cls.p_primal]
+                    [cls.p.interior[s] for s in range(n_sub)]
+                    + [cls.p.dual, cls.p.primal]
                 )
-                assert np.unique(p_all).size == p_all.size == spaces.n_p
+                assert np.unique(p_all).size == p_all.size == spaces.n_dofs["p"]
+
+    @pytest.mark.parametrize("variant", ["p1", "p0"])
+    @pytest.mark.parametrize("primal", ["vertex", "vertex-edge"])
+    @pytest.mark.parametrize("bc", [bd.BoundarySpec.neumann_left(), bd.BoundarySpec.all_dirichlet()],
+                             ids=["neumann-left", "dirichlet"])
+    def test_local_dofs_are_the_split(self, variant, primal, bc):
+        # every field's local dofs of a subdomain are exactly its interior
+        # and interface dofs, the displacement's its interior, dual and
+        # primal ones, each once
+        _, spaces, cls = classify(24, (4, 2), variant, primal, bc)
+        system = bd.assemble_blocks(spaces, bd.MaterialField.uniform((4, 2), E=1.0, nu=0.3, alpha=1.0, kappa=1.0))
+        for s in range(cls.n_subdomains):
+            lb = system.stacked.local_view(s)
+            for fld, split in cls.splits.items():
+                parts = (split.sub_dual, split.sub_primal) if fld == "u" else (split.sub_interface,)
+                got = np.sort(np.concatenate([split.interior[s], *(d[s] for d in parts)]))
+                np.testing.assert_array_equal(got, lb.dofs[fld])
 
     def test_dual_lists_sorted_and_paired(self):
         _, _, cls = classify(12, (3, 3))
-        assert np.all(np.diff(cls.u_dual) > 0)
-        assert np.all(cls.u_dual_pairs[:, 0] < cls.u_dual_pairs[:, 1])
+        assert np.all(np.diff(cls.u.dual) > 0)
+        pairs = cls.u.dual_rows.sub.reshape(-1, 2)
+        assert np.all(pairs[:, 0] < pairs[:, 1])
 
     def test_p0_total_pressure_has_no_interface(self):
         _, _, cls = classify(variant="p0")
-        assert cls.xi_interface.size == 0
-        assert sorted(len(v) for v in cls.xi_interior.values()) == [32] * 4
+        assert cls.xi.interface.size == 0
+        assert sorted(len(v) for v in cls.xi.interior.values()) == [32] * 4
 
     def test_traction_boundary_cross_point_is_primal(self):
         # the left edge midpoint of the 2x2 split sits on the traction
@@ -87,34 +105,34 @@ class TestClassification:
         _, spaces, cls = classify()
         node = 8 * 17  # refined-mesh node at (0, 0.5)
         dof = spaces.u_dof_of_node[node]
-        assert dof in cls.u_primal and dof + 1 in cls.u_primal
+        assert dof in cls.u.primal and dof + 1 in cls.u.primal
 
     def test_all_dirichlet_leaves_center_only(self):
         _, _, cls = classify(bc=bd.BoundarySpec.all_dirichlet())
-        assert cls.u_primal.size == 2
-        assert cls.p_primal.size == 1
+        assert cls.u.primal.size == 2
+        assert cls.p.primal.size == 1
 
     def test_vertex_edge_counts(self):
         _, _, cls = classify(primal="vertex-edge")
-        assert cls.u_primal.size == 12  # 2 vertices + 4 edges x 2 components
-        assert cls.p_primal.size == 6
-        assert cls.u_transform is not None and cls.p_transform is not None
+        assert cls.u.primal.size == 12  # 2 vertices + 4 edges x 2 components
+        assert cls.p.primal.size == 6
+        assert cls.u.transform is not None and cls.p.transform is not None
 
     def test_vertex_only_needs_no_transform(self):
         _, _, cls = classify(primal="vertex")
-        assert cls.u_transform is None and cls.p_transform is None
+        assert cls.u.transform is None and cls.p.transform is None
 
     def test_edge_average_transform_invertible(self):
         _, spaces, cls = classify(primal="vertex-edge")
-        T = cls.u_transform.toarray()
-        assert T.shape == (spaces.n_u, spaces.n_u)
+        T = cls.u.transform.toarray()
+        assert T.shape == (spaces.n_dofs["u"], spaces.n_dofs["u"])
         assert abs(np.linalg.det(T)) > 1e-12
 
     def test_edge_average_column_structure(self):
         # each edge group has one all-ones column (the average) and
         # zero-mean columns for the remaining local dofs
         _, _, cls = classify(primal="vertex-edge")
-        T = cls.p_transform.toarray()
+        T = cls.p.transform.toarray()
         multi = np.where((T != 0).sum(axis=0) > 1)[0]
         assert multi.size == 12  # 4 edges x (1 average + 2 deviations)
         n_avg = 0
@@ -158,8 +176,8 @@ class TestClassification:
         u_groups = [dofs + comp for dofs in u_edges for comp in range(2)]
         p_edges = [spaces.p_dof_of_node[nodes] for nodes in _edge_groups(mesh.nx, mesh.ny, part.grid)]
         p_groups = [dofs[dofs >= 0] for dofs in p_edges if np.any(dofs >= 0)]
-        self.assert_bitwise_equal(cls.u_transform, self.per_group_transform(spaces.n_u, u_groups))
-        self.assert_bitwise_equal(cls.p_transform, self.per_group_transform(spaces.n_p, p_groups))
+        self.assert_bitwise_equal(cls.u.transform, self.per_group_transform(spaces.n_dofs["u"], u_groups))
+        self.assert_bitwise_equal(cls.p.transform, self.per_group_transform(spaces.n_dofs["p"], p_groups))
 
     def test_transform_of_mixed_group_sizes_matches_per_group_build(self):
         # groups of two sizes, interleaved as in a field with two edge lengths
@@ -195,9 +213,9 @@ class TestClassification:
             return [d] if d >= 0 else []
 
         for inc, want in (
-            (cls.u_incidence, expected(refined, {s: np.flatnonzero(element_subdomains(refined, part.grid) == s) for s in range(8)}, u_dofs)),
-            (cls.xi_incidence, expected(mesh, part.base_elements, lambda node: [node])),
-            (cls.p_incidence, expected(mesh, part.base_elements, p_dofs)),
+            (cls.u.rows, expected(refined, {s: np.flatnonzero(element_subdomains(refined, part.grid) == s) for s in range(8)}, u_dofs)),
+            (cls.xi.rows, expected(mesh, part.base_elements, lambda node: [node])),
+            (cls.p.rows, expected(mesh, part.base_elements, p_dofs)),
         ):
             np.testing.assert_array_equal(np.column_stack([inc.dof, inc.sub]), want)
 
@@ -217,15 +235,15 @@ class TestScalings:
         )
         _, _, cls = classify(12, (3, 3), variant, primal)
         sc = bd.build_scalings(cls, mats)
-        for dof, pair in zip(cls.u_dual, cls.u_dual_pairs):
-            total = sum(sc.weight("disp", int(dof), int(s)) for s in pair)
+        for dof, pair in zip(cls.u.dual, cls.u.dual_rows.sub.reshape(-1, 2)):
+            total = sum(sc.weight("u", int(dof), int(s)) for s in pair)
             assert total == 1.0  # exact by construction, not approx
-        for dof in cls.xi_interface:
-            subs = cls.xi_incidence.sharers(int(dof))
-            assert sum(sc.weight("total_pressure", int(dof), int(s)) for s in subs) == 1.0
-        for dof in np.concatenate([cls.p_dual, cls.p_primal]):
-            subs = cls.p_incidence.sharers(int(dof))
-            assert sum(sc.weight("pressure", int(dof), int(s)) for s in subs) == 1.0
+        for dof in cls.xi.interface:
+            subs = cls.xi.rows.sharers(int(dof))
+            assert sum(sc.weight("xi", int(dof), int(s)) for s in subs) == 1.0
+        for dof in np.concatenate([cls.p.dual, cls.p.primal]):
+            subs = cls.p.rows.sharers(int(dof))
+            assert sum(sc.weight("p", int(dof), int(s)) for s in subs) == 1.0
 
     def test_weights_follow_material_contrast(self):
         # displacement weights scale with mu, total pressure with 1/mu,
@@ -236,17 +254,17 @@ class TestScalings:
         )
         _, _, cls = classify()
         sc = bd.build_scalings(cls, mats)
-        dof = int(cls.u_dual[0])
-        s0, s1 = cls.u_dual_pairs[0]
-        ratio = sc.weight("disp", dof, s0) / sc.weight("disp", dof, s1)
+        dof = int(cls.u.dual[0])
+        s0, s1 = cls.u.dual_rows.sub.reshape(-1, 2)[0]
+        ratio = sc.weight("u", dof, s0) / sc.weight("u", dof, s1)
         assert ratio == pytest.approx(mats.mu[s0] / mats.mu[s1])
-        xd = int(cls.xi_interface[0])
-        t0, t1 = cls.xi_incidence.sharers(xd)[:2]
-        ratio = sc.weight("total_pressure", xd, t0) / sc.weight("total_pressure", xd, t1)
+        xd = int(cls.xi.interface[0])
+        t0, t1 = cls.xi.rows.sharers(xd)[:2]
+        ratio = sc.weight("xi", xd, t0) / sc.weight("xi", xd, t1)
         assert ratio == pytest.approx(mats.mu[t1] / mats.mu[t0])
-        pd = int(cls.p_dual[0])
-        q0, q1 = cls.p_incidence.sharers(pd)[:2]
-        ratio = sc.weight("pressure", pd, q0) / sc.weight("pressure", pd, q1)
+        pd = int(cls.p.dual[0])
+        q0, q1 = cls.p.rows.sharers(pd)[:2]
+        ratio = sc.weight("p", pd, q0) / sc.weight("p", pd, q1)
         assert ratio == pytest.approx(mats.kappa[q0] / mats.kappa[q1])
 
 
@@ -265,7 +283,7 @@ class TestJump:
     def test_rows_are_signed_pairs(self):
         cls, jump = self.build()
         B = jump.jump.tocsr()
-        assert jump.n_multipliers == cls.u_dual.size
+        assert jump.jump.shape[0] == cls.u.dual.size
         for k in range(B.shape[0]):
             row = B.getrow(k)
             assert row.nnz == 2
@@ -274,7 +292,7 @@ class TestJump:
     def test_scaled_jump_identity_exact(self):
         _, jump = self.build(black={"E": 1e3})
         prod = (jump.jump @ jump.jump_scaled.T).toarray()
-        np.testing.assert_array_equal(prod, np.eye(jump.n_multipliers))
+        np.testing.assert_array_equal(prod, np.eye(jump.jump.shape[0]))
 
     def test_jump_annihilates_continuous_traces(self):
         cls, jump = self.build()
@@ -308,10 +326,10 @@ class TestRestrictions:
     def test_break_then_average_is_identity(self):
         cls, rs = self.build(black={"E": 50.0})
         rng = np.random.default_rng(1)
-        xg = rng.standard_normal(cls.xi_interface.size)
+        xg = rng.standard_normal(cls.xi.interface.size)
         err = rs.xi_break_scaled.T @ (rs.xi_break @ xg) - xg
         assert np.max(np.abs(err)) < 1e-14
-        pg = rng.standard_normal(cls.p_interface.size)
+        pg = rng.standard_normal(cls.p.interface.size)
         err = rs.p_inject_scaled.T @ (rs.p_inject @ pg) - pg
         assert np.max(np.abs(err)) < 1e-14
 
@@ -346,8 +364,8 @@ class TestTransformSystem:
     def test_edge_average_congruence(self):
         system, cls = self.assemble("vertex-edge")
         out = bd.transform_system(system, cls)
-        Tu = cls.u_transform.toarray()
-        Tp = cls.p_transform.toarray()
+        Tu = cls.u.transform.toarray()
+        Tp = cls.p.transform.toarray()
         np.testing.assert_allclose(
             out.A.toarray(), Tu.T @ system.A.toarray() @ Tu, atol=1e-12
         )
@@ -362,8 +380,8 @@ class TestTransformSystem:
         system, cls = self.assemble("vertex-edge")
         out = bd.transform_system(system, cls)
         for s, lb in system.local.items():
-            Tu = cls.u_transform[np.ix_(lb.udofs, lb.udofs)].toarray()
-            Tp = cls.p_transform[np.ix_(lb.pdofs, lb.pdofs)].toarray()
+            Tu = cls.u.transform[np.ix_(lb.dofs["u"], lb.dofs["u"])].toarray()
+            Tp = cls.p.transform[np.ix_(lb.dofs["p"], lb.dofs["p"])].toarray()
             new = out.local[s]
             pairs = [
                 (new.A, Tu.T @ lb.A.toarray() @ Tu),
@@ -390,8 +408,8 @@ class TestTransformSystem:
         rep = out.stacked.rep
         assert_stored_once(out)
         for s, lb in out.local.items():
-            Tu = cls.u_transform[lb.udofs][:, lb.udofs]
-            Tp = cls.p_transform[lb.pdofs][:, lb.pdofs]
+            Tu = cls.u.transform[lb.dofs["u"]][:, lb.dofs["u"]]
+            Tp = cls.p.transform[lb.dofs["p"]][:, lb.dofs["p"]]
             A, B, C, D, E = (ref[name][0][s] for name in "ABCDE")
             own = dict(A=Tu.T @ A @ Tu, B=B @ Tu, C=C, D=Tp.T @ D, E=Tp.T @ E @ Tp)
             for name, want in own.items():
@@ -408,11 +426,11 @@ class TestTransformSystem:
     def test_recover_nodal_applies_transform(self):
         _, cls = self.assemble("vertex-edge")
         rng = np.random.default_rng(5)
-        ut = rng.standard_normal(cls.u_transform.shape[1])
-        pt = rng.standard_normal(cls.p_transform.shape[1])
+        ut = rng.standard_normal(cls.u.transform.shape[1])
+        pt = rng.standard_normal(cls.p.transform.shape[1])
         ur, pr = bd.recover_nodal(cls, ut, pt)
-        np.testing.assert_allclose(ur, cls.u_transform @ ut, atol=1e-14)
-        np.testing.assert_allclose(pr, cls.p_transform @ pt, atol=1e-14)
+        np.testing.assert_allclose(ur, cls.u.transform @ ut, atol=1e-14)
+        np.testing.assert_allclose(pr, cls.p.transform @ pt, atol=1e-14)
 
     def test_recover_nodal_identity_for_vertex(self):
         _, cls = self.assemble("vertex")

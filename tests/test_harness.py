@@ -51,6 +51,12 @@ class TestConfig:
         assert getattr(_config_from_args(args), field) == value
         assert _parse_axis(f"{field}={value}") == (field, [value])
 
+    AXES = {"reorthogonalize=true,false": [True, False], "reorthogonalize=False,TRUE": [False, True]}
+
+    @pytest.mark.parametrize("text", list(AXES))
+    def test_axis_values_parse(self, text):
+        assert _parse_axis(text) == (text.split("=")[0], self.AXES[text])
+
     def test_cli_offers_no_other_choice(self):
         assert set(self.FLAGS) == set(CHOICES)
         for flag in self.FLAGS.values():
@@ -404,8 +410,8 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "arg", [["--kappa", "nan"], ["--E", "inf"], ["--alpha", "nan"], ["--tol", "-1"]],
-        ids=["kappa-nan", "E-inf", "alpha-nan", "tol-negative"],
+        "arg", [["--kappa", "nan"], ["--E", "inf"], ["--alpha", "nan"], ["--tol", "-1"], ["--ritz-threshold", "2"]],
+        ids=["kappa-nan", "E-inf", "alpha-nan", "tol-negative", "ritz-threshold-2"],
     )
     def test_non_finite_or_negative_input_exits_2(self, arg, capsys):
         code = main(["run", "--nx", "8", *arg])
@@ -425,14 +431,16 @@ class TestCli:
         "config-body-force-inf": {"body_force": [0.0, -math.inf]},
         "config-ritz-drop-nan": {"ritz_drop_threshold": math.nan},
         "config-ritz-drop-inf": {"ritz_drop_threshold": math.inf},
+        "config-ritz-drop-negative": {"ritz_drop_threshold": -0.1},
+        "config-ritz-drop-one": {"ritz_drop_threshold": 1.0},
     }
 
     @pytest.mark.parametrize(
         "argv",
         [["sweep", "--axis", "nx=abc"], ["sweep", "--axis", "nu=x"], ["sweep", "--axis", "subdomains=4"],
-         ["fit", "--ratios", "a,b"], ["run", "--config", "missing.json"], ["run", "--config", "malformed.json"],
+         ["sweep", "--axis", "reorthogonalize=1,0"], ["fit", "--ratios", "a,b"], ["run", "--config", "missing.json"], ["run", "--config", "malformed.json"],
          ["run", "--config", "pair.json"], *(["run", "--config", f"{name}.json"] for name in TYPED_CONFIGS)],
-        ids=["axis-int", "axis-float", "axis-pair", "fit-ratios", "config-missing", "config-malformed", "config-pair",
+        ids=["axis-int", "axis-float", "axis-pair", "axis-bool", "fit-ratios", "config-missing", "config-malformed", "config-pair",
              *TYPED_CONFIGS],
     )
     def test_unparsable_input_exits_2(self, argv, tmp_path, capsys):
@@ -444,6 +452,21 @@ class TestCli:
         assert main([*argv, "--nx", "8", "--E", "1", "--nu", "0.3"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--out", "x.csv"], ["run", "--format", "json", "--out", "x.json"],
+         ["run", "--residuals", "r.csv"], ["sweep", "--axis", "nx=4", "--out", "x.csv"],
+         ["fit", "--ratios", "2,4", "--out", "f.json"]],
+        ids=["run-csv", "run-json", "run-residuals", "sweep", "fit"],
+    )
+    def test_unwritable_output_exits_2(self, argv, tmp_path, capsys):
+        # every output path lies in a directory that does not exist
+        missing = tmp_path / "missing"
+        argv = [str(missing / a) if a.endswith((".csv", ".json")) else a for a in argv]
+        assert main([*argv, "--nx", "4", "--sub", "2x2", "--E", "1", "--nu", "0.3"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write {missing}")
 
     def test_ny_is_no_input(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

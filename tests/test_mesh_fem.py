@@ -84,20 +84,20 @@ class TestMesh:
 class TestSpaces:
     def test_dof_counts_neumann_left(self):
         _, spaces, _, _ = small_system("p1")
-        assert spaces.n_u == 480
-        assert spaces.n_xi == 81
-        assert spaces.n_p == 56
+        assert spaces.n_dofs["u"] == 480
+        assert spaces.n_dofs["xi"] == 81
+        assert spaces.n_dofs["p"] == 56
         assert spaces.n_total == 617
 
     def test_p0_total_pressure_per_triangle(self):
         _, spaces, _, _ = small_system("p0")
-        assert spaces.n_xi == 128
+        assert spaces.n_dofs["xi"] == 128
 
     def test_all_dirichlet_removes_boundary(self):
         _, spaces, _, _ = small_system("p1", bc=bd.BoundarySpec.all_dirichlet())
-        assert spaces.n_u == 2 * 15 * 15
-        assert spaces.n_p == 7 * 7
-        assert spaces.n_xi == 81
+        assert spaces.n_dofs["u"] == 2 * 15 * 15
+        assert spaces.n_dofs["p"] == 7 * 7
+        assert spaces.n_dofs["xi"] == 81
 
     def test_unknown_variant_rejected(self):
         mesh = bd.build_mesh(4, (2, 2))
@@ -147,7 +147,7 @@ class TestAssembly:
     def test_total_pressure_mass_integrates_domain(self):
         for variant in ("p1", "p0"):
             _, spaces, mats, system = small_system(variant)
-            one = np.ones(spaces.n_xi)
+            one = np.ones(spaces.n_dofs["xi"])
             assert one @ (system.C @ one) * mats.lam[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_pressure_hat_energy(self):
@@ -155,7 +155,7 @@ class TestAssembly:
         h = 1.0 / 8
         lam = mats.lam[0]
         dof = spaces.p_dof_of_node[3 + 3 * 9]
-        e = np.zeros(spaces.n_p)
+        e = np.zeros(spaces.n_dofs["p"])
         e[dof] = 1.0
         want = 3.0 * 4.0 + (2 * 0.7**2 / lam) * h**2 / 2
         assert e @ (system.E @ e) == pytest.approx(want, rel=1e-13)
@@ -164,7 +164,7 @@ class TestAssembly:
         _, spaces, mats, system = small_system("p1")
         dof = spaces.u_dof_of_node[5 + 5 * 17]
         for comp in (0, 1):
-            e = np.zeros(spaces.n_u)
+            e = np.zeros(spaces.n_dofs["u"])
             e[dof + comp] = 1.0
             assert e @ (system.A @ e) == pytest.approx(6 * mats.mu[0], rel=1e-13)
 
@@ -178,7 +178,7 @@ class TestAssembly:
     def test_divergence_pairing_sign(self):
         # -int div(phi e1) x dx = +int phi = h^2 on the refined mesh
         mesh, spaces, _, system = small_system("p1")
-        v = np.zeros(spaces.n_u)
+        v = np.zeros(spaces.n_dofs["u"])
         v[spaces.u_dof_of_node[5 + 5 * 17]] = 1.0
         xi = mesh.vertices[:, 0].copy()
         assert xi @ (system.B @ v) == pytest.approx((1.0 / 16) ** 2, rel=1e-12)
@@ -187,12 +187,12 @@ class TestAssembly:
         rng = np.random.default_rng(7)
         for variant in ("p1", "p0"):
             _, spaces, _, system = small_system(variant)
-            u = rng.standard_normal(spaces.n_u)
-            xi = rng.standard_normal(spaces.n_xi)
-            p = rng.standard_normal(spaces.n_p)
+            u = rng.standard_normal(spaces.n_dofs["u"])
+            xi = rng.standard_normal(spaces.n_dofs["xi"])
+            p = rng.standard_normal(spaces.n_dofs["p"])
             totals = np.zeros(5)
             for lb in system.local.values():
-                ul, xil, pl = u[lb.udofs], xi[lb.xidofs], p[lb.pdofs]
+                ul, xil, pl = u[lb.dofs["u"]], xi[lb.dofs["xi"]], p[lb.dofs["p"]]
                 totals += (
                     ul @ (lb.A @ ul),
                     xil @ (lb.B @ ul),
@@ -209,11 +209,11 @@ class TestAssembly:
 
     def test_rhs_subassembly(self):
         _, spaces, _, system = small_system("p1")
-        f = np.zeros(spaces.n_u)
-        g = np.zeros(spaces.n_p)
+        f = np.zeros(spaces.n_dofs["u"])
+        g = np.zeros(spaces.n_dofs["p"])
         for lb in system.local.values():
-            np.add.at(f, lb.udofs, lb.f)
-            np.add.at(g, lb.pdofs, lb.g)
+            np.add.at(f, lb.dofs["u"], lb.f)
+            np.add.at(g, lb.dofs["p"], lb.g)
         np.testing.assert_allclose(f, system.f, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(g, system.g, rtol=1e-12, atol=1e-15)
 
@@ -235,7 +235,7 @@ class TestAssembly:
     def test_loads_are_float_without_free_dofs(self, nx):
         # one cell under Dirichlet conditions leaves no free pressure dof
         _, spaces, _, system = small_system("p1", bc=bd.BoundarySpec.all_dirichlet(), grid=(1, 1), nx=nx)
-        assert (spaces.n_p == 0) == (nx == 1)
+        assert (spaces.n_dofs["p"] == 0) == (nx == 1)
         for load in (system.f, system.g, system.stacked.f, system.stacked.g):
             assert load.dtype == np.float64
 
@@ -272,7 +272,7 @@ class TestStackedAssembly:
             for s, lb in system.local.items():
                 assert np.array_equal(getattr(lb, name), local[s])
         for s, lb in system.local.items():
-            for fld, dofs in (("u", lb.udofs), ("xi", lb.xidofs), ("p", lb.pdofs)):
+            for fld, dofs in lb.dofs.items():
                 assert np.array_equal(dofs, ref[fld][s])
 
     def test_local_blocks_share_the_stacked_data(self):
@@ -298,7 +298,7 @@ class TestPerClassAssembly:
         assert np.unique(rep).size < rep.size
         assert_stored_once(system)
         for s, lb in system.local.items():
-            for fld, dofs in (("u", lb.udofs), ("xi", lb.xidofs), ("p", lb.pdofs)):
+            for fld, dofs in lb.dofs.items():
                 assert np.array_equal(dofs, ref[fld][s])
             for name in "ABCDEfg":
                 got, want, tiled = getattr(lb, name), ref[name][0][s], getattr(system.local[rep[s]], name)

@@ -37,7 +37,7 @@ def build(**kw):
 
 
 def broken_dual_offsets(cls):
-    sizes = [len(cls.u_sub_dual[s]) for s in range(cls.n_subdomains)]
+    sizes = [len(cls.u.sub_dual[s]) for s in range(cls.n_subdomains)]
     return np.cumsum([0] + sizes)
 
 
@@ -50,12 +50,12 @@ def broken_elastic_schur(pipe, lumped=False):
     H = np.zeros((n, n))
     for s in range(cls.n_subdomains):
         lb = pipe.system.local[s]
-        dual = lb.u_pos(np.asarray(cls.u_sub_dual[s], dtype=np.int64))
+        dual = lb.pos("u", np.asarray(cls.u.sub_dual[s], dtype=np.int64))
         sl = slice(offsets[s], offsets[s + 1])
         if lumped:
             H[sl, sl] = lb.A.toarray()[np.ix_(dual, dual)]
         else:
-            inner = lb.u_pos(np.asarray(cls.u_interior[s], dtype=np.int64))
+            inner = lb.pos("u", np.asarray(cls.u.interior[s], dtype=np.int64))
             H[sl, sl] = splu_schur(lb.A, dual, inner)
     return H
 
@@ -179,9 +179,9 @@ class TestClassBatchedBlocks:
             R = pipe.restrictions.xi_break_scaled.toarray()
             blocks = []
             for s, lb in local:
-                gamma = lb.xi_pos(cls.xi_sub_interface[s])
+                gamma = lb.pos("xi", cls.xi.sub_interface[s])
                 ratio = pipe.materials.lam[s] / pipe.materials.mu[s]
-                blocks.append(np.linalg.inv(ratio * numpy_schur(lb.C, gamma, lb.xi_pos(cls.xi_interior[s]))))
+                blocks.append(np.linalg.inv(ratio * numpy_schur(lb.C, gamma, lb.pos("xi", cls.xi.interior[s]))))
             ref = R.T @ sla.block_diag(*blocks) @ R
             assert rel_err(dense_from_apply(pre.xi.apply, R.shape[1]), ref) < 1e-12
         else:
@@ -189,23 +189,23 @@ class TestClassBatchedBlocks:
 
         # pressure: partially assembled Schur complement on (broken duals | primal)
         R = pipe.restrictions.p_inject_scaled.toarray()
-        n_dual = R.shape[0] - cls.p_primal.size
+        n_dual = R.shape[0] - cls.p.primal.size
         S = np.zeros((R.shape[0], R.shape[0]))
         off = 0
         for s, lb in local:
-            ids = cls.p_sub_interface[s]
-            is_dual = np.isin(ids, cls.p_dual)
+            ids = cls.p.sub_interface[s]
+            is_dual = np.isin(ids, cls.p.dual)
             t = np.empty(ids.size, dtype=np.int64)
             t[is_dual] = off + np.arange(np.count_nonzero(is_dual))
-            t[~is_dual] = n_dual + np.searchsorted(cls.p_primal, ids[~is_dual])
+            t[~is_dual] = n_dual + np.searchsorted(cls.p.primal, ids[~is_dual])
             off += np.count_nonzero(is_dual)
-            S[np.ix_(t, t)] += numpy_schur(lb.E, lb.p_pos(ids), lb.p_pos(cls.p_interior[s]))
+            S[np.ix_(t, t)] += numpy_schur(lb.E, lb.pos("p", ids), lb.pos("p", cls.p.interior[s]))
         ref = R.T @ np.linalg.solve(S, R)
         assert rel_err(dense_from_apply(pre.pressure.apply, R.shape[1]), ref) < 1e-12
 
         # multipliers: scaled jumps through the broken Dirichlet Schur complements
         H = sla.block_diag(*[
-            numpy_schur(lb.A, lb.u_pos(cls.u_sub_dual[s]), lb.u_pos(cls.u_interior[s])) for s, lb in local
+            numpy_schur(lb.A, lb.pos("u", cls.u.sub_dual[s]), lb.pos("u", cls.u.interior[s])) for s, lb in local
         ])
         Bd = pipe.jump.jump_scaled.toarray()
         ref = Bd @ H @ Bd.T
@@ -218,19 +218,19 @@ def lu_solve_bddc(pipe, kind):
     Schur complement (splu_schur), the coarse matrix summed from the same."""
     cls = pipe.cls
     bddc = pipe.preconditioner.xi if kind == "xi" else pipe.preconditioner.pressure
-    n_primal = cls.p_primal.size if kind == "p" else 0
+    n_primal = cls.p.primal.size if kind == "p" else 0
     F = np.zeros((n_primal, n_primal))
     subs = []
     for s in range(cls.n_subdomains):
         lb = pipe.system.local[s]
         if kind == "xi":
             M = pipe.materials.lam[s] / pipe.materials.mu[s] * lb.C
-            gamma, inner = lb.xi_pos(cls.xi_sub_interface[s]), lb.xi_pos(cls.xi_interior[s])
+            gamma, inner = lb.pos("xi", cls.xi.sub_interface[s]), lb.pos("xi", cls.xi.interior[s])
             nd, cols = gamma.size, np.zeros(0, dtype=np.int64)
         else:
-            dual, primal = cls.p_sub_dual[s], cls.p_sub_primal[s]
-            M, gamma, inner = lb.E, lb.p_pos(np.concatenate([dual, primal])), lb.p_pos(cls.p_interior[s])
-            nd, cols = dual.size, np.searchsorted(cls.p_primal, primal)
+            dual, primal = cls.p.sub_dual[s], cls.p.sub_primal[s]
+            M, gamma, inner = lb.E, lb.pos("p", np.concatenate([dual, primal])), lb.pos("p", cls.p.interior[s])
+            nd, cols = dual.size, np.searchsorted(cls.p.primal, primal)
         S = splu_schur(M, gamma, inner)
         lu = sla.lu_factor(S[:nd, :nd])
         A_rP = S[:nd, nd:]
@@ -380,12 +380,12 @@ class TestSharedSchur:
 
         def block(r):
             lb = system.stacked.local_view(r)
-            iD, iI, iP = (lb.u_pos(d[r]) for d in (cls.u_sub_dual, cls.u_interior, cls.u_sub_primal))
+            iD, iI, iP = (lb.pos("u", d[r]) for d in (cls.u.sub_dual, cls.u.interior, cls.u.sub_primal))
             if r == 1 and change == "kept":
                 iD = np.concatenate([iD, iP])  # its primal corners are not kept at the interior class
             if r == 1 and change == "eliminated":
                 iI = iI[1:]
-            return lb.A.tocsr(), lb.udofs, iD, iI
+            return lb.A.tocsr(), lb.dofs["u"], iD, iI
 
         with pytest.raises(bd.InternalError, match=f"^elastic interior block of subdomain 1: {why}$"):
             class_schurs(system, "u", block, "elastic")
@@ -433,17 +433,17 @@ class TestSchurKernel:
             pipe = build(nx=48, subdomains=(3, 3))
             r = {"lambda corner": 0, "lambda edge": 1, "lambda centre": 4}[case]
             lb, cls = pipe.system.local[r], pipe.cls
-            inner = lb.u_pos(cls.u_interior[r])
-            return lb.A, lb.u_pos(cls.u_sub_dual[r]), inner, pipe.system.spaces.lattice("u", lb.udofs[inner])
+            inner = lb.pos("u", cls.u.interior[r])
+            return lb.A, lb.pos("u", cls.u.sub_dual[r]), inner, pipe.system.spaces.lattice("u", lb.dofs["u"][inner])
         # 2x2 at H/h=22: the xi and p interiors cross the cutoff
         pipe = build(nx=44, subdomains=(2, 2))
         lb, cls, r = pipe.system.local[0], pipe.cls, 0
         if case == "xi":
-            inner = lb.xi_pos(cls.xi_interior[r])
-            return lb.C, lb.xi_pos(cls.xi_sub_interface[r]), inner, pipe.system.spaces.lattice("xi", lb.xidofs[inner])
-        inner = lb.p_pos(cls.p_interior[r])
-        gamma = lb.p_pos(np.concatenate([cls.p_sub_dual[r], cls.p_sub_primal[r]]))
-        return lb.E, gamma, inner, pipe.system.spaces.lattice("p", lb.pdofs[inner])
+            inner = lb.pos("xi", cls.xi.interior[r])
+            return lb.C, lb.pos("xi", cls.xi.sub_interface[r]), inner, pipe.system.spaces.lattice("xi", lb.dofs["xi"][inner])
+        inner = lb.pos("p", cls.p.interior[r])
+        gamma = lb.pos("p", np.concatenate([cls.p.sub_dual[r], cls.p.sub_primal[r]]))
+        return lb.E, gamma, inner, pipe.system.spaces.lattice("p", lb.dofs["p"][inner])
 
     @pytest.mark.parametrize("case", ["lambda corner", "lambda edge", "lambda centre", "xi", "p"])
     def test_matches_the_splu_schur_complement(self, case):

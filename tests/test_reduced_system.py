@@ -84,15 +84,15 @@ class TestOperator:
         rows, cols, vals = [], [], []
         for s, lb in system.local.items():
             sets = _local_index_sets(cls, s, lb)
-            y = {"xi": np.full(lb.xidofs.size, -1), "p": np.full(lb.pdofs.size, -1)}
-            y["xi"][sets["xiG"]] = lay.xi_iface_pos(cls.xi_sub_interface[s])
-            y["p"][sets["pG"]] = n_xi + lay.p_iface_pos(cls.p_sub_interface[s])
-            w = {"u": np.full(lb.udofs.size, -1), "xi": np.full(lb.xidofs.size, -1), "p": np.full(lb.pdofs.size, -1)}
-            w["u"][sets["uI"]] = lay.u_int_pos[cls.u_interior[s]]
+            y = {"xi": np.full(lb.dofs["xi"].size, -1), "p": np.full(lb.dofs["p"].size, -1)}
+            y["xi"][sets["xiG"]] = cls.xi.interface_pos(cls.xi.sub_interface[s])
+            y["p"][sets["pG"]] = n_xi + cls.p.interface_pos(cls.p.sub_interface[s])
+            w = {"u": np.full(lb.dofs["u"].size, -1), "xi": np.full(lb.dofs["xi"].size, -1), "p": np.full(lb.dofs["p"].size, -1)}
+            w["u"][sets["uI"]] = lay.int_pos["u"][cls.u.interior[s]]
             w["u"][sets["uD"]] = lay.dual_slice.start + np.arange(lay.dual_offset[s], lay.dual_offset[s + 1])
-            w["u"][sets["uP"]] = lay.primal_pos[cls.u_sub_primal[s]]
-            w["xi"][sets["xiI"]] = lay.xi_int_pos[cls.xi_interior[s]]
-            w["p"][sets["pI"]] = lay.p_int_pos[cls.p_interior[s]]
+            w["u"][sets["uP"]] = lay.primal_pos[cls.u.sub_primal[s]]
+            w["xi"][sets["xiI"]] = lay.int_pos["xi"][cls.xi.interior[s]]
+            w["p"][sets["pI"]] = lay.int_pos["p"][cls.p.interior[s]]
             for name, r, c, sign, transposed in (("B", y["xi"], w["u"], 1, False), ("C", y["xi"], w["xi"], -1, False),
                                                  ("D", w["p"], y["xi"], 1, True), ("D", y["p"], w["xi"], 1, False),
                                                  ("E", y["p"], w["p"], -1, False)):
@@ -108,7 +108,7 @@ class TestOperator:
         vals.append(J.data)
         B_C = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=red.B_C.shape)
         # C_hat: the interface slices of the global C, D and E
-        xiG, pG = cls.xi_interface, lay.p_iface
+        xiG, pG = cls.xi.interface, cls.p.interface
         C, D, E = (M.tocsr() for M in (system.C, system.D, system.E))
         C_hat = sp.bmat([[C[xiG][:, xiG], -D[pG][:, xiG].T, None], [-D[pG][:, xiG], E[pG][:, pG], None],
                          [None, None, sp.csr_matrix((n_lam, n_lam))]], format="csr")
@@ -197,9 +197,9 @@ class TestSolveAndRecover:
         y = np.linalg.solve(G, red.rhs())
         u, xi, p, jump_norm = red.recover(y)
         assert jump_norm < 1e-9
-        assert u.size == red.cls.u_dual.size + sum(
-            len(v) for v in red.cls.u_interior.values()
-        ) + red.cls.u_primal.size
+        assert u.size == red.cls.u.dual.size + sum(
+            len(v) for v in red.cls.u.interior.values()
+        ) + red.cls.u.primal.size
 
     def test_recovered_fields_solve_nodal_system(self):
         pipe = build()
@@ -393,15 +393,15 @@ class TestCongruenceClasses:
         assert rel_err(red.apply_torn_inverse(b), sp.linalg.spsolve(A_t, b)) < 1e-10
 
     @pytest.mark.parametrize(
-        "attr, name, change",
-        [("u_sub_dual", "uD", "dropped"), ("u_sub_dual", "uD", "foreign"), ("p_sub_dual", "pD", "foreign")],
+        "fld, name, change",
+        [("u", "uD", "dropped"), ("u", "uD", "foreign"), ("p", "pD", "foreign")],
     )
-    def test_member_with_other_dual_set_is_rejected(self, monkeypatch, attr, name, change):
+    def test_member_with_other_dual_set_is_rejected(self, monkeypatch, fld, name, change):
         # subdomains 5 and 6 are interior, 6 a member of 5's class: a member
         # is solved on its representative's local positions, which must hold
         # its own classified dofs
         pipe = bd.build_pipeline(bd.ExperimentConfig(nx=16, subdomains=(4, 4), E=1.0, nu=0.3))
-        sets = getattr(pipe.cls, attr)
+        sets = pipe.cls.splits[fld].sub_dual
         monkeypatch.setitem(sets, 6, sets[6][:-1] if change == "dropped" else sets[5])
         with pytest.raises(bd.InternalError, match=f"subdomain 6: {name} dofs"):
             bd.build_reduced_system(pipe.system, pipe.cls, pipe.jump)
@@ -416,7 +416,7 @@ class TestCongruenceClasses:
         A_t = red.torn_matrix().tocsr()[: lay.n_w, : lay.n_w]
         b = np.random.default_rng(5).standard_normal(lay.n_w)
         r = A_t @ red.apply_torn_inverse(b) - b
-        rows = lay.p_int_pos[lay.p_int_pos >= 0]  # the u rows would hide a wrong flow block
+        rows = lay.int_pos["p"][lay.int_pos["p"] >= 0]  # the u rows would hide a wrong flow block
         assert np.linalg.norm(r[rows]) < 1e-10 * np.linalg.norm(b[rows])
 
     @pytest.mark.parametrize("variant", ["p1", "p0"])
@@ -497,9 +497,9 @@ class TestClassKey:
         saddles = [_local_saddle(lb, sets) for lb, sets in zip(lbs, ix)]
         p_gamma = []
         for s, lb in enumerate(lbs):
-            ids = cls.p_sub_interface[s]
-            dual = np.isin(ids, cls.p_dual)
-            p_gamma.append((lb.p_pos(np.concatenate([ids[dual], ids[~dual]])), np.array([dual.sum()])))
+            ids = cls.p.sub_interface[s]
+            dual = np.isin(ids, cls.p.dual)
+            p_gamma.append((lb.pos("p", np.concatenate([ids[dual], ids[~dual]])), np.array([dual.sum()])))
         numeric = {
             "ABCDE": [[*sets.values(), *_saddle_blocks(M, sets)] for sets, M in zip(ix, saddles)],
             "A": [[lb.A, sets["uD"], sets["uI"]] for lb, sets in zip(lbs, ix)],
