@@ -95,7 +95,8 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bc", choices=CHOICES["bc"], help="boundary preset")
     parser.add_argument("--tol", type=float, help="relative residual tolerance")
     parser.add_argument("--max-iter", type=int, help="iteration cap")
-    parser.add_argument("--reorthogonalize", action="store_true", default=None, help="full reorthogonalization")
+    parser.add_argument("--reorthogonalize", action=argparse.BooleanOptionalAction, default=None,
+                        help="full reorthogonalization")
     parser.add_argument("--ritz-threshold", dest="ritz_drop_threshold", type=float, help="spurious mode drop ratio")
     parser.add_argument("--oracle", choices=CHOICES["oracle"], help="direct solve comparison")
 

@@ -36,6 +36,7 @@ from .mesh_fem import (
     BlockSystem,
     ConfigurationError,
     FeSpaceSet,
+    FieldSpace,
     MaterialField,
     StructuredMesh,
     block_positions,
@@ -130,8 +131,8 @@ class Incidence:
         return lo + int(np.flatnonzero(self.sharers(dof) == sub)[0])
 
 
-def _incidence(m: StructuredMesh, grid: tuple[int, int], nodes: np.ndarray, dofs: np.ndarray) -> Incidence:
-    """Incidence of the dofs ``dofs`` sitting at the nodes ``nodes`` of ``m``.
+def _incidence(space: FieldSpace, grid: tuple[int, int]) -> Incidence:
+    """Incidence of the dofs of ``space``, by the subdomains holding their nodes.
 
     Along one axis, node line i of a g-subdomain grid m cells wide lies in
     subdomains (i-1)//m and i//m, clipped to the grid; a node lies in the
@@ -139,8 +140,9 @@ def _incidence(m: StructuredMesh, grid: tuple[int, int], nodes: np.ndarray, dofs
     """
     gx, gy = grid
     n_sub = gx * gy
-    mx, my = m.nx // gx, m.ny // gy
-    ix, iy = m.node_ix(nodes), m.node_iy(nodes)
+    mx, my = space.mesh.nx // gx, space.mesh.ny // gy
+    dofs = np.arange(space.n)
+    ix, iy = space.lattice(dofs)
     sx = np.clip([(ix - 1) // mx, ix // mx], 0, gx - 1)
     sy = np.clip([(iy - 1) // my, iy // my], 0, gy - 1)
     keys = sorted_unique(dofs * n_sub + (sy[:, None] * gx + sx[None, :]).reshape(4, -1))
@@ -153,20 +155,16 @@ def _split_interior(inc: Incidence, n_sub: int) -> tuple[dict[int, np.ndarray], 
     return inc.select(~shared).by_subdomain(n_sub), inc.select(shared)
 
 
-def _lattice_corners(
-    m: StructuredMesh, grid: tuple[int, int], nodes: np.ndarray, dofs: np.ndarray, n: int
-) -> np.ndarray:
-    """Flag over a field's n dofs: the node is a corner of the subdomain lattice.
+def _lattice_corners(space: FieldSpace, grid: tuple[int, int]) -> np.ndarray:
+    """Flag over the dofs of ``space``: the node is a corner of the subdomain lattice.
 
     Only free nodes are classified, so corners on the constrained boundary
     never reach this test; corners on the traction boundary are genuine
     coarse vertices and stay primal, which keeps the spectrum flat as
     subdomains are added.
     """
-    gx, gy = grid
-    flag = np.zeros(n, dtype=bool)
-    flag[dofs] = (m.node_ix(nodes) % (m.nx // gx) == 0) & (m.node_iy(nodes) % (m.ny // gy) == 0)
-    return flag
+    ix, iy = space.lattice(np.arange(space.n))
+    return (ix % (space.mesh.nx // grid[0]) == 0) & (iy % (space.mesh.ny // grid[1]) == 0)
 
 
 def _check_dual_pairs(iface: Incidence, corner: np.ndarray, what: str) -> None:
@@ -346,21 +344,13 @@ def _build_transform(n: int, groups: list[np.ndarray]) -> sp.csr_matrix:
 def classify_dofs(part: SubdomainPartition, spaces: FeSpaceSet, primal_variant: str) -> DofClassification:
     if primal_variant not in ("vertex", "vertex-edge"):
         raise ConfigurationError(f"unknown primal variant {primal_variant!r}")
-    mesh = part.mesh
     grid = part.grid
     n_sub = part.n_subdomains
     splits = {}
-    # the mesh, free nodes, node -> first dof map and components of the two
-    # fields with primal dofs: displacement dofs 2k and 2k+1 sit at the k-th
-    # free refined node
-    nodal = {"u": (mesh.refined_mesh, spaces.u_free_nodes, spaces.u_dof_of_node, 2),
-             "p": (mesh, spaces.p_free_nodes, spaces.p_dof_of_node, 1)}
-    for fld, (m, free, dof_of_node, k) in nodal.items():
-        n = spaces.n_dofs[fld]
-        nodes = np.repeat(free, k)
-        dofs = dof_of_node[nodes] + np.tile(np.arange(k), free.size)
-        interior, rows = _split_interior(_incidence(m, grid, nodes, dofs), n_sub)
-        is_primal = _lattice_corners(m, grid, nodes, dofs, n)
+    for fld in ("u", "p"):  # the fields with primal dofs
+        space = spaces.fields[fld]
+        interior, rows = _split_interior(_incidence(space, grid), n_sub)
+        is_primal = _lattice_corners(space, grid)
         _check_dual_pairs(rows, is_primal, fld)
         transform = None
         if primal_variant == "vertex-edge":
@@ -368,20 +358,19 @@ def classify_dofs(part: SubdomainPartition, spaces: FeSpaceSet, primal_variant: 
             # interior nodes (refined-level ones for the displacement): the
             # first dof of each edge then carries the average and turns
             # primal; its sharers are the edge's pair already
-            edges = [dof_of_node[e] for e in _edge_groups(m.nx, m.ny, grid) if e.size]
+            edges = [space.dof_of_node[e] for e in _edge_groups(space.mesh.nx, space.mesh.ny, grid) if e.size]
             if any(np.any(e < 0) for e in edges):
                 raise InternalError(f"{fld} edge interior node unexpectedly constrained")
-            groups = [e + c for e in edges for c in range(k)]
+            groups = [e + c for e in edges for c in range(space.k)]
             is_primal[[g[0] for g in groups]] = True
-            transform = _build_transform(n, groups)
+            transform = _build_transform(space.n, groups)
         splits[fld] = FieldSplit(n_sub, interior, rows, is_primal, transform)
 
-    if spaces.total_pressure_variant == "p0":
+    if spaces.total_pressure_variant == "p0":  # a P0 dof is its triangle, interior to its subdomain
         interior = {s: np.asarray(part.base_elements[s], dtype=np.int64) for s in range(n_sub)}
         rows = Incidence(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
     else:
-        nodes = np.arange(mesh.n_nodes)
-        interior, rows = _split_interior(_incidence(mesh, grid, nodes, nodes), n_sub)
+        interior, rows = _split_interior(_incidence(spaces.fields["xi"], grid), n_sub)
     splits["xi"] = FieldSplit(n_sub, interior, rows, np.zeros(spaces.n_dofs["xi"], dtype=bool))
     cls = DofClassification(grid=grid, spaces=spaces, **splits)
     _check_floating(cls)
@@ -393,9 +382,7 @@ def _check_floating(cls: DofClassification) -> None:
     constraint locations to pin its rigid motions."""
     dirichlet = [side in cls.spaces.bc.displacement_dirichlet for side in SIDES]
     for s in np.flatnonzero(~subdomain_sides(cls.grid)[:, dirichlet].any(axis=1)):
-        # every primal dof pairs with its sibling component at the same node,
-        # so distinct nodes count distinct constraint locations
-        n_locations = np.unique(cls.u.sub_primal[s] // 2).size
+        n_locations = np.unique(cls.spaces.fields["u"].nodes(cls.u.sub_primal[s])).size
         if n_locations < 2:
             raise ConfigurationError(
                 f"subdomain {s} floats: no Dirichlet contact and only {n_locations} primal constraint location(s)"

@@ -159,8 +159,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ConfigurationError(f"a configuration must be an object of field values, got {type(data).__name__}")
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigurationError(f"unknown configuration keys: {sorted(unknown)}")
         kwargs = dict(data)
@@ -415,15 +416,13 @@ def run_case(cfg: ExperimentConfig, pipe: Pipeline | None = None) -> RunResult:
 
 
 def _set_axis(cfg: ExperimentConfig, name: str, value) -> ExperimentConfig:
+    """``cfg`` with the sweep axis ``name`` set: a configuration field other
+    than ``black``, or ``black.KEY`` for one black-cell value."""
     if name.startswith("black."):
-        black = dict(cfg.black)
-        black[name.split(".", 1)[1]] = value
-        return replace(cfg, black=black)
-    if name == "subdomains":
-        return replace(cfg, subdomains=tuple(value))
-    if not hasattr(cfg, name):
+        return replace(cfg, black={**cfg.black, name.split(".", 1)[1]: value})
+    if name == "black" or name not in {f.name for f in fields(cfg)}:
         raise ConfigurationError(f"unknown sweep axis {name!r}")
-    return replace(cfg, **{name: value})
+    return replace(cfg, **{name: tuple(value) if name == "subdomains" else value})
 
 
 def run_sweep(

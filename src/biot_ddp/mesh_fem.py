@@ -187,44 +187,74 @@ class BoundarySpec:
 
 
 @dataclass
-class FeSpaceSet:
-    """Free-dof numbering for the three fields.
+class FieldSpace:
+    """One field's dof numbering: dof ``k * i + c`` is component c at node
+    ``free[i]`` of ``mesh``.  ``dof_of_node`` maps a node to its first dof,
+    or -1 where the node is not free."""
 
-    Displacement: vector P1 on the refined mesh, dofs 2k (x) and 2k+1 (y).
-    Total pressure: P1 on the base mesh ("p1", one dof per node, no boundary
-    conditions) or piecewise constants ("p0", one dof per base triangle).
-    Pressure: P1 on the base mesh with Dirichlet nodes eliminated.
+    mesh: StructuredMesh
+    free: np.ndarray
+    k: int
+    dof_of_node: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.dof_of_node = np.full(self.mesh.n_nodes, -1, dtype=np.int64)
+        self.dof_of_node[self.free] = self.k * np.arange(self.free.size)
+
+    @property
+    def n(self) -> int:
+        return self.k * self.free.size
+
+    def nodes(self, dofs: np.ndarray) -> np.ndarray:
+        return self.free[dofs // self.k]
+
+    def lattice(self, dofs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Grid coordinates (ix, iy) of the node of each of ``dofs``."""
+        nodes = self.nodes(dofs)
+        return self.mesh.node_ix(nodes), self.mesh.node_iy(nodes)
+
+    def node_dofs(self, nodes: np.ndarray) -> np.ndarray:
+        """The k dofs at each of ``nodes`` (any shape), interleaved along the
+        last axis, -1 where a node is not free."""
+        first = self.dof_of_node[nodes][..., None]
+        d = np.where(first >= 0, first + np.arange(self.k), -1)
+        return d.reshape(*d.shape[:-2], d.shape[-2] * self.k)
+
+    def patch_keys(self, grid: tuple[int, int], s, dofs: np.ndarray) -> np.ndarray:
+        """One integer per dof of subdomain s (one, or one per dof) of the
+        subdomain grid ``grid``: its node's grid position relative to the
+        subdomain's lower-left node, and its component."""
+        gx, gy = grid
+        m = self.mesh
+        ix, iy = self.lattice(dofs)
+        ix, iy = ix - s % gx * (m.nx // gx), iy - s // gx * (m.ny // gy)
+        return 2 * (ix * (m.ny + 1) + iy) + dofs % self.k
+
+
+@dataclass
+class FeSpaceSet:
+    """The dof numbering of the three fields, ``fields`` "u", "xi" and "p"
+    in that order (the order of the unknowns of the full system).
+
+    Displacement: vector P1 on the refined mesh, two dofs per free node.
+    Total pressure: P1 on the base mesh ("p1", every node, no boundary
+    conditions) or piecewise constants ("p0": two dofs at each cell's
+    lower-left node, dof t being base triangle t).  Pressure: P1 on the
+    base mesh with Dirichlet nodes eliminated.
     """
 
     mesh: StructuredMesh
     total_pressure_variant: str
     bc: BoundarySpec
-    u_free_nodes: np.ndarray
-    u_dof_of_node: np.ndarray  # refined node -> x-component dof, or -1
-    p_free_nodes: np.ndarray
-    p_dof_of_node: np.ndarray  # base node -> dof, or -1
-    n_dofs: dict[str, int]  # of each field: "u", "xi" and "p"
+    fields: dict[str, FieldSpace]
+
+    @property
+    def n_dofs(self) -> dict[str, int]:
+        return {fld: space.n for fld, space in self.fields.items()}
 
     @property
     def n_total(self) -> int:
         return sum(self.n_dofs.values())
-
-    def lattice(self, fld: str, dofs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Grid coordinates (ix, iy) of the node of each of ``dofs`` of field
-        ``fld`` ("u", "xi" or "p"): displacement nodes on the refined grid,
-        the others on the base grid, a p0 total pressure at its cell's
-        corner."""
-        mesh = self.mesh
-        if fld == "u":
-            mesh, nodes = mesh.refined_mesh, self.u_free_nodes[dofs // 2]
-        elif fld == "p":
-            nodes = self.p_free_nodes[dofs]
-        elif self.total_pressure_variant == "p1":
-            nodes = dofs
-        else:
-            cell = dofs // 2
-            nodes = cell // mesh.nx * (mesh.nx + 1) + cell % mesh.nx
-        return mesh.node_ix(nodes), mesh.node_iy(nodes)
 
 
 def build_spaces(mesh: StructuredMesh, total_pressure_variant: str, bc: BoundarySpec) -> FeSpaceSet:
@@ -239,26 +269,13 @@ def build_spaces(mesh: StructuredMesh, total_pressure_variant: str, bc: Boundary
     refined = mesh.refined_mesh
     if refined is None:
         raise ConfigurationError("mesh is missing its refinement; use build_mesh")
-
-    u_free = np.flatnonzero(~refined.boundary_node_mask(bc.displacement_dirichlet))
-    u_dof_of_node = np.full(refined.n_nodes, -1, dtype=np.int64)
-    u_dof_of_node[u_free] = 2 * np.arange(u_free.size)
-
-    p_free = np.flatnonzero(~mesh.boundary_node_mask(bc.pressure_dirichlet))
-    p_dof_of_node = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    p_dof_of_node[p_free] = np.arange(p_free.size)
-
-    return FeSpaceSet(
-        mesh=mesh,
-        total_pressure_variant=total_pressure_variant,
-        bc=bc,
-        u_free_nodes=u_free,
-        u_dof_of_node=u_dof_of_node,
-        p_free_nodes=p_free,
-        p_dof_of_node=p_dof_of_node,
-        n_dofs={"u": 2 * u_free.size, "xi": mesh.n_nodes if total_pressure_variant == "p1" else mesh.n_triangles,
-                "p": p_free.size},
-    )
+    return FeSpaceSet(mesh=mesh, total_pressure_variant=total_pressure_variant, bc=bc, fields={
+        "u": FieldSpace(refined, np.flatnonzero(~refined.boundary_node_mask(bc.displacement_dirichlet)), 2),
+        # p0: at each cell's lower-left node, the first vertex of both its triangles
+        "xi": FieldSpace(mesh, np.arange(mesh.n_nodes), 1) if total_pressure_variant == "p1"
+        else FieldSpace(mesh, mesh.triangles[0::2, 0], 2),
+        "p": FieldSpace(mesh, np.flatnonzero(~mesh.boundary_node_mask(bc.pressure_dirichlet)), 1),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +403,8 @@ class LocalBlocks:
 # the five blocks with the fields of their rows and columns
 BLOCK_FIELDS = (("A", "u", "u"), ("B", "xi", "u"), ("C", "xi", "xi"), ("D", "p", "xi"), ("E", "p", "p"))
 _BLOCK_SPACES = {name: (r, c) for name, r, c in BLOCK_FIELDS}
+# the block on each field's diagonal, whose rows span the field's local dofs
+FIELD_BLOCK = {r: name for name, r, c in BLOCK_FIELDS if r == c}
 
 
 @dataclass
@@ -582,12 +601,9 @@ def element_tables(
     mu_r = materials.mu[esub_r]
 
     # --- dof id tables per element
-    u_base = spaces.u_dof_of_node[tri_r]  # x-component dof or -1
-    udof = np.empty((n_r, 6), dtype=np.int64)
-    udof[:, 0::2] = u_base
-    udof[:, 1::2] = np.where(u_base >= 0, u_base + 1, -1)
-    xidof = order_b[:, None] if p0 else tri_b  # the triangle id (P0) or the base node ids (P1)
-    pdof = spaces.p_dof_of_node[tri_b]
+    udof = spaces.fields["u"].node_dofs(tri_r)
+    xidof = order_b[:, None] if p0 else spaces.fields["xi"].node_dofs(tri_b)  # a P0 dof is its triangle
+    pdof = spaces.fields["p"].node_dofs(tri_b)
     tables: dict[str, ElementTable] = {}
 
     # --- elastic block on the refined mesh
@@ -624,7 +640,7 @@ def element_tables(
             pb = pv[:, (k + 2) % 3]
             bary[:, k] = ((pa[:, 1] - pb[:, 1]) * (q[:, 0] - pb[:, 0]) + (pb[:, 0] - pa[:, 0]) * (q[:, 1] - pb[:, 1])) / twoA
         vals = -(area_r[:, None, None] * bary[:, :, None] * div[:, None, :])
-        tables["B"] = ElementTable(mesh.triangles[parent], udof, vals, esub_r)
+        tables["B"] = ElementTable(spaces.fields["xi"].node_dofs(mesh.triangles[parent]), udof, vals, esub_r)
 
     # --- total pressure mass (1/lambda) and pressure coupling (alpha/lambda)
     if p0:
@@ -696,40 +712,25 @@ def class_representatives(materials: MaterialField, params: Iterable[str] = BLOC
 
 
 def _member_dofs(
-    spaces: FeSpaceSet, grid: tuple[int, int], fld: str, dofs: np.ndarray, off: np.ndarray, rep: np.ndarray
+    space: FieldSpace, grid: tuple[int, int], dofs: np.ndarray, off: np.ndarray, rep: np.ndarray
 ) -> np.ndarray:
     """Global dof ids of one field's stacked positions (subdomain offsets
     ``off``), from ``dofs``, the dof at the same local position of the
     owning subdomain's representative.
 
     A member's closure is its representative's moved across the subdomain
-    grid, which moves node and triangle ids by a constant; touching the
-    same sides, the member has the same free dofs in the same order.
+    grid, which moves node ids by a constant, that of the subdomains'
+    lower-left nodes; touching the same sides, the member has the same
+    free dofs in the same order.
     """
-    mesh = spaces.mesh
-    gx = grid[0]
-    per = mesh.nx // gx
+    m = space.mesh
+    gx, gy = grid
     s = np.arange(rep.size)
-    owner = np.repeat(s, np.diff(off))
-
-    def move(width: int, refine: int) -> np.ndarray:
-        """Id offset from the representative's origin node (or cell) on a
-        grid ``width`` ids wide, per stacked position."""
-        origin = ((s // gx) * width + s % gx) * refine * per
-        return (origin - origin[rep])[owner]
-
-    if fld == "u":
-        dof = spaces.u_dof_of_node[spaces.u_free_nodes[dofs // 2] + move(2 * mesh.nx + 1, 2)]
-        out = np.where(dof >= 0, dof + dofs % 2, -1)
-    elif fld == "p":
-        out = spaces.p_dof_of_node[spaces.p_free_nodes[dofs] + move(mesh.nx + 1, 1)]
-    elif spaces.total_pressure_variant == "p1":
-        out = dofs + move(mesh.nx + 1, 1)
-    else:  # triangle ids, two per cell
-        out = dofs + 2 * move(mesh.nx, 1)
-    if np.any(out < 0):
-        raise AssertionError(f"a class member lacks a free {fld} dof of its representative")
-    return out
+    origin = s // gx * (m.ny // gy) * (m.nx + 1) + s % gx * (m.nx // gx)
+    first = space.dof_of_node[space.nodes(dofs) + (origin - origin[rep])[np.repeat(s, np.diff(off))]]
+    if np.any(first < 0):
+        raise AssertionError("a class member lacks a free dof of its representative")
+    return first + dofs % space.k
 
 
 def assemble_blocks(spaces: FeSpaceSet, materials: MaterialField, load: LoadSpec | None = None) -> BlockSystem:
@@ -759,7 +760,7 @@ def assemble_blocks(spaces: FeSpaceSet, materials: MaterialField, load: LoadSpec
     # field; the members own empty ranges
     size = spaces.n_dofs
     keys = {fld: sorted_unique((t.sub[:, None] * size[fld] + t.rows)[t.rows >= 0])
-            for fld, t in (("u", tables["A"]), ("xi", tables["C"]), ("p", tables["E"]))}
+            for fld, t in ((fld, tables[name]) for fld, name in FIELD_BLOCK.items())}
     rep_off = {fld: np.searchsorted(k, np.arange(n_sub + 1) * size[fld]) for fld, k in keys.items()}
     found: dict[int, np.ndarray] = {}  # the tables share their dof arrays
 
@@ -772,7 +773,7 @@ def assemble_blocks(spaces: FeSpaceSet, materials: MaterialField, load: LoadSpec
     # every subdomain takes its representative's positions
     src = {fld: block_positions(o, rep) for fld, o in rep_off.items()}
     off = {fld: np.concatenate([[0], np.cumsum(np.diff(o)[rep])]) for fld, o in rep_off.items()}
-    dofs = {fld: _member_dofs(spaces, grid, fld, keys[fld][src[fld]] % size[fld], off[fld], rep) for fld in off}
+    dofs = {fld: _member_dofs(spaces.fields[fld], grid, keys[fld][src[fld]] % size[fld], off[fld], rep) for fld in off}
     blocks, loads, total = {}, {}, {}
     for name, r, c in BLOCK_FIELDS:
         t = tables[name]

@@ -44,14 +44,13 @@ from .decomposition import (
     JumpOperator,
     RestrictionSet,
 )
-from .mesh_fem import BlockSystem, ConfigurationError
+from .mesh_fem import FIELD_BLOCK, BlockSystem, ConfigurationError
 from .reduced_system import (
     _DENSE_FACTOR_CUTOFF,
     LocalClass,
     PartiallyAssembled,
     SaddleFactor,
     _match,
-    _patch_keys,
     class_sources,
     primal_coupling,
     trailing_schur,
@@ -118,13 +117,9 @@ def _dense_schur(
     return S
 
 
-# the field of each preconditioner block and the local block it condenses
-_FIELD_BLOCK = {"u": "A", "xi": "C", "p": "E"}
-
-
 def class_schurs(system: BlockSystem, fld: str, block, label: str) -> tuple[list[np.ndarray], int]:
     """The dense Schur complement of every congruence class of field
-    ``fld``'s local block (``_FIELD_BLOCK``), in ``BlockSystem.classes``
+    ``fld``'s local block (``FIELD_BLOCK``), in ``BlockSystem.classes``
     order, and how many of them were formed.
 
     ``block(r)`` gives representative r's matrix, its local dofs and the
@@ -134,21 +129,22 @@ def class_schurs(system: BlockSystem, fld: str, block, label: str) -> tuple[list
     keeps a subset of the source's, and sees the same change of basis on
     them, so its S is the source's restricted to its kept dofs.  A class
     with no source is formed by ``_dense_schur``.  Dofs are matched by
-    their position in the patch (``_patch_keys``); a kept dof of r that
-    its source c does not keep, or an eliminated set that differs, is an
-    ``InternalError`` naming r.
+    their position in the patch (``FieldSpace.patch_keys``); a kept dof of
+    r that its source c does not keep, or an eliminated set that differs,
+    is an ``InternalError`` naming r.
     """
-    groups = system.classes(_FIELD_BLOCK[fld])
+    groups = system.classes(FIELD_BLOCK[fld])
+    space = system.spaces.fields[fld]
     out: list[np.ndarray] = [np.zeros((0, 0))] * len(groups)
     seen: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # source class: patch keys of its kept and eliminated dofs
-    for i, src in class_sources(system, groups, _FIELD_BLOCK[fld], (fld,)):
+    for i, src in class_sources(system, groups, FIELD_BLOCK[fld], (fld,)):
         r = groups[i][0]
         M, dofs, gamma, inner = block(r)
         name = f"{label} interior block of subdomain {r}"
-        keys = _patch_keys(system, fld, r, dofs)
+        keys = space.patch_keys(system.materials.grid, r, dofs)
         kept, eliminated = keys[gamma], np.sort(keys[inner])
         if src is None:
-            out[i] = _dense_schur(M, gamma, inner, system.spaces.lattice(fld, dofs[inner]), name)
+            out[i] = _dense_schur(M, gamma, inner, space.lattice(dofs[inner]), name)
             seen[i] = kept, eliminated
             continue
         c = groups[src][0]
@@ -195,7 +191,7 @@ def _bddc(
     ``primal_dofs``."""
     off = np.cumsum([0, *(dual[s].size for s in range(len(dual)))])
     coarse = []  # each class's primal columns and coarse contribution
-    groups = system.classes(_FIELD_BLOCK[fld])
+    groups = system.classes(FIELD_BLOCK[fld])
     schurs, sources = class_schurs(system, fld, block, label)
     classes: list[LocalClass] = []
     for members, S in zip(groups, schurs):

@@ -357,19 +357,6 @@ def _side_kinds(system: BlockSystem, fields: tuple[str, ...]) -> np.ndarray:
     return np.where(np.tile(subdomain_sides(system.materials.grid), len(fields)), np.hstack(outer), "interface")
 
 
-def _patch_keys(system: BlockSystem, fld: str, s, dofs: np.ndarray) -> np.ndarray:
-    """One integer per dof of subdomain s (one, or one per dof): its node's
-    grid position relative to the subdomain's lower-left node, and its
-    component (x or y of a displacement, the lower or upper triangle of a
-    p0 cell)."""
-    ix, iy = system.spaces.lattice(fld, dofs)
-    mesh = system.spaces.mesh.refined_mesh if fld == "u" else system.spaces.mesh
-    gx, gy = system.materials.grid
-    ix, iy = ix - s % gx * (mesh.nx // gx), iy - s // gx * (mesh.ny // gy)
-    two = fld == "u" or (fld == "xi" and system.spaces.total_pressure_variant == "p0")
-    return 2 * (ix * (mesh.ny + 1) + iy) + (dofs % 2 if two else 0)
-
-
 def _match(kept: np.ndarray, want: np.ndarray) -> np.ndarray | None:
     """The index in ``kept`` of each of ``want``, or None if one is missing."""
     order = np.argsort(kept)
@@ -406,14 +393,16 @@ def class_sources(
 
 
 def _row_keys(system: BlockSystem, cls: DofClassification, reps: list[int]) -> list[np.ndarray]:
-    """Patch key (``_patch_keys``) of each interface row of each subdomain
-    in ``reps``: its xi_G and p_G dofs, then the λ row of each dual copy,
-    keyed by that copy, with the field (0, 1, 2) as the lowest digit."""
+    """Patch key (``FieldSpace.patch_keys``) of each interface row of each
+    subdomain in ``reps``: its xi_G and p_G dofs, then the λ row of each
+    dual copy, keyed by that copy, with the field (0, 1, 2) as the lowest
+    digit."""
     parts = []
     for code, (fld, dofs) in enumerate((("xi", cls.xi.sub_interface), ("p", cls.p.sub_interface),
                                          ("u", cls.u.sub_dual))):
         sizes = [dofs[s].size for s in reps]
-        keys = _patch_keys(system, fld, np.repeat(reps, sizes), np.concatenate([dofs[s] for s in reps]))
+        keys = system.spaces.fields[fld].patch_keys(system.materials.grid, np.repeat(reps, sizes),
+                                                    np.concatenate([dofs[s] for s in reps]))
         parts.append(np.split(3 * keys + code, np.cumsum(sizes)[:-1]))
     return [np.concatenate(p) for p in zip(*parts)]
 

@@ -104,7 +104,7 @@ class TestClassification:
         # boundary; it is shared by two subdomains and must be coarse
         _, spaces, cls = classify()
         node = 8 * 17  # refined-mesh node at (0, 0.5)
-        dof = spaces.u_dof_of_node[node]
+        dof = spaces.fields["u"].dof_of_node[node]
         assert dof in cls.u.primal and dof + 1 in cls.u.primal
 
     def test_all_dirichlet_leaves_center_only(self):
@@ -172,9 +172,9 @@ class TestClassification:
     def test_transform_matches_per_group_build(self, variant, bc):
         part, spaces, cls = classify(nx=12, grid=(3, 3), variant=variant, primal="vertex-edge", bc=bc)
         mesh, refined = part.mesh, part.mesh.refined_mesh
-        u_edges = [spaces.u_dof_of_node[nodes] for nodes in _edge_groups(refined.nx, refined.ny, part.grid)]
+        u_edges = [spaces.fields["u"].dof_of_node[nodes] for nodes in _edge_groups(refined.nx, refined.ny, part.grid)]
         u_groups = [dofs + comp for dofs in u_edges for comp in range(2)]
-        p_edges = [spaces.p_dof_of_node[nodes] for nodes in _edge_groups(mesh.nx, mesh.ny, part.grid)]
+        p_edges = [spaces.fields["p"].dof_of_node[nodes] for nodes in _edge_groups(mesh.nx, mesh.ny, part.grid)]
         p_groups = [dofs[dofs >= 0] for dofs in p_edges if np.any(dofs >= 0)]
         self.assert_bitwise_equal(cls.u.transform, self.per_group_transform(spaces.n_dofs["u"], u_groups))
         self.assert_bitwise_equal(cls.p.transform, self.per_group_transform(spaces.n_dofs["p"], p_groups))
@@ -205,11 +205,11 @@ class TestClassification:
             return rows[np.isin(rows[:, 0], dof[count > 1])]
 
         def u_dofs(node):
-            d = spaces.u_dof_of_node[node]
+            d = spaces.fields["u"].dof_of_node[node]
             return [d, d + 1] if d >= 0 else []
 
         def p_dofs(node):
-            d = spaces.p_dof_of_node[node]
+            d = spaces.fields["p"].dof_of_node[node]
             return [d] if d >= 0 else []
 
         for inc, want in (

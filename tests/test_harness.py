@@ -89,6 +89,11 @@ class TestConfig:
         with pytest.raises(bd.ConfigurationError):
             bd.ExperimentConfig.from_dict({"nx": 8, "mesh_size": 4})
 
+    @pytest.mark.parametrize("data", [5, None, "abc", [["nx", 8]]], ids=["number", "null", "string", "list"])
+    def test_non_object_rejected(self, data):
+        with pytest.raises(bd.ConfigurationError, match="^a configuration must be an object of field values, got "):
+            bd.ExperimentConfig.from_dict(data)
+
     def test_from_json(self, tmp_path):
         cfg = small_cfg(tol=1e-9)
         path = tmp_path / "cfg.json"
@@ -173,6 +178,10 @@ class TestSweep:
             bd.run_sweep(small_cfg(), {"alpha": [1], "kappa": [1], "nu": [0.3]})
         with pytest.raises(bd.ConfigurationError):
             bd.run_sweep(small_cfg(), {"porosity": [0.1]})
+        # a property, a method and the black-cell dict are no configuration fields to sweep
+        for name in ("H_over_h", "to_dict", "black"):
+            with pytest.raises(bd.ConfigurationError, match=f"^unknown sweep axis '{name}'$"):
+                bd.run_sweep(small_cfg(pattern="checkerboard"), {name: [1]})
 
 
 class TestFit:
@@ -388,6 +397,14 @@ class TestCli:
         assert code == 0
         assert "nx=12" in capsys.readouterr().out
 
+    def test_reorthogonalize_flag_overrides_the_file(self, tmp_path):
+        parser = build_parser()
+        for in_file, flag, want in ((True, "--no-reorthogonalize", False), (False, "--reorthogonalize", True)):
+            cfg_path = tmp_path / f"{in_file}.json"
+            cfg_path.write_text(json.dumps({"reorthogonalize": in_file}))
+            assert _config_from_args(parser.parse_args(["run", "--config", str(cfg_path)])).reorthogonalize is in_file
+            assert _config_from_args(parser.parse_args(["run", "--config", str(cfg_path), flag])).reorthogonalize is want
+
     def test_run_reports_nonconvergence(self, tmp_path, capsys):
         code = main(["run", *self.BASE, "--max-iter", "2"])
         assert code == 1
@@ -439,13 +456,20 @@ class TestCli:
         "argv",
         [["sweep", "--axis", "nx=abc"], ["sweep", "--axis", "nu=x"], ["sweep", "--axis", "subdomains=4"],
          ["sweep", "--axis", "reorthogonalize=1,0"], ["fit", "--ratios", "a,b"], ["run", "--config", "missing.json"], ["run", "--config", "malformed.json"],
-         ["run", "--config", "pair.json"], *(["run", "--config", f"{name}.json"] for name in TYPED_CONFIGS)],
+         ["run", "--config", "pair.json"], *(["run", "--config", f"{name}.json"] for name in TYPED_CONFIGS),
+         # JSON that is no object
+         ["run", "--config", "number.json"], ["run", "--config", "null.json"], ["run", "--config", "string.json"],
+         # names that are no configuration field, or the black-cell dict itself
+         ["sweep", "--axis", "H_over_h=2,4"], ["sweep", "--axis", "to_dict=1"],
+         ["sweep", "--pattern", "checkerboard", "--axis", "black=1"]],
         ids=["axis-int", "axis-float", "axis-pair", "axis-bool", "fit-ratios", "config-missing", "config-malformed", "config-pair",
-             *TYPED_CONFIGS],
+             *TYPED_CONFIGS, "config-number", "config-null", "config-string", "axis-property", "axis-method", "axis-black"],
     )
     def test_unparsable_input_exits_2(self, argv, tmp_path, capsys):
         (tmp_path / "malformed.json").write_text('{"nx": 8,')
         (tmp_path / "pair.json").write_text('{"subdomains": "2x2"}')
+        for name, text in (("number", "5"), ("null", "null"), ("string", '"abc"')):
+            (tmp_path / f"{name}.json").write_text(text)
         for name, data in self.TYPED_CONFIGS.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(data))
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]

@@ -99,6 +99,27 @@ class TestSpaces:
         assert spaces.n_dofs["p"] == 7 * 7
         assert spaces.n_dofs["xi"] == 81
 
+    @pytest.mark.parametrize("variant", ["p1", "p0"])
+    @pytest.mark.parametrize("bc", [bd.BoundarySpec.neumann_left(), bd.BoundarySpec.all_dirichlet()],
+                             ids=["neumann-left", "dirichlet"])
+    def test_each_space_numbers_its_free_nodes(self, variant, bc):
+        # dof k * i + c is component c at node free[i]; a 12x8 mesh tells x from y
+        mesh = bd.build_mesh(12, (3, 2))
+        spaces = bd.build_spaces(mesh, variant, bc)
+        assert list(spaces.fields) == ["u", "xi", "p"]
+        for fld, space in spaces.fields.items():
+            d = np.arange(space.n)
+            assert np.array_equal(space.node_dofs(space.free).ravel(), d), fld
+            assert np.array_equal(space.dof_of_node[space.free[d // space.k]] + d % space.k, d), fld
+            assert np.all(np.delete(space.dof_of_node, space.free) == -1), fld
+        xi = spaces.fields["xi"]
+        if variant == "p0":
+            # a p0 dof is the base triangle of the same id, which starts at its cell's lower-left node
+            assert xi.n == mesh.n_triangles
+            assert np.array_equal(mesh.triangles[:, 0], xi.free[np.arange(xi.n) // 2])
+        else:
+            assert xi.n == mesh.n_nodes
+
     def test_unknown_variant_rejected(self):
         mesh = bd.build_mesh(4, (2, 2))
         with pytest.raises(bd.ConfigurationError):
@@ -154,7 +175,7 @@ class TestAssembly:
         _, spaces, mats, system = small_system("p1")
         h = 1.0 / 8
         lam = mats.lam[0]
-        dof = spaces.p_dof_of_node[3 + 3 * 9]
+        dof = spaces.fields["p"].dof_of_node[3 + 3 * 9]
         e = np.zeros(spaces.n_dofs["p"])
         e[dof] = 1.0
         want = 3.0 * 4.0 + (2 * 0.7**2 / lam) * h**2 / 2
@@ -162,7 +183,7 @@ class TestAssembly:
 
     def test_displacement_hat_energy(self):
         _, spaces, mats, system = small_system("p1")
-        dof = spaces.u_dof_of_node[5 + 5 * 17]
+        dof = spaces.fields["u"].dof_of_node[5 + 5 * 17]
         for comp in (0, 1):
             e = np.zeros(spaces.n_dofs["u"])
             e[dof + comp] = 1.0
@@ -172,14 +193,14 @@ class TestAssembly:
         # same space and quadrature for p and xi, so the coupling block is
         # alpha times the mass rows at the free pressure nodes
         _, spaces, _, system = small_system("p1")
-        rows = system.C.tocsr()[spaces.p_free_nodes, :]
+        rows = system.C.tocsr()[spaces.fields["p"].free, :]
         assert abs(system.D - 0.7 * rows).max() < 1e-15
 
     def test_divergence_pairing_sign(self):
         # -int div(phi e1) x dx = +int phi = h^2 on the refined mesh
         mesh, spaces, _, system = small_system("p1")
         v = np.zeros(spaces.n_dofs["u"])
-        v[spaces.u_dof_of_node[5 + 5 * 17]] = 1.0
+        v[spaces.fields["u"].dof_of_node[5 + 5 * 17]] = 1.0
         xi = mesh.vertices[:, 0].copy()
         assert xi @ (system.B @ v) == pytest.approx((1.0 / 16) ** 2, rel=1e-12)
 
@@ -220,7 +241,7 @@ class TestAssembly:
     def test_gravity_load_entries(self):
         # an interior hat integrates to h^2, so the y-load there is -h^2
         _, spaces, _, system = small_system("p1")
-        dof = spaces.u_dof_of_node[5 + 5 * 17]
+        dof = spaces.fields["u"].dof_of_node[5 + 5 * 17]
         assert system.f[dof] == 0.0
         assert system.f[dof + 1] == pytest.approx(-1.0 / 256, rel=1e-13)
         assert system.f[1::2].sum() == pytest.approx(-930.0 / 1024.0, rel=1e-12)
@@ -228,7 +249,7 @@ class TestAssembly:
 
     def test_source_load_entries(self):
         _, spaces, _, system = small_system("p1")
-        dof = spaces.p_dof_of_node[3 + 3 * 9]
+        dof = spaces.fields["p"].dof_of_node[3 + 3 * 9]
         assert system.g[dof] == pytest.approx(1.0 / 64, rel=1e-13)
 
     @pytest.mark.parametrize("nx", [1, 2])

@@ -352,7 +352,7 @@ class TestSharedSchur:
             assert len(schurs) == len(groups)
             for members, S in zip(groups, schurs):
                 M, dofs, gamma, inner = block(members[0])
-                own = _dense_schur(M, gamma, inner, pipe.system.spaces.lattice(fld, dofs[inner]), "own")
+                own = _dense_schur(M, gamma, inner, pipe.system.spaces.fields[fld].lattice(dofs[inner]), "own")
                 assert S.shape == own.shape
                 assert np.abs(S - own).max() <= 1e-13 * np.abs(own).max(), (key, members[0])
 
@@ -434,16 +434,16 @@ class TestSchurKernel:
             r = {"lambda corner": 0, "lambda edge": 1, "lambda centre": 4}[case]
             lb, cls = pipe.system.local[r], pipe.cls
             inner = lb.pos("u", cls.u.interior[r])
-            return lb.A, lb.pos("u", cls.u.sub_dual[r]), inner, pipe.system.spaces.lattice("u", lb.dofs["u"][inner])
+            return lb.A, lb.pos("u", cls.u.sub_dual[r]), inner, pipe.system.spaces.fields["u"].lattice(lb.dofs["u"][inner])
         # 2x2 at H/h=22: the xi and p interiors cross the cutoff
         pipe = build(nx=44, subdomains=(2, 2))
         lb, cls, r = pipe.system.local[0], pipe.cls, 0
         if case == "xi":
             inner = lb.pos("xi", cls.xi.interior[r])
-            return lb.C, lb.pos("xi", cls.xi.sub_interface[r]), inner, pipe.system.spaces.lattice("xi", lb.dofs["xi"][inner])
+            return lb.C, lb.pos("xi", cls.xi.sub_interface[r]), inner, pipe.system.spaces.fields["xi"].lattice(lb.dofs["xi"][inner])
         inner = lb.pos("p", cls.p.interior[r])
         gamma = lb.pos("p", np.concatenate([cls.p.sub_dual[r], cls.p.sub_primal[r]]))
-        return lb.E, gamma, inner, pipe.system.spaces.lattice("p", lb.dofs["p"][inner])
+        return lb.E, gamma, inner, pipe.system.spaces.fields["p"].lattice(lb.dofs["p"][inner])
 
     @pytest.mark.parametrize("case", ["lambda corner", "lambda edge", "lambda centre", "xi", "p"])
     def test_matches_the_splu_schur_complement(self, case):
