@@ -189,8 +189,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     code = _print_points(results)
     x = [float(r) for r, res in zip(ratios, results) if res.converged]
     y = [res.eig_max for res in results if res.converged]
-    if code and len(x) < 2:
-        print(f"no fit: {len(x)} of {len(ratios)} ratios converged")
+    if code and len(set(x)) < 2:
+        print(f"no fit: {len(set(x))} of {len(set(ratios))} distinct ratios converged")
         return code
     fit = fit_polylog(x, y)
     print(

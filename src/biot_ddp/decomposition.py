@@ -16,6 +16,11 @@ rows; the torn layout, the stiffness weights, the jump and the pressure
 transfers look them up by field name ("u", "xi" or "p").  Each field's
 broken layout is its table taken in (subdomain, dof) order.
 
+Every field gets one stiffness weight per interface row.  Its dual rows'
+weights scale the jump (u) and the transfers (xi, p); the transfers of both
+pressure-like fields come from one rule: their rows are the dual rows in
+broken order, then the primal dofs (total pressure has none).
+
 Primal sets always contain the interior cross points of the subdomain
 grid.  The "vertex-edge" variant additionally constrains one average per
 subdomain edge (per displacement component, and per pressure edge) via an
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,6 +55,10 @@ from .mesh_fem import (
 class InternalError(RuntimeError):
     """Raised when a build-time self check fails."""
 
+
+# The pressure-like fields, whose interface traces share one transfer rule
+# and one balancing preconditioner, with their names in messages
+PRESSURE_LIKE = {"xi": "total pressure", "p": "pressure"}
 
 # Entries of a local block at or below this fraction of its largest entry
 # are roundoff: the change of basis drops them.
@@ -187,8 +197,9 @@ class FieldSplit:
     ``rows`` is the interface incidence, ``is_primal`` a flag over the
     field's dofs and ``transform`` its change of basis for the vertex-edge
     variant (None: the nodal basis).  Every other set is read off them,
-    once: the sorted dofs of the interface and of its primal and dual
-    parts, each subdomain's, and the rows of the primal and dual dofs.
+    once: the flag over the rows, the sorted dofs of the interface and of
+    its primal and dual parts, each subdomain's, and the rows of the primal
+    and dual dofs.
     """
 
     n_sub: int
@@ -196,6 +207,7 @@ class FieldSplit:
     rows: Incidence
     is_primal: np.ndarray
     transform: sp.csr_matrix | None = None
+    row_is_primal: np.ndarray = field(init=False)  # over ``rows``
     primal_rows: Incidence = field(init=False)
     dual_rows: Incidence = field(init=False)  # of the displacement: one per torn copy, lower subdomain first
     interface: np.ndarray = field(init=False)
@@ -206,7 +218,7 @@ class FieldSplit:
     sub_dual: dict[int, np.ndarray] = field(init=False)
 
     def __post_init__(self):
-        primal = self.is_primal[self.rows.dof]
+        self.row_is_primal = primal = self.is_primal[self.rows.dof]
         self.primal_rows, self.dual_rows = self.rows.select(primal), self.rows.select(~primal)
         rows = (self.rows, self.primal_rows, self.dual_rows)
         self.interface, self.primal, self.dual = (sorted_unique(r.dof) for r in rows)
@@ -255,9 +267,22 @@ class DofClassification:
     def splits(self) -> dict[str, FieldSplit]:
         return {"u": self.u, "xi": self.xi, "p": self.p}
 
+    @property
+    def segments(self) -> tuple[int, int, int]:
+        """Sizes of the interface vector's parts: the interface total
+        pressure, the interface pressure, one multiplier per dual
+        displacement dof."""
+        return self.xi.interface.size, self.p.interface.size, self.u.dual.size
+
     @cached_property
     def layout(self) -> TornLayout:
         return _build_layout(self)
+
+
+def split_segments(y: np.ndarray, segments: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The xi, p and multiplier parts of an interface vector."""
+    n_xi, n_p, _ = segments
+    return y[:n_xi], y[n_xi : n_xi + n_p], y[n_xi + n_p :]
 
 
 def _stack(buckets: dict[int, np.ndarray], n: int, base: int) -> tuple[np.ndarray, int]:
@@ -395,19 +420,23 @@ def _check_floating(cls: DofClassification) -> None:
 
 @dataclass
 class ScalingWeights:
-    """Stiffness-weighted interface averages, one weight per row of each
-    field's incidence table (for displacements, the dual rows), both keyed
-    by the field ("u", "xi" or "p").
+    """Stiffness-weighted interface averages, one weight per interface row
+    of each field's split (``FieldSplit.rows``), keyed by the field ("u",
+    "xi" or "p").
 
     Weights per interface dof sum to one exactly: the highest sharing
     subdomain's weight is computed as one minus the others.
     """
 
-    incidence: dict[str, Incidence]
+    cls: DofClassification
     weights: dict[str, np.ndarray]
 
     def weight(self, fld: str, dof: int, sub: int) -> float:
-        return float(self.weights[fld][self.incidence[fld].row(dof, sub)])
+        return float(self.weights[fld][self.cls.splits[fld].rows.row(dof, sub)])
+
+    def dual(self, fld: str) -> np.ndarray:
+        """The weights of the field's dual rows."""
+        return self.weights[fld][~self.cls.splits[fld].row_is_primal]
 
 
 def _weights(inc: Incidence, coeff: np.ndarray) -> np.ndarray:
@@ -424,8 +453,7 @@ def _weights(inc: Incidence, coeff: np.ndarray) -> np.ndarray:
 def build_scalings(cls: DofClassification, materials: MaterialField) -> ScalingWeights:
     mu = np.asarray(materials.mu, dtype=float)
     coeff = {"u": mu, "xi": 1.0 / mu, "p": np.asarray(materials.kappa, dtype=float)}
-    incidence = {"u": cls.u.dual_rows, "xi": cls.xi.rows, "p": cls.p.rows}
-    return ScalingWeights(incidence, {fld: _weights(inc, coeff[fld]) for fld, inc in incidence.items()})
+    return ScalingWeights(cls, {fld: _weights(split.rows, coeff[fld]) for fld, split in cls.splits.items()})
 
 
 def _unit_and_scaled(
@@ -456,12 +484,12 @@ def build_jump(cls: DofClassification, scalings: ScalingWeights) -> JumpOperator
     n_lam = cls.u.dual.size
     sign = np.tile([1.0, -1.0], n_lam)
     # the rows of a dual dof's two copies are adjacent: swap their weights
-    neighbour = scalings.weights["u"].reshape(-1, 2)[:, ::-1].ravel()
+    neighbour = scalings.dual("u").reshape(-1, 2)[:, ::-1].ravel()
     jump, jump_scaled = _unit_and_scaled(
         sign,
         sign * neighbour,
         np.repeat(np.arange(n_lam), 2),
-        scalings.incidence["u"].broken_pos(),
+        cls.u.dual_rows.broken_pos(),
         (n_lam, int(cls.layout.dual_offset[-1])),
     )
     ident = jump @ jump_scaled.T
@@ -474,62 +502,36 @@ def build_jump(cls: DofClassification, scalings: ScalingWeights) -> JumpOperator
 # restrictions
 
 
-@dataclass
-class RestrictionSet:
-    """Transfer operators between assembled, partially assembled, and broken
-    interface spaces for the two pressure-like fields."""
+class Transfer(NamedTuple):
+    """One pressure-like field's map from its assembled interface to its
+    partially assembled layout (the broken dual rows, then the primal
+    dofs), with unit entries and with the stiffness weights."""
 
-    # total pressure: broken layout (each subdomain's interface dofs in turn)
-    xi_break: sp.csr_matrix
-    xi_break_scaled: sp.csr_matrix
-    # pressure: partially assembled layout (broken duals by subdomain | primal)
-    p_inject: sp.csr_matrix
-    p_inject_scaled: sp.csr_matrix
-
-    def averaging_xi(self) -> sp.csr_matrix:
-        """Projection onto continuous vectors in the broken total-pressure space."""
-        return self.xi_break @ self.xi_break_scaled.T
-
-    def averaging_p(self) -> sp.csr_matrix:
-        """Projection onto continuous vectors in the partially assembled space."""
-        return self.p_inject @ self.p_inject_scaled.T
+    unit: sp.csr_matrix
+    scaled: sp.csr_matrix
 
 
-def _exact_identity(m: sp.spmatrix, n: int, what: str) -> None:
-    diff = (m - sp.identity(n)).tocoo()
+def _transfer(split: FieldSplit, dual_weights: np.ndarray, what: str) -> Transfer:
+    """The transfer of ``split``'s field: a broken dual row takes its
+    weight, a primal dof 1.  Checked: unit.T @ scaled is exactly I."""
+    duals, primal = split.dual_rows, split.primal
+    n_dual, n = duals.dof.size, split.interface.size
+    t = Transfer(*_unit_and_scaled(
+        np.ones(n_dual + primal.size),
+        np.concatenate([dual_weights, np.ones(primal.size)]),
+        np.concatenate([duals.broken_pos(), n_dual + np.arange(primal.size)]),
+        split.interface_pos(np.concatenate([duals.dof, primal])),
+        (n_dual + primal.size, n),
+    ))
+    diff = (t.unit.T @ t.scaled - sp.identity(n)).tocoo()
     if diff.nnz and np.max(np.abs(diff.data)) != 0.0:
         raise InternalError(f"{what} transfer identity failed (max error {np.max(np.abs(diff.data))})")
+    return t
 
 
-def build_restrictions(cls: DofClassification, scalings: ScalingWeights) -> RestrictionSet:
-    xi = scalings.incidence["xi"]
-    n_xi = cls.xi.interface.size
-    xi_break, xi_break_scaled = _unit_and_scaled(
-        np.ones(xi.dof.size), scalings.weights["xi"], xi.broken_pos(), cls.xi.interface_pos(xi.dof), (xi.dof.size, n_xi)
-    )
-    if n_xi:
-        _exact_identity(xi_break.T @ xi_break_scaled, n_xi, "total pressure")
-
-    # pressure: tilde layout rows = broken duals (by subdomain) then primal
-    duals, primal = cls.p.dual_rows, cls.p.primal
-    n_tilde = duals.dof.size + primal.size
-    n_p = cls.p.interface.size
-    p_inject, p_inject_scaled = _unit_and_scaled(
-        np.ones(n_tilde),
-        np.concatenate([scalings.weights["p"][~cls.p.is_primal[cls.p.rows.dof]], np.ones(primal.size)]),
-        np.concatenate([duals.broken_pos(), duals.dof.size + np.arange(primal.size)]),
-        cls.p.interface_pos(np.concatenate([duals.dof, primal])),
-        (n_tilde, n_p),
-    )
-    if n_p:
-        _exact_identity(p_inject.T @ p_inject_scaled, n_p, "pressure")
-
-    return RestrictionSet(
-        xi_break=xi_break,
-        xi_break_scaled=xi_break_scaled,
-        p_inject=p_inject,
-        p_inject_scaled=p_inject_scaled,
-    )
+def build_restrictions(cls: DofClassification, scalings: ScalingWeights) -> dict[str, Transfer]:
+    """The transfer of each pressure-like field, keyed by "xi" and "p"."""
+    return {fld: _transfer(cls.splits[fld], scalings.dual(fld), what) for fld, what in PRESSURE_LIKE.items()}
 
 
 # ---------------------------------------------------------------------------

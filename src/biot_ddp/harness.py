@@ -28,9 +28,9 @@ from .decomposition import (
     DofClassification,
     InternalError,
     JumpOperator,
-    RestrictionSet,
     ScalingWeights,
     SubdomainPartition,
+    Transfer,
     build_jump,
     build_restrictions,
     build_scalings,
@@ -196,7 +196,7 @@ class Pipeline:
     system: BlockSystem
     scalings: ScalingWeights
     jump: JumpOperator
-    restrictions: RestrictionSet
+    restrictions: dict[str, Transfer]  # by pressure-like field, "xi" and "p"
     reduced: ReducedSystem
     preconditioner: BlockPreconditioner
 
@@ -460,8 +460,8 @@ def run_sweep(
 
 def fit_polylog(h_over_h: list[float], eig_max: list[float]) -> dict:
     """Least squares fit of y against C1 + C2 (1 + log(H/h))^2."""
-    if len(h_over_h) != len(eig_max) or len(h_over_h) < 2:
-        raise ConfigurationError("polylog fit needs at least two matched points")
+    if len(h_over_h) != len(eig_max) or len(set(h_over_h)) < 2:
+        raise ConfigurationError("polylog fit needs matched points at two or more distinct H/h")
     x = np.array([(1.0 + math.log(v)) ** 2 for v in h_over_h])
     y = np.array(eig_max, dtype=float)
     Amat = np.column_stack([np.ones_like(x), x])

@@ -2,12 +2,13 @@
 
 Three independent blocks, one per interface segment:
 
-* total pressure trace: scaled sum of inverted local mass Schur
-  complements, each weighted by the subdomain's ratio of first Lame
-  parameter to shear modulus;
-* pressure trace: balancing (BDDC) preconditioner built from local flow
-  Schur complements, with broken dual values and a shared coarse primal
-  block eliminated exactly;
+* total pressure and pressure traces: one balancing (BDDC) construction,
+  ``_bddc``, keyed by the field.  It takes the local Schur complements of
+  the field's diagonal block (mass matrices weighted by the subdomain's
+  ratio of first Lame parameter to shear modulus for xi, flow matrices for
+  p) and eliminates broken dual values and a shared coarse primal block
+  exactly.  Total pressure has no primal dofs, so its block is the scaled
+  sum of the inverted local Schur complements;
 * multipliers: scaled jumps through either the local elastic Dirichlet
   Schur complement or its lumped stiffness shortcut.
 
@@ -39,10 +40,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .decomposition import (
+    PRESSURE_LIKE,
     DofClassification,
     InternalError,
     JumpOperator,
-    RestrictionSet,
+    Transfer,
+    split_segments,
 )
 from .mesh_fem import FIELD_BLOCK, BlockSystem, ConfigurationError
 from .reduced_system import (
@@ -177,59 +180,53 @@ class InterfaceBddc(PartiallyAssembled):
         return self.inject_scaled_T @ self.solve(self.inject_scaled @ r)
 
 
-def _bddc(
-    inject_scaled: sp.csr_matrix, system: BlockSystem, fld: str, block, dual: dict, primal: dict,
-    primal_dofs: np.ndarray, label: str,
-) -> InterfaceBddc:
-    """One dense map per class of field ``fld``'s block: its dual Schur
-    block is factored and probed, solved for the identity and for the
-    primal coupling X, and dropped; X also adds the class's part of the
-    coarse matrix.  ``block`` is that of ``class_schurs``, its kept dofs
-    representative r's dual, then primal interface unknowns.  Subdomain
-    s's dual dofs ``dual[s]`` take the next positions of the partially
-    assembled vector, its primal dofs ``primal[s]`` their places in
-    ``primal_dofs``."""
-    off = np.cumsum([0, *(dual[s].size for s in range(len(dual)))])
+def _bddc(system: BlockSystem, cls: DofClassification, fld: str, inject_scaled: sp.csr_matrix) -> InterfaceBddc:
+    """The balancing preconditioner of pressure-like field ``fld``.
+
+    Each class's local block is the field's diagonal block
+    (``FIELD_BLOCK``), for xi weighted by the subdomain's ratio of first
+    Lame parameter to shear modulus, with its dual, then primal interface
+    dofs kept and its interior eliminated (``class_schurs``).  One dense
+    map per class: its dual Schur block is factored and probed, solved for
+    the identity and for the primal coupling X, and dropped; X also adds
+    the class's part of the coarse matrix.  Subdomain s's dual dofs take
+    the next positions of the partially assembled vector, its primal dofs
+    their places among the field's primal dofs."""
+    split, mats, label = cls.splits[fld], system.materials, PRESSURE_LIKE[fld]
+
+    def block(r):
+        lb = system.stacked.local_view(r)
+        M = getattr(lb, FIELD_BLOCK[fld])
+        if fld == "xi":
+            M = float(mats.lam[r] / mats.mu[r]) * M
+        kept = np.concatenate([split.sub_dual[r], split.sub_primal[r]])
+        return M, lb.dofs[fld], lb.pos(fld, kept), lb.pos(fld, split.interior[r])
+
+    off = np.cumsum([0, *(split.sub_dual[s].size for s in range(cls.n_subdomains))])
     coarse = []  # each class's primal columns and coarse contribution
     groups = system.classes(FIELD_BLOCK[fld])
     schurs, sources = class_schurs(system, fld, block, label)
     classes: list[LocalClass] = []
     for members, S in zip(groups, schurs):
-        r, nd = members[0], dual[members[0]].size
+        r, nd = members[0], split.sub_dual[members[0]].size
         factor = SaddleFactor(f"{label} block of subdomain {r}", S[:nd, :nd])
-        cols = np.column_stack([np.searchsorted(primal_dofs, primal[s]) for s in members])
+        cols = np.column_stack([np.searchsorted(split.primal, split.sub_primal[s]) for s in members])
         X, F = primal_coupling(factor, S[:nd, nd:], S[nd:, nd:])
         coarse.append((cols, F))
         classes.append(LocalClass(
             idx=np.column_stack([np.arange(off[s], off[s + 1]) for s in members]), primal=cols, X=X,
             S=np.vstack([factor.solve(np.eye(nd)), X.T]),
         ))
-    return InterfaceBddc.assemble(classes, primal_dofs.size, coarse, sources,
+    return InterfaceBddc.assemble(classes, split.primal.size, coarse, sources,
                                   inject_scaled=inject_scaled, inject_scaled_T=inject_scaled.T.tocsr())
 
 
-def build_xi_solver(system: BlockSystem, cls: DofClassification, restrictions: RestrictionSet) -> InterfaceBddc:
-    """Total pressure: no primal unknowns, local mass matrices weighted by
-    the subdomain's ratio of first Lame parameter to shear modulus."""
-    mats = system.materials
-
-    def block(r):
-        lb = system.stacked.local_view(r)
-        return (float(mats.lam[r] / mats.mu[r]) * lb.C, lb.dofs["xi"], lb.pos("xi", cls.xi.sub_interface[r]),
-                lb.pos("xi", cls.xi.interior[r]))
-
-    return _bddc(restrictions.xi_break_scaled, system, "xi", block, cls.xi.sub_interface, cls.xi.sub_primal,
-                 cls.xi.primal, "total pressure")
+def build_xi_solver(system: BlockSystem, cls: DofClassification, restrictions: dict[str, Transfer]) -> InterfaceBddc:
+    return _bddc(system, cls, "xi", restrictions["xi"].scaled)
 
 
-def build_p_bddc(system: BlockSystem, cls: DofClassification, restrictions: RestrictionSet) -> InterfaceBddc:
-    def block(r):
-        lb = system.stacked.local_view(r)
-        return (lb.E, lb.dofs["p"], lb.pos("p", np.concatenate([cls.p.sub_dual[r], cls.p.sub_primal[r]])),
-                lb.pos("p", cls.p.interior[r]))
-
-    return _bddc(restrictions.p_inject_scaled, system, "p", block, cls.p.sub_dual, cls.p.sub_primal,
-                 cls.p.primal, "pressure")
+def build_p_bddc(system: BlockSystem, cls: DofClassification, restrictions: dict[str, Transfer]) -> InterfaceBddc:
+    return _bddc(system, cls, "p", restrictions["p"].scaled)
 
 
 def build_lambda_solver(
@@ -269,23 +266,21 @@ class BlockPreconditioner:
     segments: tuple[int, int, int]
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        n_xi, n_p, n_lam = self.segments
-        if r.size != n_xi + n_p + n_lam:
+        if r.size != sum(self.segments):
             raise InternalError("preconditioner applied to a vector of the wrong size")
-        parts = r[:n_xi], r[n_xi : n_xi + n_p], r[n_xi + n_p :]
         blocks = (self.xi, self.pressure, self.multiplier)
-        return np.concatenate([b.apply(x) for b, x in zip(blocks, parts) if b is not None])
+        return np.concatenate([b.apply(x) for b, x in zip(blocks, split_segments(r, self.segments)) if b is not None])
 
 
 def build_preconditioner(
     system: BlockSystem,
     cls: DofClassification,
     jump: JumpOperator,
-    restrictions: RestrictionSet,
+    restrictions: dict[str, Transfer],
     multiplier_kind: str = "dirichlet",
 ) -> BlockPreconditioner:
-    n_xi, n_p = cls.xi.interface.size, cls.p.interface.size
+    n_xi, n_p, _ = cls.segments
     xi = build_xi_solver(system, cls, restrictions) if n_xi else None
     bddc = build_p_bddc(system, cls, restrictions) if n_p else None
     lam = build_lambda_solver(system, cls, jump, multiplier_kind)
-    return BlockPreconditioner(xi=xi, pressure=bddc, multiplier=lam, segments=(n_xi, n_p, cls.u.dual.size))
+    return BlockPreconditioner(xi=xi, pressure=bddc, multiplier=lam, segments=cls.segments)

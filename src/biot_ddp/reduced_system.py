@@ -34,7 +34,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .decomposition import DofClassification, InternalError, JumpOperator, TornLayout
+from .decomposition import DofClassification, InternalError, JumpOperator, TornLayout, split_segments
 from .mesh_fem import BLOCK_PARAMS, SIDES, BlockSystem, ConfigurationError, subdomain_sides
 
 _DENSE_FACTOR_CUTOFF = 400
@@ -520,11 +520,10 @@ class ReducedSystem:
 
     @property
     def segments(self) -> tuple[int, int, int]:
-        return self.cls.xi.interface.size, self.cls.p.interface.size, self.cls.u.dual.size
+        return self.cls.segments
 
     def split(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n_xi, n_p, _ = self.segments
-        return y[:n_xi], y[n_xi : n_xi + n_p], y[n_xi + n_p :]
+        return split_segments(y, self.segments)
 
     # -- torn operator ----------------------------------------------------
 
@@ -667,7 +666,7 @@ def _local_saddle(lb, sets: dict[str, np.ndarray], trace: bool = False) -> sp.cs
 def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: JumpOperator) -> ReducedSystem:
     lay = cls.layout
     st = system.stacked
-    n_xi_g, n_p_g, n_lam = cls.xi.interface.size, cls.p.interface.size, cls.u.dual.size
+    n_xi_g, n_p_g, n_lam = cls.segments
     n_y = n_xi_g + n_p_g + n_lam
 
     # the members of an assembly class share their representative's blocks

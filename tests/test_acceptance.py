@@ -316,8 +316,8 @@ def test_operator_identities_and_subsystem_bounds(report):
     xg = rng.standard_normal(cls.xi.interface.size)
     pg = rng.standard_normal(cls.p.interface.size)
     transfer = max(
-        float(np.abs(rs.xi_break_scaled.T @ (rs.xi_break @ xg) - xg).max()),
-        float(np.abs(rs.p_inject_scaled.T @ (rs.p_inject @ pg) - pg).max()),
+        float(np.abs(rs["xi"].scaled.T @ (rs["xi"].unit @ xg) - xg).max()),
+        float(np.abs(rs["p"].scaled.T @ (rs["p"].unit @ pg) - pg).max()),
     )
 
     # Ritz extremes against the dense preconditioned spectrum

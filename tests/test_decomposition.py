@@ -244,6 +244,9 @@ class TestScalings:
         for dof in np.concatenate([cls.p.dual, cls.p.primal]):
             subs = cls.p.rows.sharers(int(dof))
             assert sum(sc.weight("p", int(dof), int(s)) for s in subs) == 1.0
+        for dof in cls.u.primal:
+            subs = cls.u.rows.sharers(int(dof))
+            assert sum(sc.weight("u", int(dof), int(s)) for s in subs) == 1.0
 
     def test_weights_follow_material_contrast(self):
         # displacement weights scale with mu, total pressure with 1/mu,
@@ -304,34 +307,65 @@ class TestJump:
         assert np.max(np.abs(B @ w)) == 0.0
 
 
+TRANSFER_CASES = [
+    pytest.param(variant, primal, bc, id=f"{variant}-{primal}-{bc}")
+    for variant in ("p1", "p0") for primal in ("vertex", "vertex-edge") for bc in ("neumann-left", "dirichlet")
+]
+
+
 class TestRestrictions:
+    """The one transfer rule of the pressure-like fields, on a 3x3
+    checkerboard: each field with interface dofs maps its assembled
+    interface to its broken dual rows, subdomain by subdomain, then to its
+    primal dofs (total pressure has none)."""
+
     @staticmethod
-    def build(black=None):
-        mats = (
-            bd.MaterialField.checkerboard((2, 2), E=1.0, nu=0.3, alpha=1.0, kappa=1.0, black=black)
-            if black
-            else bd.MaterialField.uniform((2, 2), E=1.0, nu=0.3, alpha=1.0, kappa=1.0)
+    def build(variant, primal, bc):
+        mats = bd.MaterialField.checkerboard(
+            (3, 3), E=1.0, nu=0.3, alpha=1.0, kappa=1.0, black={"E": 50.0, "kappa": 1e-3},
         )
-        _, _, cls = classify()
+        bc = bd.BoundarySpec.neumann_left() if bc == "neumann-left" else bd.BoundarySpec.all_dirichlet()
+        _, _, cls = classify(12, (3, 3), variant, primal, bc)
         sc = bd.build_scalings(cls, mats)
-        return cls, bd.build_restrictions(cls, sc)
+        rs = bd.build_restrictions(cls, sc)
+        assert set(rs) == {"xi", "p"}
+        return cls, sc, [(fld, rs[fld]) for fld in ("xi", "p") if cls.splits[fld].interface.size]
 
-    def test_averaging_operators_are_projections(self):
-        _, rs = self.build(black={"E": 50.0})
-        P = rs.averaging_xi().toarray()
-        np.testing.assert_allclose(P @ P, P, atol=1e-14)
-        Pp = rs.averaging_p().toarray()
-        np.testing.assert_allclose(Pp @ Pp, Pp, atol=1e-14)
+    @pytest.mark.parametrize("variant, primal, bc", TRANSFER_CASES)
+    def test_averaging_operators_are_projections(self, variant, primal, bc):
+        _, _, transfers = self.build(variant, primal, bc)
+        assert [fld for fld, _ in transfers] == (["xi", "p"] if variant == "p1" else ["p"])
+        for _, t in transfers:
+            P = (t.unit @ t.scaled.T).toarray()
+            np.testing.assert_allclose(P @ P, P, atol=1e-14)
 
-    def test_break_then_average_is_identity(self):
-        cls, rs = self.build(black={"E": 50.0})
+    @pytest.mark.parametrize("variant, primal, bc", TRANSFER_CASES)
+    def test_break_then_average_is_identity(self, variant, primal, bc):
+        cls, _, transfers = self.build(variant, primal, bc)
         rng = np.random.default_rng(1)
-        xg = rng.standard_normal(cls.xi.interface.size)
-        err = rs.xi_break_scaled.T @ (rs.xi_break @ xg) - xg
-        assert np.max(np.abs(err)) < 1e-14
-        pg = rng.standard_normal(cls.p.interface.size)
-        err = rs.p_inject_scaled.T @ (rs.p_inject @ pg) - pg
-        assert np.max(np.abs(err)) < 1e-14
+        for fld, t in transfers:
+            xg = rng.standard_normal(cls.splits[fld].interface.size)
+            err = t.scaled.T @ (t.unit @ xg) - xg
+            assert np.max(np.abs(err)) < 1e-14
+            diff = (t.unit.T @ t.scaled - sp.identity(xg.size)).tocoo()
+            assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0  # exactly I
+
+    @pytest.mark.parametrize("variant, primal, bc", TRANSFER_CASES)
+    def test_rows_carry_weights_then_ones(self, variant, primal, bc):
+        cls, sc, transfers = self.build(variant, primal, bc)
+        for fld, t in transfers:
+            split = cls.splits[fld]
+            # dual rows subdomain by subdomain, then the primal dofs
+            want = [(int(d), sc.weight(fld, int(d), s)) for s in range(cls.n_subdomains) for d in split.sub_dual[s]]
+            want += [(int(d), 1.0) for d in split.primal]
+            assert t.unit.shape == t.scaled.shape == (len(want), split.interface.size)
+            for k, (dof, w) in enumerate(want):
+                col = [int(split.interface_pos(dof))]
+                assert t.unit.getrow(k).indices.tolist() == t.scaled.getrow(k).indices.tolist() == col
+                assert t.unit.getrow(k).data.tolist() == [1.0]
+                assert t.scaled.getrow(k).data.tolist() == [w]
+            if fld == "xi":
+                assert split.primal.size == 0
 
 
 class TestTransformSystem:

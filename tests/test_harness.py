@@ -203,6 +203,8 @@ class TestFit:
             bd.fit_polylog([2.0], [1.0])
         with pytest.raises(bd.ConfigurationError):
             bd.fit_polylog([2.0, 4.0], [1.0])
+        with pytest.raises(bd.ConfigurationError):
+            bd.fit_polylog([2.0, 2.0], [1.0, 2.0])
 
 
 class TestReports:
@@ -573,6 +575,13 @@ class TestCli:
         assert "eig_max ~" not in out and "no fit" in out
         points = [line for line in out.splitlines() if line.startswith("nx=")]
         assert len(points) == 2 and all(line.endswith(" (NOT CONVERGED)") for line in points)
+
+    def test_fit_of_one_distinct_ratio_exits_2(self, capsys):
+        code = main(["fit", *self.BASE, "--ratios", "2,2"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "eig_max ~" not in out
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
     def test_sweep_marks_only_unconverged_points(self, capsys):
         code = main(["sweep", *self.BASE, "--axis", "max_iter=2,50"])

@@ -176,7 +176,7 @@ class TestClassBatchedBlocks:
         local = [(s, pipe.system.local[s]) for s in range(cls.n_subdomains)]
 
         if variant == "p1":
-            R = pipe.restrictions.xi_break_scaled.toarray()
+            R = pipe.restrictions["xi"].scaled.toarray()
             blocks = []
             for s, lb in local:
                 gamma = lb.pos("xi", cls.xi.sub_interface[s])
@@ -188,7 +188,7 @@ class TestClassBatchedBlocks:
             assert pre.xi is None
 
         # pressure: partially assembled Schur complement on (broken duals | primal)
-        R = pipe.restrictions.p_inject_scaled.toarray()
+        R = pipe.restrictions["p"].scaled.toarray()
         n_dual = R.shape[0] - cls.p.primal.size
         S = np.zeros((R.shape[0], R.shape[0]))
         off = 0

@@ -62,6 +62,12 @@ def check_span_contract(spans, pipe, n_classes):
     # operator shares the torn one
     coarse = {id(b.coarse) for b in (pipe.reduced.torn, *pipe.blocks.values())}
     assert sum(name == "reduced_system.coarse_build" for name, *_ in spans) == len(coarse)
+    # each preconditioner block is built, and timed, by the builder the
+    # tracing wraps: a block built around it would report 0 s
+    pc = pipe.preconditioner
+    assert (pc.xi is not None) == (pipe.config.total_pressure == "p1")
+    for name, block in (("xi", pc.xi), ("p", pc.pressure), ("lambda", pc.multiplier)):
+        assert sum(n == f"preconditioner.{name}_build" for n, *_ in spans) == (block is not None)
     assert len(pipe.reduced.factors) == n_classes
     assert layer_metrics(spans, pipe)["reduced_system.factor_count"] == (n_classes, "count")
 
