@@ -12,14 +12,16 @@ the sorted (dof, subdomain) rows of every subdomain whose closure holds the
 dof's node.  A dof with one sharer is interior to it, the others form the
 interface.  Each field's split is one ``FieldSplit``, which reads its
 interface, primal and dual sets, globally and per subdomain, off these
-rows; the torn layout, the stiffness weights, the jump and the pressure
-transfers look them up by field name ("u", "xi" or "p").  Each field's
-broken layout is its table taken in (subdomain, dof) order.
+rows; the torn layout, the stiffness weights and the transfers look them
+up by field name ("u", "xi" or "p").  Each field's broken layout is its
+table taken in (subdomain, dof) order.
 
-Every field gets one stiffness weight per interface row.  Its dual rows'
-weights scale the jump (u) and the transfers (xi, p); the transfers of both
-pressure-like fields come from one rule: their rows are the dual rows in
-broken order, then the primal dofs (total pressure has none).
+Every field gets one stiffness weight per interface row, and every
+interface segment one ``Transfer`` from its assembled unknowns to its
+broken layout, scaled by the dual rows' weights: the multipliers' is the
+signed jump over the dual displacement copies, total pressure's and
+pressure's take the dual rows in broken order, then the primal dofs (total
+pressure has none).  One checked constructor builds all three.
 
 Primal sets always contain the interior cross points of the subdomain
 grid.  The "vertex-edge" variant additionally constrains one average per
@@ -456,82 +458,66 @@ def build_scalings(cls: DofClassification, materials: MaterialField) -> ScalingW
     return ScalingWeights(cls, {fld: _weights(split.rows, coeff[fld]) for fld, split in cls.splits.items()})
 
 
-def _unit_and_scaled(
-    unit: np.ndarray, scaled: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]
-) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    return sp.csr_matrix((unit, (rows, cols)), shape=shape), sp.csr_matrix((scaled, (rows, cols)), shape=shape)
-
-
 # ---------------------------------------------------------------------------
-# jump operator
-
-
-@dataclass
-class JumpOperator:
-    """Signed jumps across the torn dual displacement copies.
-
-    One row per dual dof; the copy owned by the lower subdomain index gets
-    +1, the other -1.  The scaled variant gives each copy its neighbour's
-    stiffness weight, delta_j = rho_j / (rho_i + rho_j) on the copy in
-    subdomain i (Klawonn and Widlund 2001), in place of the unit entries.
-    """
-
-    jump: sp.csr_matrix
-    jump_scaled: sp.csr_matrix
-
-
-def build_jump(cls: DofClassification, scalings: ScalingWeights) -> JumpOperator:
-    n_lam = cls.u.dual.size
-    sign = np.tile([1.0, -1.0], n_lam)
-    # the rows of a dual dof's two copies are adjacent: swap their weights
-    neighbour = scalings.dual("u").reshape(-1, 2)[:, ::-1].ravel()
-    jump, jump_scaled = _unit_and_scaled(
-        sign,
-        sign * neighbour,
-        np.repeat(np.arange(n_lam), 2),
-        cls.u.dual_rows.broken_pos(),
-        (n_lam, int(cls.layout.dual_offset[-1])),
-    )
-    ident = jump @ jump_scaled.T
-    if (ident - sp.identity(n_lam)).nnz != 0:
-        raise InternalError("jump partition-of-unity identity failed")
-    return JumpOperator(jump=jump, jump_scaled=jump_scaled)
-
-
-# ---------------------------------------------------------------------------
-# restrictions
+# transfers
 
 
 class Transfer(NamedTuple):
-    """One pressure-like field's map from its assembled interface to its
-    partially assembled layout (the broken dual rows, then the primal
-    dofs), with unit entries and with the stiffness weights."""
+    """One interface segment's map from its assembled unknowns (columns) to
+    its broken layout (rows), with unit entries and with the stiffness
+    weights; ``unit.T @ scaled`` is exactly I.
+
+    The multipliers' rows are the broken dual displacement copies: ``unit``
+    is the signed jump B^T, +1 on the copy of the lower subdomain and -1 on
+    the other, and ``scaled`` is B_D^T, which gives each copy its
+    neighbour's weight, delta_j = rho_j / (rho_i + rho_j) on the copy in
+    subdomain i (Klawonn and Widlund 2001).  A pressure-like field's rows
+    are its broken dual rows, then its primal dofs: a dual row takes its
+    weight, a primal dof 1 (Li and Widlund 2006).
+    """
 
     unit: sp.csr_matrix
     scaled: sp.csr_matrix
 
 
-def _transfer(split: FieldSplit, dual_weights: np.ndarray, what: str) -> Transfer:
-    """The transfer of ``split``'s field: a broken dual row takes its
-    weight, a primal dof 1.  Checked: unit.T @ scaled is exactly I."""
-    duals, primal = split.dual_rows, split.primal
-    n_dual, n = duals.dof.size, split.interface.size
-    t = Transfer(*_unit_and_scaled(
-        np.ones(n_dual + primal.size),
-        np.concatenate([dual_weights, np.ones(primal.size)]),
-        np.concatenate([duals.broken_pos(), n_dual + np.arange(primal.size)]),
-        split.interface_pos(np.concatenate([duals.dof, primal])),
-        (n_dual + primal.size, n),
-    ))
-    diff = (t.unit.T @ t.scaled - sp.identity(n)).tocoo()
+def _transfer(
+    what: str, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int], unit: np.ndarray, scaled: np.ndarray
+) -> Transfer:
+    """The transfer of segment ``what`` with entries ``unit`` and ``scaled``
+    at (rows, cols).  Checked: unit.T @ scaled is exactly I."""
+    t = Transfer(*(sp.csr_matrix((v, (rows, cols)), shape=shape) for v in (unit, scaled)))
+    diff = (t.unit.T @ t.scaled - sp.identity(shape[1])).tocoo()
     if diff.nnz and np.max(np.abs(diff.data)) != 0.0:
         raise InternalError(f"{what} transfer identity failed (max error {np.max(np.abs(diff.data))})")
     return t
 
 
+def build_jump(cls: DofClassification, scalings: ScalingWeights) -> Transfer:
+    """The multipliers' transfer: one column per dual displacement dof."""
+    duals = cls.u.dual_rows
+    sign = np.tile([1.0, -1.0], cls.u.dual.size)
+    # the rows of a dual dof's two copies are adjacent: swap their weights
+    neighbour = scalings.dual("u").reshape(-1, 2)[:, ::-1].ravel()
+    shape = (duals.dof.size, cls.u.dual.size)
+    return _transfer("multiplier", duals.broken_pos(), duals.group(), shape, sign, sign * neighbour)
+
+
 def build_restrictions(cls: DofClassification, scalings: ScalingWeights) -> dict[str, Transfer]:
     """The transfer of each pressure-like field, keyed by "xi" and "p"."""
-    return {fld: _transfer(cls.splits[fld], scalings.dual(fld), what) for fld, what in PRESSURE_LIKE.items()}
+    out = {}
+    for fld, what in PRESSURE_LIKE.items():
+        split = cls.splits[fld]
+        duals, primal = split.dual_rows, split.primal
+        n_dual = duals.dof.size
+        out[fld] = _transfer(
+            what,
+            np.concatenate([duals.broken_pos(), n_dual + np.arange(primal.size)]),
+            split.interface_pos(np.concatenate([duals.dof, primal])),
+            (n_dual + primal.size, split.interface.size),
+            np.ones(n_dual + primal.size),
+            np.concatenate([scalings.dual(fld), np.ones(primal.size)]),
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------

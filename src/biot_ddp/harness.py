@@ -27,7 +27,6 @@ import scipy.sparse.linalg as spla
 from .decomposition import (
     DofClassification,
     InternalError,
-    JumpOperator,
     ScalingWeights,
     SubdomainPartition,
     Transfer,
@@ -195,7 +194,7 @@ class Pipeline:
     cls: DofClassification
     system: BlockSystem
     scalings: ScalingWeights
-    jump: JumpOperator
+    jump: Transfer  # the multipliers'
     restrictions: dict[str, Transfer]  # by pressure-like field, "xi" and "p"
     reduced: ReducedSystem
     preconditioner: BlockPreconditioner
@@ -460,8 +459,8 @@ def run_sweep(
 
 def fit_polylog(h_over_h: list[float], eig_max: list[float]) -> dict:
     """Least squares fit of y against C1 + C2 (1 + log(H/h))^2."""
-    if len(h_over_h) != len(eig_max) or len(set(h_over_h)) < 2:
-        raise ConfigurationError("polylog fit needs matched points at two or more distinct H/h")
+    if len(h_over_h) != len(eig_max) or len(set(h_over_h)) < 2 or not all(1.0 <= v < math.inf for v in h_over_h):
+        raise ConfigurationError("polylog fit needs matched points at two or more distinct H/h, each finite and >= 1")
     x = np.array([(1.0 + math.log(v)) ** 2 for v in h_over_h])
     y = np.array(eig_max, dtype=float)
     Amat = np.column_stack([np.ones_like(x), x])

@@ -91,75 +91,52 @@ def pcg(
     config: PcgConfig | None = None,
 ) -> PcgResult:
     cfg = config or PcgConfig()
-    n = b.size
     norm0 = float(np.linalg.norm(b))
-    if n == 0 or norm0 == 0.0:
-        return PcgResult(
-            x=np.zeros(n),
-            iterations=0,
-            converged=True,
-            residuals=[norm0],
-            alphas=[],
-            betas=[],
-            ritz=np.zeros(0),
-            eig_min=None,
-            eig_max=None,
-            valid_eig_min=None,
-            dropped_modes=0,
-        )
     # the identity must hand back a fresh buffer: the reorthogonalization
     # updates r and z separately and an aliased pair gets doubled corrections
     precond = apply_M if apply_M is not None else (lambda v: v.copy())
 
-    x = np.zeros(n)
+    x = np.zeros(b.size)
     r = b.copy()
-    z = precond(r)
-    rz = float(r @ z)
-    # every guard is written so that NaN fails it
-    if not 0.0 < rz < np.inf:
-        raise SpdViolationError(f"preconditioner produced {_kind(rz)} product {rz:.3e} on the initial residual")
-    p = z.copy()
     residuals = [norm0]
     alphas: list[float] = []
     betas: list[float] = []
-    hist_r: list[np.ndarray] = [r.copy()]
-    hist_z: list[np.ndarray] = [z.copy()]
-    hist_rho: list[float] = [rz]
-    converged = False
-
-    for it in range(1, cfg.max_iter + 1):
+    history: list[tuple[np.ndarray, np.ndarray, float]] = []  # (r, z, r.z) of each step, when reorthogonalizing
+    # an empty or zero right-hand side is solved by x = 0, with no apply
+    converged = norm0 == 0.0
+    while not converged and len(alphas) < cfg.max_iter:
+        it = len(alphas)  # steps taken
+        z = precond(r)
+        for rj, zj, rhoj in history:
+            c = float(zj @ r) / rhoj
+            r -= c * rj
+            z -= c * zj
+        rz_new = float(r @ z)
+        # every guard is written so that NaN fails it
+        if not 0.0 < rz_new < np.inf:
+            where = f"at iteration {it}" if it else "on the initial residual"
+            raise SpdViolationError(f"preconditioner produced {_kind(rz_new)} product {rz_new:.3e} {where}")
+        if it:
+            betas.append(rz_new / rz)
+            p = z + betas[-1] * p
+        else:
+            p = z.copy()
+        rz = rz_new
+        if cfg.reorthogonalize:
+            history.append((r.copy(), z.copy(), rz))
         q = apply_A(p)
         pq = float(p @ q)
         if not 0.0 < pq < np.inf:
-            raise SpdViolationError(f"operator produced {_kind(pq)} curvature {pq:.3e} at iteration {it}")
+            raise SpdViolationError(f"operator produced {_kind(pq)} curvature {pq:.3e} at iteration {it + 1}")
         alpha = rz / pq
         alphas.append(alpha)
         x += alpha * p
         r -= alpha * q
         res = float(np.linalg.norm(r))
         if not np.isfinite(res):
-            raise SpdViolationError(f"residual became non-finite ({res:.3e}) at iteration {it}")
+            raise SpdViolationError(f"residual became non-finite ({res:.3e}) at iteration {it + 1}")
         residuals.append(res)
-        if res <= cfg.tol * norm0:
-            converged = True
-            break
-        z = precond(r)
-        if cfg.reorthogonalize:
-            for rj, zj, rhoj in zip(hist_r, hist_z, hist_rho):
-                c = float(zj @ r) / rhoj
-                r -= c * rj
-                z -= c * zj
-        rz_new = float(r @ z)
-        if not 0.0 < rz_new < np.inf:
-            raise SpdViolationError(f"preconditioned product became {_kind(rz_new)} ({rz_new:.3e}) at iteration {it}")
-        beta = rz_new / rz
-        betas.append(beta)
-        p = z + beta * p
-        rz = rz_new
-        if cfg.reorthogonalize:
-            hist_r.append(r.copy())
-            hist_z.append(z.copy())
-            hist_rho.append(rz_new)
+        converged = res <= cfg.tol * norm0
 
     ritz = ritz_values(alphas, betas[: len(alphas) - 1])
     eig_min = float(ritz.min()) if ritz.size else None

@@ -13,10 +13,11 @@ Three independent blocks, one per interface segment:
   Schur complement or its lumped stiffness shortcut.
 
 Every block takes its congruence classes from the input key of
-``mesh_fem`` (``BlockSystem.classes``) and is one ``InterfaceBddc``: a
-scaled restriction, one ``reduced_system.PartiallyAssembled`` (one local
-map per class, applied to all members at once, and the coarse problem it
-builds), and the transposed restriction.
+``mesh_fem`` (``BlockSystem.classes``) and is one ``InterfaceBddc``: its
+segment's scaled ``decomposition.Transfer``, one
+``reduced_system.PartiallyAssembled`` (one local map per class, applied to
+all members at once, and the coarse problem it builds), and the transfer
+transposed.
 Every map is one dense matrix, so each application is one product per
 class and no triangular solve: for xi and p, [S_dd^-1; X^T], the inverse
 of the dual Schur block over the primal coupling X = S_dd^-1 S_dP that
@@ -34,7 +35,7 @@ ones in nested-dissection order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,7 +44,6 @@ from .decomposition import (
     PRESSURE_LIKE,
     DofClassification,
     InternalError,
-    JumpOperator,
     Transfer,
     split_segments,
 )
@@ -162,7 +162,9 @@ def class_schurs(system: BlockSystem, fld: str, block, label: str) -> tuple[list
 
 @dataclass(kw_only=True)
 class InterfaceBddc(PartiallyAssembled):
-    """Balancing preconditioner on a pressure-like interface trace.
+    """Balancing preconditioner on one interface segment: the inverse
+    partially assembled Schur complement between the segment's scaled
+    ``Transfer`` (``inject_scaled``) and its transpose.
 
     The partially assembled Schur complement is never formed; its inverse
     is applied through one dense local map per congruence class, the
@@ -173,8 +175,12 @@ class InterfaceBddc(PartiallyAssembled):
     formed; the other classes' are submatrices of them.
     """
 
-    inject_scaled: sp.csr_matrix  # assembled trace -> partially assembled
-    inject_scaled_T: sp.csr_matrix
+    inject_scaled: sp.csr_matrix  # assembled segment -> partially assembled
+    inject_scaled_T: sp.csr_matrix = field(init=False, repr=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.inject_scaled_T = self.inject_scaled.T.tocsr()
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         return self.inject_scaled_T @ self.solve(self.inject_scaled @ r)
@@ -217,8 +223,7 @@ def _bddc(system: BlockSystem, cls: DofClassification, fld: str, inject_scaled: 
             idx=np.column_stack([np.arange(off[s], off[s + 1]) for s in members]), primal=cols, X=X,
             S=np.vstack([factor.solve(np.eye(nd)), X.T]),
         ))
-    return InterfaceBddc.assemble(classes, split.primal.size, coarse, sources,
-                                  inject_scaled=inject_scaled, inject_scaled_T=inject_scaled.T.tocsr())
+    return InterfaceBddc.assemble(classes, split.primal.size, coarse, sources, inject_scaled=inject_scaled)
 
 
 def build_xi_solver(system: BlockSystem, cls: DofClassification, restrictions: dict[str, Transfer]) -> InterfaceBddc:
@@ -230,7 +235,7 @@ def build_p_bddc(system: BlockSystem, cls: DofClassification, restrictions: dict
 
 
 def build_lambda_solver(
-    system: BlockSystem, cls: DofClassification, jump: JumpOperator, kind: str
+    system: BlockSystem, cls: DofClassification, jump: Transfer, kind: str
 ) -> InterfaceBddc:
     """Scaled jumps through each class's local elastic map on its broken
     dual displacements, with no coarse problem: the dense Dirichlet Schur
@@ -252,8 +257,7 @@ def build_lambda_solver(
     for members, S in zip(groups, schurs):
         idx = np.column_stack([np.arange(lay.dual_offset[s], lay.dual_offset[s + 1]) for s in members])
         classes.append(LocalClass(idx=idx, primal=np.zeros((0, len(members)), dtype=np.int64), S=S))
-    return InterfaceBddc.assemble(classes, 0, [], sources,
-                                  inject_scaled=jump.jump_scaled.T.tocsr(), inject_scaled_T=jump.jump_scaled)
+    return InterfaceBddc.assemble(classes, 0, [], sources, inject_scaled=jump.scaled)
 
 
 @dataclass
@@ -275,7 +279,7 @@ class BlockPreconditioner:
 def build_preconditioner(
     system: BlockSystem,
     cls: DofClassification,
-    jump: JumpOperator,
+    jump: Transfer,
     restrictions: dict[str, Transfer],
     multiplier_kind: str = "dirichlet",
 ) -> BlockPreconditioner:

@@ -34,7 +34,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .decomposition import DofClassification, InternalError, JumpOperator, TornLayout, split_segments
+from .decomposition import DofClassification, InternalError, TornLayout, Transfer, split_segments
 from .mesh_fem import BLOCK_PARAMS, SIDES, BlockSystem, ConfigurationError, subdomain_sides
 
 _DENSE_FACTOR_CUTOFF = 400
@@ -487,7 +487,7 @@ class ReducedSystem:
 
     system: BlockSystem
     cls: DofClassification
-    jump: JumpOperator
+    jump: Transfer  # the multipliers': ``unit`` is B^T, over the broken dual copies
     B_C: sp.csr_matrix  # interface rows x torn columns
     B_C_T: sp.csr_matrix
     C_hat: sp.csr_matrix  # positive semidefinite interface coupling
@@ -590,10 +590,9 @@ class ReducedSystem:
         u, xi, p = x["u"], x["xi"], x["p"]
         u[cls.u.primal] = w[lay.primal_slice]
         dual = w[lay.dual_slice]
-        jump_norm = float(np.linalg.norm(self.jump.jump @ dual)) if dual.size else 0.0
-        # each jump row holds the broken positions of one dual dof's two copies
-        copies = dual[self.jump.jump.indices.reshape(-1, 2)]
-        u[cls.u.dual] = (copies[:, 0] + copies[:, 1]) / 2
+        B_T = self.jump.unit
+        jump_norm = float(np.linalg.norm(B_T.T @ dual)) if dual.size else 0.0
+        u[cls.u.dual] = abs(B_T).T @ dual / 2  # the mean of each dual dof's two copies
         xi[cls.xi.interface], p[cls.p.interface], _ = self.split(y)
         return u, xi, p, jump_norm
 
@@ -663,7 +662,7 @@ def _local_saddle(lb, sets: dict[str, np.ndarray], trace: bool = False) -> sp.cs
     return sp.csr_matrix((v, (i, j)), shape=(at.size, at.size))
 
 
-def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: JumpOperator) -> ReducedSystem:
+def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Transfer) -> ReducedSystem:
     lay = cls.layout
     st = system.stacked
     n_xi_g, n_p_g, n_lam = cls.segments
@@ -702,10 +701,10 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
     primal = lay.primal_pos[st.dofs["u"]]
     wcol["u"] = np.where(primal >= 0, primal, wcol["u"])
     yrow = {fld: np.full(st.off[fld][-1], -1, dtype=np.int64) for fld in ("xi", "p")}
-    # multiplier row of every broken dual copy: each lies in one jump row
-    Jc = jump.jump.tocoo()
+    # multiplier row of every broken dual copy: B^T has one entry per copy
+    Jc = jump.unit.tocoo()
     lam_row = np.empty(lay.dual_offset[-1], dtype=np.int64)
-    lam_row[Jc.col] = n_xi_g + n_p_g + Jc.row
+    lam_row[Jc.row] = n_xi_g + n_p_g + Jc.col
     ymap = []  # interface rows each subdomain's local unknowns couple to
     for s, sets in enumerate(ix):
         wcol["u"][st.off["u"][s] + sets["uD"]] = lay.dual_slice.start + lay.dual_offset[s] + np.arange(sets["uD"].size)
@@ -732,9 +731,9 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Jump
         vals_bc.append(-v if name in "CE" else v)
         order.append(sub * len(parts) + kind)
     order = np.argsort(np.concatenate(order), kind="stable")
-    # multiplier rows attach the jump operator to the broken dual segment
-    rows_bc = [np.concatenate(rows_bc)[order], n_xi_g + n_p_g + Jc.row]
-    cols_bc = [np.concatenate(cols_bc)[order], lay.dual_slice.start + Jc.col]
+    # multiplier rows attach the jump B to the broken dual segment
+    rows_bc = [np.concatenate(rows_bc)[order], n_xi_g + n_p_g + Jc.col]
+    cols_bc = [np.concatenate(cols_bc)[order], lay.dual_slice.start + Jc.row]
     vals_bc = [np.concatenate(vals_bc)[order], Jc.data]
     B_C = sp.csr_matrix(
         (np.concatenate(vals_bc), (np.concatenate(rows_bc), np.concatenate(cols_bc))), shape=(n_y, lay.n_w)

@@ -166,7 +166,7 @@ def test_dense_dirichlet_blocks_match_matrix_free_apply(elem, primal):
             ref = dirichlet_apply(pipe, s, T)
             assert np.linalg.norm(c.S @ T - ref) <= 1e-12 * np.linalg.norm(ref)
     # and the whole block: scaled jumps through every subdomain's map
-    J = pipe.jump.jump_scaled
+    J = pipe.jump.scaled.T
     r = rng.standard_normal(pipe.cls.u.dual.size)
     x = J.T @ r
     y = np.concatenate([dirichlet_apply(pipe, s, x[lay.dual_offset[s] : lay.dual_offset[s + 1]])

@@ -285,8 +285,8 @@ class TestJump:
 
     def test_rows_are_signed_pairs(self):
         cls, jump = self.build()
-        B = jump.jump.tocsr()
-        assert jump.jump.shape[0] == cls.u.dual.size
+        B = jump.unit.T.tocsr()
+        assert jump.unit.T.shape[0] == cls.u.dual.size
         for k in range(B.shape[0]):
             row = B.getrow(k)
             assert row.nnz == 2
@@ -294,12 +294,12 @@ class TestJump:
 
     def test_scaled_jump_identity_exact(self):
         _, jump = self.build(black={"E": 1e3})
-        prod = (jump.jump @ jump.jump_scaled.T).toarray()
-        np.testing.assert_array_equal(prod, np.eye(jump.jump.shape[0]))
+        prod = (jump.unit.T @ jump.scaled).toarray()
+        np.testing.assert_array_equal(prod, np.eye(jump.unit.T.shape[0]))
 
     def test_jump_annihilates_continuous_traces(self):
         cls, jump = self.build()
-        B = jump.jump.tocsr()
+        B = jump.unit.T.tocsr()
         rng = np.random.default_rng(0)
         w = np.zeros(B.shape[1])
         for k in range(B.shape[0]):
@@ -366,6 +366,21 @@ class TestRestrictions:
                 assert t.scaled.getrow(k).data.tolist() == [w]
             if fld == "xi":
                 assert split.primal.size == 0
+
+
+class TestTransferCheck:
+    """One checked constructor builds the three transfers: a dual weight
+    that breaks the partition of unity fails its segment's identity."""
+
+    @pytest.mark.parametrize("fld, what", [("u", "multiplier"), ("xi", "total pressure"), ("p", "pressure")])
+    def test_perturbed_weight_names_the_segment(self, fld, what):
+        cls, sc, _ = TestRestrictions.build("p1", "vertex", "neumann-left")
+        weights = sc.weights[fld].copy()
+        weights[np.flatnonzero(~cls.splits[fld].row_is_primal)[0]] += 0.25
+        bad = bd.ScalingWeights(cls, {**sc.weights, fld: weights})
+        build = bd.build_jump if fld == "u" else bd.build_restrictions
+        with pytest.raises(bd.InternalError, match=f"^{what} transfer identity failed"):
+            build(cls, bad)
 
 
 class TestTransformSystem:

@@ -205,6 +205,9 @@ class TestFit:
             bd.fit_polylog([2.0, 4.0], [1.0])
         with pytest.raises(bd.ConfigurationError):
             bd.fit_polylog([2.0, 2.0], [1.0, 2.0])
+        for low in (0.0, -1.0, 0.5):  # below one, and where log fails
+            with pytest.raises(bd.ConfigurationError):
+                bd.fit_polylog([low, 2.0], [1.0, 2.0])
 
 
 class TestReports:
@@ -412,6 +415,16 @@ class TestCli:
         assert code == 1
         assert "NOT CONVERGED" in capsys.readouterr().out
 
+    def test_run_with_black_override_matches_run_case(self, capsys):
+        code = main(["run", *self.BASE, "--pattern", "checkerboard", "--black", "E=1e3"])
+        assert code == 0
+        res = bd.run_case(bd.ExperimentConfig(nx=8, subdomains=(2, 2), E=1.0, nu=0.3, pattern="checkerboard",
+                                              black={"E": 1e3}))
+        # the last digit of eig_max depends on the BLAS kernels and threads
+        assert res.iterations == 17 and res.eig_max == pytest.approx(1.8952437816148953, rel=1e-12)
+        out = capsys.readouterr().out
+        assert f"iter={res.iterations} " in out and f"eig_max={res.eig_max!r} " in out
+
     def test_run_rejects_bad_black_key(self, capsys):
         code = main(["run", *self.BASE, "--pattern", "checkerboard", "--black", "rho=1"])
         assert code == 2
@@ -419,8 +432,9 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "argv",
-        [["run", "--nu", "0.5"], ["sweep", "--axis", "kappa=0"]],
-        ids=["run-nu", "sweep-kappa"],
+        [["run", "--nu", "0.5"], ["sweep", "--axis", "kappa=0"], ["run", "--E", "0"], ["run", "--alpha", "0"],
+         ["run", "--pattern", "checkerboard", "--sub", "1x2", "--black", "E=2"]],
+        ids=["run-nu", "sweep-kappa", "run-E-zero", "run-alpha-zero", "run-checkerboard-1x2"],
     )
     def test_material_error_exits_2(self, argv, capsys):
         base = ["--nx", "8", "--sub", "2x2", "--E", "1"]
@@ -463,9 +477,12 @@ class TestCli:
          ["run", "--config", "number.json"], ["run", "--config", "null.json"], ["run", "--config", "string.json"],
          # names that are no configuration field, or the black-cell dict itself
          ["sweep", "--axis", "H_over_h=2,4"], ["sweep", "--axis", "to_dict=1"],
-         ["sweep", "--pattern", "checkerboard", "--axis", "black=1"]],
+         ["sweep", "--pattern", "checkerboard", "--axis", "black=1"],
+         # a black-cell override or an axis without "="
+         ["run", "--black", "E"], ["sweep", "--axis", "nx"]],
         ids=["axis-int", "axis-float", "axis-pair", "axis-bool", "fit-ratios", "config-missing", "config-malformed", "config-pair",
-             *TYPED_CONFIGS, "config-number", "config-null", "config-string", "axis-property", "axis-method", "axis-black"],
+             *TYPED_CONFIGS, "config-number", "config-null", "config-string", "axis-property", "axis-method", "axis-black",
+             "black-no-value", "axis-no-values"],
     )
     def test_unparsable_input_exits_2(self, argv, tmp_path, capsys):
         (tmp_path / "malformed.json").write_text('{"nx": 8,')

@@ -52,10 +52,15 @@ class TestPcg:
         np.testing.assert_allclose(np.sort(res.ritz), vals, rtol=1e-6)
 
     def test_zero_rhs_short_circuits(self):
-        res = pcg(lambda v: v, np.zeros(10))
-        assert res.converged and res.iterations == 0
-        assert res.eig_min is None
-        np.testing.assert_array_equal(res.x, np.zeros(10))
+        def never(v):
+            raise AssertionError("applied on a zero right-hand side")
+
+        for n in (10, 0):
+            res = pcg(never, np.zeros(n), apply_M=never)
+            assert res.converged and res.iterations == 0
+            assert res.residuals == [0.0]
+            assert res.eig_min is None and res.valid_eig_min is None and res.dropped_modes == 0
+            np.testing.assert_array_equal(res.x, np.zeros(n))
 
     def test_indefinite_operator_rejected(self):
         b = np.ones(5)

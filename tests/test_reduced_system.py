@@ -102,7 +102,7 @@ class TestOperator:
                 rows.append(b if transposed else a)
                 cols.append(a if transposed else b)
                 vals.append(sign * M.data[keep])
-        J = red.jump.jump.tocoo()
+        J = red.jump.unit.T.tocoo()
         rows.append(n_xi + n_p + J.row)
         cols.append(lay.dual_slice.start + J.col)
         vals.append(J.data)
