@@ -147,18 +147,25 @@ def _incidence(space: FieldSpace, grid: tuple[int, int]) -> Incidence:
     """Incidence of the dofs of ``space``, by the subdomains holding their nodes.
 
     Along one axis, node line i of a g-subdomain grid m cells wide lies in
-    subdomains (i-1)//m and i//m, clipped to the grid; a node lies in the
-    cross product of its two axes' subdomains.
+    subdomains (i-1)//m and i//m, clipped to the grid: equal, or adjacent
+    and ascending.  A node lies in the cross product of its two axes'
+    subdomains, and its candidates (sy0, sx0), (sy0, sx1), (sy1, sx0),
+    (sy1, sx1), numbered sy * gx + sx, ascend once the repeats are dropped,
+    so the table comes out sorted without a sort: it is formed per node and
+    then repeated for each of the node's k dofs.
     """
     gx, gy = grid
-    n_sub = gx * gy
     mx, my = space.mesh.nx // gx, space.mesh.ny // gy
-    dofs = np.arange(space.n)
-    ix, iy = space.lattice(dofs)
-    sx = np.clip([(ix - 1) // mx, ix // mx], 0, gx - 1)
-    sy = np.clip([(iy - 1) // my, iy // my], 0, gy - 1)
-    keys = sorted_unique(dofs * n_sub + (sy[:, None] * gx + sx[None, :]).reshape(4, -1))
-    return Incidence(keys // n_sub, keys % n_sub)
+    ix, iy = space.lattice(np.arange(0, space.n, space.k))  # one dof per node
+    sx0, sx1 = np.clip((ix - 1) // mx, 0, gx - 1), np.clip(ix // mx, 0, gx - 1)
+    sy0, sy1 = np.clip((iy - 1) // my, 0, gy - 1), np.clip(iy // my, 0, gy - 1)
+    cand = np.stack([sy0 * gx + sx0, sy0 * gx + sx1, sy1 * gx + sx0, sy1 * gx + sx1], axis=1)
+    two_x, two_y = sx1 != sx0, sy1 != sy0
+    keep = np.stack([np.ones_like(two_x), two_x, two_y, two_x & two_y], axis=1)
+    shape = (ix.size, space.k, 4)  # node, component, candidate
+    dof = space.k * np.arange(ix.size)[:, None, None] + np.arange(space.k)[None, :, None]
+    keep = np.broadcast_to(keep[:, None, :], shape)
+    return Incidence(np.broadcast_to(dof, shape)[keep], np.broadcast_to(cand[:, None, :], shape)[keep])
 
 
 def _split_interior(inc: Incidence, n_sub: int) -> tuple[dict[int, np.ndarray], Incidence]:
@@ -318,21 +325,19 @@ def _build_layout(cls: DofClassification) -> TornLayout:
 
 
 def _edge_groups(nx: int, ny: int, grid: tuple[int, int]) -> list[np.ndarray]:
-    """Interior node runs of every subdomain edge."""
+    """Interior nodes of every subdomain edge, one (edges, m - 1) array per
+    edge length m: the vertical edges' rows, then the horizontal edges',
+    each direction bottom to top and left to right.  Square subdomains, as
+    ``build_mesh`` makes them, give one array; at H/h = 1 it has no
+    columns.
+    """
     gx, gy = grid
     mx, my = nx // gx, ny // gy
-    groups = []
-    for vx in range(1, gx):  # vertical edges
-        ix = vx * mx
-        for sy in range(gy):
-            iys = np.arange(sy * my + 1, (sy + 1) * my)
-            groups.append(iys * (nx + 1) + ix)
-    for hy in range(1, gy):  # horizontal edges
-        iy = hy * my
-        for sx in range(gx):
-            ixs = np.arange(sx * mx + 1, (sx + 1) * mx)
-            groups.append(iy * (nx + 1) + ixs)
-    return groups
+    vx, sy, t = np.ix_(np.arange(1, gx), np.arange(gy), np.arange(1, my))
+    vertical = ((sy * my + t) * (nx + 1) + vx * mx).reshape((gx - 1) * gy, my - 1)
+    hy, sx, t = np.ix_(np.arange(1, gy), np.arange(gx), np.arange(1, mx))
+    horizontal = (hy * my * (nx + 1) + sx * mx + t).reshape((gy - 1) * gx, mx - 1)
+    return [np.concatenate([vertical, horizontal])] if mx == my else [vertical, horizontal]
 
 
 def _average_basis_block(m: int) -> np.ndarray:
@@ -346,15 +351,14 @@ def _average_basis_block(m: int) -> np.ndarray:
 def _build_transform(n: int, groups: list[np.ndarray]) -> sp.csr_matrix:
     """Identity outside the groups, the average/deviation block inside each.
 
-    The groups of one size (at most one per edge direction) are
-    stacked into a (groups, m) array and their blocks written in one pass:
-    entry (i, j) of a group's block sits at row g[i], column g[j].
+    ``groups`` holds (groups, m) arrays of disjoint dof groups, one array
+    per group size m; each array's blocks are written in one pass: entry
+    (i, j) of a group's block sits at row g[i], column g[j].
     """
     in_group = np.zeros(n, dtype=bool)
     rows, cols, vals = [], [], []
-    sizes = np.array([g.size for g in groups], dtype=np.int64)
-    for m in np.unique(sizes):
-        G = np.stack([g for g, size in zip(groups, sizes) if size == m])
+    for G in groups:
+        m = G.shape[1]
         in_group[G] = True
         rows.append(np.repeat(G, m, axis=1).ravel())
         cols.append(np.tile(G, (1, m)).ravel())
@@ -384,12 +388,14 @@ def classify_dofs(part: SubdomainPartition, spaces: FeSpaceSet, primal_variant: 
             # one average per subdomain edge and component, over the edge's
             # interior nodes (refined-level ones for the displacement): the
             # first dof of each edge then carries the average and turns
-            # primal; its sharers are the edge's pair already
-            edges = [space.dof_of_node[e] for e in _edge_groups(space.mesh.nx, space.mesh.ny, grid) if e.size]
+            # primal; its sharers are the edge's pair already.  A group is
+            # one edge's dofs of one component, edge-major
+            edges = [space.dof_of_node[e] for e in _edge_groups(space.mesh.nx, space.mesh.ny, grid) if e.shape[1]]
             if any(np.any(e < 0) for e in edges):
                 raise InternalError(f"{fld} edge interior node unexpectedly constrained")
-            groups = [e + c for e in edges for c in range(space.k)]
-            is_primal[[g[0] for g in groups]] = True
+            groups = [(e[:, None, :] + np.arange(space.k)[:, None]).reshape(-1, e.shape[1]) for e in edges]
+            for G in groups:
+                is_primal[G[:, 0]] = True
             transform = _build_transform(space.n, groups)
         splits[fld] = FieldSplit(n_sub, interior, rows, is_primal, transform)
 
@@ -407,13 +413,18 @@ def classify_dofs(part: SubdomainPartition, spaces: FeSpaceSet, primal_variant: 
 def _check_floating(cls: DofClassification) -> None:
     """A subdomain with no Dirichlet contact needs at least two primal
     constraint locations to pin its rigid motions."""
+    space, rows = cls.spaces.fields["u"], cls.u.primal_rows
+    n_nodes = space.mesh.n_nodes
+    # each subdomain's distinct primal nodes, counted in one pass
+    located = sorted_unique(rows.sub * n_nodes + space.nodes(rows.dof))
+    n_locations = np.bincount(located // n_nodes, minlength=cls.n_subdomains)
     dirichlet = [side in cls.spaces.bc.displacement_dirichlet for side in SIDES]
-    for s in np.flatnonzero(~subdomain_sides(cls.grid)[:, dirichlet].any(axis=1)):
-        n_locations = np.unique(cls.spaces.fields["u"].nodes(cls.u.sub_primal[s])).size
-        if n_locations < 2:
-            raise ConfigurationError(
-                f"subdomain {s} floats: no Dirichlet contact and only {n_locations} primal constraint location(s)"
-            )
+    floating = ~subdomain_sides(cls.grid)[:, dirichlet].any(axis=1)
+    bad = np.flatnonzero(floating & (n_locations < 2))
+    if bad.size:
+        raise ConfigurationError(
+            f"subdomain {bad[0]} floats: no Dirichlet contact and only {n_locations[bad[0]]} primal constraint location(s)"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -461,6 +461,8 @@ def fit_polylog(h_over_h: list[float], eig_max: list[float]) -> dict:
     """Least squares fit of y against C1 + C2 (1 + log(H/h))^2."""
     if len(h_over_h) != len(eig_max) or len(set(h_over_h)) < 2 or not all(1.0 <= v < math.inf for v in h_over_h):
         raise ConfigurationError("polylog fit needs matched points at two or more distinct H/h, each finite and >= 1")
+    if not all(math.isfinite(v) for v in eig_max):
+        raise ConfigurationError("polylog fit needs a finite eig_max at every point")
     x = np.array([(1.0 + math.log(v)) ** 2 for v in h_over_h])
     y = np.array(eig_max, dtype=float)
     Amat = np.column_stack([np.ones_like(x), x])

@@ -57,10 +57,8 @@ class SaddleFactor:
     """LU factorization of one symmetric local block, solving for a whole
     matrix of right-hand sides at once.
 
-    ``label`` names the block in a rejection; ``probes`` is the number of
-    random columns of its probe, one per member of the class that shares
-    the block.  Uses dense LAPACK below a size cutoff (or for dense input)
-    and sparse LU above it.
+    ``label`` names the block in a rejection.  Uses dense LAPACK below a
+    size cutoff (or for dense input) and sparse LU above it.
 
     Every block factored here is symmetric: the torn saddle blocks
     [[A, B^T, 0], [B, -C, D^T], [0, D, -E]] are quasi-definite (A positive
@@ -80,24 +78,24 @@ class SaddleFactor:
     cuts the fill by about a third and leaves the factor, and so the
     interface operator, symmetric to roundoff.
 
-    The guard is a random solve probe, one sparse (or dense) product for
-    all its columns, which rejects silently singular blocks (a floating
-    subdomain without enough primal constraints, for instance); an exactly
-    singular dense block (a zero pivot of ``getrf``) and a block with a
-    non-finite entry are rejected the same way, since their solves are not
-    finite.  Either raises ``ConfigurationError`` naming the block.  The
-    probe is the one check: a dense solve is one ``getrs`` call on the
-    factor that passed it, with no scan of the factor or of the right-hand
-    side.  When a sparse factor fails the probe, which the lost digits do
-    near the incompressible limit, it keeps the factored block and solves
-    with one step of iterative refinement against it from then on; the
-    block is probed again and rejected only if it still fails.
+    The guard is a random solve probe of one column (``_probe``), which
+    rejects silently singular blocks (a floating subdomain without enough
+    primal constraints, for instance); an exactly singular dense block (a
+    zero pivot of ``getrf``) and a block with a non-finite entry are
+    rejected the same way, since their solves are not finite.  Either
+    raises ``ConfigurationError`` naming the block.  The probe is the one
+    check: a dense solve is one ``getrs`` call on the factor that passed
+    it, with no scan of the factor or of the right-hand side.  When a
+    sparse factor fails the probe, which the lost digits do near the
+    incompressible limit, it keeps the factored block and solves with one
+    step of iterative refinement against it from then on; the block is
+    probed again and rejected only if it still fails.
 
     ``nnz`` is the factor's size: n^2 for a dense factor, the entries
     SuperLU stores for L and U (supernodes included) for a sparse one.
     """
 
-    def __init__(self, label: str, K, probes: int = 1):
+    def __init__(self, label: str, K):
         self.n = K.shape[0]
         self.nnz = 0
         self._dense = self._sparse = self._refine = None
@@ -116,10 +114,10 @@ class SaddleFactor:
             except RuntimeError as err:  # SuperLU met a zero pivot column
                 raise _rejected(label, "sparse LU met an exactly zero pivot") from err
             self.nnz = self._sparse.nnz
-        rel = _probe(K, self.solve, probes)
+        rel = _probe(K, self.solve)
         if self._sparse is not None and rel > _PROBE_TOL:
             self._refine = K
-            rel = _probe(K, self.solve, probes)
+            rel = _probe(K, self.solve)
         if rel > _PROBE_TOL:
             raise _rejected(label, f"local solve failed its residual probe ({rel:.2e})")
 
@@ -135,14 +133,18 @@ class SaddleFactor:
         return z
 
 
-def _probe(K, solve, probes: int) -> float:
-    """Largest relative residual of ``solve`` on the seeded random right-hand
-    sides K x, x with ``probes`` columns; inf where it is not finite."""
-    b = K @ np.random.default_rng(12345).standard_normal((K.shape[0], probes))
-    scale = np.linalg.norm(b, axis=0)
-    scale[scale == 0.0] = 1.0
-    e = np.linalg.norm(K @ solve(b) - b, axis=0) / scale
-    return float(np.max(np.where(np.isfinite(e), e, np.inf)))
+def _probe(K, solve) -> float:
+    """Relative residual of ``solve`` on the seeded random right-hand side
+    K x; inf where it is not finite.
+
+    One column serves a block however many subdomains share it: the
+    members of a class share one factor of one matrix, so further columns
+    drawn from the same seeded distribution would test the same matrix
+    again, not the members.
+    """
+    b = K @ np.random.default_rng(12345).standard_normal(K.shape[0])
+    e = np.linalg.norm(K @ solve(b) - b) / (np.linalg.norm(b) or 1.0)
+    return float(e) if np.isfinite(e) else np.inf
 
 
 def trailing_schur(label: str, K: sp.spmatrix, k: int) -> np.ndarray:
@@ -173,7 +175,7 @@ def trailing_schur(label: str, K: sp.spmatrix, k: int) -> np.ndarray:
         raise InternalError(f"{label}: the sparse LU moved the kept unknowns from the end of its order")
     if not np.array_equal(lu.perm_r[tail], tail):
         raise _rejected(label, "sparse LU met an exactly zero pivot in the eliminated block")
-    rel = _probe(K, lu.solve, 1)
+    rel = _probe(K, lu.solve)
     if rel > _PROBE_TOL:
         raise _rejected(label, f"local solve failed its residual probe ({rel:.2e})")
     L, U = lu.L, lu.U
@@ -684,7 +686,7 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
         M = _local_saddle(views[members[0]], sets, trace=condense)
         n_k = M.shape[0] - (sets["xiG"].size + sets["pG"].size if condense else 0)
         n_r = n_k - sets["uP"].size
-        factor = SaddleFactor(f"subdomain {members[0]} (class of {len(members)})", M[:n_r, :n_r], len(members))
+        factor = SaddleFactor(f"subdomain {members[0]} (class of {len(members)})", M[:n_r, :n_r])
         A_rP = M[:n_r, n_r:n_k].toarray()
         primal = np.column_stack([np.searchsorted(cls.u.primal, cls.u.sub_primal[s]) for s in members])
         X, S_PP = primal_coupling(factor, A_rP, M[n_r:n_k, n_r:n_k].toarray())

@@ -14,6 +14,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from biot_ddp import reduced_system
 from biot_ddp.decomposition import _CONGRUENCE_RTOL
 from biot_ddp.mesh_fem import BLOCK_FIELDS, LoadSpec, assemble_blocks, build_mesh, build_spaces, element_tables
 
@@ -25,6 +26,60 @@ def splu_schur(M, gamma: np.ndarray, inner: np.ndarray) -> np.ndarray:
     if inner.size and gamma.size:
         S -= M[gamma][:, inner] @ spla.splu(M[inner][:, inner].tocsc()).solve(M[inner][:, gamma].toarray())
     return S
+
+
+def reference_incidence(space, grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The (dof, subdomain) rows of every subdomain holding each dof's node
+    of ``space``, sorted: each dof's four candidate subdomains, the cross
+    product of its two axes', keyed dof-major and sorted, repeats dropped."""
+    gx, gy = grid
+    n_sub = gx * gy
+    mx, my = space.mesh.nx // gx, space.mesh.ny // gy
+    dofs = np.arange(space.n)
+    ix, iy = space.lattice(dofs)
+    sx = np.clip([(ix - 1) // mx, ix // mx], 0, gx - 1)
+    sy = np.clip([(iy - 1) // my, iy // my], 0, gy - 1)
+    keys = np.unique(dofs * n_sub + (sy[:, None] * gx + sx[None, :]).reshape(4, -1))
+    return keys // n_sub, keys % n_sub
+
+
+def reference_edge_groups(nx: int, ny: int, grid: tuple[int, int]) -> list[np.ndarray]:
+    """Interior node runs of every subdomain edge, one edge at a time: the
+    vertical edges, then the horizontal ones."""
+    gx, gy = grid
+    mx, my = nx // gx, ny // gy
+    groups = []
+    for vx in range(1, gx):
+        for sy in range(gy):
+            groups.append(np.arange(sy * my + 1, (sy + 1) * my) * (nx + 1) + vx * mx)
+    for hy in range(1, gy):
+        for sx in range(gx):
+            groups.append(hy * my * (nx + 1) + np.arange(sx * mx + 1, (sx + 1) * mx))
+    return groups
+
+
+def reference_edge_averages(space, grid: tuple[int, int]) -> list[np.ndarray]:
+    """The dof groups of the edge averages of ``space``, one edge and then
+    one component at a time; a group's first dof carries its average."""
+    edges = [space.dof_of_node[e] for e in reference_edge_groups(space.mesh.nx, space.mesh.ny, grid) if e.size]
+    return [e + c for e in edges for c in range(space.k)]
+
+
+def record_probes(monkeypatch) -> list:
+    """Shapes of the right-hand sides every residual probe solves from now
+    on, appended as the probes run."""
+    shapes = []
+    probe = reduced_system._probe
+
+    def recording(K, solve):
+        def solve_and_record(b):
+            shapes.append(b.shape)
+            return solve(b)
+
+        return probe(K, solve_and_record)
+
+    monkeypatch.setattr(reduced_system, "_probe", recording)
+    return shapes
 
 
 def dense_from_apply(apply, n: int) -> np.ndarray:

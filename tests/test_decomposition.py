@@ -6,14 +6,34 @@ coarse vertices (the center and the left edge midpoint), which pins every
 count below.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 import biot_ddp as bd
-from biot_ddp.decomposition import _CONGRUENCE_RTOL, _average_basis_block, _build_transform, _drop_roundoff, _edge_groups
+from biot_ddp.decomposition import (
+    _CONGRUENCE_RTOL,
+    FieldSplit,
+    _average_basis_block,
+    _build_transform,
+    _check_floating,
+    _drop_roundoff,
+    _edge_groups,
+    _incidence,
+    _lattice_corners,
+)
 from biot_ddp.mesh_fem import element_subdomains
-from helpers import MULTI_MEMBER_GRIDS, assemble_with_reference, assert_stored_once
+from helpers import (
+    MULTI_MEMBER_GRIDS,
+    assemble_with_reference,
+    assert_stored_once,
+    reference_edge_averages,
+    reference_edge_groups,
+    reference_incidence,
+)
 
 
 def classify(nx=8, grid=(2, 2), variant="p1", primal="vertex", bc=None):
@@ -172,9 +192,9 @@ class TestClassification:
     def test_transform_matches_per_group_build(self, variant, bc):
         part, spaces, cls = classify(nx=12, grid=(3, 3), variant=variant, primal="vertex-edge", bc=bc)
         mesh, refined = part.mesh, part.mesh.refined_mesh
-        u_edges = [spaces.fields["u"].dof_of_node[nodes] for nodes in _edge_groups(refined.nx, refined.ny, part.grid)]
+        u_edges = [spaces.fields["u"].dof_of_node[nodes] for nodes in reference_edge_groups(refined.nx, refined.ny, part.grid)]
         u_groups = [dofs + comp for dofs in u_edges for comp in range(2)]
-        p_edges = [spaces.fields["p"].dof_of_node[nodes] for nodes in _edge_groups(mesh.nx, mesh.ny, part.grid)]
+        p_edges = [spaces.fields["p"].dof_of_node[nodes] for nodes in reference_edge_groups(mesh.nx, mesh.ny, part.grid)]
         p_groups = [dofs[dofs >= 0] for dofs in p_edges if np.any(dofs >= 0)]
         self.assert_bitwise_equal(cls.u.transform, self.per_group_transform(spaces.n_dofs["u"], u_groups))
         self.assert_bitwise_equal(cls.p.transform, self.per_group_transform(spaces.n_dofs["p"], p_groups))
@@ -182,7 +202,83 @@ class TestClassification:
     def test_transform_of_mixed_group_sizes_matches_per_group_build(self):
         # groups of two sizes, interleaved as in a field with two edge lengths
         groups = [np.array([3, 4, 5]), np.array([10, 11]), np.array([0, 1, 2]), np.array([20, 21])]
-        self.assert_bitwise_equal(_build_transform(25, groups), self.per_group_transform(25, groups))
+        stacked = [np.stack(groups[0::2]), np.stack(groups[1::2])]  # one (groups, m) array per size
+        self.assert_bitwise_equal(_build_transform(25, stacked), self.per_group_transform(25, groups))
+
+    @staticmethod
+    def assert_incidence_is_reference(inc, space, grid):
+        for got, want in zip((inc.dof, inc.sub), reference_incidence(space, grid)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("nx, grid", [(4, (4, 4)), (8, (4, 4)), (24, (4, 2)), (12, (1, 3)), (12, (3, 1))],
+                             ids=["4x4-H/h=1", "4x4-H/h=2", "24x12-on-4x2", "1x3", "3x1"])
+    @pytest.mark.parametrize("variant", ["p1", "p0"])
+    @pytest.mark.parametrize("bc", [bd.BoundarySpec.neumann_left(), bd.BoundarySpec.all_dirichlet()], ids=["neumann-left", "dirichlet"])
+    @pytest.mark.parametrize("primal", ["vertex", "vertex-edge"])
+    def test_classification_matches_per_edge_reference(self, nx, grid, variant, bc, primal):
+        # the incidence against the sorted one, the edge averages against
+        # the groups formed one edge and one component at a time
+        part, spaces, cls = classify(nx, grid, variant, primal, bc)
+        for fld, split in cls.splits.items():
+            space = spaces.fields[fld]
+            if fld == "xi" and variant == "p0":
+                assert split.rows.dof.size == 0
+                continue
+            self.assert_incidence_is_reference(_incidence(space, grid), space, grid)
+            if fld == "xi":
+                continue
+            is_primal = _lattice_corners(space, grid)
+            if primal == "vertex":
+                assert split.transform is None
+            else:
+                groups = reference_edge_averages(space, grid)
+                is_primal[[g[0] for g in groups]] = True
+                self.assert_bitwise_equal(split.transform, self.per_group_transform(space.n, groups))
+            np.testing.assert_array_equal(split.is_primal, is_primal)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gx=st.integers(1, 5), gy=st.integers(1, 5), m=st.integers(1, 4),
+        fld=st.sampled_from(["u", "xi", "p"]), dirichlet=st.booleans(),
+    )
+    def test_incidence_is_the_sorted_reference(self, gx, gy, m, fld, dirichlet):
+        bc = bd.BoundarySpec.all_dirichlet() if dirichlet else bd.BoundarySpec.neumann_left()
+        spaces = bd.build_spaces(bd.build_mesh(gx * m, (gx, gy)), "p1", bc)
+        self.assert_incidence_is_reference(_incidence(spaces.fields[fld], (gx, gy)), spaces.fields[fld], (gx, gy))
+
+    @pytest.mark.parametrize("nx, ny, grid", [(8, 8, (4, 4)), (4, 4, (4, 4)), (24, 12, (4, 2)), (12, 36, (1, 3)), (8, 4, (2, 2)), (8, 8, (4, 2))])
+    def test_edge_groups_are_the_per_edge_runs(self, nx, ny, grid):
+        # square subdomains give one array, others one per direction
+        arrays = _edge_groups(nx, ny, grid)
+        assert len(arrays) == (1 if nx // grid[0] == ny // grid[1] else 2)
+        rows = [row for nodes in arrays for row in nodes]
+        want = reference_edge_groups(nx, ny, grid)
+        assert len(rows) == len(want)
+        for got, ref in zip(rows, want):
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("primal_nodes, floating, n_locations", [
+        ((), 0, 0), ((40,), 0, 1), ((36, 13), 2, 1), ((36, 40), None, None),
+    ])
+    def test_floating_check_names_the_lowest_subdomain(self, primal_nodes, floating, n_locations):
+        # 2x2 subdomains clamped on the right only: 0 and 2 float.  The
+        # displacement is primal (both components) at the chosen nodes of
+        # the 8x8 refined mesh: the centre 40, the left midpoint 36 (in 0
+        # and 2) and 13, on the vertical interface below the centre (in 0
+        # and 1)
+        bc = bd.BoundarySpec(("right",), ("right",))
+        _, spaces, cls = classify(nx=4, bc=bc)
+        space = spaces.fields["u"]
+        is_primal = np.zeros(space.n, dtype=bool)
+        is_primal[space.node_dofs(np.array(primal_nodes, dtype=np.int64))] = True
+        chosen = dataclasses.replace(cls, u=FieldSplit(cls.n_subdomains, cls.u.interior, cls.u.rows, is_primal))
+        if floating is None:
+            _check_floating(chosen)
+            return
+        why = f"^subdomain {floating} floats: no Dirichlet contact and only {n_locations} primal constraint location"
+        with pytest.raises(bd.ConfigurationError, match=why):
+            _check_floating(chosen)
 
     @pytest.mark.parametrize("bc", [bd.BoundarySpec.neumann_left(), bd.BoundarySpec.all_dirichlet()])
     def test_incidence_matches_element_partition(self, bc):

@@ -208,6 +208,9 @@ class TestFit:
         for low in (0.0, -1.0, 0.5):  # below one, and where log fails
             with pytest.raises(bd.ConfigurationError):
                 bd.fit_polylog([low, 2.0], [1.0, 2.0])
+        for bad in (math.nan, math.inf):  # an eig_max that is not finite
+            with pytest.raises(bd.ConfigurationError):
+                bd.fit_polylog([2.0, 4.0], [bad, 1.0])
 
 
 class TestReports:

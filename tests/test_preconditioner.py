@@ -23,6 +23,7 @@ from helpers import (
     dense_coarse,
     dense_from_apply,
     preconditioned_spectrum,
+    record_probes,
     rel_err,
     splu_schur,
 )
@@ -472,19 +473,15 @@ class TestSchurKernel:
         T[0, 0] = T[m - 1, m - 1] = 1.0
         return (sp.kron(T, sp.identity(m)) + sp.kron(sp.identity(m), T)).tocsr()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("kind, why", [
-        ("neumann island", r"local solve failed its residual probe \(.*\)"),
-        ("zero row and column", "sparse LU met an exactly zero pivot"),
-        ("column coupled only to kept rows", "sparse LU met an exactly zero pivot in the eliminated block"),
-    ])
-    def test_singular_eliminated_block_rejected(self, kind, why):
-        # 441 eliminated grid points above the cutoff, 21 kept unknowns
-        # coupled to the top row of the grid
+    @classmethod
+    def singular_eliminated_block(cls, kind):
+        """A rejection fixture's saddle block, its kept and eliminated
+        unknowns and its lattice: 441 eliminated grid points above the
+        cutoff, then 21 kept unknowns coupled to the top row of the grid."""
         m, k = 21, 21
         n = m * m
         C = sp.csr_matrix((np.full(k, -0.5), (np.arange(n - m, n), np.arange(k))), shape=(n, k))
-        L = self.neumann_laplacian(m)  # constants in the null space
+        L = cls.neumann_laplacian(m)  # constants in the null space
         if kind != "neumann island":
             L = (L + 0.1 * sp.identity(n)).tolil()
             L[7, :] = 0.0
@@ -494,7 +491,24 @@ class TestSchurKernel:
                 C[7, 0] = -0.5
         M = sp.bmat([[L, C], [C.T, 4.0 * sp.identity(k)]], format="csr")
         M.eliminate_zeros()
-        ix, iy = np.arange(n) % m, np.arange(n) // m
+        return M, np.arange(n, n + k), np.arange(n), (np.arange(n) % m, np.arange(n) // m)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind, why", [
+        ("neumann island", r"local solve failed its residual probe \(.*\)"),
+        ("zero row and column", "sparse LU met an exactly zero pivot"),
+        ("column coupled only to kept rows", "sparse LU met an exactly zero pivot in the eliminated block"),
+    ])
+    def test_singular_eliminated_block_rejected(self, kind, why):
         label = "elastic interior block of subdomain 4"
         with pytest.raises(bd.ConfigurationError, match=f"^{label}: {why};"):
-            _dense_schur(M, np.arange(n, n + k), np.arange(n), (ix, iy), label)
+            _dense_schur(*self.singular_eliminated_block(kind), label)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_neumann_island_rejected_by_one_probe_column(self, monkeypatch):
+        M, gamma, inner, lattice = self.singular_eliminated_block("neumann island")
+        shapes = record_probes(monkeypatch)
+        label = "elastic interior block of subdomain 4"
+        with pytest.raises(bd.ConfigurationError, match=f"^{label}: local solve failed its residual probe"):
+            _dense_schur(M, gamma, inner, lattice, label)
+        assert shapes == [(M.shape[0],)]

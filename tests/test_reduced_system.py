@@ -30,6 +30,7 @@ from helpers import (
     dense_from_apply,
     dense_torn_solution,
     numeric_classes,
+    record_probes,
     rel_err,
 )
 
@@ -242,15 +243,41 @@ class TestLocalFactors:
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_class_probe_names_the_class(self):
-        # one block probed with one random column per class member
+        # one block shared by a class of 36, probed with one random column
         rng = np.random.default_rng(2)
         Q = rng.standard_normal((8, 8))
         K = sp.csr_matrix(Q @ Q.T + 8 * np.eye(8))
-        fac = SaddleFactor("subdomain 9 (class of 36)", K, probes=36)
+        fac = SaddleFactor("subdomain 9 (class of 36)", K)
         b = rng.standard_normal((8, 36))
         assert np.linalg.norm(K @ fac.solve(b) - b) < 1e-10 * np.linalg.norm(b)
         with pytest.raises(bd.ConfigurationError, match=r"^subdomain 9 \(class of 36\): local solve failed"):
-            SaddleFactor("subdomain 9 (class of 36)", sp.csr_matrix(np.ones((8, 8))), probes=36)
+            SaddleFactor("subdomain 9 (class of 36)", sp.csr_matrix(np.ones((8, 8))))
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("kind, why", [
+        ("singular", "local solve failed its residual probe"),
+        ("zero pivot", "sparse LU met an exactly zero pivot"),
+        ("inf", "local solve failed its residual probe"),
+        ("nan", "local solve failed its residual probe"),
+    ])
+    def test_one_column_probe_rejects_every_fixture(self, monkeypatch, kind, why):
+        # the rejection fixtures above, each through a class's label: the
+        # one probe column rejects them with the same message
+        if kind == "singular":
+            K = sp.csr_matrix(np.ones((6, 6)))
+        elif kind == "zero pivot":
+            K = self.tridiagonal(500, 2.0)
+            K[0, 0] = K[499, 499] = 1.0
+            K = K.tocsr()
+        else:
+            K = 4.0 * np.eye(8)
+            K[2, 5] = {"inf": np.inf, "nan": np.nan}[kind]
+        shapes = record_probes(monkeypatch)
+        with pytest.raises(bd.ConfigurationError, match=rf"^subdomain 9 \(class of 36\): {why}"):
+            SaddleFactor("subdomain 9 (class of 36)", K)
+        assert all(shape == (K.shape[0],) for shape in shapes)
+        assert bool(shapes) == (kind != "zero pivot")  # a zero pivot is met before the probe
 
     @staticmethod
     def tridiagonal(n, diag):
