@@ -206,9 +206,9 @@ class FieldSplit:
     ``rows`` is the interface incidence, ``is_primal`` a flag over the
     field's dofs and ``transform`` its change of basis for the vertex-edge
     variant (None: the nodal basis).  Every other set is read off them,
-    once: the flag over the rows, the sorted dofs of the interface and of
-    its primal and dual parts, each subdomain's, and the rows of the primal
-    and dual dofs.
+    once: the flags over the rows and of the interface over the dofs, the
+    sorted dofs of the interface and of its primal and dual parts, each
+    subdomain's, and the rows of the primal and dual dofs.
     """
 
     n_sub: int
@@ -216,6 +216,7 @@ class FieldSplit:
     rows: Incidence
     is_primal: np.ndarray
     transform: sp.csr_matrix | None = None
+    is_interface: np.ndarray = field(init=False)  # over the field's dofs, as ``is_primal``
     row_is_primal: np.ndarray = field(init=False)  # over ``rows``
     primal_rows: Incidence = field(init=False)
     dual_rows: Incidence = field(init=False)  # of the displacement: one per torn copy, lower subdomain first
@@ -227,6 +228,8 @@ class FieldSplit:
     sub_dual: dict[int, np.ndarray] = field(init=False)
 
     def __post_init__(self):
+        self.is_interface = np.zeros(self.is_primal.size, dtype=bool)
+        self.is_interface[self.rows.dof] = True
         self.row_is_primal = primal = self.is_primal[self.rows.dof]
         self.primal_rows, self.dual_rows = self.rows.select(primal), self.rows.select(~primal)
         rows = (self.rows, self.primal_rows, self.dual_rows)

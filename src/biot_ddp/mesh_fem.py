@@ -457,8 +457,9 @@ class StackedBlocks:
         positions (offsets ``off``).  What to keep is decided on each
         representative's positions and moved onto its members by one gather,
         so a member's maps must be negative where its representative's are:
-        true of maps that keep every entry, and of maps on the local index
-        sets that ``_shared_index_sets`` has checked to be the members' own.
+        true of maps that keep every entry, and of maps set by the dofs'
+        roles, which ``reduced_system._check_members`` has checked to be the
+        members' own at their representatives' positions.
         """
         r, c = _BLOCK_SPACES[name]
         M = getattr(self, name)

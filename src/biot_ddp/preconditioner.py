@@ -26,11 +26,11 @@ Dirichlet Schur complement, or the lumped A_DD.  One helper,
 ``class_schurs``, gives every class of the three blocks its Schur
 complement.  A class whose sides differ from an earlier one's only where
 it has Dirichlet sides takes a principal submatrix of that one's (the
-rule of ``reduced_system.class_sources``, which the torn condensation
-shares); any other is formed by ``_dense_schur``: through a dense factor
-of the eliminated block when it is small, else through one sparse LU of
-the whole block with the kept unknowns ordered last and the eliminated
-ones in nested-dissection order.
+rules of ``reduced_system.class_sources`` and ``derive_schur``, which the
+torn condensation shares); any other is formed by ``_dense_schur``:
+through a dense factor of the eliminated block when it is small, else
+through one sparse LU of the whole block with the kept unknowns ordered
+last and the eliminated ones in nested-dissection order.
 """
 
 from __future__ import annotations
@@ -53,8 +53,9 @@ from .reduced_system import (
     LocalClass,
     PartiallyAssembled,
     SaddleFactor,
-    _match,
+    _local_index_sets,
     class_sources,
+    derive_schur,
     primal_coupling,
     trailing_schur,
 )
@@ -130,11 +131,12 @@ def class_schurs(system: BlockSystem, fld: str, block, label: str) -> tuple[list
     as a principal submatrix of the S of its source (``class_sources`` over
     ``fld``): it eliminates the same positions with the same material,
     keeps a subset of the source's, and sees the same change of basis on
-    them, so its S is the source's restricted to its kept dofs.  A class
-    with no source is formed by ``_dense_schur``.  Dofs are matched by
-    their position in the patch (``FieldSpace.patch_keys``); a kept dof of
-    r that its source c does not keep, or an eliminated set that differs,
-    is an ``InternalError`` naming r.
+    them, so its S is the source's restricted to its kept dofs
+    (``derive_schur`` with nothing to eliminate).  A class with no source
+    is formed by ``_dense_schur``.  Dofs are matched by their position in
+    the patch (``FieldSpace.patch_keys``); a kept dof of r that its source
+    c does not keep, or an eliminated set that differs, is an
+    ``InternalError`` naming r.
     """
     groups = system.classes(FIELD_BLOCK[fld])
     space = system.spaces.fields[fld]
@@ -151,12 +153,9 @@ def class_schurs(system: BlockSystem, fld: str, block, label: str) -> tuple[list
             seen[i] = kept, eliminated
             continue
         c = groups[src][0]
-        m = _match(seen[src][0], kept)
-        if m is None:
-            raise InternalError(f"{name}: a kept dof is not kept by the class of subdomain {c}")
+        out[i], _ = derive_schur(name, c, out[src], seen[src][0], kept, False)
         if not np.array_equal(eliminated, seen[src][1]):
             raise InternalError(f"{name}: its eliminated dofs are not those of the class of subdomain {c}")
-        out[i] = out[src][np.ix_(m, m)]
     return out, len(seen)
 
 
@@ -202,11 +201,11 @@ def _bddc(system: BlockSystem, cls: DofClassification, fld: str, inject_scaled: 
 
     def block(r):
         lb = system.stacked.local_view(r)
+        ix = _local_index_sets(cls, lb)
         M = getattr(lb, FIELD_BLOCK[fld])
         if fld == "xi":
             M = float(mats.lam[r] / mats.mu[r]) * M
-        kept = np.concatenate([split.sub_dual[r], split.sub_primal[r]])
-        return M, lb.dofs[fld], lb.pos(fld, kept), lb.pos(fld, split.interior[r])
+        return M, lb.dofs[fld], np.concatenate([ix[fld + "D"], ix[fld + "P"]]), ix[fld + "I"]
 
     off = np.cumsum([0, *(split.sub_dual[s].size for s in range(cls.n_subdomains))])
     coarse = []  # each class's primal columns and coarse contribution
@@ -246,7 +245,8 @@ def build_lambda_solver(
 
     def block(r):
         lb = system.stacked.local_view(r)
-        return lb.A.tocsr(), lb.dofs["u"], lb.pos("u", cls.u.sub_dual[r]), lb.pos("u", cls.u.interior[r])
+        ix = _local_index_sets(cls, lb)
+        return lb.A.tocsr(), lb.dofs["u"], ix["uD"], ix["uI"]
 
     groups = system.classes("A")
     if kind == "dirichlet":

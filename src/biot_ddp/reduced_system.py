@@ -13,13 +13,13 @@ uniform grid) form one congruence class, whose local blocks are stored
 once, as the representative's: only its saddle block is built and
 factored, and the members are reached through their index maps.
 When few classes serve many subdomains, each class is also condensed once
-onto its members' interface rows into one dense map, and no local solve
-runs per application.  Only a source class solves for its map; a class
-whose sides differ from a source's only where it has Dirichlet sides
-(``class_sources``, the rule the preconditioner's Schur complements
-share) derives its map from the source's by one small dense Schur step,
-since a Schur complement of a Schur complement is a Schur complement
-(``_condense``).  The torn inverse, the condensed operator and each
+onto its members' interface rows into one dense map, in the same pass, and
+no local solve runs per application.  Only a source class solves for its
+map; a class whose sides differ from a source's only where it has
+Dirichlet sides (``class_sources``) derives its map from the source's by
+one small dense Schur step, since a Schur complement of a Schur complement
+is a Schur complement (``derive_schur``, which the preconditioner's Schur
+complements share).  The torn inverse, the condensed operator and each
 preconditioner block are one ``PartiallyAssembled``: classes of one type,
 ``LocalClass``, each applied to all its members at once, and the one
 ``CoarseProblem`` that couples them, which it builds.
@@ -35,7 +35,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .decomposition import DofClassification, InternalError, TornLayout, Transfer, split_segments
-from .mesh_fem import BLOCK_PARAMS, SIDES, BlockSystem, ConfigurationError, subdomain_sides
+from .mesh_fem import (
+    BLOCK_PARAMS, SIDES, BlockSystem, ConfigurationError, block_positions, class_representatives, subdomain_sides,
+)
 
 _DENSE_FACTOR_CUTOFF = 400
 _PAYBACK_APPLIES = 32
@@ -78,14 +80,17 @@ class SaddleFactor:
     cuts the fill by about a third and leaves the factor, and so the
     interface operator, symmetric to roundoff.
 
-    The guard is a random solve probe of one column (``_probe``), which
-    rejects silently singular blocks (a floating subdomain without enough
-    primal constraints, for instance); an exactly singular dense block (a
-    zero pivot of ``getrf``) and a block with a non-finite entry are
-    rejected the same way, since their solves are not finite.  Either
-    raises ``ConfigurationError`` naming the block.  The probe is the one
-    check: a dense solve is one ``getrs`` call on the factor that passed
-    it, with no scan of the factor or of the right-hand side.  When a
+    The guard is a random solve probe of one column (``_probe``): the solve
+    must give back a seeded K x to ``_PROBE_TOL``.  It rejects a factor
+    whose solves are inaccurate, an exactly singular dense block (a zero
+    pivot of ``getrf``) and a block with a non-finite entry, whose solves
+    are not finite, with ``ConfigurationError`` naming the block.  It does
+    not reject every singular block: K x lies in K's range, so a singular
+    block whose LU meets a roundoff pivot rather than a zero one passes
+    (the pure-Neumann Laplacian does).  A floating subdomain is rejected
+    before any factor (``decomposition._check_floating``).  The probe is
+    the one check: a dense solve is one ``getrs`` call on the factor that
+    passed it, with no scan of the factor or of the right-hand side.  When a
     sparse factor fails the probe, which the lost digits do near the
     incompressible limit, it keeps the factored block and solves with one
     step of iterative refinement against it from then on; the block is
@@ -311,7 +316,7 @@ class PartiallyAssembled:
     one class per congruence class, coupled only through the primal
     unknowns stored in the last ``coarse.n`` entries.  ``at`` is where the
     members' unknowns lie, ``sources`` how many classes formed their own map
-    (the others derive it: ``_condense``, ``preconditioner.class_schurs``).
+    (the others derive it: ``derive_schur``).
     """
 
     classes: list[LocalClass]
@@ -359,16 +364,6 @@ def _side_kinds(system: BlockSystem, fields: tuple[str, ...]) -> np.ndarray:
     return np.where(np.tile(subdomain_sides(system.materials.grid), len(fields)), np.hstack(outer), "interface")
 
 
-def _match(kept: np.ndarray, want: np.ndarray) -> np.ndarray | None:
-    """The index in ``kept`` of each of ``want``, or None if one is missing."""
-    order = np.argsort(kept)
-    at = np.searchsorted(kept, want, sorter=order)
-    if np.any(at >= kept.size):
-        return None
-    m = order[at]
-    return m if np.array_equal(kept[m], want) else None
-
-
 def class_sources(
     system: BlockSystem, groups: list[np.ndarray], names: str, fields: tuple[str, ...]
 ) -> list[tuple[int, int | None]]:
@@ -394,92 +389,34 @@ def class_sources(
     return visits
 
 
-def _row_keys(system: BlockSystem, cls: DofClassification, reps: list[int]) -> list[np.ndarray]:
-    """Patch key (``FieldSpace.patch_keys``) of each interface row of each
-    subdomain in ``reps``: its xi_G and p_G dofs, then the λ row of each
-    dual copy, keyed by that copy, with the field (0, 1, 2) as the lowest
-    digit."""
-    parts = []
-    for code, (fld, dofs) in enumerate((("xi", cls.xi.sub_interface), ("p", cls.p.sub_interface),
-                                         ("u", cls.u.sub_dual))):
-        sizes = [dofs[s].size for s in reps]
-        keys = system.spaces.fields[fld].patch_keys(system.materials.grid, np.repeat(reps, sizes),
-                                                    np.concatenate([dofs[s] for s in reps]))
-        parts.append(np.split(3 * keys + code, np.cumsum(sizes)[:-1]))
-    return [np.concatenate(p) for p in zip(*parts)]
-
-
-def _condense(
-    system: BlockSystem, cls: DofClassification, torn: PartiallyAssembled, members: list[np.ndarray],
-    ymap: list[np.ndarray], D: list[np.ndarray], B_C_T: sp.csr_matrix,
-) -> PartiallyAssembled:
-    """The torn block with each class condensed onto its members' interface
-    rows ``ymap``, on the torn coarse problem; its ``sources`` are the
-    classes that did so by their own solve.  With B_0 the representative's
-    coupling on those rows, the map is [F; Psi^T] with F = B_0 K_rr^{-1}
-    B_0^T and the primal coupling Psi = B_0 X.
-
-    Only a source class (``class_sources`` over u and p) solves for F.  On
-    its rows Y_c, S_c = D_c - F_c is the Schur complement of its local
-    saddle block [[K_rr, B_0^T], [B_0, D_c]], where ``D`` is the class's
-    own saddle-signed C, D and E among its xi_G and p_G rows (zero on the
-    λ rows).  A class r that derives from c keeps the rows k of c that
-    match its own by patch key; it drops c's other p rows (p is Dirichlet
-    there, by the side rule) and eliminates the rest, E: the xi rows on
-    its Dirichlet sides, interior in r, and the λ row of each dual copy it
-    fixes, which fixes that copy.  By the quotient property of Schur
-    complements (Crabtree-Haynsworth), D_r - F_r = S_c[k, k] - S_c[k, E]
-    S_c[E, E]^{-1} S_c[E, k]: one small dense LU and no sparse solve.  E
-    may be empty: at H/h = 1 with edge averages an edge's one interior
-    displacement node carries the average and is primal, so a side that is
-    Dirichlet in r holds no dual copy and no interior xi row, and r only
-    drops rows of c.  A
-    row of r that c lacks, or an eliminated set that does not account for
-    r's local unknowns, is an ``InternalError`` naming r's class.
+def derive_schur(
+    name: str, src: int, S: np.ndarray, kept: np.ndarray, want: np.ndarray, eliminable: np.ndarray | bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Schur complement of class ``name`` derived from S, the class of
+    subdomain ``src``'s on the unknowns with patch keys ``kept``, and the
+    source's unknowns E it eliminates: each of the class's keys ``want``
+    is matched to a source unknown k, the unmatched ones that
+    ``eliminable`` flags (False: none) are E, and the rest are dropped.
+    By the quotient property of Schur complements (Crabtree-Haynsworth) it
+    is S[k, k] - S[k, E] S[E, E]^{-1} S[E, k], from one dense LU; with E
+    empty, the principal submatrix S[k, k].  A wanted key the source lacks,
+    or an exactly singular S[E, E], is an ``InternalError`` naming the class.
     """
-    classes, reps = torn.classes, [m[0] for m in members]
-    keys = _row_keys(system, cls, reps)
-    out: list[LocalClass] = [None] * len(classes)
-    schur: dict[int, np.ndarray] = {}  # S_c of each source class
-    at = np.full(B_C_T.shape[1], -1, dtype=np.int64)  # interface row -> position among a class's rows
-    for i, src in class_sources(system, members, "ABCDE", ("u", "p")):
-        c, r, n_G = classes[i], reps[i], D[i].shape[0]
-        # the representative's columns of B_C couple to its rows alone
-        Bt = B_C_T[c.idx[:, 0]]
-        at[ymap[r]] = np.arange(ymap[r].size)
-        rows = at[Bt.indices]
-        at[ymap[r]] = -1
-        if np.any(rows < 0):
-            raise InternalError(f"subdomain {r}: its local unknowns couple to another subdomain's interface rows")
-        B0 = sp.csr_matrix((Bt.data, rows, Bt.indptr), shape=(Bt.shape[0], ymap[r].size)).T
-        if src is None:
-            F = B0 @ c.factor.solve(B0.T.toarray())
-            schur[i] = S = -F
-            S[:n_G, :n_G] += D[i]
-        else:
-            name = f"subdomain {r} (class of {len(members[i])})"
-            k = _match(keys[src], keys[i])
-            if k is None:
-                raise InternalError(f"{name}: an interface row is not a row of the class of subdomain {reps[src]}")
-            rest = np.ones(keys[src].size, dtype=bool)
-            rest[k] = False
-            E = np.flatnonzero(rest & (keys[src] % 3 != 1))
-            grown = c.idx.shape[0] - classes[src].idx.shape[0]  # r's eliminated xi rows less its fixed copies
-            if grown != E.size - 2 * np.count_nonzero(keys[src][E] % 3 == 2):
-                raise InternalError(f"{name}: its eliminated rows do not match the class of subdomain {reps[src]}")
-            order = np.concatenate([k, E])
-            S = schur[src][np.ix_(order, order)]
-            F = -S[: k.size, : k.size]
-            if E.size:
-                lu, piv, info = _getrf(S[k.size :, k.size :])
-                if info > 0:
-                    raise InternalError(f"{name}: the rows it eliminates are singular in the class of subdomain {reps[src]}")
-                F += S[: k.size, k.size :] @ _getrs(lu, piv, S[k.size :, : k.size])[0]
-            F[:n_G, :n_G] += D[i]
-        M = np.vstack([F, (B0 @ c.X).T])
-        out[i] = LocalClass(idx=np.column_stack([ymap[s] for s in members[i]]), primal=c.primal,
-                            X=M[F.shape[0] :].T, factor=c.factor, S=M)
-    return PartiallyAssembled(out, torn.coarse, len(schur))
+    sorter = np.argsort(kept)
+    at = np.searchsorted(kept, want, sorter=sorter)
+    k = sorter[at[at < kept.size]]
+    if k.size < want.size or not np.array_equal(kept[k], want):
+        raise InternalError(f"{name}: a kept unknown is not kept by the class of subdomain {src}")
+    E = np.setdiff1d(np.flatnonzero(eliminable), k)
+    order = np.concatenate([k, E])
+    T = S[np.ix_(order, order)]
+    out = T[: k.size, : k.size]
+    if E.size:
+        lu, piv, info = _getrf(T[k.size :, k.size :])
+        if info > 0:
+            raise InternalError(f"{name}: the unknowns it eliminates are singular in the class of subdomain {src}")
+        out -= T[: k.size, k.size :] @ _getrs(lu, piv, T[k.size :, : k.size])[0]
+    return out, E
 
 
 @dataclass
@@ -567,8 +504,8 @@ class ReducedSystem:
         """The full torn saddle system (diagnostic; built sparse from every
         subdomain's local saddle block)."""
         lay = self.layout
-        local = self.system.local.items()
-        K = sp.block_diag([_local_saddle(lb, _local_index_sets(self.cls, s, lb)) for s, lb in local], format="coo")
+        local = self.system.local.values()
+        K = sp.block_diag([_local_saddle(lb, _local_index_sets(self.cls, lb)) for lb in local], format="coo")
         primal = self.cls.u.sub_primal
         g = np.concatenate([np.concatenate([lay.r_indices[s], lay.primal_pos[primal[s]]]) for s in range(lay.n_sub)])
         At = sp.csr_matrix((K.data, (g[K.row], g[K.col])), shape=(lay.n_w, lay.n_w))
@@ -599,38 +536,32 @@ class ReducedSystem:
         return u, xi, p, jump_norm
 
 
-# the local index sets of a subdomain: field and ``FieldSplit`` attribute
-_INDEX_SETS = {
-    "uI": ("u", "interior"), "uD": ("u", "sub_dual"), "uP": ("u", "sub_primal"),
-    "xiI": ("xi", "interior"), "xiG": ("xi", "sub_interface"),
-    "pI": ("p", "interior"), "pG": ("p", "sub_interface"), "pD": ("p", "sub_dual"), "pP": ("p", "sub_primal"),
-}
+def _local_index_sets(cls: DofClassification, lb) -> dict[str, np.ndarray]:
+    """The local positions of a subdomain's interior, interface, dual and
+    primal dofs of each field, keyed by the field and "I", "G", "D" or "P"
+    ("uI", "xiG", ...), read off the flags of its sorted dofs ``lb.dofs``."""
+    sets = {}
+    for fld, split in cls.splits.items():
+        g, p = split.is_interface[lb.dofs[fld]], split.is_primal[lb.dofs[fld]]
+        for name, flag in (("I", ~g), ("G", g), ("D", g & ~p), ("P", g & p)):
+            sets[fld + name] = np.flatnonzero(flag)
+    return sets
 
 
-def _local_index_sets(cls: DofClassification, s: int, lb) -> dict[str, np.ndarray]:
-    return {name: lb.pos(fld, getattr(cls.splits[fld], attr)[s]) for name, (fld, attr) in _INDEX_SETS.items()}
-
-
-def _shared_index_sets(system: BlockSystem, cls: DofClassification, sets: dict[int, dict]) -> list[dict]:
-    """Every subdomain's local index sets: those in ``sets`` of its
-    representative on the sides touched alone, a key every class refines.
-    A member's stacked dofs at those positions must be its own classified
-    dofs (one gather per set), or ``InternalError`` names it."""
-    st = system.stacked
-    rep = np.empty(st.n_sub, dtype=np.int64)
-    for members in system.classes(""):
-        rep[members] = members[0]
-    for name, (fld, attr) in _INDEX_SETS.items():
-        want = [getattr(cls.splits[fld], attr)[s] for s in range(st.n_sub)]
-        size = np.array([w.size for w in want])
-        wrong = np.flatnonzero(size != size[rep])
-        if not wrong.size:
-            at = np.concatenate([st.off[fld][s] + sets[r][name] for s, r in enumerate(rep)])
-            wrong = np.repeat(np.arange(st.n_sub), size)[st.dofs[fld][at] != np.concatenate(want)]
+def _check_members(system: BlockSystem, cls: DofClassification) -> None:
+    """Every subdomain's local dofs must play, position by position, the
+    roles (interior, dual or primal) of its representative's on the sides
+    touched alone, a key every class refines: a class's maps are read at its
+    representative's local positions.  One comparison per field; a
+    subdomain that differs is an ``InternalError`` naming it."""
+    st, rep = system.stacked, class_representatives(system.materials, ())
+    for fld, split in cls.splits.items():
+        off, dofs = st.off[fld], st.dofs[fld]
+        role = split.is_interface[dofs] * (1 + split.is_primal[dofs])
+        wrong = np.repeat(np.arange(st.n_sub), np.diff(off))[role != role[block_positions(off, rep)]]
         if wrong.size:
             s = wrong[0]
-            raise InternalError(f"subdomain {s}: {name} dofs not at the local positions of its representative {rep[s]}")
-    return [sets[r] for r in rep]
+            raise InternalError(f"subdomain {s}: {fld} dofs not at the local positions of its representative {rep[s]}")
 
 
 def _local_saddle(lb, sets: dict[str, np.ndarray], trace: bool = False) -> sp.csr_matrix:
@@ -665,59 +596,101 @@ def _local_saddle(lb, sets: dict[str, np.ndarray], trace: bool = False) -> sp.cs
 
 
 def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Transfer) -> ReducedSystem:
+    """The reduced system, its torn classes built, and condensed when that
+    pays back, in one pass over the classes (``class_sources`` over u and
+    p), each from its representative's own saddle block.
+
+    A condensed class's map is [F; Psi^T] on its members' interface rows
+    (xi_G, p_G, then the λ row of each dual copy): F = B_0 K_rr^{-1} B_0^T
+    and Psi = B_0 X, where B_0 is the saddle block's trace rows over the
+    class's signed jump (one +-1 per dual copy, on its last local unknowns).
+    Only a source class solves for F; S_c = D_c - F_c, with D_c the saddle
+    block's trace block, is the Schur complement of [[K_rr, B_0^T], [B_0,
+    D_c]].  A class r that derives from c keeps c's rows that match its own,
+    drops c's other p rows (p is Dirichlet there, by the side rule) and
+    eliminates the rest (``derive_schur``): the xi rows on its Dirichlet
+    sides and the λ row of each dual copy it fixes.  These may be none: at
+    H/h = 1 with edge averages a Dirichlet side of r holds no dual copy and
+    no interior xi row.  Eliminated rows that do not account for r's local
+    unknowns are an ``InternalError`` naming r's class.
+    """
     lay = cls.layout
     st = system.stacked
     n_xi_g, n_p_g, n_lam = cls.segments
     n_y = n_xi_g + n_p_g + n_lam
+    _check_members(system, cls)
 
-    # the members of an assembly class share their representative's blocks
-    class_members = system.classes("ABCDE")
-    views = {m[0]: st.local_view(m[0]) for m in class_members}
-    ix = _shared_index_sets(system, cls, {r: _local_index_sets(cls, r, lb) for r, lb in views.items()})
-    # condensing pays back within a run unless the columns solved once to
-    # condense every class are more than _PAYBACK_APPLIES times the columns
-    # one application solves without it, one per subdomain
-    condense = sum(ix[m[0]][k].size for m in class_members for k in ("xiG", "pG", "uD")) <= _PAYBACK_APPLIES * lay.n_sub
-    classes: list[LocalClass] = []
-    coarse = []  # each class's primal columns and coarse contribution
-    D = []  # each condensed class's saddle block on its interface trace
-    for members in class_members:
-        sets = ix[members[0]]
-        M = _local_saddle(views[members[0]], sets, trace=condense)
-        n_k = M.shape[0] - (sets["xiG"].size + sets["pG"].size if condense else 0)
-        n_r = n_k - sets["uP"].size
-        factor = SaddleFactor(f"subdomain {members[0]} (class of {len(members)})", M[:n_r, :n_r])
-        A_rP = M[:n_r, n_r:n_k].toarray()
-        primal = np.column_stack([np.searchsorted(cls.u.primal, cls.u.sub_primal[s]) for s in members])
-        X, S_PP = primal_coupling(factor, A_rP, M[n_r:n_k, n_r:n_k].toarray())
-        coarse.append((primal, S_PP))
-        classes.append(LocalClass(
-            idx=np.column_stack([lay.r_indices[s] for s in members]), primal=primal, X=X,
-            factor=factor, A_Pr=np.ascontiguousarray(A_rP.T),
-        ))
-        D.append(M[n_k:, n_k:].toarray())
-
-    # torn column of every subdomain's stacked local unknown and interface
-    # row of every stacked trace dof, -1 where there is none
+    # torn column of every stacked local unknown and interface row of every
+    # stacked trace dof and dual copy, -1 where there is none: the stacked
+    # dual dofs are the broken copies in order, B^T has one entry per copy
+    u = st.dofs["u"]
+    dual = np.flatnonzero(cls.u.is_interface[u] & ~cls.u.is_primal[u])
     wcol = {fld: pos[st.dofs[fld]] for fld, pos in lay.int_pos.items()}
-    primal = lay.primal_pos[st.dofs["u"]]
-    wcol["u"] = np.where(primal >= 0, primal, wcol["u"])
-    yrow = {fld: np.full(st.off[fld][-1], -1, dtype=np.int64) for fld in ("xi", "p")}
-    # multiplier row of every broken dual copy: B^T has one entry per copy
-    Jc = jump.unit.tocoo()
-    lam_row = np.empty(lay.dual_offset[-1], dtype=np.int64)
-    lam_row[Jc.row] = n_xi_g + n_p_g + Jc.col
-    ymap = []  # interface rows each subdomain's local unknowns couple to
-    for s, sets in enumerate(ix):
-        wcol["u"][st.off["u"][s] + sets["uD"]] = lay.dual_slice.start + lay.dual_offset[s] + np.arange(sets["uD"].size)
-        xi_rows = cls.xi.interface_pos(cls.xi.sub_interface[s])
-        p_rows = n_xi_g + cls.p.interface_pos(cls.p.sub_interface[s])
-        yrow["xi"][st.off["xi"][s] + sets["xiG"]] = xi_rows
-        yrow["p"][st.off["p"][s] + sets["pG"]] = p_rows
-        ymap.append(np.concatenate([xi_rows, p_rows, lam_row[lay.dual_offset[s] : lay.dual_offset[s + 1]]]))
+    wcol["u"] = np.where(lay.primal_pos[u] >= 0, lay.primal_pos[u], wcol["u"])
+    wcol["u"][dual] = lay.dual_slice.start + np.arange(dual.size)
     if np.any(wcol["u"] < 0):
         s = np.searchsorted(st.off["u"], np.argmax(wcol["u"] < 0), side="right") - 1
         raise InternalError(f"subdomain {s}: unclassified displacement dofs in local block")
+    yrow = {fld: np.where(cls.splits[fld].is_interface[st.dofs[fld]], base + cls.splits[fld].interface_pos(st.dofs[fld]), -1)
+            for fld, base in (("xi", 0), ("p", n_xi_g))}
+    Jc = jump.unit.tocoo()
+    yrow["u"] = np.full(u.size, -1, dtype=np.int64)
+    yrow["u"][dual[Jc.row]] = n_xi_g + n_p_g + Jc.col
+
+    def gather(m: dict, members: np.ndarray, sets: dict, *names: str) -> np.ndarray:
+        """The maps ``m`` at the class's local positions of ``names``, a column per member."""
+        return np.concatenate([m[n[:-1]][st.off[n[:-1]][members] + sets[n][:, None]] for n in names])
+
+    # the members of an assembly class share their representative's blocks
+    class_members = system.classes("ABCDE")
+    views = [st.local_view(m[0]) for m in class_members]
+    ix = [_local_index_sets(cls, lb) for lb in views]
+    # condensing pays back within a run unless the columns solved once to
+    # condense every class are more than _PAYBACK_APPLIES times the columns
+    # one application solves without it, one per subdomain
+    condense = sum(sets[k].size for sets in ix for k in ("xiG", "pG", "uD")) <= _PAYBACK_APPLIES * lay.n_sub
+    # each class and its primal columns and coarse contribution, stored at
+    # its index so that the coarse matrix sums them in class order
+    classes, coarse, condensed = ([None] * len(class_members) for _ in range(3))
+    schur = {}  # S_c and the row keys of each source class
+    for i, src in class_sources(system, class_members, "ABCDE", ("u", "p")):
+        members, sets, lb = class_members[i], ix[i], views[i]
+        r = members[0]
+        name = f"subdomain {r} (class of {len(members)})"
+        M = _local_saddle(lb, sets, trace=condense)
+        n_k = M.shape[0] - (sets["xiG"].size + sets["pG"].size if condense else 0)
+        n_r = n_k - sets["uP"].size
+        factor = SaddleFactor(name, M[:n_r, :n_r])
+        A_rP = M[:n_r, n_r:n_k].toarray()
+        primal = gather(wcol, members, sets, "uP") - lay.primal_slice.start
+        X, S_PP = primal_coupling(factor, A_rP, M[n_r:n_k, n_r:n_k].toarray())
+        coarse[i] = (primal, S_PP)
+        classes[i] = LocalClass(idx=gather(wcol, members, sets, "uI", "xiI", "pI", "uD"), primal=primal, X=X,
+                                factor=factor, A_Pr=np.ascontiguousarray(A_rP.T))
+        if not condense:
+            continue
+        n_G, n_D = M.shape[0] - n_k, sets["uD"].size
+        sign = sp.csr_matrix((jump.unit.data[lay.dual_offset[r] : lay.dual_offset[r + 1]],
+                              (np.arange(n_D), n_r - n_D + np.arange(n_D))), shape=(n_D, n_r))
+        B0 = sp.vstack([M[n_k:, :n_r], sign], format="csr")
+        keys = np.concatenate([3 * system.spaces.fields[n[:-1]].patch_keys(system.materials.grid, r, lb.dofs[n[:-1]][sets[n]])
+                               + code for code, n in enumerate(("xiG", "pG", "uD"))])
+        if src is None:
+            F = B0 @ factor.solve(B0.T.toarray())
+            S = -F
+            S[:n_G, :n_G] += M[n_k:, n_k:].toarray()
+            schur[i] = S, keys
+        else:
+            c, kept = class_members[src][0], schur[src][1]
+            S, E = derive_schur(name, c, schur[src][0], kept, keys, kept % 3 != 1)
+            # r's eliminated xi rows less the dual copies it fixes
+            if classes[i].idx.shape[0] - classes[src].idx.shape[0] != E.size - 2 * np.count_nonzero(kept[E] % 3 == 2):
+                raise InternalError(f"{name}: its eliminated rows do not match the class of subdomain {c}")
+            F = -S
+            F[:n_G, :n_G] += M[n_k:, n_k:].toarray()
+        Y = np.vstack([F, (B0 @ X).T])
+        condensed[i] = LocalClass(idx=gather(yrow, members, sets, "xiG", "pG", "uD"), primal=primal,
+                                  X=Y[F.shape[0] :].T, factor=factor, S=Y)
 
     # interface rows of the coupling, one part per block (D twice: its
     # transpose couples xi_G to interior p), in the order of a subdomain
@@ -759,22 +732,22 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
         mask = lay.int_pos[fld] >= 0
         f_w[lay.int_pos[fld][mask]] = load[mask]
     f_w[lay.primal_slice] = system.f[cls.u.primal]
-    f_w[lay.dual_slice] = st.f[np.concatenate([st.rep_off["u"][r] + sets["uD"] for r, sets in zip(st.rep, ix)])]
+    sub = np.searchsorted(st.off["u"], dual, side="right") - 1
+    f_w[lay.dual_slice] = st.f[st.rep_off["u"][st.rep[sub]] + dual - st.off["u"][sub]]
 
     h = np.zeros(n_y)
     h[n_xi_g : n_xi_g + n_p_g] = system.g[cls.p.interface]
 
-    B_C_T = B_C.T.tocsr()
     torn = PartiallyAssembled.assemble(classes, cls.u.primal.size, coarse)
     return ReducedSystem(
         system=system,
         cls=cls,
         jump=jump,
         B_C=B_C,
-        B_C_T=B_C_T,
+        B_C_T=B_C.T.tocsr(),
         C_hat=C_hat,
         f_w=f_w,
         h=h,
         torn=torn,
-        condensed=_condense(system, cls, torn, class_members, ymap, D, B_C_T) if condense else None,
+        condensed=PartiallyAssembled(condensed, torn.coarse, len(schur)) if condense else None,
     )

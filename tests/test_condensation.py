@@ -126,21 +126,20 @@ def test_edge_averages_at_one_cell_per_subdomain(monkeypatch, nx, elem, bc):
 
 
 @pytest.mark.parametrize("change, why", [
-    ("kept", "an interface row is not a row of the class of subdomain 7"),
+    ("kept", "a kept unknown is not kept by the class of subdomain 7"),
     ("eliminated", "its eliminated rows do not match the class of subdomain 7"),
 ])
 def test_unmatched_torn_rows_rejected(monkeypatch, change, why):
     # subdomain 1 (the bottom edge, a class of 4) derives from the interior
     # class of subdomain 7
-    row_keys = reduced_system._row_keys
+    derive_schur = reduced_system.derive_schur
 
-    def changed(system, cls, reps):
-        keys = row_keys(system, cls, reps)
-        i = list(reps).index(1)
-        keys[i] = np.concatenate([[-3], keys[i][1:]]) if change == "kept" else keys[i][1:]
-        return keys
+    def changed(name, src, S, kept, want, eliminable):
+        if name.startswith("subdomain 1 "):
+            want = np.concatenate([[-3], want[1:]]) if change == "kept" else want[1:]
+        return derive_schur(name, src, S, kept, want, eliminable)
 
-    monkeypatch.setattr(reduced_system, "_row_keys", changed)
+    monkeypatch.setattr(reduced_system, "derive_schur", changed)
     with pytest.raises(bd.InternalError, match=rf"^subdomain 1 \(class of 4\): {why}$"):
         bd.build_pipeline(flagship_like())
 

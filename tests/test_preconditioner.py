@@ -371,7 +371,7 @@ class TestSharedSchur:
             "torn": 0, "xi": len(pc.xi.classes), "p": pc.pressure.sources, "lambda": want}
 
     @pytest.mark.parametrize("change, why", [
-        ("kept", "a kept dof is not kept by the class of subdomain 5"),
+        ("kept", "a kept unknown is not kept by the class of subdomain 5"),
         ("eliminated", "its eliminated dofs are not those of the class of subdomain 5"),
     ])
     def test_mismatched_dofs_rejected(self, change, why):

@@ -21,6 +21,7 @@ from biot_ddp.reduced_system import (
     _local_index_sets,
     _local_saddle,
     coarse_band,
+    derive_schur,
     primal_coupling,
 )
 from helpers import (
@@ -84,7 +85,7 @@ class TestOperator:
         # and index sets, in the order that sums duplicates as B_C does
         rows, cols, vals = [], [], []
         for s, lb in system.local.items():
-            sets = _local_index_sets(cls, s, lb)
+            sets = _local_index_sets(cls, lb)
             y = {"xi": np.full(lb.dofs["xi"].size, -1), "p": np.full(lb.dofs["p"].size, -1)}
             y["xi"][sets["xiG"]] = cls.xi.interface_pos(cls.xi.sub_interface[s])
             y["p"][sets["pG"]] = n_xi + cls.p.interface_pos(cls.p.sub_interface[s])
@@ -379,6 +380,55 @@ class TestRefinementNearIncompressibleLimit:
         assert all(c.factor._refine is None for c in pipe.reduced.torn.classes)
 
 
+class TestDeriveSchur:
+    """One rule derives a class's Schur complement from its source's: the
+    matched unknowns kept, the unmatched eliminable ones eliminated, the
+    rest dropped."""
+
+    @staticmethod
+    def source(n=9):
+        """A seeded SPD S on unknowns with keys 10, 20, ..., in shuffled order."""
+        rng = np.random.default_rng(21)
+        Q = rng.standard_normal((n, n))
+        return Q @ Q.T + n * np.eye(n), 10 * (1 + rng.permutation(n))
+
+    def test_eliminated_unknowns_give_the_schur_complement(self):
+        S, kept = self.source()
+        want = kept[[4, 0, 7]]
+        eliminable = np.isin(np.arange(kept.size), [1, 2, 4, 5])
+        got, E = derive_schur("class", 3, S, kept, want, eliminable)
+        assert np.array_equal(E, [1, 2, 5])  # 4 is kept
+        k = [4, 0, 7]
+        ref = S[np.ix_(k, k)] - S[np.ix_(k, E)] @ np.linalg.solve(S[np.ix_(E, E)], S[np.ix_(E, k)])
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("eliminable", [False, "matched only"])
+    def test_nothing_eliminable_gives_the_principal_submatrix(self, eliminable):
+        S, kept = self.source()
+        k = [8, 3, 5]
+        if eliminable == "matched only":
+            eliminable = np.isin(np.arange(kept.size), k)
+        got, E = derive_schur("class", 3, S, kept, kept[k], eliminable)
+        assert E.size == 0 and got.tobytes() == S[np.ix_(k, k)].tobytes()
+
+    @pytest.mark.parametrize("kept", ["missing", "empty"])
+    def test_missing_key_rejected(self, kept):
+        S, keys = self.source()
+        want = np.array([keys[2], 15])  # 15 is no key
+        if kept == "empty":
+            S, keys, want = S[:0, :0], keys[:0], keys[:1]
+        every = np.ones(keys.size, dtype=bool)
+        with pytest.raises(bd.InternalError, match="^class: a kept unknown is not kept by the class of subdomain 3$"):
+            derive_schur("class", 3, S, keys, want, every)
+        assert derive_schur("class", 3, S, keys, want[:0], False)[0].shape == (0, 0)
+
+    def test_singular_eliminated_block_rejected(self):
+        S, kept = self.source()
+        S[6, :] = S[:, 6] = 0.0  # an eliminated unknown coupled to nothing
+        with pytest.raises(bd.InternalError, match="^class: the unknowns it eliminates are singular in the class of"):
+            derive_schur("class", 3, S, kept, kept[[0, 1]], np.arange(kept.size) > 4)
+
+
 class TestCongruenceClasses:
     """Subdomains with one input key (sides touched, material) share one
     factor; everything else gets its own."""
@@ -420,17 +470,23 @@ class TestCongruenceClasses:
         assert rel_err(red.apply_torn_inverse(b), sp.linalg.spsolve(A_t, b)) < 1e-10
 
     @pytest.mark.parametrize(
-        "fld, name, change",
-        [("u", "uD", "dropped"), ("u", "uD", "foreign"), ("p", "pD", "foreign")],
+        "fld, change",
+        [("u", "dual turned primal"), ("u", "interior turned interface"), ("p", "dual turned primal")],
     )
-    def test_member_with_other_dual_set_is_rejected(self, monkeypatch, fld, name, change):
+    def test_member_with_other_dual_set_is_rejected(self, monkeypatch, fld, change):
         # subdomains 5 and 6 are interior, 6 a member of 5's class: a member
         # is solved on its representative's local positions, which must hold
-        # its own classified dofs
+        # its own classified dofs; the highest dual or interior dof of 6
+        # (shared with 10 at most) changes its role, in a copy of the
+        # field's flags
         pipe = bd.build_pipeline(bd.ExperimentConfig(nx=16, subdomains=(4, 4), E=1.0, nu=0.3))
-        sets = pipe.cls.splits[fld].sub_dual
-        monkeypatch.setitem(sets, 6, sets[6][:-1] if change == "dropped" else sets[5])
-        with pytest.raises(bd.InternalError, match=f"subdomain 6: {name} dofs"):
+        split = pipe.cls.splits[fld]
+        dof = (split.sub_dual[6] if change == "dual turned primal" else split.interior[6])[-1]
+        attr = "is_primal" if change == "dual turned primal" else "is_interface"
+        flags = getattr(split, attr).copy()
+        flags[dof] = True
+        monkeypatch.setattr(split, attr, flags)
+        with pytest.raises(bd.InternalError, match=f"subdomain 6: {fld} dofs"):
             bd.build_reduced_system(pipe.system, pipe.cls, pipe.jump)
 
     @pytest.mark.parametrize("kw", [dict(black={"alpha": 1e-2}), dict(kappa=1e-8, black={"kappa": 1e-9})])
@@ -498,7 +554,7 @@ def test_local_saddle_is_bitwise_the_sliced_bmat(case, primal):
     kw, _ = MULTI_MEMBER_GRIDS[case]
     pipe = bd.build_pipeline(bd.ExperimentConfig(primal=primal, oracle="off", **kw))
     for (s, lb), trace in itertools.product(pipe.system.local.items(), (False, True)):
-        sets = _local_index_sets(pipe.cls, s, lb)
+        sets = _local_index_sets(pipe.cls, lb)
         K, ref = _local_saddle(lb, sets, trace), _sliced_bmat_saddle(lb, sets, trace)
         assert K.shape == ref.shape and K.has_sorted_indices
         for part in ("indptr", "indices", "data"):
@@ -520,7 +576,7 @@ class TestClassKey:
         pipe = bd.build_pipeline(bd.ExperimentConfig(primal=primal, oracle="off", **kw))
         system, cls, mats = pipe.system, pipe.cls, pipe.system.materials
         lbs = [system.local[s] for s in range(system.stacked.n_sub)]
-        ix = [_local_index_sets(cls, s, lb) for s, lb in enumerate(lbs)]
+        ix = [_local_index_sets(cls, lb) for s, lb in enumerate(lbs)]
         saddles = [_local_saddle(lb, sets) for lb, sets in zip(lbs, ix)]
         p_gamma = []
         for s, lb in enumerate(lbs):
@@ -678,8 +734,12 @@ class TestCoarseProblem:
         red = pipe.reduced
         classes = list(red.factors.values())
         assert len(calls) == len(classes) and len(bands) == 4  # torn, xi, p, λ: the torn one first
+        # the classes are factored in visit order (class_sources): each
+        # call is matched to its class by its factor
+        calls = {id(factor): (factor, A_rP, A_PP) for factor, A_rP, A_PP in calls}
         parts = []
-        for (factor, A_rP, A_PP), c in zip(calls, classes):
+        for c in classes:
+            factor, A_rP, A_PP = calls[id(c.factor)]
             X = factor.solve(A_rP)
             assert np.array_equal(c.X, X)
             parts.append((c.primal, A_PP - A_rP.T @ X))
