@@ -10,11 +10,11 @@ undivided continuous block.
 Which subdomains share each dof is read off one incidence table per field:
 the sorted (dof, subdomain) rows of every subdomain whose closure holds the
 dof's node.  A dof with one sharer is interior to it, the others form the
-interface.  Each field's split is one ``FieldSplit``, which reads its
-interface, primal and dual sets, globally and per subdomain, off these
-rows; the torn layout, the stiffness weights and the transfers look them
-up by field name ("u", "xi" or "p").  Each field's broken layout is its
-table taken in (subdomain, dof) order.
+interface.  Each field's split is one ``FieldSplit``, which keeps its
+interior, interface, primal and dual rows as such tables; the torn layout,
+the stiffness weights and the transfers look them up by field name ("u",
+"xi" or "p").  A table's broken layout is its rows in (subdomain, dof)
+order, and each subdomain's own set is a slice of it.
 
 Every field gets one stiffness weight per interface row, and every
 interface segment one ``Transfer`` from its assembled unknowns to its
@@ -45,6 +45,7 @@ from .mesh_fem import (
     ConfigurationError,
     FeSpaceSet,
     FieldSpace,
+    InternalError,
     MaterialField,
     StructuredMesh,
     block_positions,
@@ -52,11 +53,6 @@ from .mesh_fem import (
     sorted_unique,
     subdomain_sides,
 )
-
-
-class InternalError(RuntimeError):
-    """Raised when a build-time self check fails."""
-
 
 # The pressure-like fields, whose interface traces share one transfer rule
 # and one balancing preconditioner, with their names in messages
@@ -77,7 +73,6 @@ class SubdomainPartition:
 
     grid: tuple[int, int]
     mesh: StructuredMesh
-    base_elements: dict[int, np.ndarray]  # each subdomain's base triangles, ascending
 
     @property
     def n_subdomains(self) -> int:
@@ -88,9 +83,7 @@ def partition(mesh: StructuredMesh, grid: tuple[int, int]) -> SubdomainPartition
     gx, gy = grid
     if mesh.nx % gx or mesh.ny % gy:
         raise ConfigurationError(f"mesh {mesh.nx}x{mesh.ny} does not divide into a {gx}x{gy} subdomain grid")
-    sub = element_subdomains(mesh, grid)
-    elems = np.split(np.argsort(sub, kind="stable"), np.cumsum(np.bincount(sub, minlength=gx * gy))[:-1])
-    return SubdomainPartition(grid=grid, mesh=mesh, base_elements=dict(enumerate(elems)))
+    return SubdomainPartition(grid=grid, mesh=mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +120,9 @@ class Incidence:
         pos[np.argsort(self.sub, kind="stable")] = np.arange(self.sub.size)
         return pos
 
-    def by_subdomain(self, n_sub: int) -> dict[int, np.ndarray]:
-        """Each subdomain's sorted dofs."""
-        order = np.argsort(self.sub, kind="stable")
-        bounds = np.searchsorted(self.sub[order], np.arange(n_sub + 1))
-        dofs = self.dof[order]
-        return {s: dofs[bounds[s] : bounds[s + 1]] for s in range(n_sub)}
+    def offsets(self, n_sub: int) -> np.ndarray:
+        """Start of each subdomain's rows in the broken layout, then the end."""
+        return np.concatenate([[0], np.cumsum(np.bincount(self.sub, minlength=n_sub))])
 
     def sharers(self, dof: int) -> np.ndarray:
         lo, hi = np.searchsorted(self.dof, [dof, dof + 1])
@@ -168,10 +158,10 @@ def _incidence(space: FieldSpace, grid: tuple[int, int]) -> Incidence:
     return Incidence(np.broadcast_to(dof, shape)[keep], np.broadcast_to(cand[:, None, :], shape)[keep])
 
 
-def _split_interior(inc: Incidence, n_sub: int) -> tuple[dict[int, np.ndarray], Incidence]:
-    """Each subdomain's interior dofs (one sharer) and the interface rows."""
+def _split_interior(inc: Incidence) -> tuple[Incidence, Incidence]:
+    """The interior rows (one sharer) and the interface rows."""
     shared = inc.sharer_count() > 1
-    return inc.select(~shared).by_subdomain(n_sub), inc.select(shared)
+    return inc.select(~shared), inc.select(shared)
 
 
 def _lattice_corners(space: FieldSpace, grid: tuple[int, int]) -> np.ndarray:
@@ -203,16 +193,17 @@ class FieldSplit:
     """One field's dofs split into each subdomain's interior and the
     interface, and the interface into primal and dual dofs.
 
-    ``rows`` is the interface incidence, ``is_primal`` a flag over the
-    field's dofs and ``transform`` its change of basis for the vertex-edge
-    variant (None: the nodal basis).  Every other set is read off them,
-    once: the flags over the rows and of the interface over the dofs, the
-    sorted dofs of the interface and of its primal and dual parts, each
-    subdomain's, and the rows of the primal and dual dofs.
+    ``interior`` and ``rows`` are the incidence of the interior dofs and
+    of the interface, ``is_primal`` a flag over the field's dofs and
+    ``transform`` its change of basis for the vertex-edge variant (None:
+    the nodal basis).  Every other set is read off them, once: the flags
+    over the rows and of the interface over the dofs, the sorted dofs of
+    the interface and of its primal and dual parts, and the rows of the
+    primal and dual dofs; a subdomain's own are a slice of each.
     """
 
     n_sub: int
-    interior: dict[int, np.ndarray]  # each subdomain's interior dofs
+    interior: Incidence
     rows: Incidence
     is_primal: np.ndarray
     transform: sp.csr_matrix | None = None
@@ -223,9 +214,7 @@ class FieldSplit:
     interface: np.ndarray = field(init=False)
     primal: np.ndarray = field(init=False)
     dual: np.ndarray = field(init=False)
-    sub_interface: dict[int, np.ndarray] = field(init=False)
-    sub_primal: dict[int, np.ndarray] = field(init=False)
-    sub_dual: dict[int, np.ndarray] = field(init=False)
+    dual_offset: np.ndarray = field(init=False)  # ``dual_rows.offsets(n_sub)``
 
     def __post_init__(self):
         self.is_interface = np.zeros(self.is_primal.size, dtype=bool)
@@ -234,7 +223,7 @@ class FieldSplit:
         self.primal_rows, self.dual_rows = self.rows.select(primal), self.rows.select(~primal)
         rows = (self.rows, self.primal_rows, self.dual_rows)
         self.interface, self.primal, self.dual = (sorted_unique(r.dof) for r in rows)
-        self.sub_interface, self.sub_primal, self.sub_dual = (r.by_subdomain(self.n_sub) for r in rows)
+        self.dual_offset = self.dual_rows.offsets(self.n_sub)
 
     def interface_pos(self, dofs: np.ndarray) -> np.ndarray:
         return np.searchsorted(self.interface, dofs)
@@ -245,14 +234,12 @@ class TornLayout:
     """Positions of every unknown in the torn vector
 
         w = (interior u | interior xi | interior p | broken dual u | primal u)
+
+    with every part but the primal one in its field's broken layout.
     """
 
-    n_sub: int
-    # per-subdomain gather indices into w for (uI, xiI, pI, uD) in that order
-    r_indices: dict[int, np.ndarray]
     int_pos: dict[str, np.ndarray]  # w position of each field's interior dofs, -1 elsewhere
     primal_pos: np.ndarray  # over u dofs, -1 if not primal
-    dual_offset: np.ndarray  # start of each subdomain's broken dual block, then the end
     dual_slice: slice
     primal_slice: slice
 
@@ -297,34 +284,23 @@ def split_segments(y: np.ndarray, segments: tuple[int, int, int]) -> tuple[np.nd
     return y[:n_xi], y[n_xi : n_xi + n_p], y[n_xi + n_p :]
 
 
-def _stack(buckets: dict[int, np.ndarray], n: int, base: int) -> tuple[np.ndarray, int]:
-    """Positions base, base + 1, ... of the per-subdomain buckets laid end to
-    end, as a map over the field's n dofs (-1 outside them), and the end."""
-    ids = np.concatenate(list(buckets.values()))
-    pos = np.full(n, -1, dtype=np.int64)
-    pos[ids] = base + np.arange(ids.size)
-    return pos, base + ids.size
+def broken_columns(offsets: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Each member's positions in a broken layout whose subdomains start at
+    ``offsets``, a column per member; congruent members have equally many."""
+    return offsets[members] + np.arange(offsets[members[0] + 1] - offsets[members[0]])[:, None]
 
 
 def _build_layout(cls: DofClassification) -> TornLayout:
-    n_sub = cls.n_subdomains
     int_pos, base = {}, 0
     for fld, split in cls.splits.items():
-        int_pos[fld], base = _stack(split.interior, cls.spaces.n_dofs[fld], base)
-    dual_offset = np.concatenate([[0], np.cumsum(np.bincount(cls.u.dual_rows.sub, minlength=n_sub))])
-    dual_slice = slice(base, base + int(dual_offset[-1]))
+        int_pos[fld] = pos = np.full(cls.spaces.n_dofs[fld], -1, dtype=np.int64)
+        pos[split.interior.dof] = base + split.interior.broken_pos()
+        base += split.interior.dof.size
+    dual_slice = slice(base, base + cls.u.dual_rows.dof.size)
     primal_slice = slice(dual_slice.stop, dual_slice.stop + cls.u.primal.size)
     primal_pos = np.full(cls.spaces.n_dofs["u"], -1, dtype=np.int64)
     primal_pos[cls.u.primal] = np.arange(primal_slice.start, primal_slice.stop)
-    r_indices = {
-        s: np.concatenate([
-            *(int_pos[fld][split.interior[s]] for fld, split in cls.splits.items()),
-            np.arange(dual_slice.start + dual_offset[s], dual_slice.start + dual_offset[s + 1]),
-        ])
-        for s in range(n_sub)
-    }
-    return TornLayout(n_sub=n_sub, r_indices=r_indices, int_pos=int_pos, primal_pos=primal_pos,
-                      dual_offset=dual_offset, dual_slice=dual_slice, primal_slice=primal_slice)
+    return TornLayout(int_pos=int_pos, primal_pos=primal_pos, dual_slice=dual_slice, primal_slice=primal_slice)
 
 
 def _edge_groups(nx: int, ny: int, grid: tuple[int, int]) -> list[np.ndarray]:
@@ -383,7 +359,7 @@ def classify_dofs(part: SubdomainPartition, spaces: FeSpaceSet, primal_variant: 
     splits = {}
     for fld in ("u", "p"):  # the fields with primal dofs
         space = spaces.fields[fld]
-        interior, rows = _split_interior(_incidence(space, grid), n_sub)
+        interior, rows = _split_interior(_incidence(space, grid))
         is_primal = _lattice_corners(space, grid)
         _check_dual_pairs(rows, is_primal, fld)
         transform = None
@@ -402,11 +378,11 @@ def classify_dofs(part: SubdomainPartition, spaces: FeSpaceSet, primal_variant: 
             transform = _build_transform(space.n, groups)
         splits[fld] = FieldSplit(n_sub, interior, rows, is_primal, transform)
 
-    if spaces.total_pressure_variant == "p0":  # a P0 dof is its triangle, interior to its subdomain
-        interior = {s: np.asarray(part.base_elements[s], dtype=np.int64) for s in range(n_sub)}
+    if spaces.total_pressure_variant == "p0":  # a P0 dof is its base triangle, interior to its subdomain
+        interior = Incidence(np.arange(spaces.n_dofs["xi"]), element_subdomains(part.mesh, grid))
         rows = Incidence(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
     else:
-        interior, rows = _split_interior(_incidence(spaces.fields["xi"], grid), n_sub)
+        interior, rows = _split_interior(_incidence(spaces.fields["xi"], grid))
     splits["xi"] = FieldSplit(n_sub, interior, rows, np.zeros(spaces.n_dofs["xi"], dtype=bool))
     cls = DofClassification(grid=grid, spaces=spaces, **splits)
     _check_floating(cls)

@@ -44,6 +44,10 @@ class MaterialDomainError(ValueError):
     """Raised when material parameters leave the admissible range."""
 
 
+class InternalError(RuntimeError):
+    """Raised when a build-time self check fails."""
+
+
 # ---------------------------------------------------------------------------
 # meshes
 
@@ -722,7 +726,7 @@ def _member_dofs(
     A member's closure is its representative's moved across the subdomain
     grid, which moves node ids by a constant, that of the subdomains'
     lower-left nodes; touching the same sides, the member has the same
-    free dofs in the same order.
+    free dofs in the same order (else ``InternalError``).
     """
     m = space.mesh
     gx, gy = grid
@@ -730,7 +734,7 @@ def _member_dofs(
     origin = s // gx * (m.ny // gy) * (m.nx + 1) + s % gx * (m.nx // gx)
     first = space.dof_of_node[space.nodes(dofs) + (origin - origin[rep])[np.repeat(s, np.diff(off))]]
     if np.any(first < 0):
-        raise AssertionError("a class member lacks a free dof of its representative")
+        raise InternalError("a class member lacks a free dof of its representative")
     return first + dofs % space.k
 
 

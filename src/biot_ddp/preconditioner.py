@@ -45,6 +45,7 @@ from .decomposition import (
     DofClassification,
     InternalError,
     Transfer,
+    broken_columns,
     split_segments,
 )
 from .mesh_fem import FIELD_BLOCK, BlockSystem, ConfigurationError
@@ -194,10 +195,14 @@ def _bddc(system: BlockSystem, cls: DofClassification, fld: str, inject_scaled: 
     dofs kept and its interior eliminated (``class_schurs``).  One dense
     map per class: its dual Schur block is factored and probed, solved for
     the identity and for the primal coupling X, and dropped; X also adds
-    the class's part of the coarse matrix.  Subdomain s's dual dofs take
-    the next positions of the partially assembled vector, its primal dofs
-    their places among the field's primal dofs."""
+    the class's part of the coarse matrix.  A member's dual unknowns are
+    its slice of the field's broken dual layout, its primal unknowns the
+    places of its slice of the broken primal rows among the primal dofs."""
     split, mats, label = cls.splits[fld], system.materials, PRESSURE_LIKE[fld]
+    rows = split.primal_rows  # their coarse unknowns in broken order, and each subdomain's start
+    coarse_of = np.zeros_like(rows.dof)
+    coarse_of[rows.broken_pos()] = np.searchsorted(split.primal, rows.dof)
+    primal_offset = rows.offsets(cls.n_subdomains)
 
     def block(r):
         lb = system.stacked.local_view(r)
@@ -207,21 +212,17 @@ def _bddc(system: BlockSystem, cls: DofClassification, fld: str, inject_scaled: 
             M = float(mats.lam[r] / mats.mu[r]) * M
         return M, lb.dofs[fld], np.concatenate([ix[fld + "D"], ix[fld + "P"]]), ix[fld + "I"]
 
-    off = np.cumsum([0, *(split.sub_dual[s].size for s in range(cls.n_subdomains))])
     coarse = []  # each class's primal columns and coarse contribution
     groups = system.classes(FIELD_BLOCK[fld])
     schurs, sources = class_schurs(system, fld, block, label)
     classes: list[LocalClass] = []
     for members, S in zip(groups, schurs):
-        r, nd = members[0], split.sub_dual[members[0]].size
-        factor = SaddleFactor(f"{label} block of subdomain {r}", S[:nd, :nd])
-        cols = np.column_stack([np.searchsorted(split.primal, split.sub_primal[s]) for s in members])
+        idx, cols = broken_columns(split.dual_offset, members), coarse_of[broken_columns(primal_offset, members)]
+        nd = idx.shape[0]
+        factor = SaddleFactor(f"{label} block of subdomain {members[0]}", S[:nd, :nd])
         X, F = primal_coupling(factor, S[:nd, nd:], S[nd:, nd:])
         coarse.append((cols, F))
-        classes.append(LocalClass(
-            idx=np.column_stack([np.arange(off[s], off[s + 1]) for s in members]), primal=cols, X=X,
-            S=np.vstack([factor.solve(np.eye(nd)), X.T]),
-        ))
+        classes.append(LocalClass(idx=idx, primal=cols, X=X, S=np.vstack([factor.solve(np.eye(nd)), X.T])))
     return InterfaceBddc.assemble(classes, split.primal.size, coarse, sources, inject_scaled=inject_scaled)
 
 
@@ -241,7 +242,6 @@ def build_lambda_solver(
     complement (``class_schurs``) or the lumped A_DD."""
     if kind not in ("dirichlet", "lumped"):
         raise ConfigurationError(f"unknown multiplier preconditioner {kind!r}")
-    lay = cls.layout
 
     def block(r):
         lb = system.stacked.local_view(r)
@@ -253,10 +253,9 @@ def build_lambda_solver(
         schurs, sources = class_schurs(system, "u", block, "elastic")
     else:
         schurs, sources = [A[iD][:, iD] for A, _, iD, _ in (block(m[0]) for m in groups)], 0
-    classes = []
-    for members, S in zip(groups, schurs):
-        idx = np.column_stack([np.arange(lay.dual_offset[s], lay.dual_offset[s + 1]) for s in members])
-        classes.append(LocalClass(idx=idx, primal=np.zeros((0, len(members)), dtype=np.int64), S=S))
+    classes = [LocalClass(idx=broken_columns(cls.u.dual_offset, members),
+                          primal=np.zeros((0, len(members)), dtype=np.int64), S=S)
+               for members, S in zip(groups, schurs)]
     return InterfaceBddc.assemble(classes, 0, [], sources, inject_scaled=jump.scaled)
 
 

@@ -503,11 +503,14 @@ class ReducedSystem:
     def torn_matrix(self) -> sp.csr_matrix:
         """The full torn saddle system (diagnostic; built sparse from every
         subdomain's local saddle block)."""
-        lay = self.layout
-        local = self.system.local.values()
-        K = sp.block_diag([_local_saddle(lb, _local_index_sets(self.cls, lb)) for lb in local], format="coo")
-        primal = self.cls.u.sub_primal
-        g = np.concatenate([np.concatenate([lay.r_indices[s], lay.primal_pos[primal[s]]]) for s in range(lay.n_sub)])
+        lay, blocks, cols = self.layout, [], []
+        for s, lb in self.system.local.items():
+            sets = _local_index_sets(self.cls, lb)
+            blocks.append(_local_saddle(lb, sets))
+            cols += [pos[lb.dofs[fld][sets[fld + "I"]]] for fld, pos in lay.int_pos.items()]
+            cols += [lay.dual_slice.start + np.arange(*self.cls.u.dual_offset[s : s + 2]),
+                     lay.primal_pos[lb.dofs["u"][sets["uP"]]]]
+        K, g = sp.block_diag(blocks, format="coo"), np.concatenate(cols)
         At = sp.csr_matrix((K.data, (g[K.row], g[K.col])), shape=(lay.n_w, lay.n_w))
         return sp.bmat([[At, self.B_C.T], [self.B_C, -self.C_hat]], format="csr")
 
@@ -648,7 +651,7 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
     # condensing pays back within a run unless the columns solved once to
     # condense every class are more than _PAYBACK_APPLIES times the columns
     # one application solves without it, one per subdomain
-    condense = sum(sets[k].size for sets in ix for k in ("xiG", "pG", "uD")) <= _PAYBACK_APPLIES * lay.n_sub
+    condense = sum(sets[k].size for sets in ix for k in ("xiG", "pG", "uD")) <= _PAYBACK_APPLIES * cls.n_subdomains
     # each class and its primal columns and coarse contribution, stored at
     # its index so that the coarse matrix sums them in class order
     classes, coarse, condensed = ([None] * len(class_members) for _ in range(3))
@@ -670,7 +673,7 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
         if not condense:
             continue
         n_G, n_D = M.shape[0] - n_k, sets["uD"].size
-        sign = sp.csr_matrix((jump.unit.data[lay.dual_offset[r] : lay.dual_offset[r + 1]],
+        sign = sp.csr_matrix((jump.unit.data[cls.u.dual_offset[r] : cls.u.dual_offset[r + 1]],
                               (np.arange(n_D), n_r - n_D + np.arange(n_D))), shape=(n_D, n_r))
         B0 = sp.vstack([M[n_k:, :n_r], sign], format="csr")
         keys = np.concatenate([3 * system.spaces.fields[n[:-1]].patch_keys(system.materials.grid, r, lb.dofs[n[:-1]][sets[n]])

@@ -19,6 +19,18 @@ from biot_ddp.decomposition import _CONGRUENCE_RTOL
 from biot_ddp.mesh_fem import BLOCK_FIELDS, LoadSpec, assemble_blocks, build_mesh, build_spaces, element_tables
 
 
+def by_subdomain(rows, n_sub: int) -> dict[int, np.ndarray]:
+    """Each of the ``n_sub`` subdomains' sorted dofs among the incidence
+    rows ``rows``: the sets the solver reads as slices of a broken layout."""
+    return {s: np.sort(rows.dof[rows.sub == s]) for s in range(n_sub)}
+
+
+def broken_offsets(rows, n_sub: int) -> np.ndarray:
+    """Start of each subdomain's sets of ``by_subdomain`` laid end to end,
+    then the end."""
+    return np.cumsum([0] + [d.size for d in by_subdomain(rows, n_sub).values()])
+
+
 def splu_schur(M, gamma: np.ndarray, inner: np.ndarray) -> np.ndarray:
     """M_gg - M_gi M_ii^-1 M_ig through SciPy's default sparse LU of M_ii."""
     M = sp.csr_matrix(M)
@@ -112,7 +124,7 @@ def assembled_pressure_schur(pipe) -> np.ndarray:
     """
     cls = pipe.cls
     gamma = cls.p.interface
-    inner = np.concatenate([cls.p.interior[s] for s in range(cls.n_subdomains)])
+    inner = np.concatenate(list(by_subdomain(cls.p.interior, cls.n_subdomains).values()))
     return splu_schur(pipe.system.E, gamma, np.sort(inner))
 
 
@@ -123,12 +135,13 @@ def assembled_total_pressure_schur(pipe) -> np.ndarray:
     mats = pipe.materials
     n_gamma = len(cls.xi.interface)
     S = np.zeros((n_gamma, n_gamma))
+    interface, interior = (by_subdomain(r, cls.n_subdomains) for r in (cls.xi.rows, cls.xi.interior))
     for s in range(cls.n_subdomains):
         lb = pipe.system.local[s]
-        gamma = lb.pos("xi", np.asarray(cls.xi.sub_interface[s], dtype=np.int64))
-        inner = lb.pos("xi", np.asarray(cls.xi.interior[s], dtype=np.int64))
+        gamma = lb.pos("xi", interface[s])
+        inner = lb.pos("xi", interior[s])
         S_loc = splu_schur(lb.C, gamma, inner)
-        rows = cls.xi.interface_pos(np.asarray(cls.xi.sub_interface[s], dtype=np.int64))
+        rows = cls.xi.interface_pos(interface[s])
         weight = mats.lam[s] / mats.mu[s]
         S[np.ix_(rows, rows)] += weight * S_loc
     return S

@@ -25,14 +25,23 @@ from biot_ddp.decomposition import (
     _incidence,
     _lattice_corners,
 )
-from biot_ddp.mesh_fem import element_subdomains
+from biot_ddp.mesh_fem import FIELD_BLOCK, element_subdomains
 from helpers import (
     MULTI_MEMBER_GRIDS,
     assemble_with_reference,
     assert_stored_once,
+    broken_offsets,
+    by_subdomain,
     reference_edge_averages,
     reference_edge_groups,
     reference_incidence,
+)
+
+
+# grids with H/h of one and two, a non-square one and single rows and columns
+REFERENCE_GRIDS = pytest.mark.parametrize(
+    "nx, grid", [(4, (4, 4)), (8, (4, 4)), (24, (4, 2)), (12, (1, 3)), (12, (3, 1))],
+    ids=["4x4-H/h=1", "4x4-H/h=2", "24x12-on-4x2", "1x3", "3x1"],
 )
 
 
@@ -45,24 +54,26 @@ def classify(nx=8, grid=(2, 2), variant="p1", primal="vertex", bc=None):
 
 
 class TestPartition:
+    # a p0 total pressure dof is its base triangle, interior to its subdomain
     def test_element_counts(self):
-        mesh = bd.build_mesh(8, (2, 2))
-        part = bd.partition(mesh, (2, 2))
+        part, _, cls = classify(variant="p0")
+        mesh = part.mesh
         assert part.n_subdomains == 4
-        assert sorted(len(v) for v in part.base_elements.values()) == [32] * 4
+        assert sorted(len(v) for v in by_subdomain(cls.xi.interior, 4).values()) == [32] * 4
         assert sorted(np.bincount(element_subdomains(mesh.refined_mesh, part.grid))) == [128] * 4
 
     def test_elements_partition_the_mesh(self):
-        mesh = bd.build_mesh(12, (3, 3))
-        part = bd.partition(mesh, (3, 3))
-        all_base = np.sort(np.concatenate(list(part.base_elements.values())))
+        part, _, cls = classify(12, (3, 3), "p0")
+        mesh = part.mesh
+        all_base = np.sort(np.concatenate(list(by_subdomain(cls.xi.interior, 9).values())))
         np.testing.assert_array_equal(all_base, np.arange(mesh.triangles.shape[0]))
+        np.testing.assert_array_equal(cls.xi.interior.sub, element_subdomains(mesh, part.grid)[cls.xi.interior.dof])
 
 
 class TestClassification:
     def test_reference_counts(self):
         _, _, cls = classify()
-        assert sorted(len(cls.u.interior[s]) for s in range(4)) == [98, 98, 112, 112]
+        assert sorted(len(v) for v in by_subdomain(cls.u.interior, 4).values()) == [98, 98, 112, 112]
         assert cls.u.dual.size == 56
         assert cls.u.primal.size == 4
         assert cls.xi.interface.size == 17
@@ -75,20 +86,13 @@ class TestClassification:
         for variant in ("p1", "p0"):
             for primal in ("vertex", "vertex-edge"):
                 _, spaces, cls = classify(12, (3, 3), variant, primal)
-                n_sub = cls.n_subdomains
-                u_all = np.concatenate(
-                    [cls.u.interior[s] for s in range(n_sub)]
-                    + [cls.u.dual, cls.u.primal]
-                )
+                interior = {fld: list(by_subdomain(split.interior, cls.n_subdomains).values())
+                            for fld, split in cls.splits.items()}
+                u_all = np.concatenate(interior["u"] + [cls.u.dual, cls.u.primal])
                 assert np.unique(u_all).size == u_all.size == spaces.n_dofs["u"]
-                xi_all = np.concatenate(
-                    [cls.xi.interior[s] for s in range(n_sub)] + [cls.xi.interface]
-                )
+                xi_all = np.concatenate(interior["xi"] + [cls.xi.interface])
                 assert np.unique(xi_all).size == xi_all.size == spaces.n_dofs["xi"]
-                p_all = np.concatenate(
-                    [cls.p.interior[s] for s in range(n_sub)]
-                    + [cls.p.dual, cls.p.primal]
-                )
+                p_all = np.concatenate(interior["p"] + [cls.p.dual, cls.p.primal])
                 assert np.unique(p_all).size == p_all.size == spaces.n_dofs["p"]
 
     @pytest.mark.parametrize("variant", ["p1", "p0"])
@@ -101,11 +105,14 @@ class TestClassification:
         # primal ones, each once
         _, spaces, cls = classify(24, (4, 2), variant, primal, bc)
         system = bd.assemble_blocks(spaces, bd.MaterialField.uniform((4, 2), E=1.0, nu=0.3, alpha=1.0, kappa=1.0))
+        parts = {fld: (split.dual_rows, split.primal_rows) if fld == "u" else (split.rows,)
+                 for fld, split in cls.splits.items()}
+        sets = {fld: [by_subdomain(r, cls.n_subdomains) for r in (split.interior, *parts[fld])]
+                for fld, split in cls.splits.items()}
         for s in range(cls.n_subdomains):
             lb = system.stacked.local_view(s)
-            for fld, split in cls.splits.items():
-                parts = (split.sub_dual, split.sub_primal) if fld == "u" else (split.sub_interface,)
-                got = np.sort(np.concatenate([split.interior[s], *(d[s] for d in parts)]))
+            for fld in cls.splits:
+                got = np.sort(np.concatenate([d[s] for d in sets[fld]]))
                 np.testing.assert_array_equal(got, lb.dofs[fld])
 
     def test_dual_lists_sorted_and_paired(self):
@@ -117,7 +124,7 @@ class TestClassification:
     def test_p0_total_pressure_has_no_interface(self):
         _, _, cls = classify(variant="p0")
         assert cls.xi.interface.size == 0
-        assert sorted(len(v) for v in cls.xi.interior.values()) == [32] * 4
+        assert sorted(len(v) for v in by_subdomain(cls.xi.interior, 4).values()) == [32] * 4
 
     def test_traction_boundary_cross_point_is_primal(self):
         # the left edge midpoint of the 2x2 split sits on the traction
@@ -211,8 +218,7 @@ class TestClassification:
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("nx, grid", [(4, (4, 4)), (8, (4, 4)), (24, (4, 2)), (12, (1, 3)), (12, (3, 1))],
-                             ids=["4x4-H/h=1", "4x4-H/h=2", "24x12-on-4x2", "1x3", "3x1"])
+    @REFERENCE_GRIDS
     @pytest.mark.parametrize("variant", ["p1", "p0"])
     @pytest.mark.parametrize("bc", [bd.BoundarySpec.neumann_left(), bd.BoundarySpec.all_dirichlet()], ids=["neumann-left", "dirichlet"])
     @pytest.mark.parametrize("primal", ["vertex", "vertex-edge"])
@@ -236,6 +242,37 @@ class TestClassification:
                 is_primal[[g[0] for g in groups]] = True
                 self.assert_bitwise_equal(split.transform, self.per_group_transform(space.n, groups))
             np.testing.assert_array_equal(split.is_primal, is_primal)
+
+    @REFERENCE_GRIDS
+    @pytest.mark.parametrize("variant", ["p1", "p0"])
+    @pytest.mark.parametrize("bc", ["neumann-left", "dirichlet"])
+    @pytest.mark.parametrize("primal", ["vertex", "vertex-edge"])
+    def test_broken_offsets_match_the_per_subdomain_reference(self, nx, grid, variant, bc, primal):
+        # every per-subdomain set is read as a slice of its field's broken
+        # layout: the dual offsets, the torn interior positions and each
+        # preconditioner class's columns against the sets laid end to end
+        cfg = bd.ExperimentConfig(nx=nx, subdomains=grid, total_pressure=variant, primal=primal, bc=bc, oracle="off")
+        pipe = bd.build_pipeline(cfg)
+        cls, pc, n_sub = pipe.cls, pipe.preconditioner, pipe.cls.n_subdomains
+        base = 0
+        for fld, split in cls.splits.items():
+            np.testing.assert_array_equal(split.dual_offset, broken_offsets(split.dual_rows, n_sub))
+            interior = np.concatenate(list(by_subdomain(split.interior, n_sub).values()))
+            want = np.full(pipe.spaces.n_dofs[fld], -1)
+            want[interior] = base + np.arange(interior.size)
+            np.testing.assert_array_equal(cls.layout.int_pos[fld], want)
+            base += interior.size
+        for fld, block in (("xi", pc.xi), ("p", pc.pressure), ("u", pc.multiplier)):
+            if block is None:  # p0: no total pressure trace
+                continue
+            split = cls.splits[fld]
+            offsets, primal = broken_offsets(split.dual_rows, n_sub), by_subdomain(split.primal_rows, n_sub)
+            for members, c in zip(pipe.system.classes(FIELD_BLOCK[fld]), block.classes, strict=True):
+                for j, s in enumerate(members):
+                    np.testing.assert_array_equal(c.idx[:, j], np.arange(offsets[s], offsets[s + 1]))
+                    # the multipliers' block has no coarse problem
+                    want = [] if fld == "u" else np.searchsorted(split.primal, primal[s])
+                    np.testing.assert_array_equal(c.primal[:, j], want)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -308,10 +345,11 @@ class TestClassification:
             d = spaces.fields["p"].dof_of_node[node]
             return [d] if d >= 0 else []
 
+        base = {s: np.flatnonzero(element_subdomains(mesh, part.grid) == s) for s in range(8)}
         for inc, want in (
             (cls.u.rows, expected(refined, {s: np.flatnonzero(element_subdomains(refined, part.grid) == s) for s in range(8)}, u_dofs)),
-            (cls.xi.rows, expected(mesh, part.base_elements, lambda node: [node])),
-            (cls.p.rows, expected(mesh, part.base_elements, p_dofs)),
+            (cls.xi.rows, expected(mesh, base, lambda node: [node])),
+            (cls.p.rows, expected(mesh, base, p_dofs)),
         ):
             np.testing.assert_array_equal(np.column_stack([inc.dof, inc.sub]), want)
 
@@ -452,7 +490,8 @@ class TestRestrictions:
         for fld, t in transfers:
             split = cls.splits[fld]
             # dual rows subdomain by subdomain, then the primal dofs
-            want = [(int(d), sc.weight(fld, int(d), s)) for s in range(cls.n_subdomains) for d in split.sub_dual[s]]
+            duals = by_subdomain(split.dual_rows, cls.n_subdomains)
+            want = [(int(d), sc.weight(fld, int(d), s)) for s, dofs in duals.items() for d in dofs]
             want += [(int(d), 1.0) for d in split.primal]
             assert t.unit.shape == t.scaled.shape == (len(want), split.interface.size)
             for k, (dof, w) in enumerate(want):

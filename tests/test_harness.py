@@ -545,6 +545,14 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and str(error) in err[0]
 
+    def test_failed_member_check_exits_3(self, monkeypatch, capsys):
+        # every subdomain put in subdomain 0's class: the members on the
+        # clamped sides lack free dofs at its free ones on the traction side
+        monkeypatch.setattr(bd.mesh_fem, "class_representatives", lambda materials, *a: np.zeros(4, dtype=np.int64))
+        assert main(["run", *self.BASE]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: internal inconsistency, please report: a class member lacks a free dof of its representative"]
+
     def test_sweep_json_output(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"
         code = main(

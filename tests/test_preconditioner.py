@@ -20,6 +20,8 @@ from helpers import (
     assembled_pressure_schur,
     assembled_total_pressure_schur,
     band_to_dense,
+    broken_offsets,
+    by_subdomain,
     dense_coarse,
     dense_from_apply,
     preconditioned_spectrum,
@@ -37,26 +39,28 @@ def build(**kw):
     return bd.build_pipeline(bd.ExperimentConfig(**params))
 
 
-def broken_dual_offsets(cls):
-    sizes = [len(cls.u.sub_dual[s]) for s in range(cls.n_subdomains)]
-    return np.cumsum([0] + sizes)
+def split_sets(cls, fld):
+    """The per-subdomain interior, interface, dual and primal dofs of a field."""
+    split = cls.splits[fld]
+    return (by_subdomain(r, cls.n_subdomains) for r in (split.interior, split.rows, split.dual_rows, split.primal_rows))
 
 
 def broken_elastic_schur(pipe, lumped=False):
     """Block diagonal dual-space elastic Schur complement, one dense
     elimination per subdomain (primal dofs excluded)."""
     cls = pipe.cls
-    offsets = broken_dual_offsets(cls)
+    offsets = broken_offsets(cls.u.dual_rows, cls.n_subdomains)
     n = offsets[-1]
     H = np.zeros((n, n))
+    interior, _, duals, _ = split_sets(cls, "u")
     for s in range(cls.n_subdomains):
         lb = pipe.system.local[s]
-        dual = lb.pos("u", np.asarray(cls.u.sub_dual[s], dtype=np.int64))
+        dual = lb.pos("u", duals[s])
         sl = slice(offsets[s], offsets[s + 1])
         if lumped:
             H[sl, sl] = lb.A.toarray()[np.ix_(dual, dual)]
         else:
-            inner = lb.pos("u", np.asarray(cls.u.interior[s], dtype=np.int64))
+            inner = lb.pos("u", interior[s])
             H[sl, sl] = splu_schur(lb.A, dual, inner)
     return H
 
@@ -175,14 +179,16 @@ class TestClassBatchedBlocks:
         pipe = build(nx=16, subdomains=(4, 4), total_pressure=variant, primal=primal)
         cls, pre = pipe.cls, pipe.preconditioner
         local = [(s, pipe.system.local[s]) for s in range(cls.n_subdomains)]
+        sets = {fld: tuple(split_sets(cls, fld)) for fld in cls.splits}
 
         if variant == "p1":
             R = pipe.restrictions["xi"].scaled.toarray()
             blocks = []
+            interior, interface, _, _ = sets["xi"]
             for s, lb in local:
-                gamma = lb.pos("xi", cls.xi.sub_interface[s])
+                gamma = lb.pos("xi", interface[s])
                 ratio = pipe.materials.lam[s] / pipe.materials.mu[s]
-                blocks.append(np.linalg.inv(ratio * numpy_schur(lb.C, gamma, lb.pos("xi", cls.xi.interior[s]))))
+                blocks.append(np.linalg.inv(ratio * numpy_schur(lb.C, gamma, lb.pos("xi", interior[s]))))
             ref = R.T @ sla.block_diag(*blocks) @ R
             assert rel_err(dense_from_apply(pre.xi.apply, R.shape[1]), ref) < 1e-12
         else:
@@ -193,20 +199,22 @@ class TestClassBatchedBlocks:
         n_dual = R.shape[0] - cls.p.primal.size
         S = np.zeros((R.shape[0], R.shape[0]))
         off = 0
+        interior, interface, _, _ = sets["p"]
         for s, lb in local:
-            ids = cls.p.sub_interface[s]
+            ids = interface[s]
             is_dual = np.isin(ids, cls.p.dual)
             t = np.empty(ids.size, dtype=np.int64)
             t[is_dual] = off + np.arange(np.count_nonzero(is_dual))
             t[~is_dual] = n_dual + np.searchsorted(cls.p.primal, ids[~is_dual])
             off += np.count_nonzero(is_dual)
-            S[np.ix_(t, t)] += numpy_schur(lb.E, lb.pos("p", ids), lb.pos("p", cls.p.interior[s]))
+            S[np.ix_(t, t)] += numpy_schur(lb.E, lb.pos("p", ids), lb.pos("p", interior[s]))
         ref = R.T @ np.linalg.solve(S, R)
         assert rel_err(dense_from_apply(pre.pressure.apply, R.shape[1]), ref) < 1e-12
 
         # multipliers: scaled jumps through the broken Dirichlet Schur complements
+        interior, _, duals, _ = sets["u"]
         H = sla.block_diag(*[
-            numpy_schur(lb.A, lb.pos("u", cls.u.sub_dual[s]), lb.pos("u", cls.u.interior[s])) for s, lb in local
+            numpy_schur(lb.A, lb.pos("u", duals[s]), lb.pos("u", interior[s])) for s, lb in local
         ])
         Bd = pipe.jump.scaled.T.toarray()
         ref = Bd @ H @ Bd.T
@@ -222,15 +230,16 @@ def lu_solve_bddc(pipe, kind):
     n_primal = cls.p.primal.size if kind == "p" else 0
     F = np.zeros((n_primal, n_primal))
     subs = []
+    interior, interface, duals, primals = split_sets(cls, kind)
     for s in range(cls.n_subdomains):
         lb = pipe.system.local[s]
         if kind == "xi":
             M = pipe.materials.lam[s] / pipe.materials.mu[s] * lb.C
-            gamma, inner = lb.pos("xi", cls.xi.sub_interface[s]), lb.pos("xi", cls.xi.interior[s])
+            gamma, inner = lb.pos("xi", interface[s]), lb.pos("xi", interior[s])
             nd, cols = gamma.size, np.zeros(0, dtype=np.int64)
         else:
-            dual, primal = cls.p.sub_dual[s], cls.p.sub_primal[s]
-            M, gamma, inner = lb.E, lb.pos("p", np.concatenate([dual, primal])), lb.pos("p", cls.p.interior[s])
+            dual, primal = duals[s], primals[s]
+            M, gamma, inner = lb.E, lb.pos("p", np.concatenate([dual, primal])), lb.pos("p", interior[s])
             nd, cols = dual.size, np.searchsorted(cls.p.primal, primal)
         S = splu_schur(M, gamma, inner)
         lu = sla.lu_factor(S[:nd, :nd])
@@ -378,10 +387,11 @@ class TestSharedSchur:
         # subdomain 1 (bottom edge) shares the interior class's S (subdomain 5)
         pipe = build(nx=16, subdomains=(4, 4))
         system, cls = pipe.system, pipe.cls
+        interior, _, duals, primals = split_sets(cls, "u")
 
         def block(r):
             lb = system.stacked.local_view(r)
-            iD, iI, iP = (lb.pos("u", d[r]) for d in (cls.u.sub_dual, cls.u.interior, cls.u.sub_primal))
+            iD, iI, iP = (lb.pos("u", d[r]) for d in (duals, interior, primals))
             if r == 1 and change == "kept":
                 iD = np.concatenate([iD, iP])  # its primal corners are not kept at the interior class
             if r == 1 and change == "eliminated":
@@ -433,17 +443,19 @@ class TestSchurKernel:
             # 3x3 at H/h=16: corner, edge and centre classes
             pipe = build(nx=48, subdomains=(3, 3))
             r = {"lambda corner": 0, "lambda edge": 1, "lambda centre": 4}[case]
-            lb, cls = pipe.system.local[r], pipe.cls
-            inner = lb.pos("u", cls.u.interior[r])
-            return lb.A, lb.pos("u", cls.u.sub_dual[r]), inner, pipe.system.spaces.fields["u"].lattice(lb.dofs["u"][inner])
+            lb = pipe.system.local[r]
+            interior, _, duals, _ = split_sets(pipe.cls, "u")
+            inner = lb.pos("u", interior[r])
+            return lb.A, lb.pos("u", duals[r]), inner, pipe.system.spaces.fields["u"].lattice(lb.dofs["u"][inner])
         # 2x2 at H/h=22: the xi and p interiors cross the cutoff
         pipe = build(nx=44, subdomains=(2, 2))
-        lb, cls, r = pipe.system.local[0], pipe.cls, 0
+        lb, r = pipe.system.local[0], 0
+        interior, interface, duals, primals = split_sets(pipe.cls, case)
         if case == "xi":
-            inner = lb.pos("xi", cls.xi.interior[r])
-            return lb.C, lb.pos("xi", cls.xi.sub_interface[r]), inner, pipe.system.spaces.fields["xi"].lattice(lb.dofs["xi"][inner])
-        inner = lb.pos("p", cls.p.interior[r])
-        gamma = lb.pos("p", np.concatenate([cls.p.sub_dual[r], cls.p.sub_primal[r]]))
+            inner = lb.pos("xi", interior[r])
+            return lb.C, lb.pos("xi", interface[r]), inner, pipe.system.spaces.fields["xi"].lattice(lb.dofs["xi"][inner])
+        inner = lb.pos("p", interior[r])
+        gamma = lb.pos("p", np.concatenate([duals[r], primals[r]]))
         return lb.E, gamma, inner, pipe.system.spaces.fields["p"].lattice(lb.dofs["p"][inner])
 
     @pytest.mark.parametrize("case", ["lambda corner", "lambda edge", "lambda centre", "xi", "p"])

@@ -27,6 +27,8 @@ from biot_ddp.reduced_system import (
 from helpers import (
     MULTI_MEMBER_GRIDS,
     band_to_dense,
+    broken_offsets,
+    by_subdomain,
     dense_coarse,
     dense_from_apply,
     dense_torn_solution,
@@ -84,17 +86,21 @@ class TestOperator:
         # B_C rebuilt subdomain by subdomain from each one's own local blocks
         # and index sets, in the order that sums duplicates as B_C does
         rows, cols, vals = [], [], []
+        n_sub = cls.n_subdomains
+        interior = {fld: by_subdomain(split.interior, n_sub) for fld, split in cls.splits.items()}
+        interface = {fld: by_subdomain(cls.splits[fld].rows, n_sub) for fld in ("xi", "p")}
+        primal, dual_offset = by_subdomain(cls.u.primal_rows, n_sub), broken_offsets(cls.u.dual_rows, n_sub)
         for s, lb in system.local.items():
             sets = _local_index_sets(cls, lb)
             y = {"xi": np.full(lb.dofs["xi"].size, -1), "p": np.full(lb.dofs["p"].size, -1)}
-            y["xi"][sets["xiG"]] = cls.xi.interface_pos(cls.xi.sub_interface[s])
-            y["p"][sets["pG"]] = n_xi + cls.p.interface_pos(cls.p.sub_interface[s])
+            y["xi"][sets["xiG"]] = cls.xi.interface_pos(interface["xi"][s])
+            y["p"][sets["pG"]] = n_xi + cls.p.interface_pos(interface["p"][s])
             w = {"u": np.full(lb.dofs["u"].size, -1), "xi": np.full(lb.dofs["xi"].size, -1), "p": np.full(lb.dofs["p"].size, -1)}
-            w["u"][sets["uI"]] = lay.int_pos["u"][cls.u.interior[s]]
-            w["u"][sets["uD"]] = lay.dual_slice.start + np.arange(lay.dual_offset[s], lay.dual_offset[s + 1])
-            w["u"][sets["uP"]] = lay.primal_pos[cls.u.sub_primal[s]]
-            w["xi"][sets["xiI"]] = lay.int_pos["xi"][cls.xi.interior[s]]
-            w["p"][sets["pI"]] = lay.int_pos["p"][cls.p.interior[s]]
+            w["u"][sets["uI"]] = lay.int_pos["u"][interior["u"][s]]
+            w["u"][sets["uD"]] = lay.dual_slice.start + np.arange(dual_offset[s], dual_offset[s + 1])
+            w["u"][sets["uP"]] = lay.primal_pos[primal[s]]
+            w["xi"][sets["xiI"]] = lay.int_pos["xi"][interior["xi"][s]]
+            w["p"][sets["pI"]] = lay.int_pos["p"][interior["p"][s]]
             for name, r, c, sign, transposed in (("B", y["xi"], w["u"], 1, False), ("C", y["xi"], w["xi"], -1, False),
                                                  ("D", w["p"], y["xi"], 1, True), ("D", y["p"], w["xi"], 1, False),
                                                  ("E", y["p"], w["p"], -1, False)):
@@ -200,7 +206,7 @@ class TestSolveAndRecover:
         u, xi, p, jump_norm = red.recover(y)
         assert jump_norm < 1e-9
         assert u.size == red.cls.u.dual.size + sum(
-            len(v) for v in red.cls.u.interior.values()
+            len(v) for v in by_subdomain(red.cls.u.interior, red.cls.n_subdomains).values()
         ) + red.cls.u.primal.size
 
     def test_recovered_fields_solve_nodal_system(self):
@@ -461,8 +467,12 @@ class TestCongruenceClasses:
         monkeypatch.setattr(bd.ExperimentConfig, "materials", lambda self: mats)
         red = self.reduced(16, (4, 4))
         assert len(red.factors) == 10
-        alone = [c for c in red.factors.values() if c.idx.shape[1] == 1 and np.array_equal(
-            c.idx[:, 0], red.layout.r_indices[5])]
+        # subdomain 5's torn positions, for (uI, xiI, pI, uD) in that order
+        lay, cls = red.layout, red.cls
+        off = broken_offsets(cls.u.dual_rows, 16)
+        own = np.concatenate([*(pos[by_subdomain(cls.splits[fld].interior, 16)[5]] for fld, pos in lay.int_pos.items()),
+                              lay.dual_slice.start + np.arange(off[5], off[6])])
+        alone = [c for c in red.factors.values() if c.idx.shape[1] == 1 and np.array_equal(c.idx[:, 0], own)]
         assert len(alone) == 1
         n_w = red.layout.n_w
         A_t = red.torn_matrix().tocsc()[:n_w, :n_w]
@@ -481,7 +491,7 @@ class TestCongruenceClasses:
         # field's flags
         pipe = bd.build_pipeline(bd.ExperimentConfig(nx=16, subdomains=(4, 4), E=1.0, nu=0.3))
         split = pipe.cls.splits[fld]
-        dof = (split.sub_dual[6] if change == "dual turned primal" else split.interior[6])[-1]
+        dof = by_subdomain(split.dual_rows if change == "dual turned primal" else split.interior, 16)[6][-1]
         attr = "is_primal" if change == "dual turned primal" else "is_interface"
         flags = getattr(split, attr).copy()
         flags[dof] = True
@@ -579,8 +589,9 @@ class TestClassKey:
         ix = [_local_index_sets(cls, lb) for s, lb in enumerate(lbs)]
         saddles = [_local_saddle(lb, sets) for lb, sets in zip(lbs, ix)]
         p_gamma = []
+        interface = by_subdomain(cls.p.rows, len(lbs))
         for s, lb in enumerate(lbs):
-            ids = cls.p.sub_interface[s]
+            ids = interface[s]
             dual = np.isin(ids, cls.p.dual)
             p_gamma.append((lb.pos("p", np.concatenate([ids[dual], ids[~dual]])), np.array([dual.sum()])))
         numeric = {

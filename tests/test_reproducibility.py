@@ -41,7 +41,7 @@ for kw in json.loads(sys.argv[1]):
         for arr in (np.asarray(M.shape), M.indptr, M.indices, M.data):
             h.update(np.ascontiguousarray(arr).tobytes())
     cls = pipe.cls
-    interior = max(cls.u.interior[s].size for s in range(cls.n_subdomains))
+    interior = int(np.bincount(cls.u.interior.sub).max())
     out.append(dict(sha=h.hexdigest(), iterations=res.iterations, converged=res.converged,
                     residual=res.residuals[-1], lambda_interior=interior, oracle_err=res.oracle_err,
                     fields=[res.u.tolist(), res.xi.tolist(), res.p.tolist()]))
