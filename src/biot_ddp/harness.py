@@ -248,7 +248,8 @@ class RunResult:
     oracle_err: tuple[float, float, float] | None = None
     wall_s: float = 0.0
     factor_nnz: int = 0  # stored entries of every kept local factor (SaddleFactor.nnz summed)
-    # per block, [members, n, nnz] of each class's factor (0, 0: none)
+    # per block, [members, n, nnz] of each class's factor (0, 0: none; nnz
+    # 0: a torn class solving through its source's factor)
     factor_classes: dict[str, list[list[int]]] = field(default_factory=dict)
     # blocks applied through dense interface matrices: "torn", "xi", "p", "lambda"
     condensed: list[str] = field(default_factory=list)

@@ -154,7 +154,7 @@ def class_schurs(system: BlockSystem, fld: str, block, label: str) -> tuple[list
             seen[i] = kept, eliminated
             continue
         c = groups[src][0]
-        out[i], _ = derive_schur(name, c, out[src], seen[src][0], kept, False)
+        out[i] = derive_schur(name, c, out[src], seen[src][0], kept, False)[0]
         if not np.array_equal(eliminated, seen[src][1]):
             raise InternalError(f"{name}: its eliminated dofs are not those of the class of subdomain {c}")
     return out, len(seen)

@@ -19,7 +19,9 @@ map; a class whose sides differ from a source's only where it has
 Dirichlet sides (``class_sources``) derives its map from the source's by
 one small dense Schur step, since a Schur complement of a Schur complement
 is a Schur complement (``derive_schur``, which the preconditioner's Schur
-complements share).  The torn inverse, the condensed operator and each
+complements share), and solves through the source's factor, bordered by the
+rows that step eliminates (``BorrowedFactor``): a condensed run factors only
+its source classes.  The torn inverse, the condensed operator and each
 preconditioner block are one ``PartiallyAssembled``: classes of one type,
 ``LocalClass``, each applied to all its members at once, and the one
 ``CoarseProblem`` that couples them, which it builds.
@@ -150,6 +152,85 @@ def _probe(K, solve) -> float:
     b = K @ np.random.default_rng(12345).standard_normal(K.shape[0])
     e = np.linalg.norm(K @ solve(b) - b) / (np.linalg.norm(b) or 1.0)
     return float(e) if np.isfinite(e) else np.inf
+
+
+class BorrowedFactor:
+    """The local solve of a condensed torn class r that derives its map from
+    the source class c (``derive_schur``), through c's factor: r factors
+    nothing of its own.
+
+    r's K_rr is the principal submatrix of c's bordered saddle block
+    [[K_c, B_0^T], [B_0, D_c]] on c's local unknowns less the dual copies
+    on r's Dirichlet sides, which their λ rows fix to zero, and on c's xi
+    trace rows there, which are interior for r.  Those λ and xi rows are
+    the rows E that ``derive_schur`` eliminates, so
+
+        z = K_c^{-1} b_c,  t = S_EE^{-1} (g_E - B_E z),  x = z - W_E t,
+
+    with b placed at c's unknowns in b_c and at E's xi rows in g_E (zero
+    at the λ rows), W_E the columns E of W = K_c^{-1} B_0^T, which c solves
+    for its own map, and S_EE factored once by ``derive_schur`` (``lu``).
+    r's solution is x at c's unknowns and t at E's xi rows.  The unknowns
+    are matched by patch key: r's ``keys`` against ``kept``, c's unknowns
+    and then its xi trace rows.  An unknown of r that c lacks, or places
+    that do not cover c's unknowns and E once each (the fixed copies and
+    the λ rows cover their own), is an ``InternalError`` naming r.
+
+    ``solve`` is c's as it was when this was built, so a wrapper put on
+    c's later sees only c's own calls.  ``nnz`` is 0: nothing is factored.
+    """
+
+    nnz = 0
+
+    def __init__(self, name: str, src: int, solve, kept: np.ndarray, W: np.ndarray, B0_T: np.ndarray,
+                 keys: np.ndarray, E: np.ndarray, lu: tuple[np.ndarray, np.ndarray] | None):
+        n_c, n_xi = W.shape[0], kept.size - W.shape[0]
+        sorter = np.argsort(kept)
+        at = np.searchsorted(kept, keys, sorter=sorter)
+        at = sorter[at[at < kept.size]]
+        if at.size < keys.size or not np.array_equal(kept[at], keys):
+            raise InternalError(f"{name}: a local unknown is not one of the class of subdomain {src}")
+        own = at < n_c
+        # the place in E of each xi row, E.size for one not eliminated; the
+        # other rows of E are λ rows
+        xi = E < n_xi
+        place = np.full(n_xi, E.size)
+        place[E[xi]] = np.flatnonzero(xi)
+        e, lam = place[at[~own] - n_c], np.flatnonzero(~xi)
+        # every unknown of c and every row of E once: r's unknowns, then the
+        # copies the λ rows fix and the λ rows themselves (the last rows of
+        # B_0, each on its copy among the last unknowns)
+        fixed = n_c - B0_T.shape[1] + E[lam]
+        hit = np.bincount(np.concatenate([at[own], fixed, n_c + e, n_c + lam]), minlength=n_c + E.size)
+        if hit.size != n_c + E.size or np.any(hit != 1):
+            raise InternalError(f"{name}: its eliminated rows do not match the class of subdomain {src}")
+        # b, and a zero row at n, read at c's unknowns and at E; the solution
+        # read off x at c's unknowns, then t at E
+        self.n = keys.size
+        self._solve, self._lu = solve, lu
+        self._embed = np.full(n_c, self.n)
+        self._embed[at[own]] = np.flatnonzero(own)
+        self._g = np.full(E.size, self.n)
+        self._g[e] = np.flatnonzero(~own)
+        self._take = at.copy()
+        self._take[~own] = n_c + e
+        B_E = B0_T[:, E].T
+        self._cols = np.flatnonzero(B_E.any(axis=0))
+        self._B_E = B_E[:, self._cols]  # on the columns it touches
+        self._W_E = W[:, E]
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solution for a vector or an (n, k) matrix of right-hand sides."""
+        if b.size == 0:
+            return np.zeros_like(b)
+        B = b.reshape(self.n, -1)
+        B = np.concatenate([B, np.zeros((1, B.shape[1]))])
+        x = self._solve(B[self._embed])
+        if self._lu is not None:
+            t = _getrs(*self._lu, B[self._g] - self._B_E @ x[self._cols])[0]
+            x -= self._W_E @ t
+            x = np.concatenate([x, t])
+        return x[self._take].reshape(b.shape)
 
 
 def trailing_schur(label: str, K: sp.spmatrix, k: int) -> np.ndarray:
@@ -290,7 +371,7 @@ class LocalClass:
     idx: np.ndarray  # (n, members)
     primal: np.ndarray  # (n_primal_local, members)
     X: np.ndarray | None = None  # primal coupling factor^{-1} A_rP (or Psi), for the back-substitution
-    factor: SaddleFactor | None = None
+    factor: SaddleFactor | BorrowedFactor | None = None
     A_Pr: np.ndarray | None = None  # primal-local coupling A_rP^T, dense
     S: np.ndarray | sp.spmatrix | None = None
 
@@ -303,7 +384,9 @@ class LocalClass:
         return Z[: self.idx.shape[0]], Z[self.idx.shape[0] :]
 
 
-def primal_coupling(factor: SaddleFactor, A_rP: np.ndarray, A_PP: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def primal_coupling(
+    factor: SaddleFactor | BorrowedFactor, A_rP: np.ndarray, A_PP: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """X = factor^{-1} A_rP and the primal Schur contribution A_PP - A_rP^T X
     that each member adds to the coarse matrix (``CoarseProblem``)."""
     X = factor.solve(A_rP)
@@ -391,16 +474,18 @@ def class_sources(
 
 def derive_schur(
     name: str, src: int, S: np.ndarray, kept: np.ndarray, want: np.ndarray, eliminable: np.ndarray | bool
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
     """The Schur complement of class ``name`` derived from S, the class of
-    subdomain ``src``'s on the unknowns with patch keys ``kept``, and the
-    source's unknowns E it eliminates: each of the class's keys ``want``
-    is matched to a source unknown k, the unmatched ones that
+    subdomain ``src``'s on the unknowns with patch keys ``kept``, the
+    source's unknowns E it eliminates, and the LU of S[E, E] (``getrf``'s
+    factor and pivots; None with E empty): each of the class's keys
+    ``want`` is matched to a source unknown k, the unmatched ones that
     ``eliminable`` flags (False: none) are E, and the rest are dropped.
     By the quotient property of Schur complements (Crabtree-Haynsworth) it
-    is S[k, k] - S[k, E] S[E, E]^{-1} S[E, k], from one dense LU; with E
-    empty, the principal submatrix S[k, k].  A wanted key the source lacks,
-    or an exactly singular S[E, E], is an ``InternalError`` naming the class.
+    is S[k, k] - S[k, E] S[E, E]^{-1} S[E, k], from that one dense LU; with
+    E empty, the principal submatrix S[k, k].  A wanted key the source
+    lacks, or an exactly singular S[E, E], is an ``InternalError`` naming
+    the class.
     """
     sorter = np.argsort(kept)
     at = np.searchsorted(kept, want, sorter=sorter)
@@ -410,13 +495,14 @@ def derive_schur(
     E = np.setdiff1d(np.flatnonzero(eliminable), k)
     order = np.concatenate([k, E])
     T = S[np.ix_(order, order)]
-    out = T[: k.size, : k.size]
+    out, lu = T[: k.size, : k.size], None
     if E.size:
-        lu, piv, info = _getrf(T[k.size :, k.size :])
+        a, piv, info = _getrf(T[k.size :, k.size :])
+        lu = a, piv
         if info > 0:
             raise InternalError(f"{name}: the unknowns it eliminates are singular in the class of subdomain {src}")
-        out -= T[: k.size, k.size :] @ _getrs(lu, piv, T[k.size :, : k.size])[0]
-    return out, E
+        out -= T[: k.size, k.size :] @ _getrs(*lu, T[k.size :, : k.size])[0]
+    return out, E, lu
 
 
 @dataclass
@@ -442,7 +528,7 @@ class ReducedSystem:
         self.B_P = self.B_P_T.T.tocsr()
 
     @property
-    def factors(self) -> dict[int, LocalClass]:  # the torn classes, each keeping its factor
+    def factors(self) -> dict[int, LocalClass]:  # the torn classes, each keeping or borrowing a factor
         return dict(enumerate(self.torn.classes))
 
     @property
@@ -614,8 +700,13 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
     eliminates the rest (``derive_schur``): the xi rows on its Dirichlet
     sides and the λ row of each dual copy it fixes.  These may be none: at
     H/h = 1 with edge averages a Dirichlet side of r holds no dual copy and
-    no interior xi row.  Eliminated rows that do not account for r's local
-    unknowns are an ``InternalError`` naming r's class.
+    no interior xi row.  r then factors nothing: its local solve is c's,
+    bordered by those rows (``BorrowedFactor``, from c's W = K_rr^{-1}
+    B_0^T and the LU of the eliminated block that ``derive_schur`` forms),
+    unless that solve fails the probe, when r factors its own K_rr.  Local
+    unknowns of r that the eliminated rows and c's do not account for are
+    an ``InternalError`` naming r's class.  Without condensing every class
+    factors its own K_rr.
     """
     lay = cls.layout
     st = system.stacked
@@ -644,6 +735,13 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
         """The maps ``m`` at the class's local positions of ``names``, a column per member."""
         return np.concatenate([m[n[:-1]][st.off[n[:-1]][members] + sets[n][:, None]] for n in names])
 
+    def keys_at(r: int, lb, sets: dict, *names: tuple[str, ...]) -> list[np.ndarray]:
+        """For each tuple of ``names``, 3 k + 0, 1 or 2 (u, xi, p) for the
+        patch key k of each of the class's local positions of those names."""
+        keys = {fld: 3 * space.patch_keys(system.materials.grid, r, lb.dofs[fld]) + code
+                for code, (fld, space) in enumerate(system.spaces.fields.items())}
+        return [np.concatenate([keys[n[:-1]][sets[n]] for n in group]) for group in names]
+
     # the members of an assembly class share their representative's blocks
     class_members = system.classes("ABCDE")
     views = [st.local_view(m[0]) for m in class_members]
@@ -655,7 +753,10 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
     # each class and its primal columns and coarse contribution, stored at
     # its index so that the coarse matrix sums them in class order
     classes, coarse, condensed = ([None] * len(class_members) for _ in range(3))
-    schur = {}  # S_c and the row keys of each source class
+    # of each source class: S_c, its row keys, and what a class derived
+    # from it borrows (``BorrowedFactor``): its solve, the keys of its
+    # unknowns and xi rows, W = K_rr^{-1} B_0^T and B_0^T
+    schur = {}
     for i, src in class_sources(system, class_members, "ABCDE", ("u", "p")):
         members, sets, lb = class_members[i], ix[i], views[i]
         r = members[0]
@@ -663,7 +764,24 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
         M = _local_saddle(lb, sets, trace=condense)
         n_k = M.shape[0] - (sets["xiG"].size + sets["pG"].size if condense else 0)
         n_r = n_k - sets["uP"].size
-        factor = SaddleFactor(name, M[:n_r, :n_r])
+        K = M[:n_r, :n_r]
+        factor = None
+        if condense:
+            n_G, n_D = M.shape[0] - n_k, sets["uD"].size
+            sign = sp.csr_matrix((jump.unit.data[cls.u.dual_offset[r] : cls.u.dual_offset[r + 1]],
+                                  (np.arange(n_D), n_r - n_D + np.arange(n_D))), shape=(n_D, n_r))
+            B0 = sp.vstack([M[n_k:, :n_r], sign], format="csr")
+            keys, unknowns = keys_at(r, lb, sets, ("xiG", "pG", "uD"), ("uI", "xiI", "pI", "uD"))
+        if condense and src is not None:
+            c = class_members[src][0]
+            S_c, kept, solve_c, unknowns_c, W_c, B0_T_c = schur[src]
+            # xi and λ rows are eliminable, p rows only dropped
+            S, E, lu = derive_schur(name, c, S_c, kept, keys, kept % 3 != 2)
+            factor = BorrowedFactor(name, c, solve_c, unknowns_c, W_c, B0_T_c, unknowns, E, lu)
+            if _probe(K, factor.solve) > _PROBE_TOL:
+                factor = None
+        if factor is None:
+            factor = SaddleFactor(name, K)
         A_rP = M[:n_r, n_r:n_k].toarray()
         primal = gather(wcol, members, sets, "uP") - lay.primal_slice.start
         X, S_PP = primal_coupling(factor, A_rP, M[n_r:n_k, n_r:n_k].toarray())
@@ -672,23 +790,15 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
                                 factor=factor, A_Pr=np.ascontiguousarray(A_rP.T))
         if not condense:
             continue
-        n_G, n_D = M.shape[0] - n_k, sets["uD"].size
-        sign = sp.csr_matrix((jump.unit.data[cls.u.dual_offset[r] : cls.u.dual_offset[r + 1]],
-                              (np.arange(n_D), n_r - n_D + np.arange(n_D))), shape=(n_D, n_r))
-        B0 = sp.vstack([M[n_k:, :n_r], sign], format="csr")
-        keys = np.concatenate([3 * system.spaces.fields[n[:-1]].patch_keys(system.materials.grid, r, lb.dofs[n[:-1]][sets[n]])
-                               + code for code, n in enumerate(("xiG", "pG", "uD"))])
         if src is None:
-            F = B0 @ factor.solve(B0.T.toarray())
+            B0_T = B0.T.toarray()
+            W = factor.solve(B0_T)
+            F = B0 @ W
             S = -F
             S[:n_G, :n_G] += M[n_k:, n_k:].toarray()
-            schur[i] = S, keys
+            # its own unknowns, then its xi rows, which a derived class may hold
+            schur[i] = S, keys, factor.solve, np.concatenate([unknowns, keys[: sets["xiG"].size]]), W, B0_T
         else:
-            c, kept = class_members[src][0], schur[src][1]
-            S, E = derive_schur(name, c, schur[src][0], kept, keys, kept % 3 != 1)
-            # r's eliminated xi rows less the dual copies it fixes
-            if classes[i].idx.shape[0] - classes[src].idx.shape[0] != E.size - 2 * np.count_nonzero(kept[E] % 3 == 2):
-                raise InternalError(f"{name}: its eliminated rows do not match the class of subdomain {c}")
             F = -S
             F[:n_G, :n_G] += M[n_k:, n_k:].toarray()
         Y = np.vstack([F, (B0 @ X).T])

@@ -9,7 +9,11 @@ path they replace and against references built here, the assumption that
 lets one representative stand for its class (every member's coupling
 equals its representative's), the pay-back rule that decides when to
 condense the torn block, and that a traced condensed run makes its local
-solves only in the right-hand side and the recovery.
+solves only in the right-hand side and the recovery.  A derived torn class
+solves through its source's factor: its block is the source's bordered
+block restricted, its solves match a factor of its own, one that fails the
+probe factors its own block, and a run that is not condensed borrows
+nothing.
 """
 
 import itertools
@@ -93,8 +97,120 @@ def test_derived_torn_maps_match_their_own(elem, primal, bc, checkerboard):
         assert np.abs(F - own).max() <= 1e-13 * np.abs(own).max()
 
 
+def derived_classes(pipe):
+    """(class index, its source's) of every torn class that derives its map."""
+    groups = pipe.system.classes("ABCDE")
+    return [(i, src) for i, src in reduced_system.class_sources(pipe.system, groups, "ABCDE", ("u", "p"))
+            if src is not None]
+
+
+def own_saddle(pipe, s):
+    """Subdomain s's saddle block with its trace rows last, its local sets
+    and the (field, patch key) of each of its local unknowns and xi rows."""
+    lb = pipe.system.stacked.local_view(s)
+    sets = reduced_system._local_index_sets(pipe.cls, lb)
+    spaces, grid = pipe.system.spaces.fields, pipe.system.materials.grid
+    keys = [(n[:-1], int(k)) for n in ("uI", "xiI", "pI", "uD", "xiG")
+            for k in spaces[n[:-1]].patch_keys(grid, s, lb.dofs[n[:-1]][sets[n]])]
+    return reduced_system._local_saddle(lb, sets, trace=True), sets, keys
+
+
+BORROWING = [pytest.param(w, None, id=w) for w in ("flagship-p1-nx64", "tiny-subdomains")] + [
+    pytest.param(elem, (primal, bc), id=f"{elem}-{primal}-{bc}")
+    for elem, primal, bc in itertools.product(("p1", "p0"), ("vertex", "vertex-edge"), ("neumann-left", "dirichlet"))
+]
+
+
+@pytest.mark.parametrize("case, grid", BORROWING)
+def test_borrowed_solves_are_exact(case, grid):
+    # a derived class's K_rr is its source's bordered block [[K_c, B_0^T],
+    # [B_0, D_c]] restricted to the matching unknowns, so solving through
+    # the source's factor gives its own factor's solution
+    if grid is None:
+        pipe = bd.build_pipeline(bd.ExperimentConfig(**experiment_config(case, 7)))
+    else:
+        pipe = condensed_pipeline(case, *grid, False)
+    red = pipe.reduced
+    torn, groups, B_C = red.torn.classes, pipe.system.classes("ABCDE"), red.B_C.tocsc()
+    derived = derived_classes(pipe)
+    assert derived and all(isinstance(torn[i].factor, reduced_system.BorrowedFactor) for i, _ in derived)
+    rng = np.random.default_rng(11)
+    for i, src in derived:
+        M, sets, keys = own_saddle(pipe, groups[src][0])
+        n_G = sets["xiG"].size + sets["pG"].size
+        n_c = torn[src].idx.shape[0]
+        B0 = B_C[:, torn[src].idx[:, 0]][red.condensed.classes[src].idx[:, 0]].toarray()
+        D = np.zeros((B0.shape[0],) * 2)
+        D[:n_G, :n_G] = M[-n_G:, -n_G:].toarray()
+        bordered = np.block([[M[:n_c, :n_c].toarray(), B0.T], [B0, D]])
+        # its unknowns, then its xi rows, which come first among B_0's
+        place = {k: j for j, k in enumerate(keys)}
+        M_r, sets_r, keys_r = own_saddle(pipe, groups[i][0])
+        n_r, n_k = torn[i].idx.shape[0], M_r.shape[0] - sets_r["xiG"].size - sets_r["pG"].size
+        at = [place[k] for k in keys_r[:n_r]]
+        K = M_r[:n_r, :n_r].toarray()
+        assert np.abs(K - bordered[np.ix_(at, at)]).max() <= 1e-14 * np.abs(K).max()
+
+        f, own = torn[i].factor, reduced_system.SaddleFactor("own", M_r[:n_r, :n_r])
+        b = rng.standard_normal((n_r, 3))
+        want = own.solve(b)
+        assert np.linalg.norm(f.solve(b) - want) <= 1e-6 * np.linalg.norm(want)
+        A_rP, A_PP = M_r[:n_r, n_r:n_k].toarray(), M_r[n_r:n_k, n_r:n_k].toarray()
+        X, S_PP = reduced_system.primal_coupling(own, A_rP, A_PP)
+        got = reduced_system.primal_coupling(f, A_rP, A_PP)
+        assert np.array_equal(torn[i].X, got[0])
+        assert np.linalg.norm(got[0] - X) <= 1e-6 * np.linalg.norm(X)
+        assert np.linalg.norm(got[1] - S_PP) <= 1e-6 * np.linalg.norm(S_PP)
+
+
 def flagship_like():
     return bd.ExperimentConfig(nx=24, subdomains=(6, 6), E=1e6, nu=0.499, oracle="off")
+
+
+def test_borrowed_solve_failing_its_probe_factors_its_own_block(monkeypatch):
+    cfg = flagship_like()
+    pipe = bd.build_pipeline(cfg)
+    base = bd.run_case(cfg, pipe)
+    solve, failed = reduced_system.BorrowedFactor.solve, []
+
+    def inaccurate(self, b):  # the first borrowed solve is off by 1e-6
+        failed[:] = failed or [self]
+        return solve(self, b) * (1 + 1e-6 * (self is failed[0]))
+
+    monkeypatch.setattr(reduced_system.BorrowedFactor, "solve", inaccurate)
+    fell_back = bd.build_pipeline(cfg)
+    torn = fell_back.reduced.torn.classes
+    derived = dict(derived_classes(fell_back))
+    first = next(iter(derived))  # the first class built that borrows
+    own = [i for i, c in enumerate(torn) if isinstance(c.factor, reduced_system.SaddleFactor)]
+    assert own == sorted({first} | set(range(len(torn))) - set(derived)) and len(own) == 3
+    assert torn[first].factor.nnz > 0
+    res = bd.run_case(cfg, fell_back)
+    assert res.converged and res.iterations == base.iterations
+    X = pipe.reduced.torn.classes[first].X
+    assert np.linalg.norm(torn[first].X - X) <= 1e-6 * np.linalg.norm(X)
+
+
+UNCONDENSED = {
+    "flagship-p1-nx64-4x4": (experiment_config("flagship-p1-nx64", 7, shrink=2), 381_384),
+    "contrast-spectrum": (experiment_config("contrast-spectrum", 7), 2_710_052),
+    # TestRefinementNearIncompressibleLimit's run: refined sparse factors
+    "p0-2x2-nu0.4999999999": (dict(nx=16, subdomains=(2, 2), total_pressure="p0", nu=0.4999999999, E=1.0), 157_192),
+}
+
+
+@pytest.mark.parametrize("case", list(UNCONDENSED))
+def test_uncondensed_runs_factor_every_class(case):
+    # the torn block is not condensed, nothing is borrowed, and every class
+    # keeps the factor of its own block
+    kw, factor_nnz = UNCONDENSED[case]
+    cfg = bd.ExperimentConfig(**kw)
+    pipe = bd.build_pipeline(cfg)
+    assert pipe.reduced.condensed is None
+    assert all(type(c.factor) is reduced_system.SaddleFactor for c in pipe.reduced.torn.classes)
+    res = bd.run_case(cfg, pipe)
+    assert res.converged and res.factor_nnz == factor_nnz
+    assert all(n * nnz for _, n, nnz in res.factor_classes["torn"])
 
 
 def test_flagship_like_grid_derives_seven_of_nine_torn_maps():
@@ -142,6 +258,20 @@ def test_unmatched_torn_rows_rejected(monkeypatch, change, why):
 
     monkeypatch.setattr(reduced_system, "derive_schur", changed)
     with pytest.raises(bd.InternalError, match=rf"^subdomain 1 \(class of 4\): {why}$"):
+        bd.build_pipeline(flagship_like())
+
+
+def test_local_unknown_the_source_lacks_rejected(monkeypatch):
+    # subdomain 1's class borrows the factor of subdomain 7's, as above
+    class Shifted(reduced_system.BorrowedFactor):
+        def __init__(self, name, src, solve, kept, W, B0_T, keys, E, lu):
+            if name.startswith("subdomain 1 "):
+                keys = np.concatenate([[-3], keys[1:]])
+            super().__init__(name, src, solve, kept, W, B0_T, keys, E, lu)
+
+    monkeypatch.setattr(reduced_system, "BorrowedFactor", Shifted)
+    with pytest.raises(bd.InternalError,
+                       match=r"^subdomain 1 \(class of 4\): a local unknown is not one of the class of subdomain 7$"):
         bd.build_pipeline(flagship_like())
 
 
@@ -217,7 +347,8 @@ def test_traced_condensed_run_solves_locally_only_in_rhs_and_recover(monkeypatch
         assert {"reduced_system.rhs", "reduced_system.recover"} & set(chain)
         assert "reduced_system.apply" not in chain
     metrics = layer_metrics(spans, pipe)
-    assert metrics["reduced_system.factor_count"] == (9, "count")
+    # only the two source classes factor; the other seven borrow their solves
+    assert metrics["reduced_system.factor_count"] == (2, "count")
     assert metrics["reduced_system.local_solve_count"] == (2 * 9, "count")  # one solve each in rhs and recover
     assert metrics["reduced_system.apply_count"][0] > 18
 

@@ -352,9 +352,9 @@ class TestFactorSize:
     # per run: condensed, schur_sources, coarse, factor_nnz, condensed_bytes
     RECORD_PINS = {
         "flagship-p1-nx64": (["torn", "xi", "p", "lambda"], {"torn": 2, "xi": 9, "p": 2, "lambda": 2},
-                             {"torn": [112, 19], "p": [56, 9]}, 381_384, 1_758_336),
+                             {"torn": [112, 19], "p": [56, 9]}, 87_258, 1_758_336),
         "tiny-subdomains": (["torn", "p", "lambda"], {"torn": 2, "p": 2, "lambda": 2},
-                            {"torn": [660, 69], "p": [330, 34]}, 281_646, 251_312),
+                            {"torn": [660, 69], "p": [330, 34]}, 71_833, 251_312),
         "contrast-spectrum": (["xi", "p", "lambda"], {"torn": 0, "xi": 9, "p": 7, "lambda": 2},
                               {"torn": [12, 9], "p": [6, 4]}, 2_710_052, 2_364_944),
         # one subdomain: no interface, so a condensed torn block of no bytes

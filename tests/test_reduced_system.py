@@ -402,11 +402,15 @@ class TestDeriveSchur:
         S, kept = self.source()
         want = kept[[4, 0, 7]]
         eliminable = np.isin(np.arange(kept.size), [1, 2, 4, 5])
-        got, E = derive_schur("class", 3, S, kept, want, eliminable)
+        got, E, lu = derive_schur("class", 3, S, kept, want, eliminable)
         assert np.array_equal(E, [1, 2, 5])  # 4 is kept
         k = [4, 0, 7]
         ref = S[np.ix_(k, k)] - S[np.ix_(k, E)] @ np.linalg.solve(S[np.ix_(E, E)], S[np.ix_(E, k)])
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        # the LU of S[E, E], for a class's borrowed solve
+        b = np.arange(3.0)
+        x = sla.lu_solve(lu, b)
+        assert np.linalg.norm(S[np.ix_(E, E)] @ x - b) <= 1e-12 * np.linalg.norm(b)
 
     @pytest.mark.parametrize("eliminable", [False, "matched only"])
     def test_nothing_eliminable_gives_the_principal_submatrix(self, eliminable):
@@ -414,8 +418,8 @@ class TestDeriveSchur:
         k = [8, 3, 5]
         if eliminable == "matched only":
             eliminable = np.isin(np.arange(kept.size), k)
-        got, E = derive_schur("class", 3, S, kept, kept[k], eliminable)
-        assert E.size == 0 and got.tobytes() == S[np.ix_(k, k)].tobytes()
+        got, E, lu = derive_schur("class", 3, S, kept, kept[k], eliminable)
+        assert E.size == 0 and lu is None and got.tobytes() == S[np.ix_(k, k)].tobytes()
 
     @pytest.mark.parametrize("kept", ["missing", "empty"])
     def test_missing_key_rejected(self, kept):

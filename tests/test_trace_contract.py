@@ -6,13 +6,14 @@ methods of the built pipeline before the solve.  This runs that
 instrumentation, unedited, on every workload shrunk to a 2x2 to 5x5
 subdomain grid and checks that the spans it yields add up: every span
 nests in its parent, the local solves fit inside the torn solves that make
-them, and each shared factor is built, and wrapped, once.  The shrunk
-workloads cover the sparse-LU classes (flagship), the dense-LAPACK path
-behind a change of basis (tiny-subdomains: vertex-edge on 5x5) and a grid
-where every subdomain is its own class (contrast-spectrum: a 2x2
-checkerboard).  The shrunk flagship is not condensed; the flagship itself,
-where the operator and the multiplier block are, runs under the same
-contract.
+them, and each shared factor is built, and wrapped, once (a class that
+solves through its source's factor builds none, and no wrapped solve runs
+inside another).  The shrunk workloads cover the sparse-LU classes
+(flagship), the dense-LAPACK path behind a change of basis (tiny-subdomains:
+vertex-edge on 5x5, condensed) and a grid where every subdomain is its own
+class (contrast-spectrum: a 2x2 checkerboard).  The shrunk flagship is not
+condensed; the flagship itself, where the operator and the multiplier block
+are, runs under the same contract.
 """
 
 import numpy as np
@@ -51,8 +52,14 @@ def traced_run(monkeypatch, workload, shrink):
     return tracer.spans, pipe
 
 
-def check_span_contract(spans, pipe, n_classes):
+def check_span_contract(spans, pipe, n_classes, n_factors):
     assert check_nesting(spans) == []
+    # a borrowed solve calls its source's solve unwrapped: no local solve
+    # runs inside another
+    for name, _, _, parent in spans:
+        while name == "reduced_system.local_solve" and parent >= 0:
+            assert spans[parent][0] != name
+            parent = spans[parent][3]
 
     def total(name):
         return sum(end - start for n, start, end, _ in spans if n == name)
@@ -69,7 +76,15 @@ def check_span_contract(spans, pipe, n_classes):
     for name, block in (("xi", pc.xi), ("p", pc.pressure), ("lambda", pc.multiplier)):
         assert sum(n == f"preconditioner.{name}_build" for n, *_ in spans) == (block is not None)
     assert len(pipe.reduced.factors) == n_classes
-    assert layer_metrics(spans, pipe)["reduced_system.factor_count"] == (n_classes, "count")
+    # each class that owns a factor builds it once; a borrowing class none
+    owners = [c for c in pipe.reduced.torn.classes if not isinstance(c.factor, bd.reduced_system.BorrowedFactor)]
+    assert len(owners) == n_factors
+    assert layer_metrics(spans, pipe)["reduced_system.factor_count"] == (n_factors, "count")
+
+
+# classes that factor their own block: the shrunk tiny-subdomains is
+# condensed, so only its two source classes do
+OWN_FACTORS = {"flagship-p1-nx64": 9, "tiny-subdomains": 2, "contrast-spectrum": 4}
 
 
 @pytest.mark.parametrize(
@@ -81,7 +96,7 @@ def check_span_contract(spans, pipe, n_classes):
     ],
 )
 def test_traced_spans_add_up(monkeypatch, workload, n_classes):
-    check_span_contract(*traced_run(monkeypatch, workload, shrink=2), n_classes)
+    check_span_contract(*traced_run(monkeypatch, workload, shrink=2), n_classes, OWN_FACTORS[workload])
 
 
 def test_traced_spans_add_up_when_condensed(monkeypatch):
@@ -91,4 +106,4 @@ def test_traced_spans_add_up_when_condensed(monkeypatch):
     spans, pipe = traced_run(monkeypatch, "flagship-p1-nx64", shrink=1)
     dense = {k: sum(c.S.nbytes for c in b.classes if isinstance(c.S, np.ndarray)) for k, b in pipe.blocks.items()}
     assert [k for k, n in dense.items() if n] == ["torn", "xi", "p", "lambda"]
-    check_span_contract(spans, pipe, 9)
+    check_span_contract(spans, pipe, 9, 2)
