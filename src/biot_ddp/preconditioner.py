@@ -25,9 +25,12 @@ also gives the coarse matrix; for λ (no coarse problem) the dense
 Dirichlet Schur complement, or the lumped A_DD.  One helper,
 ``class_schurs``, gives every class of the three blocks its Schur
 complement.  A class whose sides differ from an earlier one's only where
-it has Dirichlet sides takes a principal submatrix of that one's (the
-rules of ``reduced_system.class_sources`` and ``derive_schur``, which the
-torn condensation shares); any other is formed by ``_dense_schur``:
+that one has interface sides, by Dirichlet sides or, in a field without
+edge averages, free ones, derives its Schur complement from that one's:
+it drops the rows on its Dirichlet sides and eliminates those on its free
+sides (the rules of ``reduced_system.class_sources``, ``eliminable_rows``
+and ``derive_schur``, which the torn condensation shares); any other is
+formed by ``_dense_schur``:
 through a dense factor of the eliminated block when it is small, else
 through one sparse LU of the whole block with the kept unknowns ordered
 last and the eliminated ones in nested-dissection order.
@@ -53,10 +56,12 @@ from .reduced_system import (
     _DENSE_FACTOR_CUTOFF,
     LocalClass,
     PartiallyAssembled,
+    PatchKeys,
     SaddleFactor,
     _local_index_sets,
     class_sources,
     derive_schur,
+    eliminable_rows,
     primal_coupling,
     trailing_schur,
 )
@@ -122,40 +127,46 @@ def _dense_schur(
     return S
 
 
-def class_schurs(system: BlockSystem, fld: str, block, label: str) -> tuple[list[np.ndarray], int]:
+def class_schurs(
+    system: BlockSystem, cls: DofClassification, fld: str, block, label: str
+) -> tuple[list[np.ndarray], int]:
     """The dense Schur complement of every congruence class of field
     ``fld``'s local block (``FIELD_BLOCK``), in ``BlockSystem.classes``
     order, and how many of them were formed.
 
     ``block(r)`` gives representative r's matrix, its local dofs and the
-    positions of the kept and of the eliminated ones.  A class takes its S
-    as a principal submatrix of the S of its source (``class_sources`` over
-    ``fld``): it eliminates the same positions with the same material,
-    keeps a subset of the source's, and sees the same change of basis on
-    them, so its S is the source's restricted to its kept dofs
-    (``derive_schur`` with nothing to eliminate).  A class with no source
-    is formed by ``_dense_schur``.  Dofs are matched by their position in
-    the patch (``FieldSpace.patch_keys``); a kept dof of r that its source
-    c does not keep, or an eliminated set that differs, is an
+    positions of the kept and of the eliminated ones.  A class derives its
+    S from the S of its source (``class_sources`` over ``fld``): it has the
+    same material and change of basis, and its dofs are the source's less
+    those on its Dirichlet sides, so its block is the source's restricted
+    to them.  It eliminates the source's eliminated dofs and those of the
+    source's kept dofs that it holds as eliminated dofs of its own, on its
+    free sides (``eliminable_rows``), and keeps the rest of its own; by the
+    quotient property its S is the source's with those rows eliminated and
+    the source's other rows, on its Dirichlet sides, dropped
+    (``derive_schur``).  A class with no source is formed by
+    ``_dense_schur``.  Dofs are matched by their position in the patch
+    (``FieldSpace.patch_keys``); a kept dof of r that its source c does not
+    keep, or eliminated dofs that are not c's and those rows, is an
     ``InternalError`` naming r.
     """
     groups = system.classes(FIELD_BLOCK[fld])
     space = system.spaces.fields[fld]
     out: list[np.ndarray] = [np.zeros((0, 0))] * len(groups)
-    seen: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # source class: patch keys of its kept and eliminated dofs
-    for i, src in class_sources(system, groups, FIELD_BLOCK[fld], (fld,)):
+    seen: dict[int, tuple[PatchKeys, np.ndarray]] = {}  # source class: patch keys of its kept and eliminated dofs
+    for i, src in class_sources(system, cls, groups, FIELD_BLOCK[fld], (fld,)):
         r = groups[i][0]
         M, dofs, gamma, inner = block(r)
         name = f"{label} interior block of subdomain {r}"
         keys = space.patch_keys(system.materials.grid, r, dofs)
-        kept, eliminated = keys[gamma], np.sort(keys[inner])
         if src is None:
             out[i] = _dense_schur(M, gamma, inner, space.lattice(dofs[inner]), name)
-            seen[i] = kept, eliminated
+            seen[i] = PatchKeys(keys[gamma]), np.sort(keys[inner])
             continue
         c = groups[src][0]
-        out[i] = derive_schur(name, c, out[src], seen[src][0], kept, False)[0]
-        if not np.array_equal(eliminated, seen[src][1]):
+        rows, eliminated = seen[src]
+        out[i], E, _ = derive_schur(name, c, out[src], rows, keys[gamma], eliminable_rows(rows, keys[inner]))
+        if not np.array_equal(np.sort(np.concatenate([eliminated, rows.keys[E]])), np.sort(keys[inner])):
             raise InternalError(f"{name}: its eliminated dofs are not those of the class of subdomain {c}")
     return out, len(seen)
 
@@ -172,7 +183,7 @@ class InterfaceBddc(PartiallyAssembled):
     coarse solve.  With no primal unknowns it is the scaled sum of the
     local maps: inverted Schur complements for xi, the elastic Dirichlet
     maps for λ.  Its ``sources`` are the Schur complements ``class_schurs``
-    formed; the other classes' are submatrices of them.
+    formed; the other classes' are derived from them.
     """
 
     inject_scaled: sp.csr_matrix  # assembled segment -> partially assembled
@@ -214,7 +225,7 @@ def _bddc(system: BlockSystem, cls: DofClassification, fld: str, inject_scaled: 
 
     coarse = []  # each class's primal columns and coarse contribution
     groups = system.classes(FIELD_BLOCK[fld])
-    schurs, sources = class_schurs(system, fld, block, label)
+    schurs, sources = class_schurs(system, cls, fld, block, label)
     classes: list[LocalClass] = []
     for members, S in zip(groups, schurs):
         idx, cols = broken_columns(split.dual_offset, members), coarse_of[broken_columns(primal_offset, members)]
@@ -250,7 +261,7 @@ def build_lambda_solver(
 
     groups = system.classes("A")
     if kind == "dirichlet":
-        schurs, sources = class_schurs(system, "u", block, "elastic")
+        schurs, sources = class_schurs(system, cls, "u", block, "elastic")
     else:
         schurs, sources = [A[iD][:, iD] for A, _, iD, _ in (block(m[0]) for m in groups)], 0
     classes = [LocalClass(idx=broken_columns(cls.u.dual_offset, members),

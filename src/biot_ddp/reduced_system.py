@@ -15,13 +15,14 @@ factored, and the members are reached through their index maps.
 When few classes serve many subdomains, each class is also condensed once
 onto its members' interface rows into one dense map, in the same pass, and
 no local solve runs per application.  Only a source class solves for its
-map; a class whose sides differ from a source's only where it has
-Dirichlet sides (``class_sources``) derives its map from the source's by
-one small dense Schur step, since a Schur complement of a Schur complement
-is a Schur complement (``derive_schur``, which the preconditioner's Schur
-complements share), and solves through the source's factor, bordered by the
-rows that step eliminates (``BorrowedFactor``): a condensed run factors only
-its source classes.  The torn inverse, the condensed operator and each
+map; a class whose sides differ from a source's only where the source has
+interface sides, by Dirichlet sides or, without edge averages, free ones
+(``class_sources``), derives its map from the source's by one small dense
+Schur step, since a Schur complement of a Schur complement is a Schur
+complement (``derive_schur``, which the preconditioner's Schur complements
+share), and solves through the source's factor, bordered by the rows that
+step eliminates (``BorrowedFactor``): a condensed run factors only its
+source classes, on a uniform grid without edge averages the interior one.  The torn inverse, the condensed operator and each
 preconditioner block are one ``PartiallyAssembled``: classes of one type,
 ``LocalClass``, each applied to all its members at once, and the one
 ``CoarseProblem`` that couples them, which it builds.
@@ -154,6 +155,23 @@ def _probe(K, solve) -> float:
     return float(e) if np.isfinite(e) else np.inf
 
 
+class PatchKeys:
+    """The patch keys of a source class's unknowns or rows, sorted once, so
+    that every class derived from it finds its own keys among them without
+    another sort."""
+
+    def __init__(self, keys: np.ndarray):
+        self.keys = keys
+        self._sorter = np.argsort(keys)
+
+    def find(self, want: np.ndarray) -> np.ndarray:
+        """The position of each of ``want`` among the keys, -1 where it is none."""
+        if not self.keys.size:
+            return np.full(want.shape, -1, dtype=np.int64)
+        at = self._sorter[np.searchsorted(self.keys, want, sorter=self._sorter).clip(max=self.keys.size - 1)]
+        return np.where(self.keys[at] == want, at, -1)
+
+
 class BorrowedFactor:
     """The local solve of a condensed torn class r that derives its map from
     the source class c (``derive_schur``), through c's factor: r factors
@@ -161,20 +179,22 @@ class BorrowedFactor:
 
     r's K_rr is the principal submatrix of c's bordered saddle block
     [[K_c, B_0^T], [B_0, D_c]] on c's local unknowns less the dual copies
-    on r's Dirichlet sides, which their λ rows fix to zero, and on c's xi
-    trace rows there, which are interior for r.  Those λ and xi rows are
-    the rows E that ``derive_schur`` eliminates, so
+    that r fixes, and on c's trace rows that r holds as local unknowns (xi
+    and p rows on r's free sides, xi rows on its Dirichlet sides).  The λ
+    rows of the copies r fixes, on its Dirichlet sides, and those trace
+    rows are the rows E that ``derive_schur`` eliminates, so
 
         z = K_c^{-1} b_c,  t = S_EE^{-1} (g_E - B_E z),  x = z - W_E t,
 
-    with b placed at c's unknowns in b_c and at E's xi rows in g_E (zero
+    with b placed at c's unknowns in b_c and at E's trace rows in g_E (zero
     at the λ rows), W_E the columns E of W = K_c^{-1} B_0^T, which c solves
     for its own map, and S_EE factored once by ``derive_schur`` (``lu``).
-    r's solution is x at c's unknowns and t at E's xi rows.  The unknowns
-    are matched by patch key: r's ``keys`` against ``kept``, c's unknowns
-    and then its xi trace rows.  An unknown of r that c lacks, or places
-    that do not cover c's unknowns and E once each (the fixed copies and
-    the λ rows cover their own), is an ``InternalError`` naming r.
+    r's solution is x at c's unknowns and t at E's trace rows.  The
+    unknowns are matched by patch key: r's ``keys`` are found among
+    ``kept``, c's unknowns and then its trace rows (xi, then p).  An
+    unknown of r that c lacks, or places that do not cover c's unknowns and
+    E once each (the fixed copies and the λ rows cover their own), is an
+    ``InternalError`` naming r.
 
     ``solve`` is c's as it was when this was built, so a wrapper put on
     c's later sees only c's own calls.  ``nnz`` is 0: nothing is factored.
@@ -182,21 +202,19 @@ class BorrowedFactor:
 
     nnz = 0
 
-    def __init__(self, name: str, src: int, solve, kept: np.ndarray, W: np.ndarray, B0_T: np.ndarray,
+    def __init__(self, name: str, src: int, solve, kept: PatchKeys, W: np.ndarray, B0_T: np.ndarray,
                  keys: np.ndarray, E: np.ndarray, lu: tuple[np.ndarray, np.ndarray] | None):
-        n_c, n_xi = W.shape[0], kept.size - W.shape[0]
-        sorter = np.argsort(kept)
-        at = np.searchsorted(kept, keys, sorter=sorter)
-        at = sorter[at[at < kept.size]]
-        if at.size < keys.size or not np.array_equal(kept[at], keys):
+        n_c, n_G = W.shape[0], kept.keys.size - W.shape[0]
+        at = kept.find(keys)
+        if np.any(at < 0):
             raise InternalError(f"{name}: a local unknown is not one of the class of subdomain {src}")
         own = at < n_c
-        # the place in E of each xi row, E.size for one not eliminated; the
-        # other rows of E are λ rows
-        xi = E < n_xi
-        place = np.full(n_xi, E.size)
-        place[E[xi]] = np.flatnonzero(xi)
-        e, lam = place[at[~own] - n_c], np.flatnonzero(~xi)
+        # the place in E of each trace row, E.size for one not eliminated;
+        # the other rows of E are λ rows, after the trace rows
+        trace = E < n_G
+        place = np.full(n_G, E.size)
+        place[E[trace]] = np.flatnonzero(trace)
+        e, lam = place[at[~own] - n_c], np.flatnonzero(~trace)
         # every unknown of c and every row of E once: r's unknowns, then the
         # copies the λ rows fix and the λ rows themselves (the last rows of
         # B_0, each on its copy among the last unknowns)
@@ -204,33 +222,39 @@ class BorrowedFactor:
         hit = np.bincount(np.concatenate([at[own], fixed, n_c + e, n_c + lam]), minlength=n_c + E.size)
         if hit.size != n_c + E.size or np.any(hit != 1):
             raise InternalError(f"{name}: its eliminated rows do not match the class of subdomain {src}")
-        # b, and a zero row at n, read at c's unknowns and at E; the solution
-        # read off x at c's unknowns, then t at E
         self.n = keys.size
         self._solve, self._lu = solve, lu
-        self._embed = np.full(n_c, self.n)
+        # b read at c's unknowns, and set to zero at the fixed copies
+        self._embed = np.zeros(n_c, dtype=np.int64)
         self._embed[at[own]] = np.flatnonzero(own)
-        self._g = np.full(E.size, self.n)
+        self._fixed = fixed
+        # g_E at the trace rows of E, which come first in E
+        self._g = np.zeros(np.count_nonzero(trace), dtype=np.int64)
         self._g[e] = np.flatnonzero(~own)
+        # the solution read off x at c's unknowns, then t at E
         self._take = at.copy()
         self._take[~own] = n_c + e
         B_E = B0_T[:, E].T
         self._cols = np.flatnonzero(B_E.any(axis=0))
-        self._B_E = B_E[:, self._cols]  # on the columns it touches
+        self._B_E = -B_E[:, self._cols]  # negated, on the columns it touches
         self._W_E = W[:, E]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solution for a vector or an (n, k) matrix of right-hand sides."""
         if b.size == 0:
             return np.zeros_like(b)
+        # ndarray.take gathers rows several times faster than indexing
         B = b.reshape(self.n, -1)
-        B = np.concatenate([B, np.zeros((1, B.shape[1]))])
-        x = self._solve(B[self._embed])
-        if self._lu is not None:
-            t = _getrs(*self._lu, B[self._g] - self._B_E @ x[self._cols])[0]
-            x -= self._W_E @ t
-            x = np.concatenate([x, t])
-        return x[self._take].reshape(b.shape)
+        b_c = B.take(self._embed, axis=0)
+        b_c[self._fixed] = 0.0
+        x = self._solve(b_c)
+        if self._lu is None:
+            return x.take(self._take, axis=0).reshape(b.shape)
+        g = self._B_E @ x.take(self._cols, axis=0)
+        g[: self._g.size] += B.take(self._g, axis=0)
+        t = _getrs(*self._lu, g, overwrite_b=True)[0]
+        x -= self._W_E @ t
+        return np.concatenate([x, t]).take(self._take, axis=0).reshape(b.shape)
 
 
 def trailing_schur(label: str, K: sp.spmatrix, k: int) -> np.ndarray:
@@ -448,61 +472,84 @@ def _side_kinds(system: BlockSystem, fields: tuple[str, ...]) -> np.ndarray:
 
 
 def class_sources(
-    system: BlockSystem, groups: list[np.ndarray], names: str, fields: tuple[str, ...]
+    system: BlockSystem, cls: DofClassification, groups: list[np.ndarray], names: str, fields: tuple[str, ...]
 ) -> list[tuple[int, int | None]]:
     """The order in which to form the maps of the congruence classes
     ``groups`` of the local blocks ``names``, each with its source: the
     class whose map it derives from, or None where it forms its own.
 
-    Classes are visited with the fewest Dirichlet sides first (stable).
-    Class r derives from the first earlier class c that forms its own,
-    has r's material key (the ``BLOCK_PARAMS`` of ``names``) and, on each
-    side and for each of ``fields``, r's kind or a Dirichlet side of r.
-    Then r's unknowns are c's with those on its Dirichlet sides fixed or
-    dropped, with the same material and the same change of basis.
+    Classes are visited with the fewest sides that are not interface sides
+    first (stable), so the interior class of each material comes first.
+    Class r derives from the first earlier class c that forms its own, has
+    r's material key (the ``BLOCK_PARAMS`` of ``names``) and, on each side
+    and for each of ``fields``, r's kind, or an interface side where r's is
+    Dirichlet or, in a field without edge averages (``FieldSplit.transform``
+    None), free.  Then r's unknowns are c's with those on its Dirichlet
+    sides fixed or dropped and those on its free sides, which c shares with
+    a neighbour, held as r's own local unknowns, with the same material and
+    the same change of basis.  An edge average has no counterpart on a free
+    side, so a field with edge averages never derives across one.
     """
     params = sorted({p for n in names for p in BLOCK_PARAMS[n]})
     kinds = _side_kinds(system, fields)[[g[0] for g in groups]]
+    shared = kinds == "interface"
+    # per side and field: may this side of a class stand where its source has an interface
+    crosses = (kinds == "dirichlet") | np.repeat([cls.splits[f].transform is None for f in fields], len(SIDES))
     material = [tuple(getattr(system.materials, p)[g[0]] for p in params) for g in groups]
     visits: list[tuple[int, int | None]] = []
-    for i in sorted(range(len(groups)), key=lambda i: np.count_nonzero(kinds[i] == "dirichlet")):
+    for i in sorted(range(len(groups)), key=lambda i: np.count_nonzero(~shared[i])):
         src = next((c for c, own in visits if own is None and material[c] == material[i] and np.all(
-            (kinds[i] == kinds[c]) | (kinds[i] == "dirichlet"))), None)
+            (kinds[i] == kinds[c]) | shared[c] & crosses[i])), None)
         visits.append((i, src))
     return visits
 
 
+def eliminable_rows(rows: PatchKeys, local: np.ndarray, fixes: np.ndarray | bool = False) -> np.ndarray:
+    """Which of a source class's Schur rows (``rows``) a class derived from
+    it eliminates where it does not keep them (``derive_schur``): the rows
+    whose unknown the class holds among its ``local`` unknowns (patch keys),
+    interior to it where the source shares it.  A row flagged in ``fixes``
+    (a multiplier row, keyed as its dual copy) is the other way round: the
+    class eliminates it where it lacks that copy, which the row then fixes
+    to zero, and drops it where it holds the copy as its own.  Every other
+    row is dropped."""
+    held = np.zeros(rows.keys.size, dtype=bool)
+    at = rows.find(local)
+    held[at[at >= 0]] = True
+    return held != fixes
+
+
 def derive_schur(
-    name: str, src: int, S: np.ndarray, kept: np.ndarray, want: np.ndarray, eliminable: np.ndarray | bool
+    name: str, src: int, S: np.ndarray, kept: PatchKeys, want: np.ndarray, eliminable: np.ndarray | bool
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
     """The Schur complement of class ``name`` derived from S, the class of
     subdomain ``src``'s on the unknowns with patch keys ``kept``, the
     source's unknowns E it eliminates, and the LU of S[E, E] (``getrf``'s
     factor and pivots; None with E empty): each of the class's keys
     ``want`` is matched to a source unknown k, the unmatched ones that
-    ``eliminable`` flags (False: none) are E, and the rest are dropped.
-    By the quotient property of Schur complements (Crabtree-Haynsworth) it
-    is S[k, k] - S[k, E] S[E, E]^{-1} S[E, k], from that one dense LU; with
-    E empty, the principal submatrix S[k, k].  A wanted key the source
-    lacks, or an exactly singular S[E, E], is an ``InternalError`` naming
-    the class.
+    ``eliminable`` flags (False: none; the rule is ``eliminable_rows``) are
+    E, and the rest are dropped.  By the quotient property of Schur
+    complements (Crabtree-Haynsworth) it is S[k, k] - S[k, E] S[E, E]^{-1}
+    S[E, k], from that one dense LU; with E empty, the principal submatrix
+    S[k, k].  The source's keys are sorted once (``PatchKeys``), however
+    many classes derive from it.  A wanted key the source lacks, or an
+    exactly singular S[E, E], is an ``InternalError`` naming the class.
     """
-    sorter = np.argsort(kept)
-    at = np.searchsorted(kept, want, sorter=sorter)
-    k = sorter[at[at < kept.size]]
-    if k.size < want.size or not np.array_equal(kept[k], want):
+    k = kept.find(want)
+    if np.any(k < 0):
         raise InternalError(f"{name}: a kept unknown is not kept by the class of subdomain {src}")
-    E = np.setdiff1d(np.flatnonzero(eliminable), k)
+    flags = np.zeros(kept.keys.size, dtype=bool) | eliminable
+    flags[k] = False
+    E = np.flatnonzero(flags)
     order = np.concatenate([k, E])
     T = S[np.ix_(order, order)]
-    out, lu = T[: k.size, : k.size], None
-    if E.size:
-        a, piv, info = _getrf(T[k.size :, k.size :])
-        lu = a, piv
-        if info > 0:
-            raise InternalError(f"{name}: the unknowns it eliminates are singular in the class of subdomain {src}")
-        out -= T[: k.size, k.size :] @ _getrs(*lu, T[k.size :, : k.size])[0]
-    return out, E, lu
+    if not E.size:
+        return T, E, None
+    a, piv, info = _getrf(T[k.size :, k.size :])
+    if info > 0:
+        raise InternalError(f"{name}: the unknowns it eliminates are singular in the class of subdomain {src}")
+    # a fresh array, not a view of T: a λ class keeps it as its map
+    return T[: k.size, : k.size] - T[: k.size, k.size :] @ _getrs(a, piv, T[k.size :, : k.size])[0], E, (a, piv)
 
 
 @dataclass
@@ -695,13 +742,16 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
     class's signed jump (one +-1 per dual copy, on its last local unknowns).
     Only a source class solves for F; S_c = D_c - F_c, with D_c the saddle
     block's trace block, is the Schur complement of [[K_rr, B_0^T], [B_0,
-    D_c]].  A class r that derives from c keeps c's rows that match its own,
-    drops c's other p rows (p is Dirichlet there, by the side rule) and
-    eliminates the rest (``derive_schur``): the xi rows on its Dirichlet
-    sides and the λ row of each dual copy it fixes.  These may be none: at
-    H/h = 1 with edge averages a Dirichlet side of r holds no dual copy and
-    no interior xi row.  r then factors nothing: its local solve is c's,
-    bordered by those rows (``BorrowedFactor``, from c's W = K_rr^{-1}
+    D_c]].  A class r that derives from c keeps c's rows that match its own
+    and eliminates or drops the rest (``eliminable_rows``, ``derive_schur``):
+    it eliminates the trace rows whose dof it holds as a local unknown (xi
+    and p rows on its free sides, xi rows on its Dirichlet sides) and the λ
+    row of each dual copy it lacks, which the row fixes (on its Dirichlet
+    sides); it drops the p rows on its Dirichlet sides and the λ rows whose
+    copy is interior to it (on its free sides).  The eliminated rows may be
+    none: at H/h = 1 with edge averages a Dirichlet side of r holds no dual
+    copy and no interior xi row.  r then factors nothing: its local solve is
+    c's, bordered by those rows (``BorrowedFactor``, from c's W = K_rr^{-1}
     B_0^T and the LU of the eliminated block that ``derive_schur`` forms),
     unless that solve fails the probe, when r factors its own K_rr.  Local
     unknowns of r that the eliminated rows and c's do not account for are
@@ -755,9 +805,9 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
     classes, coarse, condensed = ([None] * len(class_members) for _ in range(3))
     # of each source class: S_c, its row keys, and what a class derived
     # from it borrows (``BorrowedFactor``): its solve, the keys of its
-    # unknowns and xi rows, W = K_rr^{-1} B_0^T and B_0^T
+    # unknowns and trace rows, W = K_rr^{-1} B_0^T and B_0^T
     schur = {}
-    for i, src in class_sources(system, class_members, "ABCDE", ("u", "p")):
+    for i, src in class_sources(system, cls, class_members, "ABCDE", ("u", "p")):
         members, sets, lb = class_members[i], ix[i], views[i]
         r = members[0]
         name = f"subdomain {r} (class of {len(members)})"
@@ -774,9 +824,9 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
             keys, unknowns = keys_at(r, lb, sets, ("xiG", "pG", "uD"), ("uI", "xiI", "pI", "uD"))
         if condense and src is not None:
             c = class_members[src][0]
-            S_c, kept, solve_c, unknowns_c, W_c, B0_T_c = schur[src]
-            # xi and λ rows are eliminable, p rows only dropped
-            S, E, lu = derive_schur(name, c, S_c, kept, keys, kept % 3 != 2)
+            S_c, rows, solve_c, unknowns_c, W_c, B0_T_c = schur[src]
+            # the λ rows (u, code 0) fix their copies
+            S, E, lu = derive_schur(name, c, S_c, rows, keys, eliminable_rows(rows, unknowns, rows.keys % 3 == 0))
             factor = BorrowedFactor(name, c, solve_c, unknowns_c, W_c, B0_T_c, unknowns, E, lu)
             if _probe(K, factor.solve) > _PROBE_TOL:
                 factor = None
@@ -796,8 +846,8 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
             F = B0 @ W
             S = -F
             S[:n_G, :n_G] += M[n_k:, n_k:].toarray()
-            # its own unknowns, then its xi rows, which a derived class may hold
-            schur[i] = S, keys, factor.solve, np.concatenate([unknowns, keys[: sets["xiG"].size]]), W, B0_T
+            # its own unknowns, then its trace rows, which a derived class may hold
+            schur[i] = S, PatchKeys(keys), factor.solve, PatchKeys(np.concatenate([unknowns, keys[:n_G]])), W, B0_T
         else:
             F = -S
             F[:n_G, :n_G] += M[n_k:, n_k:].toarray()

@@ -13,7 +13,10 @@ solves only in the right-hand side and the recovery.  A derived torn class
 solves through its source's factor: its block is the source's bordered
 block restricted, its solves match a factor of its own, one that fails the
 probe factors its own block, and a run that is not condensed borrows
-nothing.
+nothing.  A class whose free side stands where its source has an
+interface side, which only a field without edge averages allows, derives
+its torn map, its borrowed solve and its xi, p and λ Schur complements
+across that side, and each must match its own.
 """
 
 import itertools
@@ -26,8 +29,9 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import biot_ddp as bd
-from biot_ddp import reduced_system
+from biot_ddp import preconditioner, reduced_system
 from biot_ddp.decomposition import _CONGRUENCE_RTOL
+from biot_ddp.mesh_fem import FIELD_BLOCK
 from helpers import broken_offsets, by_subdomain
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -97,20 +101,30 @@ def test_derived_torn_maps_match_their_own(elem, primal, bc, checkerboard):
         assert np.abs(F - own).max() <= 1e-13 * np.abs(own).max()
 
 
-def derived_classes(pipe):
-    """(class index, its source's) of every torn class that derives its map."""
-    groups = pipe.system.classes("ABCDE")
-    return [(i, src) for i, src in reduced_system.class_sources(pipe.system, groups, "ABCDE", ("u", "p"))
-            if src is not None]
+def derived_classes(pipe, names="ABCDE", fields=("u", "p")):
+    """(class index, its source's) of every class of the local blocks
+    ``names`` that derives its map; by default the torn ones."""
+    groups = pipe.system.classes(names)
+    visits = reduced_system.class_sources(pipe.system, pipe.cls, groups, names, fields)
+    return [(i, src) for i, src in visits if src is not None]
+
+
+def across_free_sides(pipe, names="ABCDE", fields=("u", "p")):
+    """The derived classes of ``derived_classes`` with a free side where
+    their source has an interface side."""
+    groups = pipe.system.classes(names)
+    kinds = reduced_system._side_kinds(pipe.system, fields)[[g[0] for g in groups]]
+    return [(i, src) for i, src in derived_classes(pipe, names, fields)
+            if np.any((kinds[i] == "free") & (kinds[src] == "interface"))]
 
 
 def own_saddle(pipe, s):
     """Subdomain s's saddle block with its trace rows last, its local sets
-    and the (field, patch key) of each of its local unknowns and xi rows."""
+    and the (field, patch key) of each of its local unknowns and trace rows."""
     lb = pipe.system.stacked.local_view(s)
     sets = reduced_system._local_index_sets(pipe.cls, lb)
     spaces, grid = pipe.system.spaces.fields, pipe.system.materials.grid
-    keys = [(n[:-1], int(k)) for n in ("uI", "xiI", "pI", "uD", "xiG")
+    keys = [(n[:-1], int(k)) for n in ("uI", "xiI", "pI", "uD", "xiG", "pG")
             for k in spaces[n[:-1]].patch_keys(grid, s, lb.dofs[n[:-1]][sets[n]])]
     return reduced_system._local_saddle(lb, sets, trace=True), sets, keys
 
@@ -143,7 +157,7 @@ def test_borrowed_solves_are_exact(case, grid):
         D = np.zeros((B0.shape[0],) * 2)
         D[:n_G, :n_G] = M[-n_G:, -n_G:].toarray()
         bordered = np.block([[M[:n_c, :n_c].toarray(), B0.T], [B0, D]])
-        # its unknowns, then its xi rows, which come first among B_0's
+        # its unknowns, then its trace rows, which come first among B_0's
         place = {k: j for j, k in enumerate(keys)}
         M_r, sets_r, keys_r = own_saddle(pipe, groups[i][0])
         n_r, n_k = torn[i].idx.shape[0], M_r.shape[0] - sets_r["xiG"].size - sets_r["pG"].size
@@ -167,6 +181,88 @@ def flagship_like():
     return bd.ExperimentConfig(nx=24, subdomains=(6, 6), E=1e6, nu=0.499, oracle="off")
 
 
+def free_side_pipeline(case):
+    """A 6x6 grid at H/h = 4 without edge averages and with the free left
+    side, p1 or p0, or the flagship-like grid: every block derives across
+    that side."""
+    if case == "flagship-like":
+        return bd.build_pipeline(flagship_like())
+    return condensed_pipeline(case, "vertex", "neumann-left", False)
+
+
+FREE_SIDES = ["p1", "p0", "flagship-like"]
+
+
+@pytest.mark.parametrize("case", FREE_SIDES)
+def test_torn_classes_derived_across_free_sides_match_their_own(case):
+    # the left edge and corners hold the interior class's interface rows
+    # there as local unknowns and eliminate them; their maps and borrowed
+    # solves must be those of a factor of their own block
+    pipe = free_side_pipeline(case)
+    red = pipe.reduced
+    assert {k: b.sources for k, b in pipe.blocks.items()} == dict.fromkeys(pipe.blocks, 1)
+    torn, groups, B_C = red.torn.classes, pipe.system.classes("ABCDE"), red.B_C.tocsc()
+    crossing = across_free_sides(pipe)
+    assert sorted(groups[i][0] for i, _ in crossing) == [0, 6, 30]
+    rng = np.random.default_rng(5)
+    for i, _ in crossing:
+        c, cc = torn[i], red.condensed.classes[i]
+        M, _, _ = own_saddle(pipe, groups[i][0])
+        n_r = c.idx.shape[0]
+        own = reduced_system.SaddleFactor("own", M[:n_r, :n_r])
+        B0 = B_C[:, c.idx[:, 0]][cc.idx[:, 0]]
+        F = B0 @ own.solve(B0.T.toarray())
+        assert cc.S[: cc.idx.shape[0]].shape == F.shape
+        assert np.abs(cc.S[: cc.idx.shape[0]] - F).max() <= 1e-13 * np.abs(F).max()
+        assert isinstance(c.factor, reduced_system.BorrowedFactor)
+        b = rng.standard_normal((n_r, 3))
+        want = own.solve(b)
+        assert np.linalg.norm(c.factor.solve(b) - want) <= 1e-6 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("case", FREE_SIDES)
+def test_preconditioner_classes_derived_across_free_sides_match_their_own(monkeypatch, case):
+    # the xi, p and λ Schur complements of the classes with free sides
+    # eliminate the interior class's kept dofs there
+    seen, class_schurs = {}, preconditioner.class_schurs
+
+    def kept(system, cls, fld, block, label):
+        out = class_schurs(system, cls, fld, block, label)
+        seen[fld] = block, out[0]
+        return out
+
+    monkeypatch.setattr(preconditioner, "class_schurs", kept)
+    pipe = free_side_pipeline(case)
+    assert sorted(seen) == (["p", "u"] if case == "p0" else ["p", "u", "xi"])
+    for fld, (block, schurs) in seen.items():
+        groups = pipe.system.classes(FIELD_BLOCK[fld])
+        crossing = across_free_sides(pipe, FIELD_BLOCK[fld], (fld,))
+        # total pressure has no Dirichlet side: every side on the boundary is free
+        assert sorted(groups[i][0] for i, _ in crossing) == ([0, 1, 5, 6, 11, 30, 31, 35] if fld == "xi" else [0, 6, 30])
+        for i, _ in crossing:
+            M, dofs, gamma, inner = block(groups[i][0])
+            own = preconditioner._dense_schur(M, gamma, inner, pipe.system.spaces.fields[fld].lattice(dofs[inner]), "own")
+            assert schurs[i].shape == own.shape
+            assert np.abs(schurs[i] - own).max() <= 1e-13 * np.abs(own).max(), (fld, i)
+
+
+@pytest.mark.parametrize("case", ["p1", "p0", "tiny-subdomains"])
+def test_edge_averages_never_derive_across_free_sides(case):
+    # an edge average on the source's interface side has no counterpart
+    # on a free side: the free left edge forms its own maps
+    if case == "tiny-subdomains":
+        pipe = bd.build_pipeline(bd.ExperimentConfig(**experiment_config(case, 7)))
+    else:
+        pipe = condensed_pipeline(case, "vertex-edge", "neumann-left", False)
+    for names, fields in (("ABCDE", ("u", "p")), ("A", ("u",)), ("E", ("p",))):
+        assert derived_classes(pipe, names, fields)  # across Dirichlet sides
+        assert across_free_sides(pipe, names, fields) == []
+    assert pipe.blocks["torn"].sources == pipe.blocks["lambda"].sources == pipe.blocks["p"].sources == 2
+    # total pressure has no edge averages
+    if case == "p1":
+        assert len(across_free_sides(pipe, "C", ("xi",))) == 8 and pipe.blocks["xi"].sources == 1
+
+
 def test_borrowed_solve_failing_its_probe_factors_its_own_block(monkeypatch):
     cfg = flagship_like()
     pipe = bd.build_pipeline(cfg)
@@ -183,7 +279,7 @@ def test_borrowed_solve_failing_its_probe_factors_its_own_block(monkeypatch):
     derived = dict(derived_classes(fell_back))
     first = next(iter(derived))  # the first class built that borrows
     own = [i for i, c in enumerate(torn) if isinstance(c.factor, reduced_system.SaddleFactor)]
-    assert own == sorted({first} | set(range(len(torn))) - set(derived)) and len(own) == 3
+    assert own == sorted({first} | set(range(len(torn))) - set(derived)) and len(own) == 2
     assert torn[first].factor.nnz > 0
     res = bd.run_case(cfg, fell_back)
     assert res.converged and res.iterations == base.iterations
@@ -213,16 +309,17 @@ def test_uncondensed_runs_factor_every_class(case):
     assert all(n * nnz for _, n, nnz in res.factor_classes["torn"])
 
 
-def test_flagship_like_grid_derives_seven_of_nine_torn_maps():
+def test_flagship_like_grid_derives_eight_of_nine_torn_maps():
     pipe = bd.build_pipeline(flagship_like())
     groups = pipe.system.classes("ABCDE")
-    visits = reduced_system.class_sources(pipe.system, groups, "ABCDE", ("u", "p"))
-    # the interior class and the free left edge solve; every other class
-    # differs from one of them only by Dirichlet sides
-    assert sorted(groups[i][0] for i, src in visits if src is None) == [6, 7]
-    assert sorted(groups[src][0] for _, src in visits if src is not None) == [6, 6, 7, 7, 7, 7, 7]
-    assert pipe.reduced.condensed.sources == 2 and len(pipe.reduced.condensed.classes) == 9
-    assert pipe.blocks["torn"].sources == 2
+    visits = reduced_system.class_sources(pipe.system, pipe.cls, groups, "ABCDE", ("u", "p"))
+    # the interior class solves, and is visited first; every other class
+    # differs from it only by Dirichlet sides and the free left side
+    assert visits[0] == (4, None) and groups[4][0] == 7
+    assert [src for _, src in visits[1:]] == [4] * 8
+    assert sorted(groups[i][0] for i, _ in across_free_sides(pipe)) == [0, 6, 30]
+    assert pipe.reduced.condensed.sources == 1 and len(pipe.reduced.condensed.classes) == 9
+    assert pipe.blocks["torn"].sources == 1
 
 
 @pytest.mark.parametrize("nx, elem, bc", [(3, "p1", "neumann-left"), (4, "p0", "dirichlet"), (6, "p1", "neumann-left")])
@@ -252,8 +349,10 @@ def test_unmatched_torn_rows_rejected(monkeypatch, change, why):
     derive_schur = reduced_system.derive_schur
 
     def changed(name, src, S, kept, want, eliminable):
-        if name.startswith("subdomain 1 "):
-            want = np.concatenate([[-3], want[1:]]) if change == "kept" else want[1:]
+        if name.startswith("subdomain 1 ") and change == "kept":
+            want = np.concatenate([[-3], want[1:]])
+        if name.startswith("subdomain 1 ") and change == "eliminated":
+            eliminable = eliminable | (kept.keys % 3 == 2)  # the p rows of its Dirichlet side, which it lacks
         return derive_schur(name, src, S, kept, want, eliminable)
 
     monkeypatch.setattr(reduced_system, "derive_schur", changed)
@@ -347,8 +446,8 @@ def test_traced_condensed_run_solves_locally_only_in_rhs_and_recover(monkeypatch
         assert {"reduced_system.rhs", "reduced_system.recover"} & set(chain)
         assert "reduced_system.apply" not in chain
     metrics = layer_metrics(spans, pipe)
-    # only the two source classes factor; the other seven borrow their solves
-    assert metrics["reduced_system.factor_count"] == (2, "count")
+    # only the interior class factors; the other eight borrow its solves
+    assert metrics["reduced_system.factor_count"] == (1, "count")
     assert metrics["reduced_system.local_solve_count"] == (2 * 9, "count")  # one solve each in rhs and recover
     assert metrics["reduced_system.apply_count"][0] > 18
 

@@ -319,7 +319,7 @@ class TestFactorSize:
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         cfg = small_cfg(nx=16, subdomains=(4, 4), oracle="off")
         res = bd.run_case(cfg)
-        assert res.schur_sources == {"torn": 0, "xi": 9, "p": 2, "lambda": 2}  # the torn block is not condensed
+        assert res.schur_sources == {"torn": 0, "xi": 1, "p": 1, "lambda": 1}  # the torn block is not condensed
         assert 0.0 < res.peak_rss_mb < 1e5
         path = tmp_path / "out.json"
         write_json([res], str(path))
@@ -351,11 +351,12 @@ class TestFactorSize:
 
     # per run: condensed, schur_sources, coarse, factor_nnz, condensed_bytes
     RECORD_PINS = {
-        "flagship-p1-nx64": (["torn", "xi", "p", "lambda"], {"torn": 2, "xi": 9, "p": 2, "lambda": 2},
-                             {"torn": [112, 19], "p": [56, 9]}, 87_258, 1_758_336),
+        # the interior class is every block's one source: only its torn factor is kept
+        "flagship-p1-nx64": (["torn", "xi", "p", "lambda"], {"torn": 1, "xi": 1, "p": 1, "lambda": 1},
+                             {"torn": [112, 19], "p": [56, 9]}, 41_686, 1_758_336),
         "tiny-subdomains": (["torn", "p", "lambda"], {"torn": 2, "p": 2, "lambda": 2},
                             {"torn": [660, 69], "p": [330, 34]}, 71_833, 251_312),
-        "contrast-spectrum": (["xi", "p", "lambda"], {"torn": 0, "xi": 9, "p": 7, "lambda": 2},
+        "contrast-spectrum": (["xi", "p", "lambda"], {"torn": 0, "xi": 1, "p": 5, "lambda": 1},
                               {"torn": [12, 9], "p": [6, 4]}, 2_710_052, 2_364_944),
         # one subdomain: no interface, so a condensed torn block of no bytes
         # and no xi or p block

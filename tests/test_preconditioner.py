@@ -332,9 +332,10 @@ class TestDenseBddcMaps:
 
 
 class TestSharedSchur:
-    """A class whose sides differ from an earlier one's only by Dirichlet
-    sides takes its Schur complement as a principal submatrix of that
-    one's (``class_schurs``)."""
+    """A class whose sides differ from an earlier one's only where that one
+    has interface sides, by Dirichlet sides or, without edge averages, by
+    free sides, derives its Schur complement from that one's
+    (``class_schurs``)."""
 
     @staticmethod
     def schurs(monkeypatch, **kw):
@@ -342,8 +343,8 @@ class TestSharedSchur:
         ``block`` function and the Schur complements of its classes."""
         seen = []
 
-        def kept(system, fld, block, label):
-            out = class_schurs(system, fld, block, label)
+        def kept(system, cls, fld, block, label):
+            out = class_schurs(system, cls, fld, block, label)
             seen.append((fld, block, out[0]))
             return out
 
@@ -367,17 +368,19 @@ class TestSharedSchur:
                 assert np.abs(S - own).max() <= 1e-13 * np.abs(own).max(), (key, members[0])
 
     @pytest.mark.parametrize("kw, want", [
-        (dict(nx=16, subdomains=(4, 4)), 2),  # the interior and the free left edge
+        (dict(nx=16, subdomains=(4, 4)), 1),  # the free left edge derives from the interior
         (dict(nx=16, subdomains=(4, 4), bc="dirichlet"), 1),
-        (dict(nx=8, subdomains=(2, 2)), 4),  # no class has a side of another's kind
+        (dict(nx=8, subdomains=(2, 2)), 4),  # no class has an interface side where another has not
     ])
     def test_lambda_source_counts(self, kw, want):
         pipe = build(**kw)
         pc = pipe.preconditioner
         assert pc.multiplier.sources == want
-        assert pc.xi.sources == len(pc.xi.classes)  # total pressure has no Dirichlet side
+        # total pressure has no Dirichlet side, and its free sides derive
+        # from interface sides as the displacement's do
+        assert pc.xi.sources == want
         assert bd.run_case(pipe.config, pipe).schur_sources == {  # none of these grids condenses the torn block
-            "torn": 0, "xi": len(pc.xi.classes), "p": pc.pressure.sources, "lambda": want}
+            "torn": 0, "xi": want, "p": pc.pressure.sources, "lambda": want}
 
     @pytest.mark.parametrize("change, why", [
         ("kept", "a kept unknown is not kept by the class of subdomain 5"),
@@ -399,7 +402,7 @@ class TestSharedSchur:
             return lb.A.tocsr(), lb.dofs["u"], iD, iI
 
         with pytest.raises(bd.InternalError, match=f"^elastic interior block of subdomain 1: {why}$"):
-            class_schurs(system, "u", block, "elastic")
+            class_schurs(system, cls, "u", block, "elastic")
 
 
 class TestBlockApply:

@@ -17,11 +17,13 @@ import biot_ddp as bd
 from biot_ddp import reduced_system
 from biot_ddp.reduced_system import (
     CoarseProblem,
+    PatchKeys,
     SaddleFactor,
     _local_index_sets,
     _local_saddle,
     coarse_band,
     derive_schur,
+    eliminable_rows,
     primal_coupling,
 )
 from helpers import (
@@ -389,7 +391,7 @@ class TestRefinementNearIncompressibleLimit:
 class TestDeriveSchur:
     """One rule derives a class's Schur complement from its source's: the
     matched unknowns kept, the unmatched eliminable ones eliminated, the
-    rest dropped."""
+    rest dropped, with the source's keys sorted once."""
 
     @staticmethod
     def source(n=9):
@@ -402,7 +404,7 @@ class TestDeriveSchur:
         S, kept = self.source()
         want = kept[[4, 0, 7]]
         eliminable = np.isin(np.arange(kept.size), [1, 2, 4, 5])
-        got, E, lu = derive_schur("class", 3, S, kept, want, eliminable)
+        got, E, lu = derive_schur("class", 3, S, PatchKeys(kept), want, eliminable)
         assert np.array_equal(E, [1, 2, 5])  # 4 is kept
         k = [4, 0, 7]
         ref = S[np.ix_(k, k)] - S[np.ix_(k, E)] @ np.linalg.solve(S[np.ix_(E, E)], S[np.ix_(E, k)])
@@ -418,7 +420,7 @@ class TestDeriveSchur:
         k = [8, 3, 5]
         if eliminable == "matched only":
             eliminable = np.isin(np.arange(kept.size), k)
-        got, E, lu = derive_schur("class", 3, S, kept, kept[k], eliminable)
+        got, E, lu = derive_schur("class", 3, S, PatchKeys(kept), kept[k], eliminable)
         assert E.size == 0 and lu is None and got.tobytes() == S[np.ix_(k, k)].tobytes()
 
     @pytest.mark.parametrize("kept", ["missing", "empty"])
@@ -429,14 +431,28 @@ class TestDeriveSchur:
             S, keys, want = S[:0, :0], keys[:0], keys[:1]
         every = np.ones(keys.size, dtype=bool)
         with pytest.raises(bd.InternalError, match="^class: a kept unknown is not kept by the class of subdomain 3$"):
-            derive_schur("class", 3, S, keys, want, every)
-        assert derive_schur("class", 3, S, keys, want[:0], False)[0].shape == (0, 0)
+            derive_schur("class", 3, S, PatchKeys(keys), want, every)
+        assert derive_schur("class", 3, S, PatchKeys(keys), want[:0], False)[0].shape == (0, 0)
+
+    def test_patch_keys_find_each_key_or_none(self):
+        keys = PatchKeys(np.array([40, 10, 30, 20]))
+        assert keys.find(np.array([30, 40, 15, 50, 10, 5])).tolist() == [2, 0, -1, -1, 1, -1]
+        assert PatchKeys(np.zeros(0, dtype=np.int64)).find(np.array([1, 2])).tolist() == [-1, -1]
+
+    def test_eliminable_rows_fix_multiplier_copies_the_class_lacks(self):
+        # rows 10 and 20 are trace rows, 30 and 40 multiplier rows keyed as
+        # their copies: the class holds 10 and the copy 30 as local unknowns
+        rows = PatchKeys(np.array([10, 20, 30, 40]))
+        fixes = np.array([False, False, True, True])
+        local = np.array([30, 10, 99])
+        assert eliminable_rows(rows, local, fixes).tolist() == [True, False, False, True]
+        assert eliminable_rows(rows, local).tolist() == [True, False, True, False]
 
     def test_singular_eliminated_block_rejected(self):
         S, kept = self.source()
         S[6, :] = S[:, 6] = 0.0  # an eliminated unknown coupled to nothing
         with pytest.raises(bd.InternalError, match="^class: the unknowns it eliminates are singular in the class of"):
-            derive_schur("class", 3, S, kept, kept[[0, 1]], np.arange(kept.size) > 4)
+            derive_schur("class", 3, S, PatchKeys(kept), kept[[0, 1]], np.arange(kept.size) > 4)
 
 
 class TestCongruenceClasses:

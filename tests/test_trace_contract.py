@@ -106,4 +106,4 @@ def test_traced_spans_add_up_when_condensed(monkeypatch):
     spans, pipe = traced_run(monkeypatch, "flagship-p1-nx64", shrink=1)
     dense = {k: sum(c.S.nbytes for c in b.classes if isinstance(c.S, np.ndarray)) for k, b in pipe.blocks.items()}
     assert [k for k, n in dense.items() if n] == ["torn", "xi", "p", "lambda"]
-    check_span_contract(spans, pipe, 9, 2)
+    check_span_contract(spans, pipe, 9, 1)
