@@ -442,14 +442,24 @@ class StackedBlocks:
     def n_sub(self) -> int:
         return self.off["u"].size - 1
 
+    def local_dofs(self, s: int, fields: Iterable[str] = ("u", "xi", "p")) -> dict[str, np.ndarray]:
+        """Subdomain s's sorted global dofs of each of ``fields``."""
+        return {fld: self.dofs[fld][self.off[fld][s] : self.off[fld][s + 1]] for fld in fields}
+
+    def block(self, name: str, s: int) -> sp.csr_matrix:
+        """Subdomain s's local block ``name``, its representative's, sharing
+        data with the stored matrix (``diagonal_block``)."""
+        r, c = _BLOCK_SPACES[name]
+        return diagonal_block(getattr(self, name), self.rep_off[r], self.rep_off[c], self.rep[s])
+
     def local_view(self, s: int) -> LocalBlocks:
         """Subdomain s's dofs with its representative's blocks and loads,
         sharing data with the stored arrays."""
         r = self.rep[s]
         at = {fld: slice(o[r], o[r + 1]) for fld, o in self.rep_off.items()}
         return LocalBlocks(
-            dofs={fld: self.dofs[fld][o[s] : o[s + 1]] for fld, o in self.off.items()},
-            **{name: diagonal_block(getattr(self, name), self.rep_off[i], self.rep_off[j], r) for name, i, j in BLOCK_FIELDS},
+            dofs=self.local_dofs(s),
+            **{name: self.block(name, s) for name, _, _ in BLOCK_FIELDS},
             f=self.f[at["u"]],
             g=self.g[at["p"]],
         )
@@ -517,6 +527,7 @@ class BlockSystem:
     g: np.ndarray
     stacked: StackedBlocks
     blocks: dict[str, sp.csr_matrix] = field(default_factory=dict, init=False, repr=False)
+    _classes: dict[tuple[str, ...], list[np.ndarray]] = field(default_factory=dict, init=False, repr=False)
 
     def _global(self, name: str) -> sp.csr_matrix:
         if name not in self.blocks:
@@ -539,10 +550,15 @@ class BlockSystem:
     def classes(self, names: str) -> list[np.ndarray]:
         """Congruence classes of the local blocks ``names`` (of "ABCDE"; none
         keys on the sides touched alone): members in ascending order, so the
-        representative first, classes in ascending order of representatives."""
-        rep = class_representatives(self.materials, sorted({p for n in names for p in BLOCK_PARAMS[n]}))
-        order = np.argsort(rep, kind="stable")
-        return np.split(order, np.flatnonzero(np.diff(rep[order])) + 1)
+        representative first, classes in ascending order of representatives.
+        Formed once per key (the material parameters of ``names``); every
+        later call returns the same list, which callers must not change."""
+        params = tuple(sorted({p for n in names for p in BLOCK_PARAMS[n]}))
+        if params not in self._classes:
+            rep = class_representatives(self.materials, params)
+            order = np.argsort(rep, kind="stable")
+            self._classes[params] = np.split(order, np.flatnonzero(np.diff(rep[order])) + 1)
+        return self._classes[params]
 
     def full_matrix(self) -> sp.csr_matrix:
         """The complete indefinite block matrix (used by direct-solve checks)."""

@@ -128,18 +128,19 @@ def _dense_schur(
 
 
 def class_schurs(
-    system: BlockSystem, cls: DofClassification, fld: str, block, label: str
+    system: BlockSystem, cls: DofClassification, fld: str, positions, matrix, label: str
 ) -> tuple[list[np.ndarray], int]:
     """The dense Schur complement of every congruence class of field
     ``fld``'s local block (``FIELD_BLOCK``), in ``BlockSystem.classes``
     order, and how many of them were formed.
 
-    ``block(r)`` gives representative r's matrix, its local dofs and the
-    positions of the kept and of the eliminated ones.  A class derives its
-    S from the S of its source (``class_sources`` over ``fld``): it has the
-    same material and change of basis, and its dofs are the source's less
-    those on its Dirichlet sides, so its block is the source's restricted
-    to them.  It eliminates the source's eliminated dofs and those of the
+    ``positions(r)`` gives representative r's local dofs and the positions
+    of the kept and of the eliminated ones, ``matrix(r)`` its matrix, which
+    only a class that forms its S reads.  A class derives its S from the S
+    of its source (``class_sources`` over ``fld``): it has the same
+    material and change of basis, and its dofs are the source's less those
+    on its Dirichlet sides, so its block is the source's restricted to
+    them.  It eliminates the source's eliminated dofs and those of the
     source's kept dofs that it holds as eliminated dofs of its own, on its
     free sides (``eliminable_rows``), and keeps the rest of its own; by the
     quotient property its S is the source's with those rows eliminated and
@@ -156,11 +157,11 @@ def class_schurs(
     seen: dict[int, tuple[PatchKeys, np.ndarray]] = {}  # source class: patch keys of its kept and eliminated dofs
     for i, src in class_sources(system, cls, groups, FIELD_BLOCK[fld], (fld,)):
         r = groups[i][0]
-        M, dofs, gamma, inner = block(r)
+        dofs, gamma, inner = positions(r)
         name = f"{label} interior block of subdomain {r}"
         keys = space.patch_keys(system.materials.grid, r, dofs)
         if src is None:
-            out[i] = _dense_schur(M, gamma, inner, space.lattice(dofs[inner]), name)
+            out[i] = _dense_schur(matrix(r), gamma, inner, space.lattice(dofs[inner]), name)
             seen[i] = PatchKeys(keys[gamma]), np.sort(keys[inner])
             continue
         c = groups[src][0]
@@ -215,17 +216,20 @@ def _bddc(system: BlockSystem, cls: DofClassification, fld: str, inject_scaled: 
     coarse_of[rows.broken_pos()] = np.searchsorted(split.primal, rows.dof)
     primal_offset = rows.offsets(cls.n_subdomains)
 
-    def block(r):
-        lb = system.stacked.local_view(r)
-        ix = _local_index_sets(cls, lb)
-        M = getattr(lb, FIELD_BLOCK[fld])
-        if fld == "xi":
-            M = float(mats.lam[r] / mats.mu[r]) * M
-        return M, lb.dofs[fld], np.concatenate([ix[fld + "D"], ix[fld + "P"]]), ix[fld + "I"]
+    st = system.stacked
+
+    def positions(r):
+        dofs = st.local_dofs(r, (fld,))
+        ix = _local_index_sets(cls, dofs)
+        return dofs[fld], np.concatenate([ix[fld + "D"], ix[fld + "P"]]), ix[fld + "I"]
+
+    def matrix(r):
+        M = st.block(FIELD_BLOCK[fld], r)
+        return float(mats.lam[r] / mats.mu[r]) * M if fld == "xi" else M
 
     coarse = []  # each class's primal columns and coarse contribution
     groups = system.classes(FIELD_BLOCK[fld])
-    schurs, sources = class_schurs(system, cls, fld, block, label)
+    schurs, sources = class_schurs(system, cls, fld, positions, matrix, label)
     classes: list[LocalClass] = []
     for members, S in zip(groups, schurs):
         idx, cols = broken_columns(split.dual_offset, members), coarse_of[broken_columns(primal_offset, members)]
@@ -254,16 +258,22 @@ def build_lambda_solver(
     if kind not in ("dirichlet", "lumped"):
         raise ConfigurationError(f"unknown multiplier preconditioner {kind!r}")
 
-    def block(r):
-        lb = system.stacked.local_view(r)
-        ix = _local_index_sets(cls, lb)
-        return lb.A.tocsr(), lb.dofs["u"], ix["uD"], ix["uI"]
+    st = system.stacked
+
+    def positions(r):
+        dofs = st.local_dofs(r, ("u",))
+        ix = _local_index_sets(cls, dofs)
+        return dofs["u"], ix["uD"], ix["uI"]
+
+    def matrix(r):
+        return st.block("A", r)
 
     groups = system.classes("A")
     if kind == "dirichlet":
-        schurs, sources = class_schurs(system, cls, "u", block, "elastic")
+        schurs, sources = class_schurs(system, cls, "u", positions, matrix, "elastic")
     else:
-        schurs, sources = [A[iD][:, iD] for A, _, iD, _ in (block(m[0]) for m in groups)], 0
+        dual = [positions(m[0])[1] for m in groups]
+        schurs, sources = [matrix(m[0])[iD][:, iD] for m, iD in zip(groups, dual)], 0
     classes = [LocalClass(idx=broken_columns(cls.u.dual_offset, members),
                           primal=np.zeros((0, len(members)), dtype=np.int64), S=S)
                for members, S in zip(groups, schurs)]

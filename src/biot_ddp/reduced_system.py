@@ -11,7 +11,12 @@ application.  Subdomains with one assembly key (the sides of the square
 touched and the material; the interior, edge and corner subdomains of a
 uniform grid) form one congruence class, whose local blocks are stored
 once, as the representative's: only its saddle block is built and
-factored, and the members are reached through their index maps.
+factored, and the members are reached through their index maps.  The
+parts of every class's saddle block that set-up reads (K_rr, its primal
+couplings and, when condensing, its trace rows and trace block) are cut
+out of the stacked blocks in whole-array passes, all classes at once
+(``ClassSaddles``): one sparse matrix per part, whose diagonal blocks the
+classes view, and one dense buffer per dense part.
 When few classes serve many subdomains, each class is also condensed once
 onto its members' interface rows into one dense map, in the same pass, and
 no local solve runs per application.  Only a source class solves for its
@@ -39,7 +44,8 @@ import scipy.sparse.linalg as spla
 
 from .decomposition import DofClassification, InternalError, TornLayout, Transfer, split_segments
 from .mesh_fem import (
-    BLOCK_PARAMS, SIDES, BlockSystem, ConfigurationError, block_positions, class_representatives, subdomain_sides,
+    BLOCK_FIELDS, BLOCK_PARAMS, SIDES, BlockSystem, ConfigurationError, block_positions, class_representatives,
+    diagonal_block, subdomain_sides,
 )
 
 _DENSE_FACTOR_CUTOFF = 400
@@ -634,17 +640,29 @@ class ReducedSystem:
         return G
 
     def torn_matrix(self) -> sp.csr_matrix:
-        """The full torn saddle system (diagnostic; built sparse from every
-        subdomain's local saddle block)."""
-        lay, blocks, cols = self.layout, [], []
-        for s, lb in self.system.local.items():
-            sets = _local_index_sets(self.cls, lb)
-            blocks.append(_local_saddle(lb, sets))
-            cols += [pos[lb.dofs[fld][sets[fld + "I"]]] for fld, pos in lay.int_pos.items()]
-            cols += [lay.dual_slice.start + np.arange(*self.cls.u.dual_offset[s : s + 2]),
-                     lay.primal_pos[lb.dofs["u"][sets["uP"]]]]
-        K, g = sp.block_diag(blocks, format="coo"), np.concatenate(cols)
-        At = sp.csr_matrix((K.data, (g[K.row], g[K.col])), shape=(lay.n_w, lay.n_w))
+        """The full torn saddle system (diagnostic): every subdomain's local
+        saddle block, its class's (``ClassSaddles``), at its torn columns."""
+        st, lay = self.system.stacked, self.layout
+        saddles = ClassSaddles(self.system, self.cls)
+        M, off, _ = saddles.sparse(SADDLE, SADDLE)
+        # each subdomain's class, and where its unknowns start, in turn
+        klass = np.searchsorted(saddles.reps, st.rep)
+        n_k = np.diff(off)[klass]
+        first = np.cumsum(n_k) - n_k
+        # the torn column of each subdomain's unknowns in saddle order: a
+        # member's dofs play its representative's roles, at its places
+        g = np.empty(n_k.sum(), dtype=np.int64)
+        for fld, col in _torn_columns(self.system, self.cls)[0].items():
+            at = block_positions(st.rep_off[fld], st.rep)
+            keep = saddles.role[fld][at] < SADDLE.stop
+            sub = np.repeat(np.arange(st.n_sub), np.diff(st.off[fld]))
+            g[(first[sub] + saddles.place[fld][at])[keep]] = col[keep]
+        # each subdomain's entries in its class's stored order
+        nnz = np.diff(M.indptr[off])
+        e = block_positions(M.indptr[off], klass)
+        shift = np.repeat(first - off[klass], nnz[klass])
+        row = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))[e] + shift
+        At = sp.csr_matrix((M.data[e], (g[row], g[M.indices[e] + shift])), shape=(lay.n_w, lay.n_w))
         return sp.bmat([[At, self.B_C.T], [self.B_C, -self.C_hat]], format="csr")
 
     def torn_rhs(self) -> np.ndarray:
@@ -672,13 +690,15 @@ class ReducedSystem:
         return u, xi, p, jump_norm
 
 
-def _local_index_sets(cls: DofClassification, lb) -> dict[str, np.ndarray]:
+def _local_index_sets(cls: DofClassification, dofs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """The local positions of a subdomain's interior, interface, dual and
-    primal dofs of each field, keyed by the field and "I", "G", "D" or "P"
-    ("uI", "xiG", ...), read off the flags of its sorted dofs ``lb.dofs``."""
+    primal dofs of each field of ``dofs``, keyed by the field and "I", "G",
+    "D" or "P" ("uI", "xiG", ...), read off the flags of its sorted dofs
+    (``StackedBlocks.local_dofs``)."""
     sets = {}
-    for fld, split in cls.splits.items():
-        g, p = split.is_interface[lb.dofs[fld]], split.is_primal[lb.dofs[fld]]
+    for fld, d in dofs.items():
+        split = cls.splits[fld]
+        g, p = split.is_interface[d], split.is_primal[d]
         for name, flag in (("I", ~g), ("G", g), ("D", g & ~p), ("P", g & p)):
             sets[fld + name] = np.flatnonzero(flag)
     return sets
@@ -700,41 +720,197 @@ def _check_members(system: BlockSystem, cls: DofClassification) -> None:
             raise InternalError(f"subdomain {s}: {fld} dofs not at the local positions of its representative {rep[s]}")
 
 
-def _local_saddle(lb, sets: dict[str, np.ndarray], trace: bool = False) -> sp.csr_matrix:
-    """A subdomain's saddle block [[A, B^T, 0], [B, -C, D^T], [0, D, -E]]
-    on (uI, xiI, pI, uD, uP): K_rr first, the primal rows and columns last,
-    and with ``trace`` its interface rows and columns (xiG, pG) after them.
-    Each block's entries are moved to their rows and columns there, or
-    dropped, by one lookup in the inverse of that order.  No two blocks
-    share an entry, so every value is the block's own.  Its column indices
-    are sorted, so a product sums each row in column order whatever the
-    local numbering."""
-    n_u, n_xi = lb.A.shape[0], lb.C.shape[0]
-    parts = [sets["uI"], n_u + sets["xiI"], n_u + n_xi + sets["pI"], sets["uD"], sets["uP"]]
-    if trace:
-        parts += [n_u + sets["xiG"], n_u + n_xi + sets["pG"]]
-    at = np.concatenate(parts)
-    pos = np.full(n_u + n_xi + lb.E.shape[0], -1, dtype=np.int64)
-    pos[at] = np.arange(at.size)
-    parts = []
-    # each block at its row and column offsets, with its sign; an
-    # off-diagonal block also stands transposed above the diagonal
-    for M, r0, c0, sign in ((lb.A, 0, 0, 1.0), (lb.B, n_u, 0, 1.0), (lb.C, n_u, n_u, -1.0),
-                            (lb.D, n_u + n_xi, n_u, 1.0), (lb.E, n_u + n_xi, n_u + n_xi, -1.0)):
-        c = M.tocoo()
-        i, j = pos[r0 + c.row], pos[c0 + c.col]
-        keep = (i >= 0) & (j >= 0)
-        i, j, v = i[keep], j[keep], sign * c.data[keep]
-        parts += [(i, j, v), (j, i, v)] if r0 != c0 else [(i, j, v)]
-    i, j, v = (np.concatenate(p) for p in zip(*parts))
-    # COO to CSR sums duplicates, which sorts the column indices
-    return sp.csr_matrix((v, (i, j)), shape=(at.size, at.size))
+# The roles of a torn class's saddle rows and columns, in their order: its
+# local unknowns (K_rr: interior displacement, total pressure and pressure,
+# then the dual displacement copies), its primal displacements, its trace
+# rows (xi_G, p_G) and the multiplier row of each dual copy; within a role,
+# in the order of the class's sorted local dofs.  The slices are runs of roles.
+ROLES = ("uI", "xiI", "pI", "uD", "uP", "xiG", "pG", "lam")
+LOCAL, PRIMAL, TRACE, SADDLE, CONDENSED = slice(0, 4), slice(4, 5), slice(5, 7), slice(0, 5), slice(5, 8)
+_FIELD_ROLES = {"u": (0, 3, 4), "xi": (1, 5), "p": (2, 6), "lam": (7,)}  # each field's interior role first
+
+
+@dataclass
+class SaddleBlocks:
+    """One torn class's parts of its saddle block: K_rr, the couplings
+    A_rP and A_PP of its primal displacements, and when condensing B_0 (its
+    trace rows over K_rr's columns, then the signed jump of its dual copies)
+    and its trace block D_c."""
+
+    K: sp.csr_matrix
+    A_rP: np.ndarray
+    A_PP: np.ndarray
+    B0: sp.csr_matrix | None = None
+    D: np.ndarray | None = None
+
+
+class ClassSaddles:
+    """The local saddle blocks [[A, B^T, 0], [B, -C, D^T], [0, D, -E]] of
+    every torn class, cut out of the stacked blocks in whole-array passes.
+
+    The torn classes are the assembly classes, whose representatives'
+    blocks are the stored ones (``StackedBlocks``).  Each stored position
+    of a field has its class (``owner``), its role (``ROLES``, read off the
+    field's ``FieldSplit`` flags at the representative's dofs) and its place
+    in the class's saddle order (``place``); ``counts[c, k]`` is how many
+    rows of role k class c has.  The multiplier rows (``add_multipliers``)
+    are a pseudo-field "lam" over the displacement positions, each dual
+    copy's λ row at its copy.  ``sparse`` and ``dense`` cut a run of row
+    roles and a run of column roles out of every class at once, each stored
+    entry of A..E (and of B and D transposed) placed by its row's and its
+    column's positions, with its sign; ``blocks`` gives the parts that
+    set-up factors and condenses.  No two blocks share an entry, so every
+    value is the block's own.
+    """
+
+    def __init__(self, system: BlockSystem, cls: DofClassification):
+        st = system.stacked
+        self.reps = np.flatnonzero(st.rep == np.arange(st.n_sub))
+        self.counts = np.zeros((self.reps.size, len(ROLES)), dtype=np.int64)
+        self.owner, self.role, self.place, rank = {}, {}, {}, {}
+        for fld, split in cls.splits.items():
+            d = st.dofs[fld][block_positions(st.off[fld], self.reps)]
+            sizes = np.diff(st.rep_off[fld])[self.reps]
+            first = np.cumsum(sizes) - sizes
+            owner = self.owner[fld] = np.repeat(np.arange(self.reps.size), sizes)
+            interior, *interface = _FIELD_ROLES[fld]  # u: dual, then primal
+            g = split.is_interface[d]
+            role = np.where(g, np.where(split.is_primal[d], interface[-1], interface[0]), interior).astype(np.int8)
+            rank[fld] = np.zeros(d.size, dtype=np.int64)
+            for k in _FIELD_ROLES[fld]:
+                # the dofs of role k before each position, and before each class
+                f = role == k
+                seen = np.concatenate([[0], np.cumsum(f)])
+                self.counts[:, k] = seen[first + sizes] - seen[first]
+                rank[fld][f] = seen[:-1][f] - seen[first][owner[f]]
+            self.role[fld] = role
+        start = self.start
+        for fld, role in self.role.items():
+            self.place[fld] = start[self.owner[fld], role] + rank[fld]
+        # the blocks, each with the fields of its rows and of its columns
+        self._blocks = [(-getattr(st, name) if name in "CE" else getattr(st, name), r, c) for name, r, c in BLOCK_FIELDS]
+
+    @property
+    def start(self) -> np.ndarray:
+        """The first place of each role in each class."""
+        return np.cumsum(self.counts, axis=1) - self.counts
+
+    def add_multipliers(self, sign: np.ndarray) -> None:
+        """Place the λ row of each dual copy after the trace rows, with its
+        entry ``sign`` (B's, one per copy in the broken dual order) at the
+        copy.  Called once, before ``blocks``."""
+        lam, dual = ROLES.index("lam"), ROLES.index("uD")
+        self.counts[:, lam] = self.counts[:, dual]
+        at = np.flatnonzero(self.role["u"] == dual)
+        self.owner["lam"] = self.owner["u"]
+        self.role["lam"] = np.where(self.role["u"] == dual, lam, -1).astype(np.int8)
+        start = self.start
+        self.place["lam"] = self.place["u"] + (start[:, lam] - start[:, dual])[self.owner["u"]]
+        n = self.role["u"].size
+        self._blocks.append((sp.csr_matrix((sign, (at, at)), shape=(n, n)), "lam", "u"))
+
+    def _maps(self, roles: slice, first: np.ndarray) -> dict[str, np.ndarray]:
+        """Per field, each stored position's place among its class's rows
+        of the roles ``roles``, after ``first[c]``; -1 for other roles."""
+        start = self.start[:, roles.start]
+        return {fld: np.where((role >= roles.start) & (role < roles.stop),
+                              (first - start)[self.owner[fld]] + self.place[fld], -1).astype(np.int32)
+                for fld, role in self.role.items()}
+
+    def _entries(self, rows: slice, cols: slice, R: dict, C: dict, roles: dict | None = None):
+        """Each block's (and B's and D's transposed) entries as (row,
+        column, value, column role) by the maps ``R`` and ``C`` (-1: not in
+        the cut) and ``roles`` (None: no roles), for the blocks whose fields
+        have rows of the roles ``rows`` and columns of the roles ``cols``."""
+        def meets(fld: str, run: slice) -> bool:
+            return any(run.start <= k < run.stop for k in _FIELD_ROLES[fld])
+
+        for M, r, c in self._blocks:
+            n = np.diff(M.indptr)
+            if meets(r, rows) and meets(c, cols):
+                yield np.repeat(R[r], n), C[c][M.indices], M.data, roles and roles[c][M.indices]
+            if r != c and r != "lam" and meets(c, rows) and meets(r, cols):
+                yield R[c][M.indices], np.repeat(C[r], n), M.data, roles and np.repeat(roles[r], n)
+
+    def _shape(self, rows: slice, cols: slice) -> tuple[np.ndarray, np.ndarray]:
+        return self.counts[:, rows].sum(axis=1), self.counts[:, cols].sum(axis=1)
+
+    def sparse(self, rows: slice, cols: slice) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+        """The block-diagonal CSR matrix whose block c is class c's rows of
+        the roles ``rows`` and columns of the roles ``cols``, with the
+        blocks' row and column offsets (``mesh_fem.diagonal_block``).
+
+        It is ordered by one counting sort of the entries by row and column
+        role: SciPy's COO to CSR conversion keeps the input order within a
+        row, and the columns of one role in one row come from one block in
+        ascending order (a stored row's columns ascend, and a transposed
+        block's entries follow its rows).  Its column indices are therefore
+        sorted, as a product sums each row in column order."""
+        n_rows, n_cols = self._shape(rows, cols)
+        row_off, col_off = (np.concatenate([[0], np.cumsum(n)]) for n in (n_rows, n_cols))
+        R = {fld: m * len(ROLES) for fld, m in self._maps(rows, row_off[:-1]).items()}
+        C = self._maps(cols, col_off[:-1])
+        key, col, val = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)], [np.zeros(0)]
+        for i, j, v, k in self._entries(rows, cols, R, C, self.role):
+            at = np.flatnonzero((i >= 0) & (j >= 0))
+            key.append(i[at] + k[at])
+            col.append(j[at])
+            val.append(v[at])
+        shape = (int(row_off[-1]), int(col_off[-1]))
+        X = sp.csr_matrix((np.concatenate(val), (np.concatenate(key), np.concatenate(col))),
+                          shape=(shape[0] * len(ROLES), shape[1]))
+        return sp.csr_matrix((X.data, X.indices, X.indptr[:: len(ROLES)].copy()), shape=shape), row_off, col_off
+
+    def dense(self, rows: slice, cols: slice) -> list[np.ndarray]:
+        """Each class's rows of the roles ``rows`` and columns of the roles
+        ``cols``, dense (C-ordered views of one buffer).  Every entry is
+        added to zero, as ``toarray`` adds it."""
+        n_rows, n_cols = self._shape(rows, cols)
+        off = np.concatenate([[0], np.cumsum(n_rows * n_cols)])
+        R = {fld: np.where(m >= 0, off[:-1][self.owner[fld]] + m * n_cols[self.owner[fld]], -1)
+             for fld, m in self._maps(rows, np.zeros_like(n_rows)).items()}
+        out = np.zeros(off[-1])
+        for i, j, v, _ in self._entries(rows, cols, R, self._maps(cols, np.zeros_like(n_cols))):
+            at = np.flatnonzero((i >= 0) & (j >= 0))
+            # no two entries share a place, so each is added once
+            out[i[at] + j[at]] += v[at]
+        return [out[off[c] : off[c + 1]].reshape(n_rows[c], n_cols[c]) for c in range(self.reps.size)]
+
+    def blocks(self) -> list[SaddleBlocks]:
+        """Every class's ``SaddleBlocks``, with B_0 and D_c once the
+        multiplier rows are placed (``add_multipliers``)."""
+        K, off, _ = self.sparse(LOCAL, LOCAL)
+        n_r = np.diff(off)
+        # [A_rP; A_PP]: the primal columns of the rows of K_rr and of the primal rows
+        parts = [dict(K=diagonal_block(K, off, off, c), A_rP=AP[: n_r[c]], A_PP=AP[n_r[c] :])
+                 for c, AP in enumerate(self.dense(SADDLE, PRIMAL))]
+        if "lam" in self.role:
+            B0, rows, cols = self.sparse(CONDENSED, LOCAL)
+            for c, (p, D) in enumerate(zip(parts, self.dense(TRACE, TRACE))):
+                p.update(B0=diagonal_block(B0, rows, cols, c), D=D)
+        return [SaddleBlocks(**p) for p in parts]
+
+
+def _torn_columns(system: BlockSystem, cls: DofClassification) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """The torn column of every stacked local unknown, -1 where there is
+    none, by field, and the stacked positions of the dual dofs: the broken
+    copies in order."""
+    lay, st = cls.layout, system.stacked
+    u = st.dofs["u"]
+    dual = np.flatnonzero(cls.u.is_interface[u] & ~cls.u.is_primal[u])
+    wcol = {fld: pos[st.dofs[fld]] for fld, pos in lay.int_pos.items()}
+    wcol["u"] = np.where(lay.primal_pos[u] >= 0, lay.primal_pos[u], wcol["u"])
+    wcol["u"][dual] = lay.dual_slice.start + np.arange(dual.size)
+    if np.any(wcol["u"] < 0):
+        s = np.searchsorted(st.off["u"], np.argmax(wcol["u"] < 0), side="right") - 1
+        raise InternalError(f"subdomain {s}: unclassified displacement dofs in local block")
+    return wcol, dual
 
 
 def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Transfer) -> ReducedSystem:
     """The reduced system, its torn classes built, and condensed when that
     pays back, in one pass over the classes (``class_sources`` over u and
-    p), each from its representative's own saddle block.
+    p), each from its parts of the saddle blocks (``ClassSaddles``).
 
     A condensed class's map is [F; Psi^T] on its members' interface rows
     (xi_G, p_G, then the λ row of each dual copy): F = B_0 K_rr^{-1} B_0^T
@@ -764,42 +940,36 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
     n_y = n_xi_g + n_p_g + n_lam
     _check_members(system, cls)
 
-    # torn column of every stacked local unknown and interface row of every
-    # stacked trace dof and dual copy, -1 where there is none: the stacked
-    # dual dofs are the broken copies in order, B^T has one entry per copy
-    u = st.dofs["u"]
-    dual = np.flatnonzero(cls.u.is_interface[u] & ~cls.u.is_primal[u])
-    wcol = {fld: pos[st.dofs[fld]] for fld, pos in lay.int_pos.items()}
-    wcol["u"] = np.where(lay.primal_pos[u] >= 0, lay.primal_pos[u], wcol["u"])
-    wcol["u"][dual] = lay.dual_slice.start + np.arange(dual.size)
-    if np.any(wcol["u"] < 0):
-        s = np.searchsorted(st.off["u"], np.argmax(wcol["u"] < 0), side="right") - 1
-        raise InternalError(f"subdomain {s}: unclassified displacement dofs in local block")
+    wcol, dual = _torn_columns(system, cls)
+    # interface row of every stacked trace dof and dual copy, -1 where there
+    # is none: B^T has one entry per broken copy
     yrow = {fld: np.where(cls.splits[fld].is_interface[st.dofs[fld]], base + cls.splits[fld].interface_pos(st.dofs[fld]), -1)
             for fld, base in (("xi", 0), ("p", n_xi_g))}
     Jc = jump.unit.tocoo()
-    yrow["u"] = np.full(u.size, -1, dtype=np.int64)
+    yrow["u"] = np.full(st.dofs["u"].size, -1, dtype=np.int64)
     yrow["u"][dual[Jc.row]] = n_xi_g + n_p_g + Jc.col
 
     def gather(m: dict, members: np.ndarray, sets: dict, *names: str) -> np.ndarray:
         """The maps ``m`` at the class's local positions of ``names``, a column per member."""
         return np.concatenate([m[n[:-1]][st.off[n[:-1]][members] + sets[n][:, None]] for n in names])
 
-    def keys_at(r: int, lb, sets: dict, *names: tuple[str, ...]) -> list[np.ndarray]:
+    def keys_at(r: int, dofs: dict, sets: dict, *names: tuple[str, ...]) -> list[np.ndarray]:
         """For each tuple of ``names``, 3 k + 0, 1 or 2 (u, xi, p) for the
         patch key k of each of the class's local positions of those names."""
-        keys = {fld: 3 * space.patch_keys(system.materials.grid, r, lb.dofs[fld]) + code
+        keys = {fld: 3 * space.patch_keys(system.materials.grid, r, dofs[fld]) + code
                 for code, (fld, space) in enumerate(system.spaces.fields.items())}
         return [np.concatenate([keys[n[:-1]][sets[n]] for n in group]) for group in names]
 
     # the members of an assembly class share their representative's blocks
     class_members = system.classes("ABCDE")
-    views = [st.local_view(m[0]) for m in class_members]
-    ix = [_local_index_sets(cls, lb) for lb in views]
+    saddles = ClassSaddles(system, cls)
     # condensing pays back within a run unless the columns solved once to
     # condense every class are more than _PAYBACK_APPLIES times the columns
     # one application solves without it, one per subdomain
-    condense = sum(sets[k].size for sets in ix for k in ("xiG", "pG", "uD")) <= _PAYBACK_APPLIES * cls.n_subdomains
+    condense = saddles.counts[:, [ROLES.index(k) for k in ("xiG", "pG", "uD")]].sum() <= _PAYBACK_APPLIES * cls.n_subdomains
+    if condense:
+        saddles.add_multipliers(jump.unit.data[block_positions(cls.u.dual_offset, saddles.reps)])
+    blocks = saddles.blocks()
     # each class and its primal columns and coarse contribution, stored at
     # its index so that the coarse matrix sums them in class order
     classes, coarse, condensed = ([None] * len(class_members) for _ in range(3))
@@ -808,50 +978,44 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
     # unknowns and trace rows, W = K_rr^{-1} B_0^T and B_0^T
     schur = {}
     for i, src in class_sources(system, cls, class_members, "ABCDE", ("u", "p")):
-        members, sets, lb = class_members[i], ix[i], views[i]
+        members, b = class_members[i], blocks[i]
         r = members[0]
+        dofs = st.local_dofs(r)
+        sets = _local_index_sets(cls, dofs)
         name = f"subdomain {r} (class of {len(members)})"
-        M = _local_saddle(lb, sets, trace=condense)
-        n_k = M.shape[0] - (sets["xiG"].size + sets["pG"].size if condense else 0)
-        n_r = n_k - sets["uP"].size
-        K = M[:n_r, :n_r]
         factor = None
         if condense:
-            n_G, n_D = M.shape[0] - n_k, sets["uD"].size
-            sign = sp.csr_matrix((jump.unit.data[cls.u.dual_offset[r] : cls.u.dual_offset[r + 1]],
-                                  (np.arange(n_D), n_r - n_D + np.arange(n_D))), shape=(n_D, n_r))
-            B0 = sp.vstack([M[n_k:, :n_r], sign], format="csr")
-            keys, unknowns = keys_at(r, lb, sets, ("xiG", "pG", "uD"), ("uI", "xiI", "pI", "uD"))
+            n_G = b.D.shape[0]
+            keys, unknowns = keys_at(r, dofs, sets, ("xiG", "pG", "uD"), ("uI", "xiI", "pI", "uD"))
         if condense and src is not None:
             c = class_members[src][0]
             S_c, rows, solve_c, unknowns_c, W_c, B0_T_c = schur[src]
             # the λ rows (u, code 0) fix their copies
             S, E, lu = derive_schur(name, c, S_c, rows, keys, eliminable_rows(rows, unknowns, rows.keys % 3 == 0))
             factor = BorrowedFactor(name, c, solve_c, unknowns_c, W_c, B0_T_c, unknowns, E, lu)
-            if _probe(K, factor.solve) > _PROBE_TOL:
+            if _probe(b.K, factor.solve) > _PROBE_TOL:
                 factor = None
         if factor is None:
-            factor = SaddleFactor(name, K)
-        A_rP = M[:n_r, n_r:n_k].toarray()
+            factor = SaddleFactor(name, b.K)
         primal = gather(wcol, members, sets, "uP") - lay.primal_slice.start
-        X, S_PP = primal_coupling(factor, A_rP, M[n_r:n_k, n_r:n_k].toarray())
+        X, S_PP = primal_coupling(factor, b.A_rP, b.A_PP)
         coarse[i] = (primal, S_PP)
         classes[i] = LocalClass(idx=gather(wcol, members, sets, "uI", "xiI", "pI", "uD"), primal=primal, X=X,
-                                factor=factor, A_Pr=np.ascontiguousarray(A_rP.T))
+                                factor=factor, A_Pr=np.ascontiguousarray(b.A_rP.T))
         if not condense:
             continue
         if src is None:
-            B0_T = B0.T.toarray()
+            B0_T = b.B0.T.toarray()
             W = factor.solve(B0_T)
-            F = B0 @ W
+            F = b.B0 @ W
             S = -F
-            S[:n_G, :n_G] += M[n_k:, n_k:].toarray()
+            S[:n_G, :n_G] += b.D
             # its own unknowns, then its trace rows, which a derived class may hold
             schur[i] = S, PatchKeys(keys), factor.solve, PatchKeys(np.concatenate([unknowns, keys[:n_G]])), W, B0_T
         else:
             F = -S
-            F[:n_G, :n_G] += M[n_k:, n_k:].toarray()
-        Y = np.vstack([F, (B0 @ X).T])
+            F[:n_G, :n_G] += b.D
+        Y = np.vstack([F, (b.B0 @ X).T])
         condensed[i] = LocalClass(idx=gather(yrow, members, sets, "xiG", "pG", "uD"), primal=primal,
                                   X=Y[F.shape[0] :].T, factor=factor, S=Y)
 

@@ -147,6 +147,32 @@ def assembled_total_pressure_schur(pipe) -> np.ndarray:
     return S
 
 
+def sliced_bmat_saddle(lb, sets: dict, trace: bool) -> sp.csr_matrix:
+    """A subdomain's local saddle block as once built: the five blocks put
+    together by bmat, then sliced to (uI, xiI, pI, uD, uP), and with
+    ``trace`` (xiG, pG) after them, by fancy indexing."""
+    K = sp.bmat([[lb.A, lb.B.T, None], [lb.B, -lb.C, lb.D.T], [None, lb.D, -lb.E]], format="csr")
+    n_u, n_xi = lb.A.shape[0], lb.C.shape[0]
+    at = [sets["uI"], n_u + sets["xiI"], n_u + n_xi + sets["pI"], sets["uD"], sets["uP"]]
+    at = np.concatenate(at + ([n_u + sets["xiG"], n_u + n_xi + sets["pG"]] if trace else []))
+    return K[at][:, at].sorted_indices()
+
+
+def torn_matrix_reference(red) -> sp.csr_matrix:
+    """The full torn saddle system as once built, subdomain by subdomain:
+    each one's own sliced saddle block (``sliced_bmat_saddle``) at its torn
+    columns, the blocks laid end to end in COO and summed by SciPy."""
+    lay, cls, blocks, cols = red.layout, red.cls, [], []
+    for s, lb in red.system.local.items():
+        sets = reduced_system._local_index_sets(cls, lb.dofs)
+        blocks.append(sliced_bmat_saddle(lb, sets, False))
+        cols += [pos[lb.dofs[fld][sets[fld + "I"]]] for fld, pos in lay.int_pos.items()]
+        cols += [lay.dual_slice.start + np.arange(*cls.u.dual_offset[s : s + 2]), lay.primal_pos[lb.dofs["u"][sets["uP"]]]]
+    K, g = sp.block_diag(blocks, format="coo"), np.concatenate(cols)
+    At = sp.csr_matrix((K.data, (g[K.row], g[K.col])), shape=(lay.n_w, lay.n_w))
+    return sp.bmat([[At, red.B_C.T], [red.B_C, -red.C_hat]], format="csr")
+
+
 def dense_torn_solution(red) -> np.ndarray:
     """Interface unknowns from one sparse solve of the full torn saddle
     system, bypassing the reduction entirely."""

@@ -32,7 +32,7 @@ import biot_ddp as bd
 from biot_ddp import preconditioner, reduced_system
 from biot_ddp.decomposition import _CONGRUENCE_RTOL
 from biot_ddp.mesh_fem import FIELD_BLOCK
-from helpers import broken_offsets, by_subdomain
+from helpers import broken_offsets, by_subdomain, sliced_bmat_saddle
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -122,11 +122,11 @@ def own_saddle(pipe, s):
     """Subdomain s's saddle block with its trace rows last, its local sets
     and the (field, patch key) of each of its local unknowns and trace rows."""
     lb = pipe.system.stacked.local_view(s)
-    sets = reduced_system._local_index_sets(pipe.cls, lb)
+    sets = reduced_system._local_index_sets(pipe.cls, lb.dofs)
     spaces, grid = pipe.system.spaces.fields, pipe.system.materials.grid
     keys = [(n[:-1], int(k)) for n in ("uI", "xiI", "pI", "uD", "xiG", "pG")
             for k in spaces[n[:-1]].patch_keys(grid, s, lb.dofs[n[:-1]][sets[n]])]
-    return reduced_system._local_saddle(lb, sets, trace=True), sets, keys
+    return sliced_bmat_saddle(lb, sets, True), sets, keys
 
 
 BORROWING = [pytest.param(w, None, id=w) for w in ("flagship-p1-nx64", "tiny-subdomains")] + [
@@ -226,22 +226,23 @@ def test_preconditioner_classes_derived_across_free_sides_match_their_own(monkey
     # eliminate the interior class's kept dofs there
     seen, class_schurs = {}, preconditioner.class_schurs
 
-    def kept(system, cls, fld, block, label):
-        out = class_schurs(system, cls, fld, block, label)
-        seen[fld] = block, out[0]
+    def kept(system, cls, fld, positions, matrix, label):
+        out = class_schurs(system, cls, fld, positions, matrix, label)
+        seen[fld] = positions, matrix, out[0]
         return out
 
     monkeypatch.setattr(preconditioner, "class_schurs", kept)
     pipe = free_side_pipeline(case)
     assert sorted(seen) == (["p", "u"] if case == "p0" else ["p", "u", "xi"])
-    for fld, (block, schurs) in seen.items():
+    for fld, (positions, matrix, schurs) in seen.items():
         groups = pipe.system.classes(FIELD_BLOCK[fld])
         crossing = across_free_sides(pipe, FIELD_BLOCK[fld], (fld,))
         # total pressure has no Dirichlet side: every side on the boundary is free
         assert sorted(groups[i][0] for i, _ in crossing) == ([0, 1, 5, 6, 11, 30, 31, 35] if fld == "xi" else [0, 6, 30])
         for i, _ in crossing:
-            M, dofs, gamma, inner = block(groups[i][0])
-            own = preconditioner._dense_schur(M, gamma, inner, pipe.system.spaces.fields[fld].lattice(dofs[inner]), "own")
+            dofs, gamma, inner = positions(groups[i][0])
+            own = preconditioner._dense_schur(matrix(groups[i][0]), gamma, inner,
+                                              pipe.system.spaces.fields[fld].lattice(dofs[inner]), "own")
             assert schurs[i].shape == own.shape
             assert np.abs(schurs[i] - own).max() <= 1e-13 * np.abs(own).max(), (fld, i)
 

@@ -7,11 +7,16 @@ energy 3 (so 6 mu after the material weight).  The mass of the whole domain
 is 1, which pins the scaled total pressure mass block exactly.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import biot_ddp as bd
-from biot_ddp.mesh_fem import SIDES, LoadSpec, _grid_mesh, class_representatives, p1_geometry, subdomain_sides
+from biot_ddp import mesh_fem
+from biot_ddp.mesh_fem import (
+    BLOCK_PARAMS, SIDES, LoadSpec, _grid_mesh, class_representatives, p1_geometry, subdomain_sides,
+)
 from biot_ddp.decomposition import _CONGRUENCE_RTOL
 from helpers import (
     MULTI_MEMBER_GRIDS,
@@ -347,6 +352,31 @@ class TestPerClassAssembly:
         assert rep.tolist() == [0, 1, 1, 3, 4, 5, 5, 7, 4, 5, 5, 7, 12, 13, 13, 15]
         mats.kappa[10] = 2.0
         assert class_representatives(mats)[10] == 10
+
+
+    def test_classes_formed_once_per_key(self, monkeypatch):
+        # the E checkerboard's elastic blocks (keyed on E and nu) and flow
+        # blocks (all four parameters) have classes of their own, and B's
+        # (no parameter) are the sides' alone
+        system = bd.build_pipeline(bd.ExperimentConfig(oracle="off", **MULTI_MEMBER_GRIDS["E checkerboard"][0])).system
+        names = ("ABCDE", "A", "C", "E", "B", "D", "ABCDE", "C")
+        want = {n: dataclasses.replace(system).classes(n) for n in names}  # each from a system of its own
+        calls = []
+
+        def counted(materials, params):
+            calls.append(tuple(params))
+            return class_representatives(materials, params)
+
+        monkeypatch.setattr(mesh_fem, "class_representatives", counted)
+        fresh = dataclasses.replace(system)
+        for _ in range(3):
+            for n in names:
+                got = fresh.classes(n)
+                assert [g.tolist() for g in got] == [g.tolist() for g in want[n]], n
+                assert got is fresh.classes(n)
+        keys = {tuple(sorted({p for b in n for p in BLOCK_PARAMS[b]})) for n in names}
+        assert sorted(calls) == sorted(keys)
+        assert len(keys) == 4  # ABCDE and E, A and C, B, D
 
 
 class TestStability:

@@ -14,6 +14,7 @@ import scipy.sparse as sp
 import biot_ddp as bd
 from biot_ddp import preconditioner, reduced_system
 from biot_ddp.preconditioner import _dense_schur, build_lambda_solver, build_p_bddc, class_schurs, nested_dissection
+from biot_ddp.mesh_fem import FIELD_BLOCK
 from biot_ddp.reduced_system import _DENSE_FACTOR_CUTOFF, CoarseProblem, coarse_band
 from helpers import (
     MULTI_MEMBER_GRIDS,
@@ -340,12 +341,13 @@ class TestSharedSchur:
     @staticmethod
     def schurs(monkeypatch, **kw):
         """The pipeline, and per block ("xi", "p", "lambda") the field, the
-        ``block`` function and the Schur complements of its classes."""
+        ``positions`` and ``matrix`` functions and the Schur complements of
+        its classes."""
         seen = []
 
-        def kept(system, cls, fld, block, label):
-            out = class_schurs(system, cls, fld, block, label)
-            seen.append((fld, block, out[0]))
+        def kept(system, cls, fld, positions, matrix, label):
+            out = class_schurs(system, cls, fld, positions, matrix, label)
+            seen.append((fld, positions, matrix, out[0]))
             return out
 
         monkeypatch.setattr(preconditioner, "class_schurs", kept)
@@ -358,14 +360,47 @@ class TestSharedSchur:
         pipe, seen = self.schurs(monkeypatch, primal=primal, **MULTI_MEMBER_GRIDS[case][0])
         pc = pipe.preconditioner
         assert pc.multiplier.sources < len(pc.multiplier.classes)  # something is shared
-        for key, (fld, block, schurs) in seen.items():
+        for key, (fld, positions, matrix, schurs) in seen.items():
             groups = pipe.system.classes({"u": "A", "xi": "C", "p": "E"}[fld])
             assert len(schurs) == len(groups)
             for members, S in zip(groups, schurs):
-                M, dofs, gamma, inner = block(members[0])
-                own = _dense_schur(M, gamma, inner, pipe.system.spaces.fields[fld].lattice(dofs[inner]), "own")
+                dofs, gamma, inner = positions(members[0])
+                own = _dense_schur(matrix(members[0]), gamma, inner,
+                                   pipe.system.spaces.fields[fld].lattice(dofs[inner]), "own")
                 assert S.shape == own.shape
                 assert np.abs(S - own).max() <= 1e-13 * np.abs(own).max(), (key, members[0])
+
+    @pytest.mark.parametrize("case", [
+        "5x5 p1 neumann-left", "5x5 p0 dirichlet", "E checkerboard", "nu checkerboard", "24x12 on 4x2"])
+    @pytest.mark.parametrize("primal", ["vertex", "vertex-edge"])
+    def test_matrix_read_only_by_sources(self, monkeypatch, case, primal):
+        # every class reads its positions, only a class that forms its S its
+        # matrix, once, and that S is formed from the representative's
+        # local block as its local view gives it
+        reads = {}
+
+        def counted(system, cls, fld, positions, matrix, label):
+            seen = reads.setdefault(fld, [])
+            out = class_schurs(system, cls, fld, positions, lambda r: seen.append(r) or matrix(r), label)
+            reads[fld] = (seen, positions, out)
+            return out
+
+        monkeypatch.setattr(preconditioner, "class_schurs", counted)
+        pipe = bd.build_pipeline(bd.ExperimentConfig(primal=primal, oracle="off", **MULTI_MEMBER_GRIDS[case][0]))
+        pc, system = pipe.preconditioner, pipe.system
+        blocks = {"xi": pc.xi, "p": pc.pressure, "u": pc.multiplier}
+        assert set(reads) == {fld for fld, b in blocks.items() if b is not None}
+        for fld, (seen, positions, (schurs, sources)) in reads.items():
+            name = FIELD_BLOCK[fld]
+            assert len(seen) == len(set(seen)) == sources == blocks[fld].sources < len(schurs), fld
+            reps = [m[0] for m in system.classes(name)]
+            for r in seen:
+                M = getattr(system.stacked.local_view(r), name)
+                if fld == "xi":
+                    M = float(system.materials.lam[r] / system.materials.mu[r]) * M
+                dofs, gamma, inner = positions(r)
+                own = _dense_schur(M, gamma, inner, system.spaces.fields[fld].lattice(dofs[inner]), "own")
+                assert np.array_equal(schurs[reps.index(r)], own), (fld, r)
 
     @pytest.mark.parametrize("kw, want", [
         (dict(nx=16, subdomains=(4, 4)), 1),  # the free left edge derives from the interior
@@ -392,17 +427,20 @@ class TestSharedSchur:
         system, cls = pipe.system, pipe.cls
         interior, _, duals, primals = split_sets(cls, "u")
 
-        def block(r):
+        def positions(r):
             lb = system.stacked.local_view(r)
             iD, iI, iP = (lb.pos("u", d[r]) for d in (duals, interior, primals))
             if r == 1 and change == "kept":
                 iD = np.concatenate([iD, iP])  # its primal corners are not kept at the interior class
             if r == 1 and change == "eliminated":
                 iI = iI[1:]
-            return lb.A.tocsr(), lb.dofs["u"], iD, iI
+            return lb.dofs["u"], iD, iI
+
+        def matrix(r):
+            return system.stacked.local_view(r).A.tocsr()
 
         with pytest.raises(bd.InternalError, match=f"^elastic interior block of subdomain 1: {why}$"):
-            class_schurs(system, cls, "u", block, "elastic")
+            class_schurs(system, cls, "u", positions, matrix, "elastic")
 
 
 class TestBlockApply:

@@ -15,12 +15,14 @@ from hypothesis import given, settings, strategies as st
 
 import biot_ddp as bd
 from biot_ddp import reduced_system
+from biot_ddp.mesh_fem import block_positions, diagonal_block
 from biot_ddp.reduced_system import (
+    SADDLE,
+    ClassSaddles,
     CoarseProblem,
     PatchKeys,
     SaddleFactor,
     _local_index_sets,
-    _local_saddle,
     coarse_band,
     derive_schur,
     eliminable_rows,
@@ -37,6 +39,8 @@ from helpers import (
     numeric_classes,
     record_probes,
     rel_err,
+    sliced_bmat_saddle,
+    torn_matrix_reference,
 )
 
 
@@ -93,7 +97,7 @@ class TestOperator:
         interface = {fld: by_subdomain(cls.splits[fld].rows, n_sub) for fld in ("xi", "p")}
         primal, dual_offset = by_subdomain(cls.u.primal_rows, n_sub), broken_offsets(cls.u.dual_rows, n_sub)
         for s, lb in system.local.items():
-            sets = _local_index_sets(cls, lb)
+            sets = _local_index_sets(cls, lb.dofs)
             y = {"xi": np.full(lb.dofs["xi"].size, -1), "p": np.full(lb.dofs["p"].size, -1)}
             y["xi"][sets["xiG"]] = cls.xi.interface_pos(interface["xi"][s])
             y["p"][sets["pG"]] = n_xi + cls.p.interface_pos(interface["p"][s])
@@ -567,29 +571,76 @@ def _saddle_blocks(M: sp.csr_matrix, sets: dict) -> list[sp.csr_matrix]:
     return [M[r][:, k] for r, k in ((u, u), (xi, u), (xi, xi), (p, xi), (p, p))]
 
 
-def _sliced_bmat_saddle(lb, sets: dict, trace: bool) -> sp.csr_matrix:
-    """The local saddle block as once built: the five blocks put together by
-    bmat, then sliced to (uI, xiI, pI, uD, uP), and with ``trace`` (xiG,
-    pG) after them, by fancy indexing."""
-    K = sp.bmat([[lb.A, lb.B.T, None], [lb.B, -lb.C, lb.D.T], [None, lb.D, -lb.E]], format="csr")
-    n_u, n_xi = lb.A.shape[0], lb.C.shape[0]
-    at = [sets["uI"], n_u + sets["xiI"], n_u + n_xi + sets["pI"], sets["uD"], sets["uP"]]
-    at = np.concatenate(at + ([n_u + sets["xiG"], n_u + n_xi + sets["pG"]] if trace else []))
-    return K[at][:, at].sorted_indices()
+def assert_bitwise(got, want, at) -> None:
+    """Equal shapes, and equal arrays with equal sign bits (a sparse
+    matrix's indptr, sorted indices and data)."""
+    assert got.shape == want.shape, at
+    if sp.issparse(want):
+        assert got.has_sorted_indices, at
+        for part in ("indptr", "indices"):
+            assert np.array_equal(getattr(got, part), getattr(want, part)), (at, part)
+        got, want = got.data, want.data
+    assert np.array_equal(got, want), at
+    assert np.array_equal(np.signbit(got), np.signbit(want)), at
 
 
 @pytest.mark.parametrize("primal", ["vertex", "vertex-edge"])
 @pytest.mark.parametrize("case", list(MULTI_MEMBER_GRIDS))
 def test_local_saddle_is_bitwise_the_sliced_bmat(case, primal):
+    # every subdomain's saddle block, its class's cut out of the stacked
+    # blocks (trace rows after the primal ones or none), is its own
+    # sliced bmat
     kw, _ = MULTI_MEMBER_GRIDS[case]
     pipe = bd.build_pipeline(bd.ExperimentConfig(primal=primal, oracle="off", **kw))
-    for (s, lb), trace in itertools.product(pipe.system.local.items(), (False, True)):
-        sets = _local_index_sets(pipe.cls, lb)
-        K, ref = _local_saddle(lb, sets, trace), _sliced_bmat_saddle(lb, sets, trace)
-        assert K.shape == ref.shape and K.has_sorted_indices
-        for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(K, part), getattr(ref, part)), (s, part)
-        assert np.array_equal(np.signbit(K.data), np.signbit(ref.data)), s
+    saddles = ClassSaddles(pipe.system, pipe.cls)
+    assert saddles.reps.tolist() == [m[0] for m in pipe.system.classes("ABCDE")]
+    klass = np.searchsorted(saddles.reps, pipe.system.stacked.rep)
+    for trace in (False, True):
+        M, off, _ = saddles.sparse(*[slice(0, 7) if trace else SADDLE] * 2)
+        for s, lb in pipe.system.local.items():
+            ref = sliced_bmat_saddle(lb, _local_index_sets(pipe.cls, lb.dofs), trace)
+            assert_bitwise(diagonal_block(M, off, off, klass[s]), ref, (s, trace))
+
+
+@pytest.mark.parametrize("primal", ["vertex", "vertex-edge"])
+@pytest.mark.parametrize("case", list(MULTI_MEMBER_GRIDS))
+def test_class_blocks_are_slices_of_the_sliced_bmat(case, primal):
+    # K_rr, A_rP, A_PP, B_0 (trace rows and signed jump) and D_c of each
+    # torn class are the slices of its representative's sliced bmat that
+    # set-up once cut, and the signed jump's rows as it once stacked them
+    kw, _ = MULTI_MEMBER_GRIDS[case]
+    pipe = bd.build_pipeline(bd.ExperimentConfig(primal=primal, oracle="off", **kw))
+    cls, st, unit = pipe.cls, pipe.system.stacked, pipe.jump.unit
+    saddles = ClassSaddles(pipe.system, cls)
+    without = saddles.blocks()
+    saddles.add_multipliers(unit.data[block_positions(cls.u.dual_offset, saddles.reps)])
+    for r, b, b_ in zip(saddles.reps, saddles.blocks(), without, strict=True):
+        lb = st.local_view(r)
+        sets = _local_index_sets(cls, lb.dofs)
+        ref = sliced_bmat_saddle(lb, sets, True)
+        n_D = sets["uD"].size
+        n_r = sum(sets[k].size for k in ("uI", "xiI", "pI")) + n_D
+        n_k = n_r + sets["uP"].size
+        sign = sp.csr_matrix((unit.data[cls.u.dual_offset[r] : cls.u.dual_offset[r + 1]],
+                              (np.arange(n_D), n_r - n_D + np.arange(n_D))), shape=(n_D, n_r))
+        want = dict(K=ref[:n_r, :n_r], A_rP=ref[:n_r, n_r:n_k].toarray(), A_PP=ref[n_r:n_k, n_r:n_k].toarray(),
+                    B0=sp.vstack([ref[n_k:, :n_r], sign], format="csr"), D=ref[n_k:, n_k:].toarray())
+        for name, w in want.items():
+            assert_bitwise(getattr(b, name), w, (r, name))
+        for name in ("K", "A_rP", "A_PP"):
+            assert_bitwise(getattr(b_, name), want[name], (r, name))
+        assert b_.B0 is None and b_.D is None
+
+
+@pytest.mark.parametrize("kw", [
+    # the tiny-subdomains benchmark workload
+    dict(nx=44, subdomains=(11, 11), total_pressure="p0", primal="vertex-edge", E=1e6, nu=0.499),
+    *(dict(nx=24, subdomains=(6, 6), total_pressure=elem, primal=primal, bc=bc)
+      for elem, primal, bc in itertools.product(("p1", "p0"), ("vertex", "vertex-edge"), ("neumann-left", "dirichlet"))),
+], ids=lambda kw: "-".join(str(v) for v in kw.values()))
+def test_torn_matrix_is_bitwise_the_per_subdomain_build(kw):
+    red = bd.build_pipeline(bd.ExperimentConfig(oracle="off", **kw)).reduced
+    assert_bitwise(red.torn_matrix(), torn_matrix_reference(red), "torn matrix")
 
 
 class TestClassKey:
@@ -606,8 +657,8 @@ class TestClassKey:
         pipe = bd.build_pipeline(bd.ExperimentConfig(primal=primal, oracle="off", **kw))
         system, cls, mats = pipe.system, pipe.cls, pipe.system.materials
         lbs = [system.local[s] for s in range(system.stacked.n_sub)]
-        ix = [_local_index_sets(cls, lb) for s, lb in enumerate(lbs)]
-        saddles = [_local_saddle(lb, sets) for lb, sets in zip(lbs, ix)]
+        ix = [_local_index_sets(cls, lb.dofs) for lb in lbs]
+        saddles = [sliced_bmat_saddle(lb, sets, False) for lb, sets in zip(lbs, ix)]
         p_gamma = []
         interface = by_subdomain(cls.p.rows, len(lbs))
         for s, lb in enumerate(lbs):
