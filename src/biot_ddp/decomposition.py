@@ -124,14 +124,6 @@ class Incidence:
         """Start of each subdomain's rows in the broken layout, then the end."""
         return np.concatenate([[0], np.cumsum(np.bincount(self.sub, minlength=n_sub))])
 
-    def sharers(self, dof: int) -> np.ndarray:
-        lo, hi = np.searchsorted(self.dof, [dof, dof + 1])
-        return self.sub[lo:hi]
-
-    def row(self, dof: int, sub: int) -> int:
-        lo = int(np.searchsorted(self.dof, dof))
-        return lo + int(np.flatnonzero(self.sharers(dof) == sub)[0])
-
 
 def _incidence(space: FieldSpace, grid: tuple[int, int]) -> Incidence:
     """Incidence of the dofs of ``space``, by the subdomains holding their nodes.
@@ -422,9 +414,6 @@ class ScalingWeights:
 
     cls: DofClassification
     weights: dict[str, np.ndarray]
-
-    def weight(self, fld: str, dof: int, sub: int) -> float:
-        return float(self.weights[fld][self.cls.splits[fld].rows.row(dof, sub)])
 
     def dual(self, fld: str) -> np.ndarray:
         """The weights of the field's dual rows."""

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -376,34 +375,6 @@ class LoadSpec:
 # assembled system
 
 
-@dataclass
-class LocalBlocks:
-    """One subdomain's element contributions in a compressed local numbering.
-
-    ``dofs[fld]`` are field ``fld``'s sorted global free-dof ids with
-    support on the subdomain closure; the matrices are indexed by position
-    in those arrays.
-    """
-
-    dofs: dict[str, np.ndarray]
-    A: sp.csr_matrix
-    B: sp.csr_matrix
-    C: sp.csr_matrix
-    D: sp.csr_matrix
-    E: sp.csr_matrix
-    f: np.ndarray
-    g: np.ndarray
-
-    def pos(self, fld: str, dofs: np.ndarray) -> np.ndarray:
-        """Local positions of field ``fld``'s global ``dofs``."""
-        have, dofs = self.dofs[fld], np.asarray(dofs, dtype=np.int64)
-        pos = np.searchsorted(have, dofs)
-        ok = (pos < have.size) & (have[np.minimum(pos, have.size - 1)] == dofs)
-        if dofs.size and not np.all(ok):
-            raise KeyError(f"{fld} dofs {dofs[~ok][:5]} not present in this subdomain")
-        return pos
-
-
 # the five blocks with the fields of their rows and columns
 BLOCK_FIELDS = (("A", "u", "u"), ("B", "xi", "u"), ("C", "xi", "xi"), ("D", "p", "xi"), ("E", "p", "p"))
 _BLOCK_SPACES = {name: (r, c) for name, r, c in BLOCK_FIELDS}
@@ -452,18 +423,6 @@ class StackedBlocks:
         r, c = _BLOCK_SPACES[name]
         return diagonal_block(getattr(self, name), self.rep_off[r], self.rep_off[c], self.rep[s])
 
-    def local_view(self, s: int) -> LocalBlocks:
-        """Subdomain s's dofs with its representative's blocks and loads,
-        sharing data with the stored arrays."""
-        r = self.rep[s]
-        at = {fld: slice(o[r], o[r + 1]) for fld, o in self.rep_off.items()}
-        return LocalBlocks(
-            dofs=self.local_dofs(s),
-            **{name: self.block(name, s) for name, _, _ in BLOCK_FIELDS},
-            f=self.f[at["u"]],
-            g=self.g[at["p"]],
-        )
-
     def entries(self, name: str, rmap: np.ndarray, cmap: np.ndarray) -> tuple[np.ndarray, ...]:
         """Every subdomain's entries of block ``name`` as (sub, rmap[row],
         cmap[col], value), in subdomain and then stored order, where the row
@@ -491,12 +450,18 @@ def diagonal_block(M: sp.csr_matrix, row_off: np.ndarray, col_off: np.ndarray, s
     """Diagonal block s of a block-diagonal CSR matrix, sharing its data: a
     shallow copy of M with its arrays and shape swapped for the block's
     (SciPy's constructor would copy slices of M's arrays, and check them).
-    M's cached format flags hold for every block."""
-    r0, r1 = row_off[s], row_off[s + 1]
+    M's cached format flags hold for every block.  Offsets outside M, or an
+    entry of the block's rows outside its columns, are an ``InternalError``
+    naming the block: unchecked, SciPy may read past the arrays."""
+    (r0, r1), (c0, c1) = row_off[s : s + 2], col_off[s : s + 2]
+    if not (0 <= r0 <= r1 <= M.shape[0] and 0 <= c0 <= c1 <= M.shape[1]):
+        raise InternalError(f"diagonal block {s}: offsets outside the {M.shape} matrix")
     lo, hi = M.indptr[r0], M.indptr[r1]
     view = copy.copy(M)
-    view.data, view.indices, view.indptr = M.data[lo:hi], M.indices[lo:hi] - int(col_off[s]), M.indptr[r0 : r1 + 1] - lo
-    view._shape = (int(r1 - r0), int(col_off[s + 1] - col_off[s]))
+    view.data, view.indices, view.indptr = M.data[lo:hi], M.indices[lo:hi] - int(c0), M.indptr[r0 : r1 + 1] - lo
+    if hi > lo and not 0 <= view.indices.min() <= view.indices.max() < c1 - c0:
+        raise InternalError(f"diagonal block {s}: an entry of its rows lies outside its columns")
+    view._shape = (int(r1 - r0), int(c1 - c0))
     return view
 
 
@@ -512,11 +477,11 @@ class BlockSystem:
 
     The full operator is  [[A, B^T, 0], [B, -C, D^T], [0, D, -E]]
     acting on (displacement, total pressure, pressure), with right-hand
-    side (f, 0, g).  ``local`` views every subdomain's blocks in
-    ``stacked``.  A global block is summed from every subdomain's entries
-    (``StackedBlocks.entries``) on first use and kept in ``blocks``: the
-    direct-solve check and the diagnostics read them, set-up does not.
-    SciPy sums them: a row's entries arrive in subdomain order, but an
+    side (f, 0, g).  ``stacked`` holds every subdomain's blocks
+    (``StackedBlocks.block``).  A global block is summed from every
+    subdomain's entries (``StackedBlocks.entries``) on first use and kept
+    in ``blocks``: the direct-solve check and the diagnostics read them,
+    set-up does not.  SciPy sums them: a row's entries arrive in subdomain order, but an
     unstable sort by column precedes the sum, so a few on long rows are
     added in another order.
     """
@@ -542,10 +507,6 @@ class BlockSystem:
     C = property(lambda self: self._global("C"))
     D = property(lambda self: self._global("D"))
     E = property(lambda self: self._global("E"))
-
-    @cached_property
-    def local(self) -> dict[int, LocalBlocks]:
-        return {s: self.stacked.local_view(s) for s in range(self.stacked.n_sub)}
 
     def classes(self, names: str) -> list[np.ndarray]:
         """Congruence classes of the local blocks ``names`` (of "ABCDE"; none

@@ -16,7 +16,7 @@ parts of every class's saddle block that set-up reads (K_rr, its primal
 couplings and, when condensing, its trace rows and trace block) are cut
 out of the stacked blocks in whole-array passes, all classes at once
 (``ClassSaddles``): one sparse matrix per part, whose diagonal blocks the
-classes view, and one dense buffer per dense part.
+classes view (or copy out dense, for the dense parts).
 When few classes serve many subdomains, each class is also condensed once
 onto its members' interface rows into one dense map, in the same pass, and
 no local solve runs per application.  Only a source class solves for its
@@ -27,10 +27,11 @@ Schur step, since a Schur complement of a Schur complement is a Schur
 complement (``derive_schur``, which the preconditioner's Schur complements
 share), and solves through the source's factor, bordered by the rows that
 step eliminates (``BorrowedFactor``): a condensed run factors only its
-source classes, on a uniform grid without edge averages the interior one.  The torn inverse, the condensed operator and each
-preconditioner block are one ``PartiallyAssembled``: classes of one type,
-``LocalClass``, each applied to all its members at once, and the one
-``CoarseProblem`` that couples them, which it builds.
+source classes, on a uniform grid without edge averages the interior one.
+The torn inverse, the condensed operator and each preconditioner block are
+one ``PartiallyAssembled``: classes of one type, ``LocalClass``, each
+applied to all its members at once, and the one ``CoarseProblem`` that
+couples them, which it builds.
 """
 
 from __future__ import annotations
@@ -626,48 +627,6 @@ class ReducedSystem:
     def rhs(self) -> np.ndarray:
         return self.B_C @ self.apply_torn_inverse(self.f_w) - self.h
 
-    # -- diagnostics ------------------------------------------------------
-
-    def dense_operator(self) -> np.ndarray:
-        """The reduced operator assembled column by column (small runs only)."""
-        n = self.n
-        G = np.empty((n, n))
-        e = np.zeros(n)
-        for k in range(n):
-            e[k] = 1.0
-            G[:, k] = self.apply(e)
-            e[k] = 0.0
-        return G
-
-    def torn_matrix(self) -> sp.csr_matrix:
-        """The full torn saddle system (diagnostic): every subdomain's local
-        saddle block, its class's (``ClassSaddles``), at its torn columns."""
-        st, lay = self.system.stacked, self.layout
-        saddles = ClassSaddles(self.system, self.cls)
-        M, off, _ = saddles.sparse(SADDLE, SADDLE)
-        # each subdomain's class, and where its unknowns start, in turn
-        klass = np.searchsorted(saddles.reps, st.rep)
-        n_k = np.diff(off)[klass]
-        first = np.cumsum(n_k) - n_k
-        # the torn column of each subdomain's unknowns in saddle order: a
-        # member's dofs play its representative's roles, at its places
-        g = np.empty(n_k.sum(), dtype=np.int64)
-        for fld, col in _torn_columns(self.system, self.cls)[0].items():
-            at = block_positions(st.rep_off[fld], st.rep)
-            keep = saddles.role[fld][at] < SADDLE.stop
-            sub = np.repeat(np.arange(st.n_sub), np.diff(st.off[fld]))
-            g[(first[sub] + saddles.place[fld][at])[keep]] = col[keep]
-        # each subdomain's entries in its class's stored order
-        nnz = np.diff(M.indptr[off])
-        e = block_positions(M.indptr[off], klass)
-        shift = np.repeat(first - off[klass], nnz[klass])
-        row = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))[e] + shift
-        At = sp.csr_matrix((M.data[e], (g[row], g[M.indices[e] + shift])), shape=(lay.n_w, lay.n_w))
-        return sp.bmat([[At, self.B_C.T], [self.B_C, -self.C_hat]], format="csr")
-
-    def torn_rhs(self) -> np.ndarray:
-        return np.concatenate([self.f_w, self.h])
-
     # -- recovery ---------------------------------------------------------
 
     def recover(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -755,12 +714,12 @@ class ClassSaddles:
     in the class's saddle order (``place``); ``counts[c, k]`` is how many
     rows of role k class c has.  The multiplier rows (``add_multipliers``)
     are a pseudo-field "lam" over the displacement positions, each dual
-    copy's λ row at its copy.  ``sparse`` and ``dense`` cut a run of row
-    roles and a run of column roles out of every class at once, each stored
-    entry of A..E (and of B and D transposed) placed by its row's and its
-    column's positions, with its sign; ``blocks`` gives the parts that
-    set-up factors and condenses.  No two blocks share an entry, so every
-    value is the block's own.
+    copy's λ row at its copy.  ``sparse`` cuts a run of row roles and a run
+    of column roles out of every class at once, each stored entry of A..E
+    (and of B and D transposed) placed by its row's and its column's
+    positions, with its sign; ``blocks`` gives the parts that set-up factors
+    and condenses, the dense ones as their diagonal blocks' ``toarray``.  No
+    two blocks share an entry, so every value is the block's own.
     """
 
     def __init__(self, system: BlockSystem, cls: DofClassification):
@@ -817,23 +776,20 @@ class ClassSaddles:
                               (first - start)[self.owner[fld]] + self.place[fld], -1).astype(np.int32)
                 for fld, role in self.role.items()}
 
-    def _entries(self, rows: slice, cols: slice, R: dict, C: dict, roles: dict | None = None):
+    def _entries(self, rows: slice, cols: slice, R: dict, C: dict):
         """Each block's (and B's and D's transposed) entries as (row,
         column, value, column role) by the maps ``R`` and ``C`` (-1: not in
-        the cut) and ``roles`` (None: no roles), for the blocks whose fields
-        have rows of the roles ``rows`` and columns of the roles ``cols``."""
+        the cut), for the blocks whose fields have rows of the roles
+        ``rows`` and columns of the roles ``cols``."""
         def meets(fld: str, run: slice) -> bool:
             return any(run.start <= k < run.stop for k in _FIELD_ROLES[fld])
 
         for M, r, c in self._blocks:
             n = np.diff(M.indptr)
             if meets(r, rows) and meets(c, cols):
-                yield np.repeat(R[r], n), C[c][M.indices], M.data, roles and roles[c][M.indices]
+                yield np.repeat(R[r], n), C[c][M.indices], M.data, self.role[c][M.indices]
             if r != c and r != "lam" and meets(c, rows) and meets(r, cols):
-                yield R[c][M.indices], np.repeat(C[r], n), M.data, roles and np.repeat(roles[r], n)
-
-    def _shape(self, rows: slice, cols: slice) -> tuple[np.ndarray, np.ndarray]:
-        return self.counts[:, rows].sum(axis=1), self.counts[:, cols].sum(axis=1)
+                yield R[c][M.indices], np.repeat(C[r], n), M.data, np.repeat(self.role[r], n)
 
     def sparse(self, rows: slice, cols: slice) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
         """The block-diagonal CSR matrix whose block c is class c's rows of
@@ -846,12 +802,11 @@ class ClassSaddles:
         ascending order (a stored row's columns ascend, and a transposed
         block's entries follow its rows).  Its column indices are therefore
         sorted, as a product sums each row in column order."""
-        n_rows, n_cols = self._shape(rows, cols)
-        row_off, col_off = (np.concatenate([[0], np.cumsum(n)]) for n in (n_rows, n_cols))
+        row_off, col_off = (np.concatenate([[0], np.cumsum(self.counts[:, run].sum(axis=1))]) for run in (rows, cols))
         R = {fld: m * len(ROLES) for fld, m in self._maps(rows, row_off[:-1]).items()}
         C = self._maps(cols, col_off[:-1])
         key, col, val = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)], [np.zeros(0)]
-        for i, j, v, k in self._entries(rows, cols, R, C, self.role):
+        for i, j, v, k in self._entries(rows, cols, R, C):
             at = np.flatnonzero((i >= 0) & (j >= 0))
             key.append(i[at] + k[at])
             col.append(j[at])
@@ -861,33 +816,19 @@ class ClassSaddles:
                           shape=(shape[0] * len(ROLES), shape[1]))
         return sp.csr_matrix((X.data, X.indices, X.indptr[:: len(ROLES)].copy()), shape=shape), row_off, col_off
 
-    def dense(self, rows: slice, cols: slice) -> list[np.ndarray]:
-        """Each class's rows of the roles ``rows`` and columns of the roles
-        ``cols``, dense (C-ordered views of one buffer).  Every entry is
-        added to zero, as ``toarray`` adds it."""
-        n_rows, n_cols = self._shape(rows, cols)
-        off = np.concatenate([[0], np.cumsum(n_rows * n_cols)])
-        R = {fld: np.where(m >= 0, off[:-1][self.owner[fld]] + m * n_cols[self.owner[fld]], -1)
-             for fld, m in self._maps(rows, np.zeros_like(n_rows)).items()}
-        out = np.zeros(off[-1])
-        for i, j, v, _ in self._entries(rows, cols, R, self._maps(cols, np.zeros_like(n_cols))):
-            at = np.flatnonzero((i >= 0) & (j >= 0))
-            # no two entries share a place, so each is added once
-            out[i[at] + j[at]] += v[at]
-        return [out[off[c] : off[c + 1]].reshape(n_rows[c], n_cols[c]) for c in range(self.reps.size)]
-
     def blocks(self) -> list[SaddleBlocks]:
         """Every class's ``SaddleBlocks``, with B_0 and D_c once the
         multiplier rows are placed (``add_multipliers``)."""
-        K, off, _ = self.sparse(LOCAL, LOCAL)
-        n_r = np.diff(off)
-        # [A_rP; A_PP]: the primal columns of the rows of K_rr and of the primal rows
-        parts = [dict(K=diagonal_block(K, off, off, c), A_rP=AP[: n_r[c]], A_PP=AP[n_r[c] :])
-                 for c, AP in enumerate(self.dense(SADDLE, PRIMAL))]
+        (K, off, _), (AP, rows, cols) = self.sparse(LOCAL, LOCAL), self.sparse(SADDLE, PRIMAL)
+        parts = []
+        for c, n_r in enumerate(np.diff(off)):
+            # [A_rP; A_PP]: the primal columns of the rows of K_rr and of the primal rows
+            A = diagonal_block(AP, rows, cols, c).toarray()
+            parts.append(dict(K=diagonal_block(K, off, off, c), A_rP=A[:n_r], A_PP=A[n_r:]))
         if "lam" in self.role:
-            B0, rows, cols = self.sparse(CONDENSED, LOCAL)
-            for c, (p, D) in enumerate(zip(parts, self.dense(TRACE, TRACE))):
-                p.update(B0=diagonal_block(B0, rows, cols, c), D=D)
+            (B0, rows, cols), (D, d_off, _) = self.sparse(CONDENSED, LOCAL), self.sparse(TRACE, TRACE)
+            for c, p in enumerate(parts):
+                p.update(B0=diagonal_block(B0, rows, cols, c), D=diagonal_block(D, d_off, d_off, c).toarray())
         return [SaddleBlocks(**p) for p in parts]
 
 

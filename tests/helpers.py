@@ -9,6 +9,8 @@ do not share code with.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
@@ -16,7 +18,61 @@ import scipy.sparse.linalg as spla
 
 from biot_ddp import reduced_system
 from biot_ddp.decomposition import _CONGRUENCE_RTOL
-from biot_ddp.mesh_fem import BLOCK_FIELDS, LoadSpec, assemble_blocks, build_mesh, build_spaces, element_tables
+from biot_ddp.mesh_fem import (
+    BLOCK_FIELDS,
+    LoadSpec,
+    assemble_blocks,
+    block_positions,
+    build_mesh,
+    build_spaces,
+    element_tables,
+)
+
+
+@dataclass
+class LocalBlocks:
+    """One subdomain's sorted dofs of each field with its representative's
+    local blocks and loads (``local_view``), indexed by position in the
+    dofs."""
+
+    dofs: dict[str, np.ndarray]
+    A: sp.csr_matrix
+    B: sp.csr_matrix
+    C: sp.csr_matrix
+    D: sp.csr_matrix
+    E: sp.csr_matrix
+    f: np.ndarray
+    g: np.ndarray
+
+    def pos(self, fld: str, dofs: np.ndarray) -> np.ndarray:
+        """Local positions of field ``fld``'s global ``dofs``."""
+        have, dofs = self.dofs[fld], np.asarray(dofs, dtype=np.int64)
+        pos = np.searchsorted(have, dofs)
+        assert np.array_equal(have[np.minimum(pos, have.size - 1)], dofs), f"{fld} dofs not in this subdomain"
+        return pos
+
+
+def local_view(st, s: int) -> LocalBlocks:
+    """Subdomain s's ``LocalBlocks`` in the stacked blocks ``st``, sharing
+    data with the stored arrays."""
+    f, g = (load[o[st.rep[s]] : o[st.rep[s] + 1]] for load, o in ((st.f, st.rep_off["u"]), (st.g, st.rep_off["p"])))
+    return LocalBlocks(st.local_dofs(s), *(st.block(name, s) for name in "ABCDE"), f, g)
+
+
+def local_blocks(system) -> dict[int, LocalBlocks]:
+    """Every subdomain's ``local_view``, by subdomain."""
+    return {s: local_view(system.stacked, s) for s in range(system.stacked.n_sub)}
+
+
+def sharers(inc, dof: int) -> np.ndarray:
+    """The subdomains sharing ``dof`` in the incidence table ``inc``, ascending."""
+    return inc.sub[inc.dof == dof]
+
+
+def weight(sc, fld: str, dof: int, sub: int) -> float:
+    """Subdomain ``sub``'s scaling weight of field ``fld``'s interface dof ``dof``."""
+    rows = sc.cls.splits[fld].rows
+    return float(sc.weights[fld][np.flatnonzero((rows.dof == dof) & (rows.sub == sub))[0]])
 
 
 def by_subdomain(rows, n_sub: int) -> dict[int, np.ndarray]:
@@ -136,14 +192,12 @@ def assembled_total_pressure_schur(pipe) -> np.ndarray:
     n_gamma = len(cls.xi.interface)
     S = np.zeros((n_gamma, n_gamma))
     interface, interior = (by_subdomain(r, cls.n_subdomains) for r in (cls.xi.rows, cls.xi.interior))
-    for s in range(cls.n_subdomains):
-        lb = pipe.system.local[s]
+    for s, lb in local_blocks(pipe.system).items():
         gamma = lb.pos("xi", interface[s])
         inner = lb.pos("xi", interior[s])
         S_loc = splu_schur(lb.C, gamma, inner)
         rows = cls.xi.interface_pos(interface[s])
-        weight = mats.lam[s] / mats.mu[s]
-        S[np.ix_(rows, rows)] += weight * S_loc
+        S[np.ix_(rows, rows)] += mats.lam[s] / mats.mu[s] * S_loc
     return S
 
 
@@ -159,11 +213,11 @@ def sliced_bmat_saddle(lb, sets: dict, trace: bool) -> sp.csr_matrix:
 
 
 def torn_matrix_reference(red) -> sp.csr_matrix:
-    """The full torn saddle system as once built, subdomain by subdomain:
-    each one's own sliced saddle block (``sliced_bmat_saddle``) at its torn
+    """The full torn saddle system, built subdomain by subdomain: each
+    one's own sliced saddle block (``sliced_bmat_saddle``) at its torn
     columns, the blocks laid end to end in COO and summed by SciPy."""
     lay, cls, blocks, cols = red.layout, red.cls, [], []
-    for s, lb in red.system.local.items():
+    for s, lb in local_blocks(red.system).items():
         sets = reduced_system._local_index_sets(cls, lb.dofs)
         blocks.append(sliced_bmat_saddle(lb, sets, False))
         cols += [pos[lb.dofs[fld][sets[fld + "I"]]] for fld, pos in lay.int_pos.items()]
@@ -173,12 +227,40 @@ def torn_matrix_reference(red) -> sp.csr_matrix:
     return sp.bmat([[At, red.B_C.T], [red.B_C, -red.C_hat]], format="csr")
 
 
+def torn_matrix_from_class_cut(red) -> sp.csr_matrix:
+    """The full torn saddle system from one ``ClassSaddles.sparse(SADDLE,
+    SADDLE)`` cut: every subdomain's block is its class's, placed at its
+    torn columns (``_torn_columns``, as the build reads them) by the class
+    saddle order (``ClassSaddles.role`` / ``place``)."""
+    st, lay, SADDLE = red.system.stacked, red.layout, reduced_system.SADDLE
+    saddles = reduced_system.ClassSaddles(red.system, red.cls)
+    M, off, _ = saddles.sparse(SADDLE, SADDLE)
+    # each subdomain's class, and where its unknowns start, in turn
+    klass = np.searchsorted(saddles.reps, st.rep)
+    n_k = np.diff(off)[klass]
+    first = np.cumsum(n_k) - n_k
+    # the torn column of each subdomain's unknowns in saddle order: a
+    # member's dofs play its representative's roles, at its places
+    g = np.empty(n_k.sum(), dtype=np.int64)
+    for fld, col in reduced_system._torn_columns(red.system, red.cls)[0].items():
+        at = block_positions(st.rep_off[fld], st.rep)
+        keep = saddles.role[fld][at] < SADDLE.stop
+        sub = np.repeat(np.arange(st.n_sub), np.diff(st.off[fld]))
+        g[(first[sub] + saddles.place[fld][at])[keep]] = col[keep]
+    # each subdomain's entries in its class's stored order
+    nnz = np.diff(M.indptr[off])
+    e = block_positions(M.indptr[off], klass)
+    shift = np.repeat(first - off[klass], nnz[klass])
+    row = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))[e] + shift
+    At = sp.csr_matrix((M.data[e], (g[row], g[M.indices[e] + shift])), shape=(lay.n_w, lay.n_w))
+    return sp.bmat([[At, red.B_C.T], [red.B_C, -red.C_hat]], format="csr")
+
+
 def dense_torn_solution(red) -> np.ndarray:
     """Interface unknowns from one sparse solve of the full torn saddle
     system, bypassing the reduction entirely."""
-    K = red.torn_matrix().tocsc()
-    rhs = red.torn_rhs()
-    x = sp.linalg.spsolve(K, rhs)
+    K = torn_matrix_reference(red).tocsc()
+    x = sp.linalg.spsolve(K, np.concatenate([red.f_w, red.h]))
     return x[red.layout.n_w :]
 
 
@@ -349,15 +431,15 @@ def assert_stored_once(system) -> None:
     """Each congruence class's local blocks and loads are stored once: the
     stored arrays hold the representatives' entries alone, and every
     member's view shares its representative's data."""
-    st = system.stacked
+    st, local = system.stacked, local_blocks(system)
     reps = np.unique(st.rep)
     for name in "ABCDE":
-        assert getattr(st, name).nnz == sum(getattr(system.local[r], name).nnz for r in reps), name
+        assert getattr(st, name).nnz == sum(getattr(local[r], name).nnz for r in reps), name
     for name in "fg":
-        assert getattr(st, name).size == sum(getattr(system.local[r], name).size for r in reps), name
-    for s, lb in system.local.items():
+        assert getattr(st, name).size == sum(getattr(local[r], name).size for r in reps), name
+    for s, lb in local.items():
         for name in "ABCDEfg":
-            got, want = getattr(lb, name), getattr(system.local[st.rep[s]], name)
+            got, want = getattr(lb, name), getattr(local[st.rep[s]], name)
             if sp.issparse(got):
                 got, want = got.data, want.data
             assert np.shares_memory(got, want), (s, name)

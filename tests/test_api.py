@@ -1,6 +1,10 @@
-"""The package's public surface: ``__all__`` lists exactly what ``__init__`` imports."""
+"""The package's public surface: ``__all__`` lists exactly what ``__init__``
+imports, and every other function and class of the package has a reader in
+the package or the benchmark."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import biot_ddp as bd
@@ -23,3 +27,18 @@ def test_every_export_resolves():
 def test_exports_are_the_imported_names():
     assert len(bd.__all__) == len(set(bd.__all__))
     assert set(bd.__all__) == imported_public_names()
+
+
+def test_every_definition_is_named_elsewhere():
+    # a word match: a name counts as read when it occurs more often in
+    # src/ and bench/ than it is defined in the package; what only the
+    # tests read belongs in the tests
+    package = Path(bd.__file__).parent
+    root = package.parent.parent
+    text = {f: f.read_text(encoding="utf-8") for d in ("src", "bench") for f in (root / d).rglob("*.py")}
+    defined = Counter(node.name for f in package.glob("*.py") for node in ast.walk(ast.parse(text[f]))
+                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+    words = Counter(w for t in text.values() for w in re.findall(r"\w+", t))
+    unread = [name for name, k in sorted(defined.items()) if words[name] <= k
+              and not (name.startswith("__") and name.endswith("__")) and name not in bd.__all__]
+    assert unread == []

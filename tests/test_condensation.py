@@ -32,7 +32,7 @@ import biot_ddp as bd
 from biot_ddp import preconditioner, reduced_system
 from biot_ddp.decomposition import _CONGRUENCE_RTOL
 from biot_ddp.mesh_fem import FIELD_BLOCK
-from helpers import broken_offsets, by_subdomain, sliced_bmat_saddle
+from helpers import broken_offsets, by_subdomain, local_view, sliced_bmat_saddle
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -121,7 +121,7 @@ def across_free_sides(pipe, names="ABCDE", fields=("u", "p")):
 def own_saddle(pipe, s):
     """Subdomain s's saddle block with its trace rows last, its local sets
     and the (field, patch key) of each of its local unknowns and trace rows."""
-    lb = pipe.system.stacked.local_view(s)
+    lb = local_view(pipe.system.stacked, s)
     sets = reduced_system._local_index_sets(pipe.cls, lb.dofs)
     spaces, grid = pipe.system.spaces.fields, pipe.system.materials.grid
     keys = [(n[:-1], int(k)) for n in ("uI", "xiI", "pI", "uD", "xiG", "pG")
@@ -378,7 +378,7 @@ def test_local_unknown_the_source_lacks_rejected(monkeypatch):
 def dirichlet_apply(pipe, s, T):
     """Subdomain s's elastic Dirichlet Schur complement applied matrix-free,
     A_DD T - A_DI A_II^-1 A_ID T, with SciPy's default sparse LU."""
-    lb, cls = pipe.system.local[s], pipe.cls
+    lb, cls = local_view(pipe.system.stacked, s), pipe.cls
     iD, iI = (lb.pos("u", by_subdomain(r, cls.n_subdomains)[s]) for r in (cls.u.dual_rows, cls.u.interior))
     A = lb.A.tocsr()
     return A[iD][:, iD] @ T - A[iD][:, iI] @ spla.splu(A[iI][:, iI].tocsc()).solve(A[iI][:, iD] @ T)

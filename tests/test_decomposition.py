@@ -32,9 +32,13 @@ from helpers import (
     assert_stored_once,
     broken_offsets,
     by_subdomain,
+    local_blocks,
+    local_view,
     reference_edge_averages,
     reference_edge_groups,
     reference_incidence,
+    sharers,
+    weight,
 )
 
 
@@ -110,7 +114,7 @@ class TestClassification:
         sets = {fld: [by_subdomain(r, cls.n_subdomains) for r in (split.interior, *parts[fld])]
                 for fld, split in cls.splits.items()}
         for s in range(cls.n_subdomains):
-            lb = system.stacked.local_view(s)
+            lb = local_view(system.stacked, s)
             for fld in cls.splits:
                 got = np.sort(np.concatenate([d[s] for d in sets[fld]]))
                 np.testing.assert_array_equal(got, lb.dofs[fld])
@@ -370,17 +374,17 @@ class TestScalings:
         _, _, cls = classify(12, (3, 3), variant, primal)
         sc = bd.build_scalings(cls, mats)
         for dof, pair in zip(cls.u.dual, cls.u.dual_rows.sub.reshape(-1, 2)):
-            total = sum(sc.weight("u", int(dof), int(s)) for s in pair)
+            total = sum(weight(sc, "u", int(dof), int(s)) for s in pair)
             assert total == 1.0  # exact by construction, not approx
         for dof in cls.xi.interface:
-            subs = cls.xi.rows.sharers(int(dof))
-            assert sum(sc.weight("xi", int(dof), int(s)) for s in subs) == 1.0
+            subs = sharers(cls.xi.rows, int(dof))
+            assert sum(weight(sc, "xi", int(dof), int(s)) for s in subs) == 1.0
         for dof in np.concatenate([cls.p.dual, cls.p.primal]):
-            subs = cls.p.rows.sharers(int(dof))
-            assert sum(sc.weight("p", int(dof), int(s)) for s in subs) == 1.0
+            subs = sharers(cls.p.rows, int(dof))
+            assert sum(weight(sc, "p", int(dof), int(s)) for s in subs) == 1.0
         for dof in cls.u.primal:
-            subs = cls.u.rows.sharers(int(dof))
-            assert sum(sc.weight("u", int(dof), int(s)) for s in subs) == 1.0
+            subs = sharers(cls.u.rows, int(dof))
+            assert sum(weight(sc, "u", int(dof), int(s)) for s in subs) == 1.0
 
     def test_weights_follow_material_contrast(self):
         # displacement weights scale with mu, total pressure with 1/mu,
@@ -393,15 +397,15 @@ class TestScalings:
         sc = bd.build_scalings(cls, mats)
         dof = int(cls.u.dual[0])
         s0, s1 = cls.u.dual_rows.sub.reshape(-1, 2)[0]
-        ratio = sc.weight("u", dof, s0) / sc.weight("u", dof, s1)
+        ratio = weight(sc, "u", dof, s0) / weight(sc, "u", dof, s1)
         assert ratio == pytest.approx(mats.mu[s0] / mats.mu[s1])
         xd = int(cls.xi.interface[0])
-        t0, t1 = cls.xi.rows.sharers(xd)[:2]
-        ratio = sc.weight("xi", xd, t0) / sc.weight("xi", xd, t1)
+        t0, t1 = sharers(cls.xi.rows, xd)[:2]
+        ratio = weight(sc, "xi", xd, t0) / weight(sc, "xi", xd, t1)
         assert ratio == pytest.approx(mats.mu[t1] / mats.mu[t0])
         pd = int(cls.p.dual[0])
-        q0, q1 = cls.p.rows.sharers(pd)[:2]
-        ratio = sc.weight("p", pd, q0) / sc.weight("p", pd, q1)
+        q0, q1 = sharers(cls.p.rows, pd)[:2]
+        ratio = weight(sc, "p", pd, q0) / weight(sc, "p", pd, q1)
         assert ratio == pytest.approx(mats.kappa[q0] / mats.kappa[q1])
 
 
@@ -491,7 +495,7 @@ class TestRestrictions:
             split = cls.splits[fld]
             # dual rows subdomain by subdomain, then the primal dofs
             duals = by_subdomain(split.dual_rows, cls.n_subdomains)
-            want = [(int(d), sc.weight(fld, int(d), s)) for s, dofs in duals.items() for d in dofs]
+            want = [(int(d), weight(sc, fld, int(d), s)) for s, dofs in duals.items() for d in dofs]
             want += [(int(d), 1.0) for d in split.primal]
             assert t.unit.shape == t.scaled.shape == (len(want), split.interface.size)
             for k, (dof, w) in enumerate(want):
@@ -563,10 +567,10 @@ class TestTransformSystem:
     def test_local_blocks_transform_congruently(self):
         system, cls = self.assemble("vertex-edge")
         out = bd.transform_system(system, cls)
-        for s, lb in system.local.items():
+        for s, lb in local_blocks(system).items():
             Tu = cls.u.transform[np.ix_(lb.dofs["u"], lb.dofs["u"])].toarray()
             Tp = cls.p.transform[np.ix_(lb.dofs["p"], lb.dofs["p"])].toarray()
-            new = out.local[s]
+            new = local_view(out.stacked, s)
             pairs = [
                 (new.A, Tu.T @ lb.A.toarray() @ Tu),
                 (new.B, lb.B.toarray() @ Tu),
@@ -591,7 +595,7 @@ class TestTransformSystem:
         out = bd.transform_system(system, cls)
         rep = out.stacked.rep
         assert_stored_once(out)
-        for s, lb in out.local.items():
+        for s, lb in local_blocks(out).items():
             Tu = cls.u.transform[lb.dofs["u"]][:, lb.dofs["u"]]
             Tp = cls.p.transform[lb.dofs["p"]][:, lb.dofs["p"]]
             A, B, C, D, E = (ref[name][0][s] for name in "ABCDE")

@@ -23,6 +23,8 @@ from helpers import (
     assemble_with_reference,
     assert_stored_once,
     dump_blocks_coo,
+    local_blocks,
+    local_view,
     per_subdomain_assembly,
     stokes_stability_witness,
 )
@@ -217,7 +219,7 @@ class TestAssembly:
             xi = rng.standard_normal(spaces.n_dofs["xi"])
             p = rng.standard_normal(spaces.n_dofs["p"])
             totals = np.zeros(5)
-            for lb in system.local.values():
+            for lb in local_blocks(system).values():
                 ul, xil, pl = u[lb.dofs["u"]], xi[lb.dofs["xi"]], p[lb.dofs["p"]]
                 totals += (
                     ul @ (lb.A @ ul),
@@ -237,7 +239,7 @@ class TestAssembly:
         _, spaces, _, system = small_system("p1")
         f = np.zeros(spaces.n_dofs["u"])
         g = np.zeros(spaces.n_dofs["p"])
-        for lb in system.local.values():
+        for lb in local_blocks(system).values():
             np.add.at(f, lb.dofs["u"], lb.f)
             np.add.at(g, lb.dofs["p"], lb.g)
         np.testing.assert_allclose(f, system.f, rtol=1e-12, atol=1e-15)
@@ -290,14 +292,14 @@ class TestStackedAssembly:
         for name in "ABCDE":
             local, glob = ref[name]
             self.assert_same_csr(getattr(system, name), glob)
-            for s, lb in system.local.items():
+            for s, lb in local_blocks(system).items():
                 self.assert_same_csr(getattr(lb, name), local[s])
         for name in "fg":
             local, glob = ref[name]
             assert np.array_equal(getattr(system, name), glob)
-            for s, lb in system.local.items():
+            for s, lb in local_blocks(system).items():
                 assert np.array_equal(getattr(lb, name), local[s])
-        for s, lb in system.local.items():
+        for s, lb in local_blocks(system).items():
             for fld, dofs in lb.dofs.items():
                 assert np.array_equal(dofs, ref[fld][s])
 
@@ -305,7 +307,7 @@ class TestStackedAssembly:
         _, _, _, system = small_system("p1")
         for name in "ABCDE":
             stacked = getattr(system.stacked, name)
-            for lb in system.local.values():
+            for lb in local_blocks(system).values():
                 assert np.shares_memory(getattr(lb, name).data, stacked.data)
 
 
@@ -323,11 +325,11 @@ class TestPerClassAssembly:
         assert np.unique(rep).size == n_classes
         assert np.unique(rep).size < rep.size
         assert_stored_once(system)
-        for s, lb in system.local.items():
+        for s, lb in local_blocks(system).items():
             for fld, dofs in lb.dofs.items():
                 assert np.array_equal(dofs, ref[fld][s])
             for name in "ABCDEfg":
-                got, want, tiled = getattr(lb, name), ref[name][0][s], getattr(system.local[rep[s]], name)
+                got, want, tiled = getattr(lb, name), ref[name][0][s], getattr(local_view(system.stacked, rep[s]), name)
                 if name in "ABCDE":
                     assert got.shape == want.shape
                     assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)

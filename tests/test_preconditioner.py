@@ -25,6 +25,8 @@ from helpers import (
     by_subdomain,
     dense_coarse,
     dense_from_apply,
+    local_blocks,
+    local_view,
     preconditioned_spectrum,
     record_probes,
     rel_err,
@@ -55,7 +57,7 @@ def broken_elastic_schur(pipe, lumped=False):
     H = np.zeros((n, n))
     interior, _, duals, _ = split_sets(cls, "u")
     for s in range(cls.n_subdomains):
-        lb = pipe.system.local[s]
+        lb = local_view(pipe.system.stacked, s)
         dual = lb.pos("u", duals[s])
         sl = slice(offsets[s], offsets[s + 1])
         if lumped:
@@ -179,7 +181,7 @@ class TestClassBatchedBlocks:
     def test_blocks_match_per_subdomain_dense_reference(self, variant, primal):
         pipe = build(nx=16, subdomains=(4, 4), total_pressure=variant, primal=primal)
         cls, pre = pipe.cls, pipe.preconditioner
-        local = [(s, pipe.system.local[s]) for s in range(cls.n_subdomains)]
+        local = list(local_blocks(pipe.system).items())
         sets = {fld: tuple(split_sets(cls, fld)) for fld in cls.splits}
 
         if variant == "p1":
@@ -233,7 +235,7 @@ def lu_solve_bddc(pipe, kind):
     subs = []
     interior, interface, duals, primals = split_sets(cls, kind)
     for s in range(cls.n_subdomains):
-        lb = pipe.system.local[s]
+        lb = local_view(pipe.system.stacked, s)
         if kind == "xi":
             M = pipe.materials.lam[s] / pipe.materials.mu[s] * lb.C
             gamma, inner = lb.pos("xi", interface[s]), lb.pos("xi", interior[s])
@@ -395,7 +397,7 @@ class TestSharedSchur:
             assert len(seen) == len(set(seen)) == sources == blocks[fld].sources < len(schurs), fld
             reps = [m[0] for m in system.classes(name)]
             for r in seen:
-                M = getattr(system.stacked.local_view(r), name)
+                M = getattr(local_view(system.stacked, r), name)
                 if fld == "xi":
                     M = float(system.materials.lam[r] / system.materials.mu[r]) * M
                 dofs, gamma, inner = positions(r)
@@ -428,7 +430,7 @@ class TestSharedSchur:
         interior, _, duals, primals = split_sets(cls, "u")
 
         def positions(r):
-            lb = system.stacked.local_view(r)
+            lb = local_view(system.stacked, r)
             iD, iI, iP = (lb.pos("u", d[r]) for d in (duals, interior, primals))
             if r == 1 and change == "kept":
                 iD = np.concatenate([iD, iP])  # its primal corners are not kept at the interior class
@@ -437,7 +439,7 @@ class TestSharedSchur:
             return lb.dofs["u"], iD, iI
 
         def matrix(r):
-            return system.stacked.local_view(r).A.tocsr()
+            return local_view(system.stacked, r).A.tocsr()
 
         with pytest.raises(bd.InternalError, match=f"^elastic interior block of subdomain 1: {why}$"):
             class_schurs(system, cls, "u", positions, matrix, "elastic")
@@ -484,13 +486,13 @@ class TestSchurKernel:
             # 3x3 at H/h=16: corner, edge and centre classes
             pipe = build(nx=48, subdomains=(3, 3))
             r = {"lambda corner": 0, "lambda edge": 1, "lambda centre": 4}[case]
-            lb = pipe.system.local[r]
+            lb = local_view(pipe.system.stacked, r)
             interior, _, duals, _ = split_sets(pipe.cls, "u")
             inner = lb.pos("u", interior[r])
             return lb.A, lb.pos("u", duals[r]), inner, pipe.system.spaces.fields["u"].lattice(lb.dofs["u"][inner])
         # 2x2 at H/h=22: the xi and p interiors cross the cutoff
         pipe = build(nx=44, subdomains=(2, 2))
-        lb, r = pipe.system.local[0], 0
+        lb, r = local_view(pipe.system.stacked, 0), 0
         interior, interface, duals, primals = split_sets(pipe.cls, case)
         if case == "xi":
             inner = lb.pos("xi", interior[r])

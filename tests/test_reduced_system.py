@@ -17,6 +17,7 @@ import biot_ddp as bd
 from biot_ddp import reduced_system
 from biot_ddp.mesh_fem import block_positions, diagonal_block
 from biot_ddp.reduced_system import (
+    LOCAL,
     SADDLE,
     ClassSaddles,
     CoarseProblem,
@@ -36,10 +37,13 @@ from helpers import (
     dense_coarse,
     dense_from_apply,
     dense_torn_solution,
+    local_blocks,
+    local_view,
     numeric_classes,
     record_probes,
     rel_err,
     sliced_bmat_saddle,
+    torn_matrix_from_class_cut,
     torn_matrix_reference,
 )
 
@@ -65,7 +69,7 @@ class TestOperator:
         for variant in ("p1", "p0"):
             for primal in ("vertex", "vertex-edge"):
                 red = build(variant, primal).reduced
-                G = red.dense_operator()
+                G = dense_from_apply(red.apply, red.n)
                 scale = np.abs(G).max()
                 assert np.abs(G - G.T).max() < 1e-11 * scale
                 assert np.linalg.eigvalsh(0.5 * (G + G.T)).min() > 0.0
@@ -75,7 +79,7 @@ class TestOperator:
         # a code path that shares nothing with apply()
         red = build(pattern="checkerboard", black={"E": 1e3}).reduced
         n_w = red.layout.n_w
-        K = red.torn_matrix().toarray()
+        K = torn_matrix_reference(red).toarray()
         A_t = K[:n_w, :n_w]
         B_C = red.B_C.toarray()
         G_ref = B_C @ np.linalg.solve(A_t, B_C.T) + red.C_hat.toarray()
@@ -96,7 +100,7 @@ class TestOperator:
         interior = {fld: by_subdomain(split.interior, n_sub) for fld, split in cls.splits.items()}
         interface = {fld: by_subdomain(cls.splits[fld].rows, n_sub) for fld in ("xi", "p")}
         primal, dual_offset = by_subdomain(cls.u.primal_rows, n_sub), broken_offsets(cls.u.dual_rows, n_sub)
-        for s, lb in system.local.items():
+        for s, lb in local_blocks(system).items():
             sets = _local_index_sets(cls, lb.dofs)
             y = {"xi": np.full(lb.dofs["xi"].size, -1), "p": np.full(lb.dofs["p"].size, -1)}
             y["xi"][sets["xiG"]] = cls.xi.interface_pos(interface["xi"][s])
@@ -132,7 +136,7 @@ class TestOperator:
                 np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
 
     def test_torn_matrix_symmetric_as_assembled(self):
-        K = build().reduced.torn_matrix()
+        K = torn_matrix_reference(build().reduced)
         assert (K - K.T).count_nonzero() == 0
 
     @pytest.mark.parametrize("case", list(MULTI_MEMBER_GRIDS))
@@ -142,8 +146,8 @@ class TestOperator:
         # diagonal, so symmetry holds to roundoff, not bitwise
         pipe = bd.build_pipeline(bd.ExperimentConfig(oracle="off", **MULTI_MEMBER_GRIDS[case][0]))
         st = pipe.system.stacked
-        blocks = [getattr(pipe.system.local[r], name) for r in np.unique(st.rep) for name in "ACE"]
-        for M in [*blocks, pipe.reduced.torn_matrix()]:
+        blocks = [getattr(local_view(pipe.system.stacked, r), name) for r in np.unique(st.rep) for name in "ACE"]
+        for M in [*blocks, torn_matrix_reference(pipe.reduced)]:
             M = M.tocsr()
             assert abs(M - M.T).max() <= 1e-15 * abs(M).max()
 
@@ -164,7 +168,8 @@ class TestOperator:
         cfg = bd.ExperimentConfig(
             nx=nx, subdomains=(grid, grid), total_pressure=variant, primal=primal, bc=bc, nu=0.4999
         )
-        G = bd.build_pipeline(cfg).reduced.dense_operator()
+        red = bd.build_pipeline(cfg).reduced
+        G = dense_from_apply(red.apply, red.n)
         assert np.linalg.norm(G - G.T) <= 1e-15 * np.linalg.norm(G)
 
     def test_segments_reference_case(self):
@@ -184,7 +189,7 @@ class TestTornInverse:
     def test_solves_torn_stiffness(self):
         red = build(pattern="checkerboard", black={"E": 1e4, "kappa": 1e-2}).reduced
         n_w = red.layout.n_w
-        A_t = red.torn_matrix().tocsr()[:n_w, :n_w]
+        A_t = torn_matrix_reference(red).tocsr()[:n_w, :n_w]
         rng = np.random.default_rng(7)
         b = rng.standard_normal(n_w)
         x = red.apply_torn_inverse(b)
@@ -194,7 +199,7 @@ class TestTornInverse:
     def test_rhs_matches_dense_elimination(self):
         red = build().reduced
         n_w = red.layout.n_w
-        A_t = red.torn_matrix().toarray()[:n_w, :n_w]
+        A_t = torn_matrix_reference(red).toarray()[:n_w, :n_w]
         want = red.B_C.toarray() @ np.linalg.solve(A_t, red.f_w) - red.h
         assert rel_err(red.rhs(), want) < 1e-10
 
@@ -207,7 +212,7 @@ class TestSolveAndRecover:
 
     def test_recover_has_continuous_traces(self):
         red = build(pattern="checkerboard", black={"E": 100.0}).reduced
-        G = red.dense_operator()
+        G = dense_from_apply(red.apply, red.n)
         y = np.linalg.solve(G, red.rhs())
         u, xi, p, jump_norm = red.recover(y)
         assert jump_norm < 1e-9
@@ -218,7 +223,7 @@ class TestSolveAndRecover:
     def test_recovered_fields_solve_nodal_system(self):
         pipe = build()
         red = pipe.reduced
-        y = np.linalg.solve(red.dense_operator(), red.rhs())
+        y = np.linalg.solve(dense_from_apply(red.apply, red.n), red.rhs())
         u, xi, p, _ = red.recover(y)
         sys_ = pipe.nodal_system
         x = np.concatenate([u, xi, p])
@@ -499,7 +504,7 @@ class TestCongruenceClasses:
         alone = [c for c in red.factors.values() if c.idx.shape[1] == 1 and np.array_equal(c.idx[:, 0], own)]
         assert len(alone) == 1
         n_w = red.layout.n_w
-        A_t = red.torn_matrix().tocsc()[:n_w, :n_w]
+        A_t = torn_matrix_reference(red).tocsc()[:n_w, :n_w]
         b = np.random.default_rng(5).standard_normal(n_w)
         assert rel_err(red.apply_torn_inverse(b), sp.linalg.spsolve(A_t, b)) < 1e-10
 
@@ -530,7 +535,7 @@ class TestCongruenceClasses:
         red = bd.build_pipeline(bd.ExperimentConfig(nx=16, subdomains=(4, 4), pattern="checkerboard", **kw)).reduced
         assert len(red.factors) == 14  # 4 corner, 8 edge, 2 interior classes
         lay = red.layout
-        A_t = red.torn_matrix().tocsr()[: lay.n_w, : lay.n_w]
+        A_t = torn_matrix_reference(red).tocsr()[: lay.n_w, : lay.n_w]
         b = np.random.default_rng(5).standard_normal(lay.n_w)
         r = A_t @ red.apply_torn_inverse(b) - b
         rows = lay.int_pos["p"][lay.int_pos["p"] >= 0]  # the u rows would hide a wrong flow block
@@ -541,7 +546,7 @@ class TestCongruenceClasses:
     def test_batched_torn_solve_matches_direct(self, variant, primal):
         red = self.reduced(16, (4, 4), total_pressure=variant, primal=primal)
         n_w = red.layout.n_w
-        A_t = red.torn_matrix().tocsc()[:n_w, :n_w]
+        A_t = torn_matrix_reference(red).tocsc()[:n_w, :n_w]
         b = np.random.default_rng(5).standard_normal(n_w)
         assert rel_err(red.apply_torn_inverse(b), sp.linalg.spsolve(A_t, b)) < 1e-10
 
@@ -558,7 +563,7 @@ class TestCongruenceClasses:
         assert len(red.factors) == 9
         assert len(pipe.preconditioner.multiplier.classes) == 9
         n_w = red.layout.n_w
-        A_t = red.torn_matrix().tocsc()[:n_w, :n_w]
+        A_t = torn_matrix_reference(red).tocsc()[:n_w, :n_w]
         b = np.random.default_rng(5).standard_normal(n_w)
         assert rel_err(red.apply_torn_inverse(b), sp.linalg.spsolve(A_t, b)) < 1e-10
 
@@ -597,7 +602,7 @@ def test_local_saddle_is_bitwise_the_sliced_bmat(case, primal):
     klass = np.searchsorted(saddles.reps, pipe.system.stacked.rep)
     for trace in (False, True):
         M, off, _ = saddles.sparse(*[slice(0, 7) if trace else SADDLE] * 2)
-        for s, lb in pipe.system.local.items():
+        for s, lb in local_blocks(pipe.system).items():
             ref = sliced_bmat_saddle(lb, _local_index_sets(pipe.cls, lb.dofs), trace)
             assert_bitwise(diagonal_block(M, off, off, klass[s]), ref, (s, trace))
 
@@ -615,7 +620,7 @@ def test_class_blocks_are_slices_of_the_sliced_bmat(case, primal):
     without = saddles.blocks()
     saddles.add_multipliers(unit.data[block_positions(cls.u.dual_offset, saddles.reps)])
     for r, b, b_ in zip(saddles.reps, saddles.blocks(), without, strict=True):
-        lb = st.local_view(r)
+        lb = local_view(st, r)
         sets = _local_index_sets(cls, lb.dofs)
         ref = sliced_bmat_saddle(lb, sets, True)
         n_D = sets["uD"].size
@@ -639,8 +644,31 @@ def test_class_blocks_are_slices_of_the_sliced_bmat(case, primal):
       for elem, primal, bc in itertools.product(("p1", "p0"), ("vertex", "vertex-edge"), ("neumann-left", "dirichlet"))),
 ], ids=lambda kw: "-".join(str(v) for v in kw.values()))
 def test_torn_matrix_is_bitwise_the_per_subdomain_build(kw):
+    # every class's block from one sparse(SADDLE, SADDLE) cut, placed by the
+    # class saddle order at the torn columns the build reads, against each
+    # subdomain's own sliced bmat block
     red = bd.build_pipeline(bd.ExperimentConfig(oracle="off", **kw)).reduced
-    assert_bitwise(red.torn_matrix(), torn_matrix_reference(red), "torn matrix")
+    assert_bitwise(torn_matrix_from_class_cut(red), torn_matrix_reference(red), "torn matrix")
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_diagonal_block_rejects_shifted_offsets(shift):
+    # one inner offset of the classes' K_rr cut shifted by one moves a row
+    # and a column between two neighbouring blocks: each then has an entry
+    # outside its columns, which SciPy would read past the block's arrays
+    pipe = bd.build_pipeline(bd.ExperimentConfig(nx=20, subdomains=(5, 5), total_pressure="p1", primal="vertex"))
+    K, off, _ = ClassSaddles(pipe.system, pipe.cls).sparse(LOCAL, LOCAL)
+    assert off.size == 10
+    for k in range(1, off.size - 1):
+        bad = off.copy()
+        bad[k] += shift
+        for c in (k - 1, k):
+            with pytest.raises(bd.InternalError, match=f"diagonal block {c}: an entry of its rows lies outside"):
+                diagonal_block(K, bad, bad, c)
+    bad = off.copy()
+    bad[-1] += shift
+    with pytest.raises(bd.InternalError, match=f"diagonal block {off.size - 2}: "):
+        diagonal_block(K, bad, bad, off.size - 2)
 
 
 class TestClassKey:
@@ -656,7 +684,7 @@ class TestClassKey:
         kw, n_classes = MULTI_MEMBER_GRIDS[case]
         pipe = bd.build_pipeline(bd.ExperimentConfig(primal=primal, oracle="off", **kw))
         system, cls, mats = pipe.system, pipe.cls, pipe.system.materials
-        lbs = [system.local[s] for s in range(system.stacked.n_sub)]
+        lbs = list(local_blocks(system).values())
         ix = [_local_index_sets(cls, lb.dofs) for lb in lbs]
         saddles = [sliced_bmat_saddle(lb, sets, False) for lb, sets in zip(lbs, ix)]
         p_gamma = []
@@ -870,7 +898,7 @@ def test_extreme_materials_build_converge_and_stay_symmetric(material, black, va
     )
     pipe = bd.build_pipeline(cfg)
     assert bd.run_case(cfg, pipe).converged
-    G = pipe.reduced.dense_operator()
+    G = dense_from_apply(pipe.reduced.apply, pipe.reduced.n)
     # roundoff of a few hundred accumulated solves, times the growth of
     # diagonal pivots on a quasi-definite block, about lam/mu = 2 nu / (1 - 2 nu)
     # (5e4 at nu = 0.49999)
