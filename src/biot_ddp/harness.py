@@ -258,6 +258,9 @@ class RunResult:
     schur_sources: dict[str, int] = field(default_factory=dict)
     # per coarse problem ("torn", "p"), its unknowns and half-bandwidth
     coarse: dict[str, list[int]] = field(default_factory=dict)
+    # subdomains whose local torn block holds the constant total pressure
+    # only by the mass term (``reduced_system.xi_mass_only``)
+    xi_mass_only: int = 0
     peak_rss_mb: float = field(default_factory=peak_rss_mb)  # of the process when the result is made
     notes: list[str] = field(default_factory=list)
     u: np.ndarray = field(default_factory=_empty)
@@ -408,6 +411,7 @@ def run_case(cfg: ExperimentConfig, pipe: Pipeline | None = None) -> RunResult:
         schur_sources={k: b.sources for k, b in blocks.items()},
         # xi and λ have no primal unknowns, and their coarse problems none
         coarse={k: [blocks[k].coarse.n, blocks[k].coarse.kd] for k in ("torn", "p") if k in blocks},
+        xi_mass_only=red.xi_mass_only,
         notes=list(result.notes),
         u=u,
         xi=xi,

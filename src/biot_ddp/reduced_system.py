@@ -52,6 +52,10 @@ from .mesh_fem import (
 _DENSE_FACTOR_CUTOFF = 400
 _PAYBACK_APPLIES = 32
 _PROBE_TOL = 1e-8  # largest relative residual of a local solve's probe
+# largest relative size of the local B^T 1 over interior total pressure
+# that counts as vanishing: roundoff gives about 4e-16, a subdomain whose
+# constraints leave a flux free about 0.5
+_VANISH_TOL = 1e-10
 
 # LAPACK's dense LU and banded Cholesky kernels, called directly: each
 # matrix is checked once, where it is factored, and no solve scans the
@@ -415,6 +419,27 @@ class LocalClass:
         return Z[: self.idx.shape[0]], Z[self.idx.shape[0] :]
 
 
+def xi_mass_only(K: sp.csr_matrix, counts: np.ndarray) -> bool:
+    """Whether the torn block K_rr (``counts`` of its rows in each of
+    ``ROLES``) holds its interior total pressure's constant mode only
+    through the mass term: whether the displacement rows of K_rr 1, with 1
+    on every interior total pressure unknown, vanish against those of
+    |K_rr| 1 (``_VANISH_TOL``).  They are the local B^T 1, the divergence
+    of every local displacement integrated over the subdomain, which is
+    zero when the primal constraints fix the flux through every side (p0
+    total pressure, which has no interface dofs, with edge averages); the
+    block is then as ill conditioned as lambda / mu.  K_rr holds B and B^T
+    as the same stored entries, so the sums are taken down the displacement
+    columns of its contiguous interior total pressure rows."""
+    n_uI, n_xi, n_pI = counts[:3]
+    at = slice(K.indptr[n_uI], K.indptr[n_uI + n_xi])
+    col, val = K.indices[at], K.data[at]
+    u = (col < n_uI) | (col >= n_uI + n_xi + n_pI)
+    # false without interior total pressure or displacement unknowns
+    return bool(np.abs(np.bincount(col[u], val[u])).max(initial=0.0)
+                < _VANISH_TOL * np.bincount(col[u], np.abs(val[u])).max(initial=0.0))
+
+
 def primal_coupling(
     factor: SaddleFactor | BorrowedFactor, A_rP: np.ndarray, A_PP: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -450,12 +475,22 @@ class PartiallyAssembled:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Each class gathers its members' unknowns, applies its local map and
         takes its primal right-hand side; one coarse solve; each class
-        back-substitutes, and the results are added up onto ``at``."""
+        back-substitutes, and the results are added up onto ``at``.
+
+        A class that solves through a factor and gathers the same column,
+        bit for bit, for every member (a load its members share, as every
+        class's part of the torn right-hand side) solves that column once
+        and repeats its solution and primal right-hand side across the
+        members; the back-substitution stays per member."""
         n_local = b.size - self.coarse.n
         t_P = np.array(b[n_local:], copy=True)
         local = []
         for c in self.classes:
-            Z, R = c.apply(b[c.idx])
+            Y = b[c.idx]
+            if c.S is None and Y.shape[1] > 1 and (Y == Y[:, :1]).all():
+                Z, R = (np.repeat(M, Y.shape[1], axis=1) for M in c.apply(Y[:, :1]))
+            else:
+                Z, R = c.apply(Y)
             local.append(Z)
             if c.primal.size:
                 t_P -= np.bincount(c.primal.ravel(), R.ravel(), minlength=t_P.size)
@@ -574,6 +609,7 @@ class ReducedSystem:
     h: np.ndarray
     torn: PartiallyAssembled  # one class per congruence class of local saddle blocks
     condensed: PartiallyAssembled | None = None  # the torn block on the interface rows; None: apply by local solves
+    xi_mass_only: int = 0  # subdomains whose K_rr holds the constant total pressure only by its mass term
     B_P: sp.csr_matrix = field(init=False, repr=False)  # primal columns of B_C
     B_P_T: sp.csr_matrix = field(init=False, repr=False)
 
@@ -625,6 +661,10 @@ class ReducedSystem:
         return self.C_hat @ y + self.B_P @ x[self.n :] + x[: self.n]
 
     def rhs(self) -> np.ndarray:
+        """B_C K^{-1} f_w - h.  The members of a class carry its
+        representative's loads (``StackedBlocks``), so every class gathers
+        one column, repeated, from f_w, and the torn solve solves it once
+        per class (``PartiallyAssembled.solve``)."""
         return self.B_C @ self.apply_torn_inverse(self.f_w) - self.h
 
     # -- recovery ---------------------------------------------------------
@@ -918,8 +958,10 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
     # from it borrows (``BorrowedFactor``): its solve, the keys of its
     # unknowns and trace rows, W = K_rr^{-1} B_0^T and B_0^T
     schur = {}
+    mass_only = 0
     for i, src in class_sources(system, cls, class_members, "ABCDE", ("u", "p")):
         members, b = class_members[i], blocks[i]
+        mass_only += len(members) * xi_mass_only(b.K, saddles.counts[i])
         r = members[0]
         dofs = st.local_dofs(r)
         sets = _local_index_sets(cls, dofs)
@@ -1018,4 +1060,5 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
         h=h,
         torn=torn,
         condensed=PartiallyAssembled(condensed, torn.coarse, len(schur)) if condense else None,
+        xi_mass_only=mass_only,
     )

@@ -150,6 +150,20 @@ def record_probes(monkeypatch) -> list:
     return shapes
 
 
+def record_torn_columns(monkeypatch, torn) -> list[tuple[int, int]]:
+    """(class, columns) of every call of a torn class's factor solve from
+    now on, in call order.  A borrowed solve reaches its source's factor
+    past this wrapper, so each call counts for its own class."""
+    calls = []
+    for i, c in enumerate(torn.classes):
+        def solve(b, i=i, solve=c.factor.solve):
+            calls.append((i, 1 if b.ndim == 1 else b.shape[1]))
+            return solve(b)
+
+        monkeypatch.setattr(c.factor, "solve", solve)
+    return calls
+
+
 def dense_from_apply(apply, n: int) -> np.ndarray:
     """Probe a linear operator column by column."""
     out = np.zeros((n, n))
@@ -262,6 +276,24 @@ def dense_torn_solution(red) -> np.ndarray:
     K = torn_matrix_reference(red).tocsc()
     x = sp.linalg.spsolve(K, np.concatenate([red.f_w, red.h]))
     return x[red.layout.n_w :]
+
+
+def torn_solve_per_member(torn, b: np.ndarray) -> np.ndarray:
+    """The partially assembled torn solve of ``b`` with every class's factor
+    solving all its members' columns, shared or not: local solves, primal
+    right-hand side, coarse solve and back-substitution, each member's
+    result added at its torn positions one by one."""
+    n_local = b.size - torn.coarse.n
+    t_P = b[n_local:].copy()
+    local = [c.factor.solve(b[c.idx]) for c in torn.classes]
+    for c, Z in zip(torn.classes, local):
+        np.subtract.at(t_P, c.primal, c.A_Pr @ Z)
+    x_P = torn.coarse.solve(t_P)
+    x = np.zeros(b.size)
+    for c, Z in zip(torn.classes, local):
+        np.add.at(x, c.idx, Z - c.X @ x_P[c.primal])
+    x[n_local:] = x_P
+    return x
 
 
 def rel_err(got: np.ndarray, want: np.ndarray) -> float:

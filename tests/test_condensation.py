@@ -32,7 +32,7 @@ import biot_ddp as bd
 from biot_ddp import preconditioner, reduced_system
 from biot_ddp.decomposition import _CONGRUENCE_RTOL
 from biot_ddp.mesh_fem import FIELD_BLOCK
-from helpers import broken_offsets, by_subdomain, local_view, sliced_bmat_saddle
+from helpers import broken_offsets, by_subdomain, local_view, record_torn_columns, sliced_bmat_saddle
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -433,19 +433,26 @@ def test_traced_condensed_run_solves_locally_only_in_rhs_and_recover(monkeypatch
     pipe = bd.build_pipeline(cfg)
     assert pipe.reduced.condensed is not None
     instrument_pipeline(tracer, pipe)
+    calls = record_torn_columns(monkeypatch, pipe.reduced.torn)  # in the order of the local solve spans
     assert bd.run_case(cfg, pipe).converged
 
     spans = tracer.spans
-    for name, _, _, parent in spans:
-        if name != "reduced_system.local_solve":
-            continue
+    solved = {"reduced_system.rhs": 0, "reduced_system.recover": 0}
+    local_solves = [k for k, span in enumerate(spans) if span[0] == "reduced_system.local_solve"]
+    assert len(local_solves) == len(calls)
+    for k, (_, n) in zip(local_solves, calls):
         chain = []
+        parent = spans[k][3]
         while parent >= 0:
             chain.append(spans[parent][0])
             parent = spans[parent][3]
         assert "reduced_system.torn_solve" in chain
-        assert {"reduced_system.rhs", "reduced_system.recover"} & set(chain)
+        (phase,) = set(solved) & set(chain)
+        solved[phase] += n
         assert "reduced_system.apply" not in chain
+    # the right-hand side solves each class's shared load once; the
+    # recovery solves every subdomain's own column
+    assert solved == {"reduced_system.rhs": 9, "reduced_system.recover": 64}
     metrics = layer_metrics(spans, pipe)
     # only the interior class factors; the other eight borrow its solves
     assert metrics["reduced_system.factor_count"] == (1, "count")

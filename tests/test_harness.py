@@ -250,7 +250,7 @@ class TestReports:
     # the record's keys: CSV_COLUMNS and these
     RECORD_KEYS = {"coarse", "condensed", "condensed_bytes", "config", "converged", "dropped_modes", "environment",
                    "factor_classes", "factor_nnz", "jump_norm", "n_dofs", "n_interface", "notes", "peak_rss_mb",
-                   "schur_sources"}
+                   "schur_sources", "xi_mass_only"}
 
     def test_json_keys_of_a_run_and_of_a_failed_point(self, tmp_path):
         results = bd.run_sweep(small_cfg(), {"kappa": [1.0, 0.0]})

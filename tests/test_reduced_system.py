@@ -6,6 +6,7 @@ dense elimination of the torn unknowns, or explicit column probing.
 """
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -41,10 +42,12 @@ from helpers import (
     local_view,
     numeric_classes,
     record_probes,
+    record_torn_columns,
     rel_err,
     sliced_bmat_saddle,
     torn_matrix_from_class_cut,
     torn_matrix_reference,
+    torn_solve_per_member,
 )
 
 
@@ -566,6 +569,86 @@ class TestCongruenceClasses:
         A_t = torn_matrix_reference(red).tocsc()[:n_w, :n_w]
         b = np.random.default_rng(5).standard_normal(n_w)
         assert rel_err(red.apply_torn_inverse(b), sp.linalg.spsolve(A_t, b)) < 1e-10
+
+
+class TestSharedLoads:
+    """Every member of a torn class carries its representative's loads, so
+    the torn solve of the right-hand side solves one column per class
+    (``PartiallyAssembled.solve``).  The reference solves every member's
+    column (``torn_solve_per_member``).  Solutions are compared on the
+    interface rows, which the reduction reads (B_C): the interior entries of
+    a near-incompressible torn solution carry its local blocks' conditioning,
+    and one column and several solve differently at roundoff (up to 9e-9
+    relative there on 24x12 at nu = 0.499)."""
+
+    @staticmethod
+    def reduced(case, primal="vertex"):
+        return bd.build_pipeline(bd.ExperimentConfig(primal=primal, oracle="off", **MULTI_MEMBER_GRIDS[case][0])).reduced
+
+    @pytest.mark.parametrize("primal", ["vertex", "vertex-edge"])
+    @pytest.mark.parametrize("case", list(MULTI_MEMBER_GRIDS))
+    def test_members_share_their_class_load(self, case, primal, monkeypatch):
+        red = self.reduced(case, primal)
+        classes = red.torn.classes
+        assert any(c.idx.shape[1] > 1 for c in classes)
+        for c in classes:
+            Y = red.f_w[c.idx]
+            assert np.array_equal(Y, np.repeat(Y[:, :1], Y.shape[1], axis=1))
+        want = red.B_C @ torn_solve_per_member(red.torn, red.f_w) - red.h
+        calls = record_torn_columns(monkeypatch, red.torn)
+        assert rel_err(red.rhs(), want) < 1e-12
+        assert calls == [(i, 1) for i in range(len(classes))]
+
+    @pytest.mark.parametrize("case", list(MULTI_MEMBER_GRIDS))
+    def test_unequal_member_loads_solve_every_column(self, case, monkeypatch):
+        # one entry of the second member of the largest class, its largest
+        # load, moved by a relative 1e-3: that class solves all its columns
+        red = self.reduced(case)
+        classes = red.torn.classes
+        big = max(range(len(classes)), key=lambda i: classes[i].idx.shape[1])
+        idx = classes[big].idx
+        f = red.f_w.copy()
+        f[idx[np.argmax(np.abs(f[idx[:, 1]])), 1]] *= 1.0 + 1e-3
+        want, shared = (red.B_C @ torn_solve_per_member(red.torn, b) for b in (f, red.f_w))
+        assert rel_err(want, shared) > 1e-6  # the change shows where the reduction reads it
+        calls = record_torn_columns(monkeypatch, red.torn)
+        assert rel_err(red.B_C @ red.torn.solve(f), want) < 1e-12
+        assert calls == [(i, idx.shape[1] if i == big else 1) for i in range(len(classes))]
+
+
+class TestMassOnlyTotalPressure:
+    """Subdomains whose K_rr holds the constant total pressure only through
+    the mass term (``reduced_system.xi_mass_only``): with p0 total pressure
+    and edge averages, every class whose sides the primal constraints all
+    close, i.e. with no free side."""
+
+    @pytest.mark.parametrize("kw, flagged", [
+        (dict(nx=12, subdomains=(3, 3), total_pressure="p0", primal="vertex-edge"), 6),  # free left side
+        (dict(nx=12, subdomains=(3, 3), total_pressure="p0", primal="vertex-edge", bc="dirichlet"), 9),
+        # the tiny-subdomains workload's grid: the eleven on the free side are not
+        (dict(nx=44, subdomains=(11, 11), total_pressure="p0", primal="vertex-edge"), 110),
+        (dict(nx=12, subdomains=(3, 3), total_pressure="p0", primal="vertex", bc="dirichlet"), 0),
+        (dict(nx=12, subdomains=(3, 3), total_pressure="p1", primal="vertex-edge", bc="dirichlet"), 0),
+        (dict(nx=12, subdomains=(3, 3), total_pressure="p1", primal="vertex"), 0),
+    ])
+    def test_flagged_subdomain_count(self, kw, flagged, tmp_path):
+        cfg = bd.ExperimentConfig(oracle="off", **kw)
+        pipe = bd.build_pipeline(cfg)
+        assert pipe.reduced.xi_mass_only == flagged
+        path = tmp_path / "out.json"
+        bd.write_json([bd.run_case(cfg, pipe)], str(path))
+        assert json.loads(path.read_text())[0]["xi_mass_only"] == flagged
+
+    def test_vanishing_is_relative_to_the_coupling(self):
+        # a symmetric K_rr on (uI, xiI): the displacement row of K 1 over xiI
+        # sums its B^T entries, which cancel to roundoff, or leave a third of
+        # their magnitudes once one xi unknown is scaled by a half
+        counts = np.array([1, 2, 0, 0])
+        closed = sp.csr_matrix(np.array([[4.0, 0.1 + 0.2, -0.3], [0.1 + 0.2, -1.0, 0.0], [-0.3, 0.0, -1.0]]))
+        assert reduced_system.xi_mass_only(closed, counts)
+        half = sp.diags([1.0, 1.0, 0.5])
+        assert not reduced_system.xi_mass_only((half @ closed @ half).tocsr(), counts)
+        assert not reduced_system.xi_mass_only(closed, np.array([3, 0, 0, 0]))  # no interior total pressure
 
 
 def _saddle_blocks(M: sp.csr_matrix, sets: dict) -> list[sp.csr_matrix]:
