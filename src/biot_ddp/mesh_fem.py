@@ -10,11 +10,11 @@ local blocks alongside the assembled ones; the substructuring machinery
 needs both.
 
 Subdomains that touch the same sides of the square and carry the same
-material are translates of one another, so assembly computes and stores
-local blocks and loads only for one representative per such congruence
-class; a member reaches them through its own dofs.  A representative's
-blocks are bitwise equal to its own build; a member's own build has the
-same sparsity pattern and agrees with them to roundoff.  The key,
+material are translates of one another, so assembly stores local blocks
+and loads only for one representative per such congruence class, cut out
+of one reference patch per material; a member reaches them through its
+own dofs.  Every subdomain's local blocks and loads are bitwise equal to
+its own build.  The key,
 restricted to the material parameters a block depends on
 (``BLOCK_PARAMS``), also decides which subdomains share a factorization of
 that block (``BlockSystem.classes``).
@@ -57,18 +57,18 @@ class StructuredMesh:
 
     Cells are split along the bottom-left to top-right diagonal; triangle
     2*c is the lower-right half of cell c and 2*c+1 the upper-left half.
-    Node ids run x-fastest: id = iy*(nx+1) + ix.
+    Node ids run x-fastest: id = iy*(nx+1) + ix, node (ix, iy) sitting at
+    (ix / nx, iy / ny).
     """
 
     nx: int
     ny: int
-    vertices: np.ndarray  # (n_nodes, 2)
     triangles: np.ndarray  # (n_tri, 3), positively oriented
     refined_mesh: "StructuredMesh | None" = None
 
     @property
     def n_nodes(self) -> int:
-        return self.vertices.shape[0]
+        return (self.nx + 1) * (self.ny + 1)
 
     @property
     def n_triangles(self) -> int:
@@ -117,11 +117,6 @@ def element_subdomains(mesh: StructuredMesh, grid: tuple[int, int]) -> np.ndarra
 
 
 def _grid_mesh(nx: int, ny: int) -> StructuredMesh:
-    xs = np.linspace(0.0, 1.0, nx + 1)
-    ys = np.linspace(0.0, 1.0, ny + 1)
-    X, Y = np.meshgrid(xs, ys)
-    vertices = np.column_stack([X.ravel(), Y.ravel()])
-
     ix, iy = np.meshgrid(np.arange(nx), np.arange(ny))
     ix, iy = ix.ravel(), iy.ravel()
     bl = iy * (nx + 1) + ix
@@ -131,7 +126,7 @@ def _grid_mesh(nx: int, ny: int) -> StructuredMesh:
     tri = np.empty((2 * nx * ny, 3), dtype=np.int64)
     tri[0::2] = np.column_stack([bl, br, tr])  # below the diagonal
     tri[1::2] = np.column_stack([bl, tr, tl])  # above the diagonal
-    return StructuredMesh(nx=nx, ny=ny, vertices=vertices, triangles=tri)
+    return StructuredMesh(nx=nx, ny=ny, triangles=tri)
 
 
 def build_mesh(nx: int, subdomain_grid: tuple[int, int]) -> StructuredMesh:
@@ -152,16 +147,18 @@ def build_mesh(nx: int, subdomain_grid: tuple[int, int]) -> StructuredMesh:
 
 def p1_geometry(mesh: StructuredMesh, triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Areas and P1 shape-function gradients (b = d/dx, c = d/dy) of the
-    given triangles (rows of vertex ids) of the mesh."""
-    v = mesh.vertices[triangles]
-    x, y = v[..., 0], v[..., 1]
-    d1 = v[:, 1] - v[:, 0]
-    d2 = v[:, 2] - v[:, 0]
-    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    two_a = (2.0 * area)[:, None]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1) / two_a
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1) / two_a
-    return area, b, c
+    given triangles (rows of vertex ids) of the mesh, from the integer
+    offsets of their vertices on the node lattice times the cell size 1/nx
+    by 1/ny: every triangle of one shape gets the same bits wherever it
+    sits."""
+    ix, iy = mesh.node_ix(triangles), mesh.node_iy(triangles)
+    hx, hy = 1.0 / mesh.nx, 1.0 / mesh.ny
+    cross = (ix[:, 1] - ix[:, 0]) * (iy[:, 2] - iy[:, 0]) - (iy[:, 1] - iy[:, 0]) * (ix[:, 2] - ix[:, 0])
+    two_a = (cross * (hx * hy))[:, None]
+    # b_k and c_k from the vertices k + 1 and k + 2
+    b = (np.roll(iy, -1, axis=1) - np.roll(iy, -2, axis=1)) * hy / two_a
+    c = (np.roll(ix, -2, axis=1) - np.roll(ix, -1, axis=1)) * hx / two_a
+    return 0.5 * two_a[:, 0], b, c
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +391,8 @@ class StackedBlocks:
     representatives' are stored: each of A..E is one block-diagonal matrix
     whose diagonal block r is representative r's local block, and ``f`` and
     ``g`` are their stacked local loads, all over the offsets ``rep_off``, in
-    which the members own empty ranges.
+    which the members own empty ranges.  Every member's own build equals
+    them bit for bit (``assemble_blocks``).
     """
 
     dofs: dict[str, np.ndarray]
@@ -539,14 +537,12 @@ class BlockSystem:
 @dataclass
 class ElementTable:
     """Element contributions to one block: (nt, a) row dofs, (nt, b) column
-    dofs (-1 where constrained), (nt, a, b) values and each element's
-    subdomain.  A load has no column dofs and (nt, a) values.  Elements
-    come sorted by subdomain, stably."""
+    dofs (-1 where constrained) and (nt, a, b) values, elements in the
+    order given.  A load has no column dofs and (nt, a) values."""
 
     rows: np.ndarray
     cols: np.ndarray | None
     vals: np.ndarray
-    sub: np.ndarray
 
 
 # the material parameters each block depends on: A on mu, C on 1/lambda, D on
@@ -555,89 +551,85 @@ BLOCK_PARAMS = {"A": ("E", "nu"), "B": (), "C": ("E", "nu"), "D": ("E", "nu", "a
 
 
 def element_tables(
-    spaces: FeSpaceSet, materials: MaterialField, load: LoadSpec, subdomains: np.ndarray | None = None
+    fields: dict[str, FieldSpace],
+    p0: bool,
+    tri_b: np.ndarray,
+    tri_r: np.ndarray,
+    material: tuple[float, float, float, float],
+    load: LoadSpec,
 ) -> dict[str, ElementTable]:
-    """Element tables of the blocks "A".."E" and of the loads "f" and "g",
-    over the elements of the given subdomains (all by default)."""
-    mesh = spaces.mesh
-    refined = mesh.refined_mesh
-    p0 = spaces.total_pressure_variant == "p0"
+    """Element tables of the blocks "A".."E" and of the loads "f" and "g"
+    over the base triangles ``tri_b`` and the refined triangles ``tri_r``
+    (ids; the refined ones cover the base ones) under one material (lambda,
+    mu, alpha, kappa), with the dofs of ``fields`` (p0: piecewise constant
+    total pressure).  Every value is formed elementwise from the lattice
+    geometry (``p1_geometry``), so an element's values do not depend on
+    where it sits, and each element matrix of A, C and E is bitwise
+    symmetric."""
+    u, xi, p = (fields[fld] for fld in ("u", "xi", "p"))
+    mesh, refined = p.mesh, u.mesh
+    lam, mu, alpha, kappa = material
+    tb, tr = mesh.triangles[tri_b], refined.triangles[tri_r]
+    area_b, b_b, c_b = p1_geometry(mesh, tb)
+    area_r, b_r, c_r = p1_geometry(refined, tr)
+    n_r = tr.shape[0]
 
-    esub_b = element_subdomains(mesh, materials.grid)
-    esub_r = element_subdomains(refined, materials.grid)
-    order_b, order_r = np.argsort(esub_b, kind="stable"), np.argsort(esub_r, kind="stable")
-    if subdomains is not None:
-        order_b = order_b[np.isin(esub_b[order_b], subdomains)]
-        order_r = order_r[np.isin(esub_r[order_r], subdomains)]
-    esub_b, esub_r = esub_b[order_b], esub_r[order_r]
-    tri_b = mesh.triangles[order_b]
-    tri_r = refined.triangles[order_r]
+    def xi_dofs(t: np.ndarray) -> np.ndarray:
+        # p0: dof t % 2 at the lower-left node of the cell of triangle t,
+        # the first vertex of both its triangles
+        return xi.dof_of_node[mesh.triangles[t, :1]] + t[:, None] % 2 if p0 else xi.node_dofs(mesh.triangles[t])
 
-    area_b, b_b, c_b = p1_geometry(mesh, tri_b)
-    area_r, b_r, c_r = p1_geometry(refined, tri_r)
-    n_b, n_r = tri_b.shape[0], tri_r.shape[0]
-
-    lam_b = materials.lam[esub_b]
-    alpha_b = materials.alpha[esub_b]
-    kappa_b = materials.kappa[esub_b]
-    mu_r = materials.mu[esub_r]
-
-    # --- dof id tables per element
-    udof = spaces.fields["u"].node_dofs(tri_r)
-    xidof = order_b[:, None] if p0 else spaces.fields["xi"].node_dofs(tri_b)  # a P0 dof is its triangle
-    pdof = spaces.fields["p"].node_dofs(tri_b)
+    udof, xidof, pdof = u.node_dofs(tr), xi_dofs(tri_b), p.node_dofs(tb)
     tables: dict[str, ElementTable] = {}
 
-    # --- elastic block on the refined mesh
-    Bm = np.zeros((n_r, 3, 6))
-    Bm[:, 0, 0::2] = b_r
-    Bm[:, 1, 1::2] = c_r
-    Bm[:, 2, 0::2] = c_r
-    Bm[:, 2, 1::2] = b_r
-    wgt = area_r[:, None] * np.stack([2 * mu_r, 2 * mu_r, mu_r], axis=1)
-    tables["A"] = ElementTable(udof, udof, np.einsum("tia,ti,tib->tab", Bm, wgt, Bm), esub_r)
+    # --- elastic block on the refined mesh, 2 mu eps(u):eps(v): with w = area
+    # mu, the xx block is 2w b b^T + w c c^T, yy 2w c c^T + w b b^T, xy w c b^T
+    # and yx its transpose; a gradient product comes before its weight, so
+    # the element matrix is bitwise symmetric
+    w, w2 = (area_r * mu)[:, None, None], (area_r * (2 * mu))[:, None, None]
+    bb, cc, cb = (g[:, :, None] * h[:, None, :] for g, h in ((b_r, b_r), (c_r, c_r), (c_r, b_r)))
+    vals = np.empty((n_r, 3, 2, 3, 2))
+    vals[:, :, 0, :, 0] = w2 * bb + w * cc
+    vals[:, :, 1, :, 1] = w2 * cc + w * bb
+    vals[:, :, 0, :, 1] = w * cb
+    vals[:, :, 1, :, 0] = w * cb.swapaxes(1, 2)
+    tables["A"] = ElementTable(udof, udof, vals.reshape(n_r, 6, 6))
 
-    # --- divergence coupling: refined displacement x base total pressure
+    # --- divergence coupling: refined displacement x base total pressure.
+    # The parent triangle of each refined one and the barycentric weights of
+    # its centroid there, in integer sixths of a base cell
+    qx, qy = refined.node_ix(tr).sum(axis=1), refined.node_iy(tr).sum(axis=1)
+    cellx, celly = qx // 6, qy // 6
+    parent = 2 * (celly * mesh.nx + cellx) + (qy - 6 * celly > qx - 6 * cellx)
     div = np.empty((n_r, 6))
     div[:, 0::2] = b_r
     div[:, 1::2] = c_r
-    centroid = refined.vertices[tri_r].mean(axis=1)
-    cellx = np.minimum((centroid[:, 0] * mesh.nx).astype(np.int64), mesh.nx - 1)
-    celly = np.minimum((centroid[:, 1] * mesh.ny).astype(np.int64), mesh.ny - 1)
-    locx = centroid[:, 0] * mesh.nx - cellx
-    locy = centroid[:, 1] * mesh.ny - celly
-    parent = 2 * (celly * mesh.nx + cellx) + (locy > locx)
-
     if p0:
-        tables["B"] = ElementTable(parent[:, None], udof, -(area_r[:, None] * div)[:, None, :], esub_r)
+        vals = -(area_r[:, None] * div)[:, None, :]
     else:
-        pv = mesh.vertices[mesh.triangles[parent]]  # (nt, 3, 2) parent vertices
-        d1 = pv[:, 1] - pv[:, 0]
-        d2 = pv[:, 2] - pv[:, 0]
-        twoA = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        q = centroid
-        bary = np.empty((n_r, 3))
-        for k in range(3):
-            pa = pv[:, (k + 1) % 3]
-            pb = pv[:, (k + 2) % 3]
-            bary[:, k] = ((pa[:, 1] - pb[:, 1]) * (q[:, 0] - pb[:, 0]) + (pb[:, 0] - pa[:, 0]) * (q[:, 1] - pb[:, 1])) / twoA
+        pt = mesh.triangles[parent]
+        px, py = 6 * mesh.node_ix(pt), 6 * mesh.node_iy(pt)
+        two_a = (px[:, 1] - px[:, 0]) * (py[:, 2] - py[:, 0]) - (py[:, 1] - py[:, 0]) * (px[:, 2] - px[:, 0])
+        # weight k from the vertices a = k + 1 and b = k + 2
+        ax, ay, bx, by = np.roll(px, -1, axis=1), np.roll(py, -1, axis=1), np.roll(px, -2, axis=1), np.roll(py, -2, axis=1)
+        bary = ((ay - by) * (qx[:, None] - bx) + (bx - ax) * (qy[:, None] - by)) / two_a[:, None]
         vals = -(area_r[:, None, None] * bary[:, :, None] * div[:, None, :])
-        tables["B"] = ElementTable(spaces.fields["xi"].node_dofs(mesh.triangles[parent]), udof, vals, esub_r)
+    tables["B"] = ElementTable(xi_dofs(parent), udof, vals)
 
     # --- total pressure mass (1/lambda) and pressure coupling (alpha/lambda)
     if p0:
-        tables["C"] = ElementTable(xidof, xidof, (area_b / lam_b)[:, None, None], esub_b)
-        vals = (alpha_b / lam_b)[:, None] * (area_b[:, None] / 3.0) * np.ones((1, 3))
-        tables["D"] = ElementTable(pdof, xidof, vals[:, :, None], esub_b)
+        tables["C"] = ElementTable(xidof, xidof, (area_b / lam)[:, None, None])
+        vals = alpha / lam * (area_b[:, None] / 3.0) * np.ones((1, 3))
+        tables["D"] = ElementTable(pdof, xidof, vals[:, :, None])
     else:
         mass = area_b[:, None, None] * _MASS_LOCAL
-        tables["C"] = ElementTable(xidof, xidof, mass / lam_b[:, None, None], esub_b)
-        tables["D"] = ElementTable(pdof, xidof, (alpha_b / lam_b)[:, None, None] * mass, esub_b)
+        tables["C"] = ElementTable(xidof, xidof, mass / lam)
+        tables["D"] = ElementTable(pdof, xidof, alpha / lam * mass)
 
     # --- pressure block: kappa stiffness + (2 alpha^2 / lambda) mass
-    stiff = (kappa_b * area_b)[:, None, None] * (b_b[:, :, None] * b_b[:, None, :] + c_b[:, :, None] * c_b[:, None, :])
-    massE = (2.0 * alpha_b**2 / lam_b)[:, None, None] * area_b[:, None, None] * _MASS_LOCAL
-    tables["E"] = ElementTable(pdof, pdof, stiff + massE, esub_b)
+    stiff = (kappa * area_b)[:, None, None] * (b_b[:, :, None] * b_b[:, None, :] + c_b[:, :, None] * c_b[:, None, :])
+    massE = 2.0 * (alpha * alpha) / lam * area_b[:, None, None] * _MASS_LOCAL
+    tables["E"] = ElementTable(pdof, pdof, stiff + massE)
 
     # --- loads
     fx, fy = load.body_force
@@ -645,8 +637,8 @@ def element_tables(
     fvals[:, 0::2] = fx * area_r[:, None] / 3.0
     fvals[:, 1::2] = fy * area_r[:, None] / 3.0
     gvals = load.source * area_b[:, None] / 3.0 * np.ones((1, 3))
-    tables["f"] = ElementTable(udof, None, fvals, esub_r)
-    tables["g"] = ElementTable(pdof, None, gvals, esub_b)
+    tables["f"] = ElementTable(udof, None, fvals)
+    tables["g"] = ElementTable(pdof, None, gvals)
     return tables
 
 
@@ -655,25 +647,6 @@ def sorted_unique(x: np.ndarray) -> np.ndarray:
     np.unique hashes, several times slower at these sizes."""
     x = np.sort(x, axis=None)
     return x[np.diff(x, prepend=x[:1] - 1) != 0]
-
-
-def _stacked_block(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int]) -> sp.csr_matrix:
-    """Block-diagonal CSR from element tables of stacked positions.
-
-    Each stacked row receives the same (column, value) sequence, shifted
-    by its subdomain's column offset, as a matrix built from that
-    subdomain's elements alone, so duplicates are summed in the same
-    order and every diagonal block equals its per-subdomain build bitwise.
-    ``assemble_blocks`` builds the class representatives' blocks this way,
-    and the members share them: a member's own build has the same pattern
-    and agrees with them to roundoff (the element geometry of a translate).
-    """
-    nt, a = rows.shape
-    b = cols.shape[1]
-    r = np.broadcast_to(rows[:, :, None], (nt, a, b)).ravel()
-    c = np.broadcast_to(cols[:, None, :], (nt, a, b)).ravel()
-    keep = (r >= 0) & (c >= 0)
-    return sp.coo_matrix((vals.reshape(-1)[keep], (r[keep], c[keep])), shape=shape).tocsr()
 
 
 def class_representatives(materials: MaterialField, params: Iterable[str] = BLOCK_PARAMS["E"]) -> np.ndarray:
@@ -685,43 +658,58 @@ def class_representatives(materials: MaterialField, params: Iterable[str] = BLOC
     its material parameters ``params`` (by default all four, assembly's).
     The mesh is uniform, H/h is one for all subdomains and the load is
     constant, so subdomains with one key are translates of one another: the
-    blocks that depend on no other parameter, and the loads, agree up to the
-    roundoff of their element geometry.
+    blocks that depend on no other parameter, and the loads, are equal
+    (``assemble_blocks`` cuts them all out of one patch).
     """
     key = np.column_stack([subdomain_sides(materials.grid), *(getattr(materials, p) for p in params)])
     _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
     return first[inverse.ravel()]
 
 
-def _member_dofs(
-    space: FieldSpace, grid: tuple[int, int], dofs: np.ndarray, off: np.ndarray, rep: np.ndarray
-) -> np.ndarray:
-    """Global dof ids of one field's stacked positions (subdomain offsets
-    ``off``), from ``dofs``, the dof at the same local position of the
-    owning subdomain's representative.
+def _patch_triangles(mesh: StructuredMesh, m: int) -> np.ndarray:
+    """Ids of the triangles of the m x m cells in the lower-left corner of
+    the mesh, in ascending order."""
+    cells = (np.arange(m)[:, None] * mesh.nx + np.arange(m)).ravel()
+    return (2 * cells[:, None] + np.arange(2)).ravel()
 
-    A member's closure is its representative's moved across the subdomain
-    grid, which moves node ids by a constant, that of the subdomains'
-    lower-left nodes; touching the same sides, the member has the same
-    free dofs in the same order (else ``InternalError``).
-    """
-    m = space.mesh
+
+def _origins(mesh: StructuredMesh, grid: tuple[int, int]) -> np.ndarray:
+    """The lower-left node of each subdomain of the grid ``grid``."""
     gx, gy = grid
-    s = np.arange(rep.size)
-    origin = s // gx * (m.ny // gy) * (m.nx + 1) + s % gx * (m.nx // gx)
-    first = space.dof_of_node[space.nodes(dofs) + (origin - origin[rep])[np.repeat(s, np.diff(off))]]
-    if np.any(first < 0):
-        raise InternalError("a class member lacks a free dof of its representative")
-    return first + dofs % space.k
+    s = np.arange(gx * gy)
+    return s // gx * (mesh.ny // gy) * (mesh.nx + 1) + s % gx * (mesh.nx // gx)
+
+
+def _element_order_sums(keys: np.ndarray, values: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The distinct ``keys`` in ascending order and, for each of ``values``
+    (one value per key), the sum of each key's values in input order.
+    ``np.bincount`` adds in input order; SciPy's COO to CSR conversion sorts
+    each row by column with an unstable sort before it adds, so a row that
+    loses some of its columns may add its duplicates in another order."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new = np.diff(ordered, prepend=ordered[:1] - 1) != 0
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], [np.bincount(inverse, v, np.count_nonzero(new)) for v in values]
 
 
 def assemble_blocks(spaces: FeSpaceSet, materials: MaterialField, load: LoadSpec | None = None) -> BlockSystem:
     """Assemble the five blocks and loads on the mesh and under the boundary
     conditions of ``spaces``, retaining subdomain contributions.
 
-    Only each congruence class's representative is assembled and stored
-    (see ``class_representatives``); every member reaches its
-    representative's local blocks and loads on its own dofs.
+    Only each congruence class's representative is stored (see
+    ``class_representatives``); every member reaches its representative's
+    local blocks and loads on its own dofs.  Every subdomain's cells are a
+    translate of one patch, the m x m cells in the lower-left corner, so
+    assembly sums the patch's element tables once per distinct material,
+    with every dof free and each entry's elements added in element order
+    (``_element_order_sums``), and cuts each class's blocks and loads out of
+    its material's patch: the patch dofs free at its representative's
+    place, in the patch's row-major order, which is the order of their
+    global dofs.  Summed in element order, an entry does not depend on
+    which other dofs exist, so every subdomain's local blocks and loads
+    equal its own build bit for bit.
     """
     if load is None:
         load = LoadSpec()
@@ -732,40 +720,68 @@ def assemble_blocks(spaces: FeSpaceSet, materials: MaterialField, load: LoadSpec
         raise ConfigurationError("mesh does not align with the material subdomain grid")
     if mesh.ny // gy != mesh.nx // gx:
         raise ConfigurationError("subdomains must contain square cell patches")
-    n_sub = gx * gy
+    n_sub, m = gx * gy, mesh.nx // gx
     rep = class_representatives(materials)
-    reps = np.flatnonzero(rep == np.arange(n_sub))
-    tables = element_tables(spaces, materials, load, reps)
+    is_rep = rep == np.arange(n_sub)
+    reps = np.flatnonzero(is_rep)
+    cls = np.searchsorted(reps, rep)  # each subdomain's class
 
-    # stacked numbering of the representatives: the sorted keys sub * n + dof
-    # of every (subdomain, dof) pair met by the table whose rows span the
-    # field; the members own empty ranges
-    size = spaces.n_dofs
-    keys = {fld: sorted_unique((t.sub[:, None] * size[fld] + t.rows)[t.rows >= 0])
-            for fld, t in ((fld, tables[name]) for fld, name in FIELD_BLOCK.items())}
-    rep_off = {fld: np.searchsorted(k, np.arange(n_sub + 1) * size[fld]) for fld, k in keys.items()}
-    found: dict[int, np.ndarray] = {}  # the tables share their dof arrays
+    # one patch per distinct material of the classes, every node free
+    mat = np.column_stack([materials.lam, materials.mu, materials.alpha, materials.kappa])[reps]
+    _, first, which = np.unique(mat, axis=0, return_index=True, return_inverse=True)
+    which = which.ravel()  # each class's patch
+    every = {fld: FieldSpace(space.mesh, np.arange(space.mesh.n_nodes), space.k) for fld, space in spaces.fields.items()}
+    p0 = spaces.total_pressure_variant == "p0"
+    tri_b, tri_r = _patch_triangles(mesh, m), _patch_triangles(mesh.refined_mesh, 2 * m)
+    tables = [element_tables(every, p0, tri_b, tri_r, tuple(mat[i]), load) for i in first]
 
-    def pos(fld: str, t: ElementTable, d: np.ndarray) -> np.ndarray:
-        """Stacked position of every element dof, -1 where it is constrained."""
-        if id(d) not in found:
-            found[id(d)] = np.where(d >= 0, np.searchsorted(keys[fld], t.sub[:, None] * size[fld] + d), -1)
-        return found[id(d)]
+    # the patch dofs (ids of every-node-free numbering) of each field, and
+    # which of them each class keeps: those whose node is free at its
+    # representative's place
+    patch = {fld: sorted_unique(tables[0][name].rows) for fld, name in FIELD_BLOCK.items()}
+    free, pos, rep_off, off, dofs = {}, {}, {}, {}, {}
+    for fld, pd in patch.items():
+        space = spaces.fields[fld]
+        node, comp, shift = pd // space.k, pd % space.k, _origins(space.mesh, grid)
+        free[fld] = space.dof_of_node[node + shift[reps][:, None]] >= 0
+        count = free[fld].sum(axis=1)
+        rep_off[fld] = np.concatenate([[0], np.cumsum(np.where(is_rep, count[cls], 0))])
+        off[fld] = np.concatenate([[0], np.cumsum(count[cls])])
+        # each class's stacked position of each free patch dof
+        pos[fld] = rep_off[fld][reps][:, None] + np.cumsum(free[fld], axis=1) - 1
+        # a member's dofs: its class's, moved to its own place
+        sub, at = np.nonzero(free[fld][cls])
+        first_dof = space.dof_of_node[node[at] + shift[sub]]
+        if np.any(first_dof < 0):
+            raise InternalError("a class member lacks a free dof of its representative")
+        dofs[fld] = first_dof + comp[at]
 
-    # every subdomain takes its representative's positions
-    src = {fld: block_positions(o, rep) for fld, o in rep_off.items()}
-    off = {fld: np.concatenate([[0], np.cumsum(np.diff(o)[rep])]) for fld, o in rep_off.items()}
-    dofs = {fld: _member_dofs(spaces.fields[fld], grid, keys[fld][src[fld]] % size[fld], off[fld], rep) for fld in off}
-    blocks, loads, total = {}, {}, {}
+    blocks = {}
     for name, r, c in BLOCK_FIELDS:
-        t = tables[name]
-        blocks[name] = _stacked_block(pos(r, t, t.rows), pos(c, t, t.cols), t.vals, (rep_off[r][-1], rep_off[c][-1]))
+        t = tables[0][name]
+        rows, cols = np.searchsorted(patch[r], t.rows), np.searchsorted(patch[c], t.cols)
+        keys = (rows[:, :, None] * patch[c].size + cols[:, None, :]).ravel()
+        keys, sums = _element_order_sums(keys, [tb[name].vals.ravel() for tb in tables])
+        prow, pcol = np.divmod(keys, patch[c].size)
+        # every class's entries at once: class-major, then the patch's (row,
+        # column) order; every patch row holds an entry, so reduceat counts
+        # each row's
+        keep = free[r].take(prow, axis=1) & free[c].take(pcol, axis=1)
+        counts = np.add.reduceat(keep, np.searchsorted(prow, np.arange(patch[r].size)), axis=1, dtype=np.int64)
+        indptr = np.concatenate([[0], np.cumsum(counts[free[r]])])
+        kept = np.flatnonzero(keep)
+        data = np.stack(sums)[which].ravel()[kept]
+        shape = (rep_off[r][-1], rep_off[c][-1])
+        blocks[name] = sp.csr_matrix((data, pos[c].take(pcol, axis=1).ravel()[kept], indptr), shape=shape)
+    loads, total = {}, {}
     for name, fld in (("f", "u"), ("g", "p")):
-        at = pos(fld, tables[name], tables[name].rows).ravel()
-        keep, w = at >= 0, tables[name].vals.reshape(-1)
+        t = tables[0][name]
+        at = np.searchsorted(patch[fld], t.rows).ravel()
+        per_patch = np.stack([np.bincount(at, tb[name].vals.ravel(), patch[fld].size) for tb in tables])
+        loads[name] = per_patch[which][free[fld]]
+        src = block_positions(rep_off[fld], rep)
         # bincount gives integers when it has nothing to add (a field with no dofs)
-        loads[name] = np.bincount(at[keep], w[keep], rep_off[fld][-1]).astype(np.float64, copy=False)
-        total[name] = np.bincount(dofs[fld], loads[name][src[fld]], size[fld]).astype(np.float64, copy=False)
+        total[name] = np.bincount(dofs[fld], loads[name][src], spaces.n_dofs[fld]).astype(np.float64, copy=False)
     return BlockSystem(
         spaces=spaces,
         materials=materials,

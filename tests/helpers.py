@@ -25,6 +25,7 @@ from biot_ddp.mesh_fem import (
     block_positions,
     build_mesh,
     build_spaces,
+    element_subdomains,
     element_tables,
 )
 
@@ -338,65 +339,68 @@ def random_spd(n: int, cond: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def per_subdomain_assembly(mesh, spaces, materials, load) -> dict:
-    """Reference for the stacked assembly: the per-subdomain algorithm it
-    replaced, run on the same element tables.
+    """Reference for the stacked assembly: each subdomain assembled on its
+    own, from the element tables of its own triangles and material with
+    its own boundary conditions.
 
-    Every subdomain's entries, in element order, go through their own
-    COO->CSR conversion; each global block re-sums the local ones in
-    ascending subdomain order; the loads are accumulated with np.add.at.
+    Every subdomain's entries are summed in element order (``np.add.at``
+    adds in input order) into its own CSR blocks; each global block re-sums
+    the local ones in ascending subdomain order through SciPy, as
+    ``BlockSystem`` does; the loads are accumulated with np.add.at.
     Returns name -> (list of local matrices or loads, global one) for
     "A".."E", "f" and "g", and field -> list of local dof sets for "u",
     "xi" and "p".
     """
-    tables = element_tables(spaces, materials, load)
-    n_sub = materials.grid[0] * materials.grid[1]
+    grid = materials.grid
+    n_sub = grid[0] * grid[1]
+    esub_b, esub_r = element_subdomains(mesh, grid), element_subdomains(mesh.refined_mesh, grid)
+    p0 = spaces.total_pressure_variant == "p0"
+    tables = [
+        element_tables(
+            spaces.fields, p0, np.flatnonzero(esub_b == s), np.flatnonzero(esub_r == s),
+            (materials.lam[s], materials.mu[s], materials.alpha[s], materials.kappa[s]), load,
+        )
+        for s in range(n_sub)
+    ]
 
-    def dof_sets(t):
-        sets = []
-        for s in range(n_sub):
-            d = t.rows[t.sub == s].ravel()
-            sets.append(np.unique(d[d >= 0]))
-        return sets
+    def dof_set(t):
+        d = t.rows.ravel()
+        return np.unique(d[d >= 0])
 
-    sets = {"u": dof_sets(tables["A"]), "xi": dof_sets(tables["C"]), "p": dof_sets(tables["E"])}
+    sets = {fld: [dof_set(t[name]) for t in tables] for fld, name in (("u", "A"), ("xi", "C"), ("p", "E"))}
     size = spaces.n_dofs
     out: dict = dict(sets)
     for name, r, c in BLOCK_FIELDS:
-        t = tables[name]
-        a, b = t.rows.shape[1], t.cols.shape[1]
-        rows = np.repeat(t.rows, b, axis=1).ravel()
-        cols = np.tile(t.cols, (1, a)).ravel()
-        vals = t.vals.ravel()
-        subs = np.repeat(t.sub, a * b)
-        keep = (rows >= 0) & (cols >= 0)
-        rows, cols, vals, subs = rows[keep], cols[keep], vals[keep], subs[keep]
-        order = np.argsort(subs, kind="stable")
-        rows, cols, vals, subs = rows[order], cols[order], vals[order], subs[order]
-        bounds = np.searchsorted(subs, np.arange(n_sub + 1))
         local, grows, gcols, gvals = [], [], [], []
         for s in range(n_sub):
-            lo, hi = bounds[s], bounds[s + 1]
+            t = tables[s][name]
+            a, b = t.rows.shape[1], t.cols.shape[1]
+            rows = np.repeat(t.rows, b, axis=1).ravel()
+            cols = np.tile(t.cols, (1, a)).ravel()
+            keep = (rows >= 0) & (cols >= 0)
             r_set, c_set = sets[r][s], sets[c][s]
-            lr = np.searchsorted(r_set, rows[lo:hi])
-            lc = np.searchsorted(c_set, cols[lo:hi])
-            m = sp.coo_matrix((vals[lo:hi], (lr, lc)), shape=(r_set.size, c_set.size)).tocsr()
-            m.sum_duplicates()
+            lr = np.searchsorted(r_set, rows[keep])
+            lc = np.searchsorted(c_set, cols[keep])
+            keys, inverse = np.unique(lr * c_set.size + lc, return_inverse=True)
+            summed = np.zeros(keys.size)
+            np.add.at(summed, inverse, t.vals.ravel()[keep])
+            kr, kc = np.divmod(keys, c_set.size)
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(kr, minlength=r_set.size))])
+            m = sp.csr_matrix((summed, kc, indptr), shape=(r_set.size, c_set.size))
             local.append(m)
-            mc = m.tocoo()
-            grows.append(r_set[mc.row])
-            gcols.append(c_set[mc.col])
-            gvals.append(mc.data)
+            grows.append(r_set[kr])
+            gcols.append(c_set[kc])
+            gvals.append(summed)
         g = sp.coo_matrix(
             (np.concatenate(gvals), (np.concatenate(grows), np.concatenate(gcols))), shape=(size[r], size[c])
         ).tocsr()
         out[name] = (local, g)
     for name, fld in (("f", "u"), ("g", "p")):
-        t = tables[name]
         local = []
         total = np.zeros(size[fld])
         for s in range(n_sub):
-            d = t.rows[t.sub == s].ravel()
-            v = t.vals[t.sub == s].ravel()
+            t = tables[s][name]
+            d, v = t.rows.ravel(), t.vals.ravel()
             keep = d >= 0
             f_s = np.zeros(sets[fld][s].size)
             np.add.at(f_s, np.searchsorted(sets[fld][s], d[keep]), v[keep])

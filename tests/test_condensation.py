@@ -30,7 +30,6 @@ import scipy.sparse.linalg as spla
 
 import biot_ddp as bd
 from biot_ddp import preconditioner, reduced_system
-from biot_ddp.decomposition import _CONGRUENCE_RTOL
 from biot_ddp.mesh_fem import FIELD_BLOCK
 from helpers import broken_offsets, by_subdomain, local_view, record_torn_columns, sliced_bmat_saddle
 
@@ -83,7 +82,7 @@ def test_every_member_couples_like_its_representative(elem, primal, bc, checkerb
         for j, Bj in enumerate(cols):
             on_rows = Bj[cc.idx[:, j]]
             assert on_rows.nnz == Bj.nnz  # no coupling outside the member's rows
-            assert np.abs(on_rows.toarray() - B0).max() <= _CONGRUENCE_RTOL * np.abs(B0).max()
+            assert np.array_equal(on_rows.toarray(), B0)
 
 
 @pytest.mark.parametrize("elem, primal, bc, checkerboard", VARIANTS)

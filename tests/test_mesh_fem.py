@@ -17,7 +17,7 @@ from biot_ddp import mesh_fem
 from biot_ddp.mesh_fem import (
     BLOCK_PARAMS, SIDES, LoadSpec, _grid_mesh, class_representatives, p1_geometry, subdomain_sides,
 )
-from biot_ddp.decomposition import _CONGRUENCE_RTOL
+from biot_ddp.reduced_system import ClassSaddles
 from helpers import (
     MULTI_MEMBER_GRIDS,
     assemble_with_reference,
@@ -48,11 +48,12 @@ class TestMesh:
         assert mesh.n_triangles == 128
         assert mesh.refined_mesh.n_nodes == 289
 
-    def test_coordinates_cover_unit_square(self):
+    def test_lattice_covers_unit_square(self):
         mesh = bd.build_mesh(4, (2, 2))
-        assert mesh.vertices.min() == 0.0
-        assert mesh.vertices.max() == 1.0
-        assert mesh.vertices.shape == (25, 2)
+        ids = np.arange(mesh.n_nodes)
+        assert mesh.n_nodes == 25
+        assert mesh.node_ix(ids).min() == mesh.node_iy(ids).min() == 0
+        assert mesh.node_ix(ids).max() == mesh.nx and mesh.node_iy(ids).max() == mesh.ny
 
     def test_indivisible_grid_rejected(self):
         with pytest.raises(bd.ConfigurationError):
@@ -208,7 +209,7 @@ class TestAssembly:
         mesh, spaces, _, system = small_system("p1")
         v = np.zeros(spaces.n_dofs["u"])
         v[spaces.fields["u"].dof_of_node[5 + 5 * 17]] = 1.0
-        xi = mesh.vertices[:, 0].copy()
+        xi = mesh.node_ix(np.arange(mesh.n_nodes)) / mesh.nx  # the x coordinate
         assert xi @ (system.B @ v) == pytest.approx((1.0 / 16) ** 2, rel=1e-12)
 
     def test_subassembly_matches_global(self):
@@ -335,10 +336,20 @@ class TestPerClassAssembly:
                     assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
                     got, want, tiled = got.data, want.data, tiled.data
                 assert np.array_equal(got, tiled)
-                if rep[s] == s:
-                    assert np.array_equal(got, want), (s, name)
-                else:
-                    assert np.max(np.abs(got - want)) <= _CONGRUENCE_RTOL * np.max(np.abs(want)), (s, name)
+                assert np.array_equal(got, want), (s, name)
+
+    @pytest.mark.parametrize("case", list(MULTI_MEMBER_GRIDS))
+    def test_local_blocks_are_bitwise_symmetric(self, case):
+        # SaddleFactor factors A, C, E and every vertex run's K_rr in
+        # symmetric mode: symmetric element matrices summed in element order
+        # make them symmetric to the bit
+        pipe = bd.build_pipeline(bd.ExperimentConfig(oracle="off", **MULTI_MEMBER_GRIDS[case][0]))
+        for name in "ACE":
+            M = getattr(pipe.system.stacked, name)
+            assert (M != M.T).nnz == 0, name
+        saddles = ClassSaddles(pipe.system, pipe.cls)
+        for r, b in zip(saddles.reps, saddles.blocks(), strict=True):
+            assert (b.K != b.K.T).nnz == 0, r
 
     def test_subdomain_sides(self):
         # left, right, bottom, top of each subdomain of a 3x2 grid, x fastest
@@ -379,6 +390,85 @@ class TestPerClassAssembly:
         keys = {tuple(sorted({p for b in n for p in BLOCK_PARAMS[b]})) for n in names}
         assert sorted(calls) == sorted(keys)
         assert len(keys) == 4  # ABCDE and E, A and C, B, D
+
+
+class TestPatchAssembly:
+    """Every subdomain's cells are a translate of one patch: assembly
+    evaluates element tables on one patch per distinct material and cuts
+    each class's blocks and loads out of it."""
+
+    CASES = {
+        "p1 neumann-left": dict(nx=12, subdomains=(3, 3)),
+        "p1 dirichlet": dict(nx=12, subdomains=(3, 3), bc="dirichlet"),
+        "p0 neumann-left": dict(nx=12, subdomains=(3, 3), total_pressure="p0"),
+        "p0 dirichlet": dict(nx=12, subdomains=(3, 3), total_pressure="p0", bc="dirichlet"),
+        "checkerboard": dict(nx=12, subdomains=(3, 3), pattern="checkerboard", black={"E": 1e3, "kappa": 1e-4}),
+        "rectangular cells": dict(nx=24, subdomains=(4, 2)),
+        "one cell per subdomain": dict(nx=3, subdomains=(3, 3), bc="dirichlet"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_classes_are_the_patch_restricted(self, case):
+        # the patch (subdomain 0's cells, every node free) summed in element
+        # order by np.add.at, then cut to each representative's dofs moved
+        # back to subdomain 0's place
+        cfg = bd.ExperimentConfig(**self.CASES[case])
+        mesh = bd.build_mesh(cfg.nx, cfg.subdomains)
+        spaces = bd.build_spaces(mesh, cfg.total_pressure, cfg.boundary())
+        mats = cfg.materials()
+        st = bd.assemble_blocks(spaces, mats, LoadSpec()).stacked
+        gx = cfg.subdomains[0]
+        every = {fld: mesh_fem.FieldSpace(s.mesh, np.arange(s.mesh.n_nodes), s.k) for fld, s in spaces.fields.items()}
+        tri_b, tri_r = (np.flatnonzero(mesh_fem.element_subdomains(m, cfg.subdomains) == 0) for m in (mesh, mesh.refined_mesh))
+        for r in np.unique(st.rep):
+            tables = mesh_fem.element_tables(every, cfg.total_pressure == "p0", tri_b, tri_r,
+                                             (mats.lam[r], mats.mu[r], mats.alpha[r], mats.kappa[r]), LoadSpec())
+            lb = local_view(st, r)
+            patch, at = {}, {}
+            for fld, name in (("u", "A"), ("xi", "C"), ("p", "E")):
+                space, d = spaces.fields[fld], lb.dofs[fld]
+                patch[fld] = np.unique(tables[name].rows)
+                ix, iy = space.lattice(d)
+                side = space.mesh.nx // gx
+                node = (iy - r // gx * side) * (space.mesh.nx + 1) + ix - r % gx * side
+                at[fld] = np.searchsorted(patch[fld], space.k * node + d % space.k)
+                assert np.array_equal(patch[fld][at[fld]], space.k * node + d % space.k), fld
+            for name, rf, cf in mesh_fem.BLOCK_FIELDS:
+                t = tables[name]
+                rows = np.broadcast_to(np.searchsorted(patch[rf], t.rows)[:, :, None], t.vals.shape)
+                cols = np.broadcast_to(np.searchsorted(patch[cf], t.cols)[:, None, :], t.vals.shape)
+                full, met = np.zeros((patch[rf].size, patch[cf].size)), np.zeros((patch[rf].size, patch[cf].size), bool)
+                np.add.at(full, (rows.ravel(), cols.ravel()), t.vals.ravel())
+                met[rows.ravel(), cols.ravel()] = True
+                cut = np.ix_(at[rf], at[cf])
+                got = getattr(lb, name)
+                stored = np.zeros(got.shape, bool)
+                stored[np.repeat(np.arange(got.shape[0]), np.diff(got.indptr)), got.indices] = True
+                assert np.array_equal(stored, met[cut]) and got.nnz == stored.sum(), (r, name)
+                assert np.array_equal(got.toarray(), full[cut]), (r, name)
+            for name, fld in (("f", "u"), ("g", "p")):
+                full = np.zeros(patch[fld].size)
+                np.add.at(full, np.searchsorted(patch[fld], tables[name].rows).ravel(), tables[name].vals.ravel())
+                assert np.array_equal(getattr(lb, name), full[at[fld]]), (r, name)
+
+    @pytest.mark.parametrize("pattern, patches", [("uniform", 1), ("checkerboard", 2)])
+    def test_element_tables_once_per_material(self, monkeypatch, pattern, patches):
+        # nine classes on either grid; the black subdomains' kappa makes a
+        # second material, and each material's patch is 4x4 cells
+        evaluated = []
+
+        def counted(*args):
+            tables = element_tables(*args)
+            evaluated.append((tables["E"].vals.shape[0], tables["A"].vals.shape[0]))
+            return tables
+
+        element_tables = mesh_fem.element_tables
+        monkeypatch.setattr(mesh_fem, "element_tables", counted)
+        cfg = bd.ExperimentConfig(nx=12, subdomains=(3, 3), pattern=pattern, black={"kappa": 1e-6})
+        spaces = bd.build_spaces(bd.build_mesh(cfg.nx, cfg.subdomains), "p1", cfg.boundary())
+        system = bd.assemble_blocks(spaces, cfg.materials(), LoadSpec())
+        assert np.unique(system.stacked.rep).size == 9
+        assert evaluated == [(2 * 4 * 4, 2 * 8 * 8)] * patches
 
 
 class TestStability:
