@@ -172,8 +172,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     """Every point's row, failed ones included; the exit code is that of
     the first failed or unconverged point."""
     cfg = _config_from_args(args)
-    axes = dict(_parse_axis(a) for a in args.axis)
-    results = run_sweep(cfg, axes, mode="zip" if args.zip else "product")
+    axes = [_parse_axis(a) for a in args.axis]
+    names = [name for name, _ in axes]
+    if repeated := next((name for name in names if names.count(name) > 1), None):
+        raise ConfigurationError(f"sweep axis {repeated!r} given more than once")
+    results = run_sweep(cfg, dict(axes), mode="zip" if args.zip else "product")
     code = _print_points(results)
     _write_results(results, args)
     return code

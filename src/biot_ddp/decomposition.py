@@ -189,9 +189,10 @@ class FieldSplit:
     of the interface, ``is_primal`` a flag over the field's dofs and
     ``transform`` its change of basis for the vertex-edge variant (None:
     the nodal basis).  Every other set is read off them, once: the flags
-    over the rows and of the interface over the dofs, the sorted dofs of
-    the interface and of its primal and dual parts, and the rows of the
-    primal and dual dofs; a subdomain's own are a slice of each.
+    over the rows and of the interface over the dofs, each dof's ``role``
+    (0 interior, 1 dual, 2 primal), the sorted dofs of the interface and of
+    its primal and dual parts, and the rows of the primal and dual dofs; a
+    subdomain's own are a slice of each.
     """
 
     n_sub: int
@@ -200,6 +201,7 @@ class FieldSplit:
     is_primal: np.ndarray
     transform: sp.csr_matrix | None = None
     is_interface: np.ndarray = field(init=False)  # over the field's dofs, as ``is_primal``
+    role: np.ndarray = field(init=False)  # int8 over the field's dofs: 0 interior, 1 dual, 2 primal
     row_is_primal: np.ndarray = field(init=False)  # over ``rows``
     primal_rows: Incidence = field(init=False)
     dual_rows: Incidence = field(init=False)  # of the displacement: one per torn copy, lower subdomain first
@@ -211,6 +213,7 @@ class FieldSplit:
     def __post_init__(self):
         self.is_interface = np.zeros(self.is_primal.size, dtype=bool)
         self.is_interface[self.rows.dof] = True
+        self.role = (self.is_interface * (1 + self.is_primal)).astype(np.int8)
         self.row_is_primal = primal = self.is_primal[self.rows.dof]
         self.primal_rows, self.dual_rows = self.rows.select(primal), self.rows.select(~primal)
         rows = (self.rows, self.primal_rows, self.dual_rows)

@@ -444,6 +444,16 @@ class StackedBlocks:
         return sub, rmap[self.off[r][sub] + row[at]], cmap[self.off[c][sub] + col[at]], M.data[at]
 
 
+def saddle_blocks(b) -> list[list[sp.csr_matrix]]:
+    """The saddle layout [[A, B^T, 0], [B, -C, D^T], [0, D, -E]] of the
+    blocks A..E of ``b`` (a ``BlockSystem`` or ``StackedBlocks``), rows and
+    columns by field (u, xi, p), every block CSR, so that ``sp.bmat``
+    stacks them without a sort."""
+    n_u, n_p = b.A.shape[0], b.E.shape[0]
+    return [[b.A, b.B.T.tocsr(), sp.csr_matrix((n_u, n_p))], [b.B, -b.C, b.D.T.tocsr()],
+            [sp.csr_matrix((n_p, n_u)), b.D, -b.E]]
+
+
 def diagonal_block(M: sp.csr_matrix, row_off: np.ndarray, col_off: np.ndarray, s: int) -> sp.csr_matrix:
     """Diagonal block s of a block-diagonal CSR matrix, sharing its data: a
     shallow copy of M with its arrays and shape swapped for the block's
@@ -521,14 +531,7 @@ class BlockSystem:
 
     def full_matrix(self) -> sp.csr_matrix:
         """The complete indefinite block matrix (used by direct-solve checks)."""
-        return sp.bmat(
-            [
-                [self.A, self.B.T, None],
-                [self.B, -self.C, self.D.T],
-                [None, self.D, -self.E],
-            ],
-            format="csr",
-        )
+        return sp.bmat(saddle_blocks(self), format="csr")
 
     def full_rhs(self) -> np.ndarray:
         return np.concatenate([self.f, np.zeros(self.spaces.n_dofs["xi"]), self.g])

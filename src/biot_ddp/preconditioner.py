@@ -58,7 +58,6 @@ from .reduced_system import (
     PartiallyAssembled,
     PatchKeys,
     SaddleFactor,
-    _local_index_sets,
     class_sources,
     derive_schur,
     eliminable_rows,
@@ -128,19 +127,22 @@ def _dense_schur(
 
 
 def class_schurs(
-    system: BlockSystem, cls: DofClassification, fld: str, positions, matrix, label: str
+    system: BlockSystem, cls: DofClassification, fld: str, kept: tuple[int, ...], label: str,
+    scale: np.ndarray | None = None,
 ) -> tuple[list[np.ndarray], int]:
     """The dense Schur complement of every congruence class of field
     ``fld``'s local block (``FIELD_BLOCK``), in ``BlockSystem.classes``
     order, and how many of them were formed.
 
-    ``positions(r)`` gives representative r's local dofs and the positions
-    of the kept and of the eliminated ones, ``matrix(r)`` its matrix, which
-    only a class that forms its S reads.  A class derives its S from the S
-    of its source (``class_sources`` over ``fld``): it has the same
-    material and change of basis, and its dofs are the source's less those
-    on its Dirichlet sides, so its block is the source's restricted to
-    them.  It eliminates the source's eliminated dofs and those of the
+    Each representative keeps its dofs of the roles ``kept``
+    (``FieldSplit.role``: 1 dual, 2 primal), role by role, and eliminates
+    its interior ones.  Only a class that forms its S reads its matrix, the
+    representative's local block (``StackedBlocks.block``), times
+    ``scale[r]`` when a scale per subdomain is given.  A class derives its
+    S from the S of its source (``class_sources`` over ``fld``): it has the
+    same material and change of basis, and its dofs are the source's less
+    those on its Dirichlet sides, so its block is the source's restricted
+    to them.  It eliminates the source's eliminated dofs and those of the
     source's kept dofs that it holds as eliminated dofs of its own, on its
     free sides (``eliminable_rows``), and keeps the rest of its own; by the
     quotient property its S is the source's with those rows eliminated and
@@ -152,16 +154,20 @@ def class_schurs(
     ``InternalError`` naming r.
     """
     groups = system.classes(FIELD_BLOCK[fld])
-    space = system.spaces.fields[fld]
+    space, st = system.spaces.fields[fld], system.stacked
     out: list[np.ndarray] = [np.zeros((0, 0))] * len(groups)
     seen: dict[int, tuple[PatchKeys, np.ndarray]] = {}  # source class: patch keys of its kept and eliminated dofs
     for i, src in class_sources(system, cls, groups, FIELD_BLOCK[fld], (fld,)):
         r = groups[i][0]
-        dofs, gamma, inner = positions(r)
+        dofs = st.local_dofs(r, (fld,))[fld]
+        role = cls.splits[fld].role[dofs]
+        gamma, inner = np.concatenate([np.flatnonzero(role == k) for k in kept]), np.flatnonzero(role == 0)
         name = f"{label} interior block of subdomain {r}"
         keys = space.patch_keys(system.materials.grid, r, dofs)
         if src is None:
-            out[i] = _dense_schur(matrix(r), gamma, inner, space.lattice(dofs[inner]), name)
+            M = st.block(FIELD_BLOCK[fld], r)
+            M = M if scale is None else float(scale[r]) * M
+            out[i] = _dense_schur(M, gamma, inner, space.lattice(dofs[inner]), name)
             seen[i] = PatchKeys(keys[gamma]), np.sort(keys[inner])
             continue
         c = groups[src][0]
@@ -215,21 +221,9 @@ def _bddc(system: BlockSystem, cls: DofClassification, fld: str, inject_scaled: 
     coarse_of = np.zeros_like(rows.dof)
     coarse_of[rows.broken_pos()] = np.searchsorted(split.primal, rows.dof)
     primal_offset = rows.offsets(cls.n_subdomains)
-
-    st = system.stacked
-
-    def positions(r):
-        dofs = st.local_dofs(r, (fld,))
-        ix = _local_index_sets(cls, dofs)
-        return dofs[fld], np.concatenate([ix[fld + "D"], ix[fld + "P"]]), ix[fld + "I"]
-
-    def matrix(r):
-        M = st.block(FIELD_BLOCK[fld], r)
-        return float(mats.lam[r] / mats.mu[r]) * M if fld == "xi" else M
-
     coarse = []  # each class's primal columns and coarse contribution
     groups = system.classes(FIELD_BLOCK[fld])
-    schurs, sources = class_schurs(system, cls, fld, positions, matrix, label)
+    schurs, sources = class_schurs(system, cls, fld, (1, 2), label, mats.lam / mats.mu if fld == "xi" else None)
     classes: list[LocalClass] = []
     for members, S in zip(groups, schurs):
         idx, cols = broken_columns(split.dual_offset, members), coarse_of[broken_columns(primal_offset, members)]
@@ -258,22 +252,12 @@ def build_lambda_solver(
     if kind not in ("dirichlet", "lumped"):
         raise ConfigurationError(f"unknown multiplier preconditioner {kind!r}")
 
-    st = system.stacked
-
-    def positions(r):
-        dofs = st.local_dofs(r, ("u",))
-        ix = _local_index_sets(cls, dofs)
-        return dofs["u"], ix["uD"], ix["uI"]
-
-    def matrix(r):
-        return st.block("A", r)
-
-    groups = system.classes("A")
+    st, groups = system.stacked, system.classes("A")
     if kind == "dirichlet":
-        schurs, sources = class_schurs(system, cls, "u", positions, matrix, "elastic")
+        schurs, sources = class_schurs(system, cls, "u", (1,), "elastic")
     else:
-        dual = [positions(m[0])[1] for m in groups]
-        schurs, sources = [matrix(m[0])[iD][:, iD] for m, iD in zip(groups, dual)], 0
+        dual = [np.flatnonzero(cls.u.role[st.local_dofs(m[0], ("u",))["u"]] == 1) for m in groups]
+        schurs, sources = [st.block("A", m[0])[iD][:, iD] for m, iD in zip(groups, dual)], 0
     classes = [LocalClass(idx=broken_columns(cls.u.dual_offset, members),
                           primal=np.zeros((0, len(members)), dtype=np.int64), S=S)
                for members, S in zip(groups, schurs)]

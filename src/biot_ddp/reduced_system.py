@@ -14,9 +14,11 @@ once, as the representative's: only its saddle block is built and
 factored, and the members are reached through their index maps.  The
 parts of every class's saddle block that set-up reads (K_rr, its primal
 couplings and, when condensing, its trace rows and trace block) are cut
-out of the stacked blocks in whole-array passes, all classes at once
-(``ClassSaddles``): one sparse matrix per part, whose diagonal blocks the
-classes view (or copy out dense, for the dense parts).
+out of one stacked saddle matrix of the stored blocks, all classes at once
+(``ClassSaddles``): one sort of each row's class and role (its dof's
+``FieldSplit.role``) gives every class's saddle order, and each part is
+one sparse matrix, whose diagonal blocks the classes view (or copy out
+dense, for the dense parts).
 When few classes serve many subdomains, each class is also condensed once
 onto its members' interface rows into one dense map, in the same pass, and
 no local solve runs per application.  Only a source class solves for its
@@ -45,8 +47,8 @@ import scipy.sparse.linalg as spla
 
 from .decomposition import DofClassification, InternalError, TornLayout, Transfer, split_segments
 from .mesh_fem import (
-    BLOCK_FIELDS, BLOCK_PARAMS, SIDES, BlockSystem, ConfigurationError, block_positions, class_representatives,
-    diagonal_block, subdomain_sides,
+    BLOCK_PARAMS, SIDES, BlockSystem, ConfigurationError, block_positions, class_representatives, diagonal_block,
+    saddle_blocks, subdomain_sides,
 )
 
 _DENSE_FACTOR_CUTOFF = 400
@@ -692,13 +694,12 @@ class ReducedSystem:
 def _local_index_sets(cls: DofClassification, dofs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """The local positions of a subdomain's interior, interface, dual and
     primal dofs of each field of ``dofs``, keyed by the field and "I", "G",
-    "D" or "P" ("uI", "xiG", ...), read off the flags of its sorted dofs
-    (``StackedBlocks.local_dofs``)."""
+    "D" or "P" ("uI", "xiG", ...), read off the roles of its sorted dofs
+    (``FieldSplit.role``, ``StackedBlocks.local_dofs``)."""
     sets = {}
     for fld, d in dofs.items():
-        split = cls.splits[fld]
-        g, p = split.is_interface[d], split.is_primal[d]
-        for name, flag in (("I", ~g), ("G", g), ("D", g & ~p), ("P", g & p)):
+        role = cls.splits[fld].role[d]
+        for name, flag in (("I", role == 0), ("G", role > 0), ("D", role == 1), ("P", role == 2)):
             sets[fld + name] = np.flatnonzero(flag)
     return sets
 
@@ -711,8 +712,7 @@ def _check_members(system: BlockSystem, cls: DofClassification) -> None:
     subdomain that differs is an ``InternalError`` naming it."""
     st, rep = system.stacked, class_representatives(system.materials, ())
     for fld, split in cls.splits.items():
-        off, dofs = st.off[fld], st.dofs[fld]
-        role = split.is_interface[dofs] * (1 + split.is_primal[dofs])
+        off, role = st.off[fld], split.role[st.dofs[fld]]
         wrong = np.repeat(np.arange(st.n_sub), np.diff(off))[role != role[block_positions(off, rep)]]
         if wrong.size:
             s = wrong[0]
@@ -726,7 +726,9 @@ def _check_members(system: BlockSystem, cls: DofClassification) -> None:
 # in the order of the class's sorted local dofs.  The slices are runs of roles.
 ROLES = ("uI", "xiI", "pI", "uD", "uP", "xiG", "pG", "lam")
 LOCAL, PRIMAL, TRACE, SADDLE, CONDENSED = slice(0, 4), slice(4, 5), slice(5, 7), slice(0, 5), slice(5, 8)
-_FIELD_ROLES = {"u": (0, 3, 4), "xi": (1, 5), "p": (2, 6), "lam": (7,)}  # each field's interior role first
+# each field's role above by its dof's ``FieldSplit.role`` (interior, dual, primal)
+_SADDLE_ROLE = {"u": np.array([0, 3, 4], dtype=np.int8), "xi": np.array([1, 5, 5], dtype=np.int8),
+                "p": np.array([2, 6, 6], dtype=np.int8)}
 
 
 @dataclass
@@ -745,127 +747,75 @@ class SaddleBlocks:
 
 class ClassSaddles:
     """The local saddle blocks [[A, B^T, 0], [B, -C, D^T], [0, D, -E]] of
-    every torn class, cut out of the stacked blocks in whole-array passes.
+    every torn class, cut out of one stacked saddle matrix.
 
     The torn classes are the assembly classes, whose representatives'
-    blocks are the stored ones (``StackedBlocks``).  Each stored position
-    of a field has its class (``owner``), its role (``ROLES``, read off the
-    field's ``FieldSplit`` flags at the representative's dofs) and its place
-    in the class's saddle order (``place``); ``counts[c, k]`` is how many
-    rows of role k class c has.  The multiplier rows (``add_multipliers``)
-    are a pseudo-field "lam" over the displacement positions, each dual
-    copy's λ row at its copy.  ``sparse`` cuts a run of row roles and a run
-    of column roles out of every class at once, each stored entry of A..E
-    (and of B and D transposed) placed by its row's and its column's
-    positions, with its sign; ``blocks`` gives the parts that set-up factors
-    and condenses, the dense ones as their diagonal blocks' ``toarray``.  No
-    two blocks share an entry, so every value is the block's own.
+    blocks are the stored ones (``StackedBlocks``), so ``saddle_blocks`` of
+    the stored blocks is one block-diagonal matrix over the
+    representatives' stacked displacement, total pressure and pressure
+    positions in turn.  Each position has its class (``owner``) and its
+    role (``ROLES``, by its dof's ``FieldSplit.role``); one stable sort by
+    class and role gives every class's saddle order, and ``counts[c, k]``
+    is how many rows of role k class c has.  The multipliers
+    (``add_multipliers``) border the matrix: each dual copy's λ row and
+    column, with its sign at the copy.  ``sparse`` takes a run of row roles
+    and a run of column roles of every class at once, in saddle order;
+    ``blocks`` gives the parts that set-up factors and condenses, the dense
+    ones as their diagonal blocks' ``toarray``.  Every value is a stored
+    entry's own.
     """
 
     def __init__(self, system: BlockSystem, cls: DofClassification):
         st = system.stacked
         self.reps = np.flatnonzero(st.rep == np.arange(st.n_sub))
-        self.counts = np.zeros((self.reps.size, len(ROLES)), dtype=np.int64)
-        self.owner, self.role, self.place, rank = {}, {}, {}, {}
-        for fld, split in cls.splits.items():
-            d = st.dofs[fld][block_positions(st.off[fld], self.reps)]
-            sizes = np.diff(st.rep_off[fld])[self.reps]
-            first = np.cumsum(sizes) - sizes
-            owner = self.owner[fld] = np.repeat(np.arange(self.reps.size), sizes)
-            interior, *interface = _FIELD_ROLES[fld]  # u: dual, then primal
-            g = split.is_interface[d]
-            role = np.where(g, np.where(split.is_primal[d], interface[-1], interface[0]), interior).astype(np.int8)
-            rank[fld] = np.zeros(d.size, dtype=np.int64)
-            for k in _FIELD_ROLES[fld]:
-                # the dofs of role k before each position, and before each class
-                f = role == k
-                seen = np.concatenate([[0], np.cumsum(f)])
-                self.counts[:, k] = seen[first + sizes] - seen[first]
-                rank[fld][f] = seen[:-1][f] - seen[first][owner[f]]
-            self.role[fld] = role
-        start = self.start
-        for fld, role in self.role.items():
-            self.place[fld] = start[self.owner[fld], role] + rank[fld]
-        # the blocks, each with the fields of its rows and of its columns
-        self._blocks = [(-getattr(st, name) if name in "CE" else getattr(st, name), r, c) for name, r, c in BLOCK_FIELDS]
+        self.owner = np.concatenate([np.repeat(np.arange(self.reps.size), np.diff(st.rep_off[fld])[self.reps])
+                                     for fld in cls.splits])
+        self.role = np.concatenate([_SADDLE_ROLE[fld][split.role[st.dofs[fld][block_positions(st.off[fld], self.reps)]]]
+                                    for fld, split in cls.splits.items()])
+        self._M = sp.bmat(saddle_blocks(st), format="csr")
+        self._bordered = False
+        self._sort()
 
-    @property
-    def start(self) -> np.ndarray:
-        """The first place of each role in each class."""
-        return np.cumsum(self.counts, axis=1) - self.counts
+    def _sort(self) -> None:
+        """Every class's saddle order and ``counts``, from ``owner`` and ``role``."""
+        key = self.owner * len(ROLES) + self.role
+        self._order = np.argsort(key, kind="stable")
+        self._sorted = self.role[self._order]
+        self.counts = np.bincount(key, minlength=self.reps.size * len(ROLES)).reshape(-1, len(ROLES))
 
     def add_multipliers(self, sign: np.ndarray) -> None:
-        """Place the λ row of each dual copy after the trace rows, with its
-        entry ``sign`` (B's, one per copy in the broken dual order) at the
-        copy.  Called once, before ``blocks``."""
-        lam, dual = ROLES.index("lam"), ROLES.index("uD")
-        self.counts[:, lam] = self.counts[:, dual]
-        at = np.flatnonzero(self.role["u"] == dual)
-        self.owner["lam"] = self.owner["u"]
-        self.role["lam"] = np.where(self.role["u"] == dual, lam, -1).astype(np.int8)
-        start = self.start
-        self.place["lam"] = self.place["u"] + (start[:, lam] - start[:, dual])[self.owner["u"]]
-        n = self.role["u"].size
-        self._blocks.append((sp.csr_matrix((sign, (at, at)), shape=(n, n)), "lam", "u"))
-
-    def _maps(self, roles: slice, first: np.ndarray) -> dict[str, np.ndarray]:
-        """Per field, each stored position's place among its class's rows
-        of the roles ``roles``, after ``first[c]``; -1 for other roles."""
-        start = self.start[:, roles.start]
-        return {fld: np.where((role >= roles.start) & (role < roles.stop),
-                              (first - start)[self.owner[fld]] + self.place[fld], -1).astype(np.int32)
-                for fld, role in self.role.items()}
-
-    def _entries(self, rows: slice, cols: slice, R: dict, C: dict):
-        """Each block's (and B's and D's transposed) entries as (row,
-        column, value, column role) by the maps ``R`` and ``C`` (-1: not in
-        the cut), for the blocks whose fields have rows of the roles
-        ``rows`` and columns of the roles ``cols``."""
-        def meets(fld: str, run: slice) -> bool:
-            return any(run.start <= k < run.stop for k in _FIELD_ROLES[fld])
-
-        for M, r, c in self._blocks:
-            n = np.diff(M.indptr)
-            if meets(r, rows) and meets(c, cols):
-                yield np.repeat(R[r], n), C[c][M.indices], M.data, self.role[c][M.indices]
-            if r != c and r != "lam" and meets(c, rows) and meets(r, cols):
-                yield R[c][M.indices], np.repeat(C[r], n), M.data, np.repeat(self.role[r], n)
+        """Border the matrix by the λ row and column of each dual copy, with
+        its entry ``sign`` (B's, one per copy in the broken dual order) at
+        the copy.  Called once, before ``blocks``."""
+        dual = np.flatnonzero(self.role == ROLES.index("uD"))
+        J = sp.csr_matrix((sign, (np.arange(dual.size), dual)), shape=(dual.size, self._M.shape[1]))
+        self._M = sp.bmat([[self._M, J.T.tocsr()], [J, sp.csr_matrix((dual.size, dual.size))]], format="csr")
+        self.owner = np.concatenate([self.owner, self.owner[dual]])
+        self.role = np.concatenate([self.role, np.full(dual.size, ROLES.index("lam"), dtype=np.int8)])
+        self._bordered = True
+        self._sort()
 
     def sparse(self, rows: slice, cols: slice) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
         """The block-diagonal CSR matrix whose block c is class c's rows of
-        the roles ``rows`` and columns of the roles ``cols``, with the
-        blocks' row and column offsets (``mesh_fem.diagonal_block``).
-
-        It is ordered by one counting sort of the entries by row and column
-        role: SciPy's COO to CSR conversion keeps the input order within a
-        row, and the columns of one role in one row come from one block in
-        ascending order (a stored row's columns ascend, and a transposed
-        block's entries follow its rows).  Its column indices are therefore
-        sorted, as a product sums each row in column order."""
-        row_off, col_off = (np.concatenate([[0], np.cumsum(self.counts[:, run].sum(axis=1))]) for run in (rows, cols))
-        R = {fld: m * len(ROLES) for fld, m in self._maps(rows, row_off[:-1]).items()}
-        C = self._maps(cols, col_off[:-1])
-        key, col, val = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)], [np.zeros(0)]
-        for i, j, v, k in self._entries(rows, cols, R, C):
-            at = np.flatnonzero((i >= 0) & (j >= 0))
-            key.append(i[at] + k[at])
-            col.append(j[at])
-            val.append(v[at])
-        shape = (int(row_off[-1]), int(col_off[-1]))
-        X = sp.csr_matrix((np.concatenate(val), (np.concatenate(key), np.concatenate(col))),
-                          shape=(shape[0] * len(ROLES), shape[1]))
-        return sp.csr_matrix((X.data, X.indices, X.indptr[:: len(ROLES)].copy()), shape=shape), row_off, col_off
+        the roles ``rows`` and columns of the roles ``cols`` in its saddle
+        order, with the blocks' row and column offsets
+        (``mesh_fem.diagonal_block``).  Its column indices are sorted, as a
+        product sums each row in column order."""
+        r, c = (self._order[(self._sorted >= run.start) & (self._sorted < run.stop)] for run in (rows, cols))
+        M = self._M[r][:, c]
+        M.sort_indices()
+        return M, *(np.concatenate([[0], np.cumsum(self.counts[:, run].sum(axis=1))]) for run in (rows, cols))
 
     def blocks(self) -> list[SaddleBlocks]:
         """Every class's ``SaddleBlocks``, with B_0 and D_c once the
-        multiplier rows are placed (``add_multipliers``)."""
+        multipliers border the matrix (``add_multipliers``)."""
         (K, off, _), (AP, rows, cols) = self.sparse(LOCAL, LOCAL), self.sparse(SADDLE, PRIMAL)
         parts = []
         for c, n_r in enumerate(np.diff(off)):
             # [A_rP; A_PP]: the primal columns of the rows of K_rr and of the primal rows
             A = diagonal_block(AP, rows, cols, c).toarray()
             parts.append(dict(K=diagonal_block(K, off, off, c), A_rP=A[:n_r], A_PP=A[n_r:]))
-        if "lam" in self.role:
+        if self._bordered:
             (B0, rows, cols), (D, d_off, _) = self.sparse(CONDENSED, LOCAL), self.sparse(TRACE, TRACE)
             for c, p in enumerate(parts):
                 p.update(B0=diagonal_block(B0, rows, cols, c), D=diagonal_block(D, d_off, d_off, c).toarray())
@@ -878,7 +828,7 @@ def _torn_columns(system: BlockSystem, cls: DofClassification) -> tuple[dict[str
     copies in order."""
     lay, st = cls.layout, system.stacked
     u = st.dofs["u"]
-    dual = np.flatnonzero(cls.u.is_interface[u] & ~cls.u.is_primal[u])
+    dual = np.flatnonzero(cls.u.role[u] == 1)
     wcol = {fld: pos[st.dofs[fld]] for fld, pos in lay.int_pos.items()}
     wcol["u"] = np.where(lay.primal_pos[u] >= 0, lay.primal_pos[u], wcol["u"])
     wcol["u"][dual] = lay.dual_slice.start + np.arange(dual.size)
@@ -924,7 +874,7 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
     wcol, dual = _torn_columns(system, cls)
     # interface row of every stacked trace dof and dual copy, -1 where there
     # is none: B^T has one entry per broken copy
-    yrow = {fld: np.where(cls.splits[fld].is_interface[st.dofs[fld]], base + cls.splits[fld].interface_pos(st.dofs[fld]), -1)
+    yrow = {fld: np.where(cls.splits[fld].role[st.dofs[fld]] > 0, base + cls.splits[fld].interface_pos(st.dofs[fld]), -1)
             for fld, base in (("xi", 0), ("p", n_xi_g))}
     Jc = jump.unit.tocoo()
     yrow["u"] = np.full(st.dofs["u"].size, -1, dtype=np.int64)

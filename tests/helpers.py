@@ -20,6 +20,7 @@ from biot_ddp import reduced_system
 from biot_ddp.decomposition import _CONGRUENCE_RTOL
 from biot_ddp.mesh_fem import (
     BLOCK_FIELDS,
+    FIELD_BLOCK,
     LoadSpec,
     assemble_blocks,
     block_positions,
@@ -227,6 +228,20 @@ def sliced_bmat_saddle(lb, sets: dict, trace: bool) -> sp.csr_matrix:
     return K[at][:, at].sorted_indices()
 
 
+def schur_inputs(system, cls, fld: str, r: int):
+    """Subdomain r's local block of field ``fld`` as the preconditioner's
+    Schur complements take it (total pressure's times lambda / mu), its
+    local dofs, and the local positions of the dofs they keep (dual, then
+    primal; the elastic block only dual) and of the interior ones."""
+    lb = local_view(system.stacked, r)
+    sets = reduced_system._local_index_sets(cls, {fld: lb.dofs[fld]})
+    M = getattr(lb, FIELD_BLOCK[fld])
+    if fld == "xi":
+        M = float(system.materials.lam[r] / system.materials.mu[r]) * M
+    kept = sets["uD"] if fld == "u" else np.concatenate([sets[fld + "D"], sets[fld + "P"]])
+    return M, lb.dofs[fld], kept, sets[fld + "I"]
+
+
 def torn_matrix_reference(red) -> sp.csr_matrix:
     """The full torn saddle system, built subdomain by subdomain: each
     one's own sliced saddle block (``sliced_bmat_saddle``) at its torn
@@ -246,22 +261,31 @@ def torn_matrix_from_class_cut(red) -> sp.csr_matrix:
     """The full torn saddle system from one ``ClassSaddles.sparse(SADDLE,
     SADDLE)`` cut: every subdomain's block is its class's, placed at its
     torn columns (``_torn_columns``, as the build reads them) by the class
-    saddle order (``ClassSaddles.role`` / ``place``)."""
+    saddle order (a stable sort of ``ClassSaddles.owner`` and ``role``)."""
     st, lay, SADDLE = red.system.stacked, red.layout, reduced_system.SADDLE
     saddles = reduced_system.ClassSaddles(red.system, red.cls)
     M, off, _ = saddles.sparse(SADDLE, SADDLE)
+    # each stacked position's place in its class's saddle order, whose
+    # first roles are SADDLE's
+    order = np.argsort(saddles.owner * len(reduced_system.ROLES) + saddles.role, kind="stable")
+    sizes = saddles.counts.sum(axis=1)
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size) - (np.cumsum(sizes) - sizes)[saddles.owner[order]]
     # each subdomain's class, and where its unknowns start, in turn
     klass = np.searchsorted(saddles.reps, st.rep)
     n_k = np.diff(off)[klass]
     first = np.cumsum(n_k) - n_k
     # the torn column of each subdomain's unknowns in saddle order: a
-    # member's dofs play its representative's roles, at its places
+    # member's dofs play its representative's roles, at its places; the
+    # stacked positions are the fields' in turn
     g = np.empty(n_k.sum(), dtype=np.int64)
+    base = 0
     for fld, col in reduced_system._torn_columns(red.system, red.cls)[0].items():
-        at = block_positions(st.rep_off[fld], st.rep)
-        keep = saddles.role[fld][at] < SADDLE.stop
+        at = base + block_positions(st.rep_off[fld], st.rep)
+        keep = saddles.role[at] < SADDLE.stop
         sub = np.repeat(np.arange(st.n_sub), np.diff(st.off[fld]))
-        g[(first[sub] + saddles.place[fld][at])[keep]] = col[keep]
+        g[(first[sub] + place[at])[keep]] = col[keep]
+        base += st.rep_off[fld][-1]
     # each subdomain's entries in its class's stored order
     nnz = np.diff(M.indptr[off])
     e = block_positions(M.indptr[off], klass)

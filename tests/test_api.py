@@ -42,3 +42,19 @@ def test_every_definition_is_named_elsewhere():
     unread = [name for name, k in sorted(defined.items()) if words[name] <= k
               and not (name.startswith("__") and name.endswith("__")) and name not in bd.__all__]
     assert unread == []
+
+
+def test_every_import_is_read():
+    # no linter runs on the package: a name that a module imports and never
+    # reads is a leftover of an edit
+    unread = []
+    for path in sorted(Path(bd.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                    for alias in node.names]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [f"{path.name}: {name}" for name in imported if name not in read]
+    assert unread == []

@@ -31,7 +31,7 @@ import scipy.sparse.linalg as spla
 import biot_ddp as bd
 from biot_ddp import preconditioner, reduced_system
 from biot_ddp.mesh_fem import FIELD_BLOCK
-from helpers import broken_offsets, by_subdomain, local_view, record_torn_columns, sliced_bmat_saddle
+from helpers import broken_offsets, by_subdomain, local_view, record_torn_columns, schur_inputs, sliced_bmat_saddle
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -225,23 +225,22 @@ def test_preconditioner_classes_derived_across_free_sides_match_their_own(monkey
     # eliminate the interior class's kept dofs there
     seen, class_schurs = {}, preconditioner.class_schurs
 
-    def kept(system, cls, fld, positions, matrix, label):
-        out = class_schurs(system, cls, fld, positions, matrix, label)
-        seen[fld] = positions, matrix, out[0]
+    def kept(system, cls, fld, *args):
+        out = class_schurs(system, cls, fld, *args)
+        seen[fld] = out[0]
         return out
 
     monkeypatch.setattr(preconditioner, "class_schurs", kept)
     pipe = free_side_pipeline(case)
     assert sorted(seen) == (["p", "u"] if case == "p0" else ["p", "u", "xi"])
-    for fld, (positions, matrix, schurs) in seen.items():
+    for fld, schurs in seen.items():
         groups = pipe.system.classes(FIELD_BLOCK[fld])
         crossing = across_free_sides(pipe, FIELD_BLOCK[fld], (fld,))
         # total pressure has no Dirichlet side: every side on the boundary is free
         assert sorted(groups[i][0] for i, _ in crossing) == ([0, 1, 5, 6, 11, 30, 31, 35] if fld == "xi" else [0, 6, 30])
         for i, _ in crossing:
-            dofs, gamma, inner = positions(groups[i][0])
-            own = preconditioner._dense_schur(matrix(groups[i][0]), gamma, inner,
-                                              pipe.system.spaces.fields[fld].lattice(dofs[inner]), "own")
+            M, dofs, gamma, inner = schur_inputs(pipe.system, pipe.cls, fld, groups[i][0])
+            own = preconditioner._dense_schur(M, gamma, inner, pipe.system.spaces.fields[fld].lattice(dofs[inner]), "own")
             assert schurs[i].shape == own.shape
             assert np.abs(schurs[i] - own).max() <= 1e-13 * np.abs(own).max(), (fld, i)
 

@@ -118,6 +118,26 @@ class TestClassification:
                 got = np.sort(np.concatenate([d[s] for d in sets[fld]]))
                 np.testing.assert_array_equal(got, lb.dofs[fld])
 
+    @pytest.mark.parametrize("variant", ["p1", "p0"])
+    @pytest.mark.parametrize("primal", ["vertex", "vertex-edge"])
+    @pytest.mark.parametrize("bc", [bd.BoundarySpec.neumann_left(), bd.BoundarySpec.all_dirichlet()],
+                             ids=["neumann-left", "dirichlet"])
+    def test_role_codes_the_flags(self, variant, primal, bc):
+        # every dof's role is 0 interior, 1 dual or 2 primal by its
+        # interface and primal flags, and codes the sorted dual, primal and
+        # interface dofs; total pressure has no primal dofs
+        _, spaces, cls = classify(24, (4, 2), variant, primal, bc)
+        for fld, split in cls.splits.items():
+            assert split.role.dtype == np.int8 and split.role.shape == (spaces.n_dofs[fld],), fld
+            want = np.where(split.is_interface, np.where(split.is_primal, 2, 1), 0)
+            np.testing.assert_array_equal(split.role, want, err_msg=fld)
+            for got, dofs in ((split.role == 1, split.dual), (split.role == 2, split.primal),
+                              (split.role > 0, split.interface)):
+                np.testing.assert_array_equal(np.flatnonzero(got), dofs, err_msg=fld)
+        assert np.all(cls.xi.role < 2)
+        if variant == "p0":  # every p0 total pressure dof is interior
+            assert not cls.xi.role.any()
+
     def test_dual_lists_sorted_and_paired(self):
         _, _, cls = classify(12, (3, 3))
         assert np.all(np.diff(cls.u.dual) > 0)

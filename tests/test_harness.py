@@ -526,6 +526,20 @@ class TestCli:
         assert main(["sweep", *self.BASE, "--axis", "ny=4,8"]) == 2
         assert "unknown sweep axis 'ny'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axes, name", [
+        (["nu=0.3", "nu=0.4"], "nu"),
+        (["black.E=10", "black.E=100"], "black.E"),
+    ], ids=["nu", "black.E"])
+    def test_repeated_sweep_axis_exits_2(self, capsys, axes, name):
+        # a repeated axis would silently replace the first: nothing runs
+        argv = ["sweep", *self.BASE, "--pattern", "checkerboard"]
+        for axis in axes:
+            argv += ["--axis", axis]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: sweep axis '{name}' given more than once"]
+
     def test_subnormal_poisson_ratio_exits_2(self, capsys):
         # lambda would underflow to a subnormal and the mass block 1/lambda overflow
         code = main(["run", "--nx", "8", "--nu", "5e-324"])

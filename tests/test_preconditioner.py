@@ -14,7 +14,7 @@ import scipy.sparse as sp
 import biot_ddp as bd
 from biot_ddp import preconditioner, reduced_system
 from biot_ddp.preconditioner import _dense_schur, build_lambda_solver, build_p_bddc, class_schurs, nested_dissection
-from biot_ddp.mesh_fem import FIELD_BLOCK
+from biot_ddp.mesh_fem import FIELD_BLOCK, StackedBlocks
 from biot_ddp.reduced_system import _DENSE_FACTOR_CUTOFF, CoarseProblem, coarse_band
 from helpers import (
     MULTI_MEMBER_GRIDS,
@@ -30,6 +30,7 @@ from helpers import (
     preconditioned_spectrum,
     record_probes,
     rel_err,
+    schur_inputs,
     splu_schur,
 )
 
@@ -342,14 +343,13 @@ class TestSharedSchur:
 
     @staticmethod
     def schurs(monkeypatch, **kw):
-        """The pipeline, and per block ("xi", "p", "lambda") the field, the
-        ``positions`` and ``matrix`` functions and the Schur complements of
-        its classes."""
+        """The pipeline, and per block ("xi", "p", "lambda") the field and
+        the Schur complements of its classes."""
         seen = []
 
-        def kept(system, cls, fld, positions, matrix, label):
-            out = class_schurs(system, cls, fld, positions, matrix, label)
-            seen.append((fld, positions, matrix, out[0]))
+        def kept(system, cls, fld, *args):
+            out = class_schurs(system, cls, fld, *args)
+            seen.append((fld, out[0]))
             return out
 
         monkeypatch.setattr(preconditioner, "class_schurs", kept)
@@ -362,13 +362,12 @@ class TestSharedSchur:
         pipe, seen = self.schurs(monkeypatch, primal=primal, **MULTI_MEMBER_GRIDS[case][0])
         pc = pipe.preconditioner
         assert pc.multiplier.sources < len(pc.multiplier.classes)  # something is shared
-        for key, (fld, positions, matrix, schurs) in seen.items():
+        for key, (fld, schurs) in seen.items():
             groups = pipe.system.classes({"u": "A", "xi": "C", "p": "E"}[fld])
             assert len(schurs) == len(groups)
             for members, S in zip(groups, schurs):
-                dofs, gamma, inner = positions(members[0])
-                own = _dense_schur(matrix(members[0]), gamma, inner,
-                                   pipe.system.spaces.fields[fld].lattice(dofs[inner]), "own")
+                M, dofs, gamma, inner = schur_inputs(pipe.system, pipe.cls, fld, members[0])
+                own = _dense_schur(M, gamma, inner, pipe.system.spaces.fields[fld].lattice(dofs[inner]), "own")
                 assert S.shape == own.shape
                 assert np.abs(S - own).max() <= 1e-13 * np.abs(own).max(), (key, members[0])
 
@@ -376,31 +375,33 @@ class TestSharedSchur:
         "5x5 p1 neumann-left", "5x5 p0 dirichlet", "E checkerboard", "nu checkerboard", "24x12 on 4x2"])
     @pytest.mark.parametrize("primal", ["vertex", "vertex-edge"])
     def test_matrix_read_only_by_sources(self, monkeypatch, case, primal):
-        # every class reads its positions, only a class that forms its S its
-        # matrix, once, and that S is formed from the representative's
-        # local block as its local view gives it
-        reads = {}
+        # only a class that forms its S reads its matrix, once, and that S
+        # is formed from the representative's local block as its local
+        # view gives it
+        reads, outs, block = [], {}, StackedBlocks.block
 
-        def counted(system, cls, fld, positions, matrix, label):
-            seen = reads.setdefault(fld, [])
-            out = class_schurs(system, cls, fld, positions, lambda r: seen.append(r) or matrix(r), label)
-            reads[fld] = (seen, positions, out)
-            return out
+        def counted(self, name, s):
+            reads.append((name, s))
+            return block(self, name, s)
 
-        monkeypatch.setattr(preconditioner, "class_schurs", counted)
+        def kept(system, cls, fld, *args):
+            outs[fld] = class_schurs(system, cls, fld, *args)
+            return outs[fld]
+
+        monkeypatch.setattr(StackedBlocks, "block", counted)
+        monkeypatch.setattr(preconditioner, "class_schurs", kept)
         pipe = bd.build_pipeline(bd.ExperimentConfig(primal=primal, oracle="off", **MULTI_MEMBER_GRIDS[case][0]))
+        monkeypatch.undo()
         pc, system = pipe.preconditioner, pipe.system
         blocks = {"xi": pc.xi, "p": pc.pressure, "u": pc.multiplier}
-        assert set(reads) == {fld for fld, b in blocks.items() if b is not None}
-        for fld, (seen, positions, (schurs, sources)) in reads.items():
+        assert set(outs) == {fld for fld, b in blocks.items() if b is not None}
+        for fld, (schurs, sources) in outs.items():
             name = FIELD_BLOCK[fld]
+            seen = [s for n, s in reads if n == name]
             assert len(seen) == len(set(seen)) == sources == blocks[fld].sources < len(schurs), fld
             reps = [m[0] for m in system.classes(name)]
             for r in seen:
-                M = getattr(local_view(system.stacked, r), name)
-                if fld == "xi":
-                    M = float(system.materials.lam[r] / system.materials.mu[r]) * M
-                dofs, gamma, inner = positions(r)
+                M, dofs, gamma, inner = schur_inputs(system, pipe.cls, fld, r)
                 own = _dense_schur(M, gamma, inner, system.spaces.fields[fld].lattice(dofs[inner]), "own")
                 assert np.array_equal(schurs[reps.index(r)], own), (fld, r)
 
@@ -423,26 +424,19 @@ class TestSharedSchur:
         ("kept", "a kept unknown is not kept by the class of subdomain 5"),
         ("eliminated", "its eliminated dofs are not those of the class of subdomain 5"),
     ])
-    def test_mismatched_dofs_rejected(self, change, why):
-        # subdomain 1 (bottom edge) shares the interior class's S (subdomain 5)
+    def test_mismatched_dofs_rejected(self, monkeypatch, change, why):
+        # subdomain 1 (bottom edge) shares the interior class's S (subdomain
+        # 5); one displacement dof interior to it alone turns dual, which
+        # the elastic block keeps, or primal, which it neither keeps nor
+        # eliminates
         pipe = build(nx=16, subdomains=(4, 4))
         system, cls = pipe.system, pipe.cls
-        interior, _, duals, primals = split_sets(cls, "u")
-
-        def positions(r):
-            lb = local_view(system.stacked, r)
-            iD, iI, iP = (lb.pos("u", d[r]) for d in (duals, interior, primals))
-            if r == 1 and change == "kept":
-                iD = np.concatenate([iD, iP])  # its primal corners are not kept at the interior class
-            if r == 1 and change == "eliminated":
-                iI = iI[1:]
-            return lb.dofs["u"], iD, iI
-
-        def matrix(r):
-            return local_view(system.stacked, r).A.tocsr()
-
+        interior, _, _, _ = split_sets(cls, "u")
+        roles = cls.u.role.copy()
+        roles[interior[1][0]] = 1 if change == "kept" else 2
+        monkeypatch.setattr(cls.u, "role", roles)
         with pytest.raises(bd.InternalError, match=f"^elastic interior block of subdomain 1: {why}$"):
-            class_schurs(system, cls, "u", positions, matrix, "elastic")
+            class_schurs(system, cls, "u", (1,), "elastic")
 
 
 class TestBlockApply:

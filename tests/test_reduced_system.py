@@ -520,14 +520,14 @@ class TestCongruenceClasses:
         # is solved on its representative's local positions, which must hold
         # its own classified dofs; the highest dual or interior dof of 6
         # (shared with 10 at most) changes its role, in a copy of the
-        # field's flags
+        # field's roles
         pipe = bd.build_pipeline(bd.ExperimentConfig(nx=16, subdomains=(4, 4), E=1.0, nu=0.3))
         split = pipe.cls.splits[fld]
         dof = by_subdomain(split.dual_rows if change == "dual turned primal" else split.interior, 16)[6][-1]
-        attr = "is_primal" if change == "dual turned primal" else "is_interface"
-        flags = getattr(split, attr).copy()
-        flags[dof] = True
-        monkeypatch.setattr(split, attr, flags)
+        role = split.role.copy()
+        assert role[dof] == (1 if change == "dual turned primal" else 0)
+        role[dof] += 1
+        monkeypatch.setattr(split, "role", role)
         with pytest.raises(bd.InternalError, match=f"subdomain 6: {fld} dofs"):
             bd.build_reduced_system(pipe.system, pipe.cls, pipe.jump)
 
