@@ -58,13 +58,15 @@ class StructuredMesh:
     Cells are split along the bottom-left to top-right diagonal; triangle
     2*c is the lower-right half of cell c and 2*c+1 the upper-left half.
     Node ids run x-fastest: id = iy*(nx+1) + ix, node (ix, iy) sitting at
-    (ix / nx, iy / ny).
+    (ix / nx, iy / ny), or (ix / cells[0], iy / cells[1]) for a corner
+    patch of a finer mesh (``_patch_spaces``).
     """
 
     nx: int
     ny: int
     triangles: np.ndarray  # (n_tri, 3), positively oriented
     refined_mesh: "StructuredMesh | None" = None
+    cells: tuple[int, int] | None = None  # cells across the unit square; None: (nx, ny)
 
     @property
     def n_nodes(self) -> int:
@@ -152,7 +154,8 @@ def p1_geometry(mesh: StructuredMesh, triangles: np.ndarray) -> tuple[np.ndarray
     by 1/ny: every triangle of one shape gets the same bits wherever it
     sits."""
     ix, iy = mesh.node_ix(triangles), mesh.node_iy(triangles)
-    hx, hy = 1.0 / mesh.nx, 1.0 / mesh.ny
+    cx, cy = mesh.cells or (mesh.nx, mesh.ny)
+    hx, hy = 1.0 / cx, 1.0 / cy
     cross = (ix[:, 1] - ix[:, 0]) * (iy[:, 2] - iy[:, 0]) - (iy[:, 1] - iy[:, 0]) * (ix[:, 2] - ix[:, 0])
     two_a = (cross * (hx * hy))[:, None]
     # b_k and c_k from the vertices k + 1 and k + 2
@@ -558,20 +561,21 @@ def element_tables(
     p0: bool,
     tri_b: np.ndarray,
     tri_r: np.ndarray,
-    material: tuple[float, float, float, float],
+    materials: Iterable[tuple[float, float, float, float]],
     load: LoadSpec,
-) -> dict[str, ElementTable]:
+) -> list[dict[str, ElementTable]]:
     """Element tables of the blocks "A".."E" and of the loads "f" and "g"
     over the base triangles ``tri_b`` and the refined triangles ``tri_r``
-    (ids; the refined ones cover the base ones) under one material (lambda,
-    mu, alpha, kappa), with the dofs of ``fields`` (p0: piecewise constant
-    total pressure).  Every value is formed elementwise from the lattice
-    geometry (``p1_geometry``), so an element's values do not depend on
-    where it sits, and each element matrix of A, C and E is bitwise
-    symmetric."""
+    (ids; the refined ones cover the base ones) under each of ``materials``
+    (lambda, mu, alpha, kappa) in turn, with the dofs of ``fields`` (p0:
+    piecewise constant total pressure).  Every value is formed elementwise
+    from the lattice geometry (``p1_geometry``), so an element's values do
+    not depend on where it sits, and each element matrix of A, C and E is
+    bitwise symmetric.  What no material enters (the geometry, the dof
+    tables, the B block and the loads) is formed once and shared by every
+    material's tables."""
     u, xi, p = (fields[fld] for fld in ("u", "xi", "p"))
     mesh, refined = p.mesh, u.mesh
-    lam, mu, alpha, kappa = material
     tb, tr = mesh.triangles[tri_b], refined.triangles[tri_r]
     area_b, b_b, c_b = p1_geometry(mesh, tb)
     area_r, b_r, c_r = p1_geometry(refined, tr)
@@ -583,20 +587,7 @@ def element_tables(
         return xi.dof_of_node[mesh.triangles[t, :1]] + t[:, None] % 2 if p0 else xi.node_dofs(mesh.triangles[t])
 
     udof, xidof, pdof = u.node_dofs(tr), xi_dofs(tri_b), p.node_dofs(tb)
-    tables: dict[str, ElementTable] = {}
-
-    # --- elastic block on the refined mesh, 2 mu eps(u):eps(v): with w = area
-    # mu, the xx block is 2w b b^T + w c c^T, yy 2w c c^T + w b b^T, xy w c b^T
-    # and yx its transpose; a gradient product comes before its weight, so
-    # the element matrix is bitwise symmetric
-    w, w2 = (area_r * mu)[:, None, None], (area_r * (2 * mu))[:, None, None]
-    bb, cc, cb = (g[:, :, None] * h[:, None, :] for g, h in ((b_r, b_r), (c_r, c_r), (c_r, b_r)))
-    vals = np.empty((n_r, 3, 2, 3, 2))
-    vals[:, :, 0, :, 0] = w2 * bb + w * cc
-    vals[:, :, 1, :, 1] = w2 * cc + w * bb
-    vals[:, :, 0, :, 1] = w * cb
-    vals[:, :, 1, :, 0] = w * cb.swapaxes(1, 2)
-    tables["A"] = ElementTable(udof, udof, vals.reshape(n_r, 6, 6))
+    shared: dict[str, ElementTable] = {}
 
     # --- divergence coupling: refined displacement x base total pressure.
     # The parent triangle of each refined one and the barycentric weights of
@@ -617,32 +608,48 @@ def element_tables(
         ax, ay, bx, by = np.roll(px, -1, axis=1), np.roll(py, -1, axis=1), np.roll(px, -2, axis=1), np.roll(py, -2, axis=1)
         bary = ((ay - by) * (qx[:, None] - bx) + (bx - ax) * (qy[:, None] - by)) / two_a[:, None]
         vals = -(area_r[:, None, None] * bary[:, :, None] * div[:, None, :])
-    tables["B"] = ElementTable(xi_dofs(parent), udof, vals)
-
-    # --- total pressure mass (1/lambda) and pressure coupling (alpha/lambda)
-    if p0:
-        tables["C"] = ElementTable(xidof, xidof, (area_b / lam)[:, None, None])
-        vals = alpha / lam * (area_b[:, None] / 3.0) * np.ones((1, 3))
-        tables["D"] = ElementTable(pdof, xidof, vals[:, :, None])
-    else:
-        mass = area_b[:, None, None] * _MASS_LOCAL
-        tables["C"] = ElementTable(xidof, xidof, mass / lam)
-        tables["D"] = ElementTable(pdof, xidof, alpha / lam * mass)
-
-    # --- pressure block: kappa stiffness + (2 alpha^2 / lambda) mass
-    stiff = (kappa * area_b)[:, None, None] * (b_b[:, :, None] * b_b[:, None, :] + c_b[:, :, None] * c_b[:, None, :])
-    massE = 2.0 * (alpha * alpha) / lam * area_b[:, None, None] * _MASS_LOCAL
-    tables["E"] = ElementTable(pdof, pdof, stiff + massE)
+    shared["B"] = ElementTable(xi_dofs(parent), udof, vals)
 
     # --- loads
     fx, fy = load.body_force
     fvals = np.empty((n_r, 6))
     fvals[:, 0::2] = fx * area_r[:, None] / 3.0
     fvals[:, 1::2] = fy * area_r[:, None] / 3.0
-    gvals = load.source * area_b[:, None] / 3.0 * np.ones((1, 3))
-    tables["f"] = ElementTable(udof, None, fvals)
-    tables["g"] = ElementTable(pdof, None, gvals)
-    return tables
+    shared["f"] = ElementTable(udof, None, fvals)
+    shared["g"] = ElementTable(pdof, None, load.source * area_b[:, None] / 3.0 * np.ones((1, 3)))
+
+    # gradient products of the elastic and pressure blocks, and the masses
+    bb, cc, cb = (g[:, :, None] * h[:, None, :] for g, h in ((b_r, b_r), (c_r, c_r), (c_r, b_r)))
+    grad_b = b_b[:, :, None] * b_b[:, None, :] + c_b[:, :, None] * c_b[:, None, :]
+    mass = (area_b / 3.0)[:, None] if p0 else area_b[:, None, None] * _MASS_LOCAL
+    out = []
+    for lam, mu, alpha, kappa in materials:
+        tables = dict(shared)
+        # --- elastic block on the refined mesh, 2 mu eps(u):eps(v): with w =
+        # area mu, the xx block is 2w b b^T + w c c^T, yy 2w c c^T + w b b^T,
+        # xy w c b^T and yx its transpose; a gradient product comes before
+        # its weight, so the element matrix is bitwise symmetric
+        w, w2 = (area_r * mu)[:, None, None], (area_r * (2 * mu))[:, None, None]
+        vals = np.empty((n_r, 3, 2, 3, 2))
+        vals[:, :, 0, :, 0] = w2 * bb + w * cc
+        vals[:, :, 1, :, 1] = w2 * cc + w * bb
+        vals[:, :, 0, :, 1] = w * cb
+        vals[:, :, 1, :, 0] = w * cb.swapaxes(1, 2)
+        tables["A"] = ElementTable(udof, udof, vals.reshape(n_r, 6, 6))
+
+        # --- total pressure mass (1/lambda) and pressure coupling (alpha/lambda)
+        if p0:
+            tables["C"] = ElementTable(xidof, xidof, (area_b / lam)[:, None, None])
+            tables["D"] = ElementTable(pdof, xidof, (alpha / lam * mass * np.ones((1, 3)))[:, :, None])
+        else:
+            tables["C"] = ElementTable(xidof, xidof, mass / lam)
+            tables["D"] = ElementTable(pdof, xidof, alpha / lam * mass)
+
+        # --- pressure block: kappa stiffness + (2 alpha^2 / lambda) mass
+        massE = 2.0 * (alpha * alpha) / lam * area_b[:, None, None] * _MASS_LOCAL
+        tables["E"] = ElementTable(pdof, pdof, (kappa * area_b)[:, None, None] * grad_b + massE)
+        out.append(tables)
+    return out
 
 
 def sorted_unique(x: np.ndarray) -> np.ndarray:
@@ -669,11 +676,16 @@ def class_representatives(materials: MaterialField, params: Iterable[str] = BLOC
     return first[inverse.ravel()]
 
 
-def _patch_triangles(mesh: StructuredMesh, m: int) -> np.ndarray:
-    """Ids of the triangles of the m x m cells in the lower-left corner of
-    the mesh, in ascending order."""
-    cells = (np.arange(m)[:, None] * mesh.nx + np.arange(m)).ravel()
-    return (2 * cells[:, None] + np.arange(2)).ravel()
+def _patch_spaces(spaces: FeSpaceSet, m: int) -> dict[str, FieldSpace]:
+    """Every field's numbering of the m x m cells in the lower-left corner
+    of the mesh, every node free, on that patch and its refinement as
+    meshes of their own with the mesh's cell size: node (ix, iy) and the
+    triangle order are the mesh's, only the ids are the patch's."""
+    mesh = spaces.mesh
+    base, refined = _grid_mesh(m, m), _grid_mesh(2 * m, 2 * m)
+    base.cells, refined.cells = (mesh.nx, mesh.ny), (2 * mesh.nx, 2 * mesh.ny)
+    return {fld: FieldSpace(on, np.arange(on.n_nodes), space.k) for fld, space in spaces.fields.items()
+            for on in [refined if space.mesh is mesh.refined_mesh else base]}
 
 
 def _origins(mesh: StructuredMesh, grid: tuple[int, int]) -> np.ndarray:
@@ -704,9 +716,11 @@ def assemble_blocks(spaces: FeSpaceSet, materials: MaterialField, load: LoadSpec
     Only each congruence class's representative is stored (see
     ``class_representatives``); every member reaches its representative's
     local blocks and loads on its own dofs.  Every subdomain's cells are a
-    translate of one patch, the m x m cells in the lower-left corner, so
-    assembly sums the patch's element tables once per distinct material,
-    with every dof free and each entry's elements added in element order
+    translate of one patch, the m x m cells in the lower-left corner,
+    numbered as a mesh of its own (``_patch_spaces``), so assembly sums the
+    patch's element tables once per distinct material, from one call that
+    forms what no material enters once (``element_tables``), with every
+    dof free and each entry's elements added in element order
     (``_element_order_sums``), and cuts each class's blocks and loads out of
     its material's patch: the patch dofs free at its representative's
     place, in the patch's row-major order, which is the order of their
@@ -729,23 +743,24 @@ def assemble_blocks(spaces: FeSpaceSet, materials: MaterialField, load: LoadSpec
     reps = np.flatnonzero(is_rep)
     cls = np.searchsorted(reps, rep)  # each subdomain's class
 
-    # one patch per distinct material of the classes, every node free
+    # the distinct materials of the classes
     mat = np.column_stack([materials.lam, materials.mu, materials.alpha, materials.kappa])[reps]
     _, first, which = np.unique(mat, axis=0, return_index=True, return_inverse=True)
     which = which.ravel()  # each class's patch
-    every = {fld: FieldSpace(space.mesh, np.arange(space.mesh.n_nodes), space.k) for fld, space in spaces.fields.items()}
-    p0 = spaces.total_pressure_variant == "p0"
-    tri_b, tri_r = _patch_triangles(mesh, m), _patch_triangles(mesh.refined_mesh, 2 * m)
-    tables = [element_tables(every, p0, tri_b, tri_r, tuple(mat[i]), load) for i in first]
+    every = _patch_spaces(spaces, m)
+    tables = element_tables(every, spaces.total_pressure_variant == "p0", np.arange(every["p"].mesh.n_triangles),
+                            np.arange(every["u"].mesh.n_triangles), [tuple(mat[i]) for i in first], load)
 
-    # the patch dofs (ids of every-node-free numbering) of each field, and
-    # which of them each class keeps: those whose node is free at its
+    # the patch dofs (ids of the patch numbering) of each field, and which
+    # of them each class keeps: those whose node is free at its
     # representative's place
     patch = {fld: sorted_unique(tables[0][name].rows) for fld, name in FIELD_BLOCK.items()}
     free, pos, rep_off, off, dofs = {}, {}, {}, {}, {}
     for fld, pd in patch.items():
         space = spaces.fields[fld]
-        node, comp, shift = pd // space.k, pd % space.k, _origins(space.mesh, grid)
+        # the patch nodes' ids in the mesh, which keep the patch's order
+        ix, iy = every[fld].lattice(pd)
+        node, comp, shift = iy * (space.mesh.nx + 1) + ix, pd % space.k, _origins(space.mesh, grid)
         free[fld] = space.dof_of_node[node + shift[reps][:, None]] >= 0
         count = free[fld].sum(axis=1)
         rep_off[fld] = np.concatenate([[0], np.cumsum(np.where(is_rep, count[cls], 0))])

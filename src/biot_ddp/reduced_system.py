@@ -21,15 +21,17 @@ one sparse matrix, whose diagonal blocks the classes view (or copy out
 dense, for the dense parts).
 When few classes serve many subdomains, each class is also condensed once
 onto its members' interface rows into one dense map, in the same pass, and
-no local solve runs per application.  Only a source class solves for its
-map; a class whose sides differ from a source's only where the source has
-interface sides, by Dirichlet sides or, without edge averages, free ones
-(``class_sources``), derives its map from the source's by one small dense
-Schur step, since a Schur complement of a Schur complement is a Schur
-complement (``derive_schur``, which the preconditioner's Schur complements
-share), and solves through the source's factor, bordered by the rows that
-step eliminates (``BorrowedFactor``): a condensed run factors only its
-source classes, on a uniform grid without edge averages the interior one.
+no local solve runs per application: the maps, trace terms included, are
+the whole operator, and no global interface matrix is built.  Only a
+source class solves for its map; a class whose sides differ from a
+source's only where the source has interface sides, by Dirichlet sides or,
+without edge averages, free ones (``class_sources``), derives its map from
+the source's by one small dense Schur step, since a Schur complement of a
+Schur complement is a Schur complement (``derive_schur``, which the
+preconditioner's Schur complements share), and solves through the
+source's factor, bordered by the rows that step eliminates
+(``BorrowedFactor``): a condensed run factors only its source classes, on
+a uniform grid without edge averages the interior one.
 The torn inverse, the condensed operator and each preconditioner block are
 one ``PartiallyAssembled``: classes of one type, ``LocalClass``, each
 applied to all its members at once, and the one ``CoarseProblem`` that
@@ -399,15 +401,16 @@ class LocalClass:
     being solved for (members may share rows; their results add up), column
     j of ``primal`` its primal unknowns from the coarse segment at the end
     of that vector.  The map is the matrix ``S``, whose rows past ``idx``'s
-    give the primal right-hand side: [F; Psi^T] of a condensed torn class,
-    [S_dd^{-1}; X^T] of a BDDC class, the Dirichlet map of a λ class.  Only
-    the torn classes keep a ``factor`` instead, with the primal right-hand
-    side ``A_Pr`` times its solution (a condensed torn class keeps it too).
+    give the primal right-hand side: [F - D_c; (Psi - B_0P)^T] of a
+    condensed torn class, [S_dd^{-1}; X^T] of a BDDC class, the Dirichlet
+    map of a λ class.  Only the torn classes keep a ``factor`` instead, with
+    the primal right-hand side ``A_Pr`` times its solution (a condensed torn
+    class keeps it too).
     """
 
     idx: np.ndarray  # (n, members)
     primal: np.ndarray  # (n_primal_local, members)
-    X: np.ndarray | None = None  # primal coupling factor^{-1} A_rP (or Psi), for the back-substitution
+    X: np.ndarray | None = None  # primal coupling factor^{-1} A_rP (or Psi - B_0P), for the back-substitution
     factor: SaddleFactor | BorrowedFactor | None = None
     A_Pr: np.ndarray | None = None  # primal-local coupling A_rP^T, dense
     S: np.ndarray | sp.spmatrix | None = None
@@ -599,25 +602,40 @@ def derive_schur(
 @dataclass
 class ReducedSystem:
     """Matrix-free interface operator with everything needed to apply it,
-    build its right-hand side, and recover the three fields."""
+    build its right-hand side, and recover the three fields.
+
+    B_C couples the torn unknowns to the interface rows (xi_G, p_G, then the
+    λ row of each dual copy), and C_hat is the interface block.  Only a run
+    that is not condensed builds them as global matrices: a condensed class
+    holds its part of C_hat, -D_c, in its map, and its part of B_C is its
+    B_0 and B_0P (``traces``), read at its members' torn and interface rows.
+    """
 
     system: BlockSystem
     cls: DofClassification
     jump: Transfer  # the multipliers': ``unit`` is B^T, over the broken dual copies
-    B_C: sp.csr_matrix  # interface rows x torn columns
-    B_C_T: sp.csr_matrix
-    C_hat: sp.csr_matrix  # positive semidefinite interface coupling
     f_w: np.ndarray
     h: np.ndarray
     torn: PartiallyAssembled  # one class per congruence class of local saddle blocks
     condensed: PartiallyAssembled | None = None  # the torn block on the interface rows; None: apply by local solves
+    # each condensed class's B_0, B_0^T (CSR: SciPy multiplies a CSC matrix
+    # several times slower) and B_0P
+    traces: list[tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]] = field(default_factory=list)
+    B_C: sp.csr_matrix | None = None  # interface rows x torn columns, when not condensed
+    B_C_T: sp.csr_matrix | None = None
+    C_hat: sp.csr_matrix | None = None  # positive semidefinite interface coupling, when not condensed
     xi_mass_only: int = 0  # subdomains whose K_rr holds the constant total pressure only by its mass term
-    B_P: sp.csr_matrix = field(init=False, repr=False)  # primal columns of B_C
-    B_P_T: sp.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.B_P_T = self.B_C_T[self.layout.primal_slice]
-        self.B_P = self.B_P_T.T.tocsr()
+        # B_C^T y's torn positions: each class's local unknowns, then its primal ones
+        start = self.layout.primal_slice.start
+        self._w_at = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+            np.concatenate([c.idx.ravel(), start + c.primal.ravel()]) for _, c in zip(self.traces, self.torn.classes)])
+        # recovery's scatters: each field's interior dofs from their torn
+        # positions, and every dual copy (the rows of B^T, in order) to its dof
+        self._interior = {fld: (np.flatnonzero(pos >= 0), pos[pos >= 0]) for fld, pos in self.layout.int_pos.items()}
+        J = self.jump.unit.tocoo()
+        self._copies = J.row, J.col, J.data
 
     @property
     def factors(self) -> dict[int, LocalClass]:  # the torn classes, each keeping or borrowing a factor
@@ -633,7 +651,7 @@ class ReducedSystem:
 
     @property
     def n(self) -> int:
-        return self.B_C.shape[0]
+        return sum(self.segments)
 
     @property
     def segments(self) -> tuple[int, int, int]:
@@ -649,25 +667,49 @@ class ReducedSystem:
         and the coarse problem."""
         return self.torn.solve(b)
 
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        """One application of the reduced interface operator.
+    def couple(self, w: np.ndarray) -> np.ndarray:
+        """B_C w; condensed, each member's B_0 times its local unknowns plus
+        B_0P times its primal ones, added up at its interface rows."""
+        if self.condensed is None:
+            return self.B_C @ w
+        w_P = w[self.layout.primal_slice]
+        parts = [(B0 @ w[c.idx] + B0P @ w_P[c.primal]).ravel()
+                 for (B0, _, B0P), c in zip(self.traces, self.torn.classes)]
+        return np.bincount(self.condensed.at, np.concatenate(parts), minlength=self.n)
 
-        Condensed: G y = C_hat y + B_P x_P + sum_c scatter(F_c Y_c - Psi_c
-        x_P[primal_c]), with Y_c = y[idx_c] and x_P = S_PP^{-1} (B_P^T y -
-        sum_c gather(Psi_c^T Y_c)), solving [y; B_P^T y] through the classes;
-        otherwise B_C K^{-1} B_C^T y + C_hat y through the local factors.
+    def couple_T(self, y: np.ndarray) -> np.ndarray:
+        """B_C^T y, class by class when condensed as ``couple``."""
+        if self.condensed is None:
+            return self.B_C_T @ y
+        parts = []
+        for (_, B0_T, B0P), c in zip(self.traces, self.condensed.classes):
+            Y = y[c.idx]
+            parts += [(B0_T @ Y).ravel(), (B0P.T @ Y).ravel()]
+        return np.bincount(self._w_at, np.concatenate(parts), minlength=self.layout.n_w)
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """One application of the reduced interface operator
+        G = B_C K^{-1} B_C^T + C_hat.
+
+        Condensed, G is the partially assembled Schur complement of the
+        classes' bordered blocks alone: each class's map is [F_c - D_c;
+        (Psi_c - B_0P)^T], so G y = sum_c scatter((F_c - D_c) Y_c - (Psi_c
+        - B_0P) x_P[primal_c]), with Y_c = y[idx_c] and x_P = -S_PP^{-1}
+        sum_c gather((Psi_c - B_0P)^T Y_c): one ``condensed.solve`` of [y;
+        0].  Otherwise B_C K^{-1} B_C^T y + C_hat y through the local
+        factors.
         """
         if self.condensed is None:
             return self.B_C @ self.apply_torn_inverse(self.B_C_T @ y) + self.C_hat @ y
-        x = self.condensed.solve(np.concatenate([y, self.B_P_T @ y]))
-        return self.C_hat @ y + self.B_P @ x[self.n :] + x[: self.n]
+        return self.condensed.solve(np.concatenate([y, np.zeros(self.coarse.n)]))[: self.n]
 
     def rhs(self) -> np.ndarray:
         """B_C K^{-1} f_w - h.  The members of a class carry its
         representative's loads (``StackedBlocks``), so every class gathers
         one column, repeated, from f_w, and the torn solve solves it once
-        per class (``PartiallyAssembled.solve``)."""
-        return self.B_C @ self.apply_torn_inverse(self.f_w) - self.h
+        per class (``PartiallyAssembled.solve``); B_C is applied class by
+        class when condensed (``couple``)."""
+        return self.couple(self.apply_torn_inverse(self.f_w)) - self.h
 
     # -- recovery ---------------------------------------------------------
 
@@ -677,16 +719,18 @@ class ReducedSystem:
         the system was assembled in; callers undo any change of basis."""
         lay = self.layout
         cls = self.cls
-        w = self.apply_torn_inverse(self.f_w - self.B_C_T @ y)
+        w = self.apply_torn_inverse(self.f_w - self.couple_T(y))
         x = {fld: np.zeros(n) for fld, n in self.system.spaces.n_dofs.items()}
-        for fld, pos in lay.int_pos.items():
-            x[fld][pos >= 0] = w[pos[pos >= 0]]
+        for fld, (dofs, pos) in self._interior.items():
+            x[fld][dofs] = w[pos]
         u, xi, p = x["u"], x["xi"], x["p"]
         u[cls.u.primal] = w[lay.primal_slice]
-        dual = w[lay.dual_slice]
-        B_T = self.jump.unit
-        jump_norm = float(np.linalg.norm(B_T.T @ dual)) if dual.size else 0.0
-        u[cls.u.dual] = abs(B_T).T @ dual / 2  # the mean of each dual dof's two copies
+        copy, dof, sign = self._copies
+        at = w[lay.dual_slice][copy]
+        n_dual = self.jump.unit.shape[1]
+        # each dual dof's copies added in their order, as B @ w_D adds them
+        jump_norm = float(np.linalg.norm(np.bincount(dof, sign * at, n_dual))) if at.size else 0.0
+        u[cls.u.dual] = np.bincount(dof, at, n_dual) / 2  # the mean of each dual dof's two copies
         xi[cls.xi.interface], p[cls.p.interface], _ = self.split(y)
         return u, xi, p, jump_norm
 
@@ -735,13 +779,15 @@ _SADDLE_ROLE = {"u": np.array([0, 3, 4], dtype=np.int8), "xi": np.array([1, 5, 5
 class SaddleBlocks:
     """One torn class's parts of its saddle block: K_rr, the couplings
     A_rP and A_PP of its primal displacements, and when condensing B_0 (its
-    trace rows over K_rr's columns, then the signed jump of its dual copies)
-    and its trace block D_c."""
+    trace rows over K_rr's columns, then the signed jump of its dual copies),
+    B_0P (the same rows over its primal displacements, dense) and its trace
+    block D_c."""
 
     K: sp.csr_matrix
     A_rP: np.ndarray
     A_PP: np.ndarray
     B0: sp.csr_matrix | None = None
+    B0P: np.ndarray | None = None
     D: np.ndarray | None = None
 
 
@@ -756,44 +802,46 @@ class ClassSaddles:
     positions in turn.  Each position has its class (``owner``) and its
     role (``ROLES``, by its dof's ``FieldSplit.role``); one stable sort by
     class and role gives every class's saddle order, and ``counts[c, k]``
-    is how many rows of role k class c has.  The multipliers
-    (``add_multipliers``) border the matrix: each dual copy's λ row and
-    column, with its sign at the copy.  ``sparse`` takes a run of row roles
-    and a run of column roles of every class at once, in saddle order;
-    ``blocks`` gives the parts that set-up factors and condenses, the dense
-    ones as their diagonal blocks' ``toarray``.  Every value is a stored
-    entry's own.
+    is how many rows of role k class c has.  Given the multipliers'
+    ``jump``, the classes are ``condensed`` when that pays back within a
+    run, and the same ``sp.bmat`` borders the matrix by each dual copy's λ
+    row and column, with the jump's sign at the copy.  ``sparse`` takes a
+    run of row roles and a run of column roles of every class at once, in
+    saddle order; ``blocks`` gives the parts that set-up factors and
+    condenses, the dense ones as their diagonal blocks' ``toarray``.  Every
+    value is a stored entry's own.
     """
 
-    def __init__(self, system: BlockSystem, cls: DofClassification):
+    def __init__(self, system: BlockSystem, cls: DofClassification, jump: Transfer | None = None):
         st = system.stacked
         self.reps = np.flatnonzero(st.rep == np.arange(st.n_sub))
         self.owner = np.concatenate([np.repeat(np.arange(self.reps.size), np.diff(st.rep_off[fld])[self.reps])
                                      for fld in cls.splits])
         self.role = np.concatenate([_SADDLE_ROLE[fld][split.role[st.dofs[fld][block_positions(st.off[fld], self.reps)]]]
                                     for fld, split in cls.splits.items()])
-        self._M = sp.bmat(saddle_blocks(st), format="csr")
-        self._bordered = False
-        self._sort()
-
-    def _sort(self) -> None:
-        """Every class's saddle order and ``counts``, from ``owner`` and ``role``."""
+        # condensing pays back unless the columns solved once to condense
+        # every class (its trace rows and dual copies) are more than
+        # _PAYBACK_APPLIES times those one application solves without it,
+        # one per subdomain
+        n_cols = np.count_nonzero(np.isin(self.role, [ROLES.index(k) for k in ("xiG", "pG", "uD")]))
+        self.condensed = jump is not None and bool(n_cols <= _PAYBACK_APPLIES * st.n_sub)
+        blocks = saddle_blocks(st)
+        if self.condensed:
+            dual = np.flatnonzero(self.role == ROLES.index("uD"))  # among the displacements, which come first
+            sign = jump.unit.data[block_positions(cls.u.dual_offset, self.reps)]
+            J = sp.csr_matrix((sign, (np.arange(dual.size), dual)), shape=(dual.size, st.A.shape[1]))
+            # every block CSR, zero ones too, so that sp.bmat stacks without a sort
+            zero = [sp.csr_matrix((n, dual.size)) for n in (st.C.shape[0], st.E.shape[0], dual.size)]
+            blocks = [row + [side] for row, side in zip(blocks, [J.T.tocsr(), *zero])]
+            blocks.append([J, zero[0].T.tocsr(), zero[1].T.tocsr(), zero[2]])
+            self.owner = np.concatenate([self.owner, self.owner[dual]])
+            self.role = np.concatenate([self.role, np.full(dual.size, ROLES.index("lam"), dtype=np.int8)])
+        self._M = sp.bmat(blocks, format="csr")
+        # every class's saddle order and role counts
         key = self.owner * len(ROLES) + self.role
         self._order = np.argsort(key, kind="stable")
         self._sorted = self.role[self._order]
         self.counts = np.bincount(key, minlength=self.reps.size * len(ROLES)).reshape(-1, len(ROLES))
-
-    def add_multipliers(self, sign: np.ndarray) -> None:
-        """Border the matrix by the λ row and column of each dual copy, with
-        its entry ``sign`` (B's, one per copy in the broken dual order) at
-        the copy.  Called once, before ``blocks``."""
-        dual = np.flatnonzero(self.role == ROLES.index("uD"))
-        J = sp.csr_matrix((sign, (np.arange(dual.size), dual)), shape=(dual.size, self._M.shape[1]))
-        self._M = sp.bmat([[self._M, J.T.tocsr()], [J, sp.csr_matrix((dual.size, dual.size))]], format="csr")
-        self.owner = np.concatenate([self.owner, self.owner[dual]])
-        self.role = np.concatenate([self.role, np.full(dual.size, ROLES.index("lam"), dtype=np.int8)])
-        self._bordered = True
-        self._sort()
 
     def sparse(self, rows: slice, cols: slice) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
         """The block-diagonal CSR matrix whose block c is class c's rows of
@@ -807,18 +855,20 @@ class ClassSaddles:
         return M, *(np.concatenate([[0], np.cumsum(self.counts[:, run].sum(axis=1))]) for run in (rows, cols))
 
     def blocks(self) -> list[SaddleBlocks]:
-        """Every class's ``SaddleBlocks``, with B_0 and D_c once the
-        multipliers border the matrix (``add_multipliers``)."""
+        """Every class's ``SaddleBlocks``, with B_0, B_0P and D_c when
+        condensed."""
         (K, off, _), (AP, rows, cols) = self.sparse(LOCAL, LOCAL), self.sparse(SADDLE, PRIMAL)
         parts = []
         for c, n_r in enumerate(np.diff(off)):
             # [A_rP; A_PP]: the primal columns of the rows of K_rr and of the primal rows
             A = diagonal_block(AP, rows, cols, c).toarray()
             parts.append(dict(K=diagonal_block(K, off, off, c), A_rP=A[:n_r], A_PP=A[n_r:]))
-        if self._bordered:
-            (B0, rows, cols), (D, d_off, _) = self.sparse(CONDENSED, LOCAL), self.sparse(TRACE, TRACE)
+        if self.condensed:
+            (B0, rows, cols), (B0P, _, p_off), (D, d_off, _) = (
+                self.sparse(CONDENSED, LOCAL), self.sparse(CONDENSED, PRIMAL), self.sparse(TRACE, TRACE))
             for c, p in enumerate(parts):
-                p.update(B0=diagonal_block(B0, rows, cols, c), D=diagonal_block(D, d_off, d_off, c).toarray())
+                p.update(B0=diagonal_block(B0, rows, cols, c), B0P=diagonal_block(B0P, rows, p_off, c).toarray(),
+                         D=diagonal_block(D, d_off, d_off, c).toarray())
         return [SaddleBlocks(**p) for p in parts]
 
 
@@ -843,14 +893,17 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
     pays back, in one pass over the classes (``class_sources`` over u and
     p), each from its parts of the saddle blocks (``ClassSaddles``).
 
-    A condensed class's map is [F; Psi^T] on its members' interface rows
-    (xi_G, p_G, then the λ row of each dual copy): F = B_0 K_rr^{-1} B_0^T
-    and Psi = B_0 X, where B_0 is the saddle block's trace rows over the
-    class's signed jump (one +-1 per dual copy, on its last local unknowns).
-    Only a source class solves for F; S_c = D_c - F_c, with D_c the saddle
-    block's trace block, is the Schur complement of [[K_rr, B_0^T], [B_0,
-    D_c]].  A class r that derives from c keeps c's rows that match its own
-    and eliminates or drops the rest (``eliminable_rows``, ``derive_schur``):
+    A condensed class's map is [-S_c; (Psi - B_0P)^T] on its members'
+    interface rows (xi_G, p_G, then the λ row of each dual copy), where B_0
+    is the saddle block's trace rows over the class's signed jump (one +-1
+    per dual copy, on its last local unknowns), B_0P the trace rows over its
+    primal displacements, Psi = B_0 X, and S_c = D_c - B_0 K_rr^{-1} B_0^T,
+    with D_c the saddle block's trace block, the Schur complement of
+    [[K_rr, B_0^T], [B_0, D_c]]: the classes' maps hold the whole operator,
+    trace terms included, and no global interface matrix is built.  Only a
+    source class solves for S_c.  A class r that derives from c keeps c's
+    rows that match its own and eliminates or drops the rest
+    (``eliminable_rows``, ``derive_schur``):
     it eliminates the trace rows whose dof it holds as a local unknown (xi
     and p rows on its free sides, xi rows on its Dirichlet sides) and the λ
     row of each dual copy it lacks, which the row fixes (on its Dirichlet
@@ -863,7 +916,8 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
     unless that solve fails the probe, when r factors its own K_rr.  Local
     unknowns of r that the eliminated rows and c's do not account for are
     an ``InternalError`` naming r's class.  Without condensing every class
-    factors its own K_rr.
+    factors its own K_rr, and B_C, B_C^T and C_hat are built as global
+    matrices from every subdomain's stored entries.
     """
     lay = cls.layout
     st = system.stacked
@@ -893,13 +947,8 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
 
     # the members of an assembly class share their representative's blocks
     class_members = system.classes("ABCDE")
-    saddles = ClassSaddles(system, cls)
-    # condensing pays back within a run unless the columns solved once to
-    # condense every class are more than _PAYBACK_APPLIES times the columns
-    # one application solves without it, one per subdomain
-    condense = saddles.counts[:, [ROLES.index(k) for k in ("xiG", "pG", "uD")]].sum() <= _PAYBACK_APPLIES * cls.n_subdomains
-    if condense:
-        saddles.add_multipliers(jump.unit.data[block_positions(cls.u.dual_offset, saddles.reps)])
+    saddles = ClassSaddles(system, cls, jump)
+    condense = saddles.condensed
     blocks = saddles.blocks()
     # each class and its primal columns and coarse contribution, stored at
     # its index so that the coarse matrix sums them in class order
@@ -918,7 +967,6 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
         name = f"subdomain {r} (class of {len(members)})"
         factor = None
         if condense:
-            n_G = b.D.shape[0]
             keys, unknowns = keys_at(r, dofs, sets, ("xiG", "pG", "uD"), ("uI", "xiI", "pI", "uD"))
         if condense and src is not None:
             c = class_members[src][0]
@@ -938,19 +986,33 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
         if not condense:
             continue
         if src is None:
+            n_G = b.D.shape[0]
             B0_T = b.B0.T.toarray()
             W = factor.solve(B0_T)
-            F = b.B0 @ W
-            S = -F
+            S = -(b.B0 @ W)
             S[:n_G, :n_G] += b.D
             # its own unknowns, then its trace rows, which a derived class may hold
             schur[i] = S, PatchKeys(keys), factor.solve, PatchKeys(np.concatenate([unknowns, keys[:n_G]])), W, B0_T
-        else:
-            F = -S
-            F[:n_G, :n_G] += b.D
-        Y = np.vstack([F, (b.B0 @ X).T])
+        Y = np.vstack([-S, (b.B0 @ X - b.B0P).T])
         condensed[i] = LocalClass(idx=gather(yrow, members, sets, "xiG", "pG", "uD"), primal=primal,
-                                  X=Y[F.shape[0] :].T, factor=factor, S=Y)
+                                  X=Y[S.shape[0] :].T, factor=factor, S=Y)
+
+    f_w = np.zeros(lay.n_w)
+    for fld, load in (("u", system.f), ("p", system.g)):
+        mask = lay.int_pos[fld] >= 0
+        f_w[lay.int_pos[fld][mask]] = load[mask]
+    f_w[lay.primal_slice] = system.f[cls.u.primal]
+    sub = np.searchsorted(st.off["u"], dual, side="right") - 1
+    f_w[lay.dual_slice] = st.f[st.rep_off["u"][st.rep[sub]] + dual - st.off["u"][sub]]
+
+    h = np.zeros(n_y)
+    h[n_xi_g : n_xi_g + n_p_g] = system.g[cls.p.interface]
+
+    torn = PartiallyAssembled.assemble(classes, cls.u.primal.size, coarse)
+    if condense:
+        return ReducedSystem(system=system, cls=cls, jump=jump, f_w=f_w, h=h, torn=torn,
+                             condensed=PartiallyAssembled(condensed, torn.coarse, len(schur)),
+                             traces=[(b.B0, b.B0.T.tocsr(), b.B0P) for b in blocks], xi_mass_only=mass_only)
 
     # interface rows of the coupling, one part per block (D twice: its
     # transpose couples xi_G to interior p), in the order of a subdomain
@@ -986,29 +1048,7 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
     E_GG = iface_rows("E", "p", "p")[n_xi_g : n_xi_g + n_p_g]
     zero = sp.csr_matrix((n_lam, n_lam))
     C_hat = sp.bmat([[C_GG, -D_GG.T, None], [-D_GG, E_GG, None], [None, None, zero]], format="csr")
+    return ReducedSystem(system=system, cls=cls, jump=jump, f_w=f_w, h=h, torn=torn, B_C=B_C, B_C_T=B_C.T.tocsr(),
+                         C_hat=C_hat, xi_mass_only=mass_only)
 
-    f_w = np.zeros(lay.n_w)
-    for fld, load in (("u", system.f), ("p", system.g)):
-        mask = lay.int_pos[fld] >= 0
-        f_w[lay.int_pos[fld][mask]] = load[mask]
-    f_w[lay.primal_slice] = system.f[cls.u.primal]
-    sub = np.searchsorted(st.off["u"], dual, side="right") - 1
-    f_w[lay.dual_slice] = st.f[st.rep_off["u"][st.rep[sub]] + dual - st.off["u"][sub]]
 
-    h = np.zeros(n_y)
-    h[n_xi_g : n_xi_g + n_p_g] = system.g[cls.p.interface]
-
-    torn = PartiallyAssembled.assemble(classes, cls.u.primal.size, coarse)
-    return ReducedSystem(
-        system=system,
-        cls=cls,
-        jump=jump,
-        B_C=B_C,
-        B_C_T=B_C.T.tocsr(),
-        C_hat=C_hat,
-        f_w=f_w,
-        h=h,
-        torn=torn,
-        condensed=PartiallyAssembled(condensed, torn.coarse, len(schur)) if condense else None,
-        xi_mass_only=mass_only,
-    )

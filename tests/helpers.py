@@ -242,6 +242,58 @@ def schur_inputs(system, cls, fld: str, r: int):
     return M, lb.dofs[fld], kept, sets[fld + "I"]
 
 
+def interface_coupling(red) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """B_C (interface rows x torn columns) and C_hat of the reduced system
+    ``red``, from the nodal blocks, independently of the class cuts: B_C
+    subdomain by subdomain from each one's own local blocks and index sets,
+    in the order that sums duplicates as the solver's global build does,
+    and C_hat as the interface slices of the global C, D and E."""
+    system, cls, lay = red.system, red.cls, red.layout
+    n_xi, n_p, n_lam = red.segments
+    rows, cols, vals = [], [], []
+    n_sub = cls.n_subdomains
+    interior = {fld: by_subdomain(split.interior, n_sub) for fld, split in cls.splits.items()}
+    interface = {fld: by_subdomain(cls.splits[fld].rows, n_sub) for fld in ("xi", "p")}
+    primal, dual_offset = by_subdomain(cls.u.primal_rows, n_sub), broken_offsets(cls.u.dual_rows, n_sub)
+    for s, lb in local_blocks(system).items():
+        sets = reduced_system._local_index_sets(cls, lb.dofs)
+        y = {"xi": np.full(lb.dofs["xi"].size, -1), "p": np.full(lb.dofs["p"].size, -1)}
+        y["xi"][sets["xiG"]] = cls.xi.interface_pos(interface["xi"][s])
+        y["p"][sets["pG"]] = n_xi + cls.p.interface_pos(interface["p"][s])
+        w = {"u": np.full(lb.dofs["u"].size, -1), "xi": np.full(lb.dofs["xi"].size, -1), "p": np.full(lb.dofs["p"].size, -1)}
+        w["u"][sets["uI"]] = lay.int_pos["u"][interior["u"][s]]
+        w["u"][sets["uD"]] = lay.dual_slice.start + np.arange(dual_offset[s], dual_offset[s + 1])
+        w["u"][sets["uP"]] = lay.primal_pos[primal[s]]
+        w["xi"][sets["xiI"]] = lay.int_pos["xi"][interior["xi"][s]]
+        w["p"][sets["pI"]] = lay.int_pos["p"][interior["p"][s]]
+        for name, r, c, sign, transposed in (("B", y["xi"], w["u"], 1, False), ("C", y["xi"], w["xi"], -1, False),
+                                             ("D", w["p"], y["xi"], 1, True), ("D", y["p"], w["xi"], 1, False),
+                                             ("E", y["p"], w["p"], -1, False)):
+            M = getattr(lb, name).tocoo()
+            keep = (r[M.row] >= 0) & (c[M.col] >= 0)
+            a, b = r[M.row[keep]], c[M.col[keep]]
+            rows.append(b if transposed else a)
+            cols.append(a if transposed else b)
+            vals.append(sign * M.data[keep])
+    J = red.jump.unit.T.tocoo()
+    rows.append(n_xi + n_p + J.row)
+    cols.append(lay.dual_slice.start + J.col)
+    vals.append(J.data)
+    B_C = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(red.n, lay.n_w))
+    xiG, pG = cls.xi.interface, cls.p.interface
+    C, D, E = (M.tocsr() for M in (system.C, system.D, system.E))
+    C_hat = sp.bmat([[C[xiG][:, xiG], -D[pG][:, xiG].T, None], [-D[pG][:, xiG], E[pG][:, pG], None],
+                     [None, None, sp.csr_matrix((n_lam, n_lam))]], format="csr")
+    return B_C, C_hat
+
+
+def local_solve_apply(red, v: np.ndarray) -> np.ndarray:
+    """The reduced operator B_C K^-1 B_C^T v + C_hat v through the local
+    factors, with B_C and C_hat from ``interface_coupling``."""
+    B_C, C_hat = interface_coupling(red)
+    return B_C @ red.apply_torn_inverse(B_C.T @ v) + C_hat @ v
+
+
 def torn_matrix_reference(red) -> sp.csr_matrix:
     """The full torn saddle system, built subdomain by subdomain: each
     one's own sliced saddle block (``sliced_bmat_saddle``) at its torn
@@ -254,7 +306,8 @@ def torn_matrix_reference(red) -> sp.csr_matrix:
         cols += [lay.dual_slice.start + np.arange(*cls.u.dual_offset[s : s + 2]), lay.primal_pos[lb.dofs["u"][sets["uP"]]]]
     K, g = sp.block_diag(blocks, format="coo"), np.concatenate(cols)
     At = sp.csr_matrix((K.data, (g[K.row], g[K.col])), shape=(lay.n_w, lay.n_w))
-    return sp.bmat([[At, red.B_C.T], [red.B_C, -red.C_hat]], format="csr")
+    B_C, C_hat = interface_coupling(red)
+    return sp.bmat([[At, B_C.T], [B_C, -C_hat]], format="csr")
 
 
 def torn_matrix_from_class_cut(red) -> sp.csr_matrix:
@@ -292,7 +345,8 @@ def torn_matrix_from_class_cut(red) -> sp.csr_matrix:
     shift = np.repeat(first - off[klass], nnz[klass])
     row = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))[e] + shift
     At = sp.csr_matrix((M.data[e], (g[row], g[M.indices[e] + shift])), shape=(lay.n_w, lay.n_w))
-    return sp.bmat([[At, red.B_C.T], [red.B_C, -red.C_hat]], format="csr")
+    B_C, C_hat = interface_coupling(red)
+    return sp.bmat([[At, B_C.T], [B_C, -C_hat]], format="csr")
 
 
 def dense_torn_solution(red) -> np.ndarray:
@@ -382,8 +436,8 @@ def per_subdomain_assembly(mesh, spaces, materials, load) -> dict:
     tables = [
         element_tables(
             spaces.fields, p0, np.flatnonzero(esub_b == s), np.flatnonzero(esub_r == s),
-            (materials.lam[s], materials.mu[s], materials.alpha[s], materials.kappa[s]), load,
-        )
+            [(materials.lam[s], materials.mu[s], materials.alpha[s], materials.kappa[s])], load,
+        )[0]
         for s in range(n_sub)
     ]
 

@@ -31,7 +31,10 @@ import scipy.sparse.linalg as spla
 import biot_ddp as bd
 from biot_ddp import preconditioner, reduced_system
 from biot_ddp.mesh_fem import FIELD_BLOCK
-from helpers import broken_offsets, by_subdomain, local_view, record_torn_columns, schur_inputs, sliced_bmat_saddle
+from helpers import (
+    broken_offsets, by_subdomain, interface_coupling, local_solve_apply, local_view, record_torn_columns, schur_inputs,
+    sliced_bmat_saddle,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -55,11 +58,6 @@ def condensed_pipeline(elem, primal, bc, checkerboard):
     return pipe
 
 
-def local_solve_apply(red, v):
-    """The operator through the local factors, as applied when not condensed."""
-    return red.B_C @ red.apply_torn_inverse(red.B_C_T @ v) + red.C_hat @ v
-
-
 @pytest.mark.parametrize("elem, primal, bc, checkerboard", VARIANTS)
 def test_condensed_apply_matches_local_solves(elem, primal, bc, checkerboard):
     red = condensed_pipeline(elem, primal, bc, checkerboard).reduced
@@ -72,13 +70,20 @@ def test_condensed_apply_matches_local_solves(elem, primal, bc, checkerboard):
 
 @pytest.mark.parametrize("elem, primal, bc, checkerboard", VARIANTS)
 def test_every_member_couples_like_its_representative(elem, primal, bc, checkerboard):
-    red = condensed_pipeline(elem, primal, bc, checkerboard).reduced
-    B_C = red.B_C.tocsc()
-    for c, cc in zip(red.factors.values(), red.condensed.classes):
+    pipe = condensed_pipeline(elem, primal, bc, checkerboard)
+    red = pipe.reduced
+    B_C = interface_coupling(red)[0].tocsc()
+    for g, c, cc in zip(pipe.system.classes("ABCDE"), red.factors.values(), red.condensed.classes):
         assert cc.idx.shape[1] == c.idx.shape[1]
         cols = [B_C[:, c.idx[:, j]].tocsr() for j in range(c.idx.shape[1])]
         B0 = cols[0][cc.idx[:, 0]].toarray()
-        np.testing.assert_allclose(cc.X, B0 @ c.X, rtol=0, atol=1e-12 * np.abs(cc.X).max(initial=1.0))
+        # the representative's own trace rows over its primal unknowns (B_C
+        # sums its neighbours' there), zero on the λ rows
+        M, sets, _ = own_saddle(pipe, g[0])
+        n_G, n_r = sets["xiG"].size + sets["pG"].size, c.idx.shape[0]
+        B0P = np.zeros((B0.shape[0], c.primal.shape[0]))
+        B0P[:n_G] = M[-n_G:, n_r : n_r + c.primal.shape[0]].toarray()
+        np.testing.assert_allclose(cc.X, B0 @ c.X - B0P, rtol=0, atol=1e-12 * np.abs(cc.X).max(initial=1.0))
         for j, Bj in enumerate(cols):
             on_rows = Bj[cc.idx[:, j]]
             assert on_rows.nnz == Bj.nnz  # no coupling outside the member's rows
@@ -87,14 +92,15 @@ def test_every_member_couples_like_its_representative(elem, primal, bc, checkerb
 
 @pytest.mark.parametrize("elem, primal, bc, checkerboard", VARIANTS)
 def test_derived_torn_maps_match_their_own(elem, primal, bc, checkerboard):
-    # only the source classes solve for F; each other class derives it from
-    # its source's by a dense Schur step, and must find its own
-    red = condensed_pipeline(elem, primal, bc, checkerboard).reduced
+    # only the source classes solve for F; each other class derives its map
+    # from its source's by a dense Schur step, and must find its own F - D_c
+    pipe = condensed_pipeline(elem, primal, bc, checkerboard)
+    red = pipe.reduced
     assert 0 < red.condensed.sources < len(red.condensed.classes)
-    B_C = red.B_C.tocsc()
-    for c, cc in zip(red.factors.values(), red.condensed.classes):
+    B_C = interface_coupling(red)[0].tocsc()
+    for g, c, cc in zip(pipe.system.classes("ABCDE"), red.factors.values(), red.condensed.classes):
         B0 = B_C[:, c.idx[:, 0]][cc.idx[:, 0]]
-        own = B0 @ c.factor.solve(B0.T.toarray())
+        own = B0 @ c.factor.solve(B0.T.toarray()) - trace_block(pipe, g[0], B0.shape[0])
         F = cc.S[: cc.idx.shape[0]]
         assert F.shape == own.shape
         assert np.abs(F - own).max() <= 1e-13 * np.abs(own).max()
@@ -115,6 +121,16 @@ def across_free_sides(pipe, names="ABCDE", fields=("u", "p")):
     kinds = reduced_system._side_kinds(pipe.system, fields)[[g[0] for g in groups]]
     return [(i, src) for i, src in derived_classes(pipe, names, fields)
             if np.any((kinds[i] == "free") & (kinds[src] == "interface"))]
+
+
+def trace_block(pipe, s, n):
+    """Subdomain s's trace block D_c, bordered by zero λ rows and columns
+    to n x n: the trace terms a condensed map holds, F - D_c."""
+    M, sets, _ = own_saddle(pipe, s)
+    n_G = sets["xiG"].size + sets["pG"].size
+    D = np.zeros((n, n))
+    D[:n_G, :n_G] = M[-n_G:, -n_G:].toarray()
+    return D
 
 
 def own_saddle(pipe, s):
@@ -144,17 +160,15 @@ def test_borrowed_solves_are_exact(case, grid):
     else:
         pipe = condensed_pipeline(case, *grid, False)
     red = pipe.reduced
-    torn, groups, B_C = red.torn.classes, pipe.system.classes("ABCDE"), red.B_C.tocsc()
+    torn, groups, B_C = red.torn.classes, pipe.system.classes("ABCDE"), interface_coupling(red)[0].tocsc()
     derived = derived_classes(pipe)
     assert derived and all(isinstance(torn[i].factor, reduced_system.BorrowedFactor) for i, _ in derived)
     rng = np.random.default_rng(11)
     for i, src in derived:
-        M, sets, keys = own_saddle(pipe, groups[src][0])
-        n_G = sets["xiG"].size + sets["pG"].size
+        M, _, keys = own_saddle(pipe, groups[src][0])
         n_c = torn[src].idx.shape[0]
         B0 = B_C[:, torn[src].idx[:, 0]][red.condensed.classes[src].idx[:, 0]].toarray()
-        D = np.zeros((B0.shape[0],) * 2)
-        D[:n_G, :n_G] = M[-n_G:, -n_G:].toarray()
+        D = trace_block(pipe, groups[src][0], B0.shape[0])
         bordered = np.block([[M[:n_c, :n_c].toarray(), B0.T], [B0, D]])
         # its unknowns, then its trace rows, which come first among B_0's
         place = {k: j for j, k in enumerate(keys)}
@@ -200,7 +214,7 @@ def test_torn_classes_derived_across_free_sides_match_their_own(case):
     pipe = free_side_pipeline(case)
     red = pipe.reduced
     assert {k: b.sources for k, b in pipe.blocks.items()} == dict.fromkeys(pipe.blocks, 1)
-    torn, groups, B_C = red.torn.classes, pipe.system.classes("ABCDE"), red.B_C.tocsc()
+    torn, groups, B_C = red.torn.classes, pipe.system.classes("ABCDE"), interface_coupling(red)[0].tocsc()
     crossing = across_free_sides(pipe)
     assert sorted(groups[i][0] for i, _ in crossing) == [0, 6, 30]
     rng = np.random.default_rng(5)
@@ -210,7 +224,7 @@ def test_torn_classes_derived_across_free_sides_match_their_own(case):
         n_r = c.idx.shape[0]
         own = reduced_system.SaddleFactor("own", M[:n_r, :n_r])
         B0 = B_C[:, c.idx[:, 0]][cc.idx[:, 0]]
-        F = B0 @ own.solve(B0.T.toarray())
+        F = B0 @ own.solve(B0.T.toarray()) - trace_block(pipe, groups[i][0], B0.shape[0])
         assert cc.S[: cc.idx.shape[0]].shape == F.shape
         assert np.abs(cc.S[: cc.idx.shape[0]] - F).max() <= 1e-13 * np.abs(F).max()
         assert isinstance(c.factor, reduced_system.BorrowedFactor)

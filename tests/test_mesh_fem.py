@@ -422,7 +422,7 @@ class TestPatchAssembly:
         tri_b, tri_r = (np.flatnonzero(mesh_fem.element_subdomains(m, cfg.subdomains) == 0) for m in (mesh, mesh.refined_mesh))
         for r in np.unique(st.rep):
             tables = mesh_fem.element_tables(every, cfg.total_pressure == "p0", tri_b, tri_r,
-                                             (mats.lam[r], mats.mu[r], mats.alpha[r], mats.kappa[r]), LoadSpec())
+                                             [(mats.lam[r], mats.mu[r], mats.alpha[r], mats.kappa[r])], LoadSpec())[0]
             lb = local_view(st, r)
             patch, at = {}, {}
             for fld, name in (("u", "A"), ("xi", "C"), ("p", "E")):
@@ -454,12 +454,14 @@ class TestPatchAssembly:
     @pytest.mark.parametrize("pattern, patches", [("uniform", 1), ("checkerboard", 2)])
     def test_element_tables_once_per_material(self, monkeypatch, pattern, patches):
         # nine classes on either grid; the black subdomains' kappa makes a
-        # second material, and each material's patch is 4x4 cells
+        # second material, and each material's patch is 4x4 cells, all in
+        # one call that shares what no material enters
         evaluated = []
 
         def counted(*args):
             tables = element_tables(*args)
-            evaluated.append((tables["E"].vals.shape[0], tables["A"].vals.shape[0]))
+            evaluated.append([(t["E"].vals.shape[0], t["A"].vals.shape[0]) for t in tables])
+            assert all(t[k] is tables[0][k] for t in tables for k in "Bfg")
             return tables
 
         element_tables = mesh_fem.element_tables
@@ -468,7 +470,7 @@ class TestPatchAssembly:
         spaces = bd.build_spaces(bd.build_mesh(cfg.nx, cfg.subdomains), "p1", cfg.boundary())
         system = bd.assemble_blocks(spaces, cfg.materials(), LoadSpec())
         assert np.unique(system.stacked.rep).size == 9
-        assert evaluated == [(2 * 4 * 4, 2 * 8 * 8)] * patches
+        assert evaluated == [[(2 * 4 * 4, 2 * 8 * 8)] * patches]
 
 
 class TestStability:

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import biot_ddp as bd
 from biot_ddp import reduced_system
-from biot_ddp.mesh_fem import block_positions, diagonal_block
+from biot_ddp.mesh_fem import diagonal_block
 from biot_ddp.reduced_system import (
     LOCAL,
     SADDLE,
@@ -38,6 +38,7 @@ from helpers import (
     dense_coarse,
     dense_from_apply,
     dense_torn_solution,
+    interface_coupling,
     local_blocks,
     local_view,
     numeric_classes,
@@ -84,59 +85,88 @@ class TestOperator:
         n_w = red.layout.n_w
         K = torn_matrix_reference(red).toarray()
         A_t = K[:n_w, :n_w]
-        B_C = red.B_C.toarray()
-        G_ref = B_C @ np.linalg.solve(A_t, B_C.T) + red.C_hat.toarray()
+        B_C, C_hat = (M.toarray() for M in interface_coupling(red))
+        G_ref = B_C @ np.linalg.solve(A_t, B_C.T) + C_hat
         G = dense_from_apply(red.apply, red.n)
         assert rel_err(G, G_ref) < 1e-9
 
+    @staticmethod
+    def reduced(case, primal, monkeypatch, condense):
+        # the pay-back rule overridden: every case built with and without
+        # condensing
+        monkeypatch.setattr(reduced_system, "_PAYBACK_APPLIES", 10**9 if condense else -1)
+        red = bd.build_pipeline(bd.ExperimentConfig(primal=primal, oracle="off", **MULTI_MEMBER_GRIDS[case][0])).reduced
+        assert (red.condensed is not None) == condense
+        return red
+
     @pytest.mark.parametrize("primal", ["vertex", "vertex-edge"])
     @pytest.mark.parametrize("case", list(MULTI_MEMBER_GRIDS))
-    def test_torn_blocks_match_fields(self, case, primal):
-        pipe = bd.build_pipeline(bd.ExperimentConfig(primal=primal, oracle="off", **MULTI_MEMBER_GRIDS[case][0]))
-        red, system, cls = pipe.reduced, pipe.system, pipe.cls
-        lay = red.layout
-        n_xi, n_p, n_lam = red.segments
-        # B_C rebuilt subdomain by subdomain from each one's own local blocks
-        # and index sets, in the order that sums duplicates as B_C does
-        rows, cols, vals = [], [], []
-        n_sub = cls.n_subdomains
-        interior = {fld: by_subdomain(split.interior, n_sub) for fld, split in cls.splits.items()}
-        interface = {fld: by_subdomain(cls.splits[fld].rows, n_sub) for fld in ("xi", "p")}
-        primal, dual_offset = by_subdomain(cls.u.primal_rows, n_sub), broken_offsets(cls.u.dual_rows, n_sub)
-        for s, lb in local_blocks(system).items():
-            sets = _local_index_sets(cls, lb.dofs)
-            y = {"xi": np.full(lb.dofs["xi"].size, -1), "p": np.full(lb.dofs["p"].size, -1)}
-            y["xi"][sets["xiG"]] = cls.xi.interface_pos(interface["xi"][s])
-            y["p"][sets["pG"]] = n_xi + cls.p.interface_pos(interface["p"][s])
-            w = {"u": np.full(lb.dofs["u"].size, -1), "xi": np.full(lb.dofs["xi"].size, -1), "p": np.full(lb.dofs["p"].size, -1)}
-            w["u"][sets["uI"]] = lay.int_pos["u"][interior["u"][s]]
-            w["u"][sets["uD"]] = lay.dual_slice.start + np.arange(dual_offset[s], dual_offset[s + 1])
-            w["u"][sets["uP"]] = lay.primal_pos[primal[s]]
-            w["xi"][sets["xiI"]] = lay.int_pos["xi"][interior["xi"][s]]
-            w["p"][sets["pI"]] = lay.int_pos["p"][interior["p"][s]]
-            for name, r, c, sign, transposed in (("B", y["xi"], w["u"], 1, False), ("C", y["xi"], w["xi"], -1, False),
-                                                 ("D", w["p"], y["xi"], 1, True), ("D", y["p"], w["xi"], 1, False),
-                                                 ("E", y["p"], w["p"], -1, False)):
-                M = getattr(lb, name).tocoo()
-                keep = (r[M.row] >= 0) & (c[M.col] >= 0)
-                a, b = r[M.row[keep]], c[M.col[keep]]
-                rows.append(b if transposed else a)
-                cols.append(a if transposed else b)
-                vals.append(sign * M.data[keep])
-        J = red.jump.unit.T.tocoo()
-        rows.append(n_xi + n_p + J.row)
-        cols.append(lay.dual_slice.start + J.col)
-        vals.append(J.data)
-        B_C = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=red.B_C.shape)
-        # C_hat: the interface slices of the global C, D and E
-        xiG, pG = cls.xi.interface, cls.p.interface
-        C, D, E = (M.tocsr() for M in (system.C, system.D, system.E))
-        C_hat = sp.bmat([[C[xiG][:, xiG], -D[pG][:, xiG].T, None], [-D[pG][:, xiG], E[pG][:, pG], None],
-                         [None, None, sp.csr_matrix((n_lam, n_lam))]], format="csr")
+    def test_torn_blocks_match_fields(self, case, primal, monkeypatch):
+        # a run that is not condensed builds B_C and C_hat as global
+        # matrices: bitwise those rebuilt from each subdomain's own blocks
+        red = self.reduced(case, primal, monkeypatch, False)
+        B_C, C_hat = interface_coupling(red)
         for got, want in ((red.B_C, B_C), (red.C_hat, C_hat)):
             assert got.has_canonical_format and want.has_canonical_format
             for attr in ("indptr", "indices", "data"):
                 np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
+        np.testing.assert_array_equal(red.B_C_T.toarray(), B_C.T.toarray())
+
+    @pytest.mark.parametrize("primal", ["vertex", "vertex-edge"])
+    @pytest.mark.parametrize("case", list(MULTI_MEMBER_GRIDS))
+    def test_class_cuts_scatter_to_the_interface_blocks(self, case, primal, monkeypatch):
+        # a condensed run keeps each class's B_0 and B_0P and folds -D_c into
+        # its map: scattered to every member's torn columns and interface
+        # rows, subdomain by subdomain, B_0 and B_0P are B_C bitwise and
+        # -sum D_c is C_hat to roundoff
+        red = self.reduced(case, primal, monkeypatch, True)
+        B_C, C_hat = interface_coupling(red)
+        start = red.layout.primal_slice.start
+        groups = red.system.classes("ABCDE")
+        blocks = ClassSaddles(red.system, red.cls, red.jump).blocks()
+        member = {s: (i, j) for i, g in enumerate(groups) for j, s in enumerate(g)}
+        b_rows, b_cols, b_vals, d_rows, d_cols, d_vals = ([] for _ in range(6))
+        for s in range(red.cls.n_subdomains):
+            i, j = member[s]
+            b, t, c = blocks[i], red.torn.classes[i], red.condensed.classes[i]
+            rows = c.idx[:, j]
+            # the run keeps the class's B_0, its transpose and B_0P
+            B0, B0_T, B0P = red.traces[i]
+            assert_bitwise(B0, b.B0, (s, "B0"))
+            assert np.array_equal(B0_T.toarray(), b.B0.T.toarray()) and np.array_equal(B0P, b.B0P)
+            for M, cols in ((b.B0.tocoo(), t.idx[:, j]), (sp.coo_matrix(b.B0P), start + t.primal[:, j])):
+                b_rows.append(rows[M.row])
+                b_cols.append(cols[M.col])
+                b_vals.append(M.data)
+            M = sp.coo_matrix(b.D)
+            d_rows.append(rows[M.row])
+            d_cols.append(rows[M.col])
+            d_vals.append(-M.data)
+        got = sp.csr_matrix((np.concatenate(b_vals), (np.concatenate(b_rows), np.concatenate(b_cols))), shape=B_C.shape)
+        for M in (got, B_C):
+            M.eliminate_zeros()
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, attr), getattr(B_C, attr))
+        got = sp.csr_matrix((np.concatenate(d_vals), (np.concatenate(d_rows), np.concatenate(d_cols))),
+                            shape=C_hat.shape)
+        assert abs(got - C_hat).max() <= 1e-15 * abs(C_hat).max()
+
+    def test_condensed_build_holds_no_global_interface_matrix(self):
+        # 6x6 subdomains at H/h = 4: condensed, its classes hold B_C's parts
+        red = bd.build_pipeline(bd.ExperimentConfig(nx=24, subdomains=(6, 6), oracle="off")).reduced
+        assert red.condensed is not None and len(red.traces) == len(red.condensed.classes) == 9
+        assert red.B_C is None and red.B_C_T is None and red.C_hat is None
+        n_w = red.layout.n_w
+        for name, v in vars(red).items():
+            assert not (sp.issparse(v) and (red.n in v.shape or n_w in v.shape)), name
+        # nor a global block of the system: set-up reads the stored ones
+        assert red.system.blocks == {}
+        # and B_C is applied class by class, as rebuilt from the nodal blocks
+        B_C, _ = interface_coupling(red)
+        rng = np.random.default_rng(2)
+        w, y = rng.standard_normal(n_w), rng.standard_normal(red.n)
+        assert rel_err(red.couple(w), B_C @ w) < 1e-14
+        assert rel_err(red.couple_T(y), B_C.T @ y) < 1e-14
 
     def test_torn_matrix_symmetric_as_assembled(self):
         K = torn_matrix_reference(build().reduced)
@@ -203,7 +233,7 @@ class TestTornInverse:
         red = build().reduced
         n_w = red.layout.n_w
         A_t = torn_matrix_reference(red).toarray()[:n_w, :n_w]
-        want = red.B_C.toarray() @ np.linalg.solve(A_t, red.f_w) - red.h
+        want = interface_coupling(red)[0].toarray() @ np.linalg.solve(A_t, red.f_w) - red.h
         assert rel_err(red.rhs(), want) < 1e-10
 
 
@@ -594,7 +624,7 @@ class TestSharedLoads:
         for c in classes:
             Y = red.f_w[c.idx]
             assert np.array_equal(Y, np.repeat(Y[:, :1], Y.shape[1], axis=1))
-        want = red.B_C @ torn_solve_per_member(red.torn, red.f_w) - red.h
+        want = interface_coupling(red)[0] @ torn_solve_per_member(red.torn, red.f_w) - red.h
         calls = record_torn_columns(monkeypatch, red.torn)
         assert rel_err(red.rhs(), want) < 1e-12
         assert calls == [(i, 1) for i in range(len(classes))]
@@ -609,10 +639,11 @@ class TestSharedLoads:
         idx = classes[big].idx
         f = red.f_w.copy()
         f[idx[np.argmax(np.abs(f[idx[:, 1]])), 1]] *= 1.0 + 1e-3
-        want, shared = (red.B_C @ torn_solve_per_member(red.torn, b) for b in (f, red.f_w))
+        B_C = interface_coupling(red)[0]
+        want, shared = (B_C @ torn_solve_per_member(red.torn, b) for b in (f, red.f_w))
         assert rel_err(want, shared) > 1e-6  # the change shows where the reduction reads it
         calls = record_torn_columns(monkeypatch, red.torn)
-        assert rel_err(red.B_C @ red.torn.solve(f), want) < 1e-12
+        assert rel_err(B_C @ red.torn.solve(f), want) < 1e-12
         assert calls == [(i, idx.shape[1] if i == big else 1) for i in range(len(classes))]
 
 
@@ -692,17 +723,19 @@ def test_local_saddle_is_bitwise_the_sliced_bmat(case, primal):
 
 @pytest.mark.parametrize("primal", ["vertex", "vertex-edge"])
 @pytest.mark.parametrize("case", list(MULTI_MEMBER_GRIDS))
-def test_class_blocks_are_slices_of_the_sliced_bmat(case, primal):
-    # K_rr, A_rP, A_PP, B_0 (trace rows and signed jump) and D_c of each
-    # torn class are the slices of its representative's sliced bmat that
-    # set-up once cut, and the signed jump's rows as it once stacked them
+def test_class_blocks_are_slices_of_the_sliced_bmat(case, primal, monkeypatch):
+    # K_rr, A_rP, A_PP, B_0 (trace rows and signed jump), B_0P and D_c of
+    # each torn class are the slices of its representative's sliced bmat
+    # that set-up once cut, and the signed jump's rows as it once stacked
+    # them; condensing, forced here, borders the matrix in the same bmat
     kw, _ = MULTI_MEMBER_GRIDS[case]
     pipe = bd.build_pipeline(bd.ExperimentConfig(primal=primal, oracle="off", **kw))
     cls, st, unit = pipe.cls, pipe.system.stacked, pipe.jump.unit
-    saddles = ClassSaddles(pipe.system, cls)
-    without = saddles.blocks()
-    saddles.add_multipliers(unit.data[block_positions(cls.u.dual_offset, saddles.reps)])
-    for r, b, b_ in zip(saddles.reps, saddles.blocks(), without, strict=True):
+    without = ClassSaddles(pipe.system, cls)
+    monkeypatch.setattr(reduced_system, "_PAYBACK_APPLIES", 10**9)
+    saddles = ClassSaddles(pipe.system, cls, pipe.jump)
+    assert saddles.condensed and not without.condensed
+    for r, b, b_ in zip(saddles.reps, saddles.blocks(), without.blocks(), strict=True):
         lb = local_view(st, r)
         sets = _local_index_sets(cls, lb.dofs)
         ref = sliced_bmat_saddle(lb, sets, True)
@@ -712,12 +745,14 @@ def test_class_blocks_are_slices_of_the_sliced_bmat(case, primal):
         sign = sp.csr_matrix((unit.data[cls.u.dual_offset[r] : cls.u.dual_offset[r + 1]],
                               (np.arange(n_D), n_r - n_D + np.arange(n_D))), shape=(n_D, n_r))
         want = dict(K=ref[:n_r, :n_r], A_rP=ref[:n_r, n_r:n_k].toarray(), A_PP=ref[n_r:n_k, n_r:n_k].toarray(),
-                    B0=sp.vstack([ref[n_k:, :n_r], sign], format="csr"), D=ref[n_k:, n_k:].toarray())
+                    B0=sp.vstack([ref[n_k:, :n_r], sign], format="csr"),
+                    B0P=np.vstack([ref[n_k:, n_r:n_k].toarray(), np.zeros((n_D, n_k - n_r))]),
+                    D=ref[n_k:, n_k:].toarray())
         for name, w in want.items():
             assert_bitwise(getattr(b, name), w, (r, name))
         for name in ("K", "A_rP", "A_PP"):
             assert_bitwise(getattr(b_, name), want[name], (r, name))
-        assert b_.B0 is None and b_.D is None
+        assert b_.B0 is None and b_.B0P is None and b_.D is None
 
 
 @pytest.mark.parametrize("kw", [
