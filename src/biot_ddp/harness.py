@@ -206,11 +206,10 @@ class Pipeline:
     @property
     def blocks(self) -> dict[str, PartiallyAssembled]:
         """Every partially assembled block as the solve applies it, by its name
-        in the run record: "torn" (condensed if it is; its classes keep the
-        torn factors) and each preconditioner block with unknowns."""
+        in the run record: "torn" (on the interface rows; its classes share
+        the torn factors) and each preconditioner block with unknowns."""
         red, pc = self.reduced, self.preconditioner
-        torn = red.torn if red.condensed is None else red.condensed
-        named = (("torn", torn), ("xi", pc.xi), ("p", pc.pressure), ("lambda", pc.multiplier))
+        named = (("torn", red.interface), ("xi", pc.xi), ("p", pc.pressure), ("lambda", pc.multiplier))
         return {k: b for k, b in named if b is not None}
 
 

@@ -424,27 +424,19 @@ class StackedBlocks:
         r, c = _BLOCK_SPACES[name]
         return diagonal_block(getattr(self, name), self.rep_off[r], self.rep_off[c], self.rep[s])
 
-    def entries(self, name: str, rmap: np.ndarray, cmap: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Every subdomain's entries of block ``name`` as (sub, rmap[row],
-        cmap[col], value), in subdomain and then stored order, where the row
-        and the column both map (>= 0); the maps are over the stacked
-        positions (offsets ``off``).  What to keep is decided on each
-        representative's positions and moved onto its members by one gather,
-        so a member's maps must be negative where its representative's are:
-        true of maps that keep every entry, and of maps set by the dofs'
-        roles, which ``reduced_system._check_members`` has checked to be the
-        members' own at their representatives' positions.
-        """
+    def entries(self, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every subdomain's entries of block ``name`` as (global row, global
+        column, value), in subdomain and then stored order: each
+        representative's stored entries, gathered once for each member."""
         r, c = _BLOCK_SPACES[name]
         M = getattr(self, name)
-        owner = np.repeat(np.arange(self.n_sub), np.diff(M.indptr[self.rep_off[r]]))
+        off = M.indptr[self.rep_off[r]]
+        owner = np.repeat(np.arange(self.n_sub), np.diff(off))
         row = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr)) - self.rep_off[r][owner]
         col = M.indices - self.rep_off[c][owner]
-        kept = np.flatnonzero((rmap[self.off[r][owner] + row] >= 0) & (cmap[self.off[c][owner] + col] >= 0))
-        kept_off = np.searchsorted(owner[kept], np.arange(self.n_sub + 1))
-        at = kept[block_positions(kept_off, self.rep)]
-        sub = np.repeat(np.arange(self.n_sub), np.diff(kept_off)[self.rep])
-        return sub, rmap[self.off[r][sub] + row[at]], cmap[self.off[c][sub] + col[at]], M.data[at]
+        at = block_positions(off, self.rep)
+        sub = np.repeat(np.arange(self.n_sub), np.diff(off)[self.rep])
+        return self.dofs[r][self.off[r][sub] + row[at]], self.dofs[c][self.off[c][sub] + col[at]], M.data[at]
 
 
 def saddle_blocks(b) -> list[list[sp.csr_matrix]]:
@@ -509,7 +501,7 @@ class BlockSystem:
         if name not in self.blocks:
             r, c = _BLOCK_SPACES[name]
             size = self.spaces.n_dofs
-            _, rows, cols, vals = self.stacked.entries(name, self.stacked.dofs[r], self.stacked.dofs[c])
+            rows, cols, vals = self.stacked.entries(name)
             self.blocks[name] = sp.coo_matrix((vals, (rows, cols)), shape=(size[r], size[c])).tocsr()
         return self.blocks[name]
 

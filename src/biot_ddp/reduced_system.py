@@ -13,16 +13,19 @@ uniform grid) form one congruence class, whose local blocks are stored
 once, as the representative's: only its saddle block is built and
 factored, and the members are reached through their index maps.  The
 parts of every class's saddle block that set-up reads (K_rr, its primal
-couplings and, when condensing, its trace rows and trace block) are cut
-out of one stacked saddle matrix of the stored blocks, all classes at once
-(``ClassSaddles``): one sort of each row's class and role (its dof's
-``FieldSplit.role``) gives every class's saddle order, and each part is
-one sparse matrix, whose diagonal blocks the classes view (or copy out
-dense, for the dense parts).
-When few classes serve many subdomains, each class is also condensed once
-onto its members' interface rows into one dense map, in the same pass, and
-no local solve runs per application: the maps, trace terms included, are
-the whole operator, and no global interface matrix is built.  Only a
+couplings, its trace rows bordered by the signed jump, and its trace
+block) are cut out of one stacked saddle matrix of the stored blocks, all
+classes at once (``ClassSaddles``): one sort of each row's class and role
+(its dof's ``FieldSplit.role``) gives every class's saddle order, and each
+part is one sparse matrix, whose diagonal blocks the classes view (or copy
+out dense, for the dense parts).
+The interface operator is the partially assembled Schur complement of
+those bordered blocks: each torn class is also an interface class on its
+members' interface rows, sharing its factor, and its trace cut holds the
+trace terms, so no global interface matrix is built.  When few classes
+serve many subdomains, each interface class is condensed once into one
+dense map, in the same pass, and no local solve runs per application;
+otherwise it applies the same map through the torn factor.  Only a
 source class solves for its map; a class whose sides differ from a
 source's only where the source has interface sides, by Dirichlet sides or,
 without edge averages, free ones (``class_sources``), derives its map from
@@ -32,7 +35,7 @@ preconditioner's Schur complements share), and solves through the
 source's factor, bordered by the rows that step eliminates
 (``BorrowedFactor``): a condensed run factors only its source classes, on
 a uniform grid without edge averages the interior one.
-The torn inverse, the condensed operator and each preconditioner block are
+The torn inverse, the interface operator and each preconditioner block are
 one ``PartiallyAssembled``: classes of one type, ``LocalClass``, each
 applied to all its members at once, and the one ``CoarseProblem`` that
 couples them, which it builds.
@@ -41,6 +44,7 @@ couples them, which it builds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -392,6 +396,19 @@ class CoarseProblem:
         return _pbtrs(self._cho, b, lower=1)[0]
 
 
+class TraceCut(NamedTuple):
+    """A torn class's trace rows on its members' interface rows (xi_G, p_G,
+    then the λ row of each dual copy): B_0 over its local unknowns (the
+    signed jump on its dual copies), its transpose, B_0P over its primal
+    displacements (dense) and the trace block D_c (dense, on the xi_G and
+    p_G rows)."""
+
+    B0: sp.csr_matrix
+    B0_T: sp.csr_matrix  # CSR: SciPy multiplies a CSC matrix several times slower
+    B0P: np.ndarray
+    D: np.ndarray
+
+
 @dataclass
 class LocalClass:
     """Congruent subdomains sharing one local map, applied to all members at
@@ -402,10 +419,13 @@ class LocalClass:
     j of ``primal`` its primal unknowns from the coarse segment at the end
     of that vector.  The map is the matrix ``S``, whose rows past ``idx``'s
     give the primal right-hand side: [F - D_c; (Psi - B_0P)^T] of a
-    condensed torn class, [S_dd^{-1}; X^T] of a BDDC class, the Dirichlet
-    map of a λ class.  Only the torn classes keep a ``factor`` instead, with
-    the primal right-hand side ``A_Pr`` times its solution (a condensed torn
-    class keeps it too).
+    condensed interface class (F = B_0 K_rr^{-1} B_0^T), [S_dd^{-1}; X^T] of
+    a BDDC class, the Dirichlet map of a λ class.  Without ``S`` a class
+    applies its map through its ``factor``: a torn class's is K_rr^{-1}, with
+    the primal right-hand side ``A_Pr`` times its solution; an interface
+    class's, from its ``cut``, is F - [D_c; 0] on its trace rows, with the
+    primal right-hand side X^T Y.  The interface classes share the torn
+    classes' factors, and keep them when condensed.
     """
 
     idx: np.ndarray  # (n, members)
@@ -414,14 +434,20 @@ class LocalClass:
     factor: SaddleFactor | BorrowedFactor | None = None
     A_Pr: np.ndarray | None = None  # primal-local coupling A_rP^T, dense
     S: np.ndarray | sp.spmatrix | None = None
+    cut: TraceCut | None = None  # an interface class's
 
     def apply(self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Local solution and primal right-hand side of gathered ``Y``."""
-        if self.S is None:
+        if self.S is not None:
+            Z = self.S @ Y
+            return Z[: self.idx.shape[0]], Z[self.idx.shape[0] :]
+        if self.cut is None:
             Z = self.factor.solve(Y)  # looked up per call: tracing patches it
             return Z, self.A_Pr @ Z
-        Z = self.S @ Y
-        return Z[: self.idx.shape[0]], Z[self.idx.shape[0] :]
+        B0, B0_T, _, D = self.cut
+        Z = B0 @ self.factor.solve(B0_T @ Y)
+        Z[: D.shape[0]] -= D @ Y[: D.shape[0]]
+        return Z, self.X.T @ Y
 
 
 def xi_mass_only(K: sp.csr_matrix, counts: np.ndarray) -> bool:
@@ -605,10 +631,10 @@ class ReducedSystem:
     build its right-hand side, and recover the three fields.
 
     B_C couples the torn unknowns to the interface rows (xi_G, p_G, then the
-    λ row of each dual copy), and C_hat is the interface block.  Only a run
-    that is not condensed builds them as global matrices: a condensed class
-    holds its part of C_hat, -D_c, in its map, and its part of B_C is its
-    B_0 and B_0P (``traces``), read at its members' torn and interface rows.
+    λ row of each dual copy), and C_hat is the interface block.  Neither is
+    built: each interface class keeps its part of B_C, its B_0 and B_0P,
+    read at its members' torn and interface rows, and its part of C_hat,
+    -D_c (``TraceCut``).
     """
 
     system: BlockSystem
@@ -617,20 +643,14 @@ class ReducedSystem:
     f_w: np.ndarray
     h: np.ndarray
     torn: PartiallyAssembled  # one class per congruence class of local saddle blocks
-    condensed: PartiallyAssembled | None = None  # the torn block on the interface rows; None: apply by local solves
-    # each condensed class's B_0, B_0^T (CSR: SciPy multiplies a CSC matrix
-    # several times slower) and B_0P
-    traces: list[tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]] = field(default_factory=list)
-    B_C: sp.csr_matrix | None = None  # interface rows x torn columns, when not condensed
-    B_C_T: sp.csr_matrix | None = None
-    C_hat: sp.csr_matrix | None = None  # positive semidefinite interface coupling, when not condensed
+    interface: PartiallyAssembled  # the torn block on the interface rows, a class per torn class
     xi_mass_only: int = 0  # subdomains whose K_rr holds the constant total pressure only by its mass term
 
     def __post_init__(self):
         # B_C^T y's torn positions: each class's local unknowns, then its primal ones
         start = self.layout.primal_slice.start
-        self._w_at = np.concatenate([np.zeros(0, dtype=np.int64)] + [
-            np.concatenate([c.idx.ravel(), start + c.primal.ravel()]) for _, c in zip(self.traces, self.torn.classes)])
+        self._w_at = np.concatenate([np.concatenate([c.idx.ravel(), start + c.primal.ravel()])
+                                     for c in self.torn.classes])
         # recovery's scatters: each field's interior dofs from their torn
         # positions, and every dual copy (the rows of B^T, in order) to its dof
         self._interior = {fld: (np.flatnonzero(pos >= 0), pos[pos >= 0]) for fld, pos in self.layout.int_pos.items()}
@@ -642,7 +662,7 @@ class ReducedSystem:
         return dict(enumerate(self.torn.classes))
 
     @property
-    def coarse(self) -> CoarseProblem:  # shared by the condensed operator
+    def coarse(self) -> CoarseProblem:  # shared by the interface operator
         return self.torn.coarse
 
     @property
@@ -668,47 +688,41 @@ class ReducedSystem:
         return self.torn.solve(b)
 
     def couple(self, w: np.ndarray) -> np.ndarray:
-        """B_C w; condensed, each member's B_0 times its local unknowns plus
-        B_0P times its primal ones, added up at its interface rows."""
-        if self.condensed is None:
-            return self.B_C @ w
+        """B_C w: each member's B_0 times its local unknowns plus B_0P times
+        its primal ones, added up at its interface rows."""
         w_P = w[self.layout.primal_slice]
-        parts = [(B0 @ w[c.idx] + B0P @ w_P[c.primal]).ravel()
-                 for (B0, _, B0P), c in zip(self.traces, self.torn.classes)]
-        return np.bincount(self.condensed.at, np.concatenate(parts), minlength=self.n)
+        parts = [(i.cut.B0 @ w[c.idx] + i.cut.B0P @ w_P[c.primal]).ravel()
+                 for c, i in zip(self.torn.classes, self.interface.classes)]
+        return np.bincount(self.interface.at, np.concatenate(parts), minlength=self.n)
 
     def couple_T(self, y: np.ndarray) -> np.ndarray:
-        """B_C^T y, class by class when condensed as ``couple``."""
-        if self.condensed is None:
-            return self.B_C_T @ y
+        """B_C^T y, class by class as ``couple``."""
         parts = []
-        for (_, B0_T, B0P), c in zip(self.traces, self.condensed.classes):
-            Y = y[c.idx]
-            parts += [(B0_T @ Y).ravel(), (B0P.T @ Y).ravel()]
+        for i in self.interface.classes:
+            Y = y[i.idx]
+            parts += [(i.cut.B0_T @ Y).ravel(), (i.cut.B0P.T @ Y).ravel()]
         return np.bincount(self._w_at, np.concatenate(parts), minlength=self.layout.n_w)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """One application of the reduced interface operator
-        G = B_C K^{-1} B_C^T + C_hat.
+        G = B_C K^{-1} B_C^T + C_hat, the partially assembled Schur
+        complement of the classes' bordered blocks alone.
 
-        Condensed, G is the partially assembled Schur complement of the
-        classes' bordered blocks alone: each class's map is [F_c - D_c;
-        (Psi_c - B_0P)^T], so G y = sum_c scatter((F_c - D_c) Y_c - (Psi_c
-        - B_0P) x_P[primal_c]), with Y_c = y[idx_c] and x_P = -S_PP^{-1}
-        sum_c gather((Psi_c - B_0P)^T Y_c): one ``condensed.solve`` of [y;
-        0].  Otherwise B_C K^{-1} B_C^T y + C_hat y through the local
-        factors.
+        Each interface class's map is [F_c - D_c; (Psi_c - B_0P)^T], with
+        F_c = B_0 K_rr^{-1} B_0^T and Psi_c = B_0 K_rr^{-1} A_rP, so G y =
+        sum_c scatter((F_c - D_c) Y_c - (Psi_c - B_0P) x_P[primal_c]), with
+        Y_c = y[idx_c] and x_P = -S_PP^{-1} sum_c gather((Psi_c - B_0P)^T
+        Y_c): one ``interface.solve`` of [y; 0].  A condensed class holds
+        its map dense, any other applies it through its torn factor.
         """
-        if self.condensed is None:
-            return self.B_C @ self.apply_torn_inverse(self.B_C_T @ y) + self.C_hat @ y
-        return self.condensed.solve(np.concatenate([y, np.zeros(self.coarse.n)]))[: self.n]
+        return self.interface.solve(np.concatenate([y, np.zeros(self.coarse.n)]))[: self.n]
 
     def rhs(self) -> np.ndarray:
         """B_C K^{-1} f_w - h.  The members of a class carry its
         representative's loads (``StackedBlocks``), so every class gathers
         one column, repeated, from f_w, and the torn solve solves it once
         per class (``PartiallyAssembled.solve``); B_C is applied class by
-        class when condensed (``couple``)."""
+        class (``couple``)."""
         return self.couple(self.apply_torn_inverse(self.f_w)) - self.h
 
     # -- recovery ---------------------------------------------------------
@@ -769,7 +783,7 @@ def _check_members(system: BlockSystem, cls: DofClassification) -> None:
 # rows (xi_G, p_G) and the multiplier row of each dual copy; within a role,
 # in the order of the class's sorted local dofs.  The slices are runs of roles.
 ROLES = ("uI", "xiI", "pI", "uD", "uP", "xiG", "pG", "lam")
-LOCAL, PRIMAL, TRACE, SADDLE, CONDENSED = slice(0, 4), slice(4, 5), slice(5, 7), slice(0, 5), slice(5, 8)
+LOCAL, PRIMAL, TRACE, SADDLE, INTERFACE = slice(0, 4), slice(4, 5), slice(5, 7), slice(0, 5), slice(5, 8)
 # each field's role above by its dof's ``FieldSplit.role`` (interior, dual, primal)
 _SADDLE_ROLE = {"u": np.array([0, 3, 4], dtype=np.int8), "xi": np.array([1, 5, 5], dtype=np.int8),
                 "p": np.array([2, 6, 6], dtype=np.int8)}
@@ -778,17 +792,16 @@ _SADDLE_ROLE = {"u": np.array([0, 3, 4], dtype=np.int8), "xi": np.array([1, 5, 5
 @dataclass
 class SaddleBlocks:
     """One torn class's parts of its saddle block: K_rr, the couplings
-    A_rP and A_PP of its primal displacements, and when condensing B_0 (its
-    trace rows over K_rr's columns, then the signed jump of its dual copies),
-    B_0P (the same rows over its primal displacements, dense) and its trace
-    block D_c."""
+    A_rP and A_PP of its primal displacements, B_0 (its trace rows over
+    K_rr's columns, then the signed jump of its dual copies), B_0P (the same
+    rows over its primal displacements, dense) and its trace block D_c."""
 
     K: sp.csr_matrix
     A_rP: np.ndarray
     A_PP: np.ndarray
-    B0: sp.csr_matrix | None = None
-    B0P: np.ndarray | None = None
-    D: np.ndarray | None = None
+    B0: sp.csr_matrix
+    B0P: np.ndarray
+    D: np.ndarray
 
 
 class ClassSaddles:
@@ -799,20 +812,20 @@ class ClassSaddles:
     blocks are the stored ones (``StackedBlocks``), so ``saddle_blocks`` of
     the stored blocks is one block-diagonal matrix over the
     representatives' stacked displacement, total pressure and pressure
-    positions in turn.  Each position has its class (``owner``) and its
-    role (``ROLES``, by its dof's ``FieldSplit.role``); one stable sort by
-    class and role gives every class's saddle order, and ``counts[c, k]``
-    is how many rows of role k class c has.  Given the multipliers'
-    ``jump``, the classes are ``condensed`` when that pays back within a
-    run, and the same ``sp.bmat`` borders the matrix by each dual copy's λ
-    row and column, with the jump's sign at the copy.  ``sparse`` takes a
+    positions in turn, which the same ``sp.bmat`` borders by each dual
+    copy's λ row and column, with the sign of the multipliers' ``jump`` at
+    the copy.  Each position has its class (``owner``) and its role
+    (``ROLES``, by its dof's ``FieldSplit.role``); one stable sort by class
+    and role gives every class's saddle order, and ``counts[c, k]`` is how
+    many rows of role k class c has.  The classes are ``condensed`` when
+    that pays back within a run.  ``sparse`` takes a
     run of row roles and a run of column roles of every class at once, in
     saddle order; ``blocks`` gives the parts that set-up factors and
     condenses, the dense ones as their diagonal blocks' ``toarray``.  Every
     value is a stored entry's own.
     """
 
-    def __init__(self, system: BlockSystem, cls: DofClassification, jump: Transfer | None = None):
+    def __init__(self, system: BlockSystem, cls: DofClassification, jump: Transfer):
         st = system.stacked
         self.reps = np.flatnonzero(st.rep == np.arange(st.n_sub))
         self.owner = np.concatenate([np.repeat(np.arange(self.reps.size), np.diff(st.rep_off[fld])[self.reps])
@@ -824,18 +837,16 @@ class ClassSaddles:
         # _PAYBACK_APPLIES times those one application solves without it,
         # one per subdomain
         n_cols = np.count_nonzero(np.isin(self.role, [ROLES.index(k) for k in ("xiG", "pG", "uD")]))
-        self.condensed = jump is not None and bool(n_cols <= _PAYBACK_APPLIES * st.n_sub)
-        blocks = saddle_blocks(st)
-        if self.condensed:
-            dual = np.flatnonzero(self.role == ROLES.index("uD"))  # among the displacements, which come first
-            sign = jump.unit.data[block_positions(cls.u.dual_offset, self.reps)]
-            J = sp.csr_matrix((sign, (np.arange(dual.size), dual)), shape=(dual.size, st.A.shape[1]))
-            # every block CSR, zero ones too, so that sp.bmat stacks without a sort
-            zero = [sp.csr_matrix((n, dual.size)) for n in (st.C.shape[0], st.E.shape[0], dual.size)]
-            blocks = [row + [side] for row, side in zip(blocks, [J.T.tocsr(), *zero])]
-            blocks.append([J, zero[0].T.tocsr(), zero[1].T.tocsr(), zero[2]])
-            self.owner = np.concatenate([self.owner, self.owner[dual]])
-            self.role = np.concatenate([self.role, np.full(dual.size, ROLES.index("lam"), dtype=np.int8)])
+        self.condensed = bool(n_cols <= _PAYBACK_APPLIES * st.n_sub)
+        dual = np.flatnonzero(self.role == ROLES.index("uD"))  # among the displacements, which come first
+        sign = jump.unit.data[block_positions(cls.u.dual_offset, self.reps)]
+        J = sp.csr_matrix((sign, (np.arange(dual.size), dual)), shape=(dual.size, st.A.shape[1]))
+        # every block CSR, zero ones too, so that sp.bmat stacks without a sort
+        zero = [sp.csr_matrix((n, dual.size)) for n in (st.C.shape[0], st.E.shape[0], dual.size)]
+        blocks = [row + [side] for row, side in zip(saddle_blocks(st), [J.T.tocsr(), *zero])]
+        blocks.append([J, zero[0].T.tocsr(), zero[1].T.tocsr(), zero[2]])
+        self.owner = np.concatenate([self.owner, self.owner[dual]])
+        self.role = np.concatenate([self.role, np.full(dual.size, ROLES.index("lam"), dtype=np.int8)])
         self._M = sp.bmat(blocks, format="csr")
         # every class's saddle order and role counts
         key = self.owner * len(ROLES) + self.role
@@ -855,21 +866,18 @@ class ClassSaddles:
         return M, *(np.concatenate([[0], np.cumsum(self.counts[:, run].sum(axis=1))]) for run in (rows, cols))
 
     def blocks(self) -> list[SaddleBlocks]:
-        """Every class's ``SaddleBlocks``, with B_0, B_0P and D_c when
-        condensed."""
+        """Every class's ``SaddleBlocks``."""
         (K, off, _), (AP, rows, cols) = self.sparse(LOCAL, LOCAL), self.sparse(SADDLE, PRIMAL)
+        (B0, b_rows, b_cols), (B0P, _, p_off), (D, d_off, _) = (
+            self.sparse(INTERFACE, LOCAL), self.sparse(INTERFACE, PRIMAL), self.sparse(TRACE, TRACE))
         parts = []
         for c, n_r in enumerate(np.diff(off)):
             # [A_rP; A_PP]: the primal columns of the rows of K_rr and of the primal rows
             A = diagonal_block(AP, rows, cols, c).toarray()
-            parts.append(dict(K=diagonal_block(K, off, off, c), A_rP=A[:n_r], A_PP=A[n_r:]))
-        if self.condensed:
-            (B0, rows, cols), (B0P, _, p_off), (D, d_off, _) = (
-                self.sparse(CONDENSED, LOCAL), self.sparse(CONDENSED, PRIMAL), self.sparse(TRACE, TRACE))
-            for c, p in enumerate(parts):
-                p.update(B0=diagonal_block(B0, rows, cols, c), B0P=diagonal_block(B0P, rows, p_off, c).toarray(),
-                         D=diagonal_block(D, d_off, d_off, c).toarray())
-        return [SaddleBlocks(**p) for p in parts]
+            parts.append(SaddleBlocks(
+                K=diagonal_block(K, off, off, c), A_rP=A[:n_r], A_PP=A[n_r:], B0=diagonal_block(B0, b_rows, b_cols, c),
+                B0P=diagonal_block(B0P, b_rows, p_off, c).toarray(), D=diagonal_block(D, d_off, d_off, c).toarray()))
+        return parts
 
 
 def _torn_columns(system: BlockSystem, cls: DofClassification) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -889,21 +897,23 @@ def _torn_columns(system: BlockSystem, cls: DofClassification) -> tuple[dict[str
 
 
 def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Transfer) -> ReducedSystem:
-    """The reduced system, its torn classes built, and condensed when that
-    pays back, in one pass over the classes (``class_sources`` over u and
-    p), each from its parts of the saddle blocks (``ClassSaddles``).
+    """The reduced system, its torn and interface classes built, and
+    condensed when that pays back, in one pass over the classes
+    (``class_sources`` over u and p), each from its parts of the saddle
+    blocks (``ClassSaddles``).
 
-    A condensed class's map is [-S_c; (Psi - B_0P)^T] on its members'
+    An interface class's map is [-S_c; (Psi - B_0P)^T] on its members'
     interface rows (xi_G, p_G, then the λ row of each dual copy), where B_0
     is the saddle block's trace rows over the class's signed jump (one +-1
     per dual copy, on its last local unknowns), B_0P the trace rows over its
     primal displacements, Psi = B_0 X, and S_c = D_c - B_0 K_rr^{-1} B_0^T,
     with D_c the saddle block's trace block, the Schur complement of
     [[K_rr, B_0^T], [B_0, D_c]]: the classes' maps hold the whole operator,
-    trace terms included, and no global interface matrix is built.  Only a
-    source class solves for S_c.  A class r that derives from c keeps c's
-    rows that match its own and eliminates or drops the rest
-    (``eliminable_rows``, ``derive_schur``):
+    trace terms included, and no global interface matrix is built.  Without
+    condensing every class factors its own K_rr and applies S_c through it.
+    Condensed, only a source class solves for S_c.  A class r that derives
+    from c keeps c's rows that match its own and eliminates or drops the
+    rest (``eliminable_rows``, ``derive_schur``):
     it eliminates the trace rows whose dof it holds as a local unknown (xi
     and p rows on its free sides, xi rows on its Dirichlet sides) and the λ
     row of each dual copy it lacks, which the row fixes (on its Dirichlet
@@ -915,14 +925,11 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
     B_0^T and the LU of the eliminated block that ``derive_schur`` forms),
     unless that solve fails the probe, when r factors its own K_rr.  Local
     unknowns of r that the eliminated rows and c's do not account for are
-    an ``InternalError`` naming r's class.  Without condensing every class
-    factors its own K_rr, and B_C, B_C^T and C_hat are built as global
-    matrices from every subdomain's stored entries.
+    an ``InternalError`` naming r's class.
     """
     lay = cls.layout
     st = system.stacked
-    n_xi_g, n_p_g, n_lam = cls.segments
-    n_y = n_xi_g + n_p_g + n_lam
+    n_xi_g, n_p_g, _ = cls.segments
     _check_members(system, cls)
 
     wcol, dual = _torn_columns(system, cls)
@@ -952,7 +959,7 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
     blocks = saddles.blocks()
     # each class and its primal columns and coarse contribution, stored at
     # its index so that the coarse matrix sums them in class order
-    classes, coarse, condensed = ([None] * len(class_members) for _ in range(3))
+    classes, coarse, interface = ([None] * len(class_members) for _ in range(3))
     # of each source class: S_c, its row keys, and what a class derived
     # from it borrows (``BorrowedFactor``): its solve, the keys of its
     # unknowns and trace rows, W = K_rr^{-1} B_0^T and B_0^T
@@ -983,19 +990,21 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
         coarse[i] = (primal, S_PP)
         classes[i] = LocalClass(idx=gather(wcol, members, sets, "uI", "xiI", "pI", "uD"), primal=primal, X=X,
                                 factor=factor, A_Pr=np.ascontiguousarray(b.A_rP.T))
-        if not condense:
-            continue
-        if src is None:
-            n_G = b.D.shape[0]
-            B0_T = b.B0.T.toarray()
-            W = factor.solve(B0_T)
-            S = -(b.B0 @ W)
-            S[:n_G, :n_G] += b.D
-            # its own unknowns, then its trace rows, which a derived class may hold
-            schur[i] = S, PatchKeys(keys), factor.solve, PatchKeys(np.concatenate([unknowns, keys[:n_G]])), W, B0_T
-        Y = np.vstack([-S, (b.B0 @ X - b.B0P).T])
-        condensed[i] = LocalClass(idx=gather(yrow, members, sets, "xiG", "pG", "uD"), primal=primal,
-                                  X=Y[S.shape[0] :].T, factor=factor, S=Y)
+        cut = TraceCut(b.B0, b.B0.T.tocsr(), b.B0P, b.D)
+        X, Y = b.B0 @ X - b.B0P, None  # Psi - B_0P, and the map when condensed
+        if condense:
+            if src is None:
+                n_G = b.D.shape[0]
+                B0_T = b.B0.T.toarray()  # Fortran-ordered, as LAPACK and SuperLU take it
+                W = factor.solve(B0_T)
+                S = -(b.B0 @ W)
+                S[:n_G, :n_G] += b.D
+                # its own unknowns, then its trace rows, which a derived class may hold
+                schur[i] = S, PatchKeys(keys), factor.solve, PatchKeys(np.concatenate([unknowns, keys[:n_G]])), W, B0_T
+            Y = np.vstack([-S, X.T])
+            X = Y[S.shape[0] :].T
+        interface[i] = LocalClass(idx=gather(yrow, members, sets, "xiG", "pG", "uD"), primal=primal, X=X,
+                                  factor=factor, S=Y, cut=cut)
 
     f_w = np.zeros(lay.n_w)
     for fld, load in (("u", system.f), ("p", system.g)):
@@ -1005,50 +1014,9 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
     sub = np.searchsorted(st.off["u"], dual, side="right") - 1
     f_w[lay.dual_slice] = st.f[st.rep_off["u"][st.rep[sub]] + dual - st.off["u"][sub]]
 
-    h = np.zeros(n_y)
+    h = np.zeros(sum(cls.segments))
     h[n_xi_g : n_xi_g + n_p_g] = system.g[cls.p.interface]
 
     torn = PartiallyAssembled.assemble(classes, cls.u.primal.size, coarse)
-    if condense:
-        return ReducedSystem(system=system, cls=cls, jump=jump, f_w=f_w, h=h, torn=torn,
-                             condensed=PartiallyAssembled(condensed, torn.coarse, len(schur)),
-                             traces=[(b.B0, b.B0.T.tocsr(), b.B0P) for b in blocks], xi_mass_only=mass_only)
-
-    # interface rows of the coupling, one part per block (D twice: its
-    # transpose couples xi_G to interior p), in the order of a subdomain
-    # by subdomain build so that duplicates are summed in that order
-    rows_bc, cols_bc, vals_bc, order = [], [], [], []
-    parts = (("B", yrow["xi"], wcol["u"]), ("C", yrow["xi"], wcol["xi"]), ("D", wcol["p"], yrow["xi"]),
-             ("D", yrow["p"], wcol["xi"]), ("E", yrow["p"], wcol["p"]))
-    for kind, (name, rmap, cmap) in enumerate(parts):
-        sub, a, b, v = st.entries(name, rmap, cmap)
-        transposed = kind == 2
-        rows_bc.append(b if transposed else a)
-        cols_bc.append(a if transposed else b)
-        vals_bc.append(-v if name in "CE" else v)
-        order.append(sub * len(parts) + kind)
-    order = np.argsort(np.concatenate(order), kind="stable")
-    # multiplier rows attach the jump B to the broken dual segment
-    rows_bc = [np.concatenate(rows_bc)[order], n_xi_g + n_p_g + Jc.col]
-    cols_bc = [np.concatenate(cols_bc)[order], lay.dual_slice.start + Jc.row]
-    vals_bc = [np.concatenate(vals_bc)[order], Jc.data]
-    B_C = sp.csr_matrix(
-        (np.concatenate(vals_bc), (np.concatenate(rows_bc), np.concatenate(cols_bc))), shape=(n_y, lay.n_w)
-    )
-
-    # C_hat: the interface rows of C, D and E whole, then their interface
-    # columns; SciPy's unstable sort by column sees the rows of the global
-    # blocks, so C_hat is bitwise their interface slice
-    def iface_rows(name: str, r: str, c: str) -> sp.csr_matrix:
-        _, i, j, v = st.entries(name, yrow[r], st.dofs[c])
-        return sp.csr_matrix((v, (i, j)), shape=(n_y, system.spaces.n_dofs[c]))[:, cls.splits[c].interface]
-
-    C_GG = iface_rows("C", "xi", "xi")[:n_xi_g]
-    D_GG = iface_rows("D", "p", "xi")[n_xi_g : n_xi_g + n_p_g]
-    E_GG = iface_rows("E", "p", "p")[n_xi_g : n_xi_g + n_p_g]
-    zero = sp.csr_matrix((n_lam, n_lam))
-    C_hat = sp.bmat([[C_GG, -D_GG.T, None], [-D_GG, E_GG, None], [None, None, zero]], format="csr")
-    return ReducedSystem(system=system, cls=cls, jump=jump, f_w=f_w, h=h, torn=torn, B_C=B_C, B_C_T=B_C.T.tocsr(),
-                         C_hat=C_hat, xi_mass_only=mass_only)
-
-
+    return ReducedSystem(system=system, cls=cls, jump=jump, f_w=f_w, h=h, torn=torn,
+                         interface=PartiallyAssembled(interface, torn.coarse, len(schur)), xi_mass_only=mass_only)

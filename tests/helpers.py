@@ -287,6 +287,12 @@ def interface_coupling(red) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return B_C, C_hat
 
 
+def is_condensed(red) -> bool:
+    """Whether the pay-back rule condensed the interface classes of the
+    reduced system ``red`` into dense maps."""
+    return all(isinstance(c.S, np.ndarray) for c in red.interface.classes)
+
+
 def local_solve_apply(red, v: np.ndarray) -> np.ndarray:
     """The reduced operator B_C K^-1 B_C^T v + C_hat v through the local
     factors, with B_C and C_hat from ``interface_coupling``."""
@@ -316,7 +322,7 @@ def torn_matrix_from_class_cut(red) -> sp.csr_matrix:
     torn columns (``_torn_columns``, as the build reads them) by the class
     saddle order (a stable sort of ``ClassSaddles.owner`` and ``role``)."""
     st, lay, SADDLE = red.system.stacked, red.layout, reduced_system.SADDLE
-    saddles = reduced_system.ClassSaddles(red.system, red.cls)
+    saddles = reduced_system.ClassSaddles(red.system, red.cls, red.jump)
     M, off, _ = saddles.sparse(SADDLE, SADDLE)
     # each stacked position's place in its class's saddle order, whose
     # first roles are SADDLE's

@@ -4,8 +4,9 @@ When few congruence classes serve many subdomains, each torn class is
 condensed once onto its members' interface rows (F = B_0 K_rr^-1 B_0^T,
 Psi = B_0 X), and every application is a few dense products.  Each λ
 Dirichlet class is always condensed into its dense Schur complement.
-These tests check the condensed applications against the local-solve
-path they replace and against references built here, the assumption that
+These tests check the condensed applications, and the same maps applied
+through the torn factors, against the local-solve path and against
+references built here, the assumption that
 lets one representative stand for its class (every member's coupling
 equals its representative's), the pay-back rule that decides when to
 condense the torn block, and that a traced condensed run makes its local
@@ -32,7 +33,7 @@ import biot_ddp as bd
 from biot_ddp import preconditioner, reduced_system
 from biot_ddp.mesh_fem import FIELD_BLOCK
 from helpers import (
-    broken_offsets, by_subdomain, interface_coupling, local_solve_apply, local_view, record_torn_columns, schur_inputs,
+    broken_offsets, by_subdomain, interface_coupling, is_condensed, local_solve_apply, local_view, record_torn_columns, schur_inputs,
     sliced_bmat_saddle,
 )
 
@@ -46,22 +47,29 @@ VARIANTS = list(
 )
 
 
-def condensed_pipeline(elem, primal, bc, checkerboard):
+def condensed_pipeline(elem, primal, bc, checkerboard, condense=True):
     """6x6 subdomains at H/h=4, a grid on which both blocks condense; the
-    checkerboard differs only in alpha, which splits the classes."""
+    checkerboard differs only in alpha, which splits the classes.  With
+    ``condense`` False the caller has forced the torn block not to
+    (``_PAYBACK_APPLIES`` = -1)."""
     extra = dict(pattern="checkerboard", black={"alpha": 1e-2}) if checkerboard else {}
     pipe = bd.build_pipeline(
         bd.ExperimentConfig(nx=24, subdomains=(6, 6), total_pressure=elem, primal=primal, bc=bc, **extra)
     )
-    assert pipe.reduced.condensed is not None, "the pay-back rule should condense the torn block here"
+    assert is_condensed(pipe.reduced) == condense, "the pay-back rule should condense the torn block here"
     assert all(isinstance(c.S, np.ndarray) for c in pipe.preconditioner.multiplier.classes)
     return pipe
 
 
+@pytest.mark.parametrize("condense", [True, False])
 @pytest.mark.parametrize("elem, primal, bc, checkerboard", VARIANTS)
-def test_condensed_apply_matches_local_solves(elem, primal, bc, checkerboard):
-    red = condensed_pipeline(elem, primal, bc, checkerboard).reduced
-    assert len(red.condensed.classes) == len(red.factors) == (14 if checkerboard else 9)
+def test_condensed_apply_matches_local_solves(monkeypatch, elem, primal, bc, checkerboard, condense):
+    # forced not to condense, each class applies the same map through its
+    # torn factor
+    if not condense:
+        monkeypatch.setattr(reduced_system, "_PAYBACK_APPLIES", -1)
+    red = condensed_pipeline(elem, primal, bc, checkerboard, condense).reduced
+    assert len(red.interface.classes) == len(red.factors) == (14 if checkerboard else 9)
     V = np.random.default_rng(7).standard_normal((red.n, 3))
     for v in V.T:
         ref = local_solve_apply(red, v)
@@ -73,7 +81,7 @@ def test_every_member_couples_like_its_representative(elem, primal, bc, checkerb
     pipe = condensed_pipeline(elem, primal, bc, checkerboard)
     red = pipe.reduced
     B_C = interface_coupling(red)[0].tocsc()
-    for g, c, cc in zip(pipe.system.classes("ABCDE"), red.factors.values(), red.condensed.classes):
+    for g, c, cc in zip(pipe.system.classes("ABCDE"), red.factors.values(), red.interface.classes):
         assert cc.idx.shape[1] == c.idx.shape[1]
         cols = [B_C[:, c.idx[:, j]].tocsr() for j in range(c.idx.shape[1])]
         B0 = cols[0][cc.idx[:, 0]].toarray()
@@ -96,9 +104,9 @@ def test_derived_torn_maps_match_their_own(elem, primal, bc, checkerboard):
     # from its source's by a dense Schur step, and must find its own F - D_c
     pipe = condensed_pipeline(elem, primal, bc, checkerboard)
     red = pipe.reduced
-    assert 0 < red.condensed.sources < len(red.condensed.classes)
+    assert 0 < red.interface.sources < len(red.interface.classes)
     B_C = interface_coupling(red)[0].tocsc()
-    for g, c, cc in zip(pipe.system.classes("ABCDE"), red.factors.values(), red.condensed.classes):
+    for g, c, cc in zip(pipe.system.classes("ABCDE"), red.factors.values(), red.interface.classes):
         B0 = B_C[:, c.idx[:, 0]][cc.idx[:, 0]]
         own = B0 @ c.factor.solve(B0.T.toarray()) - trace_block(pipe, g[0], B0.shape[0])
         F = cc.S[: cc.idx.shape[0]]
@@ -167,7 +175,7 @@ def test_borrowed_solves_are_exact(case, grid):
     for i, src in derived:
         M, _, keys = own_saddle(pipe, groups[src][0])
         n_c = torn[src].idx.shape[0]
-        B0 = B_C[:, torn[src].idx[:, 0]][red.condensed.classes[src].idx[:, 0]].toarray()
+        B0 = B_C[:, torn[src].idx[:, 0]][red.interface.classes[src].idx[:, 0]].toarray()
         D = trace_block(pipe, groups[src][0], B0.shape[0])
         bordered = np.block([[M[:n_c, :n_c].toarray(), B0.T], [B0, D]])
         # its unknowns, then its trace rows, which come first among B_0's
@@ -219,7 +227,7 @@ def test_torn_classes_derived_across_free_sides_match_their_own(case):
     assert sorted(groups[i][0] for i, _ in crossing) == [0, 6, 30]
     rng = np.random.default_rng(5)
     for i, _ in crossing:
-        c, cc = torn[i], red.condensed.classes[i]
+        c, cc = torn[i], red.interface.classes[i]
         M, _, _ = own_saddle(pipe, groups[i][0])
         n_r = c.idx.shape[0]
         own = reduced_system.SaddleFactor("own", M[:n_r, :n_r])
@@ -315,7 +323,7 @@ def test_uncondensed_runs_factor_every_class(case):
     kw, factor_nnz = UNCONDENSED[case]
     cfg = bd.ExperimentConfig(**kw)
     pipe = bd.build_pipeline(cfg)
-    assert pipe.reduced.condensed is None
+    assert not is_condensed(pipe.reduced)
     assert all(type(c.factor) is reduced_system.SaddleFactor for c in pipe.reduced.torn.classes)
     res = bd.run_case(cfg, pipe)
     assert res.converged and res.factor_nnz == factor_nnz
@@ -331,7 +339,7 @@ def test_flagship_like_grid_derives_eight_of_nine_torn_maps():
     assert visits[0] == (4, None) and groups[4][0] == 7
     assert [src for _, src in visits[1:]] == [4] * 8
     assert sorted(groups[i][0] for i, _ in across_free_sides(pipe)) == [0, 6, 30]
-    assert pipe.reduced.condensed.sources == 1 and len(pipe.reduced.condensed.classes) == 9
+    assert pipe.reduced.interface.sources == 1 and len(pipe.reduced.interface.classes) == 9
     assert pipe.blocks["torn"].sources == 1
 
 
@@ -345,7 +353,7 @@ def test_edge_averages_at_one_cell_per_subdomain(monkeypatch, nx, elem, bc):
     condensed = bd.run_case(cfg)
     monkeypatch.setattr(reduced_system, "_PAYBACK_APPLIES", -1)
     pipe = bd.build_pipeline(cfg)
-    assert pipe.reduced.condensed is None
+    assert not is_condensed(pipe.reduced)
     local = bd.run_case(cfg, pipe)
     assert condensed.converged and local.converged
     assert condensed.iterations == local.iterations
@@ -424,13 +432,15 @@ def test_payback_rule_keeps_large_classes_sparse():
     # the λ Dirichlet block is condensed all the same
     pipe = bd.build_pipeline(bd.ExperimentConfig(nx=48, subdomains=(3, 3), E=1.0, nu=0.3))
     red = pipe.reduced
-    assert red.condensed is None
+    assert not is_condensed(red)
     assert all(isinstance(c.S, np.ndarray) and c.factor is None for c in pipe.preconditioner.multiplier.classes)
+    # the classes' maps add up what the local-solve oracle sums globally
     v = np.random.default_rng(1).standard_normal(red.n)
-    assert np.array_equal(red.apply(v), local_solve_apply(red, v))
+    ref = local_solve_apply(red, v)
+    assert np.linalg.norm(red.apply(v) - ref) <= 1e-13 * np.linalg.norm(ref)
     # 8x8 at H/h=8: nine classes serve 64 subdomains
     pipe = bd.build_pipeline(bd.ExperimentConfig(nx=64, subdomains=(8, 8)))
-    assert len(pipe.reduced.condensed.classes) == 9
+    assert len(pipe.reduced.interface.classes) == 9
     assert all(isinstance(c.S, np.ndarray) and c.factor is None for c in pipe.preconditioner.multiplier.classes)
 
 
@@ -443,7 +453,7 @@ def test_traced_condensed_run_solves_locally_only_in_rhs_and_recover(monkeypatch
     instrument_modules(tracer, bd)
     cfg = bd.ExperimentConfig(**experiment_config("flagship-p1-nx64", 1))
     pipe = bd.build_pipeline(cfg)
-    assert pipe.reduced.condensed is not None
+    assert is_condensed(pipe.reduced)
     instrument_pipeline(tracer, pipe)
     calls = record_torn_columns(monkeypatch, pipe.reduced.torn)  # in the order of the local solve spans
     assert bd.run_case(cfg, pipe).converged
@@ -478,7 +488,7 @@ def test_run_record_lists_condensed_blocks(tmp_path):
     res = bd.run_case(cfg, pipe)
     assert res.condensed == ["torn", "xi", "p", "lambda"]
     red, pc = pipe.reduced, pipe.preconditioner
-    blocks = (red.condensed.classes, pc.xi.classes, pc.pressure.classes, pc.multiplier.classes)
+    blocks = (red.interface.classes, pc.xi.classes, pc.pressure.classes, pc.multiplier.classes)
     want = sum(c.S.nbytes for classes in blocks for c in classes)
     assert res.condensed_bytes == want > 0
     # the preconditioner factors are dropped once condensed, the torn ones kept

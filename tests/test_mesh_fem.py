@@ -347,7 +347,7 @@ class TestPerClassAssembly:
         for name in "ACE":
             M = getattr(pipe.system.stacked, name)
             assert (M != M.T).nnz == 0, name
-        saddles = ClassSaddles(pipe.system, pipe.cls)
+        saddles = ClassSaddles(pipe.system, pipe.cls, pipe.jump)
         for r, b in zip(saddles.reps, saddles.blocks(), strict=True):
             assert (b.K != b.K.T).nnz == 0, r
 

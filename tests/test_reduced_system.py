@@ -39,6 +39,7 @@ from helpers import (
     dense_from_apply,
     dense_torn_solution,
     interface_coupling,
+    is_condensed,
     local_blocks,
     local_view,
     numeric_classes,
@@ -96,30 +97,18 @@ class TestOperator:
         # condensing
         monkeypatch.setattr(reduced_system, "_PAYBACK_APPLIES", 10**9 if condense else -1)
         red = bd.build_pipeline(bd.ExperimentConfig(primal=primal, oracle="off", **MULTI_MEMBER_GRIDS[case][0])).reduced
-        assert (red.condensed is not None) == condense
+        assert is_condensed(red) == condense
         return red
 
+    @pytest.mark.parametrize("condense", [True, False])
     @pytest.mark.parametrize("primal", ["vertex", "vertex-edge"])
     @pytest.mark.parametrize("case", list(MULTI_MEMBER_GRIDS))
-    def test_torn_blocks_match_fields(self, case, primal, monkeypatch):
-        # a run that is not condensed builds B_C and C_hat as global
-        # matrices: bitwise those rebuilt from each subdomain's own blocks
-        red = self.reduced(case, primal, monkeypatch, False)
-        B_C, C_hat = interface_coupling(red)
-        for got, want in ((red.B_C, B_C), (red.C_hat, C_hat)):
-            assert got.has_canonical_format and want.has_canonical_format
-            for attr in ("indptr", "indices", "data"):
-                np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
-        np.testing.assert_array_equal(red.B_C_T.toarray(), B_C.T.toarray())
-
-    @pytest.mark.parametrize("primal", ["vertex", "vertex-edge"])
-    @pytest.mark.parametrize("case", list(MULTI_MEMBER_GRIDS))
-    def test_class_cuts_scatter_to_the_interface_blocks(self, case, primal, monkeypatch):
-        # a condensed run keeps each class's B_0 and B_0P and folds -D_c into
-        # its map: scattered to every member's torn columns and interface
+    def test_class_cuts_scatter_to_the_interface_blocks(self, case, primal, condense, monkeypatch):
+        # every run keeps each class's B_0, B_0P and D_c on its interface
+        # class: scattered to every member's torn columns and interface
         # rows, subdomain by subdomain, B_0 and B_0P are B_C bitwise and
         # -sum D_c is C_hat to roundoff
-        red = self.reduced(case, primal, monkeypatch, True)
+        red = self.reduced(case, primal, monkeypatch, condense)
         B_C, C_hat = interface_coupling(red)
         start = red.layout.primal_slice.start
         groups = red.system.classes("ABCDE")
@@ -128,12 +117,13 @@ class TestOperator:
         b_rows, b_cols, b_vals, d_rows, d_cols, d_vals = ([] for _ in range(6))
         for s in range(red.cls.n_subdomains):
             i, j = member[s]
-            b, t, c = blocks[i], red.torn.classes[i], red.condensed.classes[i]
+            b, t, c = blocks[i], red.torn.classes[i], red.interface.classes[i]
             rows = c.idx[:, j]
-            # the run keeps the class's B_0, its transpose and B_0P
-            B0, B0_T, B0P = red.traces[i]
-            assert_bitwise(B0, b.B0, (s, "B0"))
-            assert np.array_equal(B0_T.toarray(), b.B0.T.toarray()) and np.array_equal(B0P, b.B0P)
+            # the run keeps the class's B_0, its transpose, B_0P and D_c
+            assert c.factor is t.factor
+            assert_bitwise(c.cut.B0, b.B0, (s, "B0"))
+            assert np.array_equal(c.cut.B0_T.toarray(), b.B0.T.toarray()) and np.array_equal(c.cut.B0P, b.B0P)
+            assert np.array_equal(c.cut.D, b.D)
             for M, cols in ((b.B0.tocoo(), t.idx[:, j]), (sp.coo_matrix(b.B0P), start + t.primal[:, j])):
                 b_rows.append(rows[M.row])
                 b_cols.append(cols[M.col])
@@ -151,11 +141,13 @@ class TestOperator:
                             shape=C_hat.shape)
         assert abs(got - C_hat).max() <= 1e-15 * abs(C_hat).max()
 
-    def test_condensed_build_holds_no_global_interface_matrix(self):
-        # 6x6 subdomains at H/h = 4: condensed, its classes hold B_C's parts
-        red = bd.build_pipeline(bd.ExperimentConfig(nx=24, subdomains=(6, 6), oracle="off")).reduced
-        assert red.condensed is not None and len(red.traces) == len(red.condensed.classes) == 9
-        assert red.B_C is None and red.B_C_T is None and red.C_hat is None
+    @pytest.mark.parametrize("nx, grid, condense", [(24, 6, True), (48, 3, False)])
+    def test_condensed_build_holds_no_global_interface_matrix(self, nx, grid, condense):
+        # 6x6 subdomains at H/h = 4, condensed, and 3x3 at H/h = 16, not:
+        # either way its classes hold B_C's parts
+        red = bd.build_pipeline(bd.ExperimentConfig(nx=nx, subdomains=(grid, grid), oracle="off")).reduced
+        assert is_condensed(red) == condense and len(red.interface.classes) == 9
+        assert all(c.cut is not None for c in red.interface.classes)
         n_w = red.layout.n_w
         for name, v in vars(red).items():
             assert not (sp.issparse(v) and (red.n in v.shape or n_w in v.shape)), name
@@ -711,7 +703,7 @@ def test_local_saddle_is_bitwise_the_sliced_bmat(case, primal):
     # sliced bmat
     kw, _ = MULTI_MEMBER_GRIDS[case]
     pipe = bd.build_pipeline(bd.ExperimentConfig(primal=primal, oracle="off", **kw))
-    saddles = ClassSaddles(pipe.system, pipe.cls)
+    saddles = ClassSaddles(pipe.system, pipe.cls, pipe.jump)
     assert saddles.reps.tolist() == [m[0] for m in pipe.system.classes("ABCDE")]
     klass = np.searchsorted(saddles.reps, pipe.system.stacked.rep)
     for trace in (False, True):
@@ -723,19 +715,16 @@ def test_local_saddle_is_bitwise_the_sliced_bmat(case, primal):
 
 @pytest.mark.parametrize("primal", ["vertex", "vertex-edge"])
 @pytest.mark.parametrize("case", list(MULTI_MEMBER_GRIDS))
-def test_class_blocks_are_slices_of_the_sliced_bmat(case, primal, monkeypatch):
+def test_class_blocks_are_slices_of_the_sliced_bmat(case, primal):
     # K_rr, A_rP, A_PP, B_0 (trace rows and signed jump), B_0P and D_c of
     # each torn class are the slices of its representative's sliced bmat
     # that set-up once cut, and the signed jump's rows as it once stacked
-    # them; condensing, forced here, borders the matrix in the same bmat
+    # them, bordered in the same bmat
     kw, _ = MULTI_MEMBER_GRIDS[case]
     pipe = bd.build_pipeline(bd.ExperimentConfig(primal=primal, oracle="off", **kw))
     cls, st, unit = pipe.cls, pipe.system.stacked, pipe.jump.unit
-    without = ClassSaddles(pipe.system, cls)
-    monkeypatch.setattr(reduced_system, "_PAYBACK_APPLIES", 10**9)
     saddles = ClassSaddles(pipe.system, cls, pipe.jump)
-    assert saddles.condensed and not without.condensed
-    for r, b, b_ in zip(saddles.reps, saddles.blocks(), without.blocks(), strict=True):
+    for r, b in zip(saddles.reps, saddles.blocks(), strict=True):
         lb = local_view(st, r)
         sets = _local_index_sets(cls, lb.dofs)
         ref = sliced_bmat_saddle(lb, sets, True)
@@ -750,9 +739,6 @@ def test_class_blocks_are_slices_of_the_sliced_bmat(case, primal, monkeypatch):
                     D=ref[n_k:, n_k:].toarray())
         for name, w in want.items():
             assert_bitwise(getattr(b, name), w, (r, name))
-        for name in ("K", "A_rP", "A_PP"):
-            assert_bitwise(getattr(b_, name), want[name], (r, name))
-        assert b_.B0 is None and b_.B0P is None and b_.D is None
 
 
 @pytest.mark.parametrize("kw", [
@@ -775,7 +761,7 @@ def test_diagonal_block_rejects_shifted_offsets(shift):
     # and a column between two neighbouring blocks: each then has an entry
     # outside its columns, which SciPy would read past the block's arrays
     pipe = bd.build_pipeline(bd.ExperimentConfig(nx=20, subdomains=(5, 5), total_pressure="p1", primal="vertex"))
-    K, off, _ = ClassSaddles(pipe.system, pipe.cls).sparse(LOCAL, LOCAL)
+    K, off, _ = ClassSaddles(pipe.system, pipe.cls, pipe.jump).sparse(LOCAL, LOCAL)
     assert off.size == 10
     for k in range(1, off.size - 1):
         bad = off.copy()
