@@ -312,7 +312,6 @@ class MaterialField:
     kappa: np.ndarray
     lam: np.ndarray = field(init=False)
     mu: np.ndarray = field(init=False)
-    c0: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         n = self.grid[0] * self.grid[1]
@@ -328,7 +327,6 @@ class MaterialField:
         pairs = [derive_lame(e, v) for e, v in zip(self.E, self.nu)]
         self.lam = np.array([p[0] for p in pairs])
         self.mu = np.array([p[1] for p in pairs])
-        self.c0 = self.alpha**2 / self.lam
 
     @staticmethod
     def uniform(grid: tuple[int, int], E: float, nu: float, alpha: float, kappa: float) -> "MaterialField":

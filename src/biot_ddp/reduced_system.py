@@ -749,34 +749,6 @@ class ReducedSystem:
         return u, xi, p, jump_norm
 
 
-def _local_index_sets(cls: DofClassification, dofs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The local positions of a subdomain's interior, interface, dual and
-    primal dofs of each field of ``dofs``, keyed by the field and "I", "G",
-    "D" or "P" ("uI", "xiG", ...), read off the roles of its sorted dofs
-    (``FieldSplit.role``, ``StackedBlocks.local_dofs``)."""
-    sets = {}
-    for fld, d in dofs.items():
-        role = cls.splits[fld].role[d]
-        for name, flag in (("I", role == 0), ("G", role > 0), ("D", role == 1), ("P", role == 2)):
-            sets[fld + name] = np.flatnonzero(flag)
-    return sets
-
-
-def _check_members(system: BlockSystem, cls: DofClassification) -> None:
-    """Every subdomain's local dofs must play, position by position, the
-    roles (interior, dual or primal) of its representative's on the sides
-    touched alone, a key every class refines: a class's maps are read at its
-    representative's local positions.  One comparison per field; a
-    subdomain that differs is an ``InternalError`` naming it."""
-    st, rep = system.stacked, class_representatives(system.materials, ())
-    for fld, split in cls.splits.items():
-        off, role = st.off[fld], split.role[st.dofs[fld]]
-        wrong = np.repeat(np.arange(st.n_sub), np.diff(off))[role != role[block_positions(off, rep)]]
-        if wrong.size:
-            s = wrong[0]
-            raise InternalError(f"subdomain {s}: {fld} dofs not at the local positions of its representative {rep[s]}")
-
-
 # The roles of a torn class's saddle rows and columns, in their order: its
 # local unknowns (K_rr: interior displacement, total pressure and pressure,
 # then the dual displacement copies), its primal displacements, its trace
@@ -787,6 +759,9 @@ LOCAL, PRIMAL, TRACE, SADDLE, INTERFACE = slice(0, 4), slice(4, 5), slice(5, 7),
 # each field's role above by its dof's ``FieldSplit.role`` (interior, dual, primal)
 _SADDLE_ROLE = {"u": np.array([0, 3, 4], dtype=np.int8), "xi": np.array([1, 5, 5], dtype=np.int8),
                 "p": np.array([2, 6, 6], dtype=np.int8)}
+# the parts of every subdomain's stacked positions: u, xi, p, then the λ rows
+# on a second copy of u; and each role's part
+_PARTS, _PART = ("u", "xi", "p", "u"), np.array([0, 1, 2, 0, 0, 1, 2, 3])
 
 
 @dataclass
@@ -806,7 +781,8 @@ class SaddleBlocks:
 
 class ClassSaddles:
     """The local saddle blocks [[A, B^T, 0], [B, -C, D^T], [0, D, -E]] of
-    every torn class, cut out of one stacked saddle matrix.
+    every torn class, cut out of one stacked saddle matrix, and where each
+    class's rows lie in the reduced problem.
 
     The torn classes are the assembly classes, whose representatives'
     blocks are the stored ones (``StackedBlocks``), so ``saddle_blocks`` of
@@ -818,20 +794,37 @@ class ClassSaddles:
     (``ROLES``, by its dof's ``FieldSplit.role``); one stable sort by class
     and role gives every class's saddle order, and ``counts[c, k]`` is how
     many rows of role k class c has.  The classes are ``condensed`` when
-    that pays back within a run.  ``sparse`` takes a
-    run of row roles and a run of column roles of every class at once, in
-    saddle order; ``blocks`` gives the parts that set-up factors and
-    condenses, the dense ones as their diagonal blocks' ``toarray``.  Every
-    value is a stored entry's own.
+    that pays back within a run.  ``sparse`` takes a run of row roles and a
+    run of column roles of every class at once, in saddle order; ``blocks``
+    gives the parts that set-up factors and condenses, the dense ones as
+    their diagonal blocks' ``toarray``.  Every value is a stored entry's own.
+
+    A member is read at its representative's local positions, so every
+    subdomain's dofs must play, position by position, the roles of its
+    representative's on the sides touched alone, a key every class refines.
+    One table over every subdomain's stacked positions (``_PARTS``) holds
+    each one's column in the reduced problem: a local or primal unknown's
+    torn column, a trace dof's interface row, a dual copy's λ row.  A
+    subdomain whose roles differ, or a displacement dof without a column,
+    is an ``InternalError`` naming the subdomain.  ``columns`` reads the
+    table at a run of a class's roles for each member, ``keys`` gives the
+    same rows' patch keys.
     """
 
     def __init__(self, system: BlockSystem, cls: DofClassification, jump: Transfer):
-        st = system.stacked
+        st, lay = system.stacked, cls.layout
+        roles = {fld: split.role[st.dofs[fld]] for fld, split in cls.splits.items()}
+        rep = class_representatives(system.materials, ())
+        for fld, role in roles.items():
+            wrong = np.flatnonzero(role != role[block_positions(st.off[fld], rep)])
+            if wrong.size:
+                s = np.searchsorted(st.off[fld], wrong[0], side="right") - 1
+                raise InternalError(
+                    f"subdomain {s}: {fld} dofs not at the local positions of its representative {rep[s]}")
         self.reps = np.flatnonzero(st.rep == np.arange(st.n_sub))
-        self.owner = np.concatenate([np.repeat(np.arange(self.reps.size), np.diff(st.rep_off[fld])[self.reps])
-                                     for fld in cls.splits])
-        self.role = np.concatenate([_SADDLE_ROLE[fld][split.role[st.dofs[fld][block_positions(st.off[fld], self.reps)]]]
-                                    for fld, split in cls.splits.items()])
+        at = {fld: block_positions(st.off[fld], self.reps) for fld in roles}  # the representatives' positions
+        owner = {fld: np.repeat(np.arange(self.reps.size), np.diff(st.rep_off[fld])[self.reps]) for fld in roles}
+        self.role = np.concatenate([_SADDLE_ROLE[fld][role[at[fld]]] for fld, role in roles.items()])
         # condensing pays back unless the columns solved once to condense
         # every class (its trace rows and dual copies) are more than
         # _PAYBACK_APPLIES times those one application solves without it,
@@ -845,14 +838,55 @@ class ClassSaddles:
         zero = [sp.csr_matrix((n, dual.size)) for n in (st.C.shape[0], st.E.shape[0], dual.size)]
         blocks = [row + [side] for row, side in zip(saddle_blocks(st), [J.T.tocsr(), *zero])]
         blocks.append([J, zero[0].T.tocsr(), zero[1].T.tocsr(), zero[2]])
-        self.owner = np.concatenate([self.owner, self.owner[dual]])
+        self.owner = np.concatenate([*owner.values(), owner["u"][dual]])
         self.role = np.concatenate([self.role, np.full(dual.size, ROLES.index("lam"), dtype=np.int8)])
+        # 3 k + 0, 1 or 2 (u, xi, p) for each position's patch key k; a λ row's is its copy's
+        keys = [3 * space.patch_keys(system.materials.grid, self.reps[owner[fld]], st.dofs[fld][at[fld]]) + code
+                for code, (fld, space) in enumerate(system.spaces.fields.items())]
+        self._keys = np.concatenate([*keys, keys[0][dual]])
         self._M = sp.bmat(blocks, format="csr")
         # every class's saddle order and role counts
         key = self.owner * len(ROLES) + self.role
         self._order = np.argsort(key, kind="stable")
         self._sorted = self.role[self._order]
         self.counts = np.bincount(key, minlength=self.reps.size * len(ROLES)).reshape(-1, len(ROLES))
+        # the column table; the copies are the broken ones, in order
+        u, (n_xi_g, n_p_g, _), copies = st.dofs["u"], cls.segments, np.flatnonzero(roles["u"] == 1)
+        col = [np.where(lay.primal_pos[u] >= 0, lay.primal_pos[u], lay.int_pos["u"][u])]
+        col[0][copies] = lay.dual_slice.start + np.arange(copies.size)
+        if np.any(col[0] < 0):
+            s = np.searchsorted(st.off["u"], np.argmax(col[0] < 0), side="right") - 1
+            raise InternalError(f"subdomain {s}: unclassified displacement dofs in local block")
+        col += [np.where(roles[fld] > 0, row + cls.splits[fld].interface_pos(d), lay.int_pos[fld][d])
+                for fld, row, d in (("xi", 0, st.dofs["xi"]), ("p", n_xi_g, st.dofs["p"]))]
+        col.append(np.full(u.size, -1, dtype=np.int64))
+        Jc = jump.unit.tocoo()  # B^T: one entry per broken copy
+        col[3][copies[Jc.row]] = n_xi_g + n_p_g + Jc.col
+        self._col = np.concatenate(col)
+        # each saddle position's place in the table, whose parts start at base
+        base = np.cumsum([0, *(c.size for c in col[:3])])
+        self._at = np.concatenate([*(at[fld] + b for fld, b in zip(roles, base)), at["u"][dual] + base[3]])
+        self._off = np.array([st.off[fld] for fld in _PARTS])
+
+    def _rows(self, run: slice, c: int) -> np.ndarray:
+        """Class c's positions of the roles ``run``, in its saddle order."""
+        start = self.counts.ravel()[: c * len(ROLES) + run.start].sum()
+        return self._order[start : start + self.counts[c, run].sum()]
+
+    def columns(self, run: slice, c: int, members: np.ndarray) -> np.ndarray:
+        """The column of each of class c's rows of the roles ``run``, in
+        saddle order, one column per member of ``members``: a member's rows
+        are its representative's, shifted to its own positions."""
+        rows = self._rows(run, c)
+        shift = self._off[:, members] - self._off[:, self.reps[c], None]
+        # a gather along shift's first axis is C-ordered, and so is the result
+        return self._col[self._at[rows][:, None] + shift[_PART[self.role[rows]]]]
+
+    def keys(self, run: slice, c: int) -> np.ndarray:
+        """The patch keys of class c's representative's rows of the roles
+        ``run``, in saddle order, each 3 k + 0, 1 or 2 (u, xi, p) for its
+        dof's key k; a λ row takes its dual copy's key."""
+        return self._keys[self._rows(run, c)]
 
     def sparse(self, rows: slice, cols: slice) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
         """The block-diagonal CSR matrix whose block c is class c's rows of
@@ -880,27 +914,11 @@ class ClassSaddles:
         return parts
 
 
-def _torn_columns(system: BlockSystem, cls: DofClassification) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """The torn column of every stacked local unknown, -1 where there is
-    none, by field, and the stacked positions of the dual dofs: the broken
-    copies in order."""
-    lay, st = cls.layout, system.stacked
-    u = st.dofs["u"]
-    dual = np.flatnonzero(cls.u.role[u] == 1)
-    wcol = {fld: pos[st.dofs[fld]] for fld, pos in lay.int_pos.items()}
-    wcol["u"] = np.where(lay.primal_pos[u] >= 0, lay.primal_pos[u], wcol["u"])
-    wcol["u"][dual] = lay.dual_slice.start + np.arange(dual.size)
-    if np.any(wcol["u"] < 0):
-        s = np.searchsorted(st.off["u"], np.argmax(wcol["u"] < 0), side="right") - 1
-        raise InternalError(f"subdomain {s}: unclassified displacement dofs in local block")
-    return wcol, dual
-
-
 def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Transfer) -> ReducedSystem:
     """The reduced system, its torn and interface classes built, and
     condensed when that pays back, in one pass over the classes
     (``class_sources`` over u and p), each from its parts of the saddle
-    blocks (``ClassSaddles``).
+    blocks and its members' columns and keys (``ClassSaddles``).
 
     An interface class's map is [-S_c; (Psi - B_0P)^T] on its members'
     interface rows (xi_G, p_G, then the λ row of each dual copy), where B_0
@@ -930,28 +948,6 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
     lay = cls.layout
     st = system.stacked
     n_xi_g, n_p_g, _ = cls.segments
-    _check_members(system, cls)
-
-    wcol, dual = _torn_columns(system, cls)
-    # interface row of every stacked trace dof and dual copy, -1 where there
-    # is none: B^T has one entry per broken copy
-    yrow = {fld: np.where(cls.splits[fld].role[st.dofs[fld]] > 0, base + cls.splits[fld].interface_pos(st.dofs[fld]), -1)
-            for fld, base in (("xi", 0), ("p", n_xi_g))}
-    Jc = jump.unit.tocoo()
-    yrow["u"] = np.full(st.dofs["u"].size, -1, dtype=np.int64)
-    yrow["u"][dual[Jc.row]] = n_xi_g + n_p_g + Jc.col
-
-    def gather(m: dict, members: np.ndarray, sets: dict, *names: str) -> np.ndarray:
-        """The maps ``m`` at the class's local positions of ``names``, a column per member."""
-        return np.concatenate([m[n[:-1]][st.off[n[:-1]][members] + sets[n][:, None]] for n in names])
-
-    def keys_at(r: int, dofs: dict, sets: dict, *names: tuple[str, ...]) -> list[np.ndarray]:
-        """For each tuple of ``names``, 3 k + 0, 1 or 2 (u, xi, p) for the
-        patch key k of each of the class's local positions of those names."""
-        keys = {fld: 3 * space.patch_keys(system.materials.grid, r, dofs[fld]) + code
-                for code, (fld, space) in enumerate(system.spaces.fields.items())}
-        return [np.concatenate([keys[n[:-1]][sets[n]] for n in group]) for group in names]
-
     # the members of an assembly class share their representative's blocks
     class_members = system.classes("ABCDE")
     saddles = ClassSaddles(system, cls, jump)
@@ -968,13 +964,10 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
     for i, src in class_sources(system, cls, class_members, "ABCDE", ("u", "p")):
         members, b = class_members[i], blocks[i]
         mass_only += len(members) * xi_mass_only(b.K, saddles.counts[i])
-        r = members[0]
-        dofs = st.local_dofs(r)
-        sets = _local_index_sets(cls, dofs)
-        name = f"subdomain {r} (class of {len(members)})"
+        name = f"subdomain {members[0]} (class of {len(members)})"
         factor = None
         if condense:
-            keys, unknowns = keys_at(r, dofs, sets, ("xiG", "pG", "uD"), ("uI", "xiI", "pI", "uD"))
+            keys, unknowns = saddles.keys(INTERFACE, i), saddles.keys(LOCAL, i)
         if condense and src is not None:
             c = class_members[src][0]
             S_c, rows, solve_c, unknowns_c, W_c, B0_T_c = schur[src]
@@ -985,10 +978,10 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
                 factor = None
         if factor is None:
             factor = SaddleFactor(name, b.K)
-        primal = gather(wcol, members, sets, "uP") - lay.primal_slice.start
+        primal = saddles.columns(PRIMAL, i, members) - lay.primal_slice.start
         X, S_PP = primal_coupling(factor, b.A_rP, b.A_PP)
         coarse[i] = (primal, S_PP)
-        classes[i] = LocalClass(idx=gather(wcol, members, sets, "uI", "xiI", "pI", "uD"), primal=primal, X=X,
+        classes[i] = LocalClass(idx=saddles.columns(LOCAL, i, members), primal=primal, X=X,
                                 factor=factor, A_Pr=np.ascontiguousarray(b.A_rP.T))
         cut = TraceCut(b.B0, b.B0.T.tocsr(), b.B0P, b.D)
         X, Y = b.B0 @ X - b.B0P, None  # Psi - B_0P, and the map when condensed
@@ -1003,7 +996,7 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
                 schur[i] = S, PatchKeys(keys), factor.solve, PatchKeys(np.concatenate([unknowns, keys[:n_G]])), W, B0_T
             Y = np.vstack([-S, X.T])
             X = Y[S.shape[0] :].T
-        interface[i] = LocalClass(idx=gather(yrow, members, sets, "xiG", "pG", "uD"), primal=primal, X=X,
+        interface[i] = LocalClass(idx=saddles.columns(INTERFACE, i, members), primal=primal, X=X,
                                   factor=factor, S=Y, cut=cut)
 
     f_w = np.zeros(lay.n_w)
@@ -1011,6 +1004,7 @@ def build_reduced_system(system: BlockSystem, cls: DofClassification, jump: Tran
         mask = lay.int_pos[fld] >= 0
         f_w[lay.int_pos[fld][mask]] = load[mask]
     f_w[lay.primal_slice] = system.f[cls.u.primal]
+    dual = np.flatnonzero(cls.u.role[st.dofs["u"]] == 1)  # the broken copies in order
     sub = np.searchsorted(st.off["u"], dual, side="right") - 1
     f_w[lay.dual_slice] = st.f[st.rep_off["u"][st.rep[sub]] + dual - st.off["u"][sub]]
 

@@ -61,6 +61,33 @@ def local_view(st, s: int) -> LocalBlocks:
     return LocalBlocks(st.local_dofs(s), *(st.block(name, s) for name in "ABCDE"), f, g)
 
 
+def local_index_sets(cls, dofs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The local positions of a subdomain's interior, interface, dual and
+    primal dofs of each field of ``dofs`` (its sorted dofs), keyed by the
+    field and "I", "G", "D" or "P" ("uI", "xiG", ...), read off the roles of
+    its own dofs (``FieldSplit.role``)."""
+    sets = {}
+    for fld, d in dofs.items():
+        role = cls.splits[fld].role[d]
+        for name, flag in (("I", role == 0), ("G", role > 0), ("D", role == 1), ("P", role == 2)):
+            sets[fld + name] = np.flatnonzero(flag)
+    return sets
+
+
+def torn_columns(system, cls) -> dict[str, np.ndarray]:
+    """The torn column of every stacked local unknown, -1 where there is
+    none, by field: interior dofs by the layout's ``int_pos``, primal
+    displacements by ``primal_pos``, and the dual displacement copies in
+    stacked order, which is the broken copies' order."""
+    lay, st = cls.layout, system.stacked
+    cols = {fld: pos[st.dofs[fld]] for fld, pos in lay.int_pos.items()}
+    u = st.dofs["u"]
+    dual = np.flatnonzero(cls.u.role[u] == 1)
+    cols["u"] = np.where(lay.primal_pos[u] >= 0, lay.primal_pos[u], cols["u"])
+    cols["u"][dual] = lay.dual_slice.start + np.arange(dual.size)
+    return cols
+
+
 def local_blocks(system) -> dict[int, LocalBlocks]:
     """Every subdomain's ``local_view``, by subdomain."""
     return {s: local_view(system.stacked, s) for s in range(system.stacked.n_sub)}
@@ -234,7 +261,7 @@ def schur_inputs(system, cls, fld: str, r: int):
     local dofs, and the local positions of the dofs they keep (dual, then
     primal; the elastic block only dual) and of the interior ones."""
     lb = local_view(system.stacked, r)
-    sets = reduced_system._local_index_sets(cls, {fld: lb.dofs[fld]})
+    sets = local_index_sets(cls, {fld: lb.dofs[fld]})
     M = getattr(lb, FIELD_BLOCK[fld])
     if fld == "xi":
         M = float(system.materials.lam[r] / system.materials.mu[r]) * M
@@ -256,7 +283,7 @@ def interface_coupling(red) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     interface = {fld: by_subdomain(cls.splits[fld].rows, n_sub) for fld in ("xi", "p")}
     primal, dual_offset = by_subdomain(cls.u.primal_rows, n_sub), broken_offsets(cls.u.dual_rows, n_sub)
     for s, lb in local_blocks(system).items():
-        sets = reduced_system._local_index_sets(cls, lb.dofs)
+        sets = local_index_sets(cls, lb.dofs)
         y = {"xi": np.full(lb.dofs["xi"].size, -1), "p": np.full(lb.dofs["p"].size, -1)}
         y["xi"][sets["xiG"]] = cls.xi.interface_pos(interface["xi"][s])
         y["p"][sets["pG"]] = n_xi + cls.p.interface_pos(interface["p"][s])
@@ -306,7 +333,7 @@ def torn_matrix_reference(red) -> sp.csr_matrix:
     columns, the blocks laid end to end in COO and summed by SciPy."""
     lay, cls, blocks, cols = red.layout, red.cls, [], []
     for s, lb in local_blocks(red.system).items():
-        sets = reduced_system._local_index_sets(cls, lb.dofs)
+        sets = local_index_sets(cls, lb.dofs)
         blocks.append(sliced_bmat_saddle(lb, sets, False))
         cols += [pos[lb.dofs[fld][sets[fld + "I"]]] for fld, pos in lay.int_pos.items()]
         cols += [lay.dual_slice.start + np.arange(*cls.u.dual_offset[s : s + 2]), lay.primal_pos[lb.dofs["u"][sets["uP"]]]]
@@ -319,7 +346,7 @@ def torn_matrix_reference(red) -> sp.csr_matrix:
 def torn_matrix_from_class_cut(red) -> sp.csr_matrix:
     """The full torn saddle system from one ``ClassSaddles.sparse(SADDLE,
     SADDLE)`` cut: every subdomain's block is its class's, placed at its
-    torn columns (``_torn_columns``, as the build reads them) by the class
+    torn columns (``torn_columns``) by the class
     saddle order (a stable sort of ``ClassSaddles.owner`` and ``role``)."""
     st, lay, SADDLE = red.system.stacked, red.layout, reduced_system.SADDLE
     saddles = reduced_system.ClassSaddles(red.system, red.cls, red.jump)
@@ -339,7 +366,7 @@ def torn_matrix_from_class_cut(red) -> sp.csr_matrix:
     # stacked positions are the fields' in turn
     g = np.empty(n_k.sum(), dtype=np.int64)
     base = 0
-    for fld, col in reduced_system._torn_columns(red.system, red.cls)[0].items():
+    for fld, col in torn_columns(red.system, red.cls).items():
         at = base + block_positions(st.rep_off[fld], st.rep)
         keep = saddles.role[at] < SADDLE.stop
         sub = np.repeat(np.arange(st.n_sub), np.diff(st.off[fld]))

@@ -33,8 +33,8 @@ import biot_ddp as bd
 from biot_ddp import preconditioner, reduced_system
 from biot_ddp.mesh_fem import FIELD_BLOCK
 from helpers import (
-    broken_offsets, by_subdomain, interface_coupling, is_condensed, local_solve_apply, local_view, record_torn_columns, schur_inputs,
-    sliced_bmat_saddle,
+    broken_offsets, by_subdomain, interface_coupling, is_condensed, local_index_sets, local_solve_apply, local_view,
+    record_torn_columns, schur_inputs, sliced_bmat_saddle,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -145,7 +145,7 @@ def own_saddle(pipe, s):
     """Subdomain s's saddle block with its trace rows last, its local sets
     and the (field, patch key) of each of its local unknowns and trace rows."""
     lb = local_view(pipe.system.stacked, s)
-    sets = reduced_system._local_index_sets(pipe.cls, lb.dofs)
+    sets = local_index_sets(pipe.cls, lb.dofs)
     spaces, grid = pipe.system.spaces.fields, pipe.system.materials.grid
     keys = [(n[:-1], int(k)) for n in ("uI", "xiI", "pI", "uD", "xiG", "pG")
             for k in spaces[n[:-1]].patch_keys(grid, s, lb.dofs[n[:-1]][sets[n]])]

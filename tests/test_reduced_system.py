@@ -7,6 +7,8 @@ dense elimination of the torn unknowns, or explicit column probing.
 
 import itertools
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,6 @@ from biot_ddp.reduced_system import (
     CoarseProblem,
     PatchKeys,
     SaddleFactor,
-    _local_index_sets,
     coarse_band,
     derive_schur,
     eliminable_rows,
@@ -41,6 +42,7 @@ from helpers import (
     interface_coupling,
     is_condensed,
     local_blocks,
+    local_index_sets,
     local_view,
     numeric_classes,
     record_probes,
@@ -51,6 +53,10 @@ from helpers import (
     torn_matrix_reference,
     torn_solve_per_member,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from workloads import WORKLOADS, experiment_config  # noqa: E402
 
 
 def build(variant="p1", primal="vertex", pattern="uniform", **kw):
@@ -553,6 +559,21 @@ class TestCongruenceClasses:
         with pytest.raises(bd.InternalError, match=f"subdomain 6: {fld} dofs"):
             bd.build_reduced_system(pipe.system, pipe.cls, pipe.jump)
 
+    @pytest.mark.parametrize("sub", [0, 6])
+    def test_unclassified_displacement_dof_is_rejected(self, monkeypatch, sub):
+        # one interior displacement dof of a representative (0) or of a
+        # member (6, in 5's class) left without a torn column, in a copy of
+        # the layout's interior positions
+        pipe = bd.build_pipeline(bd.ExperimentConfig(nx=16, subdomains=(4, 4), E=1.0, nu=0.3))
+        lay = pipe.cls.layout
+        dof = by_subdomain(pipe.cls.u.interior, 16)[sub][0]
+        pos = lay.int_pos["u"].copy()
+        assert pos[dof] >= 0
+        pos[dof] = -1
+        monkeypatch.setitem(lay.int_pos, "u", pos)
+        with pytest.raises(bd.InternalError, match=f"subdomain {sub}: unclassified displacement dofs"):
+            bd.build_reduced_system(pipe.system, pipe.cls, pipe.jump)
+
     @pytest.mark.parametrize("kw", [dict(black={"alpha": 1e-2}), dict(kappa=1e-8, black={"kappa": 1e-9})])
     def test_flow_only_contrast_splits_classes(self, kw):
         # at the default E the elastic entries dwarf the flow ones, yet a
@@ -709,7 +730,7 @@ def test_local_saddle_is_bitwise_the_sliced_bmat(case, primal):
     for trace in (False, True):
         M, off, _ = saddles.sparse(*[slice(0, 7) if trace else SADDLE] * 2)
         for s, lb in local_blocks(pipe.system).items():
-            ref = sliced_bmat_saddle(lb, _local_index_sets(pipe.cls, lb.dofs), trace)
+            ref = sliced_bmat_saddle(lb, local_index_sets(pipe.cls, lb.dofs), trace)
             assert_bitwise(diagonal_block(M, off, off, klass[s]), ref, (s, trace))
 
 
@@ -726,7 +747,7 @@ def test_class_blocks_are_slices_of_the_sliced_bmat(case, primal):
     saddles = ClassSaddles(pipe.system, cls, pipe.jump)
     for r, b in zip(saddles.reps, saddles.blocks(), strict=True):
         lb = local_view(st, r)
-        sets = _local_index_sets(cls, lb.dofs)
+        sets = local_index_sets(cls, lb.dofs)
         ref = sliced_bmat_saddle(lb, sets, True)
         n_D = sets["uD"].size
         n_r = sum(sets[k].size for k in ("uI", "xiI", "pI")) + n_D
@@ -753,6 +774,44 @@ def test_torn_matrix_is_bitwise_the_per_subdomain_build(kw):
     # subdomain's own sliced bmat block
     red = bd.build_pipeline(bd.ExperimentConfig(oracle="off", **kw)).reduced
     assert_bitwise(torn_matrix_from_class_cut(red), torn_matrix_reference(red), "torn matrix")
+
+
+def own_columns(red, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Subdomain s's torn columns (uI, xiI, pI, uD), primal unknowns and
+    interface rows (xiG, pG, then the λ row of each dual copy), from its
+    own local index sets through the layout."""
+    cls, lay, (n_xi, n_p, _) = red.cls, red.layout, red.segments
+    dofs = red.system.stacked.local_dofs(s)
+    sets = local_index_sets(cls, dofs)
+    at = {n: dofs[n[:-1]][sets[n]] for n in sets}
+    copies = np.arange(*cls.u.dual_offset[s : s + 2])
+    J = red.jump.unit.tocsr()
+    assert np.all(np.diff(J.indptr) == 1)  # one multiplier per broken copy
+    torn = [lay.int_pos["u"][at["uI"]], lay.int_pos["xi"][at["xiI"]], lay.int_pos["p"][at["pI"]],
+            lay.dual_slice.start + copies]
+    rows = [cls.xi.interface_pos(at["xiG"]), n_xi + cls.p.interface_pos(at["pG"]), n_xi + n_p + J.indices[copies]]
+    return np.concatenate(torn), lay.primal_pos[at["uP"]] - lay.primal_slice.start, np.concatenate(rows)
+
+
+@pytest.mark.parametrize("kw", [
+    *(experiment_config(name, 7) for name in WORKLOADS),
+    *(dict(primal=primal, oracle="off", **kw) for kw, _ in MULTI_MEMBER_GRIDS.values()
+      for primal in ("vertex", "vertex-edge")),
+], ids=[*WORKLOADS, *(f"{case}-{primal}" for case in MULTI_MEMBER_GRIDS for primal in ("vertex", "vertex-edge"))])
+def test_class_index_layout_is_each_members_own(kw):
+    # every torn and interface class gathers, for each member, the columns
+    # that member's own index sets give through the layout, as C-ordered
+    # int64 arrays (an F-ordered gather moves the numbers at roundoff)
+    red = bd.build_pipeline(bd.ExperimentConfig(**kw)).reduced
+    groups = red.system.classes("ABCDE")
+    for k, (members, c, i) in enumerate(zip(groups, red.torn.classes, red.interface.classes, strict=True)):
+        for a in (c.idx, c.primal, i.idx, i.primal):
+            assert a.dtype == np.int64 and a.flags.c_contiguous, k
+        for j, s in enumerate(members):
+            torn, primal, rows = own_columns(red, s)
+            assert np.array_equal(c.idx[:, j], torn), (k, s)
+            assert np.array_equal(c.primal[:, j], primal) and np.array_equal(i.primal[:, j], primal), (k, s)
+            assert np.array_equal(i.idx[:, j], rows), (k, s)
 
 
 @pytest.mark.parametrize("shift", [-1, 1])
@@ -789,7 +848,7 @@ class TestClassKey:
         pipe = bd.build_pipeline(bd.ExperimentConfig(primal=primal, oracle="off", **kw))
         system, cls, mats = pipe.system, pipe.cls, pipe.system.materials
         lbs = list(local_blocks(system).values())
-        ix = [_local_index_sets(cls, lb.dofs) for lb in lbs]
+        ix = [local_index_sets(cls, lb.dofs) for lb in lbs]
         saddles = [sliced_bmat_saddle(lb, sets, False) for lb, sets in zip(lbs, ix)]
         p_gamma = []
         interface = by_subdomain(cls.p.rows, len(lbs))
