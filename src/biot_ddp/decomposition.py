@@ -7,14 +7,15 @@ multipliers); pressure interface dofs get the same split for use inside
 the balancing preconditioner; total pressure interface dofs stay in one
 undivided continuous block.
 
-Which subdomains share each dof is read off one incidence table per field:
-the sorted (dof, subdomain) rows of every subdomain whose closure holds the
-dof's node.  A dof with one sharer is interior to it, the others form the
-interface.  Each field's split is one ``FieldSplit``, which keeps its
-interior, interface, primal and dual rows as such tables; the torn layout,
-the stiffness weights and the transfers look them up by field name ("u",
-"xi" or "p").  A table's broken layout is its rows in (subdomain, dof)
-order, and each subdomain's own set is a slice of it.
+Which subdomains share each dof is read off assembly's stacked dofs
+(``StackedBlocks.dofs``), one incidence table per field: a (dof,
+subdomain) row per stacked position, so the rows come in the field's
+broken layout, subdomains in turn, each with its dofs sorted.  A dof with
+one sharer is interior to it, the others form the interface.  Each field's
+split is one ``FieldSplit``, which keeps its interior, interface, primal
+and dual rows as such tables, each subdomain's own set a slice of them;
+the torn layout, the stiffness weights and the transfers look them up by
+field name ("u", "xi" or "p").
 
 Every field gets one stiffness weight per interface row, and every
 interface segment one ``Transfer`` from its assembled unknowns to its
@@ -49,7 +50,6 @@ from .mesh_fem import (
     MaterialField,
     StructuredMesh,
     block_positions,
-    element_subdomains,
     sorted_unique,
     subdomain_sides,
 )
@@ -94,8 +94,9 @@ def partition(mesh: StructuredMesh, grid: tuple[int, int]) -> SubdomainPartition
 class Incidence:
     """Which subdomains share each dof of one field.
 
-    One row (dof[k], sub[k]) per sharing subdomain, sorted by dof and then
-    by subdomain, so a dof shared by two subdomains lists the lower first.
+    One row (dof[k], sub[k]) per sharing subdomain, in the field's broken
+    layout: subdomains in turn, each with its dofs sorted, so a dof's
+    sharers come in ascending order.
     """
 
     dof: np.ndarray
@@ -104,50 +105,13 @@ class Incidence:
     def select(self, keep: np.ndarray) -> "Incidence":
         return Incidence(self.dof[keep], self.sub[keep])
 
-    def group(self) -> np.ndarray:
-        """Index of each row's dof among the distinct dofs of the table."""
-        return np.cumsum(np.diff(self.dof, prepend=-1) != 0) - 1
-
     def sharer_count(self) -> np.ndarray:
         """Number of subdomains sharing each row's dof."""
-        group = self.group()
-        return np.bincount(group)[group]
-
-    def broken_pos(self) -> np.ndarray:
-        """Position of each row in the field's broken layout: subdomains in
-        turn, each with its dofs sorted."""
-        pos = np.empty(self.sub.size, dtype=np.int64)
-        pos[np.argsort(self.sub, kind="stable")] = np.arange(self.sub.size)
-        return pos
+        return np.bincount(self.dof)[self.dof]
 
     def offsets(self, n_sub: int) -> np.ndarray:
         """Start of each subdomain's rows in the broken layout, then the end."""
         return np.concatenate([[0], np.cumsum(np.bincount(self.sub, minlength=n_sub))])
-
-
-def _incidence(space: FieldSpace, grid: tuple[int, int]) -> Incidence:
-    """Incidence of the dofs of ``space``, by the subdomains holding their nodes.
-
-    Along one axis, node line i of a g-subdomain grid m cells wide lies in
-    subdomains (i-1)//m and i//m, clipped to the grid: equal, or adjacent
-    and ascending.  A node lies in the cross product of its two axes'
-    subdomains, and its candidates (sy0, sx0), (sy0, sx1), (sy1, sx0),
-    (sy1, sx1), numbered sy * gx + sx, ascend once the repeats are dropped,
-    so the table comes out sorted without a sort: it is formed per node and
-    then repeated for each of the node's k dofs.
-    """
-    gx, gy = grid
-    mx, my = space.mesh.nx // gx, space.mesh.ny // gy
-    ix, iy = space.lattice(np.arange(0, space.n, space.k))  # one dof per node
-    sx0, sx1 = np.clip((ix - 1) // mx, 0, gx - 1), np.clip(ix // mx, 0, gx - 1)
-    sy0, sy1 = np.clip((iy - 1) // my, 0, gy - 1), np.clip(iy // my, 0, gy - 1)
-    cand = np.stack([sy0 * gx + sx0, sy0 * gx + sx1, sy1 * gx + sx0, sy1 * gx + sx1], axis=1)
-    two_x, two_y = sx1 != sx0, sy1 != sy0
-    keep = np.stack([np.ones_like(two_x), two_x, two_y, two_x & two_y], axis=1)
-    shape = (ix.size, space.k, 4)  # node, component, candidate
-    dof = space.k * np.arange(ix.size)[:, None, None] + np.arange(space.k)[None, :, None]
-    keep = np.broadcast_to(keep[:, None, :], shape)
-    return Incidence(np.broadcast_to(dof, shape)[keep], np.broadcast_to(cand[:, None, :], shape)[keep])
 
 
 def _split_interior(inc: Incidence) -> tuple[Incidence, Incidence]:
@@ -204,7 +168,7 @@ class FieldSplit:
     role: np.ndarray = field(init=False)  # int8 over the field's dofs: 0 interior, 1 dual, 2 primal
     row_is_primal: np.ndarray = field(init=False)  # over ``rows``
     primal_rows: Incidence = field(init=False)
-    dual_rows: Incidence = field(init=False)  # of the displacement: one per torn copy, lower subdomain first
+    dual_rows: Incidence = field(init=False)  # of the displacement: one per torn copy, in broken order
     interface: np.ndarray = field(init=False)
     primal: np.ndarray = field(init=False)
     dual: np.ndarray = field(init=False)
@@ -289,7 +253,7 @@ def _build_layout(cls: DofClassification) -> TornLayout:
     int_pos, base = {}, 0
     for fld, split in cls.splits.items():
         int_pos[fld] = pos = np.full(cls.spaces.n_dofs[fld], -1, dtype=np.int64)
-        pos[split.interior.dof] = base + split.interior.broken_pos()
+        pos[split.interior.dof] = base + np.arange(split.interior.dof.size)
         base += split.interior.dof.size
     dual_slice = slice(base, base + cls.u.dual_rows.dof.size)
     primal_slice = slice(dual_slice.stop, dual_slice.stop + cls.u.primal.size)
@@ -346,15 +310,24 @@ def _build_transform(n: int, groups: list[np.ndarray]) -> sp.csr_matrix:
     )
 
 
-def classify_dofs(part: SubdomainPartition, spaces: FeSpaceSet, primal_variant: str) -> DofClassification:
+def classify_dofs(part: SubdomainPartition, system: BlockSystem, primal_variant: str) -> DofClassification:
+    """Split every field of the assembled ``system`` by its stacked dofs.
+
+    The partition's subdomain grid must be the materials' (else
+    ``ConfigurationError``): assembly stacked the dofs on that grid."""
     if primal_variant not in ("vertex", "vertex-edge"):
         raise ConfigurationError(f"unknown primal variant {primal_variant!r}")
-    grid = part.grid
+    grid, spaces, st = part.grid, system.spaces, system.stacked
+    if tuple(grid) != tuple(system.materials.grid):
+        raise ConfigurationError(f"partition grid {grid} differs from the materials' grid {system.materials.grid}")
     n_sub = part.n_subdomains
     splits = {}
-    for fld in ("u", "p"):  # the fields with primal dofs
-        space = spaces.fields[fld]
-        interior, rows = _split_interior(_incidence(space, grid))
+    for fld, space in spaces.fields.items():
+        sub = np.repeat(np.arange(n_sub), np.diff(st.off[fld]))
+        interior, rows = _split_interior(Incidence(st.dofs[fld], sub))
+        if fld == "xi":  # total pressure has no primal dofs
+            splits[fld] = FieldSplit(n_sub, interior, rows, np.zeros(space.n, dtype=bool))
+            continue
         is_primal = _lattice_corners(space, grid)
         _check_dual_pairs(rows, is_primal, fld)
         transform = None
@@ -372,13 +345,6 @@ def classify_dofs(part: SubdomainPartition, spaces: FeSpaceSet, primal_variant: 
                 is_primal[G[:, 0]] = True
             transform = _build_transform(space.n, groups)
         splits[fld] = FieldSplit(n_sub, interior, rows, is_primal, transform)
-
-    if spaces.total_pressure_variant == "p0":  # a P0 dof is its base triangle, interior to its subdomain
-        interior = Incidence(np.arange(spaces.n_dofs["xi"]), element_subdomains(part.mesh, grid))
-        rows = Incidence(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    else:
-        interior, rows = _split_interior(_incidence(spaces.fields["xi"], grid))
-    splits["xi"] = FieldSplit(n_sub, interior, rows, np.zeros(spaces.n_dofs["xi"], dtype=bool))
     cls = DofClassification(grid=grid, spaces=spaces, **splits)
     _check_floating(cls)
     return cls
@@ -424,13 +390,15 @@ class ScalingWeights:
 
 
 def _weights(inc: Incidence, coeff: np.ndarray) -> np.ndarray:
-    """Each sharer's coefficient over the sum of its dof's sharers'; the
-    highest sharer (its dof's last row) takes one minus the others."""
-    group = inc.group()
-    raw = coeff[inc.sub]
-    w = raw / np.bincount(group, weights=raw)[group]
-    last = np.diff(inc.dof, append=-1) != 0
-    w[last] = 1.0 - np.bincount(group, weights=np.where(last, 0.0, w))[group[last]]
+    """Each sharer's coefficient over the sum of its dof's sharers', added
+    in ascending subdomain order (the rows'); the highest sharer takes one
+    minus the others."""
+    dof, raw = inc.dof, coeff[inc.sub]
+    w = raw / np.bincount(dof, weights=raw)[dof]
+    top = np.zeros(dof.max(initial=-1) + 1, dtype=inc.sub.dtype)
+    np.maximum.at(top, dof, inc.sub)
+    last = inc.sub == top[dof]
+    w[last] = 1.0 - np.bincount(dof, weights=np.where(last, 0.0, w))[dof[last]]
     return w
 
 
@@ -477,11 +445,14 @@ def _transfer(
 def build_jump(cls: DofClassification, scalings: ScalingWeights) -> Transfer:
     """The multipliers' transfer: one column per dual displacement dof."""
     duals = cls.u.dual_rows
-    sign = np.tile([1.0, -1.0], cls.u.dual.size)
-    # the rows of a dual dof's two copies are adjacent: swap their weights
-    neighbour = scalings.dual("u").reshape(-1, 2)[:, ::-1].ravel()
-    shape = (duals.dof.size, cls.u.dual.size)
-    return _transfer("multiplier", duals.broken_pos(), duals.group(), shape, sign, sign * neighbour)
+    n = duals.dof.size
+    pair = np.argsort(duals.dof, kind="stable").reshape(-1, 2)  # each dual dof's copies, the lower subdomain's first
+    sign = np.ones(n)
+    sign[pair[:, 1]] = -1.0
+    neighbour = np.empty(n)
+    neighbour[pair] = scalings.dual("u")[pair[:, ::-1]]  # each copy takes the other's weight
+    cols = np.searchsorted(cls.u.dual, duals.dof)
+    return _transfer("multiplier", np.arange(n), cols, (n, cls.u.dual.size), sign, sign * neighbour)
 
 
 def build_restrictions(cls: DofClassification, scalings: ScalingWeights) -> dict[str, Transfer]:
@@ -493,7 +464,7 @@ def build_restrictions(cls: DofClassification, scalings: ScalingWeights) -> dict
         n_dual = duals.dof.size
         out[fld] = _transfer(
             what,
-            np.concatenate([duals.broken_pos(), n_dual + np.arange(primal.size)]),
+            np.arange(n_dual + primal.size),
             split.interface_pos(np.concatenate([duals.dof, primal])),
             (n_dual + primal.size, split.interface.size),
             np.ones(n_dual + primal.size),
@@ -542,17 +513,15 @@ def _drop_roundoff(M: sp.spmatrix, row_off: np.ndarray) -> sp.csr_matrix:
 def transform_system(system: BlockSystem, cls: DofClassification) -> BlockSystem:
     """Re-express the assembled and local blocks in the edge-average basis.
 
-    The partition's subdomain grid must be the materials' (else
-    ``ConfigurationError``); for the nodal (vertex) variant the input is
-    returned unchanged.  The transformation touches interface dofs only, so
-    each subdomain's local blocks stay local, and a class member's edges
+    ``cls`` is classified from ``system`` (``classify_dofs``, which checks
+    their grids); for the nodal (vertex) variant the input is returned
+    unchanged.  The transformation touches interface dofs only, so each
+    subdomain's local blocks stay local, and a class member's edges
     are its representative's moved across the grid: the stored
     representatives' blocks and loads are transformed by one block-diagonal
     product each, which every member shares.  The global blocks are summed
     from the transformed stacked blocks on first use.
     """
-    if tuple(cls.grid) != tuple(system.materials.grid):
-        raise ConfigurationError(f"partition grid {cls.grid} differs from the materials' grid {system.materials.grid}")
     Tu, Tp = cls.u.transform, cls.p.transform
     if Tu is None:
         return system

@@ -307,7 +307,7 @@ def build_pipeline(cfg: ExperimentConfig) -> Pipeline:
     spaces = build_spaces(mesh, cfg.total_pressure, cfg.boundary())
     materials = cfg.materials()
     nodal = assemble_blocks(spaces, materials, LoadSpec(body_force=cfg.body_force, source=cfg.source))
-    cls = classify_dofs(part, spaces, cfg.primal)
+    cls = classify_dofs(part, nodal, cfg.primal)
     system = transform_system(nodal, cls)
     scalings = build_scalings(cls, materials)
     jump = build_jump(cls, scalings)

@@ -110,14 +110,6 @@ def subdomain_sides(grid: tuple[int, int]) -> np.ndarray:
     return np.column_stack([sx == 0, sx == gx - 1, sy == 0, sy == gy - 1])
 
 
-def element_subdomains(mesh: StructuredMesh, grid: tuple[int, int]) -> np.ndarray:
-    """The subdomain of each triangle of ``mesh`` (base or refined) on the
-    subdomain grid ``grid``."""
-    cell = np.arange(mesh.n_triangles) // 2
-    cx, cy = cell % mesh.nx, cell // mesh.nx
-    return cy // (mesh.ny // grid[1]) * grid[0] + cx // (mesh.nx // grid[0])
-
-
 def _grid_mesh(nx: int, ny: int) -> StructuredMesh:
     ix, iy = np.meshgrid(np.arange(nx), np.arange(ny))
     ix, iy = ix.ravel(), iy.ravel()

@@ -218,8 +218,7 @@ def _bddc(system: BlockSystem, cls: DofClassification, fld: str, inject_scaled: 
     places of its slice of the broken primal rows among the primal dofs."""
     split, mats, label = cls.splits[fld], system.materials, PRESSURE_LIKE[fld]
     rows = split.primal_rows  # their coarse unknowns in broken order, and each subdomain's start
-    coarse_of = np.zeros_like(rows.dof)
-    coarse_of[rows.broken_pos()] = np.searchsorted(split.primal, rows.dof)
+    coarse_of = np.searchsorted(split.primal, rows.dof)
     primal_offset = rows.offsets(cls.n_subdomains)
     coarse = []  # each class's primal columns and coarse contribution
     groups = system.classes(FIELD_BLOCK[fld])

@@ -26,7 +26,6 @@ from biot_ddp.mesh_fem import (
     block_positions,
     build_mesh,
     build_spaces,
-    element_subdomains,
     element_tables,
 )
 
@@ -102,6 +101,24 @@ def weight(sc, fld: str, dof: int, sub: int) -> float:
     """Subdomain ``sub``'s scaling weight of field ``fld``'s interface dof ``dof``."""
     rows = sc.cls.splits[fld].rows
     return float(sc.weights[fld][np.flatnonzero((rows.dof == dof) & (rows.sub == sub))[0]])
+
+
+def dual_pairs(rows) -> np.ndarray:
+    """Each dual dof's two sharers among the incidence rows ``rows``, a
+    (dofs, 2) array in dof order, each pair in the order of ``rows``: the
+    classification lists the lower subdomain first."""
+    order = np.argsort(rows.dof, kind="stable")
+    dof = rows.dof[order].reshape(-1, 2)
+    assert np.array_equal(dof[:, 0], dof[:, 1]), "a dual dof without exactly two sharers"
+    return rows.sub[order].reshape(-1, 2)
+
+
+def element_subdomains(mesh, grid: tuple[int, int]) -> np.ndarray:
+    """The subdomain of each triangle of ``mesh`` (base or refined) on the
+    subdomain grid ``grid``."""
+    cell = np.arange(mesh.n_triangles) // 2
+    cx, cy = cell % mesh.nx, cell // mesh.nx
+    return cy // (mesh.ny // grid[1]) * grid[0] + cx // (mesh.nx // grid[0])
 
 
 def by_subdomain(rows, n_sub: int) -> dict[int, np.ndarray]:

@@ -20,6 +20,7 @@ from helpers import (
     assembled_total_pressure_schur,
     dense_from_apply,
     dense_generalized_eigs,
+    dual_pairs,
     preconditioned_spectrum,
     weight,
 )
@@ -334,7 +335,7 @@ def test_operator_identities_and_subsystem_bounds(report):
     cls, sc, jump, rs = pipe.cls, pipe.scalings, pipe.jump, pipe.restrictions
     pou_exact = all(
         sum(weight(sc, "u", int(d), int(s)) for s in pr) == 1.0
-        for d, pr in zip(cls.u.dual, cls.u.dual_rows.sub.reshape(-1, 2))
+        for d, pr in zip(cls.u.dual, dual_pairs(cls.u.dual_rows))
     )
     bbd = float(
         np.abs((jump.unit.T @ jump.scaled).toarray() - np.eye(jump.unit.T.shape[0])).max()

@@ -21,16 +21,17 @@ from biot_ddp.decomposition import (
     _check_floating,
     _drop_roundoff,
     _edge_groups,
-    _incidence,
     _lattice_corners,
 )
-from biot_ddp.mesh_fem import FIELD_BLOCK, element_subdomains
+from biot_ddp.mesh_fem import FIELD_BLOCK
 from helpers import (
     MULTI_MEMBER_GRIDS,
     assemble_with_reference,
     assert_stored_once,
     broken_offsets,
     by_subdomain,
+    dual_pairs,
+    element_subdomains,
     local_blocks,
     local_view,
     reference_edge_averages,
@@ -48,12 +49,16 @@ REFERENCE_GRIDS = pytest.mark.parametrize(
 )
 
 
+def uniform_system(spaces, grid):
+    return bd.assemble_blocks(spaces, bd.MaterialField.uniform(grid, E=1.0, nu=0.3, alpha=1.0, kappa=1.0))
+
+
 def classify(nx=8, grid=(2, 2), variant="p1", primal="vertex", bc=None):
     mesh = bd.build_mesh(nx, grid)
     part = bd.partition(mesh, grid)
     bc = bc or bd.BoundarySpec.neumann_left()
     spaces = bd.build_spaces(mesh, variant, bc)
-    return part, spaces, bd.classify_dofs(part, spaces, primal)
+    return part, spaces, bd.classify_dofs(part, uniform_system(spaces, grid), primal)
 
 
 class TestPartition:
@@ -107,7 +112,7 @@ class TestClassification:
         # and interface dofs, the displacement's its interior, dual and
         # primal ones, each once
         _, spaces, cls = classify(24, (4, 2), variant, primal, bc)
-        system = bd.assemble_blocks(spaces, bd.MaterialField.uniform((4, 2), E=1.0, nu=0.3, alpha=1.0, kappa=1.0))
+        system = uniform_system(spaces, (4, 2))
         parts = {fld: (split.dual_rows, split.primal_rows) if fld == "u" else (split.rows,)
                  for fld, split in cls.splits.items()}
         sets = {fld: [by_subdomain(r, cls.n_subdomains) for r in (split.interior, *parts[fld])]
@@ -141,7 +146,7 @@ class TestClassification:
     def test_dual_lists_sorted_and_paired(self):
         _, _, cls = classify(12, (3, 3))
         assert np.all(np.diff(cls.u.dual) > 0)
-        pairs = cls.u.dual_rows.sub.reshape(-1, 2)
+        pairs = dual_pairs(cls.u.dual_rows)
         assert np.all(pairs[:, 0] < pairs[:, 1])
 
     def test_p0_total_pressure_has_no_interface(self):
@@ -236,25 +241,36 @@ class TestClassification:
         self.assert_bitwise_equal(_build_transform(25, stacked), self.per_group_transform(25, groups))
 
     @staticmethod
-    def assert_incidence_is_reference(inc, space, grid):
-        for got, want in zip((inc.dof, inc.sub), reference_incidence(space, grid)):
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
+    def assert_dof_major(dof, sub, want, what=""):
+        """The (dof, subdomain) rows, sorted dof-major, are ``want``."""
+        order = np.lexsort((sub, dof))
+        for got, ref in zip((dof[order], sub[order]), want):
+            assert got.dtype == ref.dtype, what
+            np.testing.assert_array_equal(got, ref, err_msg=what)
+
+    def assert_rows_are_reference(self, split, space, grid):
+        # the interior rows are the reference's dofs with one sharer, the
+        # interface rows the others
+        dof, sub = reference_incidence(space, grid)
+        shared = np.bincount(dof)[dof] > 1
+        for inc, keep in ((split.interior, ~shared), (split.rows, shared)):
+            self.assert_dof_major(inc.dof, inc.sub, (dof[keep], sub[keep]))
 
     @REFERENCE_GRIDS
     @pytest.mark.parametrize("variant", ["p1", "p0"])
     @pytest.mark.parametrize("bc", [bd.BoundarySpec.neumann_left(), bd.BoundarySpec.all_dirichlet()], ids=["neumann-left", "dirichlet"])
     @pytest.mark.parametrize("primal", ["vertex", "vertex-edge"])
     def test_classification_matches_per_edge_reference(self, nx, grid, variant, bc, primal):
-        # the incidence against the sorted one, the edge averages against
-        # the groups formed one edge and one component at a time
+        # the interior and interface rows against the sorted reference
+        # incidence, the edge averages against the groups formed one edge
+        # and one component at a time
         part, spaces, cls = classify(nx, grid, variant, primal, bc)
         for fld, split in cls.splits.items():
             space = spaces.fields[fld]
             if fld == "xi" and variant == "p0":
                 assert split.rows.dof.size == 0
                 continue
-            self.assert_incidence_is_reference(_incidence(space, grid), space, grid)
+            self.assert_rows_are_reference(split, space, grid)
             if fld == "xi":
                 continue
             is_primal = _lattice_corners(space, grid)
@@ -300,12 +316,27 @@ class TestClassification:
     @settings(max_examples=40, deadline=None)
     @given(
         gx=st.integers(1, 5), gy=st.integers(1, 5), m=st.integers(1, 4),
-        fld=st.sampled_from(["u", "xi", "p"]), dirichlet=st.booleans(),
+        variant=st.sampled_from(["p1", "p0"]), dirichlet=st.booleans(),
     )
-    def test_incidence_is_the_sorted_reference(self, gx, gy, m, fld, dirichlet):
+    def test_stacked_dofs_are_the_sorted_reference(self, gx, gy, m, variant, dirichlet):
+        # assembly's stacked dofs, the classification's one record of which
+        # subdomains hold each dof: every subdomain's run strictly ascends,
+        # and the (dof, subdomain) rows sorted dof-major are the reference
+        # incidence; a p0 total pressure dof is held by its triangle's
+        # subdomain alone
         bc = bd.BoundarySpec.all_dirichlet() if dirichlet else bd.BoundarySpec.neumann_left()
-        spaces = bd.build_spaces(bd.build_mesh(gx * m, (gx, gy)), "p1", bc)
-        self.assert_incidence_is_reference(_incidence(spaces.fields[fld], (gx, gy)), spaces.fields[fld], (gx, gy))
+        mesh = bd.build_mesh(gx * m, (gx, gy))
+        spaces = bd.build_spaces(mesh, variant, bc)
+        stacked = uniform_system(spaces, (gx, gy)).stacked
+        for fld, space in spaces.fields.items():
+            dofs, off = stacked.dofs[fld], stacked.off[fld]
+            sub = np.repeat(np.arange(gx * gy), np.diff(off))
+            assert np.all(np.diff(dofs)[sub[1:] == sub[:-1]] > 0), fld
+            if fld == "xi" and variant == "p0":
+                want = np.arange(space.n), element_subdomains(mesh, (gx, gy))
+            else:
+                want = reference_incidence(space, (gx, gy))
+            self.assert_dof_major(dofs, sub, want, fld)
 
     @pytest.mark.parametrize("nx, ny, grid", [(8, 8, (4, 4)), (4, 4, (4, 4)), (24, 12, (4, 2)), (12, 36, (1, 3)), (8, 4, (2, 2)), (8, 8, (4, 2))])
     def test_edge_groups_are_the_per_edge_runs(self, nx, ny, grid):
@@ -348,7 +379,7 @@ class TestClassification:
         mesh = bd.build_mesh(24, (4, 2))
         part = bd.partition(mesh, (4, 2))
         spaces = bd.build_spaces(mesh, "p1", bc)
-        cls = bd.classify_dofs(part, spaces, "vertex")
+        cls = bd.classify_dofs(part, uniform_system(spaces, (4, 2)), "vertex")
         refined = mesh.refined_mesh
 
         def expected(m, elements, dofs_of_node):
@@ -374,12 +405,12 @@ class TestClassification:
             (cls.xi.rows, expected(mesh, base, lambda node: [node])),
             (cls.p.rows, expected(mesh, base, p_dofs)),
         ):
-            np.testing.assert_array_equal(np.column_stack([inc.dof, inc.sub]), want)
+            self.assert_dof_major(inc.dof, inc.sub, want.T)  # the rows come in broken order
 
     def test_unknown_primal_variant_rejected(self):
         part, spaces, _ = classify()
         with pytest.raises(bd.ConfigurationError):
-            bd.classify_dofs(part, spaces, "corner")
+            bd.classify_dofs(part, uniform_system(spaces, part.grid), "corner")
 
 
 class TestScalings:
@@ -392,7 +423,7 @@ class TestScalings:
         )
         _, _, cls = classify(12, (3, 3), variant, primal)
         sc = bd.build_scalings(cls, mats)
-        for dof, pair in zip(cls.u.dual, cls.u.dual_rows.sub.reshape(-1, 2)):
+        for dof, pair in zip(cls.u.dual, dual_pairs(cls.u.dual_rows)):
             total = sum(weight(sc, "u", int(dof), int(s)) for s in pair)
             assert total == 1.0  # exact by construction, not approx
         for dof in cls.xi.interface:
@@ -415,7 +446,7 @@ class TestScalings:
         _, _, cls = classify()
         sc = bd.build_scalings(cls, mats)
         dof = int(cls.u.dual[0])
-        s0, s1 = cls.u.dual_rows.sub.reshape(-1, 2)[0]
+        s0, s1 = dual_pairs(cls.u.dual_rows)[0]
         ratio = weight(sc, "u", dof, s0) / weight(sc, "u", dof, s1)
         assert ratio == pytest.approx(mats.mu[s0] / mats.mu[s1])
         xd = int(cls.xi.interface[0])
@@ -550,7 +581,7 @@ class TestTransformSystem:
         spaces = bd.build_spaces(mesh, "p1", bc)
         system = bd.assemble_blocks(spaces, mats, bd.LoadSpec())
         part = bd.partition(mesh, (2, 2))
-        cls = bd.classify_dofs(part, spaces, primal)
+        cls = bd.classify_dofs(part, system, primal)
         return system, cls
 
     def test_vertex_variant_untouched(self):
@@ -564,9 +595,8 @@ class TestTransformSystem:
         spaces = bd.build_spaces(mesh, "p1", bd.BoundarySpec.neumann_left())
         mats = bd.MaterialField.uniform(mat_grid, E=1.0, nu=0.3, alpha=1.0, kappa=1.0)
         system = bd.assemble_blocks(spaces, mats)
-        cls = bd.classify_dofs(bd.partition(mesh, part_grid), spaces, primal)
         with pytest.raises(bd.ConfigurationError, match="differs from"):
-            bd.transform_system(system, cls)
+            bd.classify_dofs(bd.partition(mesh, part_grid), system, primal)
 
     def test_edge_average_congruence(self):
         system, cls = self.assemble("vertex-edge")
@@ -610,7 +640,7 @@ class TestTransformSystem:
         kw, _ = MULTI_MEMBER_GRIDS[case]
         cfg = bd.ExperimentConfig(primal="vertex-edge", **kw)
         mesh, spaces, system, ref = assemble_with_reference(cfg)
-        cls = bd.classify_dofs(bd.partition(mesh, cfg.subdomains), spaces, "vertex-edge")
+        cls = bd.classify_dofs(bd.partition(mesh, cfg.subdomains), system, "vertex-edge")
         out = bd.transform_system(system, cls)
         assert_stored_once(out)
         for s, lb in local_blocks(out).items():

@@ -23,6 +23,7 @@ from helpers import (
     assemble_with_reference,
     assert_stored_once,
     dump_blocks_coo,
+    element_subdomains,
     local_blocks,
     local_view,
     per_subdomain_assembly,
@@ -419,7 +420,7 @@ class TestPatchAssembly:
         st = bd.assemble_blocks(spaces, mats, LoadSpec()).stacked
         gx = cfg.subdomains[0]
         every = {fld: mesh_fem.FieldSpace(s.mesh, np.arange(s.mesh.n_nodes), s.k) for fld, s in spaces.fields.items()}
-        tri_b, tri_r = (np.flatnonzero(mesh_fem.element_subdomains(m, cfg.subdomains) == 0) for m in (mesh, mesh.refined_mesh))
+        tri_b, tri_r = (np.flatnonzero(element_subdomains(m, cfg.subdomains) == 0) for m in (mesh, mesh.refined_mesh))
         for r in np.unique(st.rep):
             tables = mesh_fem.element_tables(every, cfg.total_pressure == "p0", tri_b, tri_r,
                                              [(mats.lam[r], mats.mu[r], mats.alpha[r], mats.kappa[r])], LoadSpec())[0]
