@@ -58,10 +58,6 @@ from .mesh_fem import (
 # and one balancing preconditioner, with their names in messages
 PRESSURE_LIKE = {"xi": "total pressure", "p": "pressure"}
 
-# Entries of a local block at or below this fraction of its largest entry
-# are roundoff: the change of basis drops them.
-_CONGRUENCE_RTOL = 1e-13
-
 
 # ---------------------------------------------------------------------------
 # partition
@@ -121,15 +117,17 @@ def _split_interior(inc: Incidence) -> tuple[Incidence, Incidence]:
 
 
 def _lattice_corners(space: FieldSpace, grid: tuple[int, int]) -> np.ndarray:
-    """Flag over the dofs of ``space``: the node is a corner of the subdomain lattice.
+    """Flag over the dofs of ``space``: the node is a corner of the subdomain
+    lattice, one flag per free node repeated over its k components.
 
     Only free nodes are classified, so corners on the constrained boundary
     never reach this test; corners on the traction boundary are genuine
     coarse vertices and stay primal, which keeps the spectrum flat as
     subdomains are added.
     """
-    ix, iy = space.lattice(np.arange(space.n))
-    return (ix % (space.mesh.nx // grid[0]) == 0) & (iy % (space.mesh.ny // grid[1]) == 0)
+    m = space.mesh
+    corner = (m.node_ix(space.free) % (m.nx // grid[0]) == 0) & (m.node_iy(space.free) % (m.ny // grid[1]) == 0)
+    return np.repeat(corner, space.k)
 
 
 def _check_dual_pairs(iface: Incidence, corner: np.ndarray, what: str) -> None:
@@ -491,25 +489,6 @@ def _blockwise(T: sp.csr_matrix, dofs: np.ndarray, off: np.ndarray) -> sp.csr_ma
     return sp.csr_matrix((R.data[ok], (rows[ok], pos[ok])), shape=(dofs.size, dofs.size))
 
 
-def _drop_roundoff(M: sp.spmatrix, row_off: np.ndarray) -> sp.csr_matrix:
-    """A block-diagonal matrix without the entries at or below
-    _CONGRUENCE_RTOL times the largest entry of their diagonal block.
-
-    A change of basis leaves roundoff-level fill that cancels to an exact
-    zero in some subdomains and survives in congruent others; dropping it
-    makes the pattern the same whichever member of a class is transformed,
-    so the representative's is every member's.
-    """
-    M = M.tocsr()
-    row_sub = np.repeat(np.arange(row_off.size - 1), np.diff(row_off))
-    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
-    mag = np.abs(M.data)
-    scale = np.zeros(row_off.size - 1)
-    np.maximum.at(scale, row_sub[rows], mag)
-    keep = mag > _CONGRUENCE_RTOL * scale[row_sub[rows]]
-    return sp.coo_matrix((M.data[keep], (rows[keep], M.indices[keep])), shape=M.shape).tocsr()
-
-
 def transform_system(system: BlockSystem, cls: DofClassification) -> BlockSystem:
     """Re-express the assembled and local blocks in the edge-average basis.
 
@@ -519,8 +498,10 @@ def transform_system(system: BlockSystem, cls: DofClassification) -> BlockSystem
     subdomain's local blocks stay local, and a class member's edges
     are its representative's moved across the grid: the stored
     representatives' blocks and loads are transformed by one block-diagonal
-    product each, which every member shares.  The global blocks are summed
-    from the transformed stacked blocks on first use.
+    product each, which every member shares.  The products are kept as they
+    come, roundoff-level fill included, so a member's own T_s^T M_s T_s is
+    its stored tile bit for bit, pattern included.  The global blocks are
+    summed from the transformed stacked blocks on first use.
     """
     Tu, Tp = cls.u.transform, cls.p.transform
     if Tu is None:
@@ -531,10 +512,10 @@ def transform_system(system: BlockSystem, cls: DofClassification) -> BlockSystem
     Tp_s = _blockwise(Tp, st.dofs["p"][block_positions(st.off["p"], reps)], st.rep_off["p"])
     stacked = replace(
         st,
-        A=_drop_roundoff(Tu_s.T @ st.A @ Tu_s, st.rep_off["u"]),
-        B=_drop_roundoff(st.B @ Tu_s, st.rep_off["xi"]),
-        D=_drop_roundoff(Tp_s.T @ st.D, st.rep_off["p"]),
-        E=_drop_roundoff(Tp_s.T @ st.E @ Tp_s, st.rep_off["p"]),
+        A=(Tu_s.T @ st.A @ Tu_s).tocsr(),
+        B=st.B @ Tu_s,
+        D=(Tp_s.T @ st.D).tocsr(),
+        E=(Tp_s.T @ st.E @ Tp_s).tocsr(),
         f=Tu_s.T @ st.f,
         g=Tp_s.T @ st.g,
     )

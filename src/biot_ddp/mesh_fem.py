@@ -215,16 +215,6 @@ class FieldSpace:
         d = np.where(first >= 0, first + np.arange(self.k), -1)
         return d.reshape(*d.shape[:-2], d.shape[-2] * self.k)
 
-    def patch_keys(self, grid: tuple[int, int], s, dofs: np.ndarray) -> np.ndarray:
-        """One integer per dof of subdomain s (one, or one per dof) of the
-        subdomain grid ``grid``: its node's grid position relative to the
-        subdomain's lower-left node, and its component."""
-        gx, gy = grid
-        m = self.mesh
-        ix, iy = self.lattice(dofs)
-        ix, iy = ix - s % gx * (m.nx // gx), iy - s // gx * (m.ny // gy)
-        return 2 * (ix * (m.ny + 1) + iy) + dofs % self.k
-
 
 @dataclass
 class FeSpaceSet:
@@ -385,10 +375,14 @@ class StackedBlocks:
     whose diagonal block r is representative r's local block, and ``f`` and
     ``g`` are their stacked local loads, all over the offsets ``rep_off``, in
     which the members own empty ranges.  Every member's own build equals
-    them bit for bit (``assemble_blocks``).
+    them bit for bit (``assemble_blocks``).  ``patch["u"]`` holds each
+    stacked displacement position's place among the reference patch's dofs
+    (likewise for "xi" and "p"): dofs that lie alike in their subdomains
+    share it, so it matches dofs between classes.
     """
 
     dofs: dict[str, np.ndarray]
+    patch: dict[str, np.ndarray]
     off: dict[str, np.ndarray]
     rep_off: dict[str, np.ndarray]
     A: sp.csr_matrix
@@ -737,7 +731,7 @@ def assemble_blocks(spaces: FeSpaceSet, materials: MaterialField, load: LoadSpec
     # of them each class keeps: those whose node is free at its
     # representative's place
     patch = {fld: sorted_unique(tables[0][name].rows) for fld, name in FIELD_BLOCK.items()}
-    free, pos, rep_off, off, dofs = {}, {}, {}, {}, {}
+    free, pos, rep_off, off, dofs, place = {}, {}, {}, {}, {}, {}
     for fld, pd in patch.items():
         space = spaces.fields[fld]
         # the patch nodes' ids in the mesh, which keep the patch's order
@@ -749,12 +743,14 @@ def assemble_blocks(spaces: FeSpaceSet, materials: MaterialField, load: LoadSpec
         off[fld] = np.concatenate([[0], np.cumsum(count[cls])])
         # each class's stacked position of each free patch dof
         pos[fld] = rep_off[fld][reps][:, None] + np.cumsum(free[fld], axis=1) - 1
-        # a member's dofs: its class's, moved to its own place
-        sub, at = np.nonzero(free[fld][cls])
-        first_dof = space.dof_of_node[node[at] + shift[sub]]
+        # a member's dofs: its class's, moved to its own place (its places in
+        # the patch are kept: divmod gives them an array of their own, where
+        # nonzero's would be a strided view pinning the subdomains' too)
+        sub, place[fld] = np.divmod(np.flatnonzero(free[fld][cls]), pd.size)
+        first_dof = space.dof_of_node[node[place[fld]] + shift[sub]]
         if np.any(first_dof < 0):
             raise InternalError("a class member lacks a free dof of its representative")
-        dofs[fld] = first_dof + comp[at]
+        dofs[fld] = first_dof + comp[place[fld]]
 
     blocks = {}
     for name, r, c in BLOCK_FIELDS:
@@ -786,7 +782,7 @@ def assemble_blocks(spaces: FeSpaceSet, materials: MaterialField, load: LoadSpec
         spaces=spaces,
         materials=materials,
         **total,
-        stacked=StackedBlocks(dofs=dofs, off=off, rep_off=rep_off, **blocks, **loads, rep=rep),
+        stacked=StackedBlocks(dofs=dofs, patch=place, off=off, rep_off=rep_off, **blocks, **loads, rep=rep),
     )
 
 

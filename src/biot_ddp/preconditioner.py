@@ -148,9 +148,9 @@ def class_schurs(
     quotient property its S is the source's with those rows eliminated and
     the source's other rows, on its Dirichlet sides, dropped
     (``derive_schur``).  A class with no source is formed by
-    ``_dense_schur``.  Dofs are matched by their position in the patch
-    (``FieldSpace.patch_keys``); a kept dof of r that its source c does not
-    keep, or eliminated dofs that are not c's and those rows, is an
+    ``_dense_schur``.  Dofs are matched by their place in the reference
+    patch (``StackedBlocks.patch``); a kept dof of r that its source c does
+    not keep, or eliminated dofs that are not c's and those rows, is an
     ``InternalError`` naming r.
     """
     groups = system.classes(FIELD_BLOCK[fld])
@@ -163,7 +163,7 @@ def class_schurs(
         role = cls.splits[fld].role[dofs]
         gamma, inner = np.concatenate([np.flatnonzero(role == k) for k in kept]), np.flatnonzero(role == 0)
         name = f"{label} interior block of subdomain {r}"
-        keys = space.patch_keys(system.materials.grid, r, dofs)
+        keys = st.patch[fld][st.off[fld][r] : st.off[fld][r + 1]]
         if src is None:
             M = st.block(FIELD_BLOCK[fld], r)
             M = M if scale is None else float(scale[r]) * M

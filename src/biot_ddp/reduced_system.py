@@ -840,9 +840,8 @@ class ClassSaddles:
         blocks.append([J, zero[0].T.tocsr(), zero[1].T.tocsr(), zero[2]])
         self.owner = np.concatenate([*owner.values(), owner["u"][dual]])
         self.role = np.concatenate([self.role, np.full(dual.size, ROLES.index("lam"), dtype=np.int8)])
-        # 3 k + 0, 1 or 2 (u, xi, p) for each position's patch key k; a λ row's is its copy's
-        keys = [3 * space.patch_keys(system.materials.grid, self.reps[owner[fld]], st.dofs[fld][at[fld]]) + code
-                for code, (fld, space) in enumerate(system.spaces.fields.items())]
+        # 3 k + 0, 1 or 2 (u, xi, p) for each position's place k in the patch; a λ row's is its copy's
+        keys = [3 * st.patch[fld][at[fld]] + code for code, fld in enumerate(roles)]
         self._keys = np.concatenate([*keys, keys[0][dual]])
         self._M = sp.bmat(blocks, format="csr")
         # every class's saddle order and role counts

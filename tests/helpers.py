@@ -17,7 +17,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from biot_ddp import reduced_system
-from biot_ddp.decomposition import _CONGRUENCE_RTOL
 from biot_ddp.mesh_fem import (
     BLOCK_FIELDS,
     FIELD_BLOCK,
@@ -538,6 +537,23 @@ def per_subdomain_assembly(mesh, spaces, materials, load) -> dict:
     return out
 
 
+# relative tolerance of numeric_classes: stored values this close to a
+# class's first member's are that member's
+CLASS_RTOL = 1e-13
+
+
+def patch_keys(space, grid: tuple[int, int], s, dofs: np.ndarray) -> np.ndarray:
+    """The oracle of a dof's place in the reference patch: one integer per
+    dof of subdomain s (one, or one per dof) of the subdomain grid ``grid``
+    from its node's grid position relative to the subdomain's lower-left
+    node, and its component, in the field's space ``space``."""
+    gx, gy = grid
+    m = space.mesh
+    ix, iy = space.lattice(dofs)
+    ix, iy = ix - s % gx * (m.nx // gx), iy - s // gx * (m.ny // gy)
+    return 2 * (ix * (m.ny + 1) + iy) + dofs % space.k
+
+
 def numeric_classes(parts: list[list]) -> list[list[int]]:
     """Positions in ``parts`` grouped by comparing the stored local data: the
     oracle for the input key that decides the classes (BlockSystem.classes).
@@ -546,7 +562,7 @@ def numeric_classes(parts: list[list]) -> list[list[int]]:
     integer index arrays.  Two entries fall in one class when all shapes,
     sparsity patterns (indptr, indices) and index arrays are equal and
     every matrix agrees with the class's first member to within
-    _CONGRUENCE_RTOL times that matrix's own largest entry.
+    CLASS_RTOL times that matrix's own largest entry.
     """
     firsts: list[list[tuple[np.ndarray, float]]] = []  # values and tolerance of each first member
     classes: list[list[int]] = []
@@ -567,7 +583,7 @@ def numeric_classes(parts: list[list]) -> list[list[int]]:
                 break
         else:
             candidates.append(len(classes))
-            firsts.append([(v, _CONGRUENCE_RTOL * np.max(np.abs(v), initial=0.0)) for v in values])
+            firsts.append([(v, CLASS_RTOL * np.max(np.abs(v), initial=0.0)) for v in values])
             classes.append([k])
     return classes
 

@@ -34,7 +34,7 @@ from biot_ddp import preconditioner, reduced_system
 from biot_ddp.mesh_fem import FIELD_BLOCK
 from helpers import (
     broken_offsets, by_subdomain, interface_coupling, is_condensed, local_index_sets, local_solve_apply, local_view,
-    record_torn_columns, schur_inputs, sliced_bmat_saddle,
+    patch_keys, record_torn_columns, schur_inputs, sliced_bmat_saddle,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -148,7 +148,7 @@ def own_saddle(pipe, s):
     sets = local_index_sets(pipe.cls, lb.dofs)
     spaces, grid = pipe.system.spaces.fields, pipe.system.materials.grid
     keys = [(n[:-1], int(k)) for n in ("uI", "xiI", "pI", "uD", "xiG", "pG")
-            for k in spaces[n[:-1]].patch_keys(grid, s, lb.dofs[n[:-1]][sets[n]])]
+            for k in patch_keys(spaces[n[:-1]], grid, s, lb.dofs[n[:-1]][sets[n]])]
     return sliced_bmat_saddle(lb, sets, True), sets, keys
 
 

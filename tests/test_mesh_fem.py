@@ -8,6 +8,8 @@ is 1, which pins the scaled total pressure mass block exactly.
 """
 
 import dataclasses
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +28,14 @@ from helpers import (
     element_subdomains,
     local_blocks,
     local_view,
+    patch_keys,
     per_subdomain_assembly,
     stokes_stability_witness,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from workloads import WORKLOADS, experiment_config  # noqa: E402
 
 
 def small_system(variant="p1", bc=None, grid=(2, 2), nx=8, **mat):
@@ -338,6 +345,26 @@ class TestPerClassAssembly:
                     got, want, tiled = got.data, want.data, tiled.data
                 assert np.array_equal(got, tiled)
                 assert np.array_equal(got, want), (s, name)
+
+    @pytest.mark.parametrize("kw", [
+        *(pytest.param(kw, id=case) for case, (kw, _) in MULTI_MEMBER_GRIDS.items()),
+        *(pytest.param(experiment_config(name, 7), id=name) for name in WORKLOADS),
+    ])
+    def test_patch_positions_are_the_lattice_keys(self, kw):
+        # two stacked positions of one field, of any subdomains, share a
+        # place in the reference patch exactly when their dofs lie alike in
+        # their subdomains: same node relative to its lower-left node, same
+        # component
+        cfg = bd.ExperimentConfig(**kw)
+        spaces = bd.build_spaces(bd.build_mesh(cfg.nx, cfg.subdomains), cfg.total_pressure, cfg.boundary())
+        st = bd.assemble_blocks(spaces, cfg.materials()).stacked
+        for fld, space in spaces.fields.items():
+            place = st.patch[fld]
+            assert place.shape == st.dofs[fld].shape and place.dtype.kind == "i", fld
+            sub = np.repeat(np.arange(st.n_sub), np.diff(st.off[fld]))
+            key = patch_keys(space, cfg.subdomains, sub, st.dofs[fld])
+            pairs = np.unique(np.column_stack([place, key]), axis=0)
+            assert len(pairs) == np.unique(place).size == np.unique(key).size, fld
 
     @pytest.mark.parametrize("case", list(MULTI_MEMBER_GRIDS))
     def test_local_blocks_are_bitwise_symmetric(self, case):
